@@ -60,7 +60,7 @@ func main() {
 		clients    = flag.Int("clients", 256, "loadgen: concurrent clients")
 		ops        = flag.Int("ops", 150, "loadgen: writes per client")
 		maxBatch   = flag.Int("max-batch", 16, "loadgen: max writes per group commit")
-		maxDelay   = flag.Duration("max-delay", 2*time.Millisecond, "loadgen: max wait to fill a batch")
+		maxDelay   = flag.Duration("max-delay", 2*time.Millisecond, "loadgen: max wait for company while the commit pipeline is busy (or a commit takes this long)")
 		commitLat  = flag.Duration("commit-latency", 2*time.Millisecond, "loadgen: modeled media latency per group commit (0 = simulator speed)")
 		shards     = flag.String("shards", "1", "loadgen: comma-separated shard counts to sweep (e.g. 1,2,4,8)")
 		readRatio  = flag.Float64("read-ratio", 0, "loadgen: fraction of ops issued as GETs against previously written keys (0 = write-heavy with periodic read-backs)")

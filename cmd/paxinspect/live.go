@@ -183,15 +183,15 @@ func printRecords(title string, recs []server.CommitRecord) {
 	if len(recs) == 0 {
 		return
 	}
-	fmt.Printf("  %5s %5s %6s %5s %7s %10s %10s %10s %10s  %s\n",
-		"shard", "seq", "epoch", "batch", "retries", "seal", "persist", "ack", "total", "err")
+	fmt.Printf("  %5s %5s %6s %5s %7s %7s %10s %10s %10s %10s  %s\n",
+		"shard", "seq", "epoch", "batch", "retries", "sealed", "seal", "persist", "ack", "total", "err")
 	for _, r := range recs {
 		errText := r.Err
 		if errText == "" {
 			errText = "-"
 		}
-		fmt.Printf("  %5d %5d %6d %5d %7d %10s %10s %10s %10s  %s\n",
-			r.Shard, r.Seq, r.Epoch, r.Batch, r.Retries,
+		fmt.Printf("  %5d %5d %6d %5d %7d %7s %10s %10s %10s %10s  %s\n",
+			r.Shard, r.Seq, r.Epoch, r.Batch, r.Retries, r.SealReason,
 			fmtNS(r.SealNS), fmtNS(r.PersistNS), fmtNS(r.AckNS), fmtNS(r.TotalNS), errText)
 	}
 }

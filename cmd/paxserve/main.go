@@ -97,7 +97,7 @@ func main() {
 		overwrite = flag.Bool("overwrite", false, "reformat the pool file even if it already exists")
 		epochLog  = flag.Bool("epoch-log", false, "persist commits as delta records in <pool>.epochlog/ (O(dirty) commit cost) instead of republishing the full image; reopening an epoch-log pool requires this flag")
 		maxBatch  = flag.Int("max-batch", 128, "max writes acked per group commit")
-		maxDelay  = flag.Duration("max-delay", time.Millisecond, "max wait to fill a commit batch")
+		maxDelay  = flag.Duration("max-delay", time.Millisecond, "max wait for company while the commit pipeline is busy (or a commit takes this long)")
 		commitLat = flag.Duration("commit-latency", 0, "modeled media latency per group commit (0 = simulator speed)")
 		queue     = flag.Int("queue", 1024, "request queue depth (backpressure bound)")
 		reqTmo    = flag.Duration("req-timeout", 5*time.Second, "per-request enqueue timeout")

@@ -368,7 +368,10 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 		spec.ValueBytes = 64
 	}
 	if spec.Keys == 0 {
-		if spec.Dist != "" || spec.ZipfS != 0 || spec.RMWRatio != 0 || spec.ValueDist != "" {
+		// "uniform" and "fixed" are what private-key clients do anyway (and
+		// paxbench's flag defaults), so only a real shape needs the keyspace.
+		shaped := (spec.Dist != "" && spec.Dist != "uniform") || (spec.ValueDist != "" && spec.ValueDist != "fixed")
+		if shaped || spec.ZipfS != 0 || spec.RMWRatio != 0 {
 			return LoadResult{}, fmt.Errorf("benchkit: Dist/ZipfS/RMWRatio/ValueDist shape the shared keyspace; set Keys > 0")
 		}
 	} else {

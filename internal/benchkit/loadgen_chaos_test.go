@@ -77,3 +77,21 @@ func TestRunLoadChaosJournalsTheCause(t *testing.T) {
 		t.Fatalf("simulated kill journaled a shutdown marker: %v", types)
 	}
 }
+
+// paxbench's -dist/-value-dist flags default to "uniform"/"fixed", so a
+// private-key run (Keys 0) must accept those — they describe what private
+// keys do anyway — and still refuse a shape that needs the shared keyspace.
+func TestRunLoadPrivateKeysAcceptFlagDefaults(t *testing.T) {
+	spec := LoadSpec{Clients: 2, OpsPerClient: 4, Shards: 1, Dist: "uniform", ValueDist: "fixed"}
+	res, err := RunLoad(spec)
+	if err != nil {
+		t.Fatalf("private-key run with the flag defaults: %v", err)
+	}
+	if res.AckedWrites != 8 {
+		t.Fatalf("acked %d writes, want 8", res.AckedWrites)
+	}
+	spec.Dist = "zipf"
+	if _, err := RunLoad(spec); err == nil || !strings.Contains(err.Error(), "Keys > 0") {
+		t.Fatalf("zipf without a keyspace: %v, want the Keys > 0 refusal", err)
+	}
+}

@@ -74,6 +74,11 @@ const (
 	// DefaultSegmentBytes is the roll threshold: a segment past this size is
 	// sealed and a fresh one opened before the next append.
 	DefaultSegmentBytes = 4 << 20
+
+	// maxRetainedEncBuf caps the staging buffer a store keeps between
+	// appends, so one outsized commit (a table rehash) does not pin its
+	// record's worth of memory for the store's lifetime.
+	maxRetainedEncBuf = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -169,6 +174,9 @@ type Store struct {
 	offset  int64     // append offset in the active segment
 	nextSeq uint64
 	info    Info
+	// encBuf is Append's record staging buffer, reused under mu so the
+	// commit path allocates nothing per record.
+	encBuf []byte
 }
 
 // segment is the in-memory bookkeeping for one segment file.
@@ -518,7 +526,10 @@ func (s *Store) Append(epoch uint64, ranges []Range) (int64, error) {
 	if err := s.cfg.fault(StageAppend); err != nil {
 		return 0, fmt.Errorf("epochlog: append: %w", err)
 	}
-	buf := encodeRecord(s.nextSeq, epoch, ranges)
+	buf := encodeRecord(s.encBuf, s.nextSeq, epoch, ranges)
+	if cap(buf) <= maxRetainedEncBuf {
+		s.encBuf = buf
+	}
 	fail := func(err error) (int64, error) {
 		// Best effort: clear the partial record so a later crash cannot
 		// leave its bytes between committed records. Open's truncation
@@ -558,12 +569,19 @@ func RecordSize(ranges []Range) int64 {
 	return int64(recHeaderSize + 16*len(ranges) + payload + recTrailerSize)
 }
 
-func encodeRecord(seq, epoch uint64, ranges []Range) []byte {
+// encodeRecord encodes one record into dst's backing array when it is large
+// enough, a fresh one otherwise; every byte of the result is overwritten.
+func encodeRecord(dst []byte, seq, epoch uint64, ranges []Range) []byte {
 	var payload int
 	for _, r := range ranges {
 		payload += len(r.Data)
 	}
-	buf := make([]byte, recHeaderSize+len(ranges)*16+payload+recTrailerSize)
+	size := recHeaderSize + len(ranges)*16 + payload + recTrailerSize
+	buf := dst
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
 	binary.LittleEndian.PutUint32(buf[0:], recMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(ranges)))
 	binary.LittleEndian.PutUint64(buf[8:], seq)

@@ -83,25 +83,37 @@ func coalesce(ranges []dirtyRange) []dirtyRange {
 	return out
 }
 
+// maxRetainedDelta caps the capture buffer a device keeps between Syncs, so
+// one outsized commit (a table rehash) does not pin its bytes for the
+// device's lifetime.
+const maxRetainedDelta = 1 << 20
+
 // takeDirtyLocked coalesces and drains the dirty list, copying the current
 // media bytes of each range (the record must capture the state this Sync
-// commits, not whatever the media holds when the append lands). Returns the
-// ranges and their total payload bytes.
-func (d *Device) takeDirtyLocked() ([]epochlog.Range, int64) {
+// commits, not whatever the media holds when the append lands). The ranges'
+// data shares one buffer that the next call reuses: the caller holds deltaMu
+// until it is done with them.
+func (d *Device) takeDirtyLocked() []epochlog.Range {
 	merged := coalesce(d.dirty)
 	d.dirty = d.dirty[:0]
-	if len(merged) == 0 {
-		return nil, 0
+	var total uint64
+	for _, r := range merged {
+		total += r.end - r.addr
+	}
+	data := d.deltaData[:0]
+	if uint64(cap(data)) < total {
+		data = make([]byte, 0, total)
+		if total <= maxRetainedDelta {
+			d.deltaData = data
+		}
 	}
 	out := make([]epochlog.Range, len(merged))
-	var total int64
 	for i, r := range merged {
-		data := make([]byte, r.end-r.addr)
-		copy(data, d.media[r.addr:r.end])
-		out[i] = epochlog.Range{Addr: r.addr, Data: data}
-		total += int64(len(data))
+		off := len(data)
+		data = append(data, d.media[r.addr:r.end]...)
+		out[i] = epochlog.Range{Addr: r.addr, Data: data[off:len(data):len(data)]}
 	}
-	return out, total
+	return out
 }
 
 // restoreDirtyLocked re-marks ranges whose append failed, so the next Sync
@@ -131,8 +143,10 @@ func (d *Device) epochValueLocked() uint64 {
 // re-marked dirty, so a retried Sync re-persists them — the caller must
 // treat the epoch as not durable, exactly as with a failed full-image Sync.
 func (d *Device) syncDelta(start time.Time) error {
+	d.deltaMu.Lock()
+	defer d.deltaMu.Unlock()
 	d.mu.Lock()
-	ranges, _ := d.takeDirtyLocked()
+	ranges := d.takeDirtyLocked()
 	epoch := d.epochValueLocked()
 	d.mu.Unlock()
 	appendStart := time.Now()

@@ -321,6 +321,50 @@ func TestDeltaFailedAppendKeepsRangesDirty(t *testing.T) {
 	}
 }
 
+// TestDeltaRetriedAppendCapturesCurrentBytes: the capture buffers are reused
+// from Sync to Sync, so a retry after a failed append must re-read the media
+// — bytes overwritten since the failed attempt, and a new range that shifts
+// every other range's place in the buffer — not replay what the failed
+// attempt staged. A later, smaller Sync then reuses the same buffers.
+func TestDeltaRetriedAppendCapturesCurrentBytes(t *testing.T) {
+	const size = 1 << 12
+	path := filepath.Join(t.TempDir(), "p.pool")
+	cfg := deltaConfig(size)
+	d := openDelta(t, path, cfg)
+
+	d.SetFaultFn(FailSyncs(1, errors.New("injected media fault")))
+	d.Write(512, []byte("stale bytes, staged by the failed attempt"), 0)
+	d.Write(2048, []byte("untouched between the attempts"), 0)
+	if err := d.Sync(); err == nil {
+		t.Fatal("sync should have failed")
+	}
+	d.Write(512, []byte("fresh bytes, written after the failure!!!"), 0)
+	d.Write(64, []byte("a new range ahead of the others"), 0)
+	if err := d.Sync(); err != nil {
+		t.Fatalf("retried sync: %v", err)
+	}
+	d.Write(1024, []byte("next epoch"), 0)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := d.Snapshot()
+	d.Close()
+	got := openDelta(t, path, cfg).Snapshot()
+	if !bytes.Equal(got, want) {
+		t.Fatal("recovered image differs from the media at the last sync")
+	}
+	for addr, text := range map[int]string{
+		64:   "a new range ahead of the others",
+		512:  "fresh bytes, written after the failure!!!",
+		1024: "next epoch",
+		2048: "untouched between the attempts",
+	} {
+		if b := got[addr : addr+len(text)]; string(b) != text {
+			t.Errorf("recovered [%d,+%d) = %q, want %q", addr, len(text), b, text)
+		}
+	}
+}
+
 // TestFullImageOpenRefusesDeltaPool: opening a pool whose epoch log still
 // holds segments without EpochLog mode must fail loudly, not silently
 // recover a stale checkpoint.

@@ -182,6 +182,13 @@ type Device struct {
 	store      *epochlog.Store
 	replayInfo epochlog.Info
 
+	// deltaMu serializes delta Syncs from capturing the dirty bytes to the
+	// record landing (or the ranges being re-marked): it guards deltaData,
+	// the capture buffer every Sync reuses, and keeps records appending in
+	// the order their bytes were captured.
+	deltaMu   sync.Mutex
+	deltaData []byte
+
 	// publishMu serializes full-image publishes (full-image Sync and the
 	// background checkpoint) and guards scratch, the reused staging buffer.
 	publishMu sync.Mutex
@@ -431,10 +438,12 @@ func (d *Device) Sync() error {
 		// honest: in epoch-log mode the cost modeled is the delta record the
 		// dirty ranges would encode to; in full-image mode it is the image.
 		if d.trackDirty {
+			d.deltaMu.Lock()
 			d.mu.Lock()
-			ranges, _ := d.takeDirtyLocked()
+			ranges := d.takeDirtyLocked()
 			d.mu.Unlock()
 			n := epochlog.RecordSize(ranges)
+			d.deltaMu.Unlock()
 			d.lastSyncBytes.Store(n)
 			d.SyncBytes.Add(uint64(n))
 		} else {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pax"
+	"pax/internal/blackbox"
 	"pax/internal/pmem"
 )
 
@@ -176,6 +177,94 @@ func TestChaosShardIsolation(t *testing.T) {
 		if err != nil || !ok || string(v) != want {
 			t.Fatalf("acked write lost: key %d = %q (ok=%v err=%v), want %q", i, v, ok, err, want)
 		}
+	}
+}
+
+// TestChaosApplyPanicSealsOnlyItsShard: a panic in the writer goroutine — an
+// undo log too small for the epoch a table growth needs — must not take the
+// daemon down. The overflowing shard seals fail-stop without acking or
+// persisting the half-applied epoch, the other shard keeps serving, and a
+// reopen finds every acked write.
+func TestChaosApplyPanicSealsOnlyItsShard(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kv.pool")
+	opts := smallOpts()
+	opts.EpochLog = true
+	opts.LogSize = 16 << 10 // ~170 undo entries per epoch: single PUTs fit, a rehash does not
+	cfg := Config{MaxBatch: 8, MaxDelay: time.Millisecond}
+	s, err := OpenSharded(path, 2, opts, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const sick = 0
+	acked := make(map[string]bool)
+	var sealErr error
+	for i := 0; i < 50000 && sealErr == nil; i++ {
+		key := []byte(fmt.Sprintf("key-%d", i))
+		if s.ShardFor(key) != sick && i%8 != 0 {
+			continue // overflow one shard; the other only takes a trickle
+		}
+		if _, err := s.Put(key, key); err == nil {
+			acked[string(key)] = true
+		} else if s.ShardFor(key) == sick {
+			sealErr = err
+		} else {
+			t.Fatalf("put %s on the healthy shard: %v", key, err)
+		}
+	}
+	if !errors.Is(sealErr, ErrSealed) || !strings.Contains(sealErr.Error(), "log full") {
+		t.Fatalf("overflowing put: %v, want ErrSealed carrying the undo-log panic", sealErr)
+	}
+
+	// The other shard still serves, and the fleet reports exactly one seal.
+	other := []byte("after-the-seal")
+	for i := 0; s.ShardFor(other) == sick; i++ {
+		other = []byte(fmt.Sprintf("after-the-seal-%d", i))
+	}
+	if _, err := s.Put(other, other); err != nil {
+		t.Fatalf("put on the healthy shard after the seal: %v", err)
+	}
+	acked[string(other)] = true
+	if health := s.Health(); !errors.Is(health[sick], ErrSealed) || health[1-sick] != nil {
+		t.Fatalf("health = %v, want only shard %d sealed", health, sick)
+	}
+	m, err := s.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["paxserve_sealed"] != 1 {
+		t.Fatalf("paxserve_sealed sum = %v, want 1", m["paxserve_sealed"])
+	}
+	seals := 0
+	for _, ev := range s.Events().Events {
+		if ev.Type == blackbox.EvSeal {
+			seals++
+		}
+	}
+	if seals != 1 {
+		t.Fatalf("%d seal events, want 1", seals)
+	}
+	if err := s.Close(); !errors.Is(err, ErrSealed) {
+		t.Fatalf("close = %v, want the seal error", err)
+	}
+
+	reopened, err := OpenSharded(path, 2, opts, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for key := range acked {
+		if v, ok, err := reopened.Get([]byte(key)); err != nil || !ok || string(v) != key {
+			t.Fatalf("acked write %s lost: %q ok=%v err=%v", key, v, ok, err)
+		}
+	}
+	// ... and nothing else: the half-applied epoch rolled back.
+	m, err = reopened.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m["paxserve_read_index_rebuilt"]; n != float64(len(acked)) {
+		t.Fatalf("reopened fleet holds %v keys, want exactly the %d acked", n, len(acked))
 	}
 }
 

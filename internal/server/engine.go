@@ -6,10 +6,16 @@
 // the pool while Persist runs (§3.5). Instead of pushing that burden onto
 // every caller, the engine funnels all operations through one writer
 // goroutine and turns Persist into a *group commit*: mutations are applied
-// in arrival order, and one snapshot per batch — bounded by MaxBatch and
-// MaxDelay — makes the whole batch durable before its callers are acked. N
-// concurrent writers therefore share one snapshot's cost, the same
-// amortization that makes PAX epochs (and Snapshot's msync batching) fast.
+// in arrival order, and one snapshot per batch makes the whole batch durable
+// before its callers are acked. A batch is whatever arrived while the commit
+// pipeline was busy: it seals the moment the queue is empty and a commit slot
+// is free, and otherwise when it reaches MaxBatch, when a slot frees, or
+// after MaxDelay. N concurrent writers therefore share one snapshot's cost —
+// the amortization that makes PAX epochs fast, formed the way Snapshot
+// amortizes msync: over what accumulated during the previous one — while an
+// idle engine never sleeps in front of an idle device. The one exception is
+// a medium whose commits cost MaxDelay or more: there a part-filled batch
+// waits MaxDelay for company even with a slot free (see runBatch).
 //
 // Group commits run as a three-stage pipeline, the serving-path analogue of
 // the paper's epoch pipelining (§6: overlap epoch N's writeback with epoch
@@ -17,11 +23,12 @@
 // ordering at the device:
 //
 //	sealer    — the writer goroutine: applies requests, collects a batch,
-//	            seals it, and hands it to the persister. The sealer runs at
-//	            host speed: it never waits for modeled media, only for the
-//	            previous batch's snapshot point and — when the pipeline's
-//	            run-ahead buffer is full — for the persister to drain
-//	            (paxserve_pipeline_stall_ns).
+//	            seals it, and hands it to the persister. It waits for the
+//	            previous batch's snapshot point, for company while every
+//	            commit slot is busy (at most MaxDelay), and — when the
+//	            pipeline's run-ahead buffer is full — for the persister to
+//	            drain (paxserve_pipeline_stall_ns); a full batch never waits
+//	            for the modeled media.
 //	persister — issues the snapshot for each sealed batch, in seal order.
 //	            Snapshot points stay serialized (§3.5: a mutex excludes
 //	            applies during the persist call), but the modeled media time
@@ -83,7 +90,11 @@ type Config struct {
 	// MaxBatch is the most acked mutations per group commit (default 128).
 	MaxBatch int
 	// MaxDelay bounds how long the first mutation of a batch waits for
-	// company before the commit is forced (default 1ms).
+	// company before the batch is sealed anyway (default 1ms). The wait only
+	// happens while the commit pipeline is busy — every one of its
+	// MaxInflightCommits slots taken — or when the last commit itself took
+	// MaxDelay or longer; otherwise a batch seals as soon as the request
+	// queue is empty.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; a full queue pushes back on
 	// clients (default 1024).
@@ -139,9 +150,13 @@ type Config struct {
 	// media commits proceed concurrently. 1 serializes the media — the
 	// ack-on-durable pacing of the pre-pipeline serial engine, and the A/B
 	// baseline the ackpipe experiment measures against. The window does not
-	// gate the sealer: applying and snapshotting run ahead of the modeled
+	// gate applying: full batches seal and snapshot ahead of the modeled
 	// media (bounded by the pipeline's run-ahead buffer), which is what
-	// keeps ack-on-apply latency at host speed under load.
+	// keeps ack-on-apply latency at host speed under load. It is also the
+	// occupancy a part-filled batch is sealed against: with fewer than this
+	// many commits in flight (and commits cheaper than MaxDelay) the batch
+	// seals at once, otherwise it waits for company, a slot freeing, or
+	// MaxDelay.
 	MaxInflightCommits int
 }
 
@@ -278,6 +293,7 @@ type sealedBatch struct {
 	mutations int
 	start     time.Time
 	sealNS    int64
+	reason    SealReason
 	inflight  int // pipeline depth at seal time, this batch included
 
 	// snapped is closed by the persister once this batch's snapshot point
@@ -380,6 +396,13 @@ type Engine struct {
 	sealedq chan *sealedBatch
 	ackq    chan *issuedCommit
 	depth   atomic.Int64 // epochs persisting or awaiting modeled media: the inflight-commits gauge
+	// lastCommitNS is the most recent commit's persist stage (snapshot, sync,
+	// slot wait and modeled media time): what the sealer weighs MaxDelay
+	// against. Written by the acker.
+	lastCommitNS atomic.Int64
+	// slotFreed wakes a sealer that is holding a batch open behind a full
+	// pipeline: the acker posts (without blocking) after each depth decrement.
+	slotFreed chan struct{}
 
 	// lastSealed is the batch whose snapshot point the sealer must wait out
 	// before opening the next batch. Sealer-goroutine-only; no locking.
@@ -436,6 +459,7 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 	e.reqs = make(chan *request, e.cfg.QueueDepth)
 	e.sealedq = make(chan *sealedBatch, e.cfg.MaxInflightCommits)
 	e.ackq = make(chan *issuedCommit, max(e.cfg.MaxInflightCommits, runAheadCommits))
+	e.slotFreed = make(chan struct{}, 1)
 	e.reg = pool.StatsRegistry()
 	e.reg.RegisterCounter("paxserve_acked_writes", &e.stats.AckedWrites)
 	e.reg.RegisterCounter("paxserve_acked_on_apply", &e.stats.AckedOnApply)
@@ -936,10 +960,11 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // for the persister to seal the engine.
 func (e *Engine) persistSealed(b *sealedBatch) (*issuedCommit, error) {
 	rec := CommitRecord{
-		Batch:    b.mutations,
-		Inflight: b.inflight,
-		Start:    b.start.UnixNano(),
-		SealNS:   b.sealNS,
+		Batch:      b.mutations,
+		Inflight:   b.inflight,
+		Start:      b.start.UnixNano(),
+		SealNS:     b.sealNS,
+		SealReason: b.reason,
 	}
 	persistStart := time.Now()
 	st, err := e.persistLocked()
@@ -995,6 +1020,7 @@ func (e *Engine) finishCommit(ic *issuedCommit) {
 	}
 	rec.AckNS = int64(time.Since(ackStart))
 	rec.TotalNS = rec.SealNS + rec.PersistNS + rec.AckNS
+	e.lastCommitNS.Store(rec.PersistNS)
 	e.stats.BatchSealNS.Observe(rec.SealNS)
 	e.stats.PersistNS.Observe(rec.PersistNS)
 	e.stats.AckNS.Observe(rec.AckNS)
@@ -1076,8 +1102,7 @@ func (e *Engine) sealToPipeline(b *sealedBatch) bool {
 
 // loop is the sealer: the writer goroutine that owns request admission and
 // applies batches. Queued reads inside a batch are answered as they are
-// applied; a batch seals when it is full, when MaxDelay expires, on an
-// explicit persist, or when the engine drains for shutdown. Closing sealedq
+// applied; runBatch lists the seal conditions. Closing sealedq
 // on every exit path is what winds down the persister (and, through it, the
 // acker).
 func (e *Engine) loop() {
@@ -1097,6 +1122,7 @@ func (e *Engine) loop() {
 				// surfaces the error.
 				e.sealToPipeline(&sealedBatch{
 					start:    time.Now(),
+					reason:   SealDrain,
 					inflight: int(e.depth.Load()) + 1,
 					snapped:  make(chan struct{}),
 				})
@@ -1110,8 +1136,25 @@ func (e *Engine) loop() {
 }
 
 // runBatch opens a batch with first and keeps applying until a seal
-// condition fires, then hands the sealed batch to the persister. It reports
-// false when the engine crashed or sealed mid-batch.
+// condition fires, then hands the sealed batch to the persister. Whatever is
+// already queued is drained without blocking. Once the queue is empty the
+// batch seals at once if the commit pipeline has a free slot and commits are
+// cheap next to MaxDelay; otherwise it waits for company until it is full, a
+// slot frees, or MaxDelay has passed since it opened:
+//
+//   - Every slot busy: the batch could not reach the medium sooner anyway, so
+//     company is free. Batches form out of the requests that arrived while
+//     the previous commits were on the medium.
+//   - Slot free, last commit under MaxDelay: an idle engine acks at host
+//     speed. A part-filled batch costs one more cheap commit.
+//   - Slot free, last commit took MaxDelay or longer (a modeled medium, a
+//     full-image fsync): a part-filled batch costs a whole slow commit, and
+//     closed-loop writers released by the previous ack return within the
+//     window, so the wait — at most as long again as the commit — is what
+//     fills batches. Sealing at once here splits N writers into W+1 cohorts
+//     rotating through W slots (measured: a third fewer acked ops/s at W=2).
+//
+// It reports false when the engine crashed or sealed mid-batch.
 func (e *Engine) runBatch(first *request) bool {
 	if last := e.lastSealed; last != nil {
 		// The previous batch's snapshot point must settle before this batch
@@ -1128,31 +1171,65 @@ func (e *Engine) runBatch(first *request) bool {
 		e.lastSealed = nil
 	}
 	b := &sealedBatch{start: time.Now(), snapped: make(chan struct{})}
-	force := first.op == opPersist
-	e.applyInto(b, first)
+	if first.op == opPersist {
+		b.reason = SealPersist
+	}
+	if !e.applyInto(b, first) {
+		return false
+	}
 	if b.mutations == 0 {
 		return true // pure reads/stats: nothing to commit
 	}
-	timer := time.NewTimer(e.cfg.MaxDelay)
-	defer timer.Stop()
-	for !force && b.mutations < e.cfg.MaxBatch {
+	var timer *time.Timer // MaxDelay, armed only once the batch has to wait
+	for b.reason == "" {
+		if b.mutations >= e.cfg.MaxBatch {
+			b.reason = SealFull
+			break
+		}
+		var (
+			req *request
+			ok  bool
+		)
 		select {
 		case <-e.stop:
 			failAll(b.waiters, e.failErr())
 			return false
-		case <-timer.C:
-			force = true
-		case req, ok := <-e.reqs:
-			if !ok {
-				// Closing: seal what we have; loop sees !ok next and seals
-				// the open epoch.
-				force = true
+		case req, ok = <-e.reqs:
+		default:
+			// Queue empty. Every earlier batch has left sealedq — the snapped
+			// wait above is behind the persister's dequeue of the last one —
+			// so depth alone is the pipeline's occupancy.
+			if e.depth.Load() < int64(e.cfg.MaxInflightCommits) && e.lastCommitNS.Load() < int64(e.cfg.MaxDelay) {
+				b.reason = SealIdle
 				continue
 			}
-			if req.op == opPersist {
-				force = true
+			if timer == nil {
+				timer = time.NewTimer(e.cfg.MaxDelay - time.Since(b.start))
+				defer timer.Stop()
 			}
-			e.applyInto(b, req)
+			select {
+			case <-e.stop:
+				failAll(b.waiters, e.failErr())
+				return false
+			case <-timer.C:
+				b.reason = SealDelay
+				continue
+			case <-e.slotFreed:
+				continue // re-check occupancy: the token may be stale
+			case req, ok = <-e.reqs:
+			}
+		}
+		if !ok {
+			// Closing: seal what we have; loop sees !ok next and seals the
+			// open epoch.
+			b.reason = SealDrain
+			continue
+		}
+		if req.op == opPersist {
+			b.reason = SealPersist
+		}
+		if !e.applyInto(b, req) {
+			return false
 		}
 	}
 	b.sealNS = int64(time.Since(b.start))
@@ -1166,8 +1243,24 @@ func (e *Engine) runBatch(first *request) bool {
 }
 
 // applyInto applies one request as part of batch b, collecting its waiter
-// and mutation count.
-func (e *Engine) applyInto(b *sealedBatch, req *request) {
+// and mutation count. A panic out of the pool (an undo log too small for the
+// epoch's working set, say) must not take the process — and every other
+// shard — down with it: the request and the open batch's waiters fail, and
+// this engine seals fail-stop. The half-applied epoch is never persisted, so
+// recovery rolls it back; every earlier batch already passed its snapshot
+// point (runBatch waited on it), so nothing acked is lost. It reports false
+// after such a seal.
+func (e *Engine) applyInto(b *sealedBatch, req *request) (ok bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			// Every panic site in apply precedes the request's finish, so
+			// this is its one result.
+			e.seal(fmt.Errorf("apply panicked: %v", p))
+			req.finish(result{err: e.failErr()})
+			failAll(b.waiters, e.failErr())
+			ok = false
+		}
+	}()
 	w, mutated := e.apply(req)
 	if w != nil {
 		b.waiters = append(b.waiters, w)
@@ -1175,6 +1268,7 @@ func (e *Engine) applyInto(b *sealedBatch, req *request) {
 	if mutated {
 		b.mutations++
 	}
+	return true
 }
 
 // persister is the second pipeline stage: it turns sealed batches into
@@ -1188,11 +1282,10 @@ func (e *Engine) applyInto(b *sealedBatch, req *request) {
 func (e *Engine) persister() {
 	defer e.wg.Done()
 	defer close(e.ackq)
-	failed := false
 	for b := range e.sealedq {
-		if failed || e.stopped() {
-			// Sealed behind a failure (or a crash): the commit never
-			// happened, so the waiters must fail, never ack.
+		if e.stopped() {
+			// Sealed behind a failure (seal closes stop) or a crash: the
+			// commit never happened, so the waiters must fail, never ack.
 			close(b.snapped)
 			failAll(b.waiters, e.failErr())
 			continue
@@ -1201,17 +1294,17 @@ func (e *Engine) persister() {
 		ic, err := e.persistSealed(b)
 		if err != nil {
 			e.seal(err)
-			failed = true
 			e.depth.Add(-1)
 			continue
 		}
 		e.ackq <- ic
 	}
-	if failed {
-		// Seal closed stop, so in-flight begins unwind; once they do,
-		// nothing can enter the queue anymore — new begins see closed — so
-		// this drain is exhaustive and no queued request is left waiting on
-		// a dead pipeline.
+	if e.SealErr() != nil {
+		// Sealed — above, or by a panicking apply in the sealer. Seal closed
+		// stop, so in-flight begins unwind; once they do, nothing can enter
+		// the queue anymore — new begins see closed — so this drain is
+		// exhaustive and no queued request is left waiting on a dead
+		// pipeline.
 		e.inflight.Wait()
 		e.drainQueue()
 	}
@@ -1251,5 +1344,9 @@ func (e *Engine) acker() {
 		}
 		e.finishCommit(ic)
 		e.depth.Add(-1)
+		select {
+		case e.slotFreed <- struct{}{}:
+		default:
+		}
 	}
 }

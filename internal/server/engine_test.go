@@ -62,13 +62,79 @@ func TestEngineBasicOps(t *testing.T) {
 	}
 }
 
-// TestConcurrentPutsShareEpoch is the group-commit core claim: concurrent
-// PUTs from many goroutines land in the same epoch and are acked by one
-// snapshot.
-func TestConcurrentPutsShareEpoch(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: 500 * time.Millisecond})
+// busyPipelineConfig is an engine whose single commit slot stays occupied for
+// hold once holdPipeline has run: the configuration under which batches wait
+// for company. MaxDelay is far beyond any test, so only a freed slot (or a
+// full batch) seals.
+func busyPipelineConfig(hold time.Duration) Config {
+	return Config{MaxBatch: 64, MaxDelay: time.Minute, MaxInflightCommits: 1, CommitLatency: hold}
+}
+
+// holdPipeline occupies the commit pipeline of a MaxInflightCommits=1 engine
+// for one CommitLatency: an ack-on-apply PUT returns at apply time, its batch
+// seals at once (the pipeline was idle) and then sits on the modeled medium.
+// It returns once the persister has taken that batch — a request enqueued
+// sooner could still join it — so everything after finds the slot taken.
+func holdPipeline(t *testing.T, eng *Engine) {
+	t.Helper()
+	if _, err := eng.PutPolicy([]byte("hold"), []byte("x"), AckApply); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); eng.depth.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the hold batch never reached the pipeline")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// recentCommits returns the flight recorder's recent ring once it holds n
+// records. A commit is recorded just after its waiters are acked, so a caller
+// holding the ack may be a moment ahead of the record.
+func recentCommits(t *testing.T, eng *Engine, n int) []CommitRecord {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		recs := eng.Trace().Recent
+		if len(recs) >= n {
+			return recs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flight recorder holds %d commits, want %d", len(recs), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIdleEngineSealsAtOnce: a lone PUT on an idle engine does not wait for
+// company — MaxDelay bounds the wait behind a busy pipeline, and an idle
+// pipeline has a free slot.
+func TestIdleEngineSealsAtOnce(t *testing.T) {
+	pool, eng := newTestEngine(t, "", Config{MaxDelay: time.Second})
 	defer pool.Close()
 	defer eng.Close()
+
+	start := time.Now()
+	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Fatalf("lone PUT on an idle engine took %v; MaxDelay is 1s and must not be slept out", took)
+	}
+	recs := recentCommits(t, eng, 1)
+	if len(recs) != 1 || recs[0].SealReason != SealIdle || recs[0].Batch != 1 {
+		t.Fatalf("trace %+v, want one commit of one mutation sealed %q", recs, SealIdle)
+	}
+}
+
+// TestConcurrentPutsShareEpoch is the group-commit core claim: PUTs from many
+// goroutines that arrive while the commit pipeline is busy land in the same
+// epoch and are acked by one snapshot.
+func TestConcurrentPutsShareEpoch(t *testing.T) {
+	pool, eng := newTestEngine(t, "", busyPipelineConfig(250*time.Millisecond))
+	defer pool.Close()
+	defer eng.Close()
+	holdPipeline(t, eng)
 
 	const writers = 32
 	epochs := make([]uint64, writers)
@@ -90,11 +156,67 @@ func TestConcurrentPutsShareEpoch(t *testing.T) {
 			t.Fatalf("writer %d committed in epoch %d, writer 0 in %d", i, epochs[i], epochs[0])
 		}
 	}
-	if got := eng.Stats().GroupCommits.Load(); got != 1 {
-		t.Fatalf("32 concurrent puts took %d group commits, want 1", got)
+	// One commit held the pipeline, one carried all 32 writers.
+	if got := eng.Stats().GroupCommits.Load(); got != 2 {
+		t.Fatalf("32 concurrent puts behind a busy pipeline took %d group commits, want 2 (hold + batch)", got)
 	}
 	if got := eng.Stats().AckedWrites.Load(); got != writers {
 		t.Fatalf("acked %d writes, want %d", got, writers)
+	}
+	recs := recentCommits(t, eng, 2)
+	if last := recs[len(recs)-1]; last.Batch != writers || last.SealReason != SealIdle {
+		t.Fatalf("batch commit %+v, want %d mutations sealed %q when the slot freed", last, writers, SealIdle)
+	}
+}
+
+// TestMaxDelayBoundsTheWaitBehindABusyPipeline: when the pipeline stays full
+// past MaxDelay the batch seals anyway — its snapshot is taken and it queues
+// for the medium — rather than holding its first writer indefinitely.
+func TestMaxDelayBoundsTheWaitBehindABusyPipeline(t *testing.T) {
+	const hold = 200 * time.Millisecond
+	cfg := busyPipelineConfig(hold)
+	cfg.MaxDelay = 10 * time.Millisecond
+	pool, eng := newTestEngine(t, "", cfg)
+	defer pool.Close()
+	defer eng.Close()
+	holdPipeline(t, eng)
+
+	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	got := recentCommits(t, eng, 2)[1]
+	if got.SealReason != SealDelay {
+		t.Fatalf("put sealed %q, want %q: %+v", got.SealReason, SealDelay, got)
+	}
+	if seal := time.Duration(got.SealNS); seal < cfg.MaxDelay || seal >= hold {
+		t.Fatalf("batch stayed open %v, want at least MaxDelay (%v) and well under the %v the slot was held", seal, cfg.MaxDelay, hold)
+	}
+	if got.Inflight != 2 {
+		t.Fatalf("inflight at seal = %d, want 2 (sealed behind the held commit)", got.Inflight)
+	}
+}
+
+// TestSlowCommitsKeepTheCompanyWait: sealing at once is for commits that are
+// cheap next to MaxDelay. Once a commit has taken MaxDelay or longer — a
+// modeled medium here — a lone writer waits MaxDelay for company even with
+// every slot free, because filling the batch is worth more than the wait.
+func TestSlowCommitsKeepTheCompanyWait(t *testing.T) {
+	cfg := Config{MaxDelay: 20 * time.Millisecond, CommitLatency: 30 * time.Millisecond}
+	pool, eng := newTestEngine(t, "", cfg)
+	defer pool.Close()
+	defer eng.Close()
+
+	for _, key := range []string{"first", "second"} {
+		if _, err := eng.Put([]byte(key), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := recentCommits(t, eng, 2)
+	if first := recs[0]; first.SealReason != SealIdle || time.Duration(first.SealNS) >= cfg.MaxDelay {
+		t.Fatalf("first commit (no commit measured yet) %+v, want sealed %q at once", first, SealIdle)
+	}
+	if second := recs[1]; second.SealReason != SealDelay || time.Duration(second.SealNS) < cfg.MaxDelay {
+		t.Fatalf("commit after a %v commit %+v, want sealed %q after MaxDelay", cfg.CommitLatency, second, SealDelay)
 	}
 }
 

@@ -29,6 +29,20 @@ const (
 	DefaultSlowCommit = 10 * time.Millisecond
 )
 
+// SealReason says which seal condition closed a batch.
+type SealReason string
+
+// Seal reasons. SealIdle and SealDelay are the two an operator tells apart:
+// "sealed because the commit pipeline had a free slot" versus "waited out
+// MaxDelay" (behind a full pipeline, or because commits cost that much).
+const (
+	SealIdle    SealReason = "idle"    // queue empty and a commit slot free
+	SealFull    SealReason = "full"    // MaxBatch mutations collected
+	SealDelay   SealReason = "delay"   // MaxDelay expired waiting for company
+	SealPersist SealReason = "persist" // an explicit PERSIST forced the commit
+	SealDrain   SealReason = "drain"   // the engine is closing
+)
+
 // CommitRecord describes one group commit end to end. All *NS fields are
 // wall-clock nanoseconds.
 type CommitRecord struct {
@@ -53,8 +67,10 @@ type CommitRecord struct {
 	// Start is the wall-clock time the batch opened (first request applied),
 	// Unix nanoseconds.
 	Start int64 `json:"start_unix_nano"`
-	// SealNS is batch open → commit start (the group-commit window: how long
-	// the first writer waited for company). PersistNS is the persist call
+	// SealReason is the seal condition that closed the batch.
+	SealReason SealReason `json:"seal_reason,omitempty"`
+	// SealNS is batch open → commit start (the group-commit window: applying
+	// the batch, plus any wait for company behind a full pipeline). PersistNS is the persist call
 	// including retries, backoff, and the modeled media latency. AckNS is the
 	// ack fan-out to the batch's waiters. TotalNS covers all three.
 	SealNS    int64 `json:"seal_ns"`

@@ -92,8 +92,9 @@ func TestEngineTraceRecordsCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	recentCommits(t, eng, 5) // one PUT at a time on an idle engine: a commit each
 	snap := eng.Trace()
-	if snap.Shards != 1 || len(snap.Recent) == 0 {
+	if snap.Shards != 1 || len(snap.Recent) != 5 {
 		t.Fatalf("trace = %+v", snap)
 	}
 	var batches int
@@ -108,9 +109,19 @@ func TestEngineTraceRecordsCommits(t *testing.T) {
 		if rec.TotalNS < rec.PersistNS || rec.PersistNS <= 0 {
 			t.Fatalf("stage timings inconsistent: %+v", rec)
 		}
+		if rec.SealReason != SealIdle {
+			t.Fatalf("one-at-a-time PUT on an idle engine sealed %q, want %q: %+v", rec.SealReason, SealIdle, rec)
+		}
 	}
 	if batches != 5 {
 		t.Fatalf("trace accounts for %d acked writes, want 5", batches)
+	}
+	if _, err := eng.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	recent := recentCommits(t, eng, 6)
+	if last := recent[len(recent)-1]; last.SealReason != SealPersist {
+		t.Fatalf("explicit persist sealed %q, want %q: %+v", last.SealReason, SealPersist, last)
 	}
 }
 

@@ -214,8 +214,10 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 // back — acked or not. That rollback is the documented trade, not a bug.
 func TestAckApplyRollbackIsTheDocumentedContract(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "applyroll.pool")
-	// A batch that never seals: MaxDelay far beyond the test, MaxBatch high.
-	pool, eng := newTestEngine(t, path, Config{MaxBatch: 128, MaxDelay: time.Minute})
+	// A batch that never seals: it opens behind a commit that holds the only
+	// slot, with MaxDelay and the modeled media time far beyond the test.
+	pool, eng := newTestEngine(t, path, busyPipelineConfig(time.Minute))
+	holdPipeline(t, eng)
 
 	if _, err := eng.PutPolicy([]byte("k"), []byte("v"), AckApply); err != nil {
 		t.Fatalf("ack-on-apply put: %v", err)
@@ -224,8 +226,8 @@ func TestAckApplyRollbackIsTheDocumentedContract(t *testing.T) {
 	if v, ok, err := eng.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("get after apply-ack: %q %v %v", v, ok, err)
 	}
-	if got := eng.Stats().AckedOnApply.Load(); got != 1 {
-		t.Fatalf("acked-on-apply counter = %d, want 1", got)
+	if got := eng.Stats().AckedOnApply.Load(); got != 2 {
+		t.Fatalf("acked-on-apply counter = %d, want 2 (hold + k)", got)
 	}
 	if got := eng.Stats().AckedWrites.Load(); got != 0 {
 		t.Fatalf("durable-acked counter = %d, want 0 (nothing committed)", got)

@@ -99,9 +99,9 @@ func TestTCPEndToEnd(t *testing.T) {
 
 // Concurrent callers multiplexed onto ONE pipelined connection must still
 // share group commits — the server dispatches a connection's requests
-// concurrently, in wire order.
+// concurrently, in wire order — when they arrive behind a busy pipeline.
 func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: 500 * time.Millisecond})
+	pool, eng := newTestEngine(t, "", busyPipelineConfig(250*time.Millisecond))
 	t.Cleanup(func() { pool.Close() })
 	srv := NewServer(eng)
 	srv.Logf = t.Logf
@@ -124,6 +124,7 @@ func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	holdPipeline(t, eng)
 
 	const writers = 32
 	epochs := make([]uint64, writers)
@@ -146,8 +147,8 @@ func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
 			t.Fatalf("pipelined puts split across epochs: %v", epochs)
 		}
 	}
-	if got := eng.Stats().GroupCommits.Load(); got != 1 {
-		t.Fatalf("expected one group commit for one pipelined burst, got %d", got)
+	if got := eng.Stats().GroupCommits.Load(); got != 2 {
+		t.Fatalf("expected two group commits (hold + one pipelined burst), got %d", got)
 	}
 }
 
