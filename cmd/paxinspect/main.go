@@ -58,14 +58,6 @@ func u32(b []byte, off uint64) uint32 { return binary.LittleEndian.Uint32(b[off:
 // modified (read-only open).
 func dumpEpochStore(path string, img []byte) {
 	dir := path + epochlog.DirSuffix
-	has, err := epochlog.HasSegments(dir)
-	if err != nil {
-		fmt.Printf("  epoch store: %v\n", err)
-		return
-	}
-	if !has {
-		return
-	}
 	ckptEpoch := uint64(0)
 	if len(img) >= 64 {
 		ckptEpoch = u64(img, 56)
@@ -78,6 +70,9 @@ func dumpEpochStore(path string, img []byte) {
 	}
 	defer store.Close()
 	info := store.Info()
+	if len(info.Segments) == 0 && !info.TornRoll {
+		return // no segment directory, or an empty one: a full-image pool
+	}
 	fmt.Printf("  epoch store: %s (checkpoint epoch %d, %d committed delta(s) in %d segment(s), %d bytes)\n",
 		dir, ckptEpoch, info.Records, len(info.Segments), info.Bytes)
 	for _, seg := range info.Segments {
@@ -94,21 +89,15 @@ func dumpEpochStore(path string, img []byte) {
 		}
 		fmt.Println(line)
 	}
+	if info.TornRoll {
+		fmt.Printf("  NOTE: a headerless newest segment was skipped — the pool crashed inside a\n")
+		fmt.Printf("        segment roll; it holds no record\n")
+	}
 	if info.TornTail {
 		fmt.Printf("  NOTE: the newest segment ends in a torn append — the pool crashed\n")
 		fmt.Printf("        mid-commit; replay stops at seq %d (epoch %d)\n", info.LastSeq, info.LastEpoch)
 	}
-	err = store.Replay(func(rec epochlog.Record) error {
-		for _, r := range rec.Ranges {
-			end := r.Addr + uint64(len(r.Data))
-			if end > uint64(len(img)) {
-				return fmt.Errorf("record seq %d writes [%#x,%#x) beyond the %d-byte pool",
-					rec.Seq, r.Addr, end, len(img))
-			}
-			copy(img[r.Addr:end], r.Data)
-		}
-		return nil
-	})
+	err = store.Replay(func(rec epochlog.Record) error { return rec.Apply(img) })
 	if err != nil {
 		fmt.Printf("  epoch store: replay FAILED: %v\n", err)
 		fmt.Printf("  (dump below shows the state up to the failing record)\n")

@@ -21,11 +21,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pax/internal/core"
 	"pax/internal/epochlog"
 	"pax/internal/pmem"
+	"pax/internal/seglog"
 	"pax/internal/sim"
 )
 
@@ -39,46 +41,36 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paxrecover: -pool is required")
 		os.Exit(2)
 	}
-	img, err := os.ReadFile(*path)
-	if err != nil {
+	if err := recoverPool(*path, *dryRun, os.Stdout, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "paxrecover: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// recoverPool is the whole tool; publishHook reaches the one publish so a
+// test can fail it stage by stage.
+func recoverPool(path string, dryRun bool, out io.Writer, publishHook seglog.Hook) error {
+	img, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
 
 	// Epoch-store layout: replay the committed deltas onto the checkpoint
 	// image before handing it to core recovery. Read-only open so a dry run
 	// leaves even a torn tail untouched on disk.
-	logDir := *path + epochlog.DirSuffix
-	hasLog, err := epochlog.HasSegments(logDir)
+	// A pool without a segment directory opens as an empty store.
+	logDir := path + epochlog.DirSuffix
+	store, err := epochlog.Open(epochlog.Config{Dir: logDir, ReadOnly: true})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "paxrecover: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("epoch log: %w", err)
 	}
-	var logInfo epochlog.Info
-	if hasLog {
-		store, err := epochlog.Open(epochlog.Config{Dir: logDir, ReadOnly: true})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paxrecover: epoch log: %v\n", err)
-			os.Exit(1)
-		}
-		replayErr := store.Replay(func(rec epochlog.Record) error {
-			for _, r := range rec.Ranges {
-				end := r.Addr + uint64(len(r.Data))
-				if end > uint64(len(img)) {
-					return fmt.Errorf("record seq %d writes [%#x,%#x) beyond the %d-byte pool",
-						rec.Seq, r.Addr, end, len(img))
-				}
-				copy(img[r.Addr:end], r.Data)
-			}
-			return nil
-		})
-		logInfo = store.Info()
-		store.Close()
-		if replayErr != nil {
-			fmt.Fprintf(os.Stderr, "paxrecover: epoch log replay: %v\n", replayErr)
-			os.Exit(1)
-		}
+	err = store.Replay(func(rec epochlog.Record) error { return rec.Apply(img) })
+	logInfo := store.Info()
+	store.Close()
+	if err != nil {
+		return fmt.Errorf("epoch log replay: %w", err)
 	}
+	hasLog := len(logInfo.Segments) > 0 || logInfo.TornRoll
 
 	pm := pmem.New(pmem.DefaultConfig(len(img)))
 	pm.Restore(img)
@@ -88,13 +80,12 @@ func main() {
 	opts.Host = sim.SmallHost()
 	pool, err := core.Open(pm, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "paxrecover: recovery failed: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("recovery failed: %w", err)
 	}
 	rep := pool.Recovery()
-	fmt.Printf("pool:             %s\n", *path)
+	fmt.Fprintf(out, "pool:             %s\n", path)
 	if hasLog {
-		fmt.Printf("layout:           epoch log (checkpoint + %d segment(s), %d committed delta(s))\n",
+		fmt.Fprintf(out, "layout:           epoch log (checkpoint + %d segment(s), %d committed delta(s))\n",
 			len(logInfo.Segments), logInfo.Records)
 		for _, seg := range logInfo.Segments {
 			line := fmt.Sprintf("  segment %s: %d record(s), seq [%d,%d], epochs [%d,%d], %d bytes",
@@ -105,42 +96,36 @@ func main() {
 			if seg.TornTail {
 				line += " (torn tail discarded)"
 			}
-			fmt.Println(line)
+			fmt.Fprintln(out, line)
 		}
 		if logInfo.TornTail {
-			fmt.Printf("torn tail:        yes — an append was cut by the crash; recovery uses the last committed delta\n")
+			fmt.Fprintf(out, "torn tail:        yes — an append was cut by the crash; recovery uses the last committed delta\n")
 		}
 	} else {
-		fmt.Printf("layout:           full image\n")
+		fmt.Fprintf(out, "layout:           full image\n")
 	}
-	fmt.Printf("durable epoch:    %d\n", rep.DurableEpoch)
-	fmt.Printf("entries scanned:  %d\n", rep.EntriesScanned)
-	fmt.Printf("lines rolled back:%d\n", rep.LinesRolledBack)
+	fmt.Fprintf(out, "durable epoch:    %d\n", rep.DurableEpoch)
+	fmt.Fprintf(out, "entries scanned:  %d\n", rep.EntriesScanned)
+	fmt.Fprintf(out, "lines rolled back:%d\n", rep.LinesRolledBack)
 
-	if *dryRun {
-		fmt.Println("dry run: pool file not modified")
-		return
+	if dryRun {
+		fmt.Fprintln(out, "dry run: pool file not modified")
+		return nil
 	}
-	repaired := pm.Snapshot()
-	tmp := *path + ".recovered"
-	if err := os.WriteFile(tmp, repaired, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "paxrecover: %v\n", err)
-		os.Exit(1)
+	if err := seglog.Publish(path, pm.Snapshot(), publishHook); err != nil {
+		return err
 	}
-	if err := os.Rename(tmp, *path); err != nil {
-		fmt.Fprintf(os.Stderr, "paxrecover: %v\n", err)
-		os.Exit(1)
+	if !hasLog {
+		fmt.Fprintln(out, "pool recovered in place")
+		return nil
 	}
-	if hasLog {
-		// The repaired file now holds everything the segments held; removing
-		// them AFTER the rename means a crash here at worst leaves segments
-		// whose replay is idempotent over the repaired image.
-		if err := os.RemoveAll(logDir); err != nil {
-			fmt.Fprintf(os.Stderr, "paxrecover: removing consumed segments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("pool recovered in place (converted to full-image layout; segments removed)")
-		return
+	// The repaired file now holds everything the segments held, durably:
+	// Publish returned, so the image and its rename are on media. Removing
+	// the segments only now means a crash here at worst leaves segments
+	// whose replay is idempotent over the repaired image.
+	if err := os.RemoveAll(logDir); err != nil {
+		return fmt.Errorf("removing consumed segments: %w", err)
 	}
-	fmt.Println("pool recovered in place")
+	fmt.Fprintln(out, "pool recovered in place (converted to full-image layout; segments removed)")
+	return nil
 }

@@ -101,7 +101,6 @@ func main() {
 		commitLat = flag.Duration("commit-latency", 0, "modeled media latency per group commit (0 = simulator speed)")
 		queue     = flag.Int("queue", 1024, "request queue depth (backpressure bound)")
 		reqTmo    = flag.Duration("req-timeout", 5*time.Second, "per-request enqueue timeout")
-		async     = flag.Bool("async", false, "commit batches with the pipelined persist (§6)")
 		queued    = flag.Bool("queued-reads", false, "serve GETs through the writer queue instead of the read index (pre-index behavior, for A/B measurement)")
 		slot      = flag.Int("root", 0, "pool root slot holding the served map")
 		retries   = flag.Int("commit-retries", 3, "persist retries per group commit before the shard seals fail-stop (-1 disables)")
@@ -184,7 +183,6 @@ func main() {
 		MaxDelay:           *maxDelay,
 		QueueDepth:         *queue,
 		EnqueueTimeout:     *reqTmo,
-		Async:              *async,
 		CommitLatency:      *commitLat,
 		QueuedReads:        *queued,
 		CommitRetries:      *retries,

@@ -100,7 +100,6 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 	cfg := server.Config{
 		MaxBatch:           spec.MaxBatch,
 		MaxDelay:           spec.MaxDelay,
-		Async:              spec.Async,
 		CommitLatency:      spec.CommitLatency,
 		QueuedReads:        spec.QueuedReads,
 		MaxInflightCommits: spec.MaxInflightCommits,

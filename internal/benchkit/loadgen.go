@@ -50,8 +50,6 @@ type LoadSpec struct {
 	QueuedReads bool
 	MaxBatch    int
 	MaxDelay    time.Duration
-	// Async uses PersistAsync (§6 pipelined) for the group commits.
-	Async bool
 	// Shards partitions the keyspace across N independent pools, each with
 	// its own writer loop and device, so N group commits run in parallel
 	// (default 1 — the single-writer engine).
@@ -412,7 +410,6 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 		0, server.Config{
 			MaxBatch:           spec.MaxBatch,
 			MaxDelay:           spec.MaxDelay,
-			Async:              spec.Async,
 			CommitLatency:      spec.CommitLatency,
 			QueuedReads:        spec.QueuedReads,
 			MaxInflightCommits: spec.MaxInflightCommits,

@@ -91,7 +91,6 @@ func RunSplitLoad(spec LoadSpec) (SplitResult, error) {
 	cfg := server.Config{
 		MaxBatch:           spec.MaxBatch,
 		MaxDelay:           spec.MaxDelay,
-		Async:              spec.Async,
 		CommitLatency:      spec.CommitLatency,
 		QueuedReads:        spec.QueuedReads,
 		MaxInflightCommits: spec.MaxInflightCommits,

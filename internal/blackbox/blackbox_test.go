@@ -2,12 +2,14 @@ package blackbox
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pax/internal/seglog"
 )
 
 func mustOpen(t *testing.T, cfg Config) *Journal {
@@ -134,11 +136,11 @@ func TestRotationPrunesOldest(t *testing.T) {
 // activeSegPath returns the newest segment's path.
 func activeSegPath(t *testing.T, dir string) string {
 	t.Helper()
-	indices, err := listSegments(dir)
+	indices, err := seglog.List(dir, format)
 	if err != nil || len(indices) == 0 {
-		t.Fatalf("listSegments: %v (%d)", err, len(indices))
+		t.Fatalf("seglog.List: %v (%d)", err, len(indices))
 	}
-	return filepath.Join(dir, segName(indices[len(indices)-1]))
+	return filepath.Join(dir, format.SegName(indices[len(indices)-1]))
 }
 
 func TestTornTailTruncatedOnWritableReopen(t *testing.T) {
@@ -212,7 +214,7 @@ func TestCorruptCRCIsATornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img[len(img)-recTrailerSize-2] ^= 0xff
+	img[len(img)-seglog.RecTrailerSize-2] ^= 0xff
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +242,8 @@ func TestTornMiddleSegmentIsCorruption(t *testing.T) {
 	}
 	j.Close()
 
-	indices, _ := listSegments(dir)
-	middle := filepath.Join(dir, segName(indices[1]))
+	indices, _ := seglog.List(dir, format)
+	middle := filepath.Join(dir, format.SegName(indices[1]))
 	fi, _ := os.Stat(middle)
 	if err := os.Truncate(middle, fi.Size()-5); err != nil {
 		t.Fatal(err)
@@ -264,8 +266,8 @@ func TestMissingSegmentIsCorruption(t *testing.T) {
 		t.Fatalf("test needs >= 3 segments, got %d", j.Info().Segments)
 	}
 	j.Close()
-	indices, _ := listSegments(dir)
-	if err := os.Remove(filepath.Join(dir, segName(indices[1]))); err != nil {
+	indices, _ := seglog.List(dir, format)
+	if err := os.Remove(filepath.Join(dir, format.SegName(indices[1]))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Config{Dir: dir, ReadOnly: true}); err == nil ||
@@ -274,90 +276,104 @@ func TestMissingSegmentIsCorruption(t *testing.T) {
 	}
 }
 
-// TestCrashReplayProperty is the seeded crash-replay property test: cut the
-// newest segment at an arbitrary byte offset (every byte a crash could have
-// stopped at) and assert that open recovers exactly the records whose frames
-// were fully durable before the cut — every acked append before the crash,
-// no phantoms after it.
-func TestCrashReplayProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const trials = 8
+// TestFailedRollDoesNotBrickJournal: a roll that cannot create its segment
+// (the directory is gone — ENOENT, standing in for ENOSPC) fails that one
+// append; once the fault clears the next append rolls and lands, and the
+// journal replays everything that was acked.
+func TestFailedRollDoesNotBrickJournal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bb")
+	j := mustOpen(t, Config{Dir: dir, SegmentBytes: 256})
+	defer j.Close()
+	payload := bytes.Repeat([]byte("p"), 150)
+	if err := j.Append("ev", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir, dir+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("ev", payload); err == nil {
+		t.Fatal("append that must roll into a missing directory succeeded")
+	}
+	if err := os.Rename(dir+".away", dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("ev", []byte("after the failed roll")); err != nil {
+		t.Fatalf("journal dead after one failed roll: %v", err)
+	}
+	recs := collect(t, j)
+	if len(recs) != 2 || recs[1].Seq != 2 || string(recs[1].Payload) != "after the failed roll" {
+		t.Fatalf("replay = %+v", recs)
+	}
+	if info := j.Info(); info.Segments != 2 || info.LastSeq != 2 {
+		t.Fatalf("info = %+v", info)
+	}
+}
 
-	for trial := 0; trial < trials; trial++ {
-		dir := filepath.Join(t.TempDir(), "bb")
-		j := mustOpen(t, Config{Dir: dir, SegmentBytes: 512, MaxSegments: 64})
-		type appended struct {
-			payload []byte
-			size    int64
-		}
-		var log []appended
-		n := 10 + rng.Intn(30)
-		for i := 0; i < n; i++ {
-			payload := make([]byte, rng.Intn(120))
-			rng.Read(payload)
-			if err := j.Append("ev", payload); err != nil {
-				t.Fatal(err)
-			}
-			log = append(log, appended{payload, int64(recHeaderSize + len("ev") + len(payload) + recTrailerSize)})
-		}
-		j.Close()
-
-		// Frame boundaries inside the newest segment, and how many records
-		// live in the older (complete) segments.
-		indices, _ := listSegments(dir)
-		tail := filepath.Join(dir, segName(indices[len(indices)-1]))
-		tailSize, err := os.Stat(tail)
-		if err != nil {
+// TestTornRollIsReadable: the journal exists to explain crashes, so a crash
+// inside its own segment roll (a headerless newest segment) must not make
+// it unreadable.
+func TestTornRollIsReadable(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bb")
+	j := mustOpen(t, Config{Dir: dir})
+	for i := 0; i < 3; i++ {
+		if err := j.Append("ev", []byte("keep")); err != nil {
 			t.Fatal(err)
 		}
-		// Walk the append log backwards to find which records the tail holds.
-		inTail := 0
-		for sum := int64(segHeaderSize); inTail < len(log); inTail++ {
-			sum += log[len(log)-1-inTail].size
-			if sum > tailSize.Size() {
-				break
-			}
-			if sum == tailSize.Size() {
-				inTail++
-				break
-			}
-		}
-		boundaries := []int64{segHeaderSize}
-		for i := len(log) - inTail; i < len(log); i++ {
-			boundaries = append(boundaries, boundaries[len(boundaries)-1]+log[i].size)
-		}
-		if boundaries[len(boundaries)-1] != tailSize.Size() {
-			t.Fatalf("trial %d: reconstructed tail layout %v != file size %d", trial, boundaries, tailSize.Size())
-		}
+	}
+	j.Close()
+	stub := filepath.Join(dir, format.SegName(2))
+	if err := os.WriteFile(stub, []byte("half a head"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ro := mustOpen(t, Config{Dir: dir, ReadOnly: true})
+	if info := ro.Info(); info.TornTail || info.Records != 3 || info.Segments != 1 {
+		t.Fatalf("read-only info = %+v", info)
+	}
+	if got := collect(t, ro); len(got) != 3 {
+		t.Fatalf("read-only replay: %d records, want 3", len(got))
+	}
+	ro.Close()
+	j = mustOpen(t, Config{Dir: dir})
+	defer j.Close()
+	if _, err := os.Stat(stub); !os.IsNotExist(err) {
+		t.Fatalf("writable open left the stub behind: %v", err)
+	}
+	if err := j.Append("ev", []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if recs := collect(t, j); len(recs) != 4 || recs[3].Seq != 4 {
+		t.Fatalf("after repair: %+v", recs)
+	}
+}
 
-		// Crash at an arbitrary offset within the tail segment.
-		cut := segHeaderSize + rng.Int63n(tailSize.Size()-segHeaderSize+1)
-		if err := os.Truncate(tail, cut); err != nil {
-			t.Fatal(err)
+// TestParentFixture: testdata/ holds a journal segment written by the commit
+// before internal/seglog existed, with the records its Replay reported.
+func TestParentFixture(t *testing.T) {
+	var want []struct {
+		Seq      uint64
+		UnixNano int64 `json:"unix_nano"`
+		Type     string
+		Payload  []byte
+	}
+	blob, err := os.ReadFile(filepath.Join("testdata", "records.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	j := mustOpen(t, Config{Dir: "testdata", ReadOnly: true})
+	defer j.Close()
+	got := collect(t, j)
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("replayed %d records, fixture recorded %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].Seq != w.Seq || got[i].UnixNano != w.UnixNano || got[i].Type != w.Type || !bytes.Equal(got[i].Payload, w.Payload) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], w)
 		}
-		survivors := len(log) - inTail
-		for _, b := range boundaries[1:] {
-			if b <= cut {
-				survivors++
-			}
-		}
-
-		re, err := Open(Config{Dir: dir, ReadOnly: true})
-		if err != nil {
-			t.Fatalf("trial %d: reopen after cut at %d: %v", trial, cut, err)
-		}
-		recs := collect(t, re)
-		re.Close()
-		if len(recs) != survivors {
-			t.Fatalf("trial %d: cut at %d recovered %d records, want %d", trial, cut, len(recs), survivors)
-		}
-		for i, rec := range recs {
-			if rec.Seq != uint64(i+1) {
-				t.Fatalf("trial %d: record %d seq = %d (phantom or gap)", trial, i, rec.Seq)
-			}
-			if !bytes.Equal(rec.Payload, log[i].payload) {
-				t.Fatalf("trial %d: record %d payload mismatch", trial, i)
-			}
-		}
+	}
+	if info := j.Info(); info.Segments != 1 || info.FirstSeq != 1 || info.LastSeq != 3 || info.TornTail {
+		t.Fatalf("info = %+v", info)
 	}
 }

@@ -2,10 +2,13 @@ package epochlog
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pax/internal/seglog"
 )
 
 func openT(t *testing.T, cfg Config) *Store {
@@ -115,7 +118,7 @@ type tornVariant struct {
 func TestTornTailVariants(t *testing.T) {
 	variants := []tornVariant{
 		{"cut-mid-header", func(t *testing.T, p string, start, end int64) {
-			truncateTo(t, p, start+recHeaderSize/2)
+			truncateTo(t, p, start+seglog.RecHeaderSize/2)
 		}},
 		{"cut-mid-payload", func(t *testing.T, p string, start, end int64) {
 			truncateTo(t, p, start+(end-start)/2)
@@ -124,7 +127,7 @@ func TestTornTailVariants(t *testing.T) {
 			truncateTo(t, p, end-4)
 		}},
 		{"flip-data-bit", func(t *testing.T, p string, start, end int64) {
-			flipByte(t, p, start+recHeaderSize+8)
+			flipByte(t, p, start+seglog.RecHeaderSize+8)
 		}},
 	}
 	for _, v := range variants {
@@ -175,7 +178,7 @@ func TestTornTailVariants(t *testing.T) {
 // from the live store's bookkeeping before any mutilation).
 func segSizeAfter(t *testing.T, dir string, s *Store, n int) int64 {
 	t.Helper()
-	var size int64 = segHeaderSize
+	var size int64 = seglog.SegHeaderSize
 	count := 0
 	err := s.Replay(func(rec Record) error {
 		if count >= n {
@@ -185,7 +188,7 @@ func segSizeAfter(t *testing.T, dir string, s *Store, n int) int64 {
 		for _, r := range rec.Ranges {
 			payload += len(r.Data)
 		}
-		size += int64(recHeaderSize + 16*len(rec.Ranges) + payload + recTrailerSize)
+		size += int64(seglog.RecHeaderSize + 16*len(rec.Ranges) + payload + seglog.RecTrailerSize)
 		count++
 		return nil
 	})
@@ -424,4 +427,131 @@ func TestHasSegments(t *testing.T) {
 		t.Fatalf("open store created a segment; HasSegments should see it")
 	}
 	s.Close()
+}
+
+// TestTornRollReopens: a kill inside a segment roll leaves a newest segment
+// shorter than its header. It holds no record; the store must open, replay
+// to its last committed record, and (writable) remove the stub.
+func TestTornRollReopens(t *testing.T) {
+	for _, stub := range [][]byte{nil, make([]byte, seglog.SegHeaderSize-1)} {
+		dir := filepath.Join(t.TempDir(), "pool.epochlog")
+		s := openT(t, Config{Dir: dir})
+		appendT(t, s, 1, Range{Addr: 0, Data: []byte("committed")})
+		appendT(t, s, 2, Range{Addr: 16, Data: []byte("also committed")})
+		s.Close()
+		stubPath := filepath.Join(dir, format.SegName(2))
+		if err := os.WriteFile(stubPath, stub, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		ro := openT(t, Config{Dir: dir, ReadOnly: true})
+		if info := ro.Info(); !info.TornRoll || info.TornTail || info.LastSeq != 2 || len(info.Segments) != 1 {
+			t.Fatalf("read-only info = %+v", info)
+		}
+		if recs := collect(t, ro); len(recs) != 2 {
+			t.Fatalf("read-only replay = %+v", recs)
+		}
+		if fi, err := os.Stat(stubPath); err != nil || fi.Size() != int64(len(stub)) {
+			t.Fatalf("read-only open touched the stub: %v", err)
+		}
+
+		s2 := openT(t, Config{Dir: dir})
+		if !s2.Info().TornRoll {
+			t.Fatalf("writable info = %+v", s2.Info())
+		}
+		if _, err := os.Stat(stubPath); !os.IsNotExist(err) {
+			t.Fatalf("writable open left the stub behind: %v", err)
+		}
+		appendT(t, s2, 3, Range{Addr: 32, Data: []byte("after the torn roll")})
+		if recs := collect(t, s2); len(recs) != 3 || recs[2].Seq != 3 {
+			t.Fatalf("replay after append = %+v", recs)
+		}
+	}
+}
+
+func TestRecordApply(t *testing.T) {
+	img := make([]byte, 64)
+	ok := Record{Seq: 1, Ranges: []Range{{Addr: 0, Data: []byte("head")}, {Addr: 60, Data: []byte("tail")}}}
+	if err := ok.Apply(img); err != nil {
+		t.Fatalf("range ending exactly at len(img): %v", err)
+	}
+	if string(img[:4]) != "head" || string(img[60:]) != "tail" {
+		t.Fatalf("img = %q", img)
+	}
+	for name, r := range map[string]Range{
+		"one past the end": {Addr: 61, Data: []byte("tail")},
+		"far past the end": {Addr: 1 << 40, Data: []byte("x")},
+		"wrapping":         {Addr: ^uint64(0) - 3, Data: []byte("wraps to 4")},
+	} {
+		before := append([]byte(nil), img...)
+		err := Record{Seq: 9, Ranges: []Range{r}}.Apply(img)
+		if err == nil || !bytes.Equal(img, before) {
+			t.Fatalf("%s: err=%v, image changed=%v", name, err, !bytes.Equal(img, before))
+		}
+	}
+}
+
+// TestAppendDoesNotAllocate: the commit path encodes straight into the
+// log's staging buffer; the encode closure must not escape.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	s := openT(t, Config{Dir: filepath.Join(t.TempDir(), "pool.epochlog")})
+	ranges := []Range{{Addr: 0x38, Data: make([]byte, 8)}, {Addr: 0x2000, Data: make([]byte, 480)}}
+	appendT(t, s, 1, ranges...)
+	if avg := testing.AllocsPerRun(50, func() { s.Append(2, ranges) }); avg != 0 {
+		t.Fatalf("Append allocates %.1f times per record", avg)
+	}
+}
+
+// TestParentFixture: testdata/ holds a segment written by the commit before
+// internal/seglog existed, with the records its Replay reported. The format
+// is unchanged iff this code lists it, replays it to the same records, and
+// re-encodes those records to the same bytes.
+func TestParentFixture(t *testing.T) {
+	var want []struct {
+		Seq, Epoch uint64
+		Ranges     []struct {
+			Addr uint64
+			Data []byte
+		}
+	}
+	blob, err := os.ReadFile(filepath.Join("testdata", "records.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := HasSegments("testdata"); err != nil || !ok {
+		t.Fatalf("HasSegments(testdata) = %v, %v", ok, err)
+	}
+	fixture := openT(t, Config{Dir: "testdata", ReadOnly: true})
+	got := collect(t, fixture)
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("replayed %d records, fixture recorded %d", len(got), len(want))
+	}
+	freshDir := filepath.Join(t.TempDir(), "pool.epochlog")
+	fresh := openT(t, Config{Dir: freshDir})
+	for i, w := range want {
+		if got[i].Seq != w.Seq || got[i].Epoch != w.Epoch || len(got[i].Ranges) != len(w.Ranges) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], w)
+		}
+		for k, r := range w.Ranges {
+			if got[i].Ranges[k].Addr != r.Addr || !bytes.Equal(got[i].Ranges[k].Data, r.Data) {
+				t.Fatalf("record %d range %d = %+v, want %+v", i, k, got[i].Ranges[k], r)
+			}
+		}
+		appendT(t, fresh, got[i].Epoch, got[i].Ranges...)
+	}
+	name := fixture.Segments()[0].Name
+	old, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(filepath.Join(freshDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(old, again) {
+		t.Fatalf("re-encoding the fixture's records gave different bytes:\n old %x\n new %x", old, again)
+	}
 }

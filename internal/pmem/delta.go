@@ -2,12 +2,11 @@ package pmem
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"pax/internal/epochlog"
+	"pax/internal/seglog"
 )
 
 // This file is the delta epoch-store backend (Config.EpochLog): the device
@@ -211,14 +210,11 @@ func (d *Device) checkpoint() error {
 	// Ordering rule: read the covered sequence number before snapshotting,
 	// so every compacted record is provably inside the published image.
 	covered := d.store.LastSeq()
-	d.mu.Lock()
-	if d.scratch == nil {
-		d.scratch = make([]byte, len(d.media))
-	}
-	copy(d.scratch, d.media)
-	d.mu.Unlock()
-	if err := d.publishImage(d.scratch); err != nil {
-		return fmt.Errorf("pmem: checkpoint %s: %w", d.path, err)
+	// No per-stage fault hooks: checkpoint fault injection goes through the
+	// single FaultCheckpoint stage, so the FailSyncs schedules (which count
+	// commit fsyncs) keep meaning the same thing in both modes.
+	if err := seglog.Publish(d.path, d.snapshotLocked(), nil); err != nil {
+		return fmt.Errorf("pmem: checkpoint: %w", err)
 	}
 	d.Checkpoints.Inc()
 	d.CheckpointBytes.Add(uint64(len(d.scratch)))
@@ -226,36 +222,6 @@ func (d *Device) checkpoint() error {
 		return fmt.Errorf("pmem: checkpoint %s: %w", d.path, err)
 	}
 	return nil
-}
-
-// publishImage atomically publishes image under the pool's name: temp file,
-// fsync, rename, directory fsync. Unlike writeImage/syncDir it consults no
-// per-stage fault hooks — checkpoint fault injection goes through the single
-// FaultCheckpoint stage, so the FailSyncs schedules (which count commit
-// fsyncs) keep meaning the same thing in both modes.
-func (d *Device) publishImage(image []byte) error {
-	tmp := d.path + syncTempSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(image); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, d.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return fsyncDir(filepath.Dir(d.path))
 }
 
 // EpochLog exposes the device's epoch store (nil when the device is not in
@@ -295,38 +261,22 @@ func (d *Device) openEpochLog() error {
 	st, err := epochlog.Open(epochlog.Config{
 		Dir:          d.path + epochlog.DirSuffix,
 		SegmentBytes: segBytes,
-		Fault: func(stage epochlog.Stage) error {
-			switch stage {
-			case epochlog.StageAppend:
-				return d.faultAt(FaultAppend)
-			case epochlog.StageAppendSync:
+		Fault: func(st FaultOp) error {
+			if st == epochlog.StageAppendSync {
 				// The append fsync IS the media commit in delta mode: route
 				// it through the stage the FailSyncs schedules count.
-				return d.faultAt(FaultFileSync)
-			case epochlog.StageCompact:
-				return d.faultAt(FaultCompact)
+				st = FaultFileSync
 			}
-			return nil
+			return d.faultAt(st)
 		},
 	})
 	if err != nil {
 		return err
 	}
-	size := uint64(len(d.media))
-	err = st.Replay(func(rec epochlog.Record) error {
-		for _, r := range rec.Ranges {
-			end := r.Addr + uint64(len(r.Data))
-			if end < r.Addr || end > size {
-				return fmt.Errorf("pmem: %s: record %d writes [%d, %d) outside pool of %d bytes",
-					d.path, rec.Seq, r.Addr, end, size)
-			}
-			copy(d.media[r.Addr:end], r.Data)
-		}
-		return nil
-	})
+	err = st.Replay(func(rec epochlog.Record) error { return rec.Apply(d.media) })
 	if err != nil {
 		st.Close()
-		return err
+		return fmt.Errorf("pmem: %s: %w", d.path, err)
 	}
 	d.store = st
 	d.replayInfo = st.Info()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pax/internal/epochlog"
+	"pax/internal/seglog"
 )
 
 func deltaConfig(size int) Config {
@@ -263,7 +264,7 @@ func TestDeltaCrashMidCompaction(t *testing.T) {
 	// finish. Run the real checkpoint but restore the segment files first…
 	// simpler: publish the image by hand.
 	img := d.Snapshot()
-	if err := d.publishImage(img); err != nil {
+	if err := seglog.Publish(path, img, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()

@@ -18,12 +18,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pax/internal/epochlog"
+	"pax/internal/seglog"
 	"pax/internal/sim"
 	"pax/internal/stats"
 )
@@ -32,33 +32,34 @@ import (
 // atomicity of a single store (8 bytes on x86).
 const AtomicWriteUnit = 8
 
-// FaultOp identifies a media-durability stage a fault hook can fail. The
-// stages mirror Sync's staging protocol; in-memory devices, which have no
-// file to sync, consult only FaultFileSync (modeling the media commit
-// itself), so one fault schedule drives both backings.
-type FaultOp string
+// FaultOp identifies a media-durability stage a fault hook can fail: the
+// seglog stage vocabulary, which the full-image publish and the epoch log
+// both run through. In-memory devices, which have no file to sync, consult
+// only FaultFileSync (modeling the media commit itself), so one fault
+// schedule drives both backings.
+type FaultOp = seglog.Stage
 
 // Sync stages, in execution order.
 const (
 	// FaultWriteImage fails writing the staged temp image (ENOSPC-class).
-	FaultWriteImage FaultOp = "write-image"
+	FaultWriteImage = seglog.StageWrite
 	// FaultFileSync fails the temp file's fsync (EIO-class). This is the
 	// stage the FailSyncs/FailSyncsAfter schedules count.
-	FaultFileSync FaultOp = "fsync"
+	FaultFileSync = seglog.StageFsync
 	// FaultRename fails publishing the image under the pool's name.
-	FaultRename FaultOp = "rename"
+	FaultRename = seglog.StageRename
 	// FaultDirSync fails the directory fsync that makes the rename durable.
-	FaultDirSync FaultOp = "dirsync"
+	FaultDirSync = seglog.StageDirSync
 
 	// Epoch-log (delta) mode stages.
 
 	// FaultAppend fails writing a delta record into the epoch log.
-	FaultAppend FaultOp = "append"
+	FaultAppend = seglog.StageAppend
 	// FaultCheckpoint fails a background checkpoint before it starts; the
 	// log keeps every commit durable, so the failure only defers compaction.
 	FaultCheckpoint FaultOp = "checkpoint"
 	// FaultCompact fails deleting a checkpoint-covered segment.
-	FaultCompact FaultOp = "compact"
+	FaultCompact = seglog.StageRemove
 )
 
 // Config parameterizes a Device.
@@ -296,8 +297,8 @@ func Open(path string, cfg Config) (*Device, error) {
 		// Publish the zero-filled checkpoint now so the invariant "a delta
 		// pool always has a checkpoint file" holds from the first commit on
 		// (layout discovery and size checks rely on the file existing).
-		if err := d.publishImage(d.media); err != nil {
-			return nil, fmt.Errorf("pmem: open %s: %w", path, err)
+		if err := seglog.Publish(path, d.media, nil); err != nil {
+			return nil, fmt.Errorf("pmem: open: %w", err)
 		}
 	}
 	if err := d.openEpochLog(); err != nil {
@@ -398,7 +399,7 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 
 // syncTempSuffix names the staging file Sync writes before renaming it over
 // the pool file. Open and shard discovery know to ignore/clean it.
-const syncTempSuffix = ".tmp"
+const syncTempSuffix = seglog.TempSuffix
 
 // SetFaultFn installs (or, with nil, clears) a fault hook on an open device;
 // the next durability stage consults it. See Config.FaultFn.
@@ -420,14 +421,14 @@ func (d *Device) faultAt(op FaultOp) error {
 }
 
 // Sync makes the media image durable on the backing file, if any. The image
-// is staged through a temp file (written, fsynced), renamed over the pool
-// file, and the directory is fsynced — so a crash at any point leaves either
-// the old image or the new one, never a torn mix, and the rename itself
-// survives a kernel crash. On failure the previous image is untouched and
-// the staging file is cleaned up; the caller must treat the epoch as not
-// durable. In-memory devices have no file but still consult the fault hook
-// (at the FaultFileSync stage), so durability failures can be injected
-// without file backing.
+// is published with seglog.Publish — staged through a temp file (written,
+// fsynced), renamed over the pool file, directory fsynced — so a crash at
+// any point leaves either the old image or the new one, never a torn mix,
+// and the rename itself survives a kernel crash. On failure the previous
+// image is untouched and the staging file is cleaned up; the caller must
+// treat the epoch as not durable. In-memory devices have no file but still
+// consult the fault hook (at the FaultFileSync stage), so durability
+// failures can be injected without file backing.
 func (d *Device) Sync() error {
 	start := time.Now()
 	if d.path == "" {
@@ -463,125 +464,48 @@ func (d *Device) Sync() error {
 	// checkpoint/fallback path.
 	d.publishMu.Lock()
 	defer d.publishMu.Unlock()
-	d.mu.Lock()
-	if d.scratch == nil {
-		d.scratch = make([]byte, len(d.media))
+	snapshot := d.snapshotLocked()
+	if err := seglog.Publish(d.path, snapshot, d.syncStage); err != nil {
+		return fmt.Errorf("pmem: sync: %w", err)
 	}
-	copy(d.scratch, d.media)
-	d.mu.Unlock()
-	snapshot := d.scratch
-	tmp := d.path + syncTempSuffix
-	if err := d.writeImage(tmp, snapshot); err != nil {
-		os.Remove(tmp) // best effort; Open clears leftovers too
-		return fmt.Errorf("pmem: sync %s: %w", d.path, err)
-	}
-	renameStart := time.Now()
-	if err := d.faultAt(FaultRename); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pmem: sync %s: rename: %w", d.path, err)
-	}
-	if err := os.Rename(tmp, d.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pmem: sync %s: %w", d.path, err)
-	}
-	d.SyncTimings.Rename.Since(renameStart)
-	dirStart := time.Now()
-	if err := d.syncDir(); err != nil {
-		return fmt.Errorf("pmem: sync %s: directory: %w", d.path, err)
-	}
-	d.SyncTimings.DirSync.Since(dirStart)
 	d.lastSyncBytes.Store(int64(len(snapshot)))
 	d.SyncBytes.Add(uint64(len(snapshot)))
 	d.SyncTimings.Total.Since(start)
 	return nil
 }
 
-// writeImage stages the image into tmp and fsyncs it, so every byte is on
-// media before the rename can expose the file under the pool's name.
-func (d *Device) writeImage(tmp string, image []byte) error {
-	writeStart := time.Now()
-	if err := d.faultAt(FaultWriteImage); err != nil {
-		return err
+// snapshotLocked copies the media into the reused scratch buffer. Caller
+// holds publishMu.
+func (d *Device) snapshotLocked() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.scratch == nil {
+		d.scratch = make([]byte, len(d.media))
 	}
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	copy(d.scratch, d.media)
+	return d.scratch
+}
+
+// syncStage is the full-image Sync's publish hook: each stage consults the
+// fault hook first and, when it succeeds, lands in its SyncTimings histogram.
+func (d *Device) syncStage(st FaultOp, run func() error) error {
+	start := time.Now()
+	err := d.faultAt(st)
+	if err == nil {
+		err = run()
+	}
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(image); err != nil {
-		f.Close()
-		return err
-	}
-	d.SyncTimings.WriteImage.Since(writeStart)
-	fsyncStart := time.Now()
-	if err := d.faultAt(FaultFileSync); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	d.SyncTimings.FileSync.Since(fsyncStart)
-	return f.Close()
-}
-
-// syncDir fsyncs the directory holding the pool file: without it a kernel
-// crash shortly after the rename can resurrect the old directory entry, and
-// with it the old image, losing a snapshot Sync already reported durable.
-func (d *Device) syncDir() error {
-	if err := d.faultAt(FaultDirSync); err != nil {
-		return err
-	}
-	return fsyncDir(filepath.Dir(d.path))
-}
-
-// fsyncDir fsyncs one directory (no fault hook; callers that model faults
-// wrap it).
-func fsyncDir(path string) error {
-	dir, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	err = dir.Sync()
-	if cerr := dir.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// PublishFile atomically replaces (or creates) the file at path with data,
-// using the same staging protocol as a full-image Sync: write <path>.tmp,
-// fsync it, rename it over path, fsync the directory. A crash at any point
-// leaves either the old contents or the new ones, never a torn mix. It is
-// the durability primitive for small sidecar state published next to a pool
-// — the sharded router's slot-assignment map being the motivating case: a
-// slot cutover is "live" only once its assignment survives power loss.
-func PublishFile(path string, data []byte) error {
-	tmp := path + syncTempSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("pmem: publish %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("pmem: publish %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("pmem: publish %s: fsync: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pmem: publish %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pmem: publish %s: %w", path, err)
-	}
-	if err := fsyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("pmem: publish %s: directory: %w", path, err)
+	switch st {
+	case FaultWriteImage:
+		d.SyncTimings.WriteImage.Since(start)
+	case FaultFileSync:
+		d.SyncTimings.FileSync.Since(start)
+	case FaultRename:
+		d.SyncTimings.Rename.Since(start)
+	case FaultDirSync:
+		d.SyncTimings.DirSync.Since(start)
 	}
 	return nil
 }

@@ -1,0 +1,71 @@
+package seglog
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+func TestPublish(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "target")
+	var order []Stage
+	record := func(st Stage, run func() error) error {
+		order = append(order, st)
+		return run()
+	}
+	if err := Publish(path, []byte("first"), record); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Stage{StageWrite, StageFsync, StageRename, StageDirSync}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("stages ran as %v, want %v", order, want)
+	}
+	if err := Publish(path, []byte("second"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "second" {
+		t.Fatalf("published contents = %q", got)
+	}
+	if _, err := os.Stat(path + TempSuffix); !os.IsNotExist(err) {
+		t.Fatalf("staging file left behind: %v", err)
+	}
+}
+
+// TestPublishFaults: whichever stage fails, the target holds either the old
+// contents or the new ones, no staging file survives, and the error carries
+// the cause.
+func TestPublishFaults(t *testing.T) {
+	injected := errors.New("injected EIO")
+	for _, stage := range []Stage{StageWrite, StageFsync, StageRename, StageDirSync} {
+		t.Run(string(stage), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "target")
+			if err := Publish(path, []byte("old"), nil); err != nil {
+				t.Fatal(err)
+			}
+			err := Publish(path, []byte("new"), func(st Stage, run func() error) error {
+				if st == stage {
+					return injected
+				}
+				return run()
+			})
+			if !errors.Is(err, injected) {
+				t.Fatalf("Publish = %v, want the injected fault", err)
+			}
+			want := "old"
+			if stage == StageDirSync {
+				want = "new" // already renamed; only its durability is in doubt
+			}
+			if got, _ := os.ReadFile(path); string(got) != want {
+				t.Fatalf("target holds %q after a failed %s, want %q", got, stage, want)
+			}
+			if _, err := os.Stat(path + TempSuffix); !os.IsNotExist(err) {
+				t.Fatalf("staging file left behind: %v", err)
+			}
+		})
+	}
+	// A real failure, not an injected one: the directory does not exist.
+	if err := Publish(filepath.Join(t.TempDir(), "absent", "target"), []byte("x"), nil); err == nil {
+		t.Fatal("publish into a missing directory succeeded")
+	}
+}

@@ -102,11 +102,6 @@ type Config struct {
 	// EnqueueTimeout is how long a request waits for queue space before
 	// failing with ErrBusy (default 5s).
 	EnqueueTimeout time.Duration
-	// Async commits batches with PersistAsync (§6 pipelined persist): the
-	// snapshot point is unchanged but the writer loop overlaps the device's
-	// commit with the next batch. Acks then mean "snapshot taken", not
-	// "snapshot fully on media".
-	Async bool
 	// CommitLatency models the real-time cost of making an epoch durable on
 	// the backing medium (an msync-class sync, an Optane flush): the writer
 	// blocks this long per group commit, after Persist and before acking the
@@ -922,14 +917,11 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 	return nil, false
 }
 
-// persistLocked runs one persist attempt in the configured commit mode,
-// under poolMu: the snapshot point must not overlap a sealer apply (§3.5).
+// persistLocked runs one persist attempt under poolMu: the snapshot point
+// must not overlap a sealer apply (§3.5).
 func (e *Engine) persistLocked() (pax.PersistStats, error) {
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
-	if e.cfg.Async {
-		return e.pool.PersistAsync()
-	}
 	return e.pool.Persist()
 }
 

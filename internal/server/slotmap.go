@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 
-	"pax/internal/pmem"
+	"pax/internal/seglog"
 )
 
 // This file is the slot routing layer under ShardedEngine: instead of hashing
@@ -151,9 +151,9 @@ func LoadSlotMap(path string) (*SlotMap, error) {
 }
 
 // Save atomically publishes the map as path's slot-map sidecar: staged to a
-// temp file, fsynced, renamed over the old map, directory fsynced (the pmem
-// Sync staging protocol). A crash at any point leaves either the previous
-// assignment or this one intact — which is the cutover's durability point:
+// temp file, fsynced, renamed over the old map, directory fsynced (the same
+// seglog.Publish a full-image Sync uses). A crash at any point leaves either
+// the previous assignment or this one intact — which is the cutover's durability point:
 // a slot migration is committed exactly when the map carrying it survives
 // power loss.
 func (m *SlotMap) Save(path string) error {
@@ -164,5 +164,5 @@ func (m *SlotMap) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return pmem.PublishFile(SlotMapPath(path), append(data, '\n'))
+	return seglog.Publish(SlotMapPath(path), append(data, '\n'), nil)
 }
