@@ -3,7 +3,7 @@
 // slots. It opens the media read-only and performs no recovery, so it shows
 // exactly what a post-crash observer would find.
 //
-// For epoch-log pools (paxserve -epoch-log) it first lists the delta
+// For epoch-log pools (any pool paxserve has served) it first lists the delta
 // segments next to the file — per-segment record counts, sequence and epoch
 // ranges, and whether the newest segment ends in a torn append — then
 // replays the committed deltas in memory and dumps the reconstructed state,

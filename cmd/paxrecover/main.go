@@ -2,15 +2,16 @@
 // pool (which performs the §3.4 rollback of any unpersisted epoch) and
 // writes the repaired image back, reporting what was undone.
 //
-// Pools persisted with the epoch store (-epoch-log) are a checkpoint image
-// plus delta segments in <pool>.epochlog/. paxrecover reconstructs the
+// Pools persisted with the epoch store (every pool paxserve has served) are
+// a checkpoint image plus delta segments in <pool>.epochlog/. paxrecover reconstructs the
 // last committed state by replaying the committed deltas onto the
 // checkpoint (a torn tail — an append cut by a crash — is reported and
 // discarded, never an error), runs the same §3.4 rollback, and then
 // CONVERTS the pool to the plain full-image layout: the repaired image
-// replaces the file and the consumed segments are removed. Reopen the
-// converted pool with or without -epoch-log; a fresh segment directory is
-// started on the next epoch-log commit.
+// replaces the file and the consumed segments are removed. The converted
+// pool opens as a full-image pool through the pax library, and paxserve
+// upgrades it back in place: a fresh segment directory is started on its
+// next commit.
 //
 // Usage:
 //

@@ -60,8 +60,14 @@
 // GETs do not enter the writer queue: each shard keeps a volatile read
 // index (rebuilt from the recovered pool at startup) that the writer
 // updates at apply time, so reads are answered immediately even while a
-// group commit is in flight. -queued-reads restores the pre-index behavior
-// — every GET serialized through the writer loop — for A/B measurement.
+// group commit is in flight.
+//
+// Every pool is served through the delta epoch store: a group commit appends
+// the byte ranges the batch dirtied to <pool>.epochlog/ and fsyncs the
+// append, and the pool file is the checkpoint a background pass refreshes.
+// Which store a pool is in is read off the disk, never off the command line:
+// a pool with an epoch log is replayed, a plain full-image pool (written by
+// the pax library, or by paxrecover) is upgraded in place on first open.
 //
 // The protocol is internal/wire's length-prefixed binary framing; the Go
 // client is pax/internal/wire.Client. SIGINT/SIGTERM shut down gracefully:
@@ -95,14 +101,11 @@ func main() {
 		hbmSize   = flag.Int("hbm", 16<<20, "device HBM cache size in bytes (0 disables)")
 		profile   = flag.String("profile", "cxl", "device profile: cxl | enzian")
 		overwrite = flag.Bool("overwrite", false, "reformat the pool file even if it already exists")
-		epochLog  = flag.Bool("epoch-log", false, "persist commits as delta records in <pool>.epochlog/ (O(dirty) commit cost) instead of republishing the full image; reopening an epoch-log pool requires this flag")
 		maxBatch  = flag.Int("max-batch", 128, "max writes acked per group commit")
 		maxDelay  = flag.Duration("max-delay", time.Millisecond, "max wait for company while the commit pipeline is busy (or a commit takes this long)")
 		commitLat = flag.Duration("commit-latency", 0, "modeled media latency per group commit (0 = simulator speed)")
 		queue     = flag.Int("queue", 1024, "request queue depth (backpressure bound)")
 		reqTmo    = flag.Duration("req-timeout", 5*time.Second, "per-request enqueue timeout")
-		queued    = flag.Bool("queued-reads", false, "serve GETs through the writer queue instead of the read index (pre-index behavior, for A/B measurement)")
-		slot      = flag.Int("root", 0, "pool root slot holding the served map")
 		retries   = flag.Int("commit-retries", 3, "persist retries per group commit before the shard seals fail-stop (-1 disables)")
 		retryDly  = flag.Duration("commit-retry-delay", 2*time.Millisecond, "wait before the first commit retry, doubling per attempt")
 		debugAddr = flag.String("debug-addr", "", "HTTP observability listener serving /metrics, /trace, and /debug/pprof/ (unauthenticated — bind to localhost; empty disables)")
@@ -139,7 +142,6 @@ func main() {
 		HBMSize:   *hbmSize,
 		Profile:   pax.DeviceProfile(*profile),
 		Overwrite: *overwrite,
-		EpochLog:  *epochLog,
 	}
 
 	// Resolve the shard count against what is on disk: a restart must reopen
@@ -178,13 +180,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := server.OpenSharded(*poolPath, n, opts, *slot, server.Config{
+	eng, err := server.OpenSharded(*poolPath, n, opts, 0, server.Config{
 		MaxBatch:           *maxBatch,
 		MaxDelay:           *maxDelay,
 		QueueDepth:         *queue,
 		EnqueueTimeout:     *reqTmo,
 		CommitLatency:      *commitLat,
-		QueuedReads:        *queued,
 		CommitRetries:      *retries,
 		CommitRetryDelay:   *retryDly,
 		SlowCommit:         *slowCmt,
@@ -265,12 +266,8 @@ func main() {
 	signal.Notify(splits, syscall.SIGUSR1)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
-	mode := "full-image"
-	if *epochLog {
-		mode = "epoch-log"
-	}
-	fmt.Printf("paxserve: serving %s on %s (%d shard(s), %s commits, durable epoch %d, max batch %d, max delay %v)\n",
-		*poolPath, lis.Addr(), eng.NumShards(), mode, eng.DurableEpoch(), *maxBatch, *maxDelay)
+	fmt.Printf("paxserve: serving %s on %s (%d shard(s), durable epoch %d, max batch %d, max delay %v)\n",
+		*poolPath, lis.Addr(), eng.NumShards(), eng.DurableEpoch(), *maxBatch, *maxDelay)
 
 	var splitting sync.WaitGroup
 serve:

@@ -3,11 +3,9 @@ package benchkit
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"pax"
 	"pax/internal/server"
 	"pax/internal/stats"
 )
@@ -19,7 +17,7 @@ import (
 // measurably saturated), the post-split phase must show the same win a manual
 // split buys, and once the load stops the policy must fold the extra shard
 // back — ending at the starting fleet size with every acked write surviving a
-// crash+reopen.
+// crash+reopen. It is RunScript with AutopilotAct.
 
 // AutopilotJSON is the policy half of an autopilot A/B record: what the
 // policy did unprompted and whether the crash check passed. It rides on the
@@ -48,90 +46,20 @@ type AutopilotJSON struct {
 	LostKeys      int  `json:"lost_keys"`
 }
 
-// AutopilotResult is everything RunAutopilotLoad measured: the phase before
-// the policy acted, the phase after its split, and the policy's own record.
-type AutopilotResult struct {
-	Pre, Post LoadResult
-	Pilot     AutopilotJSON
-}
-
-// JSON renders the two phases as LoadJSON records tagged pre-autosplit /
-// post-autosplit, with the policy details attached to the post record.
-func (r AutopilotResult) JSON() []LoadJSON {
-	pre := r.Pre.JSON()
-	pre.Phase = "pre-autosplit"
-	post := r.Post.JSON()
-	post.Phase = "post-autosplit"
-	pilot := r.Pilot
-	post.Autopilot = &pilot
-	return []LoadJSON{pre, post}
-}
-
-// RunAutopilotLoad is the autopilot A/B. One file-backed sharded engine
-// serves a zipfian shared keyspace through five stages:
-//
-//  1. Preload, then a measured pre phase with no policy running.
-//  2. StartAutopilot, then an unmeasured flood of the same skewed traffic
-//     until the policy splits on its own (deadline-bounded): the hot shard's
-//     windowed enqueue-wait p99 is the signal, so the split fires because
-//     the commit pipeline is the measured bottleneck, not merely because
-//     load is imbalanced.
-//  3. A measured post phase (same spec, reseeded) on the grown fleet.
-//  4. Idle until the policy merges the fleet back to its starting size.
-//  5. Crash (no final commit), reopen from the discovered layout, verify
-//     every key — acked durable writes must survive the whole episode.
-//
-// spec must be file-backed (PoolDir), shared-keyspace (Keys > 0), durable
-// (the crash check), and multi-shard (Shards >= 2).
-func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
-	var out AutopilotResult
-	if spec.PoolDir == "" || spec.Keys == 0 || spec.Shards < 2 {
-		return out, fmt.Errorf("benchkit: autopilot load needs PoolDir, Keys > 0, and Shards >= 2, got %+v", spec)
-	}
-	if spec.AckOnApply {
-		return out, fmt.Errorf("benchkit: autopilot load measures durable acks; AckOnApply would make the crash check vacuous")
-	}
+// autosplit is the first half of AutopilotAct: start the policy, then flood
+// the same skewed traffic, unmeasured, until the policy splits on its own
+// (deadline-bounded). The hot shard's windowed enqueue-wait p99 is the
+// signal, so the split fires because the commit pipeline is the measured
+// bottleneck, not merely because load is imbalanced. The policy stays on
+// through the second measured phase but cannot act: the fleet is at
+// MaxShards and the measured load keeps every shard above idle.
+func (r *loadRun) autosplit(spec LoadSpec) (*AutopilotJSON, error) {
 	start := spec.Shards
-	opts := pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20, EpochLog: spec.EpochLog, Overwrite: true}
-	if spec.DataSize > 0 {
-		opts.DataSize = spec.DataSize
-	}
-	path := filepath.Join(spec.PoolDir, "load.pool")
-	cfg := server.Config{
-		MaxBatch:           spec.MaxBatch,
-		MaxDelay:           spec.MaxDelay,
-		CommitLatency:      spec.CommitLatency,
-		QueuedReads:        spec.QueuedReads,
-		MaxInflightCommits: spec.MaxInflightCommits,
-		// A shallow queue makes hot-shard saturation visible where the policy
-		// looks for it: durable writers pile into the enqueue path, so the hot
-		// shard's windowed enqueue-wait p99 rises well above the cold shards'.
-		QueueDepth: 8,
-	}
-	eng, err := server.OpenSharded(path, start, opts, 0, cfg)
-	if err != nil {
-		return out, err
-	}
-	value := make([]byte, spec.ValueBytes)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-	if err := preloadKeys(eng, spec, value); err != nil {
-		eng.Close()
-		return out, err
-	}
-
-	out.Pre, err = measurePhase(eng, spec, value, 0)
-	if err != nil {
-		eng.Close()
-		return out, err
-	}
-
-	// The policy watches from here on. Thresholds are scaled to the bench
-	// flood (tens of ms windows instead of operator seconds) but keep the
-	// production shape: consecutive hot ticks on a pipeline signal to split,
-	// a sustained idle stretch to merge, a cooldown between actions.
-	ap, err := eng.StartAutopilot(server.AutopilotConfig{
+	// Thresholds are scaled to the bench flood (tens of ms windows instead of
+	// operator seconds) but keep the production shape: consecutive hot ticks
+	// on a pipeline signal to split, a sustained idle stretch to merge, a
+	// cooldown between actions.
+	ap, err := r.eng.StartAutopilot(server.AutopilotConfig{
 		Interval:           50 * time.Millisecond,
 		Window:             250 * time.Millisecond,
 		SplitEnabled:       true,
@@ -148,16 +76,12 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 		Cooldown:           time.Second,
 	})
 	if err != nil {
-		eng.Close()
-		return out, err
+		return nil, err
 	}
-	out.Pilot.StartShards = start
-	out.Pilot.PeakShards = start
+	r.pilot = ap
 
-	// Unmeasured flood: the same skewed traffic, looping in bursts until the
-	// policy acts. Histograms sized for the grown fleet so a mid-burst split
-	// is safe.
-	policy := server.AckDurable
+	// The flood loops in bursts until the policy acts. Histograms sized for
+	// the grown fleet so a mid-burst split is safe.
 	var (
 		floodLat   stats.LatencyHistogram
 		floodShard = make([]stats.LatencyHistogram, start+1)
@@ -178,101 +102,71 @@ func RunAutopilotLoad(spec LoadSpec) (AutopilotResult, error) {
 				burst := spec
 				burst.OpsPerClient = 200
 				burst.Seed = spec.Seed + int64(round)*31 + 17
-				runSharedClient(eng, burst, c, value, policy, &floodLat, floodShard, floodErrs)
+				r.client(burst, c, &floodLat, floodShard, floodErrs)
 			}
 		}(c)
 	}
-	// The decision record (and its counters) publish just after the fleet
-	// change itself, so wait on the recorded decision, not the shard count.
-	const actDeadline = 30 * time.Second
-	waitDecision := func(action string) bool {
-		deadline := time.Now().Add(actDeadline)
-		for {
-			if d := ap.LastDecision(); d != nil && d.Action == action && d.Err == "" {
-				return true
-			}
-			if time.Now().After(deadline) {
-				return false
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	splitStart := time.Now()
-	if !waitDecision("split") {
-		close(floodStop)
-		floodWG.Wait()
-		eng.Close()
-		return out, fmt.Errorf("benchkit: autopilot never split within %v (windows %+v)", actDeadline, ap.Windows())
-	}
-	out.Pilot.SplitWaitMS = float64(time.Since(splitStart).Microseconds()) / 1e3
-	out.Pilot.PeakShards = eng.NumShards()
-	out.Pilot.SplitReason = ap.LastDecision().Reason
+	split := r.awaitDecision("split")
+	waited := time.Since(splitStart)
 	close(floodStop)
 	floodWG.Wait()
+	if !split {
+		return nil, fmt.Errorf("benchkit: autopilot never split within %v (windows %+v)", actDeadline, ap.Windows())
+	}
 	select {
 	case err := <-floodErrs:
-		eng.Close()
-		return out, fmt.Errorf("benchkit: autopilot flood: %w", err)
+		return nil, fmt.Errorf("benchkit: autopilot flood: %w", err)
 	default:
 	}
+	return &AutopilotJSON{
+		StartShards: start,
+		PeakShards:  r.eng.NumShards(),
+		SplitWaitMS: float64(waited.Microseconds()) / 1e3,
+		SplitReason: ap.LastDecision().Reason,
+	}, nil
+}
 
-	// Measured post phase on the fleet the policy built. Reseeded like the
-	// manual-split A/B so the phase draws a fresh sample of the same
-	// distribution. The policy stays on but cannot act: the fleet is at
-	// MaxShards and the measured load keeps every shard above idle.
-	post := spec
-	post.Seed = spec.Seed + 7919
-	post.Shards = eng.NumShards()
-	out.Post, err = measurePhase(eng, post, value, 1)
-	if err != nil {
-		eng.Close()
-		return out, err
-	}
-
-	// Idle: the windowed rates decay and the policy must fold the extra
-	// shard back to the starting count on its own.
+// automerge is the second half: with the load gone the windowed rates decay
+// and the policy must fold the extra shard back to the starting count on its
+// own, before the run crashes the fleet.
+func (r *loadRun) automerge(pilot *AutopilotJSON) error {
 	mergeStart := time.Now()
-	if !waitDecision("merge") {
-		eng.Close()
-		return out, fmt.Errorf("benchkit: autopilot never merged back within %v (windows %+v)", actDeadline, ap.Windows())
+	if !r.awaitDecision("merge") {
+		return fmt.Errorf("benchkit: autopilot never merged back within %v (windows %+v)", actDeadline, r.pilot.Windows())
 	}
-	out.Pilot.MergeWaitMS = float64(time.Since(mergeStart).Microseconds()) / 1e3
-	out.Pilot.MergeReason = ap.LastDecision().Reason
-	if eng.NumShards() != start {
-		eng.Close()
-		return out, fmt.Errorf("benchkit: autopilot merged to %d shards, want the starting %d", eng.NumShards(), start)
+	pilot.MergeWaitMS = float64(time.Since(mergeStart).Microseconds()) / 1e3
+	pilot.MergeReason = r.pilot.LastDecision().Reason
+	if n := r.eng.NumShards(); n != pilot.StartShards {
+		return fmt.Errorf("benchkit: autopilot merged to %d shards, want the starting %d", n, pilot.StartShards)
 	}
-	if m, err := eng.Metrics(); err == nil {
-		out.Pilot.Splits = int(m["paxserve_autopilot_splits"])
-		out.Pilot.Merges = int(m["paxserve_autopilot_merges"])
+	m, err := r.eng.Metrics()
+	if err != nil {
+		return err
 	}
+	pilot.Splits = int(m["paxserve_autopilot_splits"])
+	pilot.Merges = int(m["paxserve_autopilot_merges"])
+	return nil
+}
 
-	// Crash and verify: the whole episode — split, measured load, merge —
-	// must not have lost a single acked write.
-	if err := eng.Crash(); err != nil {
-		return out, fmt.Errorf("benchkit: crash after autopilot run: %w", err)
-	}
-	n, err := server.DiscoverShards(path)
-	if err != nil {
-		return out, fmt.Errorf("benchkit: rediscovering layout: %w", err)
-	}
-	out.Pilot.EndShards = n
-	reopenOpts := opts
-	reopenOpts.Overwrite = false
-	reng, err := server.OpenSharded(path, n, reopenOpts, 0, cfg)
-	if err != nil {
-		return out, fmt.Errorf("benchkit: reopening after crash: %w", err)
-	}
-	defer reng.Close()
-	lost := 0
-	for i := uint64(0); i < spec.Keys; i++ {
-		if _, ok, err := reng.Get(sharedKey(i)); err != nil || !ok {
-			lost++
+// actDeadline bounds each wait for the policy to act.
+const actDeadline = 30 * time.Second
+
+// awaitDecision polls until the policy's last recorded decision is a
+// successful action, or actDeadline passes. The decision record (and its
+// counters) publish just after the fleet change itself, so this waits on the
+// recorded decision, not the shard count.
+func (r *loadRun) awaitDecision(action string) bool {
+	deadline := time.Now().Add(actDeadline)
+	for {
+		if d := r.pilot.LastDecision(); d != nil && d.Action == action && d.Err == "" {
+			return true
 		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	out.Pilot.LostKeys = lost
-	out.Pilot.CrashVerified = lost == 0
-	return out, nil
 }
 
 // AutopilotAB is the experiment wrapper: the policy-driven split/merge cycle
@@ -295,7 +189,7 @@ func AutopilotAB(cfg Config, sz Sizes) []*stats.Table {
 	// the hot shard is pegged at its commit-pipeline ceiling, which is both
 	// the condition the policy is built to detect and the one where a split
 	// actually pays (~+75% acked ops/s at zipf s=1.5).
-	res, err := RunAutopilotLoad(LoadSpec{
+	post, err := RunScript(LoadSpec{
 		Clients:       128,
 		OpsPerClient:  ops,
 		ValueBytes:    64,
@@ -307,19 +201,19 @@ func AutopilotAB(cfg Config, sz Sizes) []*stats.Table {
 		Shards:        2,
 		CommitLatency: 4 * time.Millisecond,
 		PoolDir:       dir,
-		EpochLog:      true,
-	})
+	}, AutopilotAct)
 	if err != nil {
 		panic(fmt.Sprintf("benchkit: autopilot A/B: %v", err))
 	}
 	t := stats.NewTable("autopilot: policy-driven split/merge cycle (zipf s=1.5, 2 shards, file-backed, 4ms media commit)",
 		"phase", "shards", "acked ops/s", "imbalance", "ack p99 ms", "policy action", "wait ms", "crash ok")
-	t.AddRowf("pre-autosplit", res.Pre.Spec.Shards, res.Pre.OpsThroughput, res.Pre.ShardImbalance,
-		float64(res.Pre.AckP99.Microseconds())/1e3, "-", "-", "-")
-	t.AddRowf("post-autosplit", res.Post.Spec.Shards, res.Post.OpsThroughput, res.Post.ShardImbalance,
-		float64(res.Post.AckP99.Microseconds())/1e3,
-		fmt.Sprintf("split x%d", res.Pilot.Splits), res.Pilot.SplitWaitMS, "-")
-	t.AddRowf("idle merge-back", res.Pilot.EndShards, 0.0, "-", "-",
-		fmt.Sprintf("merge x%d", res.Pilot.Merges), res.Pilot.MergeWaitMS, res.Pilot.CrashVerified)
+	pre, pilot := *post.Pre, *post.Autopilot
+	t.AddRowf(pre.Phase, pre.Spec.Shards, pre.OpsThroughput, pre.ShardImbalance,
+		float64(pre.AckP99.Microseconds())/1e3, "-", "-", "-")
+	t.AddRowf(post.Phase, post.Spec.Shards, post.OpsThroughput, post.ShardImbalance,
+		float64(post.AckP99.Microseconds())/1e3,
+		fmt.Sprintf("split x%d", pilot.Splits), pilot.SplitWaitMS, "-")
+	t.AddRowf("idle merge-back", pilot.EndShards, 0.0, "-", "-",
+		fmt.Sprintf("merge x%d", pilot.Merges), pilot.MergeWaitMS, pilot.CrashVerified)
 	return []*stats.Table{t}
 }

@@ -19,10 +19,11 @@ import (
 
 // This file is the serving-layer load generator: instead of driving a
 // fixture single-threaded like the paper experiments, it stands up the
-// paxserve group-commit engine over in-memory pools and hammers it with
+// paxserve group-commit engine over fresh pools and hammers it with
 // concurrent client goroutines, measuring how many individually-acked
 // durable writes each snapshot amortizes — and, with Shards > 1, how
-// partition-parallel group commit scales throughput.
+// partition-parallel group commit scales throughput. Every run, whatever it
+// does to the fleet in the middle, goes through the one runner, RunScript.
 
 // ErrInjectedFault is the media error LoadSpec.FailSyncsAfter injects. The
 // chaos tests and the CI postmortem smoke grep for its message in the
@@ -44,12 +45,8 @@ type LoadSpec struct {
 	// interleave is deterministic — an error-diffusion pattern, not a PRNG —
 	// so runs are reproducible.
 	ReadRatio float64
-	// QueuedReads serves GETs through the writer queue (the engine's
-	// pre-read-index behavior) instead of the volatile read index — the
-	// "before" side of the read-path A/B.
-	QueuedReads bool
-	MaxBatch    int
-	MaxDelay    time.Duration
+	MaxBatch  int
+	MaxDelay  time.Duration
 	// Shards partitions the keyspace across N independent pools, each with
 	// its own writer loop and device, so N group commits run in parallel
 	// (default 1 — the single-writer engine).
@@ -68,11 +65,8 @@ type LoadSpec struct {
 	PoolDir string
 	// DataSize overrides the per-shard vPM data region in bytes (default
 	// 32 MiB). The pool-size sweep holds the workload fixed and grows this:
-	// full-image commit cost scales with it, delta commit cost must not.
+	// a delta commit's cost must not grow with it.
 	DataSize uint64
-	// EpochLog selects the log-structured delta epoch store for the pools
-	// (pax.Options.EpochLog); false is the full-image baseline.
-	EpochLog bool
 	// MaxInflightCommits bounds the engine's commit pipeline (see
 	// server.Config.MaxInflightCommits): 1 is the serial A/B baseline, 0
 	// takes the engine default (2).
@@ -126,7 +120,31 @@ type LoadSpec struct {
 	FailSyncsAfter int
 }
 
-// LoadResult summarizes a run.
+// Act is what a run does to the fleet between its two measured phases. A run
+// with an act measures twice — the same traffic before and after — and ends
+// in a crash, a reopen of whatever layout is on disk, and a count of lost
+// keys instead of an orderly Close.
+type Act int
+
+const (
+	// NoAct measures once and closes.
+	NoAct Act = iota
+	// SplitAct splits the hottest shard live (ShardedEngine.Split(-1)).
+	SplitAct
+	// AutopilotAct starts the reshard policy and floods until it splits on
+	// its own; after the second phase the run idles until the policy has
+	// merged the fleet back to its starting size.
+	AutopilotAct
+)
+
+// actNames are an act's name in refusals and in its records' phase tags
+// ("pre-split" / "post-autosplit"); both are read outside this package.
+var actNames = [...]struct{ load, phase string }{
+	SplitAct:     {"split", "split"},
+	AutopilotAct: {"autopilot", "autosplit"},
+}
+
+// LoadResult summarizes one measured phase of a run.
 type LoadResult struct {
 	Spec         LoadSpec
 	AckedWrites  uint64
@@ -147,28 +165,26 @@ type LoadResult struct {
 	// server-side per-stage histograms in the metrics registry.
 	AckP50, AckP95, AckP99 time.Duration
 	// Metrics is the merged engine+pool metrics summary (per-shard gauges
-	// carry a {shard="K"} suffix; plain names are cross-shard sums),
-	// sampled safely after the engines close.
+	// carry a {shard="K"} suffix; plain names are cross-shard sums), sampled
+	// when the phase was folded: after Close for a run without an act, on the
+	// live fleet otherwise.
 	Metrics stats.Summary
-	// PoolBytes is the per-shard media size; EpochLog echoes which persist
-	// mode the run used.
+	// PoolBytes is the per-shard media size.
 	PoolBytes int64
-	EpochLog  bool
 	// CommitP50Bytes/CommitP99Bytes are per-commit persisted-bytes quantiles
-	// as the serving engine observed them (paxserve_epoch_delta_bytes, which
-	// excludes the one-time pool-format sync): O(dirty) under the epoch
-	// store, the pool size under full-image. They come from a log-bucketed
+	// as the serving engine observed them since the fleet opened
+	// (paxserve_epoch_delta_bytes, which excludes the one-time pool-format
+	// sync): the delta records, O(dirty). They come from a log-bucketed
 	// histogram, so each is the matching bucket's upper bound — up to ~3%
-	// above the true value (a 50331648-byte full image reports as 51380223).
-	// CommitMeanBytes has no such error: it is the histogram's exact
-	// sum/count. WriteAmplification is CommitMeanBytes divided by the pool
-	// size — the fraction of the pool each commit rewrites (1.0 for
-	// full-image by construction).
+	// above the true value. CommitMeanBytes has no such error: it is the
+	// histogram's exact sum/count. WriteAmplification is CommitMeanBytes
+	// divided by the pool size — the fraction of the pool each commit
+	// rewrites.
 	CommitP50Bytes     float64
 	CommitP99Bytes     float64
 	CommitMeanBytes    float64
 	WriteAmplification float64
-	// PerShard breaks the run down by shard (from the merged {shard="K"}
+	// PerShard breaks the phase down by shard (from the merged {shard="K"}
 	// metrics): acked ops, queue pressure, and client-observed ack tail per
 	// shard. ShardImbalance is max/mean per-shard acked ops — 1.0 is perfect
 	// balance, and under zipfian skew it is the recorded size of the
@@ -176,17 +192,26 @@ type LoadResult struct {
 	PerShard       []ShardLoad
 	ShardImbalance float64
 	HotShard       int
+	// Phase tags the result within a run that acted on the fleet ("pre-split"
+	// / "post-split", "pre-autosplit" / "post-autosplit"); empty otherwise.
+	// RunScript returns the post-act phase, with the pre-act one at Pre and
+	// what the act did — and whether the crash check passed — at Split or
+	// Autopilot.
+	Phase     string
+	Pre       *LoadResult
+	Split     *SplitJSON
+	Autopilot *AutopilotJSON
 }
 
-// ShardLoad is one shard's share of a run.
+// ShardLoad is one shard's share of a phase.
 type ShardLoad struct {
 	Shard int `json:"shard"`
 	// AckedOps is the shard's acked writes (durable + on-apply) plus served
 	// GETs.
 	AckedOps uint64 `json:"acked_ops"`
-	// EnqueueWaitP99Micros is the shard's server-side enqueue-wait p99 — how
-	// long requests sat blocked on a full queue, the first symptom of a hot
-	// shard.
+	// EnqueueWaitP99Micros is the shard's server-side enqueue-wait p99 since
+	// the fleet opened — how long requests sat blocked on a full queue, the
+	// first symptom of a hot shard.
 	EnqueueWaitP99Micros float64 `json:"enqueue_wait_p99_us"`
 	// AckP99Micros is the client-observed per-write ack p99 for writes routed
 	// to this shard.
@@ -203,7 +228,6 @@ type LoadJSON struct {
 	MaxBatch        int     `json:"max_batch"`
 	CommitLatencyMS float64 `json:"commit_latency_ms"`
 	ReadRatio       float64 `json:"read_ratio"`
-	ReadPath        string  `json:"read_path"` // "index" | "queued"
 	// AckPolicy is "durable" (acks mean on-media) or "apply" (acks mean
 	// applied and read-index-visible, durability async);
 	// MaxInflightCommits is the commit-pipeline window the run used (1 =
@@ -221,14 +245,11 @@ type LoadJSON struct {
 	AckP50Micros       float64 `json:"ack_p50_us"`
 	AckP95Micros       float64 `json:"ack_p95_us"`
 	AckP99Micros       float64 `json:"ack_p99_us"`
-	// Epoch-store A/B fields: which persist mode ran, the per-shard pool
-	// size, per-commit persisted bytes, and the mean fraction of the pool
-	// rewritten per commit. commit_p50_bytes/commit_p99_bytes are log-bucket
-	// upper bounds (up to ~3% above the true value — a 48 MiB full image
-	// reports 51380223, not 50331648); commit_mean_bytes is exact
-	// (histogram sum/count), so use it when the absolute byte count
-	// matters.
-	EpochLog           bool    `json:"epoch_log"`
+	// Commit-cost fields: the per-shard pool size, per-commit persisted
+	// bytes, and the mean fraction of the pool rewritten per commit.
+	// commit_p50_bytes/commit_p99_bytes are log-bucket upper bounds (up to
+	// ~3% above the true value); commit_mean_bytes is exact (histogram
+	// sum/count), so use it when the absolute byte count matters.
 	PoolBytes          int64   `json:"pool_bytes"`
 	CommitP50Bytes     float64 `json:"commit_p50_bytes"`
 	CommitP99Bytes     float64 `json:"commit_p99_bytes"`
@@ -247,14 +268,12 @@ type LoadJSON struct {
 	ShardImbalance float64     `json:"shard_imbalance"`
 	HotShard       int         `json:"hot_shard"`
 	PerShard       []ShardLoad `json:"per_shard,omitempty"`
-	// Split-run fields, set only by the reshard experiment: which phase of a
-	// live-split run this record measures ("pre-split" | "post-split") and,
-	// on the post record, what the split moved and whether every pre-split
-	// acked write survived a crash+reopen.
-	Phase string     `json:"phase,omitempty"`
-	Split *SplitJSON `json:"split,omitempty"`
-	// Autopilot is set only by the autopilot experiment, on the
-	// post-autosplit record: what the reshard policy did unprompted.
+	// Phase, Split and Autopilot are set only on the records of a run that
+	// acted on the fleet: which side of the act this record measures and, on
+	// the post record, what moved (Split) or what the policy did unprompted
+	// (Autopilot), each with the crash+reopen verdict.
+	Phase     string         `json:"phase,omitempty"`
+	Split     *SplitJSON     `json:"split,omitempty"`
 	Autopilot *AutopilotJSON `json:"autopilot,omitempty"`
 	// Blackbox is whether the run journaled to a crash black box — the A/B
 	// axis for the journaling-overhead bound. FailSyncsAfter echoes the
@@ -263,16 +282,8 @@ type LoadJSON struct {
 	FailSyncsAfter int  `json:"fail_syncs_after,omitempty"`
 }
 
-// JSON converts the result to its machine-readable record.
+// JSON converts one phase to its machine-readable record.
 func (r LoadResult) JSON() LoadJSON {
-	shards := r.Spec.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	path := "index"
-	if r.Spec.QueuedReads {
-		path = "queued"
-	}
 	policy := "durable"
 	if r.Spec.AckOnApply {
 		policy = "apply"
@@ -301,13 +312,12 @@ func (r LoadResult) JSON() LoadJSON {
 		}
 	}
 	return LoadJSON{
-		Shards:             shards,
+		Shards:             r.Spec.Shards,
 		Clients:            r.Spec.Clients,
 		OpsPerClient:       r.Spec.OpsPerClient,
 		MaxBatch:           r.Spec.MaxBatch,
 		CommitLatencyMS:    float64(r.Spec.CommitLatency.Microseconds()) / 1e3,
 		ReadRatio:          r.Spec.ReadRatio,
-		ReadPath:           path,
 		AckPolicy:          policy,
 		MaxInflightCommits: inflight,
 		AckedWrites:        r.AckedWrites,
@@ -321,7 +331,6 @@ func (r LoadResult) JSON() LoadJSON {
 		AckP50Micros:       float64(r.AckP50.Nanoseconds()) / 1e3,
 		AckP95Micros:       float64(r.AckP95.Nanoseconds()) / 1e3,
 		AckP99Micros:       float64(r.AckP99.Nanoseconds()) / 1e3,
-		EpochLog:           r.EpochLog,
 		PoolBytes:          r.PoolBytes,
 		CommitP50Bytes:     r.CommitP50Bytes,
 		CommitP99Bytes:     r.CommitP99Bytes,
@@ -335,9 +344,21 @@ func (r LoadResult) JSON() LoadJSON {
 		ShardImbalance:     r.ShardImbalance,
 		HotShard:           r.HotShard,
 		PerShard:           r.PerShard,
+		Phase:              r.Phase,
+		Split:              r.Split,
+		Autopilot:          r.Autopilot,
 		Blackbox:           r.Spec.Blackbox,
 		FailSyncsAfter:     r.Spec.FailSyncsAfter,
 	}
+}
+
+// Phases lists a run's measured phases in order: the result itself, preceded
+// by its pre-act phase when the run acted on the fleet.
+func (r LoadResult) Phases() []LoadResult {
+	if r.Pre != nil {
+		return []LoadResult{*r.Pre, r}
+	}
+	return []LoadResult{r}
 }
 
 // defaultZipfS is the zipfian exponent used when Dist is "zipf" and ZipfS is
@@ -349,308 +370,394 @@ const defaultZipfS = 1.2
 // sharedKey names key i of the shared keyspace.
 func sharedKey(i uint64) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
 
-// keySampler is what the shared-keyspace clients draw from (workload.Zipf or
-// workload.Uniform).
-type keySampler interface{ Next() uint64 }
-
-// RunLoad executes one loadgen run on fresh pools (one per shard) —
-// in-memory by default, file-backed under spec.PoolDir.
-func RunLoad(spec LoadSpec) (LoadResult, error) {
+// validate refuses a spec the runner cannot execute, or whose result would
+// not mean what its record says.
+func (spec LoadSpec) validate(act Act) error {
 	if spec.Clients <= 0 || spec.OpsPerClient <= 0 {
-		return LoadResult{}, fmt.Errorf("benchkit: loadgen needs clients and ops, got %+v", spec)
+		return fmt.Errorf("benchkit: loadgen needs clients and ops, got %+v", spec)
 	}
 	if spec.ReadRatio < 0 || spec.ReadRatio >= 1 {
-		return LoadResult{}, fmt.Errorf("benchkit: read ratio %v must be in [0, 1)", spec.ReadRatio)
-	}
-	if spec.ValueBytes <= 0 {
-		spec.ValueBytes = 64
+		return fmt.Errorf("benchkit: read ratio %v must be in [0, 1)", spec.ReadRatio)
 	}
 	if spec.Keys == 0 {
 		// "uniform" and "fixed" are what private-key clients do anyway (and
 		// paxbench's flag defaults), so only a real shape needs the keyspace.
 		shaped := (spec.Dist != "" && spec.Dist != "uniform") || (spec.ValueDist != "" && spec.ValueDist != "fixed")
 		if shaped || spec.ZipfS != 0 || spec.RMWRatio != 0 {
-			return LoadResult{}, fmt.Errorf("benchkit: Dist/ZipfS/RMWRatio/ValueDist shape the shared keyspace; set Keys > 0")
+			return fmt.Errorf("benchkit: Dist/ZipfS/RMWRatio/ValueDist shape the shared keyspace; set Keys > 0")
 		}
 	} else {
 		switch spec.Dist {
 		case "", "uniform", "zipf":
 		default:
-			return LoadResult{}, fmt.Errorf("benchkit: key distribution %q (want uniform or zipf)", spec.Dist)
+			return fmt.Errorf("benchkit: key distribution %q (want uniform or zipf)", spec.Dist)
 		}
 		if spec.Dist == "zipf" && spec.ZipfS != 0 && spec.ZipfS <= 1 {
-			return LoadResult{}, fmt.Errorf("benchkit: zipf exponent %v must be > 1", spec.ZipfS)
+			return fmt.Errorf("benchkit: zipf exponent %v must be > 1", spec.ZipfS)
 		}
 		if spec.RMWRatio < 0 || spec.RMWRatio > 1 {
-			return LoadResult{}, fmt.Errorf("benchkit: RMW ratio %v must be in [0, 1]", spec.RMWRatio)
+			return fmt.Errorf("benchkit: RMW ratio %v must be in [0, 1]", spec.RMWRatio)
 		}
 		switch spec.ValueDist {
 		case "", "fixed", "uniform":
 		default:
-			return LoadResult{}, fmt.Errorf("benchkit: value distribution %q (want fixed or uniform)", spec.ValueDist)
+			return fmt.Errorf("benchkit: value distribution %q (want fixed or uniform)", spec.ValueDist)
 		}
 	}
 	if spec.Blackbox && spec.PoolDir == "" {
-		return LoadResult{}, fmt.Errorf("benchkit: Blackbox journals to a directory; set PoolDir")
+		return fmt.Errorf("benchkit: Blackbox journals to a directory; set PoolDir")
 	}
-	shards := spec.Shards
-	if shards <= 0 {
-		shards = 1
+	if act == NoAct {
+		return nil
 	}
-	opts := pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20, EpochLog: spec.EpochLog}
-	if spec.DataSize > 0 {
-		opts.DataSize = spec.DataSize
+	// An act reshapes a fleet on disk and is judged by the keyspace that
+	// survives the crash: bare single-shard layouts cannot split, in-memory
+	// fleets have nothing to reopen, private keys have no keyspace to count.
+	name := actNames[act].load
+	if spec.PoolDir == "" || spec.Keys == 0 || spec.Shards < 2 {
+		return fmt.Errorf("benchkit: %s load needs PoolDir, Keys > 0, and Shards >= 2, got %+v", name, spec)
 	}
-	path := ""
-	if spec.PoolDir != "" {
-		path = filepath.Join(spec.PoolDir, "load.pool")
-		opts.Overwrite = true
+	if spec.AckOnApply {
+		// The crash check asserts every acked write survives; apply-acked
+		// writes are allowed to roll back, so the assertion would be vacuous.
+		return fmt.Errorf("benchkit: %s load measures durable acks; AckOnApply would make the crash check vacuous", name)
 	}
-	eng, err := server.OpenSharded(path, shards, opts,
-		0, server.Config{
-			MaxBatch:           spec.MaxBatch,
-			MaxDelay:           spec.MaxDelay,
-			CommitLatency:      spec.CommitLatency,
-			QueuedReads:        spec.QueuedReads,
-			MaxInflightCommits: spec.MaxInflightCommits,
-		})
+	return nil
+}
+
+// loadRun is what one run carries from open to teardown.
+type loadRun struct {
+	eng   *server.ShardedEngine
+	path  string // "" for an in-memory fleet
+	opts  pax.Options
+	cfg   server.Config
+	value []byte // every written value is a prefix of this
+
+	bbStop  func() // non-nil while a black box is attached
+	bb      *blackbox.Journal
+	stopped bool
+
+	pilot *server.Autopilot // started by autosplit, consulted again by automerge
+}
+
+// RunScript is the load runner. Every run follows one script over fresh pools
+// (one per shard; in-memory by default, file-backed under spec.PoolDir):
+//
+//	open → preload (shared keyspace only) → measure → [act → measure] →
+//	close, or crash → reopen → verify
+//
+// Without an act the run measures one phase and closes (a FailSyncsAfter run
+// is killed instead, so its black box reads as a crash would leave it). With
+// one, the same traffic is measured again on the reshaped fleet — reseeded,
+// so the second phase draws a fresh sample of the same distribution rather
+// than replaying identical key sequences against warm state — and the run
+// ends in crashVerify: every key of the keyspace must survive. The returned
+// result is the last measured phase; see LoadResult.Phase for the rest.
+func RunScript(spec LoadSpec, act Act) (LoadResult, error) {
+	if err := spec.validate(act); err != nil {
+		return LoadResult{}, err
+	}
+	if spec.ValueBytes <= 0 {
+		spec.ValueBytes = 64
+	}
+	if spec.Shards <= 0 {
+		spec.Shards = 1
+	}
+	r, err := openFleet(spec, act)
 	if err != nil {
 		return LoadResult{}, err
 	}
-	poolBytes := int64(eng.MediaSize())
-	epochLog := eng.EpochLogEnabled()
-
-	var bbJournal *blackbox.Journal
-	var bbStop func()
-	if spec.Blackbox {
-		j, err := blackbox.Open(blackbox.Config{Dir: path + blackbox.DirSuffix})
-		if err != nil {
-			eng.Close()
-			return LoadResult{}, fmt.Errorf("benchkit: blackbox: %w", err)
-		}
-		iv := spec.BlackboxInterval
-		if iv <= 0 {
-			iv = 250 * time.Millisecond
-		}
-		bbJournal = j
-		bbStop = server.AttachBlackbox(eng, j, iv)
-	}
-
-	value := make([]byte, spec.ValueBytes)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-	policy := server.AckDurable
-	if spec.AckOnApply {
-		policy = server.AckApply
-	}
-	// Shared keyspace: preload every key durable before the clock starts, so
-	// the measured phase reads always hit and the imbalance numbers reflect
-	// steady-state traffic, not fill. The preload's own acks and commits are
-	// sampled here and subtracted below, so the reported counters (and the
-	// per-shard imbalance) cover only measured traffic. The latency quantiles
-	// in the metrics registry still include the fill — histograms cannot be
-	// differenced — but the client-side ack histograms start at zero.
-	var preAgg server.AggregateStats
-	var preShard []uint64
+	defer r.stop(false) // error paths; a no-op once the script has stopped the fleet itself
 	if spec.Keys > 0 {
-		if err := preloadKeys(eng, spec, value); err != nil {
-			eng.Close()
-			if bbStop != nil {
-				bbStop()
-				bbJournal.Close()
-			}
+		if err := r.preload(spec); err != nil {
 			return LoadResult{}, err
 		}
-		preAgg = eng.AggregateStats()
-		preShard = eng.ShardAckedWrites()
 	}
 	chaos := spec.FailSyncsAfter > 0
 	if chaos {
 		// Injected after the preload so the fill always lands: shard 0's
 		// device starts refusing media syncs partway through the measured
 		// phase, its commit retries exhaust, and it seals fail-stop.
-		eng.ShardPools()[0].Internal().PM().SetFaultFn(
+		r.eng.ShardPools()[0].Internal().PM().SetFaultFn(
 			pmem.FailSyncsAfter(spec.FailSyncsAfter, ErrInjectedFault))
 	}
-	// shardAck splits the client-observed ack latency by the shard that
-	// served the write (routed via the engine's own ShardFor at issue time) —
-	// the hot shard's tail is the split experiment's before/after number.
-	shardAck := make([]stats.LatencyHistogram, shards)
-	start := time.Now()
+	ph, err := r.measure(spec)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	if act == NoAct {
+		// Simulated kill under chaos: no orderly close, no shutdown marker.
+		// Everything a postmortem needs is already on disk — the journal
+		// fsyncs each append — so the black box is read back exactly as a
+		// crash would leave it (stopping the sampler only adds the
+		// tail-window snapshot, which a periodic tick would have written
+		// anyway). The sealed shard's teardown error is the experiment.
+		if err := r.stop(chaos); err != nil && !chaos {
+			return LoadResult{}, err
+		}
+		return r.fold(ph)
+	}
+
+	pre, err := r.fold(ph)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	pre.Phase = "pre-" + actNames[act].phase
 	var (
-		wg     sync.WaitGroup
-		ackLat stats.LatencyHistogram // shared; it is lock-free by design
+		split *SplitJSON
+		pilot *AutopilotJSON
 	)
+	if act == SplitAct {
+		split, err = r.split()
+	} else {
+		pilot, err = r.autosplit(spec)
+	}
+	if err != nil {
+		return LoadResult{}, err
+	}
+	spec.Seed += 7919
+	spec.Shards = r.eng.NumShards()
+	if ph, err = r.measure(spec); err != nil {
+		return LoadResult{}, err
+	}
+	res, err := r.fold(ph)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	res.Phase, res.Pre, res.Split, res.Autopilot = "post-"+actNames[act].phase, &pre, split, pilot
+	if pilot != nil {
+		if err := r.automerge(pilot); err != nil {
+			return LoadResult{}, err
+		}
+	}
+	shards, lost, err := r.crashVerify(spec.Keys)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	if split != nil {
+		split.LostKeys, split.CrashVerified = lost, lost == 0
+	} else {
+		pilot.EndShards, pilot.LostKeys, pilot.CrashVerified = shards, lost, lost == 0
+	}
+	return res, nil
+}
+
+// openFleet creates the run's fresh fleet and attaches the black box.
+func openFleet(spec LoadSpec, act Act) (*loadRun, error) {
+	r := &loadRun{
+		opts: pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20},
+		cfg: server.Config{
+			MaxBatch:           spec.MaxBatch,
+			MaxDelay:           spec.MaxDelay,
+			CommitLatency:      spec.CommitLatency,
+			MaxInflightCommits: spec.MaxInflightCommits,
+		},
+		value: make([]byte, spec.ValueBytes),
+	}
+	for i := range r.value {
+		r.value[i] = byte('a' + i%26)
+	}
+	if spec.DataSize > 0 {
+		r.opts.DataSize = spec.DataSize
+	}
+	if spec.PoolDir != "" {
+		r.path = filepath.Join(spec.PoolDir, "load.pool")
+		r.opts.Overwrite = true
+	}
+	if act == AutopilotAct {
+		// A shallow queue makes hot-shard saturation visible where the policy
+		// looks for it: durable writers pile into the enqueue path, so the hot
+		// shard's windowed enqueue-wait p99 rises well above the cold shards'.
+		r.cfg.QueueDepth = 8
+	}
+	eng, err := server.OpenSharded(r.path, spec.Shards, r.opts, 0, r.cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.eng = eng
+	if spec.Blackbox {
+		j, err := blackbox.Open(blackbox.Config{Dir: r.path + blackbox.DirSuffix})
+		if err != nil {
+			eng.Close()
+			return nil, fmt.Errorf("benchkit: blackbox: %w", err)
+		}
+		iv := spec.BlackboxInterval
+		if iv <= 0 {
+			iv = 250 * time.Millisecond
+		}
+		r.bb, r.bbStop = j, server.AttachBlackbox(eng, j, iv)
+	}
+	return r, nil
+}
+
+// stop takes the fleet down once — Crash for a simulated kill, else Close —
+// and then releases the black box, so the journal's last record is whatever
+// the teardown emitted. Later calls do nothing.
+func (r *loadRun) stop(crash bool) error {
+	if r.stopped {
+		return nil
+	}
+	r.stopped = true
+	var err error
+	if crash {
+		err = r.eng.Crash()
+	} else {
+		err = r.eng.Close()
+	}
+	if r.bbStop != nil {
+		r.bbStop()
+		if cerr := r.bb.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("benchkit: blackbox close: %w", cerr)
+		}
+	}
+	return err
+}
+
+// crashVerify ends a run that acted on the fleet: Crash (no final commit),
+// reopen whatever layout DiscoverShards finds, and count the keys of the
+// shared keyspace that are gone. The preload was durable and every measured
+// write was acked durable, so a miss is a lost acked write.
+func (r *loadRun) crashVerify(keys uint64) (shards, lost int, err error) {
+	if err := r.stop(true); err != nil {
+		return 0, 0, fmt.Errorf("benchkit: crash: %w", err)
+	}
+	if shards, err = server.DiscoverShards(r.path); err != nil {
+		return 0, 0, fmt.Errorf("benchkit: rediscovering layout: %w", err)
+	}
+	opts := r.opts
+	opts.Overwrite = false
+	eng, err := server.OpenSharded(r.path, shards, opts, 0, r.cfg)
+	if err != nil {
+		return 0, 0, fmt.Errorf("benchkit: reopening after crash: %w", err)
+	}
+	defer eng.Close()
+	for i := uint64(0); i < keys; i++ {
+		if _, ok, err := eng.Get(sharedKey(i)); err != nil || !ok {
+			lost++
+		}
+	}
+	return shards, lost, nil
+}
+
+// phase is one measured stretch of client traffic, not yet folded: what the
+// clients observed, and the fleet's metrics as they stood when it began.
+type phase struct {
+	spec     LoadSpec
+	wall     time.Duration
+	ackLat   stats.LatencyHistogram   // lock-free by design, shared by every client
+	shardAck []stats.LatencyHistogram // ackLat split by the shard that served the write
+	before   stats.Summary
+}
+
+// measure runs spec.Clients clients to completion against the live fleet.
+// The metrics sampled first are what fold subtracts, so a phase's counters
+// cover only its own traffic — not the preload's fill, not an earlier
+// phase, not a migration. (The registry's latency and size quantiles cannot
+// be differenced and stay cumulative.)
+func (r *loadRun) measure(spec LoadSpec) (*phase, error) {
+	before, err := r.eng.Metrics()
+	if err != nil {
+		return nil, err
+	}
+	ph := &phase{
+		spec:     spec,
+		shardAck: make([]stats.LatencyHistogram, r.eng.NumShards()),
+		before:   before,
+	}
 	errs := make(chan error, spec.Clients)
+	start := time.Now()
+	var wg sync.WaitGroup
 	for c := 0; c < spec.Clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if spec.Keys > 0 {
-				runSharedClient(eng, spec, c, value, policy, &ackLat, shardAck, errs)
-				return
-			}
-			var (
-				acc   float64                            // error-diffusion accumulator for the read/write mix
-				wrote int                                // keys this client has written so far
-				rng   = uint32(2654435761 * uint64(c+1)) // per-client LCG state
-			)
-			for op := 0; op < spec.OpsPerClient; op++ {
-				acc += spec.ReadRatio
-				if acc >= 1 && wrote > 0 {
-					acc--
-					// Read a previously written key (LCG pick, deterministic
-					// per client): hits the read path with realistic reuse.
-					rng = rng*1664525 + 1013904223
-					key := []byte(fmt.Sprintf("c%04d-%06d", c, int(rng)%wrote))
-					if _, ok, err := eng.Get(key); err != nil || !ok {
-						if chaos {
-							return
-						}
-						errs <- fmt.Errorf("client %d read %s: ok=%v err=%v", c, key, ok, err)
-						return
-					}
-					continue
-				}
-				key := []byte(fmt.Sprintf("c%04d-%06d", c, wrote))
-				wrote++
-				shard := eng.ShardFor(key)
-				t0 := time.Now()
-				if _, err := eng.PutPolicy(key, value, policy); err != nil {
-					if chaos {
-						// Expected once the injected fault seals the shard:
-						// this client's writes route there, so it stops.
-						return
-					}
-					errs <- fmt.Errorf("client %d op %d: %w", c, op, err)
-					return
-				}
-				d := time.Since(t0).Nanoseconds()
-				ackLat.Observe(d)
-				shardAck[shard].Observe(d)
-				if spec.ReadRatio == 0 && spec.GetEveryN > 0 && op%spec.GetEveryN == spec.GetEveryN-1 {
-					if _, ok, err := eng.Get(key); err != nil || !ok {
-						if chaos {
-							return
-						}
-						errs <- fmt.Errorf("client %d read-back %s: ok=%v err=%v", c, key, ok, err)
-						return
-					}
-				}
-			}
+			r.client(spec, c, &ph.ackLat, ph.shardAck, errs)
 		}(c)
 	}
 	wg.Wait()
-	wall := time.Since(start)
-	if chaos {
-		// Simulated kill: no orderly close, no shutdown marker. Everything a
-		// postmortem needs is already on disk — the journal fsyncs each
-		// append — so the black box is read back exactly as a crash would
-		// leave it (the sampler stop below only adds the tail-window
-		// snapshot, which a periodic tick would have written anyway).
-		eng.Crash()
-	} else if err := eng.Close(); err != nil {
-		if bbStop != nil {
-			bbStop()
-			bbJournal.Close()
-		}
-		return LoadResult{}, err
-	}
-	if bbStop != nil {
-		bbStop()
-		if err := bbJournal.Close(); err != nil {
-			return LoadResult{}, fmt.Errorf("benchkit: blackbox close: %w", err)
-		}
-	}
+	ph.wall = time.Since(start)
 	select {
 	case err := <-errs:
-		return LoadResult{}, err
+		return nil, err
 	default:
 	}
+	return ph, nil
+}
 
-	agg := eng.AggregateStats()
-	metrics, err := eng.Metrics()
+// fold turns a measured phase into its LoadResult: the fleet's counters now
+// minus the counters at phase start, the clients' own ack histograms, and
+// the per-shard breakdown with its imbalance summary (max/mean acked ops;
+// 1.0 = perfectly balanced). It samples the fleet when called, which for a
+// run without an act is after Close — the final drain commit is counted.
+func (r *loadRun) fold(ph *phase) (LoadResult, error) {
+	metrics, err := r.eng.Metrics()
 	if err != nil {
 		return LoadResult{}, err
 	}
-	ack := ackLat.Snapshot()
-	// Durable runs count acks at commit time (AckedWrites); apply runs count
-	// them at apply time (AckedOnApply). Either way it is one ack per write.
+	delta := metrics.Diff(ph.before)
+	// writes is the write acks of this phase, fleet-wide ("") or for one
+	// {shard="K"} label. Durable runs count them at commit time
+	// (acked_writes), apply runs at apply time (acked_on_apply); either way
+	// it is one ack per write.
+	writes := func(lbl string) float64 {
+		return delta["paxserve_acked_writes"+lbl] + delta["paxserve_acked_on_apply"+lbl]
+	}
+	ack := ph.ackLat.Snapshot()
 	res := LoadResult{
-		Spec:           spec,
-		AckedWrites:    (agg.AckedWrites + agg.AckedOnApply) - (preAgg.AckedWrites + preAgg.AckedOnApply),
-		Gets:           agg.Gets - preAgg.Gets,
-		GroupCommits:   agg.GroupCommits - preAgg.GroupCommits,
-		BatchMax:       agg.BatchMax,
-		Wall:           wall,
+		Spec:           ph.spec,
+		AckedWrites:    uint64(writes("")),
+		Gets:           uint64(delta["paxserve_gets"]),
+		GroupCommits:   uint64(delta["paxserve_group_commits"]),
+		BatchMax:       r.eng.AggregateStats().BatchMax,
+		Wall:           ph.wall,
 		Metrics:        metrics,
 		AckP50:         time.Duration(ack.Quantile(0.50)),
 		AckP95:         time.Duration(ack.Quantile(0.95)),
 		AckP99:         time.Duration(ack.Quantile(0.99)),
-		PoolBytes:      poolBytes,
-		EpochLog:       epochLog,
+		PoolBytes:      int64(r.eng.MediaSize()),
 		CommitP50Bytes: metrics[`paxserve_epoch_delta_bytes{q="p50"}`],
 		CommitP99Bytes: metrics[`paxserve_epoch_delta_bytes{q="p99"}`],
+		PerShard:       make([]ShardLoad, len(ph.shardAck)),
 	}
 	if res.GroupCommits > 0 {
 		res.Amortization = float64(res.AckedWrites) / float64(res.GroupCommits)
 	}
 	if n := metrics["paxserve_epoch_delta_bytes_count"]; n > 0 {
 		res.CommitMeanBytes = metrics["paxserve_epoch_delta_bytes_sum"] / n
-		if poolBytes > 0 {
-			res.WriteAmplification = res.CommitMeanBytes / float64(poolBytes)
-		}
+		res.WriteAmplification = res.CommitMeanBytes / float64(res.PoolBytes)
 	}
-	if wall > 0 {
-		res.Throughput = float64(res.AckedWrites) / wall.Seconds()
-		res.OpsThroughput = float64(res.AckedWrites+res.Gets) / wall.Seconds()
+	if ph.wall > 0 {
+		res.Throughput = float64(res.AckedWrites) / ph.wall.Seconds()
+		res.OpsThroughput = float64(res.AckedWrites+res.Gets) / ph.wall.Seconds()
 	}
-	res.PerShard, res.ShardImbalance, res.HotShard = perShardLoads(metrics, shardAck, preShard)
-	return res, nil
-}
-
-// perShardLoads folds the merged {shard="K"} metrics plus the client-side
-// per-shard ack histograms into the per-shard breakdown and its imbalance
-// summary (max/mean acked ops; 1.0 = perfectly balanced). base, when
-// non-nil, holds each shard's acked-write count sampled before the measured
-// phase (the preload fill), which is subtracted out.
-func perShardLoads(metrics stats.Summary, shardAck []stats.LatencyHistogram, base []uint64) ([]ShardLoad, float64, int) {
-	loads := make([]ShardLoad, len(shardAck))
 	var sum, max float64
-	hot := 0
-	for k := range loads {
+	for k := range res.PerShard {
 		lbl := fmt.Sprintf("{shard=%q}", strconv.Itoa(k))
-		acked := metrics["paxserve_acked_writes"+lbl] +
-			metrics["paxserve_acked_on_apply"+lbl] +
-			metrics["paxserve_gets"+lbl]
-		if k < len(base) {
-			acked -= float64(base[k])
-		}
-		snap := shardAck[k].Snapshot()
-		loads[k] = ShardLoad{
+		acked := writes(lbl) + delta["paxserve_gets"+lbl]
+		snap := ph.shardAck[k].Snapshot()
+		res.PerShard[k] = ShardLoad{
 			Shard:                k,
 			AckedOps:             uint64(acked),
-			EnqueueWaitP99Micros: metrics[`paxserve_enqueue_wait_ns{q="p99",shard=`+strconv.Quote(strconv.Itoa(k))+`}`] / 1e3,
+			EnqueueWaitP99Micros: metrics[fmt.Sprintf(`paxserve_enqueue_wait_ns{q="p99",shard=%q}`, strconv.Itoa(k))] / 1e3,
 			AckP99Micros:         float64(snap.Quantile(0.99)) / 1e3,
 		}
 		sum += acked
 		if acked > max {
-			max, hot = acked, k
+			max, res.HotShard = acked, k
 		}
 	}
-	imbalance := 0.0
 	if sum > 0 {
-		imbalance = max / (sum / float64(len(loads)))
+		res.ShardImbalance = max / (sum / float64(len(res.PerShard)))
 	}
-	return loads, imbalance, hot
+	return res, nil
 }
 
-// preloadKeys writes the whole shared keyspace before the measured phase:
-// ack-on-apply puts fanned across the clients' worth of goroutines, then one
-// forced commit per shard so the preload is durable and the measured phase
-// starts from a clean epoch.
-func preloadKeys(eng *server.ShardedEngine, spec LoadSpec, value []byte) error {
+// preload writes the whole shared keyspace before the measured phase, so
+// measured reads always hit and the imbalance numbers reflect steady-state
+// traffic, not fill: ack-on-apply puts fanned across the clients' worth of
+// goroutines, then one forced commit per shard so the preload is durable and
+// the measured phase starts from a clean epoch.
+func (r *loadRun) preload(spec LoadSpec) error {
 	loaders := spec.Clients
 	if loaders > 64 {
 		loaders = 64
@@ -670,7 +777,7 @@ func preloadKeys(eng *server.ShardedEngine, spec LoadSpec, value []byte) error {
 		go func(lo, hi uint64) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				if _, err := eng.PutPolicy(sharedKey(i), value, server.AckApply); err != nil {
+				if _, err := r.eng.PutPolicy(sharedKey(i), r.value, server.AckApply); err != nil {
 					errs <- fmt.Errorf("benchkit: preloading key %d: %w", i, err)
 					return
 				}
@@ -683,128 +790,183 @@ func preloadKeys(eng *server.ShardedEngine, spec LoadSpec, value []byte) error {
 		return err
 	default:
 	}
-	_, err := eng.Persist()
+	_, err := r.eng.Persist()
 	return err
 }
 
-// runSharedClient is one measured-phase client of the shared-keyspace mode:
-// reads and writes both draw keys from the same sampler (read skew matches
-// write skew — a hot key is hot on both paths), RMWRatio of the writes are
+// client is one measured-phase client: OpsPerClient ops, ReadRatio of them
+// GETs, in a deterministic interleave. With a shared keyspace reads and
+// writes both draw keys from the same sampler (read skew matches write skew
+// — a hot key is hot on both paths), RMWRatio of the writes are
 // read-modify-writes (the ack time then includes the read), and ValueDist
-// sizes each value.
-func runSharedClient(eng *server.ShardedEngine, spec LoadSpec, c int, value []byte, policy server.AckPolicy, ackLat *stats.LatencyHistogram, shardAck []stats.LatencyHistogram, errs chan<- error) {
-	seed := spec.Seed*1_000_003 + int64(c)*2_654_435_761 + 1
-	var sampler keySampler
-	if spec.Dist == "zipf" {
-		s := spec.ZipfS
-		if s == 0 {
-			s = defaultZipfS
+// sizes each value. Without one the client writes its own key sequence and
+// reads back keys it already wrote, so every read hits with realistic reuse.
+// It sends at most one error.
+func (r *loadRun) client(spec LoadSpec, c int, ackLat *stats.LatencyHistogram, shardAck []stats.LatencyHistogram, errs chan<- error) {
+	// sampler draws shared-keyspace keys (workload.Zipf or workload.Uniform);
+	// nil means private keys.
+	var sampler interface{ Next() uint64 }
+	if spec.Keys > 0 {
+		seed := spec.Seed*1_000_003 + int64(c)*2_654_435_761 + 1
+		if spec.Dist == "zipf" {
+			s := spec.ZipfS
+			if s == 0 {
+				s = defaultZipfS
+			}
+			sampler = workload.NewZipf(spec.Keys, s, seed)
+		} else {
+			sampler = workload.NewUniform(spec.Keys, seed)
 		}
-		sampler = workload.NewZipf(spec.Keys, s, seed)
-	} else {
-		sampler = workload.NewUniform(spec.Keys, seed)
 	}
 	var (
-		readAcc, rmwAcc float64 // error-diffusion accumulators, deterministic per client
-		rng             = uint32(2654435761 * uint64(c+1))
+		readAcc, rmwAcc float64                            // error-diffusion accumulators, deterministic per client
+		wrote           int                                // private keys this client has written so far
+		rng             = uint32(2654435761 * uint64(c+1)) // per-client LCG: private read picks, value sizes
+		policy          = server.AckDurable
 	)
-	// Under fault injection (FailSyncsAfter) errors are the experiment:
-	// the sealed shard refuses this client's ops, so it stops quietly.
-	chaos := spec.FailSyncsAfter > 0
+	if spec.AckOnApply {
+		policy = server.AckApply
+	}
+	// fail reports what stopped the client — unless a fault was injected:
+	// then errors are the experiment (the sealed shard refuses this client's
+	// ops) and the client just stops.
+	fail := func(err error) {
+		if spec.FailSyncsAfter == 0 {
+			errs <- fmt.Errorf("client %d: %w", c, err)
+		}
+	}
 	for op := 0; op < spec.OpsPerClient; op++ {
 		readAcc += spec.ReadRatio
-		if readAcc >= 1 {
+		if readAcc >= 1 && (sampler != nil || wrote > 0) {
 			readAcc--
-			key := sharedKey(sampler.Next())
-			if _, ok, err := eng.Get(key); err != nil || !ok {
-				if chaos {
-					return
-				}
-				errs <- fmt.Errorf("client %d read %s: ok=%v err=%v", c, key, ok, err)
+			var key []byte
+			if sampler != nil {
+				key = sharedKey(sampler.Next())
+			} else {
+				rng = rng*1664525 + 1013904223
+				key = []byte(fmt.Sprintf("c%04d-%06d", c, int(rng)%wrote))
+			}
+			if _, ok, err := r.eng.Get(key); err != nil || !ok {
+				fail(fmt.Errorf("read %s: ok=%v err=%v", key, ok, err))
 				return
 			}
 			continue
 		}
-		key := sharedKey(sampler.Next())
-		v := value
+		var key []byte
+		if sampler != nil {
+			key = sharedKey(sampler.Next())
+		} else {
+			key = []byte(fmt.Sprintf("c%04d-%06d", c, wrote))
+			wrote++
+		}
+		v := r.value
 		if spec.ValueDist == "uniform" {
 			rng = rng*1664525 + 1013904223
-			v = value[:1+int(rng%uint32(len(value)))]
+			v = v[:1+int(rng%uint32(len(v)))]
 		}
 		rmw := false
 		if rmwAcc += spec.RMWRatio; rmwAcc >= 1 {
 			rmwAcc--
 			rmw = true
 		}
-		shard := eng.ShardFor(key)
+		// Attribute the ack to the shard that serves it, by the engine's own
+		// routing at issue time — the hot shard's tail is the split A/B's
+		// before/after number.
+		shard := r.eng.ShardFor(key)
 		t0 := time.Now()
 		if rmw {
-			if _, ok, err := eng.Get(key); err != nil || !ok {
-				if chaos {
-					return
-				}
-				errs <- fmt.Errorf("client %d rmw-read %s: ok=%v err=%v", c, key, ok, err)
+			if _, ok, err := r.eng.Get(key); err != nil || !ok {
+				fail(fmt.Errorf("rmw-read %s: ok=%v err=%v", key, ok, err))
 				return
 			}
 		}
-		if _, err := eng.PutPolicy(key, v, policy); err != nil {
-			if chaos {
-				return
-			}
-			errs <- fmt.Errorf("client %d op %d: %w", c, op, err)
+		if _, err := r.eng.PutPolicy(key, v, policy); err != nil {
+			fail(fmt.Errorf("op %d: %w", op, err))
 			return
 		}
 		d := time.Since(t0).Nanoseconds()
 		ackLat.Observe(d)
 		shardAck[shard].Observe(d)
+		if spec.ReadRatio == 0 && spec.GetEveryN > 0 && op%spec.GetEveryN == spec.GetEveryN-1 {
+			if _, ok, err := r.eng.Get(key); err != nil || !ok {
+				fail(fmt.Errorf("read-back %s: ok=%v err=%v", key, ok, err))
+				return
+			}
+		}
 	}
 }
 
-// EpochStoreAmplification is the epoch-store A/B: the same fixed workload
-// over growing file-backed pools, committed as full-image republishes vs as
-// delta records. Full-image per-commit bytes track the pool size (write
-// amplification 1.0 by construction); the delta store's stay O(dirty) —
-// flat across the sweep — which is the property the epoch store exists to
-// buy. The workload is deliberately small: the measurement is bytes per
-// commit, not throughput, and the full-image side rewrites the whole pool
-// every commit.
+// EpochStoreAmplification is the epoch-store A/B, at the level where both
+// stores still exist — the pax library: the same fixed workload (192 PUTs in
+// 16-write epochs) over growing file-backed pools, each epoch persisted as a
+// full-image republish vs as a delta record. Full-image per-commit bytes
+// track the pool size (write amplification 1.0 by construction); the delta
+// store's stay O(dirty) — flat across the sweep — which is the property the
+// epoch store exists to buy, and why it is the only store paxserve serves
+// from. The workload is deliberately small: the measurement is bytes per
+// commit (PersistStats.PersistedBytes), and the full-image side rewrites the
+// whole pool every commit.
 func EpochStoreAmplification(cfg Config, sz Sizes) []*stats.Table {
 	poolMiB := []int{64, 128, 256}
 	if sz.MeasureOps < 10_000 {
 		poolMiB = []int{16, 32, 64} // quick scale: keep full-image I/O in check
 	}
-	table := stats.NewTable("epoch store: per-commit persisted bytes vs pool size (fixed workload, file-backed)",
-		"mode", "pool MiB", "commits", "p50 KiB/commit", "p99 KiB/commit", "amplification", "writes/s")
+	table := stats.NewTable("epoch store: per-commit persisted bytes vs pool size (192 PUTs, 16 per epoch, file-backed)",
+		"store", "pool MiB", "commits", "p50 KiB/commit", "p99 KiB/commit", "amplification")
 	for _, epochLog := range []bool{false, true} {
-		mode := "full-image"
+		store := "full-image"
 		if epochLog {
-			mode = "delta"
+			store = "delta"
 		}
 		for _, mib := range poolMiB {
-			dir, err := os.MkdirTemp("", "pax-epochstore-*")
+			commits, poolBytes, err := persistedBytesPerEpoch(mib, epochLog)
 			if err != nil {
-				panic(fmt.Sprintf("benchkit: epoch-store sweep: %v", err))
+				panic(fmt.Sprintf("benchkit: epoch-store sweep (%s, %d MiB): %v", store, mib, err))
 			}
-			res, err := RunLoad(LoadSpec{
-				Clients:      8,
-				OpsPerClient: 24,
-				ValueBytes:   64,
-				MaxBatch:     16,
-				MaxDelay:     time.Millisecond,
-				PoolDir:      dir,
-				DataSize:     uint64(mib) << 20,
-				EpochLog:     epochLog,
-			})
-			os.RemoveAll(dir)
-			if err != nil {
-				panic(fmt.Sprintf("benchkit: epoch-store sweep (%s, %d MiB): %v", mode, mib, err))
-			}
-			table.AddRowf(mode, mib, res.GroupCommits,
-				res.CommitP50Bytes/1024, res.CommitP99Bytes/1024,
-				res.WriteAmplification, res.Throughput)
+			table.AddRowf(store, mib, commits.Count(),
+				float64(commits.Quantile(0.50))/1024, float64(commits.Quantile(0.99))/1024,
+				commits.Mean()/float64(poolBytes))
 		}
 	}
 	return []*stats.Table{table}
+}
+
+// persistedBytesPerEpoch runs the epoch-store workload on one fresh
+// file-backed pool and returns the per-Persist byte counts (a size histogram
+// on the latency machinery, like paxserve_epoch_delta_bytes) and the pool's
+// media size.
+func persistedBytesPerEpoch(poolMiB int, epochLog bool) (*stats.LatencyHistogram, int, error) {
+	dir, err := os.MkdirTemp("", "pax-epochstore-*")
+	if err != nil {
+		return nil, 0, err
+	}
+	defer os.RemoveAll(dir)
+	pool, err := pax.CreatePool(filepath.Join(dir, "es.pool"), pax.Options{
+		DataSize: uint64(poolMiB) << 20, LogSize: 16 << 20, HBMSize: 16 << 20, EpochLog: epochLog,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer pool.Close()
+	m, err := pax.NewMap(pool, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	value := make([]byte, 64)
+	var commits stats.LatencyHistogram
+	for i := 0; i < 192; i++ {
+		if err := m.Put([]byte(fmt.Sprintf("es-%06d", i)), value); err != nil {
+			return nil, 0, err
+		}
+		if i%16 == 15 {
+			st, err := pool.Persist()
+			if err != nil {
+				return nil, 0, err
+			}
+			commits.Observe(st.PersistedBytes)
+		}
+	}
+	return &commits, pool.MediaSize(), nil
 }
 
 // Loadgen is the experiment wrapper: sweep client counts (amortization vs
@@ -818,14 +980,14 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 	clientsTable := stats.NewTable("loadgen: group-commit serving vs client count",
 		"clients", "acked writes", "snapshots", "writes/snapshot", "max batch", "wall ms", "writes/s")
 	for _, clients := range []int{1, 4, 16, 64, 128} {
-		res, err := RunLoad(LoadSpec{
+		res, err := RunScript(LoadSpec{
 			Clients:      clients,
 			OpsPerClient: ops,
 			ValueBytes:   64,
 			GetEveryN:    4,
 			MaxBatch:     128,
 			MaxDelay:     2 * time.Millisecond,
-		})
+		}, NoAct)
 		if err != nil {
 			panic(fmt.Sprintf("benchkit: loadgen with %d clients: %v", clients, err))
 		}
@@ -842,7 +1004,7 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 		"shards", "acked writes", "snapshots", "writes/snapshot", "wall ms", "writes/s", "speedup", "p99 ack ms")
 	var base float64
 	for _, shards := range []int{1, 2, 4, 8} {
-		res, err := RunLoad(LoadSpec{
+		res, err := RunScript(LoadSpec{
 			Clients:       256,
 			OpsPerClient:  ops,
 			ValueBytes:    64,
@@ -851,7 +1013,7 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			MaxDelay:      2 * time.Millisecond,
 			Shards:        shards,
 			CommitLatency: 2 * time.Millisecond,
-		})
+		}, NoAct)
 		if err != nil {
 			panic(fmt.Sprintf("benchkit: loadgen with %d shards: %v", shards, err))
 		}
@@ -867,43 +1029,29 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			float64(res.AckP99.Microseconds())/1e3)
 	}
 
-	// The GET-heavy sweep is the read-path A/B: 95% GETs, commit-latency-
-	// bound writes. "queued" serializes every GET through the writer loop
-	// (the pre-read-index engine); "index" serves GETs from the volatile
-	// read index while commits are in flight. The mix matches the recorded
-	// BENCH_loadgen.json sweep; closed-loop clients bound the queued path at
-	// roughly one op per client per commit cycle, so the ratio grows with
-	// the read fraction.
-	readTable := stats.NewTable("loadgen: GET-heavy read path (read-ratio 0.95, 128 clients, 2ms media commit)",
-		"shards", "read path", "acked writes", "gets", "wall ms", "ops/s", "index speedup")
+	// The GET-heavy sweep: 95% GETs served from the volatile read index while
+	// commit-latency-bound writes are in flight. The mix matches the recorded
+	// BENCH_loadgen.json sweep, whose other arm — every GET queued through
+	// the writer loop, the engine before commit e7f5f0a — lost 4.7× at 4
+	// shards and has been deleted; EXPERIMENTS.md keeps the recorded A/B.
+	readTable := stats.NewTable("loadgen: GET-heavy (read-ratio 0.95, 128 clients, 2ms media commit)",
+		"shards", "acked writes", "gets", "wall ms", "ops/s")
 	for _, shards := range []int{1, 4} {
-		var queuedOps float64
-		for _, queued := range []bool{true, false} {
-			res, err := RunLoad(LoadSpec{
-				Clients:       128,
-				OpsPerClient:  ops * 2,
-				ValueBytes:    64,
-				ReadRatio:     0.95,
-				QueuedReads:   queued,
-				MaxBatch:      16,
-				MaxDelay:      2 * time.Millisecond,
-				Shards:        shards,
-				CommitLatency: 2 * time.Millisecond,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("benchkit: GET-heavy loadgen (%d shards, queued=%v): %v", shards, queued, err))
-			}
-			path := "index"
-			speedup := 0.0
-			if queued {
-				path = "queued"
-				queuedOps = res.OpsThroughput
-			} else if queuedOps > 0 {
-				speedup = res.OpsThroughput / queuedOps
-			}
-			readTable.AddRowf(shards, path, res.AckedWrites, res.Gets,
-				float64(res.Wall.Milliseconds()), res.OpsThroughput, speedup)
+		res, err := RunScript(LoadSpec{
+			Clients:       128,
+			OpsPerClient:  ops * 2,
+			ValueBytes:    64,
+			ReadRatio:     0.95,
+			MaxBatch:      16,
+			MaxDelay:      2 * time.Millisecond,
+			Shards:        shards,
+			CommitLatency: 2 * time.Millisecond,
+		}, NoAct)
+		if err != nil {
+			panic(fmt.Sprintf("benchkit: GET-heavy loadgen (%d shards): %v", shards, err))
 		}
+		readTable.AddRowf(shards, res.AckedWrites, res.Gets,
+			float64(res.Wall.Milliseconds()), res.OpsThroughput)
 	}
 	return []*stats.Table{clientsTable, shardsTable, readTable}
 }
@@ -931,7 +1079,7 @@ func Ackpipe(cfg Config, sz Sizes) []*stats.Table {
 			policy = "apply"
 		}
 		for _, window := range []int{1, 2, 4} {
-			res, err := RunLoad(LoadSpec{
+			res, err := RunScript(LoadSpec{
 				Clients:            64,
 				OpsPerClient:       ops,
 				ValueBytes:         64,
@@ -941,7 +1089,7 @@ func Ackpipe(cfg Config, sz Sizes) []*stats.Table {
 				CommitLatency:      2 * time.Millisecond,
 				MaxInflightCommits: window,
 				AckOnApply:         apply,
-			})
+			}, NoAct)
 			if err != nil {
 				panic(fmt.Sprintf("benchkit: ackpipe (%s, window %d): %v", policy, window, err))
 			}

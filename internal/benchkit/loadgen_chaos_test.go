@@ -16,18 +16,17 @@ import (
 // the seal carrying the injected error — plus at least one metrics snapshot.
 func TestRunLoadChaosJournalsTheCause(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RunLoad(LoadSpec{
+	res, err := RunScript(LoadSpec{
 		Clients:        4,
 		OpsPerClient:   400,
 		ValueBytes:     64,
 		MaxDelay:       time.Millisecond,
 		Shards:         2,
 		PoolDir:        dir,
-		EpochLog:       true,
 		Keys:           256,
 		Blackbox:       true,
 		FailSyncsAfter: 5,
-	})
+	}, NoAct)
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -83,7 +82,7 @@ func TestRunLoadChaosJournalsTheCause(t *testing.T) {
 // keys do anyway — and still refuse a shape that needs the shared keyspace.
 func TestRunLoadPrivateKeysAcceptFlagDefaults(t *testing.T) {
 	spec := LoadSpec{Clients: 2, OpsPerClient: 4, Shards: 1, Dist: "uniform", ValueDist: "fixed"}
-	res, err := RunLoad(spec)
+	res, err := RunScript(spec, NoAct)
 	if err != nil {
 		t.Fatalf("private-key run with the flag defaults: %v", err)
 	}
@@ -91,7 +90,7 @@ func TestRunLoadPrivateKeysAcceptFlagDefaults(t *testing.T) {
 		t.Fatalf("acked %d writes, want 8", res.AckedWrites)
 	}
 	spec.Dist = "zipf"
-	if _, err := RunLoad(spec); err == nil || !strings.Contains(err.Error(), "Keys > 0") {
+	if _, err := RunScript(spec, NoAct); err == nil || !strings.Contains(err.Error(), "Keys > 0") {
 		t.Fatalf("zipf without a keyspace: %v, want the Keys > 0 refusal", err)
 	}
 }

@@ -1,0 +1,148 @@
+package benchkit
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+// checkPhases asserts what every run with an act owes its caller: the two
+// phase tags, and on both phases the fields a single fold fills in — the
+// per-shard breakdown sized to the fleet that phase ran on, the commit-byte
+// figures, and only that phase's own traffic in the counters.
+func checkPhases(t *testing.T, post LoadResult, prePhase, postPhase string) {
+	t.Helper()
+	phases := post.Phases()
+	if len(phases) != 2 || phases[0].Phase != prePhase || phases[1].Phase != postPhase {
+		t.Fatalf("%d phases, last %q (pre %+v), want %q then %q", len(phases), post.Phase, post.Pre, prePhase, postPhase)
+	}
+	for _, ph := range phases {
+		want := uint64(ph.Spec.Clients * ph.Spec.OpsPerClient)
+		if got := ph.AckedWrites + ph.Gets; got != want {
+			t.Errorf("%s: %d acked writes + %d gets, want the phase's own %d ops", ph.Phase, ph.AckedWrites, ph.Gets, want)
+		}
+		if len(ph.PerShard) != ph.Spec.Shards {
+			t.Errorf("%s: %d per-shard entries on a %d-shard fleet", ph.Phase, len(ph.PerShard), ph.Spec.Shards)
+		}
+		var ops uint64
+		for _, s := range ph.PerShard {
+			ops += s.AckedOps
+		}
+		if ops != want {
+			t.Errorf("%s: per-shard acked ops sum to %d, want %d", ph.Phase, ops, want)
+		}
+		if ph.CommitP99Bytes <= 0 || ph.CommitMeanBytes <= 0 || ph.WriteAmplification <= 0 || ph.WriteAmplification >= 1 {
+			t.Errorf("%s: commit bytes p99 %v mean %v amplification %v, want delta-sized figures", ph.Phase, ph.CommitP99Bytes, ph.CommitMeanBytes, ph.WriteAmplification)
+		}
+		if len(ph.Metrics) == 0 {
+			t.Errorf("%s: no metrics registry", ph.Phase)
+		}
+	}
+}
+
+func TestRunScriptSplit(t *testing.T) {
+	post, err := RunScript(LoadSpec{
+		Clients:      8,
+		OpsPerClient: 40,
+		ReadRatio:    0.5,
+		Shards:       2,
+		PoolDir:      t.TempDir(),
+		Keys:         500,
+		Dist:         "zipf",
+		ZipfS:        1.3,
+	}, SplitAct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPhases(t, post, "pre-split", "post-split")
+	if post.Pre.Spec.Shards != 2 || post.Spec.Shards != 3 {
+		t.Fatalf("fleet went %d -> %d shards, want 2 -> 3", post.Pre.Spec.Shards, post.Spec.Shards)
+	}
+	s := post.Split
+	if s == nil || post.Pre.Split != nil || post.Autopilot != nil {
+		t.Fatalf("split details belong on the post phase only: pre %v post %v autopilot %v", post.Pre.Split, s, post.Autopilot)
+	}
+	if s.MovedSlots <= 0 || s.MovedSlots >= 256 {
+		t.Fatalf("moved %d slots, want some and not all", s.MovedSlots)
+	}
+	if !s.CrashVerified || s.LostKeys != 0 {
+		t.Fatalf("crash check: verified=%v lost=%d", s.CrashVerified, s.LostKeys)
+	}
+	rec := post.JSON()
+	if rec.Phase != "post-split" || rec.Split != s || rec.Shards != 3 || len(rec.PerShard) != 3 {
+		t.Fatalf("post record: %+v", rec)
+	}
+}
+
+func TestRunScriptAutopilot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the policy's split and its idle merge-back")
+	}
+	// The capped regime of the autopilot experiment, shrunk: the hot shard is
+	// pegged at its commit-pipeline ceiling, which is what the policy detects.
+	post, err := RunScript(LoadSpec{
+		Clients:       128,
+		OpsPerClient:  20,
+		Shards:        2,
+		PoolDir:       t.TempDir(),
+		Keys:          500,
+		Dist:          "zipf",
+		ZipfS:         1.5,
+		MaxBatch:      8,
+		MaxDelay:      2 * time.Millisecond,
+		CommitLatency: 4 * time.Millisecond,
+	}, AutopilotAct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPhases(t, post, "pre-autosplit", "post-autosplit")
+	p := post.Autopilot
+	if p == nil || post.Split != nil {
+		t.Fatalf("autopilot details belong on the post phase: %v (split %v)", p, post.Split)
+	}
+	if p.StartShards != 2 || p.PeakShards != 3 || p.EndShards != 2 || p.Splits < 1 || p.Merges < 1 {
+		t.Fatalf("policy cycle: %+v", p)
+	}
+	if !strings.Contains(p.SplitReason, "saturated") {
+		t.Fatalf("split reason %q is not a pipeline-saturation reason", p.SplitReason)
+	}
+	if !p.CrashVerified || p.LostKeys != 0 {
+		t.Fatalf("crash check: verified=%v lost=%d", p.CrashVerified, p.LostKeys)
+	}
+}
+
+// An act reshapes files and is judged by a keyspace that survives a crash, so
+// a spec without files, without a shared keyspace, without a second shard, or
+// with acks that may roll back is refused before anything is opened.
+func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
+	ok := LoadSpec{Clients: 2, OpsPerClient: 4, Shards: 2, PoolDir: t.TempDir(), Keys: 16}
+	inMemory, singleShard, private, apply := ok, ok, ok, ok
+	inMemory.PoolDir = ""
+	singleShard.Shards = 1
+	private.Keys = 0
+	apply.AckOnApply = true
+	for _, tc := range []struct {
+		name string
+		spec LoadSpec
+		act  Act
+		want string
+	}{
+		{"in-memory split", inMemory, SplitAct, "benchkit: split load needs PoolDir, Keys > 0, and Shards >= 2"},
+		{"single-shard split", singleShard, SplitAct, "benchkit: split load needs PoolDir, Keys > 0, and Shards >= 2"},
+		{"private-key split", private, SplitAct, "benchkit: split load needs PoolDir, Keys > 0, and Shards >= 2"},
+		{"apply-acked split", apply, SplitAct, "benchkit: split load measures durable acks; AckOnApply would make the crash check vacuous"},
+		{"in-memory autopilot", inMemory, AutopilotAct, "benchkit: autopilot load needs PoolDir, Keys > 0, and Shards >= 2"},
+		{"single-shard autopilot", singleShard, AutopilotAct, "benchkit: autopilot load needs PoolDir, Keys > 0, and Shards >= 2"},
+		{"apply-acked autopilot", apply, AutopilotAct, "benchkit: autopilot load measures durable acks; AckOnApply would make the crash check vacuous"},
+	} {
+		if _, err := RunScript(tc.spec, tc.act); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// The same specs are fine without an act.
+	for _, spec := range []LoadSpec{inMemory, singleShard, apply} {
+		if _, err := RunScript(spec, NoAct); err != nil {
+			t.Errorf("no act, %+v: %v", spec, err)
+		}
+	}
+}

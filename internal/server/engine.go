@@ -14,8 +14,11 @@
 // the amortization that makes PAX epochs fast, formed the way Snapshot
 // amortizes msync: over what accumulated during the previous one — while an
 // idle engine never sleeps in front of an idle device. The one exception is
-// a medium whose commits cost MaxDelay or more: there a part-filled batch
-// waits MaxDelay for company even with a slot free (see runBatch).
+// a medium whose commits cost MaxDelay or more — a modeled CommitLatency, in
+// every configuration this repository runs: there a part-filled batch waits
+// MaxDelay for company even with a slot free (see runBatch). What a commit
+// writes is the pool's business: OpenSharded serves every pool through the
+// delta epoch store, so a snapshot costs the bytes the batch dirtied.
 //
 // Group commits run as a three-stage pipeline, the serving-path analogue of
 // the paper's epoch pipelining (§6: overlap epoch N's writeback with epoch
@@ -111,13 +114,6 @@ type Config struct {
 	// across shards, which is exactly what the loadgen shard sweep measures.
 	// Zero (the default) commits at simulator speed.
 	CommitLatency time.Duration
-	// QueuedReads routes GETs through the writer queue instead of the read
-	// index — the engine's pre-index behavior, kept so the read-path win
-	// stays measurable (`paxbench -loadgen -queued-reads`) and so a queued
-	// read remains available as a consistency oracle in tests. A queued GET
-	// serializes behind every request ahead of it, including commits in
-	// flight.
-	QueuedReads bool
 	// CommitRetries is how many extra persist attempts a group commit whose
 	// media sync failed gets before the engine gives up and seals
 	// (default 3; negative disables retries). A fault that clears within
@@ -319,7 +315,7 @@ type issuedCommit struct {
 type EngineStats struct {
 	AckedWrites  stats.Counter // mutations acked durable (at commit)
 	AckedOnApply stats.Counter // mutations acked at apply time (AckApply), durability pending
-	Gets         stats.Counter // reads served (index + queued)
+	Gets         stats.Counter // reads served from the read index
 	GroupCommits stats.Counter // snapshots taken by the writer loop
 	BatchMax     stats.Counter // largest batch committed (gauge-as-counter)
 	Rejects      stats.Counter // requests dropped by backpressure
@@ -354,13 +350,12 @@ type EngineStats struct {
 	PipelineStallNS stats.LatencyHistogram
 
 	// DeltaBytes is bytes persisted per group commit (a size histogram on
-	// the latency machinery): the delta record in epoch-log mode, the full
-	// image otherwise. Its mean over the pool size is the engine's write
-	// amplification, exported as paxserve_epoch_amplification.
+	// the latency machinery): the delta record a served pool appends. Its
+	// mean over the pool size is the engine's write amplification, exported
+	// as paxserve_epoch_amplification.
 	DeltaBytes stats.LatencyHistogram
 
-	// GET service time, split by read-index hit/miss (queued reads land in
-	// the same pair, classified by whether the key was found).
+	// GET service time, split by read-index hit/miss.
 	GetHitNS  stats.LatencyHistogram
 	GetMissNS stats.LatencyHistogram
 }
@@ -483,8 +478,8 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 		return float64(e.cfg.MaxInflightCommits)
 	})
 	e.reg.Register("paxserve_epoch_amplification", func() float64 {
-		// Mean bytes persisted per commit over the pool size: ≈1.0 in
-		// full-image mode, ≪1 under the delta epoch store.
+		// Mean bytes persisted per commit over the pool size: the fraction of
+		// the pool a commit rewrites, ≪1 because served commits are deltas.
 		n := e.stats.DeltaBytes.Count()
 		if n == 0 {
 			return 0
@@ -520,9 +515,9 @@ func (r *request) finish(res result) { r.done <- res }
 // their requests applied in call order — that is what lets the TCP server
 // pipeline a connection's writes without reordering them.
 //
-// GETs (unless Config.QueuedReads) never reach the queue: begin answers them
-// inline from the read index, which is what lets the TCP server resolve a
-// pipelined GET without serializing it behind the connection's PUT acks.
+// GETs never reach the queue: begin answers them inline from the read index,
+// which is what lets the TCP server resolve a pipelined GET without
+// serializing it behind the connection's PUT acks.
 func (e *Engine) begin(req *request) error {
 	if req.op == opSplit || req.op == opMerge {
 		name := "SPLIT"
@@ -554,7 +549,7 @@ func (e *Engine) begin(req *request) error {
 		req.finish(result{value: buf})
 		return nil
 	}
-	if req.op == opGet && !e.cfg.QueuedReads {
+	if req.op == opGet {
 		v, ok, err := e.Get(req.key)
 		if err != nil {
 			return err
@@ -625,24 +620,17 @@ func (e *Engine) doPolicy(op opKind, key, value []byte, policy AckPolicy) result
 
 // applyBarrier blocks until every request enqueued before it has been
 // applied (index-visible). Unlike Persist it forces no commit — durability
-// of the drained requests stays with their own acks — so it is cheap even
-// on a full-image pool where every forced commit republishes the image.
+// of the drained requests stays with their own acks — so a migration's drain
+// fence never adds an fsync or a modeled media commit of its own.
 func (e *Engine) applyBarrier() error {
 	return e.do(opBarrier, nil, nil).err
 }
 
 // Get returns the current value for key, served from the volatile read
 // index: applied order, not necessarily durable yet — read-your-writes with
-// respect to acked mutations, exactly the guarantee queued reads gave. Get
-// never blocks behind the request queue or a commit in flight. The returned
-// slice is the caller's to keep.
-//
-// With Config.QueuedReads the read takes the writer queue instead.
+// respect to acked mutations. Get never blocks behind the request queue or a
+// commit in flight. The returned slice is the caller's to keep.
 func (e *Engine) Get(key []byte) ([]byte, bool, error) {
-	if e.cfg.QueuedReads {
-		res := e.do(opGet, key, nil)
-		return res.value, res.found, res.err
-	}
 	e.mu.RLock()
 	closed, sealErr := e.closed, e.sealErr
 	e.mu.RUnlock()
@@ -846,7 +834,7 @@ func (e *Engine) Crash() {
 // apply executes one request against the pool, under poolMu so no mutation
 // (or registry sample of live pool state) overlaps a snapshot point in the
 // persister. Ack-on-durable mutations and persists are returned as waiters
-// to be acked at the batch commit; reads and stats are answered
+// to be acked at the batch commit; barriers and stats are answered
 // immediately, and ack-on-apply mutations are acked right here — after the
 // read-index mirror, so an acked-on-apply write is read-your-writes
 // visible — with mutated reporting that the batch still needs a commit.
@@ -854,20 +842,6 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
 	switch req.op {
-	case opGet:
-		// Only Config.QueuedReads sends GETs here; the index answers the
-		// rest in begin. The timing covers the pool lookup only — the queue
-		// wait a queued read pays shows up as commit latency, not here.
-		t0 := time.Now()
-		v, ok := e.kv.Get(req.key)
-		e.stats.Gets.Inc()
-		if ok {
-			e.stats.GetHitNS.Since(t0)
-		} else {
-			e.stats.GetMissNS.Since(t0)
-		}
-		req.finish(result{value: v, found: ok})
-		return nil, false
 	case opPut:
 		if err := e.kv.Put(req.key, req.value); err != nil {
 			req.finish(result{err: err})
@@ -1093,9 +1067,8 @@ func (e *Engine) sealToPipeline(b *sealedBatch) bool {
 }
 
 // loop is the sealer: the writer goroutine that owns request admission and
-// applies batches. Queued reads inside a batch are answered as they are
-// applied; runBatch lists the seal conditions. Closing sealedq
-// on every exit path is what winds down the persister (and, through it, the
+// applies batches; runBatch lists the seal conditions. Closing sealedq on
+// every exit path is what winds down the persister (and, through it, the
 // acker).
 func (e *Engine) loop() {
 	defer e.wg.Done()
@@ -1139,12 +1112,14 @@ func (e *Engine) loop() {
 //     the previous commits were on the medium.
 //   - Slot free, last commit under MaxDelay: an idle engine acks at host
 //     speed. A part-filled batch costs one more cheap commit.
-//   - Slot free, last commit took MaxDelay or longer (a modeled medium, a
-//     full-image fsync): a part-filled batch costs a whole slow commit, and
-//     closed-loop writers released by the previous ack return within the
-//     window, so the wait — at most as long again as the commit — is what
-//     fills batches. Sealing at once here splits N writers into W+1 cohorts
-//     rotating through W slots (measured: a third fewer acked ops/s at W=2).
+//   - Slot free, last commit took MaxDelay or longer (modeled CommitLatency,
+//     or a device whose delta fsync is that slow): a part-filled batch costs
+//     a whole slow commit, and closed-loop writers released by the previous
+//     ack return within the window, so the wait — at most as long again as
+//     the commit — is what fills batches. Sealing at once here splits N
+//     writers into W+1 cohorts rotating through W slots (measured: a third
+//     fewer acked ops/s at W=2; the CI ackpipe smoke's W2 < W1 assertion
+//     holds only with this clause).
 //
 // It reports false when the engine crashed or sealed mid-batch.
 func (e *Engine) runBatch(first *request) bool {
@@ -1170,7 +1145,7 @@ func (e *Engine) runBatch(first *request) bool {
 		return false
 	}
 	if b.mutations == 0 {
-		return true // pure reads/stats: nothing to commit
+		return true // stats, snapshot or barrier: nothing to commit
 	}
 	var timer *time.Timer // MaxDelay, armed only once the batch has to wait
 	for b.reason == "" {

@@ -220,12 +220,16 @@ func DiscoverShards(path string) (int, error) {
 // sidecar) are removed first so a reformat never leaves stale higher-numbered
 // shards behind.
 //
-// Routing state comes up in one of three ways: a persisted slot map is
-// loaded and its routing reconciled (crash leftovers from an interrupted
-// migration are purged — see openRoute); a fresh or overwritten layout gets
-// the default round-robin map; and a pre-slot-map multi-shard layout is
-// adopted in place, moving any key whose slot-map owner differs from its
-// legacy FNV-mod-N owner before serving starts.
+// Every shard persists through the delta epoch store, whatever opts.EpochLog
+// says: which store a pool is in is a fact on disk, not a choice the caller
+// repeats on every open. pmem.Open replays a pool that has an epoch log and
+// upgrades a plain full-image pool in place on its first open here;
+// paxrecover converts one back.
+//
+// Routing state comes up in one of two ways: a persisted slot map is loaded
+// and its routing reconciled (crash leftovers from an interrupted migration
+// are purged — see openRoute); anything else gets the default round-robin
+// map, refused if existing shard files hold keys it would route elsewhere.
 func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config) (*ShardedEngine, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("server: shard count %d must be positive", shards)
@@ -249,6 +253,7 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 		}
 		persisted = m
 	}
+	opts.EpochLog = true // before s.opts is kept, so addShard's new pools inherit it
 	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg}
 	s.persistMap = path != "" && shards > 1
 	list := make([]shard, shards)
@@ -364,7 +369,7 @@ func (s *ShardedEngine) ShardPools() []*pax.Pool {
 }
 
 // openRoute installs the routing table at open time and reconciles the
-// shards' contents with it. Three cases:
+// shards' contents with it. Two cases:
 //
 //  1. A persisted map exists: install it, then purge — every shard deletes
 //     the keys the map assigns elsewhere. A crash during migration leaves
@@ -373,13 +378,16 @@ func (s *ShardedEngine) ShardPools() []*pax.Pool {
 //     published, cleanup unfinished: the destination is authoritative);
 //     owner-wins deletion erases both kinds, and because it runs before
 //     serving starts it is idempotent across repeated crashes.
-//  2. No map, fresh/overwritten or single-shard layout: install the default
-//     map (persisting it for file-backed multi-shard layouts).
-//  3. No map, existing multi-shard layout (pre-slot-map files): adopt — any
-//     key whose default-map owner differs from the shard that holds it is
-//     copied to its owner, deleted from the holder, and the map persisted
-//     last. For power-of-two shard counts the default map reproduces legacy
-//     FNV-mod-N routing exactly and nothing moves.
+//  2. No map: install the default map (persisting it for file-backed
+//     multi-shard layouts). Beside existing shard files that is a legal
+//     state — a crash between OpenSharded creating the files and the first
+//     Save below leaves exactly it, and a pre-slot-map layout with a
+//     power-of-two shard count already sits where the default map routes it
+//     — but only if every key is on the shard the default map names. A key
+//     anywhere else means the layout predates slot routing with some other
+//     hash: refuse, and touch nothing. Purging is not an option here:
+//     without a persisted map nothing says the misplaced copy is the stale
+//     one.
 func (s *ShardedEngine) openRoute(persisted *SlotMap, fresh bool) error {
 	shards := *s.shards.Load()
 	n := len(shards)
@@ -399,71 +407,37 @@ func (s *ShardedEngine) openRoute(persisted *SlotMap, fresh bool) error {
 	if !s.persistMap {
 		return nil
 	}
-	if !fresh && n > 1 {
-		// Adoption: the files predate slot routing (MapPool on an existing
-		// layout with no sidecar). Move misplaced keys before serving.
-		if err := s.adoptLegacyLayout(); err != nil {
-			return err
+	if !fresh {
+		misplaced := 0
+		for k := range shards {
+			misplaced += len(s.misrouted(k))
+		}
+		if misplaced > 0 {
+			return fmt.Errorf("server: %s has no slot map and %d key(s) on shards the default map does not route them to: the layout predates slot routing; nothing was moved or deleted", s.path, misplaced)
 		}
 	}
 	return m.Save(s.path)
+}
+
+// misrouted returns the entries of shard k's read index whose keys the live
+// routing table assigns to a different shard. Runs at open, before serving.
+func (s *ShardedEngine) misrouted(k int) []indexEntry {
+	m := s.route.Load()
+	return (*s.shards.Load())[k].eng.idx.collect(func(key []byte) bool {
+		return int(m.Assign[SlotFor(key)]) != k
+	})
 }
 
 // purgeMisrouted deletes, on every shard, the keys the routing table assigns
 // to a different shard. Runs at open, before serving.
 func (s *ShardedEngine) purgeMisrouted() error {
 	shards := *s.shards.Load()
-	m := s.route.Load()
 	for k := range shards {
-		self := k
-		stale := shards[k].eng.idx.collect(func(key []byte) bool {
-			return int(m.Assign[SlotFor(key)]) != self
-		})
-		for _, e := range stale {
+		for _, e := range s.misrouted(k) {
 			if _, _, err := shards[k].eng.Delete(e.key); err != nil {
 				return fmt.Errorf("server: shard %d: purging misrouted key: %w", k, err)
 			}
 			s.reshard.purgedKeys.Add(1)
-		}
-	}
-	return nil
-}
-
-// adoptLegacyLayout moves every key from the shard the legacy FNV-mod-N
-// router stored it on to the shard the slot map assigns. Copy-all then
-// delete-all, each durable, with the map saved only after — so a crash at
-// any point re-runs adoption on next open, and re-copying an already-moved
-// key rewrites the same value (no writes happen before serving starts).
-func (s *ShardedEngine) adoptLegacyLayout() error {
-	shards := *s.shards.Load()
-	m := s.route.Load()
-	for k := range shards {
-		self := k
-		moving := shards[k].eng.idx.collect(func(key []byte) bool {
-			return int(m.Assign[SlotFor(key)]) != self
-		})
-		if len(moving) == 0 {
-			continue
-		}
-		for _, e := range moving {
-			owner := int(m.Assign[SlotFor(e.key)])
-			if _, err := shards[owner].eng.PutPolicy(e.key, e.value, AckApply); err != nil {
-				return fmt.Errorf("server: adopting layout: shard %d: %w", owner, err)
-			}
-		}
-		// One durable barrier per destination beats one commit per key.
-		for owner := range shards {
-			if owner == self {
-				continue
-			}
-			if _, err := shards[owner].eng.Persist(); err != nil {
-				return fmt.Errorf("server: adopting layout: shard %d: %w", owner, err)
-			}
-		}
-		for _, e := range moving {
-			if _, _, err := shards[self].eng.Delete(e.key); err != nil {
-				return fmt.Errorf("server: adopting layout: shard %d: %w", self, err)
-			}
 		}
 	}
 	return nil
@@ -507,10 +481,6 @@ func (s *ShardedEngine) NumShards() int { return len(*s.shards.Load()) }
 // MediaSize reports the per-shard pool media size in bytes (every shard is
 // created with the same geometry).
 func (s *ShardedEngine) MediaSize() int { return (*s.shards.Load())[0].pool.MediaSize() }
-
-// EpochLogEnabled reports whether the shards persist through the
-// log-structured delta epoch store rather than full-image publishes.
-func (s *ShardedEngine) EpochLogEnabled() bool { return (*s.shards.Load())[0].pool.EpochLogEnabled() }
 
 // Route returns a copy of the live slot→shard assignment.
 func (s *ShardedEngine) Route() SlotMap { return *s.route.Load() }
@@ -834,19 +804,6 @@ func (s *ShardedEngine) AggregateStats() AggregateStats {
 		}
 	}
 	return a
-}
-
-// ShardAckedWrites samples each shard's acked-writes counter (durable +
-// on-apply acks), indexed by shard — the imbalance signal the loadgen
-// reports as max/mean. Counters are atomic, so this is safe under traffic.
-func (s *ShardedEngine) ShardAckedWrites() []uint64 {
-	shards := *s.shards.Load()
-	out := make([]uint64, len(shards))
-	for k, sh := range shards {
-		st := sh.eng.Stats()
-		out[k] = st.AckedWrites.Load() + st.AckedOnApply.Load()
-	}
-	return out
 }
 
 // Health reports each shard's seal error, indexed by shard: nil for a shard

@@ -71,8 +71,8 @@ type SlotMap struct {
 // DefaultSlotMap spreads the slots round-robin across n shards: slot s →
 // s mod n. For shard counts that divide NumSlots (every power of two up to
 // 256) this reproduces the legacy FNV-mod-N routing exactly — (h mod 256)
-// mod n == h mod n when n divides 256 — so adopting a pre-slot-map layout
-// moves no keys at all in the common power-of-two case.
+// mod n == h mod n when n divides 256 — so a pre-slot-map layout with a
+// power-of-two shard count opens under it with every key already in place.
 func DefaultSlotMap(n int) *SlotMap {
 	m := &SlotMap{Version: slotMapVersion, Shards: n}
 	for s := 0; s < NumSlots; s++ {

@@ -67,7 +67,9 @@ type Options struct {
 	// O(pool bytes). Opening a plain pool with EpochLog upgrades it in
 	// place; opening an epoch-log pool without it is refused (convert with
 	// paxrecover). Ignored semantically for in-memory pools, which still
-	// track dirty ranges so the delta size is observable in stats.
+	// track dirty ranges so the delta size is observable in stats. The
+	// serving layer (server.OpenSharded) always sets it; the choice exists
+	// for library users and for the tests that hold the two stores equal.
 	EpochLog bool
 }
 

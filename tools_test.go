@@ -141,3 +141,45 @@ func TestBenchToolQuick(t *testing.T) {
 		t.Fatalf("unknown experiment accepted:\n%s", out)
 	}
 }
+
+// Every flag a binary accepts has a row in that binary's flag table in
+// cmd/README.md, and every row is a flag. The flag set is read off the
+// binaries' own -h output, so a flag added without a row, or a row left
+// behind by a removed flag, fails here rather than in a user's shell.
+func TestEveryFlagIsDocumented(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	readme, err := os.ReadFile(filepath.Join(repoRoot(t), "cmd", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"paxbench", "paxinspect", "paxrecover", "paxserve"} {
+		_, section, ok := strings.Cut(string(readme), "\n## "+name+"\n")
+		if !ok {
+			t.Fatalf("cmd/README.md has no \"## %s\" section", name)
+		}
+		section, _, _ = strings.Cut(section, "\n## ")
+		// -h makes the flag package print its usage and exit; the exit status
+		// is not the point.
+		usage, _ := exec.Command(buildTool(t, dir, name), "-h").CombinedOutput()
+		flags := 0
+		for _, line := range strings.Split(string(usage), "\n") {
+			if !strings.HasPrefix(line, "  -") {
+				continue
+			}
+			flags++
+			flagName, _, _ := strings.Cut(strings.TrimPrefix(line, "  "), " ")
+			if !strings.Contains(section, "| `"+flagName+"` |") {
+				t.Errorf("%s %s has no row in cmd/README.md's %s flag table", name, flagName, name)
+			}
+		}
+		if flags == 0 {
+			t.Fatalf("%s -h listed no flags:\n%s", name, usage)
+		}
+		if rows := strings.Count(section, "\n| `-"); rows != flags {
+			t.Errorf("%s: %d flag rows documented, the binary has %d flags", name, rows, flags)
+		}
+	}
+}
