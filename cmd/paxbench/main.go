@@ -25,8 +25,8 @@
 // index. -ack-policy selects how writes are acked — "durable" (ack when the
 // group commit reaches media), "apply" (ack when applied and
 // read-index-visible), or "both" to A/B them — and -inflight sweeps the
-// commit-pipeline window (sealed epochs in flight per shard; 1 is the serial
-// baseline). -split and -autopilot run the same sweep with an act in the
+// modeled media slots (persisted epochs whose media commits overlap per
+// shard; 1 is the serial baseline). -split and -autopilot run the same sweep with an act in the
 // middle of every run: measure, reshape the fleet, measure again, crash,
 // reopen and count lost keys. The default table output prints one row per
 // measured phase plus the merged metrics registry as `name value` lines (the
@@ -68,7 +68,7 @@ func main() {
 	flag.StringVar(&lg.poolDir, "pool-dir", "", "loadgen: back the engines with pool files in this directory instead of in-memory devices (required for write-amplification sweeps)")
 	flag.StringVar(&lg.dataSizes, "data-sizes", "", "loadgen: comma-separated per-shard vPM data sizes in bytes to sweep (e.g. 67108864,134217728; empty = the 32 MiB default)")
 	flag.StringVar(&lg.ackPolicy, "ack-policy", "durable", "loadgen: ack policy to run: durable | apply | both")
-	flag.StringVar(&lg.inflight, "inflight", "0", "loadgen: comma-separated commit-pipeline windows to sweep (1 = serial baseline, 0 = engine default)")
+	flag.StringVar(&lg.inflight, "inflight", "0", "loadgen: comma-separated modeled media slot counts to sweep (1 = serial baseline, 0 = engine default)")
 	flag.StringVar(&lg.jsonOut, "out", "", "loadgen: also write the JSON records to this file")
 	flag.Uint64Var(&lg.keys, "keys", 0, "loadgen: shared keyspace size; > 0 switches clients from private keys to a preloaded shared keyspace (required for -dist/-rmw-ratio/-value-dist; -split/-autopilot default it to 10000)")
 	flag.StringVar(&lg.dist, "dist", "uniform", "loadgen: shared-keyspace key distribution: uniform | zipf")

@@ -12,10 +12,11 @@
 //	paxserve -pool ./kv.pool -debug-addr 127.0.0.1:7422   # HTTP observability
 //	paxserve -pool ./kv.pool -ack-policy apply            # acks at apply time
 //
-// Group commits run through a three-stage pipeline per shard: while sealed
-// epochs' media commits are in flight, the writer keeps applying and sealing
-// later epochs at host speed, with up to -max-inflight-commits media commits
-// overlapping (1 serializes the media — the serial A/B baseline).
+// Each shard's one writer goroutine applies, persists and acks its group
+// commits: while persisted epochs' modeled media commits are outstanding it
+// keeps applying and persisting later epochs at host speed, with up to
+// -max-inflight-commits media commits overlapping (1 serializes the media —
+// the serial A/B baseline).
 // -ack-policy picks the default
 // durability contract for clients that do not set one per request on the
 // wire: "durable" (the default — every write ack means its epoch reached
@@ -114,7 +115,7 @@ func main() {
 		slowN     = flag.Int("slow-depth", server.DefaultSlowDepth, "flight recorder pinned ring depth for failed and slow commits, per shard")
 		bbox      = flag.Bool("blackbox", false, "journal lifecycle events and windowed metrics snapshots to <pool>.blackbox/ for crash postmortems (paxinspect -postmortem)")
 		bboxTick  = flag.Duration("blackbox-interval", time.Second, "black-box windowed metrics snapshot period")
-		inflight  = flag.Int("max-inflight-commits", 0, "modeled media commit concurrency per shard (commit pipeline window; 1 = serial media, 0 = default 2)")
+		inflight  = flag.Int("max-inflight-commits", 0, "modeled media commit slots per shard: how many persisted epochs' media commits overlap (1 = serial media, 0 = default 2)")
 		ackPolicy = flag.String("ack-policy", "durable", "default ack policy for requests without an explicit wire flag: durable (ack when the group commit reaches media) | apply (ack when applied and read-index-visible; durability asynchronous)")
 		autosplit = flag.Bool("autosplit", false, "run the reshard autopilot's split policy: split the hottest shard when its commit pipeline stays saturated (requires a sharded layout)")
 		mergeIdle = flag.Duration("merge-idle", 0, "run the reshard autopilot's merge policy: fold the coldest shard back after it idles this long (0 disables; requires a sharded layout)")

@@ -25,8 +25,9 @@ const (
 	// EvCommitSlow carries the flight-recorder record of a commit over the
 	// slow threshold.
 	EvCommitSlow = "commit_slow"
-	// EvStall marks pipeline-stall onset: the sealer blocked on the commit
-	// pipeline's run-ahead bound (media backlog), rate-limited per shard.
+	// EvStall marks pipeline-stall onset: a shard's writer waiting on the
+	// run-ahead bound (media backlog) before it persists more, rate-limited
+	// per shard.
 	EvStall = "pipeline_stall"
 	// Reshard lifecycle: split start/finish and the merge stages matching
 	// merge.go's crash windows (drained, published, done).

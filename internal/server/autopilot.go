@@ -40,8 +40,9 @@ type ShardWindow struct {
 	// EnqueueP99NS is the enqueue-wait p99 within the window — how long
 	// writers waited for queue space, the head-of-line saturation signal.
 	EnqueueP99NS int64 `json:"enqueue_p99_ns"`
-	// StallFrac is the fraction of the window the sealer spent stalled on
-	// the commit pipeline's run-ahead bound — the media-backlog signal.
+	// StallFrac is the fraction of the window the shard's writer spent
+	// waiting on the run-ahead bound for the modeled medium to complete an
+	// epoch — the media-backlog signal.
 	StallFrac float64 `json:"stall_frac"`
 }
 

@@ -8,7 +8,7 @@
 // goroutine and turns Persist into a *group commit*: mutations are applied
 // in arrival order, and one snapshot per batch makes the whole batch durable
 // before its callers are acked. A batch is whatever arrived while the commit
-// pipeline was busy: it seals the moment the queue is empty and a commit slot
+// slots were busy: it seals the moment the queue is empty and a commit slot
 // is free, and otherwise when it reaches MaxBatch, when a slot frees, or
 // after MaxDelay. N concurrent writers therefore share one snapshot's cost —
 // the amortization that makes PAX epochs fast, formed the way Snapshot
@@ -20,37 +20,37 @@
 // writes is the pool's business: OpenSharded serves every pool through the
 // delta epoch store, so a snapshot costs the bytes the batch dirtied.
 //
-// Group commits run as a three-stage pipeline, the serving-path analogue of
-// the paper's epoch pipelining (§6: overlap epoch N's writeback with epoch
-// N+1's execution) and of NearPM's split between ordering at the host and
-// ordering at the device:
+// One goroutine — the writer — applies, seals, persists and acks, so §3.5
+// holds in program order: no snapshot point can overlap a mutation because
+// the same goroutine does both. What overlaps is media time — the
+// serving-path analogue of the paper's epoch pipelining (§6: overlap epoch
+// N's writeback with epoch N+1's execution) and of NearPM's split between
+// ordering at the host and completion at the device — and a device
+// completion time is arithmetic on a deadline, not a goroutine:
 //
-//	sealer    — the writer goroutine: applies requests, collects a batch,
-//	            seals it, and hands it to the persister. It waits for the
-//	            previous batch's snapshot point, for company while every
-//	            commit slot is busy (at most MaxDelay), and — when the
-//	            pipeline's run-ahead buffer is full — for the persister to
-//	            drain (paxserve_pipeline_stall_ns); a full batch never waits
-//	            for the modeled media.
-//	persister — issues the snapshot for each sealed batch, in seal order.
-//	            Snapshot points stay serialized (§3.5: a mutex excludes
-//	            applies during the persist call), but the modeled media time
-//	            is not spent here, so snapshots too run at host speed.
-//	acker     — releases each epoch's ack-on-durable waiters, in epoch
-//	            order, once its modeled media commit completes. The acker
-//	            models the device as MaxInflightCommits commit slots, each
-//	            busy for CommitLatency per epoch: commit N's media work
-//	            starts at its persist or when slot N mod W frees, whichever
-//	            is later — so up to W media commits overlap instead of
-//	            serializing.
+//	seal    — runBatch applies requests into a batch. A part-filled batch
+//	          waits for company while every commit slot is busy (at most
+//	          MaxDelay); a full batch never waits for the modeled media.
+//	persist — commit issues the snapshot inline. The modeled media time is
+//	          not spent here, so snapshots too run at host speed.
+//	pending — the persisted epoch joins a FIFO with its modeled completion
+//	          time. The device is MaxInflightCommits commit slots, each busy
+//	          for CommitLatency per epoch: commit N's media work starts at
+//	          its persist or when slot N mod W frees, whichever is later —
+//	          so up to W media commits overlap instead of serializing.
+//	ack     — the writer releases the oldest pending epoch's ack-on-durable
+//	          waiters once that time has passed, in epoch order: wherever it
+//	          blocks (wait, its one blocking point) and between applies. Only
+//	          with runAheadCommits epochs pending does it wait for the medium
+//	          before persisting more (paxserve_pipeline_stall_ns).
 //
 // MaxInflightCommits=1 serializes the modeled media — one commit on the
 // device at a time, ack-on-durable pacing identical to the pre-pipeline
 // serial engine — and is the A/B baseline the ackpipe experiment measures
-// against. A failed persist of epoch N fails N's waiters, seals the engine,
-// and fails every later sealed-but-unpersisted batch — an unacked in-flight
-// epoch is legal to abandon (§3.4 recovery rolls it back), but it must never
-// ack. Epochs persisted before N still ack: their syncs already succeeded.
+// against. A failed persist of epoch N fails N's waiters and seals the
+// engine, which fails everything still queued — an unacked epoch is legal to
+// abandon (§3.4 recovery rolls it back), but it must never ack. Epochs
+// persisted before N still ack: their syncs already succeeded.
 //
 // Reads do not take that path: §3.5 constrains mutation, not observation, so
 // the writer maintains a volatile read index (readindex.go) it updates at
@@ -94,7 +94,7 @@ type Config struct {
 	MaxBatch int
 	// MaxDelay bounds how long the first mutation of a batch waits for
 	// company before the batch is sealed anyway (default 1ms). The wait only
-	// happens while the commit pipeline is busy — every one of its
+	// happens while the modeled medium is busy — every one of its
 	// MaxInflightCommits slots taken — or when the last commit itself took
 	// MaxDelay or longer; otherwise a batch seals as soon as the request
 	// queue is empty.
@@ -106,13 +106,14 @@ type Config struct {
 	// failing with ErrBusy (default 5s).
 	EnqueueTimeout time.Duration
 	// CommitLatency models the real-time cost of making an epoch durable on
-	// the backing medium (an msync-class sync, an Optane flush): the writer
-	// blocks this long per group commit, after Persist and before acking the
-	// batch. The in-memory simulator otherwise commits at host-CPU speed,
-	// which hides the serialization the engine actually has on real media —
-	// one commit in flight per pool. Sharded engines overlap this latency
-	// across shards, which is exactly what the loadgen shard sweep measures.
-	// Zero (the default) commits at simulator speed.
+	// the backing medium (an msync-class sync, an Optane flush): a persisted
+	// epoch's ack-on-durable waiters are released this long after its modeled
+	// media slot takes it (see MaxInflightCommits). The writer does not sleep
+	// it out — it keeps applying and persisting later epochs. The in-memory
+	// simulator otherwise commits at host-CPU speed, which hides the
+	// serialization the engine actually has on real media. Sharded engines
+	// overlap this latency across shards, which is exactly what the loadgen
+	// shard sweep measures. Zero (the default) commits at simulator speed.
 	CommitLatency time.Duration
 	// CommitRetries is how many extra persist attempts a group commit whose
 	// media sync failed gets before the engine gives up and seals
@@ -136,18 +137,17 @@ type Config struct {
 	SlowDepth  int
 	// MaxInflightCommits is the modeled media commit concurrency: how many
 	// epochs' CommitLatency may overlap on the device at once (default 2).
-	// While epoch N's media commit is outstanding the sealer keeps applying
-	// and sealing later epochs at host speed, and up to W of their modeled
+	// While epoch N's media commit is outstanding the writer keeps applying
+	// and persisting later epochs at host speed, and up to W of their modeled
 	// media commits proceed concurrently. 1 serializes the media — the
 	// ack-on-durable pacing of the pre-pipeline serial engine, and the A/B
 	// baseline the ackpipe experiment measures against. The window does not
 	// gate applying: full batches seal and snapshot ahead of the modeled
-	// media (bounded by the pipeline's run-ahead buffer), which is what
-	// keeps ack-on-apply latency at host speed under load. It is also the
-	// occupancy a part-filled batch is sealed against: with fewer than this
-	// many commits in flight (and commits cheaper than MaxDelay) the batch
-	// seals at once, otherwise it waits for company, a slot freeing, or
-	// MaxDelay.
+	// media (bounded by runAheadCommits), which is what keeps ack-on-apply
+	// latency at host speed under load. It is also the occupancy a
+	// part-filled batch is sealed against: with fewer than this many commits
+	// in flight (and commits cheaper than MaxDelay) the batch seals at once,
+	// otherwise it waits for company, a slot freeing, or MaxDelay.
 	MaxInflightCommits int
 }
 
@@ -275,40 +275,32 @@ func (r *request) release() {
 	requestPool.Put(r)
 }
 
-// sealedBatch is one group commit handed from the sealer to the persister:
-// the batch's ack-on-durable waiters, how many mutations it carries
+// sealedBatch is one group commit between its seal and its persist: the
+// batch's ack-on-durable waiters, how many mutations it carries
 // (ack-on-apply mutations have no waiter but still need the commit), and
-// how the batch was sealed.
+// how the batch was sealed. The writer persists it before it applies the
+// next batch's first mutation, so a batch's mutations land in exactly its
+// own epoch — the overlap is media time only, never snapshot points — and
+// the crash contract stays exact: an unacked ack-on-durable write is never
+// in a durable epoch, so it always rolls back.
 type sealedBatch struct {
 	waiters   []*request
 	mutations int
 	start     time.Time
 	sealNS    int64
 	reason    SealReason
-	inflight  int // pipeline depth at seal time, this batch included
-
-	// snapped is closed by the persister once this batch's snapshot point
-	// has settled (persist issued, or the batch abandoned). The sealer
-	// waits for it before applying the next batch's first mutation, so a
-	// batch's mutations land in exactly its own epoch — the overlap is
-	// media time only, never snapshot points — and the crash contract
-	// stays exact: an unacked ack-on-durable write is never in a durable
-	// epoch, so it always rolls back.
-	snapped chan struct{}
+	inflight  int // pending epochs at seal time, this batch included
 }
 
-// issuedCommit is a persisted-but-not-yet-acked epoch traveling from the
-// persister to the acker: the snapshot is taken (really synced, in
-// file-backed mode), but the modeled media commit has not completed. The
-// acker assigns it a device slot and sleeps out CommitLatency from
-// max(persisted, slot free), so the media time of successive epochs
-// overlaps up to MaxInflightCommits deep.
+// issuedCommit is a persisted-but-not-yet-acked epoch in the writer's
+// pending FIFO: the snapshot is taken (really synced, in file-backed mode),
+// but the modeled media commit has not completed.
 type issuedCommit struct {
-	b         *sealedBatch
-	st        pax.PersistStats
-	rec       CommitRecord
-	issued    time.Time // persist start, for the persist-stage accounting
-	persisted time.Time // persist return: ready for its device slot
+	b        *sealedBatch
+	st       pax.PersistStats
+	rec      CommitRecord
+	issued   time.Time // persist start, for the persist-stage accounting
+	deadline time.Time // modeled media completion: when the epoch may ack
 }
 
 // EngineStats are the engine's own counters (the pool's live underneath).
@@ -343,10 +335,10 @@ type EngineStats struct {
 	AckNS         stats.LatencyHistogram
 	CommitNS      stats.LatencyHistogram
 
-	// PipelineStallNS is how long the sealer waited to hand a sealed batch
-	// to the pipeline — 0 when the run-ahead buffer had room, so the count
-	// matches seals and the p99 reflects how often the media backlog
-	// actually pushed back on applying.
+	// PipelineStallNS is how long the writer waited, before persisting a
+	// sealed batch, for the medium to take an epoch off a full pending FIFO
+	// — 0 when there was room, so the count matches seals and the p99
+	// reflects how often the media backlog actually pushed back on applying.
 	PipelineStallNS stats.LatencyHistogram
 
 	// DeltaBytes is bytes persisted per group commit (a size histogram on
@@ -374,29 +366,25 @@ type Engine struct {
 	reqs chan *request
 	stop chan struct{} // closed by Crash/seal: abandon uncommitted work
 
-	// Pipeline plumbing. poolMu is the §3.5 guard under concurrency: the
-	// sealer holds it per apply, the persister per persist attempt, so no
-	// mutation ever overlaps a snapshot point. sealedq carries sealed
-	// batches sealer→persister and ackq persisted epochs persister→acker.
-	// ackq's capacity is the pipeline's run-ahead buffer: how many
-	// snapshotted epochs may await their modeled media completion before
-	// the sealer is pushed back on (paxserve_pipeline_stall_ns) — the
-	// memory bound on how far applying runs ahead of durability.
-	poolMu  sync.Mutex
-	sealedq chan *sealedBatch
-	ackq    chan *issuedCommit
-	depth   atomic.Int64 // epochs persisting or awaiting modeled media: the inflight-commits gauge
-	// lastCommitNS is the most recent commit's persist stage (snapshot, sync,
-	// slot wait and modeled media time): what the sealer weighs MaxDelay
-	// against. Written by the acker.
-	lastCommitNS atomic.Int64
-	// slotFreed wakes a sealer that is holding a batch open behind a full
-	// pipeline: the acker posts (without blocking) after each depth decrement.
-	slotFreed chan struct{}
+	// Writer-goroutine-only state; no locking. pending is the FIFO of
+	// persisted epochs awaiting their modeled media completion, oldest
+	// first; its capacity, runAheadCommits, is the memory bound on how far
+	// applying runs ahead of durability. slots[i] is when modeled media slot
+	// i next frees; nextSlot rotates through them, one per commit.
+	pending  []*issuedCommit
+	slots    []time.Time
+	nextSlot int
+	// lastCommitNS is the most recently acked commit's persist stage
+	// (snapshot, sync, slot wait and modeled media time): what a seal weighs
+	// MaxDelay against.
+	lastCommitNS int64
+	// lastStallEvent rate-limits pipeline-stall onset events (unix nanos of
+	// the last one).
+	lastStallEvent int64
 
-	// lastSealed is the batch whose snapshot point the sealer must wait out
-	// before opening the next batch. Sealer-goroutine-only; no locking.
-	lastSealed *sealedBatch
+	// depth is len(pending), plus one while a persist runs: an atomic only
+	// because the inflight-commits gauge and tests read it off the writer.
+	depth atomic.Int64
 
 	// mu guards closed and sealErr. It is never held across a blocking
 	// enqueue — begin registers with inflight under the read lock and
@@ -415,10 +403,8 @@ type Engine struct {
 
 	// events is the recent-lifecycle-events ring (events.go); the sharded
 	// router installs itself as its sink so fleet-level consumers (EVENTS,
-	// the black-box journal) see every shard's events. lastStallEvent
-	// rate-limits pipeline-stall onset events (unix nanos of the last one).
-	events         eventHub
-	lastStallEvent atomic.Int64
+	// the black-box journal) see every shard's events.
+	events eventHub
 }
 
 // New builds an engine serving the map rooted at slot of pool and starts its
@@ -447,9 +433,8 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 	})
 	e.stats.ReadIndexRebuilt.Add(uint64(e.idx.len()))
 	e.reqs = make(chan *request, e.cfg.QueueDepth)
-	e.sealedq = make(chan *sealedBatch, e.cfg.MaxInflightCommits)
-	e.ackq = make(chan *issuedCommit, max(e.cfg.MaxInflightCommits, runAheadCommits))
-	e.slotFreed = make(chan struct{}, 1)
+	e.pending = make([]*issuedCommit, 0, runAheadCommits)
+	e.slots = make([]time.Time, e.cfg.MaxInflightCommits)
 	e.reg = pool.StatsRegistry()
 	e.reg.RegisterCounter("paxserve_acked_writes", &e.stats.AckedWrites)
 	e.reg.RegisterCounter("paxserve_acked_on_apply", &e.stats.AckedOnApply)
@@ -492,10 +477,8 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 		}
 		return 0
 	})
-	e.wg.Add(3)
+	e.wg.Add(1)
 	go e.loop()
-	go e.persister()
-	go e.acker()
 	return e, nil
 }
 
@@ -831,16 +814,15 @@ func (e *Engine) Crash() {
 	e.drainQueue()
 }
 
-// apply executes one request against the pool, under poolMu so no mutation
-// (or registry sample of live pool state) overlaps a snapshot point in the
-// persister. Ack-on-durable mutations and persists are returned as waiters
-// to be acked at the batch commit; barriers and stats are answered
-// immediately, and ack-on-apply mutations are acked right here — after the
-// read-index mirror, so an acked-on-apply write is read-your-writes
-// visible — with mutated reporting that the batch still needs a commit.
+// apply executes one request against the pool. Only the writer calls it, and
+// only the writer persists, so no mutation (or registry sample of live pool
+// state) overlaps a snapshot point (§3.5). Ack-on-durable mutations and
+// persists are returned as waiters to be acked at the batch commit; barriers
+// and stats are answered immediately, and ack-on-apply mutations are acked
+// right here — after the read-index mirror, so an acked-on-apply write is
+// read-your-writes visible — with mutated reporting that the batch still
+// needs a commit.
 func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
 	switch req.op {
 	case opPut:
 		if err := e.kv.Put(req.key, req.value); err != nil {
@@ -891,14 +873,6 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 	return nil, false
 }
 
-// persistLocked runs one persist attempt under poolMu: the snapshot point
-// must not overlap a sealer apply (§3.5).
-func (e *Engine) persistLocked() (pax.PersistStats, error) {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	return e.pool.Persist()
-}
-
 // maxRetryDoublings caps the commit-retry backoff at 6 doublings (64× the
 // base delay): past that, longer waits model nothing — and an unclamped
 // `delay << attempt` would overflow time.Duration near attempt 40, turning
@@ -915,16 +889,22 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 	return base << attempt
 }
 
-// persistSealed issues the snapshot for one sealed batch. A persist whose
-// media sync fails is retried up to CommitRetries times with doubling
-// (clamped) backoff — retrying is legal because a failed Sync never
-// publishes a partial image, and nothing is acked until one attempt fully
-// succeeds; the backoff sleeps run outside poolMu so the sealer keeps
-// applying between attempts. On success the commit is handed to the acker
-// with its media deadline; on exhaustion the batch's waiters are failed
-// (never acked), the failed CommitRecord is pinned, and the error returns
-// for the persister to seal the engine.
-func (e *Engine) persistSealed(b *sealedBatch) (*issuedCommit, error) {
+// commit persists one sealed batch and queues the epoch for its modeled media
+// completion. A persist whose media sync fails is retried up to
+// CommitRetries times with doubling (clamped) backoff — retrying is legal
+// because a failed Sync never publishes a partial image, and nothing is
+// acked until one attempt fully succeeds. The backoff goes through wait: due
+// acks keep flowing between attempts, and a Crash ends it — the batch never
+// persisted, so its waiters fail and recovery rolls the epoch back — while a
+// graceful Close lets the budget run, and a retry that succeeds still acks.
+// On exhaustion the batch's waiters are failed (never acked), the failed
+// CommitRecord is pinned and the engine seals fail-stop, which fails what is
+// queued behind the batch. It reports false when the engine sealed or crashed.
+func (e *Engine) commit(b *sealedBatch) bool {
+	if !e.awaitRunAhead() {
+		failAll(b.waiters, e.failErr())
+		return false
+	}
 	rec := CommitRecord{
 		Batch:      b.mutations,
 		Inflight:   b.inflight,
@@ -932,17 +912,19 @@ func (e *Engine) persistSealed(b *sealedBatch) (*issuedCommit, error) {
 		SealNS:     b.sealNS,
 		SealReason: b.reason,
 	}
+	e.depth.Add(1)
 	persistStart := time.Now()
-	st, err := e.persistLocked()
+	st, err := e.pool.Persist()
 	for attempt := 0; err != nil && attempt < e.cfg.CommitRetries; attempt++ {
 		e.stats.CommitRetries.Inc()
 		rec.Retries++
-		time.Sleep(retryDelay(e.cfg.CommitRetryDelay, attempt))
-		st, err = e.persistLocked()
+		if !e.pause(retryDelay(e.cfg.CommitRetryDelay, attempt)) {
+			e.depth.Add(-1)
+			failAll(b.waiters, e.failErr())
+			return false
+		}
+		st, err = e.pool.Persist()
 	}
-	// The snapshot point has settled either way — taken, or abandoned for
-	// good — so the sealer may open the next batch.
-	close(b.snapped)
 	if err != nil {
 		e.stats.CommitFailures.Inc()
 		rec.PersistNS = int64(time.Since(persistStart))
@@ -950,20 +932,32 @@ func (e *Engine) persistSealed(b *sealedBatch) (*issuedCommit, error) {
 		rec.Err = err.Error()
 		rec = e.rec.record(rec)
 		e.events.emit(blackbox.EvCommitFailed, 0, rec)
-		failAll(b.waiters, fmt.Errorf("%w: %v", ErrSealed, err))
-		return nil, err
+		// Seal first: a caller that has seen its write fail must find the
+		// engine sealed.
+		e.seal(err)
+		failAll(b.waiters, e.failErr())
+		e.depth.Add(-1)
+		return false
 	}
-	return &issuedCommit{
-		b:         b,
-		st:        st,
-		rec:       rec,
-		issued:    persistStart,
-		persisted: time.Now(),
-	}, nil
+	// The device is MaxInflightCommits commit slots, each busy for
+	// CommitLatency per epoch: this commit's media work starts now, at its
+	// persist's return, or when its slot frees, whichever is later — so
+	// back-to-back commits overlap W deep while W=1 serializes them. With no
+	// modeled latency the deadline is now and the ack below follows directly.
+	deadline := time.Now()
+	if free := e.slots[e.nextSlot]; free.After(deadline) {
+		deadline = free
+	}
+	deadline = deadline.Add(e.cfg.CommitLatency)
+	e.slots[e.nextSlot] = deadline
+	e.nextSlot = (e.nextSlot + 1) % len(e.slots)
+	e.pending = append(e.pending, &issuedCommit{b: b, st: st, rec: rec, issued: persistStart, deadline: deadline})
+	e.ackDue()
+	return true
 }
 
-// finishCommit acks one durable epoch and books its accounting: called by
-// the acker once the commit's media deadline has passed.
+// finishCommit acks one durable epoch and books its accounting: called once
+// the commit's media deadline has passed (or the engine stopped).
 func (e *Engine) finishCommit(ic *issuedCommit) {
 	b, st, rec := ic.b, ic.st, ic.rec
 	// The modeled media latency counts as persist time: it is the commit
@@ -986,7 +980,7 @@ func (e *Engine) finishCommit(ic *issuedCommit) {
 	}
 	rec.AckNS = int64(time.Since(ackStart))
 	rec.TotalNS = rec.SealNS + rec.PersistNS + rec.AckNS
-	e.lastCommitNS.Store(rec.PersistNS)
+	e.lastCommitNS = rec.PersistNS
 	e.stats.BatchSealNS.Observe(rec.SealNS)
 	e.stats.PersistNS.Observe(rec.PersistNS)
 	e.stats.AckNS.Observe(rec.AckNS)
@@ -1015,84 +1009,80 @@ func failAll(waiters []*request, err error) {
 	}
 }
 
-// stopped reports whether stop has been closed (crash or seal).
-func (e *Engine) stopped() bool {
-	select {
-	case <-e.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// runAheadCommits is the pipeline's run-ahead buffer (ackq capacity, unless
-// MaxInflightCommits is larger): how many snapshotted epochs may sit awaiting
-// their modeled media completion before the sealer is pushed back on. It is
-// the memory bound on applying ahead of durability — an issuedCommit is a
-// few pointers plus its ack-on-durable waiters, so a deep buffer is cheap,
-// and it is what lets ack-on-apply latency stay at host speed while a media
-// backlog drains: only a backlog of seconds of modeled media time (4096
-// epochs × CommitLatency / window) pushes back on the host.
+// runAheadCommits is the capacity of pending: how many persisted epochs may
+// sit awaiting their modeled media completion before the writer stops
+// persisting more. It is the memory bound on applying ahead of durability —
+// an issuedCommit is a few pointers plus its ack-on-durable waiters, so a
+// deep buffer is cheap, and it is what lets ack-on-apply latency stay at
+// host speed while a media backlog drains: only a backlog of seconds of
+// modeled media time (4096 epochs × CommitLatency / window) pushes back on
+// the host.
 const runAheadCommits = 4096
 
-// sealToPipeline hands a sealed batch to the persister, charging blocked
-// time — the run-ahead buffer full, media backlog pushing back — to
-// PipelineStallNS. It reports false when the engine stopped first.
-func (e *Engine) sealToPipeline(b *sealedBatch) bool {
-	select {
-	case e.sealedq <- b:
+// awaitRunAhead makes room in pending for one more epoch, charging the time
+// the writer spends waiting for the medium to take one — the run-ahead buffer
+// full, media backlog pushing back — to PipelineStallNS, also when a Crash
+// ends the wait. It reports false when the engine stopped first.
+func (e *Engine) awaitRunAhead() bool {
+	if len(e.pending) < cap(e.pending) {
 		// Observing an exact 0 keeps the unblocked path timer-free while
 		// the histogram's count still matches seals.
 		e.stats.PipelineStallNS.Observe(0)
-	default:
-		stallStart := time.Now()
-		// Stall *onset* is a lifecycle event (rate-limited to one per
-		// second — a saturated pipeline stalls every seal): the black box
-		// wants "backlog began here", not one record per blocked epoch.
-		if last := e.lastStallEvent.Load(); stallStart.UnixNano()-last >= int64(time.Second) &&
-			e.lastStallEvent.CompareAndSwap(last, stallStart.UnixNano()) {
-			e.events.emit(blackbox.EvStall, 0, stallDetail{
-				Depth: int64(len(e.sealedq)),
-				Epoch: e.pool.Epoch() + 1,
-			})
-		}
-		select {
-		case e.sealedq <- b:
-			e.stats.PipelineStallNS.Since(stallStart)
-		case <-e.stop:
-			return false
-		}
+		return true
 	}
-	return true
+	stallStart := time.Now()
+	// Stall *onset* is a lifecycle event (rate-limited to one per second — a
+	// saturated medium stalls every seal): the black box wants "backlog
+	// began here", not one record per blocked epoch.
+	if now := stallStart.UnixNano(); now-e.lastStallEvent >= int64(time.Second) {
+		e.lastStallEvent = now
+		e.events.emit(blackbox.EvStall, 0, stallDetail{
+			Depth: int64(len(e.pending)),
+			Epoch: e.pool.Epoch(),
+		})
+	}
+	ok := e.drainPending(cap(e.pending) - 1)
+	e.stats.PipelineStallNS.Since(stallStart)
+	return ok
 }
 
-// loop is the sealer: the writer goroutine that owns request admission and
-// applies batches; runBatch lists the seal conditions. Closing sealedq on
-// every exit path is what winds down the persister (and, through it, the
-// acker).
+// loop is the writer: the one goroutine that admits requests, applies them,
+// and seals, persists and acks their batches; runBatch lists the seal
+// conditions.
 func (e *Engine) loop() {
 	defer e.wg.Done()
-	defer close(e.sealedq)
+	defer func() {
+		// Whatever is still pending after a crash or a seal really
+		// persisted, so its acks are correct, and shutdown does not sleep out
+		// the model: with a deep backlog that would hold Close/Crash hostage
+		// for up to backlog×CommitLatency of modeled media time.
+		e.ack(len(e.pending))
+		if e.SealErr() != nil {
+			// Sealed — by a failed commit or a panicking apply. Seal closed
+			// stop, so in-flight begins unwind; once they do, nothing can
+			// enter the queue anymore — new begins see closed — so this drain
+			// is exhaustive and no queued request is left waiting on a dead
+			// writer.
+			e.inflight.Wait()
+			e.drainQueue()
+		}
+	}()
 	for {
-		select {
-		case <-e.stop:
+		switch req, why := e.wait(e.reqs, nil); why {
+		case wakeStop:
 			return
-		case req, ok := <-e.reqs:
-			if !ok {
-				// Graceful shutdown: every prior batch is already sealed, so
-				// one empty batch seals the open epoch — through the normal
-				// pipeline, so the final persist gets the same retry budget,
-				// latency model, and accounting as any group commit. If even
-				// that fails, the persister seals the engine and Close
-				// surfaces the error.
-				e.sealToPipeline(&sealedBatch{
-					start:    time.Now(),
-					reason:   SealDrain,
-					inflight: int(e.depth.Load()) + 1,
-					snapped:  make(chan struct{}),
-				})
-				return
+		case wakeClosed:
+			// Graceful shutdown: every prior batch is already persisted, so
+			// one empty batch commits the open epoch — through commit, so
+			// the final persist gets the same retry budget, latency model,
+			// and accounting as any group commit — and the epochs still
+			// pending then ack at their modeled deadlines. If even that
+			// persist fails the engine seals and Close surfaces the error.
+			if e.commit(&sealedBatch{start: time.Now(), reason: SealDrain, inflight: len(e.pending) + 1}) {
+				e.drainPending(0)
 			}
+			return
+		case wakeReq:
 			if !e.runBatch(req) {
 				return
 			}
@@ -1101,11 +1091,11 @@ func (e *Engine) loop() {
 }
 
 // runBatch opens a batch with first and keeps applying until a seal
-// condition fires, then hands the sealed batch to the persister. Whatever is
-// already queued is drained without blocking. Once the queue is empty the
-// batch seals at once if the commit pipeline has a free slot and commits are
-// cheap next to MaxDelay; otherwise it waits for company until it is full, a
-// slot frees, or MaxDelay has passed since it opened:
+// condition fires, then commits the sealed batch. Whatever is already queued
+// is drained without blocking. Once the queue is empty the batch seals at
+// once if the modeled medium has a free slot and commits are cheap next to
+// MaxDelay; otherwise it waits for company until it is full, a slot frees, or
+// MaxDelay has passed since it opened:
 //
 //   - Every slot busy: the batch could not reach the medium sooner anyway, so
 //     company is free. Batches form out of the requests that arrived while
@@ -1123,21 +1113,7 @@ func (e *Engine) loop() {
 //
 // It reports false when the engine crashed or sealed mid-batch.
 func (e *Engine) runBatch(first *request) bool {
-	if last := e.lastSealed; last != nil {
-		// The previous batch's snapshot point must settle before this batch
-		// applies anything: only media time overlaps, so no mutation can be
-		// absorbed into an earlier epoch's snapshot. The wait is host-speed
-		// (the snapshot itself, not the modeled media latency) and the
-		// applies would have serialized against it on poolMu anyway.
-		select {
-		case <-last.snapped:
-		case <-e.stop:
-			first.finish(result{err: e.failErr()})
-			return false
-		}
-		e.lastSealed = nil
-	}
-	b := &sealedBatch{start: time.Now(), snapped: make(chan struct{})}
+	b := &sealedBatch{start: time.Now()}
 	if first.op == opPersist {
 		b.reason = SealPersist
 	}
@@ -1153,20 +1129,24 @@ func (e *Engine) runBatch(first *request) bool {
 			b.reason = SealFull
 			break
 		}
-		var (
-			req *request
-			ok  bool
-		)
+		if len(e.pending) > 0 {
+			// Between applies, so that a busy queue cannot hold a due ack
+			// back by more than one apply.
+			e.ackDue()
+		}
+		var req *request
+		why := wakeReq
 		select {
 		case <-e.stop:
-			failAll(b.waiters, e.failErr())
-			return false
-		case req, ok = <-e.reqs:
+			why = wakeStop
+		case r, ok := <-e.reqs:
+			if req = r; !ok {
+				why = wakeClosed
+			}
 		default:
-			// Queue empty. Every earlier batch has left sealedq — the snapped
-			// wait above is behind the persister's dequeue of the last one —
-			// so depth alone is the pipeline's occupancy.
-			if e.depth.Load() < int64(e.cfg.MaxInflightCommits) && e.lastCommitNS.Load() < int64(e.cfg.MaxDelay) {
+			// Queue empty. Every earlier batch is persisted, so pending alone
+			// is the medium's occupancy.
+			if len(e.pending) < e.cfg.MaxInflightCommits && e.lastCommitNS < int64(e.cfg.MaxDelay) {
 				b.reason = SealIdle
 				continue
 			}
@@ -1174,39 +1154,32 @@ func (e *Engine) runBatch(first *request) bool {
 				timer = time.NewTimer(e.cfg.MaxDelay - time.Since(b.start))
 				defer timer.Stop()
 			}
-			select {
-			case <-e.stop:
-				failAll(b.waiters, e.failErr())
-				return false
-			case <-timer.C:
-				b.reason = SealDelay
-				continue
-			case <-e.slotFreed:
-				continue // re-check occupancy: the token may be stale
-			case req, ok = <-e.reqs:
-			}
+			req, why = e.wait(e.reqs, timer.C)
 		}
-		if !ok {
-			// Closing: seal what we have; loop sees !ok next and seals the
-			// open epoch.
-			b.reason = SealDrain
-			continue
-		}
-		if req.op == opPersist {
-			b.reason = SealPersist
-		}
-		if !e.applyInto(b, req) {
+		switch why {
+		case wakeStop:
+			failAll(b.waiters, e.failErr())
 			return false
+		case wakeTimer:
+			b.reason = SealDelay
+		case wakeAcked:
+			// A slot freed: re-check occupancy.
+		case wakeClosed:
+			// Closing: seal what we have; loop sees the closed queue next
+			// and commits the open epoch.
+			b.reason = SealDrain
+		case wakeReq:
+			if req.op == opPersist {
+				b.reason = SealPersist
+			}
+			if !e.applyInto(b, req) {
+				return false
+			}
 		}
 	}
 	b.sealNS = int64(time.Since(b.start))
-	b.inflight = int(e.depth.Load()) + 1 // this batch included
-	if !e.sealToPipeline(b) {
-		failAll(b.waiters, e.failErr())
-		return false
-	}
-	e.lastSealed = b
-	return true
+	b.inflight = len(e.pending) + 1 // this batch included
+	return e.commit(b)
 }
 
 // applyInto applies one request as part of batch b, collecting its waiter
@@ -1214,9 +1187,8 @@ func (e *Engine) runBatch(first *request) bool {
 // epoch's working set, say) must not take the process — and every other
 // shard — down with it: the request and the open batch's waiters fail, and
 // this engine seals fail-stop. The half-applied epoch is never persisted, so
-// recovery rolls it back; every earlier batch already passed its snapshot
-// point (runBatch waited on it), so nothing acked is lost. It reports false
-// after such a seal.
+// recovery rolls it back; every earlier batch was persisted before this one
+// opened, so nothing acked is lost. It reports false after such a seal.
 func (e *Engine) applyInto(b *sealedBatch, req *request) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -1238,82 +1210,91 @@ func (e *Engine) applyInto(b *sealedBatch, req *request) (ok bool) {
 	return true
 }
 
-// persister is the second pipeline stage: it turns sealed batches into
-// issued commits, in seal order. When a persist fails after retries the
-// batch's waiters were already failed inside persistSealed; the persister
-// then seals the engine and fails every later sealed-but-unpersisted batch
-// — an unacked in-flight epoch is legal to abandon, but it must never ack.
-// Epochs already handed to the acker persisted successfully and still ack.
-// After a seal (or crash) it also drains the request queue, once nothing
-// can enter it anymore.
-func (e *Engine) persister() {
-	defer e.wg.Done()
-	defer close(e.ackq)
-	for b := range e.sealedq {
-		if e.stopped() {
-			// Sealed behind a failure (seal closes stop) or a crash: the
-			// commit never happened, so the waiters must fail, never ack.
-			close(b.snapped)
-			failAll(b.waiters, e.failErr())
-			continue
-		}
-		e.depth.Add(1)
-		ic, err := e.persistSealed(b)
-		if err != nil {
-			e.seal(err)
-			e.depth.Add(-1)
-			continue
-		}
-		e.ackq <- ic
+// wake says why wait returned.
+type wake uint8
+
+const (
+	wakeStop   wake = iota // Crash or seal closed stop
+	wakeReq                // a request arrived
+	wakeClosed             // the request queue was closed: graceful Close
+	wakeTimer              // the caller's timer fired
+	wakeAcked              // the oldest pending epoch came due and was acked
+)
+
+// wait is the writer's one blocking point. It sleeps until the engine stops,
+// a request arrives on reqs (nil: not listening), the caller's timer fires
+// (nil: none), or the oldest pending epoch's modeled media commit completes —
+// whose waiters it then acks, with every other epoch that is due, before it
+// returns. Whatever the writer is waiting for, a due ack is never behind it.
+func (e *Engine) wait(reqs <-chan *request, timer <-chan time.Time) (*request, wake) {
+	var due <-chan time.Time
+	if len(e.pending) > 0 {
+		t := time.NewTimer(time.Until(e.pending[0].deadline))
+		defer t.Stop()
+		due = t.C
 	}
-	if e.SealErr() != nil {
-		// Sealed — above, or by a panicking apply in the sealer. Seal closed
-		// stop, so in-flight begins unwind; once they do, nothing can enter
-		// the queue anymore — new begins see closed — so this drain is
-		// exhaustive and no queued request is left waiting on a dead
-		// pipeline.
-		e.inflight.Wait()
-		e.drainQueue()
+	select {
+	case <-e.stop:
+		return nil, wakeStop
+	case req, ok := <-reqs:
+		if !ok {
+			return nil, wakeClosed
+		}
+		return req, wakeReq
+	case <-timer:
+		return nil, wakeTimer
+	case <-due:
+		e.ackDue()
+		return nil, wakeAcked
 	}
 }
 
-// acker is the third pipeline stage: it releases each commit's waiters in
-// epoch order (ackq is FIFO from the persister) once the commit's modeled
-// media work completes. It models the device as MaxInflightCommits commit
-// slots, each busy for CommitLatency per epoch: commit i's media work starts
-// at max(its persist, slot i mod W freeing), so back-to-back commits overlap
-// W deep while W=1 serializes them — the serial A/B baseline. After a crash
-// or seal the remaining modeled waits are skipped: everything in ackq really
-// persisted, so its acks are correct and shutdown should not sleep them out.
-func (e *Engine) acker() {
-	defer e.wg.Done()
-	slots := make([]time.Time, e.cfg.MaxInflightCommits)
-	next := 0
-	for ic := range e.ackq {
-		deadline := ic.persisted
-		if slots[next].After(deadline) {
-			deadline = slots[next]
+// pause waits out d without taking requests — the commit-retry backoff — and
+// reports false if the engine stopped first.
+func (e *Engine) pause(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	for {
+		switch _, why := e.wait(nil, t.C); why {
+		case wakeTimer:
+			return true
+		case wakeStop:
+			return false
 		}
-		deadline = deadline.Add(e.cfg.CommitLatency)
-		slots[next] = deadline
-		next = (next + 1) % len(slots)
-		if d := time.Until(deadline); d > 0 && !e.stopped() {
-			// The wait must abort the moment the engine stops: with a deep
-			// ackq backlog an uninterruptible sleep would hold Close/Crash
-			// hostage for up to backlog×CommitLatency of modeled media time,
-			// all of it spent acking commits that already persisted.
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-e.stop:
-				t.Stop()
-			}
+	}
+}
+
+// drainPending waits, without taking requests, until at most n epochs are
+// pending, and reports false if the engine stopped first.
+func (e *Engine) drainPending(n int) bool {
+	for len(e.pending) > n {
+		if _, why := e.wait(nil, nil); why == wakeStop {
+			return false
 		}
+	}
+	return true
+}
+
+// ackDue acks every pending epoch whose modeled media commit has completed.
+func (e *Engine) ackDue() {
+	now, n := time.Now(), 0
+	for n < len(e.pending) && !e.pending[n].deadline.After(now) {
+		n++
+	}
+	e.ack(n)
+}
+
+// ack acks the n oldest pending epochs, in epoch order, and closes the FIFO
+// up behind them: a copy of at most runAheadCommits pointers, and that many
+// only once per modeled media completion.
+func (e *Engine) ack(n int) {
+	for _, ic := range e.pending[:n] {
 		e.finishCommit(ic)
 		e.depth.Add(-1)
-		select {
-		case e.slotFreed <- struct{}{}:
-		default:
-		}
+	}
+	if n > 0 {
+		rest := copy(e.pending, e.pending[n:])
+		clear(e.pending[rest:])
+		e.pending = e.pending[:rest]
 	}
 }

@@ -70,11 +70,12 @@ func busyPipelineConfig(hold time.Duration) Config {
 	return Config{MaxBatch: 64, MaxDelay: time.Minute, MaxInflightCommits: 1, CommitLatency: hold}
 }
 
-// holdPipeline occupies the commit pipeline of a MaxInflightCommits=1 engine
+// holdPipeline occupies the one media slot of a MaxInflightCommits=1 engine
 // for one CommitLatency: an ack-on-apply PUT returns at apply time, its batch
-// seals at once (the pipeline was idle) and then sits on the modeled medium.
-// It returns once the persister has taken that batch — a request enqueued
-// sooner could still join it — so everything after finds the slot taken.
+// seals at once (the slot was free) and then sits on the modeled medium.
+// It returns once the writer has started that batch's commit — a request
+// enqueued sooner could still join it — so everything after finds the slot
+// taken.
 func holdPipeline(t *testing.T, eng *Engine) {
 	t.Helper()
 	if _, err := eng.PutPolicy([]byte("hold"), []byte("x"), AckApply); err != nil {

@@ -135,8 +135,9 @@ type mergeDetail struct {
 
 // stallDetail describes a pipeline-stall onset.
 type stallDetail struct {
-	// Depth is the number of sealed epochs in flight when the sealer hit
-	// the run-ahead bound; Epoch is the epoch that had to wait.
+	// Depth is the number of persisted epochs awaiting their modeled media
+	// completion when the writer hit the run-ahead bound; Epoch is the epoch
+	// whose persist had to wait.
 	Depth int64  `json:"depth"`
 	Epoch uint64 `json:"epoch"`
 }

@@ -106,10 +106,10 @@ func TestSplitZeroCountersMovesHalf(t *testing.T) {
 	verifyKeys(t, eng, keys)
 }
 
-// A deep ackq backlog models minutes of media time; Crash must not sleep it
-// out. Every commit in the backlog really persisted, so releasing the acks
-// immediately on shutdown is correct — the acker's modeled wait has to abort
-// on the stop channel.
+// A deep backlog of pending epochs models minutes of media time; Crash must
+// not sleep it out. Every commit in the backlog really persisted, so
+// releasing the acks immediately on shutdown is correct — the writer's wait
+// for a modeled deadline has to end on the stop channel.
 func TestCrashInterruptsAckerBacklog(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
 		MaxBatch:           1,
@@ -131,7 +131,7 @@ func TestCrashInterruptsAckerBacklog(t *testing.T) {
 	start := time.Now()
 	eng.Crash()
 	if d := time.Since(start); d > 1500*time.Millisecond {
-		t.Fatalf("Crash took %v; the acker slept out the modeled backlog", d)
+		t.Fatalf("Crash took %v; the writer slept out the modeled backlog", d)
 	}
 }
 

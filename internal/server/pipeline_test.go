@@ -4,18 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pax"
+	"pax/internal/blackbox"
 	"pax/internal/pmem"
 )
 
-// This file tests the commit pipeline (sealer → persister → acker) and the
-// per-request ack policies: media-latency overlap, the failure cascade
-// across in-flight epochs, crash exactness with the pipeline full, and the
-// documented weaker contract of ack-on-apply.
+// This file tests the commit path — one writer goroutine that applies, seals,
+// persists and acks, with modeled media time as deadlines on its pending
+// FIFO — and the per-request ack policies: media-latency overlap, what a
+// failed commit does to the epochs around it, crash exactness with epochs
+// pending, the run-ahead stall, and the documented weaker contract of
+// ack-on-apply.
 
 func TestRetryDelayClamp(t *testing.T) {
 	base := 2 * time.Millisecond
@@ -80,10 +86,12 @@ func TestPipelineOverlapsCommitLatency(t *testing.T) {
 	t.Logf("4 single-write batches at %v media latency: serial %v, window-4 %v", lat, serial, pipelined)
 }
 
-// TestPipelineFailureFailsAllSealedEpochs is the failure cascade: epoch N's
-// persist fails after retries while epoch N+1 is already sealed behind it.
-// Both batches' waiters must fail — N because its media refused, N+1 because
-// acking it would reorder durability past a hole — and the engine seals.
+// TestPipelineFailureFailsAllSealedEpochs: epoch N's persist fails after
+// retries while the write that would have been epoch N+1 waits in the request
+// queue behind it (the writer takes nothing while it backs off). Both writes
+// must fail — N because its media refused, N+1 by the seal's drain of the
+// queue, because acking it would reorder durability past a hole — and the
+// engine seals.
 func TestPipelineFailureFailsAllSealedEpochs(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
 		MaxBatch: 1, MaxDelay: time.Millisecond,
@@ -93,7 +101,7 @@ func TestPipelineFailureFailsAllSealedEpochs(t *testing.T) {
 	defer pool.Close()
 
 	// Every sync fails: batch 1's persist retries for ~75ms before sealing,
-	// which is the window batch 2 seals into the pipeline behind it.
+	// which is the window k2 is enqueued in.
 	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
 
 	errs := make(chan error, 2)
@@ -129,6 +137,267 @@ func TestPipelineFailureFailsAllSealedEpochs(t *testing.T) {
 	if err := eng.Close(); !errors.Is(err, ErrSealed) {
 		t.Fatalf("close of sealed engine = %v, want seal error", err)
 	}
+}
+
+// pollUntil waits for cond, which another goroutine is about to make true.
+func pollUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// reopenedMap opens the pool file at path again, as a restart after a crash
+// would, and binds its map.
+func reopenedMap(t *testing.T, path string) *pax.Map {
+	t.Helper()
+	pool, err := pax.OpenPool(path, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pool.Close() })
+	kv, err := pax.NewMap(pool, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kv
+}
+
+// TestPersistedEpochStillAcksAfterLaterFailure is the failure matrix's first
+// row: epoch M is persisted and sits out its modeled media time when a later
+// epoch N exhausts its retries and seals the engine. M's sync succeeded, so
+// its waiter is acked with M — at once, the rest of the modeled wait is
+// skipped — while N's waiter fails and N rolls back on recovery.
+func TestPersistedEpochStillAcksAfterLaterFailure(t *testing.T) {
+	// Far longer than two failing full-image syncs take, so that a's ack
+	// inside lat is the seal's doing and not the model's.
+	const lat = 3 * time.Second
+	path := filepath.Join(t.TempDir(), "matrix.pool")
+	pool, eng := newTestEngine(t, path, Config{
+		MaxDelay: time.Millisecond, CommitLatency: lat, MaxInflightCommits: 2,
+		CommitRetries: 1, CommitRetryDelay: time.Millisecond,
+	})
+
+	type ack struct {
+		epoch uint64
+		err   error
+		took  time.Duration
+	}
+	aDone := make(chan ack, 1)
+	start := time.Now()
+	go func() {
+		ep, err := eng.Put([]byte("a"), []byte("v"))
+		aDone <- ack{ep, err, time.Since(start)}
+	}()
+	// depth > 0: a's batch is sealed, so the barrier cannot join it, and the
+	// writer applies the barrier only after a's commit returned — persisted.
+	pollUntil(t, "a's batch reaches its commit", func() bool { return eng.depth.Load() > 0 })
+	if err := eng.applyBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-aDone:
+		t.Fatalf("a acked (%+v) before its %v of modeled media time", got, lat)
+	default:
+	}
+
+	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	if _, err := eng.Put([]byte("b"), []byte("v")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("b on failing media: %v, want ErrSealed", err)
+	}
+	a := <-aDone
+	if a.err != nil || a.epoch == 0 {
+		t.Fatalf("a, persisted before the failure: epoch %d, %v; want its ack", a.epoch, a.err)
+	}
+	if a.took >= lat {
+		t.Fatalf("a acked after %v: the seal should have skipped the rest of its %v modeled wait", a.took, lat)
+	}
+	if got := eng.Stats().AckedWrites.Load(); got != 1 {
+		t.Fatalf("acked writes = %d, want 1 (a only)", got)
+	}
+	if err := eng.Close(); !errors.Is(err, ErrSealed) {
+		t.Fatalf("close of sealed engine = %v, want seal error", err)
+	}
+	// The fault stays in: closing the pool syncs it, and a sync that worked
+	// would publish the very epoch whose commit failed. Failing, it leaves the
+	// file as the crash this stands in for would.
+	pool.Close()
+	kv := reopenedMap(t, path)
+	if _, ok := kv.Get([]byte("a")); !ok {
+		t.Fatal("acked write a lost")
+	}
+	if _, ok := kv.Get([]byte("b")); ok {
+		t.Fatal("failed write b survived recovery")
+	}
+}
+
+// TestRunAheadStallIsMeasured: with the pending FIFO full the writer waits
+// for the medium before it persists more, and that wait — not a hand-off
+// that never blocks — is what paxserve_pipeline_stall_ns and the
+// pipeline_stall event report.
+func TestRunAheadStallIsMeasured(t *testing.T) {
+	pool, eng := newTestEngine(t, "", Config{
+		MaxBatch: 1, MaxInflightCommits: 1, CommitLatency: 20 * time.Millisecond,
+	})
+	defer pool.Close()
+	// Crash, not Close: a full FIFO is 82 s of modeled media time.
+	defer eng.Crash()
+
+	// Through the sink: the recent-events ring wraps under the commit_slow
+	// events every one of these commits also emits.
+	var stalls atomic.Int64
+	eng.SetEventSink(func(ev Event) {
+		if ev.Type == blackbox.EvStall {
+			stalls.Add(1)
+		}
+	})
+	// Every ack-on-apply PUT is a full batch, persisted at host speed onto a
+	// medium that completes one epoch per 20 ms: the FIFO fills, and each PUT
+	// past its capacity waits for the medium to take an epoch. The medium
+	// takes some while the FIFO fills (dozens, under -race), so the bound is
+	// a multiple of the capacity, not capacity plus a few.
+	puts := 0
+	for ; puts < 3*runAheadCommits && eng.Stats().PipelineStallNS.Sum() == 0; puts++ {
+		if _, err := eng.PutPolicy([]byte(fmt.Sprintf("k%02d", puts%64)), []byte("v"), AckApply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.applyBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	if sum := eng.Stats().PipelineStallNS.Sum(); sum <= 0 {
+		t.Fatalf("stall sum = %d ns after %d single-write epochs against a %d-epoch run-ahead buffer, want > 0", sum, puts, runAheadCommits)
+	}
+	if stalls.Load() == 0 {
+		t.Fatal("no pipeline_stall event for a stalled writer")
+	}
+}
+
+// failingPut starts a durable PUT on an engine whose syncs fail and returns
+// once its commit is in the retry backoff.
+func failingPut(t *testing.T, eng *Engine) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Put([]byte("k"), []byte("v"))
+		done <- err
+	}()
+	pollUntil(t, "the commit reaches its first retry", func() bool { return eng.Stats().CommitRetries.Load() > 0 })
+	return done
+}
+
+// TestCrashCutsRetryBackoffShort: a crash does not wait out a commit's retry
+// budget (15.5 s here). The batch never persisted, so its waiter fails,
+// nothing acks, and recovery rolls the epoch back.
+func TestCrashCutsRetryBackoffShort(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "backoff.pool")
+	pool, eng := newTestEngine(t, path, Config{CommitRetries: 5, CommitRetryDelay: 500 * time.Millisecond})
+	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	done := failingPut(t, eng)
+
+	start := time.Now()
+	eng.Crash()
+	if took := time.Since(start); took > 400*time.Millisecond {
+		t.Fatalf("Crash took %v: it slept out the retry backoff", took)
+	}
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("put abandoned mid-backoff: %v, want ErrClosed", err)
+	}
+	if got := eng.Stats().AckedWrites.Load(); got != 0 {
+		t.Fatalf("%d writes acked, want 0", got)
+	}
+	// The fault stays in: closing the pool syncs it, and a sync that worked
+	// would publish the very epoch whose commit failed. Failing, it leaves the
+	// file as the crash this stands in for would.
+	pool.Close()
+	if _, ok := reopenedMap(t, path).Get([]byte("k")); ok {
+		t.Fatal("the abandoned write survived recovery")
+	}
+}
+
+// TestCloseRunsTheRetryBudget: a graceful Close during a backoff lets the
+// retries run, and one that succeeds still acks.
+func TestCloseRunsTheRetryBudget(t *testing.T) {
+	pool, eng := newTestEngine(t, "", Config{CommitRetries: 3, CommitRetryDelay: 20 * time.Millisecond})
+	defer pool.Close()
+	device(pool).SetFaultFn(pmem.FailSyncs(2, errInjected))
+	done := failingPut(t, eng)
+
+	if err := eng.Close(); err != nil {
+		t.Fatalf("close across a transient fault: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("put whose second retry succeeded: %v, want its ack", err)
+	}
+	if got := eng.Stats().CommitRetries.Load(); got != 2 {
+		t.Fatalf("commit retries = %d, want 2", got)
+	}
+}
+
+// engineGoroutines counts the goroutines that are inside an Engine method.
+func engineGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "pax/internal/server.(*Engine).") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneWriterGoroutinePerEngine is the ownership guard: the pool has one
+// owner, so an open engine is exactly one goroutine, and none once it is
+// closed, crashed or sealed. A second goroutine with an Engine frame is a
+// second would-be pool toucher, and §3.5 would need a lock again.
+func TestOneWriterGoroutinePerEngine(t *testing.T) {
+	base := engineGoroutines()
+	want := func(when string, n int) {
+		t.Helper()
+		// The writer's last deferred call releases Close; its frame can
+		// outlive that by an instant.
+		deadline := time.Now().Add(2 * time.Second)
+		for engineGoroutines() != base+n && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := engineGoroutines() - base; got != n {
+			t.Fatalf("%s: %d engine goroutines, want %d", when, got, n)
+		}
+	}
+	for _, end := range []struct {
+		name string
+		stop func(*pax.Pool, *Engine)
+	}{
+		{"Close", func(_ *pax.Pool, eng *Engine) { eng.Close() }},
+		{"Crash", func(_ *pax.Pool, eng *Engine) { eng.Crash() }},
+		{"seal, then Close", func(pool *pax.Pool, eng *Engine) {
+			device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+			if _, err := eng.Put([]byte("x"), []byte("v")); !errors.Is(err, ErrSealed) {
+				t.Fatalf("put on failing media: %v, want ErrSealed", err)
+			}
+			eng.Close()
+		}},
+	} {
+		pool, eng := newTestEngine(t, "", Config{CommitRetries: -1})
+		if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		want("open engine", 1)
+		end.stop(pool, eng)
+		want("after "+end.name, 0)
+		pool.Close()
+	}
+
+	s := newSharded(t, filepath.Join(t.TempDir(), "kv.pool"), 3, Config{})
+	want("open 3-shard engine", 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want("after sharded Close", 0)
 }
 
 // TestPipelineCrashRecoversExactlyAckedWrites re-runs the crash-exactness
