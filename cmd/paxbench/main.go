@@ -9,26 +9,22 @@
 //	paxbench -loadgen -clients 64 -ops 200 # serving-layer load generator
 //	paxbench -loadgen -shards 1,2,4,8 -format json -out BENCH_loadgen.json
 //	paxbench -loadgen -read-ratio 0.9      # GET-heavy mix on the read index
-//	paxbench -loadgen -ack-policy both -inflight 1,2,4 # ack policy x pipeline window
+//	paxbench -loadgen -ack-policy both     # durable vs apply acks
 //
 // Scales: "paper" uses a hash table far larger than the simulated LLC and
 // 100k measured operations per system; "quick" is a seconds-long smoke run.
 //
 // -loadgen drives the paxserve group-commit engine with concurrent clients,
-// sweeping the comma-separated -shards counts. By default the run is
-// commit-latency-bound: -commit-latency models the real-time cost of an
-// epoch commit on the backing medium (an msync-class sync; the in-memory
-// simulator would otherwise commit at host-CPU speed), so a single pool has
-// one commit in flight at a time and the sweep measures how sharding
-// overlaps that latency. -read-ratio mixes GETs into the workload (0.9 models
-// a read-heavy serving tier); GETs are served from the engine's volatile read
-// index. -ack-policy selects how writes are acked — "durable" (ack when the
-// group commit reaches media), "apply" (ack when applied and
-// read-index-visible), or "both" to A/B them — and -inflight sweeps the
-// modeled media slots (persisted epochs whose media commits overlap per
-// shard; 1 is the serial baseline). -split and -autopilot run the same sweep with an act in the
-// middle of every run: measure, reshape the fleet, measure again, crash,
-// reopen and count lost keys. The default table output prints one row per
+// sweeping the comma-separated -shards counts. Engines run on in-memory
+// devices, where a commit costs the simulator's host time, unless -pool-dir
+// backs them with pool files, where every commit is a real delta append and
+// fsync. -read-ratio mixes GETs into the workload (0.9 models a read-heavy
+// serving tier); GETs are served from the engine's volatile read index.
+// -ack-policy selects how writes are acked — "durable" (ack when the group
+// commit reaches media), "apply" (ack when applied and read-index-visible),
+// or "both" to A/B them. -split and -autopilot run the same sweep with an act
+// in the middle of every run: measure, reshape the fleet, measure again,
+// crash, reopen and count lost keys. The default table output prints one row per
 // measured phase plus the merged metrics registry as `name value` lines (the
 // same text the STATS wire request returns); -format json emits a
 // machine-readable record array instead, and -out additionally writes that
@@ -61,14 +57,12 @@ func main() {
 	flag.IntVar(&lg.clients, "clients", 256, "loadgen: concurrent clients")
 	flag.IntVar(&lg.ops, "ops", 150, "loadgen: writes per client")
 	flag.IntVar(&lg.maxBatch, "max-batch", 16, "loadgen: max writes per group commit")
-	flag.DurationVar(&lg.maxDelay, "max-delay", 2*time.Millisecond, "loadgen: max wait for company while the commit pipeline is busy (or a commit takes this long)")
-	flag.DurationVar(&lg.commitLat, "commit-latency", 2*time.Millisecond, "loadgen: modeled media latency per group commit (0 = simulator speed)")
+	flag.DurationVar(&lg.maxDelay, "max-delay", 2*time.Millisecond, "loadgen: max wait for company once a commit takes this long")
 	flag.StringVar(&lg.shardList, "shards", "1", "loadgen: comma-separated shard counts to sweep (e.g. 1,2,4,8)")
 	flag.Float64Var(&lg.readRatio, "read-ratio", 0, "loadgen: fraction of ops issued as GETs against previously written keys (0 = write-heavy with periodic read-backs)")
 	flag.StringVar(&lg.poolDir, "pool-dir", "", "loadgen: back the engines with pool files in this directory instead of in-memory devices (required for write-amplification sweeps)")
 	flag.StringVar(&lg.dataSizes, "data-sizes", "", "loadgen: comma-separated per-shard vPM data sizes in bytes to sweep (e.g. 67108864,134217728; empty = the 32 MiB default)")
 	flag.StringVar(&lg.ackPolicy, "ack-policy", "durable", "loadgen: ack policy to run: durable | apply | both")
-	flag.StringVar(&lg.inflight, "inflight", "0", "loadgen: comma-separated modeled media slot counts to sweep (1 = serial baseline, 0 = engine default)")
 	flag.StringVar(&lg.jsonOut, "out", "", "loadgen: also write the JSON records to this file")
 	flag.Uint64Var(&lg.keys, "keys", 0, "loadgen: shared keyspace size; > 0 switches clients from private keys to a preloaded shared keyspace (required for -dist/-rmw-ratio/-value-dist; -split/-autopilot default it to 10000)")
 	flag.StringVar(&lg.dist, "dist", "uniform", "loadgen: shared-keyspace key distribution: uniform | zipf")
@@ -147,12 +141,10 @@ type loadgenConfig struct {
 	ops       int
 	maxBatch  int
 	maxDelay  time.Duration
-	commitLat time.Duration
 	readRatio float64
 	poolDir   string
 	dataSizes string
 	ackPolicy string
-	inflight  string
 	format    string
 	jsonOut   string
 	keys      uint64
@@ -169,28 +161,26 @@ type loadgenConfig struct {
 
 // spec builds the LoadSpec of one run of the sweep: the flags, plus this
 // run's point on each swept axis.
-func (cfg loadgenConfig) spec(shards int, dataSize uint64, apply bool, window int) benchkit.LoadSpec {
+func (cfg loadgenConfig) spec(shards int, dataSize uint64, apply bool) benchkit.LoadSpec {
 	spec := benchkit.LoadSpec{
-		Clients:            cfg.clients,
-		OpsPerClient:       cfg.ops,
-		ValueBytes:         64,
-		ReadRatio:          cfg.readRatio,
-		MaxBatch:           cfg.maxBatch,
-		MaxDelay:           cfg.maxDelay,
-		Shards:             shards,
-		CommitLatency:      cfg.commitLat,
-		PoolDir:            cfg.poolDir,
-		DataSize:           dataSize,
-		MaxInflightCommits: window,
-		AckOnApply:         apply,
-		Keys:               cfg.keys,
-		Dist:               cfg.dist,
-		ZipfS:              cfg.zipfS,
-		RMWRatio:           cfg.rmwRatio,
-		ValueDist:          cfg.valueDist,
-		Seed:               cfg.seed,
-		Blackbox:           cfg.blackbox,
-		FailSyncsAfter:     cfg.failAfter,
+		Clients:        cfg.clients,
+		OpsPerClient:   cfg.ops,
+		ValueBytes:     64,
+		ReadRatio:      cfg.readRatio,
+		MaxBatch:       cfg.maxBatch,
+		MaxDelay:       cfg.maxDelay,
+		Shards:         shards,
+		PoolDir:        cfg.poolDir,
+		DataSize:       dataSize,
+		AckOnApply:     apply,
+		Keys:           cfg.keys,
+		Dist:           cfg.dist,
+		ZipfS:          cfg.zipfS,
+		RMWRatio:       cfg.rmwRatio,
+		ValueDist:      cfg.valueDist,
+		Seed:           cfg.seed,
+		Blackbox:       cfg.blackbox,
+		FailSyncsAfter: cfg.failAfter,
 	}
 	if cfg.readRatio == 0 && cfg.keys == 0 {
 		spec.GetEveryN = 4
@@ -198,7 +188,7 @@ func (cfg loadgenConfig) spec(shards int, dataSize uint64, apply bool, window in
 	return spec
 }
 
-// runLoadgen sweeps data size × ack policy × pipeline window × shard count,
+// runLoadgen sweeps data size × ack policy × shard count,
 // one benchkit.RunScript per point, and reports every measured phase as a
 // table plus metrics registry or as JSON records. -split / -autopilot put an
 // act in the middle of each run and fill in what an act needs and the flags
@@ -263,26 +253,15 @@ func runLoadgen(cfg loadgenConfig) error {
 	default:
 		return fmt.Errorf("bad -ack-policy %q (want durable, apply, or both)", cfg.ackPolicy)
 	}
-	var windows []int
-	for _, f := range strings.Split(cfg.inflight, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad -inflight value %q (want non-negative ints like 1,2,4; 0 = engine default)", f)
-		}
-		windows = append(windows, n)
-	}
 	var phases []benchkit.LoadResult
 	for _, dataSize := range sizes {
 		for _, apply := range policies {
-			for _, window := range windows {
-				for _, n := range counts {
-					res, err := benchkit.RunScript(cfg.spec(n, dataSize, apply, window), act)
-					if err != nil {
-						return fmt.Errorf("%d shards (data=%d, apply=%v, inflight=%d): %w",
-							n, dataSize, apply, window, err)
-					}
-					phases = append(phases, res.Phases()...)
+			for _, n := range counts {
+				res, err := benchkit.RunScript(cfg.spec(n, dataSize, apply), act)
+				if err != nil {
+					return fmt.Errorf("%d shards (data=%d, apply=%v): %w", n, dataSize, apply, err)
 				}
+				phases = append(phases, res.Phases()...)
 			}
 		}
 	}
@@ -312,14 +291,14 @@ func emit(cfg loadgenConfig, phases []benchkit.LoadResult) error {
 		return err
 	}
 
-	t := stats.NewTable("loadgen", "phase", "ack", "w", "pool MiB", "shards", "clients", "acked writes", "gets", "snapshots", "writes/snapshot", "max batch", "writes/s", "ops/s", "ack p50 ms", "ack p99 ms", "KiB/commit p99", "amp", "imbalance", "hot shard")
+	t := stats.NewTable("loadgen", "phase", "ack", "pool MiB", "shards", "clients", "acked writes", "gets", "snapshots", "writes/snapshot", "max batch", "writes/s", "ops/s", "ack p50 ms", "ack p99 ms", "KiB/commit p99", "amp", "imbalance", "hot shard")
 	for i, res := range phases {
 		phase := res.Phase
 		if phase == "" {
 			phase = "-"
 		}
 		j := records[i]
-		t.AddRowf(phase, j.AckPolicy, j.MaxInflightCommits, float64(res.PoolBytes)/(1<<20), j.Shards, res.Spec.Clients, res.AckedWrites, res.Gets, res.GroupCommits,
+		t.AddRowf(phase, j.AckPolicy, float64(res.PoolBytes)/(1<<20), j.Shards, res.Spec.Clients, res.AckedWrites, res.Gets, res.GroupCommits,
 			res.Amortization, res.BatchMax, res.Throughput, res.OpsThroughput,
 			float64(res.AckP50.Microseconds())/1e3, float64(res.AckP99.Microseconds())/1e3,
 			res.CommitP99Bytes/1024, res.WriteAmplification, res.ShardImbalance, res.HotShard)

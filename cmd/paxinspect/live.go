@@ -141,14 +141,13 @@ func printShardStats(cl *wire.Client) error {
 	if autopilot {
 		// Windowed rates are what the policy actually looks at; cumulative
 		// counters above can't show which shard is hot *now*.
-		fmt.Printf("  %5s %14s %16s %10s\n",
-			"shard", "win ops/s", "win enq p99", "win stall")
+		fmt.Printf("  %5s %14s %16s\n",
+			"shard", "win ops/s", "win enq p99")
 		for k := 0; k < shards; k++ {
-			fmt.Printf("  %5d %14.1f %16s %9.1f%%\n",
+			fmt.Printf("  %5d %14.1f %16s\n",
 				k,
 				get("paxserve_window_ops_per_sec", k),
-				fmtNS(int64(get("paxserve_window_enqueue_p99_ns", k))),
-				100*get("paxserve_window_stall_frac", k))
+				fmtNS(int64(get("paxserve_window_enqueue_p99_ns", k))))
 		}
 	}
 	return nil
@@ -183,16 +182,16 @@ func printRecords(title string, recs []server.CommitRecord) {
 	if len(recs) == 0 {
 		return
 	}
-	fmt.Printf("  %5s %5s %6s %5s %7s %7s %10s %10s %10s %10s  %s\n",
-		"shard", "seq", "epoch", "batch", "retries", "sealed", "seal", "persist", "ack", "total", "err")
+	fmt.Printf("  %5s %5s %6s %5s %7s %7s %10s %10s %10s %10s %10s  %s\n",
+		"shard", "seq", "epoch", "batch", "retries", "sealed", "seal", "persist", "ack", "total", "sim", "err")
 	for _, r := range recs {
 		errText := r.Err
 		if errText == "" {
 			errText = "-"
 		}
-		fmt.Printf("  %5d %5d %6d %5d %7d %7s %10s %10s %10s %10s  %s\n",
+		fmt.Printf("  %5d %5d %6d %5d %7d %7s %10s %10s %10s %10s %10s  %s\n",
 			r.Shard, r.Seq, r.Epoch, r.Batch, r.Retries, r.SealReason,
-			fmtNS(r.SealNS), fmtNS(r.PersistNS), fmtNS(r.AckNS), fmtNS(r.TotalNS), errText)
+			fmtNS(r.SealNS), fmtNS(r.PersistNS), fmtNS(r.AckNS), fmtNS(r.TotalNS), fmtNS(r.SimNS), errText)
 	}
 }
 

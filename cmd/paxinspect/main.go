@@ -12,7 +12,8 @@
 // It also has a live mode against a running paxserve: -stats polls the
 // server's STATS wire command (the metrics registry, latency quantiles
 // included) and -trace polls TRACE (the commit flight recorder) and renders
-// the per-commit stage timings as a table. -stats -shards folds the
+// the per-commit stage timings as a table, with the modeled PAX commit time
+// of each epoch beside them (sim). -stats -shards folds the
 // registry's {shard="K"} series into a per-shard summary table (acked ops,
 // queue and commit tails, slot-router counters) — the view for spotting a
 // hot shard before and after a SPLIT. -interval repeats the poll.

@@ -51,12 +51,9 @@ type timeline struct {
 	RateTrend     []ratePoint `json:"rate_trend,omitempty"`
 	Seal          *sealInfo   `json:"seal,omitempty"`
 	// FailedCommit is the flight-recorder record of the last commit that
-	// exhausted its retries (the record that explains the seal);
-	// InflightAtCrash is its pipeline depth — how many epochs were in
-	// flight toward media when the failure hit.
+	// exhausted its retries (the record that explains the seal).
 	FailedCommit      json.RawMessage `json:"failed_commit,omitempty"`
 	FailedCommitShard int             `json:"failed_commit_shard,omitempty"`
-	InflightAtCrash   int             `json:"inflight_at_crash,omitempty"`
 	LastPolicy        json.RawMessage `json:"last_policy,omitempty"`
 	// OpenReshard names a split/merge that started but never logged its done
 	// event — the process died inside it.
@@ -104,11 +101,6 @@ func runPostmortem(dir string, asJSON bool) error {
 		case blackbox.EvCommitFailed:
 			tl.FailedCommit = ev.Detail
 			tl.FailedCommitShard = ev.Shard
-			var d struct {
-				Inflight int `json:"inflight"`
-			}
-			_ = json.Unmarshal(ev.Detail, &d)
-			tl.InflightAtCrash = d.Inflight
 		case blackbox.EvPolicy:
 			tl.LastPolicy = ev.Detail
 		case blackbox.EvShutdown:
@@ -186,16 +178,16 @@ func printPostmortem(dir string, tl *timeline) {
 		var rec struct {
 			Epoch     uint64 `json:"epoch"`
 			Batch     int    `json:"batch"`
-			Inflight  int    `json:"inflight"`
 			Retries   int    `json:"retries"`
 			Start     int64  `json:"start_unix_nano"`
 			PersistNS int64  `json:"persist_ns"`
+			SimNS     int64  `json:"sim_ns"`
 			Err       string `json:"err"`
 		}
 		_ = json.Unmarshal(tl.FailedCommit, &rec)
 		fmt.Printf("\nfailing commit (shard %d):\n", tl.FailedCommitShard)
-		fmt.Printf("  batch of %d, %d retries, persist phase %v, %d epoch(s) in flight at failure\n",
-			rec.Batch, rec.Retries, time.Duration(rec.PersistNS).Round(time.Microsecond), rec.Inflight)
+		fmt.Printf("  batch of %d, %d retries, persist phase %v, modeled PAX commit %v\n",
+			rec.Batch, rec.Retries, time.Duration(rec.PersistNS).Round(time.Microsecond), time.Duration(rec.SimNS))
 		fmt.Printf("  error: %s\n", rec.Err)
 	}
 	if tl.LastPolicy != nil {

@@ -13,10 +13,7 @@
 //	paxserve -pool ./kv.pool -ack-policy apply            # acks at apply time
 //
 // Each shard's one writer goroutine applies, persists and acks its group
-// commits: while persisted epochs' modeled media commits are outstanding it
-// keeps applying and persisting later epochs at host speed, with up to
-// -max-inflight-commits media commits overlapping (1 serializes the media —
-// the serial A/B baseline).
+// commits: a durable ack follows its own epoch's delta append and fsync.
 // -ack-policy picks the default
 // durability contract for clients that do not set one per request on the
 // wire: "durable" (the default — every write ack means its epoch reached
@@ -52,7 +49,7 @@
 // -autosplit and -merge-idle hand resharding to the built-in autopilot: a
 // policy loop samples windowed per-shard load every -autopilot-interval and
 // splits the hottest shard when its commit pipeline stays saturated
-// (windowed enqueue-wait p99 or pipeline stall, not mere imbalance) for
+// (windowed enqueue-wait p99, not mere imbalance) for
 // several consecutive ticks, or folds the coldest shard back after it idles
 // for -merge-idle — with hysteresis and a cooldown so the policy never
 // flaps. Its decisions and windowed rates are visible in STATS
@@ -103,8 +100,7 @@ func main() {
 		profile   = flag.String("profile", "cxl", "device profile: cxl | enzian")
 		overwrite = flag.Bool("overwrite", false, "reformat the pool file even if it already exists")
 		maxBatch  = flag.Int("max-batch", 128, "max writes acked per group commit")
-		maxDelay  = flag.Duration("max-delay", time.Millisecond, "max wait for company while the commit pipeline is busy (or a commit takes this long)")
-		commitLat = flag.Duration("commit-latency", 0, "modeled media latency per group commit (0 = simulator speed)")
+		maxDelay  = flag.Duration("max-delay", time.Millisecond, "max wait for company once a commit takes this long")
 		queue     = flag.Int("queue", 1024, "request queue depth (backpressure bound)")
 		reqTmo    = flag.Duration("req-timeout", 5*time.Second, "per-request enqueue timeout")
 		retries   = flag.Int("commit-retries", 3, "persist retries per group commit before the shard seals fail-stop (-1 disables)")
@@ -115,7 +111,6 @@ func main() {
 		slowN     = flag.Int("slow-depth", server.DefaultSlowDepth, "flight recorder pinned ring depth for failed and slow commits, per shard")
 		bbox      = flag.Bool("blackbox", false, "journal lifecycle events and windowed metrics snapshots to <pool>.blackbox/ for crash postmortems (paxinspect -postmortem)")
 		bboxTick  = flag.Duration("blackbox-interval", time.Second, "black-box windowed metrics snapshot period")
-		inflight  = flag.Int("max-inflight-commits", 0, "modeled media commit slots per shard: how many persisted epochs' media commits overlap (1 = serial media, 0 = default 2)")
 		ackPolicy = flag.String("ack-policy", "durable", "default ack policy for requests without an explicit wire flag: durable (ack when the group commit reaches media) | apply (ack when applied and read-index-visible; durability asynchronous)")
 		autosplit = flag.Bool("autosplit", false, "run the reshard autopilot's split policy: split the hottest shard when its commit pipeline stays saturated (requires a sharded layout)")
 		mergeIdle = flag.Duration("merge-idle", 0, "run the reshard autopilot's merge policy: fold the coldest shard back after it idles this long (0 disables; requires a sharded layout)")
@@ -182,17 +177,15 @@ func main() {
 	}
 
 	eng, err := server.OpenSharded(*poolPath, n, opts, 0, server.Config{
-		MaxBatch:           *maxBatch,
-		MaxDelay:           *maxDelay,
-		QueueDepth:         *queue,
-		EnqueueTimeout:     *reqTmo,
-		CommitLatency:      *commitLat,
-		CommitRetries:      *retries,
-		CommitRetryDelay:   *retryDly,
-		SlowCommit:         *slowCmt,
-		TraceDepth:         *traceN,
-		SlowDepth:          *slowN,
-		MaxInflightCommits: *inflight,
+		MaxBatch:         *maxBatch,
+		MaxDelay:         *maxDelay,
+		QueueDepth:       *queue,
+		EnqueueTimeout:   *reqTmo,
+		CommitRetries:    *retries,
+		CommitRetryDelay: *retryDly,
+		SlowCommit:       *slowCmt,
+		TraceDepth:       *traceN,
+		SlowDepth:        *slowN,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paxserve: %v\n", err)

@@ -164,8 +164,8 @@ func TestFindExperiment(t *testing.T) {
 	if _, ok := Find("bogus"); ok {
 		t.Fatal("bogus found")
 	}
-	if len(Experiments()) != 24 {
-		t.Fatalf("%d experiments, want 24", len(Experiments()))
+	if len(Experiments()) != 23 {
+		t.Fatalf("%d experiments, want 23", len(Experiments()))
 	}
 }
 

@@ -80,7 +80,6 @@ func Experiments() []Experiment {
 		{"scan", "§3.1 extension", "ordered structure (B+tree) inserts and range scans across systems", ScanWorkload},
 		{"loadgen", "§3.2 extension", "concurrent KV serving: group-commit amortization vs client count", Loadgen},
 		{"epochstore", "§3.3 extension", "per-commit persisted bytes vs pool size: full-image republish vs delta epoch store", EpochStoreAmplification},
-		{"ackpipe", "§6 extension", "commit pipeline window x ack policy: serial vs pipelined persist, durable vs apply acks", Ackpipe},
 		{"reshard", "§3.2 extension", "zipfian skew vs shard imbalance, plus a live hot-shard split A/B with crash check", Reshard},
 		{"autopilot", "§3.2 extension", "reshard autopilot: policy-driven split under zipf skew, idle merge-back, crash check", AutopilotAB},
 	}

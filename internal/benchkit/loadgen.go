@@ -51,13 +51,6 @@ type LoadSpec struct {
 	// its own writer loop and device, so N group commits run in parallel
 	// (default 1 — the single-writer engine).
 	Shards int
-	// CommitLatency is the modeled per-group-commit media latency (see
-	// server.Config.CommitLatency). With it set, a single engine is bound by
-	// one commit in flight at a time and the shard sweep measures how
-	// partition-parallel commit overlaps that latency; zero commits at
-	// simulator speed, which benchmarks the host CPU rather than the
-	// serving design.
-	CommitLatency time.Duration
 	// PoolDir, when non-empty, backs the engines with real pool files
 	// created there (fresh layout per run) instead of in-memory devices.
 	// File-backed runs are what the write-amplification sweeps need: the
@@ -67,10 +60,6 @@ type LoadSpec struct {
 	// 32 MiB). The pool-size sweep holds the workload fixed and grows this:
 	// a delta commit's cost must not grow with it.
 	DataSize uint64
-	// MaxInflightCommits bounds the engine's commit pipeline (see
-	// server.Config.MaxInflightCommits): 1 is the serial A/B baseline, 0
-	// takes the engine default (2).
-	MaxInflightCommits int
 	// AckOnApply issues every write under server.AckApply: acked when
 	// applied and read-index-visible, durability asynchronous. False is the
 	// ack-on-durable default — every ack means the write's group commit
@@ -160,8 +149,8 @@ type LoadResult struct {
 	OpsThroughput float64
 	// AckP50/P95/P99 are client-observed per-write ack latency quantiles:
 	// Put call to durable-ack return, so they include queue wait, the group-
-	// commit window, the persist, and the modeled media latency — the
-	// latency a serving client actually experiences, as opposed to the
+	// commit window and the persist with its media sync — the latency a
+	// serving client actually experiences, as opposed to the
 	// server-side per-stage histograms in the metrics registry.
 	AckP50, AckP95, AckP99 time.Duration
 	// Metrics is the merged engine+pool metrics summary (per-shard gauges
@@ -222,29 +211,25 @@ type ShardLoad struct {
 // `paxbench -loadgen -format json` emits so the perf trajectory is tracked
 // across PRs.
 type LoadJSON struct {
-	Shards          int     `json:"shards"`
-	Clients         int     `json:"clients"`
-	OpsPerClient    int     `json:"ops_per_client"`
-	MaxBatch        int     `json:"max_batch"`
-	CommitLatencyMS float64 `json:"commit_latency_ms"`
-	ReadRatio       float64 `json:"read_ratio"`
+	Shards       int     `json:"shards"`
+	Clients      int     `json:"clients"`
+	OpsPerClient int     `json:"ops_per_client"`
+	MaxBatch     int     `json:"max_batch"`
+	ReadRatio    float64 `json:"read_ratio"`
 	// AckPolicy is "durable" (acks mean on-media) or "apply" (acks mean
-	// applied and read-index-visible, durability async);
-	// MaxInflightCommits is the commit-pipeline window the run used (1 =
-	// serial baseline).
-	AckPolicy          string  `json:"ack_policy"`
-	MaxInflightCommits int     `json:"max_inflight_commits"`
-	AckedWrites        uint64  `json:"acked_writes"`
-	Gets               uint64  `json:"gets"`
-	Snapshots          uint64  `json:"snapshots"`
-	BatchMax           uint64  `json:"batch_max"`
-	Amortization       float64 `json:"amortization"`
-	WallMillis         float64 `json:"wall_ms"`
-	AckedWritesPerSec  float64 `json:"acked_writes_per_sec"`
-	AckedOpsPerSec     float64 `json:"acked_ops_per_sec"`
-	AckP50Micros       float64 `json:"ack_p50_us"`
-	AckP95Micros       float64 `json:"ack_p95_us"`
-	AckP99Micros       float64 `json:"ack_p99_us"`
+	// applied and read-index-visible, durability async).
+	AckPolicy         string  `json:"ack_policy"`
+	AckedWrites       uint64  `json:"acked_writes"`
+	Gets              uint64  `json:"gets"`
+	Snapshots         uint64  `json:"snapshots"`
+	BatchMax          uint64  `json:"batch_max"`
+	Amortization      float64 `json:"amortization"`
+	WallMillis        float64 `json:"wall_ms"`
+	AckedWritesPerSec float64 `json:"acked_writes_per_sec"`
+	AckedOpsPerSec    float64 `json:"acked_ops_per_sec"`
+	AckP50Micros      float64 `json:"ack_p50_us"`
+	AckP95Micros      float64 `json:"ack_p95_us"`
+	AckP99Micros      float64 `json:"ack_p99_us"`
 	// Commit-cost fields: the per-shard pool size, per-commit persisted
 	// bytes, and the mean fraction of the pool rewritten per commit.
 	// commit_p50_bytes/commit_p99_bytes are log-bucket upper bounds (up to
@@ -288,10 +273,6 @@ func (r LoadResult) JSON() LoadJSON {
 	if r.Spec.AckOnApply {
 		policy = "apply"
 	}
-	inflight := r.Spec.MaxInflightCommits
-	if inflight <= 0 {
-		inflight = 2 // the engine default (server.Config.withDefaults)
-	}
 	dist := "private"
 	zipfS := 0.0
 	valueDist := ""
@@ -316,10 +297,8 @@ func (r LoadResult) JSON() LoadJSON {
 		Clients:            r.Spec.Clients,
 		OpsPerClient:       r.Spec.OpsPerClient,
 		MaxBatch:           r.Spec.MaxBatch,
-		CommitLatencyMS:    float64(r.Spec.CommitLatency.Microseconds()) / 1e3,
 		ReadRatio:          r.Spec.ReadRatio,
 		AckPolicy:          policy,
-		MaxInflightCommits: inflight,
 		AckedWrites:        r.AckedWrites,
 		Gets:               r.Gets,
 		Snapshots:          r.GroupCommits,
@@ -547,10 +526,8 @@ func openFleet(spec LoadSpec, act Act) (*loadRun, error) {
 	r := &loadRun{
 		opts: pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20},
 		cfg: server.Config{
-			MaxBatch:           spec.MaxBatch,
-			MaxDelay:           spec.MaxDelay,
-			CommitLatency:      spec.CommitLatency,
-			MaxInflightCommits: spec.MaxInflightCommits,
+			MaxBatch: spec.MaxBatch,
+			MaxDelay: spec.MaxDelay,
 		},
 		value: make([]byte, spec.ValueBytes),
 	}
@@ -970,8 +947,10 @@ func persistedBytesPerEpoch(poolMiB int, epochLog bool) (*stats.LatencyHistogram
 }
 
 // Loadgen is the experiment wrapper: sweep client counts (amortization vs
-// concurrency on one shard) and shard counts (throughput vs partition-
-// parallel commit), reporting how group commit and sharding scale.
+// concurrency on one in-memory shard), then shard counts and a GET-heavy mix
+// on file-backed pools, where every group commit is a real delta append and
+// fsync. The last two report what the medium gives; they assert no speedup —
+// on a host with few cores and one disk, shards share both.
 func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 	ops := sz.MeasureOps / 30
 	if ops < 20 {
@@ -996,23 +975,24 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			float64(res.Wall.Milliseconds()), res.Throughput)
 	}
 
-	// The shard sweep runs commit-latency-bound (MaxBatch < clients, 2ms
-	// modeled media commit): a single pool then has exactly one commit in
-	// flight at a time, and shards overlap theirs — the scaling the
-	// tentpole exists to buy.
-	shardsTable := stats.NewTable("loadgen: sharded serving vs shard count (256 clients, 2ms media commit)",
-		"shards", "acked writes", "snapshots", "writes/snapshot", "wall ms", "writes/s", "speedup", "p99 ack ms")
+	dir, err := os.MkdirTemp("", "pax-loadgen-*")
+	if err != nil {
+		panic(fmt.Sprintf("benchkit: loadgen: %v", err))
+	}
+	defer os.RemoveAll(dir)
+	shardsTable := stats.NewTable("loadgen: sharded serving vs shard count (256 clients, file-backed)",
+		"shards", "acked writes", "snapshots", "writes/snapshot", "wall ms", "writes/s", "vs 1 shard", "p99 ack ms")
 	var base float64
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range []int{1, 2, 4} {
 		res, err := RunScript(LoadSpec{
-			Clients:       256,
-			OpsPerClient:  ops,
-			ValueBytes:    64,
-			GetEveryN:     4,
-			MaxBatch:      16,
-			MaxDelay:      2 * time.Millisecond,
-			Shards:        shards,
-			CommitLatency: 2 * time.Millisecond,
+			Clients:      256,
+			OpsPerClient: ops,
+			ValueBytes:   64,
+			GetEveryN:    4,
+			MaxBatch:     16,
+			MaxDelay:     2 * time.Millisecond,
+			Shards:       shards,
+			PoolDir:      dir,
 		}, NoAct)
 		if err != nil {
 			panic(fmt.Sprintf("benchkit: loadgen with %d shards: %v", shards, err))
@@ -1020,32 +1000,31 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 		if shards == 1 {
 			base = res.Throughput
 		}
-		speedup := 0.0
+		ratio := 0.0
 		if base > 0 {
-			speedup = res.Throughput / base
+			ratio = res.Throughput / base
 		}
 		shardsTable.AddRowf(shards, res.AckedWrites, res.GroupCommits,
-			res.Amortization, float64(res.Wall.Milliseconds()), res.Throughput, speedup,
+			res.Amortization, float64(res.Wall.Milliseconds()), res.Throughput, ratio,
 			float64(res.AckP99.Microseconds())/1e3)
 	}
 
 	// The GET-heavy sweep: 95% GETs served from the volatile read index while
-	// commit-latency-bound writes are in flight. The mix matches the recorded
-	// BENCH_loadgen.json sweep, whose other arm — every GET queued through
-	// the writer loop, the engine before commit e7f5f0a — lost 4.7× at 4
-	// shards and has been deleted; EXPERIMENTS.md keeps the recorded A/B.
-	readTable := stats.NewTable("loadgen: GET-heavy (read-ratio 0.95, 128 clients, 2ms media commit)",
+	// writes commit behind them. Its other arm — every GET queued through the
+	// writer loop, the engine before commit e7f5f0a — lost 4.7× at 4 shards
+	// and has been deleted; EXPERIMENTS.md keeps the recorded A/B.
+	readTable := stats.NewTable("loadgen: GET-heavy (read-ratio 0.95, 128 clients, file-backed)",
 		"shards", "acked writes", "gets", "wall ms", "ops/s")
 	for _, shards := range []int{1, 4} {
 		res, err := RunScript(LoadSpec{
-			Clients:       128,
-			OpsPerClient:  ops * 2,
-			ValueBytes:    64,
-			ReadRatio:     0.95,
-			MaxBatch:      16,
-			MaxDelay:      2 * time.Millisecond,
-			Shards:        shards,
-			CommitLatency: 2 * time.Millisecond,
+			Clients:      128,
+			OpsPerClient: ops * 2,
+			ValueBytes:   64,
+			ReadRatio:    0.95,
+			MaxBatch:     16,
+			MaxDelay:     2 * time.Millisecond,
+			Shards:       shards,
+			PoolDir:      dir,
 		}, NoAct)
 		if err != nil {
 			panic(fmt.Sprintf("benchkit: GET-heavy loadgen (%d shards): %v", shards, err))
@@ -1054,57 +1033,4 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			float64(res.Wall.Milliseconds()), res.OpsThroughput)
 	}
 	return []*stats.Table{clientsTable, shardsTable, readTable}
-}
-
-// Ackpipe is the commit-pipeline A/B: one shard, commit-latency-bound
-// (MaxBatch < clients, 2ms modeled media commit), sweeping the pipeline
-// window × ack policy. Under ack-on-durable, window 1 is the serial
-// baseline — one commit in flight, one batch per 2ms — and deeper windows
-// overlap successive commits' media time, so both throughput and the
-// client-observed ack p50 should improve close to linearly until the
-// batch supply runs out. Under ack-on-apply the ack latency decouples
-// from media entirely (sub-millisecond p50 regardless of window); the
-// window then only shapes how far durability lags the acks.
-func Ackpipe(cfg Config, sz Sizes) []*stats.Table {
-	ops := sz.MeasureOps / 30
-	if ops < 20 {
-		ops = 20
-	}
-	table := stats.NewTable("ackpipe: commit pipeline window x ack policy (1 shard, 64 clients, 2ms media commit)",
-		"ack policy", "window", "acked writes", "snapshots", "wall ms", "writes/s", "p50 ack ms", "p99 ack ms", "speedup")
-	var base float64
-	for _, apply := range []bool{false, true} {
-		policy := "durable"
-		if apply {
-			policy = "apply"
-		}
-		for _, window := range []int{1, 2, 4} {
-			res, err := RunScript(LoadSpec{
-				Clients:            64,
-				OpsPerClient:       ops,
-				ValueBytes:         64,
-				GetEveryN:          4,
-				MaxBatch:           16,
-				MaxDelay:           2 * time.Millisecond,
-				CommitLatency:      2 * time.Millisecond,
-				MaxInflightCommits: window,
-				AckOnApply:         apply,
-			}, NoAct)
-			if err != nil {
-				panic(fmt.Sprintf("benchkit: ackpipe (%s, window %d): %v", policy, window, err))
-			}
-			if !apply && window == 1 {
-				base = res.Throughput
-			}
-			speedup := 0.0
-			if base > 0 {
-				speedup = res.Throughput / base
-			}
-			table.AddRowf(policy, window, res.AckedWrites, res.GroupCommits,
-				float64(res.Wall.Milliseconds()), res.Throughput,
-				float64(res.AckP50.Microseconds())/1e3,
-				float64(res.AckP99.Microseconds())/1e3, speedup)
-		}
-	}
-	return []*stats.Table{table}
 }

@@ -78,19 +78,19 @@ func TestRunScriptAutopilot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the policy's split and its idle merge-back")
 	}
-	// The capped regime of the autopilot experiment, shrunk: the hot shard is
-	// pegged at its commit-pipeline ceiling, which is what the policy detects.
+	// The capped regime of the autopilot experiment, shrunk: on file-backed
+	// pools every commit is a real fsync, and the hot shard's writers pile
+	// into its enqueue path behind them, which is what the policy detects.
 	post, err := RunScript(LoadSpec{
-		Clients:       128,
-		OpsPerClient:  20,
-		Shards:        2,
-		PoolDir:       t.TempDir(),
-		Keys:          500,
-		Dist:          "zipf",
-		ZipfS:         1.5,
-		MaxBatch:      8,
-		MaxDelay:      2 * time.Millisecond,
-		CommitLatency: 4 * time.Millisecond,
+		Clients:      128,
+		OpsPerClient: 20,
+		Shards:       2,
+		PoolDir:      t.TempDir(),
+		Keys:         500,
+		Dist:         "zipf",
+		ZipfS:        1.5,
+		MaxBatch:     8,
+		MaxDelay:     2 * time.Millisecond,
 	}, AutopilotAct)
 	if err != nil {
 		t.Fatal(err)

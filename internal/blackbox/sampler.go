@@ -25,10 +25,6 @@ const (
 	// EvCommitSlow carries the flight-recorder record of a commit over the
 	// slow threshold.
 	EvCommitSlow = "commit_slow"
-	// EvStall marks pipeline-stall onset: a shard's writer waiting on the
-	// run-ahead bound (media backlog) before it persists more, rate-limited
-	// per shard.
-	EvStall = "pipeline_stall"
 	// Reshard lifecycle: split start/finish and the merge stages matching
 	// merge.go's crash windows (drained, published, done).
 	EvSplitStart     = "split_start"

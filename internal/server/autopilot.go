@@ -23,9 +23,9 @@ import (
 //     per-shard windowed histogram views (snapshot subtraction).
 //   - decide applies the thresholds with hysteresis: a split needs the hot
 //     shard's commit pipeline to be the measured bottleneck — windowed
-//     enqueue-wait p99 or pipeline stall, not mere imbalance (EXPERIMENTS.md
-//     reshard: a split under a CPU-bound or uniform load buys nothing) — for
-//     several consecutive ticks; a merge needs the coldest shard idle for a
+//     enqueue-wait p99, not mere imbalance (EXPERIMENTS.md reshard: a split
+//     under a CPU-bound or uniform load buys nothing) — for several
+//     consecutive ticks; a merge needs the coldest shard idle for a
 //     configured stretch; and a cooldown separates any two actions so the
 //     loop never flaps split/merge against its own migration noise.
 //   - run ties them to a ticker and executes decisions via Split/Merge,
@@ -40,10 +40,6 @@ type ShardWindow struct {
 	// EnqueueP99NS is the enqueue-wait p99 within the window — how long
 	// writers waited for queue space, the head-of-line saturation signal.
 	EnqueueP99NS int64 `json:"enqueue_p99_ns"`
-	// StallFrac is the fraction of the window the shard's writer spent
-	// waiting on the run-ahead bound for the modeled medium to complete an
-	// epoch — the media-backlog signal.
-	StallFrac float64 `json:"stall_frac"`
 }
 
 // loadTracker maintains windowed views over the cumulative load counters.
@@ -57,11 +53,10 @@ type loadTracker struct {
 	// stats.Summary (keyed by slotKey) so the windowed delta→rate step is
 	// Summary.Diff + Summary.Rate — the same helpers the black-box sampler
 	// windows the full registry with — rather than hand-rolled subtraction.
-	lastSlot  stats.Summary
-	slotRate  [NumSlots]float64
-	prevEnq   map[*Engine]*stats.LatencySnapshot
-	prevStall map[*Engine]*stats.LatencySnapshot
-	windows   []ShardWindow
+	lastSlot stats.Summary
+	slotRate [NumSlots]float64
+	prevEnq  map[*Engine]*stats.LatencySnapshot
+	windows  []ShardWindow
 }
 
 // slotKey names a slot's op-count series inside the tracker's summaries.
@@ -69,9 +64,8 @@ func slotKey(slot int) string { return "slot_" + strconv.Itoa(slot) }
 
 func newLoadTracker(window time.Duration) *loadTracker {
 	return &loadTracker{
-		window:    window,
-		prevEnq:   make(map[*Engine]*stats.LatencySnapshot),
-		prevStall: make(map[*Engine]*stats.LatencySnapshot),
+		window:  window,
+		prevEnq: make(map[*Engine]*stats.LatencySnapshot),
 	}
 }
 
@@ -119,25 +113,17 @@ func (t *loadTracker) tick(s *ShardedEngine) []ShardWindow {
 	live := make(map[*Engine]bool, len(shards))
 	for k, sh := range shards {
 		live[sh.eng] = true
-		st := sh.eng.Stats()
-		enq := st.EnqueueWaitNS.Snapshot()
-		stall := st.PipelineStallNS.Snapshot()
+		enq := sh.eng.Stats().EnqueueWaitNS.Snapshot()
 		if prev, ok := t.prevEnq[sh.eng]; ok {
 			w := enq.Sub(prev)
 			wins[k].EnqueueP99NS = w.Quantile(0.99)
 		}
-		if prev, ok := t.prevStall[sh.eng]; ok && dt > 0 {
-			w := stall.Sub(prev)
-			wins[k].StallFrac = float64(w.Sum) / float64(dt.Nanoseconds())
-		}
 		t.prevEnq[sh.eng] = &enq
-		t.prevStall[sh.eng] = &stall
 	}
 	// Engines retired by Merge stop existing; drop their baselines.
 	for eng := range t.prevEnq {
 		if !live[eng] {
 			delete(t.prevEnq, eng)
-			delete(t.prevStall, eng)
 		}
 	}
 	t.windows = wins
@@ -173,15 +159,13 @@ type AutopilotConfig struct {
 	// 3), the hottest shard carries at least SplitMinOpsPerSec (default 100)
 	// windowed ops/s AND at least SplitImbalance (default 1.5) times the
 	// fleet mean AND shows a pipeline signal: windowed enqueue-wait p99 over
-	// SplitEnqueueP99 (default 1ms) or a pipeline-stall fraction over
-	// SplitStallFrac (default 0.05). Load alone never splits — the split
+	// SplitEnqueueP99 (default 1ms). Load alone never splits — the split
 	// only pays when the hot shard's commit pipeline is the bottleneck.
 	SplitEnabled      bool
 	MaxShards         int
 	SplitMinOpsPerSec float64
 	SplitImbalance    float64
 	SplitEnqueueP99   time.Duration
-	SplitStallFrac    float64
 	SplitHotTicks     int
 
 	// MergeEnabled turns on cold-shard merges, down to MinShards (default
@@ -220,9 +204,6 @@ func (c AutopilotConfig) withDefaults() AutopilotConfig {
 	}
 	if c.SplitEnqueueP99 <= 0 {
 		c.SplitEnqueueP99 = time.Millisecond
-	}
-	if c.SplitStallFrac <= 0 {
-		c.SplitStallFrac = 0.05
 	}
 	if c.SplitHotTicks <= 0 {
 		c.SplitHotTicks = 3
@@ -364,8 +345,7 @@ func (a *Autopilot) decide(wins []ShardWindow, now time.Time) *PolicyDecision {
 	mean := total / float64(n)
 
 	cfg := a.cfg
-	pipelineHot := time.Duration(wins[hot].EnqueueP99NS) >= cfg.SplitEnqueueP99 ||
-		wins[hot].StallFrac >= cfg.SplitStallFrac
+	pipelineHot := time.Duration(wins[hot].EnqueueP99NS) >= cfg.SplitEnqueueP99
 	splitReady := cfg.SplitEnabled && n < cfg.MaxShards &&
 		wins[hot].OpsPerSec >= cfg.SplitMinOpsPerSec &&
 		(n == 1 || wins[hot].OpsPerSec >= cfg.SplitImbalance*mean) &&
@@ -403,8 +383,8 @@ func (a *Autopilot) decide(wins []ShardWindow, now time.Time) *PolicyDecision {
 			Action:   "split",
 			Shard:    hot,
 			Shards:   n,
-			Reason: fmt.Sprintf("shard %d: %.0f windowed ops/s (%.1fx mean), enqueue p99 %v, stall %.0f%%: commit pipeline saturated",
-				hot, wins[hot].OpsPerSec, imb, time.Duration(wins[hot].EnqueueP99NS), wins[hot].StallFrac*100),
+			Reason: fmt.Sprintf("shard %d: %.0f windowed ops/s (%.1fx mean), enqueue p99 %v: commit pipeline saturated",
+				hot, wins[hot].OpsPerSec, imb, time.Duration(wins[hot].EnqueueP99NS)),
 		}
 	}
 	if a.idleStreak >= a.idleTicks {
@@ -464,7 +444,6 @@ func (a *Autopilot) publish(m stats.Summary) {
 		label := fmt.Sprintf("{shard=%q}", strconv.Itoa(w.Shard))
 		m["paxserve_window_ops_per_sec"+label] = w.OpsPerSec
 		m["paxserve_window_enqueue_p99_ns"+label] = float64(w.EnqueueP99NS)
-		m["paxserve_window_stall_frac"+label] = w.StallFrac
 		m["paxserve_window_ops_per_sec"] += w.OpsPerSec
 	}
 	if d := a.last.Load(); d != nil {

@@ -19,15 +19,15 @@ func newDecider(cfg AutopilotConfig) *Autopilot {
 	return a
 }
 
-func hotWindows(p99 int64, stall float64) []ShardWindow {
+func hotWindows(p99 int64) []ShardWindow {
 	return []ShardWindow{
-		{Shard: 0, OpsPerSec: 900, EnqueueP99NS: p99, StallFrac: stall},
+		{Shard: 0, OpsPerSec: 900, EnqueueP99NS: p99},
 		{Shard: 1, OpsPerSec: 50},
 	}
 }
 
 // Imbalance alone must never split: without a pipeline signal on the hot
-// shard (enqueue-wait p99 or stall), the hot shard is not commit-bound and a
+// shard (enqueue-wait p99), the hot shard is not commit-bound and a
 // split buys nothing.
 func TestDecideRequiresPipelineSignal(t *testing.T) {
 	a := newDecider(AutopilotConfig{
@@ -39,7 +39,7 @@ func TestDecideRequiresPipelineSignal(t *testing.T) {
 	})
 	now := time.Unix(1000, 0)
 	for i := 0; i < 20; i++ {
-		if d := a.decide(hotWindows(0, 0), now.Add(time.Duration(i)*time.Second)); d != nil {
+		if d := a.decide(hotWindows(0), now.Add(time.Duration(i)*time.Second)); d != nil {
 			t.Fatalf("tick %d: split fired on load imbalance alone: %+v", i, d)
 		}
 	}
@@ -60,7 +60,7 @@ func TestDecideHysteresis(t *testing.T) {
 		SplitHotTicks:     3,
 	})
 	now := time.Unix(1000, 0)
-	hot := hotWindows(int64(5*time.Millisecond), 0)
+	hot := hotWindows(int64(5 * time.Millisecond))
 
 	if d := a.decide(hot, now); d != nil {
 		t.Fatalf("split fired on the first hot tick: %+v", d)
@@ -69,7 +69,7 @@ func TestDecideHysteresis(t *testing.T) {
 		t.Fatalf("split fired on the second hot tick: %+v", d)
 	}
 	// A cold tick resets the streak...
-	if d := a.decide(hotWindows(0, 0), now.Add(2*time.Second)); d != nil {
+	if d := a.decide(hotWindows(0), now.Add(2*time.Second)); d != nil {
 		t.Fatalf("split fired on a cold tick: %+v", d)
 	}
 	// ...so two more hot ticks still do not fire; the third does.
@@ -84,20 +84,6 @@ func TestDecideHysteresis(t *testing.T) {
 	}
 }
 
-// The stall fraction is an alternative pipeline signal to enqueue-wait p99.
-func TestDecideSplitsOnStallSignal(t *testing.T) {
-	a := newDecider(AutopilotConfig{
-		SplitEnabled:   true,
-		Interval:       time.Second,
-		SplitStallFrac: 0.05,
-		SplitHotTicks:  1,
-	})
-	d := a.decide(hotWindows(0, 0.5), time.Unix(1000, 0))
-	if d == nil || d.Action != "split" {
-		t.Fatalf("want split on stall signal, got %+v", d)
-	}
-}
-
 // No split past MaxShards, regardless of the signals.
 func TestDecideRespectsMaxShards(t *testing.T) {
 	a := newDecider(AutopilotConfig{
@@ -108,7 +94,7 @@ func TestDecideRespectsMaxShards(t *testing.T) {
 		SplitHotTicks:   1,
 	})
 	for i := 0; i < 5; i++ {
-		if d := a.decide(hotWindows(int64(5*time.Millisecond), 1), time.Unix(int64(1000+i), 0)); d != nil {
+		if d := a.decide(hotWindows(int64(5*time.Millisecond)), time.Unix(int64(1000+i), 0)); d != nil {
 			t.Fatalf("split fired at the MaxShards cap: %+v", d)
 		}
 	}
@@ -127,7 +113,7 @@ func TestDecideCooldown(t *testing.T) {
 	})
 	now := time.Unix(1000, 0)
 	a.lastAction = now
-	hot := hotWindows(int64(5*time.Millisecond), 0)
+	hot := hotWindows(int64(5 * time.Millisecond))
 	for i := 1; i < 10; i++ {
 		if d := a.decide(hot, now.Add(time.Duration(i)*time.Second)); d != nil {
 			t.Fatalf("decision fired %ds into a 10s cooldown: %+v", i, d)

@@ -29,9 +29,9 @@ func benchEngine(b *testing.B, cfg Config) *Engine {
 	return eng
 }
 
-// BenchmarkEnginePut measures the acked-durable write path. MaxBatch 1 with
-// zero commit latency keeps the group-commit machinery in the loop without
-// making the benchmark wait on batching timers.
+// BenchmarkEnginePut measures the acked-durable write path. MaxBatch 1 on an
+// in-memory pool keeps the group-commit machinery in the loop without making
+// the benchmark wait on batching timers.
 func BenchmarkEnginePut(b *testing.B) {
 	eng := benchEngine(b, Config{MaxBatch: 1, MaxDelay: 10 * time.Millisecond})
 	key := []byte("bench-key")

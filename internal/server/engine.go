@@ -7,50 +7,35 @@
 // every caller, the engine funnels all operations through one writer
 // goroutine and turns Persist into a *group commit*: mutations are applied
 // in arrival order, and one snapshot per batch makes the whole batch durable
-// before its callers are acked. A batch is whatever arrived while the commit
-// slots were busy: it seals the moment the queue is empty and a commit slot
-// is free, and otherwise when it reaches MaxBatch, when a slot frees, or
-// after MaxDelay. N concurrent writers therefore share one snapshot's cost —
-// the amortization that makes PAX epochs fast, formed the way Snapshot
-// amortizes msync: over what accumulated during the previous one — while an
-// idle engine never sleeps in front of an idle device. The one exception is
-// a medium whose commits cost MaxDelay or more — a modeled CommitLatency, in
-// every configuration this repository runs: there a part-filled batch waits
-// MaxDelay for company even with a slot free (see runBatch). What a commit
-// writes is the pool's business: OpenSharded serves every pool through the
-// delta epoch store, so a snapshot costs the bytes the batch dirtied.
+// before its callers are acked. A batch is whatever arrived while the
+// previous commit ran: it seals the moment the queue is empty, and otherwise
+// when it reaches MaxBatch or after MaxDelay. N concurrent writers therefore
+// share one snapshot's cost — the amortization that makes PAX epochs fast,
+// formed the way Snapshot amortizes msync: over what accumulated during the
+// previous one — while an idle engine never sleeps in front of an idle
+// device. The one exception is a medium whose commits cost MaxDelay or more
+// (a slow fsync): there a part-filled batch waits MaxDelay for company (see
+// runBatch). What a commit writes is the pool's business: OpenSharded serves
+// every pool through the delta epoch store, so a snapshot costs the bytes the
+// batch dirtied.
 //
 // One goroutine — the writer — applies, seals, persists and acks, so §3.5
 // holds in program order: no snapshot point can overlap a mutation because
-// the same goroutine does both. What overlaps is media time — the
-// serving-path analogue of the paper's epoch pipelining (§6: overlap epoch
-// N's writeback with epoch N+1's execution) and of NearPM's split between
-// ordering at the host and completion at the device — and a device
-// completion time is arithmetic on a deadline, not a goroutine:
+// the same goroutine does both:
 //
-//	seal    — runBatch applies requests into a batch. A part-filled batch
-//	          waits for company while every commit slot is busy (at most
-//	          MaxDelay); a full batch never waits for the modeled media.
-//	persist — commit issues the snapshot inline. The modeled media time is
-//	          not spent here, so snapshots too run at host speed.
-//	pending — the persisted epoch joins a FIFO with its modeled completion
-//	          time. The device is MaxInflightCommits commit slots, each busy
-//	          for CommitLatency per epoch: commit N's media work starts at
-//	          its persist or when slot N mod W frees, whichever is later —
-//	          so up to W media commits overlap instead of serializing.
-//	ack     — the writer releases the oldest pending epoch's ack-on-durable
-//	          waiters once that time has passed, in epoch order: wherever it
-//	          blocks (wait, its one blocking point) and between applies. Only
-//	          with runAheadCommits epochs pending does it wait for the medium
-//	          before persisting more (paxserve_pipeline_stall_ns).
+//	seal    — runBatch applies queued requests into a batch until a seal
+//	          condition fires.
+//	persist — commit runs the pool's Persist: the simulated PAX commit of the
+//	          batch's dirty lines, then the media sync (on a served pool, the
+//	          delta record's append and fsync).
+//	ack     — once that persist has returned, commit acks the batch's
+//	          ack-on-durable waiters with its epoch. A durable ack follows its
+//	          own persist and nothing else: the device time the paper models
+//	          is recorded per commit (CommitRecord.SimNS), not slept.
 //
-// MaxInflightCommits=1 serializes the modeled media — one commit on the
-// device at a time, ack-on-durable pacing identical to the pre-pipeline
-// serial engine — and is the A/B baseline the ackpipe experiment measures
-// against. A failed persist of epoch N fails N's waiters and seals the
-// engine, which fails everything still queued — an unacked epoch is legal to
-// abandon (§3.4 recovery rolls it back), but it must never ack. Epochs
-// persisted before N still ack: their syncs already succeeded.
+// A failed persist of epoch N fails N's waiters and seals the engine, which
+// fails everything still queued — an unacked epoch is legal to abandon (§3.4
+// recovery rolls it back), but it must never ack.
 //
 // Reads do not take that path: §3.5 constrains mutation, not observation, so
 // the writer maintains a volatile read index (readindex.go) it updates at
@@ -63,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pax"
@@ -94,10 +78,8 @@ type Config struct {
 	MaxBatch int
 	// MaxDelay bounds how long the first mutation of a batch waits for
 	// company before the batch is sealed anyway (default 1ms). The wait only
-	// happens while the modeled medium is busy — every one of its
-	// MaxInflightCommits slots taken — or when the last commit itself took
-	// MaxDelay or longer; otherwise a batch seals as soon as the request
-	// queue is empty.
+	// happens when the last commit itself took MaxDelay or longer; otherwise
+	// a batch seals as soon as the request queue is empty.
 	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; a full queue pushes back on
 	// clients (default 1024).
@@ -105,16 +87,6 @@ type Config struct {
 	// EnqueueTimeout is how long a request waits for queue space before
 	// failing with ErrBusy (default 5s).
 	EnqueueTimeout time.Duration
-	// CommitLatency models the real-time cost of making an epoch durable on
-	// the backing medium (an msync-class sync, an Optane flush): a persisted
-	// epoch's ack-on-durable waiters are released this long after its modeled
-	// media slot takes it (see MaxInflightCommits). The writer does not sleep
-	// it out — it keeps applying and persisting later epochs. The in-memory
-	// simulator otherwise commits at host-CPU speed, which hides the
-	// serialization the engine actually has on real media. Sharded engines
-	// overlap this latency across shards, which is exactly what the loadgen
-	// shard sweep measures. Zero (the default) commits at simulator speed.
-	CommitLatency time.Duration
 	// CommitRetries is how many extra persist attempts a group commit whose
 	// media sync failed gets before the engine gives up and seals
 	// (default 3; negative disables retries). A fault that clears within
@@ -135,20 +107,6 @@ type Config struct {
 	// deeper rings than live debugging does.
 	TraceDepth int
 	SlowDepth  int
-	// MaxInflightCommits is the modeled media commit concurrency: how many
-	// epochs' CommitLatency may overlap on the device at once (default 2).
-	// While epoch N's media commit is outstanding the writer keeps applying
-	// and persisting later epochs at host speed, and up to W of their modeled
-	// media commits proceed concurrently. 1 serializes the media — the
-	// ack-on-durable pacing of the pre-pipeline serial engine, and the A/B
-	// baseline the ackpipe experiment measures against. The window does not
-	// gate applying: full batches seal and snapshot ahead of the modeled
-	// media (bounded by runAheadCommits), which is what keeps ack-on-apply
-	// latency at host speed under load. It is also the occupancy a
-	// part-filled batch is sealed against: with fewer than this many commits
-	// in flight (and commits cheaper than MaxDelay) the batch seals at once,
-	// otherwise it waits for company, a slot freeing, or MaxDelay.
-	MaxInflightCommits int
 }
 
 func (c Config) withDefaults() Config {
@@ -184,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowDepth <= 0 {
 		c.SlowDepth = DefaultSlowDepth
-	}
-	if c.MaxInflightCommits <= 0 {
-		c.MaxInflightCommits = 2
 	}
 	return c
 }
@@ -275,32 +230,19 @@ func (r *request) release() {
 	requestPool.Put(r)
 }
 
-// sealedBatch is one group commit between its seal and its persist: the
-// batch's ack-on-durable waiters, how many mutations it carries
-// (ack-on-apply mutations have no waiter but still need the commit), and
-// how the batch was sealed. The writer persists it before it applies the
-// next batch's first mutation, so a batch's mutations land in exactly its
-// own epoch — the overlap is media time only, never snapshot points — and
-// the crash contract stays exact: an unacked ack-on-durable write is never
-// in a durable epoch, so it always rolls back.
+// sealedBatch is one group commit between its seal and its ack: the batch's
+// ack-on-durable waiters, how many mutations it carries (ack-on-apply
+// mutations have no waiter but still need the commit), and how the batch was
+// sealed. The writer persists it before it applies the next batch's first
+// mutation, so a batch's mutations land in exactly its own epoch and the
+// crash contract stays exact: an unacked ack-on-durable write is never in a
+// durable epoch, so it always rolls back.
 type sealedBatch struct {
 	waiters   []*request
 	mutations int
 	start     time.Time
 	sealNS    int64
 	reason    SealReason
-	inflight  int // pending epochs at seal time, this batch included
-}
-
-// issuedCommit is a persisted-but-not-yet-acked epoch in the writer's
-// pending FIFO: the snapshot is taken (really synced, in file-backed mode),
-// but the modeled media commit has not completed.
-type issuedCommit struct {
-	b        *sealedBatch
-	st       pax.PersistStats
-	rec      CommitRecord
-	issued   time.Time // persist start, for the persist-stage accounting
-	deadline time.Time // modeled media completion: when the epoch may ack
 }
 
 // EngineStats are the engine's own counters (the pool's live underneath).
@@ -327,19 +269,13 @@ type EngineStats struct {
 	// Commit-pipeline latency histograms (wall-clock nanoseconds), one per
 	// stage of a group commit: how long an enqueue waited for queue space
 	// (0 on the uncontended fast path), how long the batch stayed open
-	// collecting company, the persist itself (retries and modeled media
-	// latency included), the ack fan-out, and the whole batch end to end.
+	// collecting company, the persist itself (retries and backoff included),
+	// the ack fan-out, and the whole batch end to end.
 	EnqueueWaitNS stats.LatencyHistogram
 	BatchSealNS   stats.LatencyHistogram
 	PersistNS     stats.LatencyHistogram
 	AckNS         stats.LatencyHistogram
 	CommitNS      stats.LatencyHistogram
-
-	// PipelineStallNS is how long the writer waited, before persisting a
-	// sealed batch, for the medium to take an epoch off a full pending FIFO
-	// — 0 when there was room, so the count matches seals and the p99
-	// reflects how often the media backlog actually pushed back on applying.
-	PipelineStallNS stats.LatencyHistogram
 
 	// DeltaBytes is bytes persisted per group commit (a size histogram on
 	// the latency machinery): the delta record a served pool appends. Its
@@ -366,25 +302,10 @@ type Engine struct {
 	reqs chan *request
 	stop chan struct{} // closed by Crash/seal: abandon uncommitted work
 
-	// Writer-goroutine-only state; no locking. pending is the FIFO of
-	// persisted epochs awaiting their modeled media completion, oldest
-	// first; its capacity, runAheadCommits, is the memory bound on how far
-	// applying runs ahead of durability. slots[i] is when modeled media slot
-	// i next frees; nextSlot rotates through them, one per commit.
-	pending  []*issuedCommit
-	slots    []time.Time
-	nextSlot int
 	// lastCommitNS is the most recently acked commit's persist stage
-	// (snapshot, sync, slot wait and modeled media time): what a seal weighs
-	// MaxDelay against.
+	// (snapshot, sync and any retries): what a seal weighs MaxDelay against.
+	// Writer-goroutine-only; no locking.
 	lastCommitNS int64
-	// lastStallEvent rate-limits pipeline-stall onset events (unix nanos of
-	// the last one).
-	lastStallEvent int64
-
-	// depth is len(pending), plus one while a persist runs: an atomic only
-	// because the inflight-commits gauge and tests read it off the writer.
-	depth atomic.Int64
 
 	// mu guards closed and sealErr. It is never held across a blocking
 	// enqueue — begin registers with inflight under the read lock and
@@ -433,8 +354,6 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 	})
 	e.stats.ReadIndexRebuilt.Add(uint64(e.idx.len()))
 	e.reqs = make(chan *request, e.cfg.QueueDepth)
-	e.pending = make([]*issuedCommit, 0, runAheadCommits)
-	e.slots = make([]time.Time, e.cfg.MaxInflightCommits)
 	e.reg = pool.StatsRegistry()
 	e.reg.RegisterCounter("paxserve_acked_writes", &e.stats.AckedWrites)
 	e.reg.RegisterCounter("paxserve_acked_on_apply", &e.stats.AckedOnApply)
@@ -452,16 +371,9 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 	e.reg.RegisterLatencyHistogram("paxserve_commit_persist_ns", &e.stats.PersistNS)
 	e.reg.RegisterLatencyHistogram("paxserve_commit_ack_ns", &e.stats.AckNS)
 	e.reg.RegisterLatencyHistogram("paxserve_commit_ns", &e.stats.CommitNS)
-	e.reg.RegisterLatencyHistogram("paxserve_pipeline_stall_ns", &e.stats.PipelineStallNS)
 	e.reg.RegisterLatencyHistogram("paxserve_get_hit_ns", &e.stats.GetHitNS)
 	e.reg.RegisterLatencyHistogram("paxserve_get_miss_ns", &e.stats.GetMissNS)
 	e.reg.RegisterLatencyHistogram("paxserve_epoch_delta_bytes", &e.stats.DeltaBytes)
-	e.reg.Register("paxserve_inflight_commits", func() float64 {
-		return float64(e.depth.Load())
-	})
-	e.reg.Register("paxserve_max_inflight_commits", func() float64 {
-		return float64(e.cfg.MaxInflightCommits)
-	})
 	e.reg.Register("paxserve_epoch_amplification", func() float64 {
 		// Mean bytes persisted per commit over the pool size: the fraction of
 		// the pool a commit rewrites, ≪1 because served commits are deltas.
@@ -604,7 +516,7 @@ func (e *Engine) doPolicy(op opKind, key, value []byte, policy AckPolicy) result
 // applyBarrier blocks until every request enqueued before it has been
 // applied (index-visible). Unlike Persist it forces no commit — durability
 // of the drained requests stays with their own acks — so a migration's drain
-// fence never adds an fsync or a modeled media commit of its own.
+// fence never adds a commit of its own.
 func (e *Engine) applyBarrier() error {
 	return e.do(opBarrier, nil, nil).err
 }
@@ -889,45 +801,39 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 	return base << attempt
 }
 
-// commit persists one sealed batch and queues the epoch for its modeled media
-// completion. A persist whose media sync fails is retried up to
-// CommitRetries times with doubling (clamped) backoff — retrying is legal
-// because a failed Sync never publishes a partial image, and nothing is
-// acked until one attempt fully succeeds. The backoff goes through wait: due
-// acks keep flowing between attempts, and a Crash ends it — the batch never
-// persisted, so its waiters fail and recovery rolls the epoch back — while a
-// graceful Close lets the budget run, and a retry that succeeds still acks.
-// On exhaustion the batch's waiters are failed (never acked), the failed
-// CommitRecord is pinned and the engine seals fail-stop, which fails what is
-// queued behind the batch. It reports false when the engine sealed or crashed.
+// commit persists one sealed batch and acks its waiters. A persist whose
+// media sync fails is retried up to CommitRetries times with doubling
+// (clamped) backoff — retrying is legal because a failed Sync never publishes
+// a partial image, and nothing is acked until one attempt fully succeeds. A
+// Crash ends the backoff — the batch never persisted, so its waiters fail and
+// recovery rolls the epoch back — while a graceful Close lets the budget run,
+// and a retry that succeeds still acks. On exhaustion the batch's waiters are
+// failed (never acked), the failed CommitRecord is pinned and the engine
+// seals fail-stop, which fails what is queued behind the batch. It reports
+// false when the engine sealed or crashed.
 func (e *Engine) commit(b *sealedBatch) bool {
-	if !e.awaitRunAhead() {
-		failAll(b.waiters, e.failErr())
-		return false
-	}
 	rec := CommitRecord{
 		Batch:      b.mutations,
-		Inflight:   b.inflight,
 		Start:      b.start.UnixNano(),
 		SealNS:     b.sealNS,
 		SealReason: b.reason,
 	}
-	e.depth.Add(1)
 	persistStart := time.Now()
 	st, err := e.pool.Persist()
+	rec.SimNS = int64(st.SimulatedLatency.Duration())
 	for attempt := 0; err != nil && attempt < e.cfg.CommitRetries; attempt++ {
 		e.stats.CommitRetries.Inc()
 		rec.Retries++
 		if !e.pause(retryDelay(e.cfg.CommitRetryDelay, attempt)) {
-			e.depth.Add(-1)
 			failAll(b.waiters, e.failErr())
 			return false
 		}
 		st, err = e.pool.Persist()
+		rec.SimNS += int64(st.SimulatedLatency.Duration())
 	}
+	rec.PersistNS = int64(time.Since(persistStart))
 	if err != nil {
 		e.stats.CommitFailures.Inc()
-		rec.PersistNS = int64(time.Since(persistStart))
 		rec.TotalNS = b.sealNS + rec.PersistNS
 		rec.Err = err.Error()
 		rec = e.rec.record(rec)
@@ -936,33 +842,8 @@ func (e *Engine) commit(b *sealedBatch) bool {
 		// engine sealed.
 		e.seal(err)
 		failAll(b.waiters, e.failErr())
-		e.depth.Add(-1)
 		return false
 	}
-	// The device is MaxInflightCommits commit slots, each busy for
-	// CommitLatency per epoch: this commit's media work starts now, at its
-	// persist's return, or when its slot frees, whichever is later — so
-	// back-to-back commits overlap W deep while W=1 serializes them. With no
-	// modeled latency the deadline is now and the ack below follows directly.
-	deadline := time.Now()
-	if free := e.slots[e.nextSlot]; free.After(deadline) {
-		deadline = free
-	}
-	deadline = deadline.Add(e.cfg.CommitLatency)
-	e.slots[e.nextSlot] = deadline
-	e.nextSlot = (e.nextSlot + 1) % len(e.slots)
-	e.pending = append(e.pending, &issuedCommit{b: b, st: st, rec: rec, issued: persistStart, deadline: deadline})
-	e.ackDue()
-	return true
-}
-
-// finishCommit acks one durable epoch and books its accounting: called once
-// the commit's media deadline has passed (or the engine stopped).
-func (e *Engine) finishCommit(ic *issuedCommit) {
-	b, st, rec := ic.b, ic.st, ic.rec
-	// The modeled media latency counts as persist time: it is the commit
-	// being on the medium, which is what the persist stage means.
-	rec.PersistNS = int64(time.Since(ic.issued))
 	rec.Epoch = st.Epoch
 	rec.DeltaBytes = st.PersistedBytes
 	rec.PoolBytes = int64(e.pool.MediaSize())
@@ -989,6 +870,7 @@ func (e *Engine) finishCommit(ic *issuedCommit) {
 	if thr := e.cfg.SlowCommit; thr > 0 && rec.TotalNS >= int64(thr) {
 		e.events.emit(blackbox.EvCommitSlow, 0, rec)
 	}
+	return true
 }
 
 // Trace returns the flight recorder's current contents. Safe on a sealed,
@@ -1009,54 +891,12 @@ func failAll(waiters []*request, err error) {
 	}
 }
 
-// runAheadCommits is the capacity of pending: how many persisted epochs may
-// sit awaiting their modeled media completion before the writer stops
-// persisting more. It is the memory bound on applying ahead of durability —
-// an issuedCommit is a few pointers plus its ack-on-durable waiters, so a
-// deep buffer is cheap, and it is what lets ack-on-apply latency stay at
-// host speed while a media backlog drains: only a backlog of seconds of
-// modeled media time (4096 epochs × CommitLatency / window) pushes back on
-// the host.
-const runAheadCommits = 4096
-
-// awaitRunAhead makes room in pending for one more epoch, charging the time
-// the writer spends waiting for the medium to take one — the run-ahead buffer
-// full, media backlog pushing back — to PipelineStallNS, also when a Crash
-// ends the wait. It reports false when the engine stopped first.
-func (e *Engine) awaitRunAhead() bool {
-	if len(e.pending) < cap(e.pending) {
-		// Observing an exact 0 keeps the unblocked path timer-free while
-		// the histogram's count still matches seals.
-		e.stats.PipelineStallNS.Observe(0)
-		return true
-	}
-	stallStart := time.Now()
-	// Stall *onset* is a lifecycle event (rate-limited to one per second — a
-	// saturated medium stalls every seal): the black box wants "backlog
-	// began here", not one record per blocked epoch.
-	if now := stallStart.UnixNano(); now-e.lastStallEvent >= int64(time.Second) {
-		e.lastStallEvent = now
-		e.events.emit(blackbox.EvStall, 0, stallDetail{
-			Depth: int64(len(e.pending)),
-			Epoch: e.pool.Epoch(),
-		})
-	}
-	ok := e.drainPending(cap(e.pending) - 1)
-	e.stats.PipelineStallNS.Since(stallStart)
-	return ok
-}
-
 // loop is the writer: the one goroutine that admits requests, applies them,
 // and seals, persists and acks their batches; runBatch lists the seal
 // conditions.
 func (e *Engine) loop() {
 	defer e.wg.Done()
 	defer func() {
-		// Whatever is still pending after a crash or a seal really
-		// persisted, so its acks are correct, and shutdown does not sleep out
-		// the model: with a deep backlog that would hold Close/Crash hostage
-		// for up to backlog×CommitLatency of modeled media time.
-		e.ack(len(e.pending))
 		if e.SealErr() != nil {
 			// Sealed — by a failed commit or a panicking apply. Seal closed
 			// stop, so in-flight begins unwind; once they do, nothing can
@@ -1073,14 +913,11 @@ func (e *Engine) loop() {
 			return
 		case wakeClosed:
 			// Graceful shutdown: every prior batch is already persisted, so
-			// one empty batch commits the open epoch — through commit, so
-			// the final persist gets the same retry budget, latency model,
-			// and accounting as any group commit — and the epochs still
-			// pending then ack at their modeled deadlines. If even that
-			// persist fails the engine seals and Close surfaces the error.
-			if e.commit(&sealedBatch{start: time.Now(), reason: SealDrain, inflight: len(e.pending) + 1}) {
-				e.drainPending(0)
-			}
+			// one empty batch commits the open epoch — through commit, so the
+			// final persist gets the same retry budget and accounting as any
+			// group commit. If even that persist fails the engine seals and
+			// Close surfaces the error.
+			e.commit(&sealedBatch{start: time.Now(), reason: SealDrain})
 			return
 		case wakeReq:
 			if !e.runBatch(req) {
@@ -1093,23 +930,16 @@ func (e *Engine) loop() {
 // runBatch opens a batch with first and keeps applying until a seal
 // condition fires, then commits the sealed batch. Whatever is already queued
 // is drained without blocking. Once the queue is empty the batch seals at
-// once if the modeled medium has a free slot and commits are cheap next to
-// MaxDelay; otherwise it waits for company until it is full, a slot frees, or
-// MaxDelay has passed since it opened:
+// once if commits are cheap next to MaxDelay; otherwise it waits for company
+// until it is full or MaxDelay has passed since it opened:
 //
-//   - Every slot busy: the batch could not reach the medium sooner anyway, so
-//     company is free. Batches form out of the requests that arrived while
-//     the previous commits were on the medium.
-//   - Slot free, last commit under MaxDelay: an idle engine acks at host
-//     speed. A part-filled batch costs one more cheap commit.
-//   - Slot free, last commit took MaxDelay or longer (modeled CommitLatency,
-//     or a device whose delta fsync is that slow): a part-filled batch costs
-//     a whole slow commit, and closed-loop writers released by the previous
-//     ack return within the window, so the wait — at most as long again as
-//     the commit — is what fills batches. Sealing at once here splits N
-//     writers into W+1 cohorts rotating through W slots (measured: a third
-//     fewer acked ops/s at W=2; the CI ackpipe smoke's W2 < W1 assertion
-//     holds only with this clause).
+//   - Last commit under MaxDelay: an idle engine acks at host speed. A
+//     part-filled batch costs one more cheap commit, and batches form out of
+//     the requests that arrived while the previous commit ran.
+//   - Last commit took MaxDelay or longer (a device whose fsync is that
+//     slow): a part-filled batch costs a whole slow commit, and closed-loop
+//     writers released by the previous ack return within the window, so the
+//     wait — at most as long again as the commit — is what fills batches.
 //
 // It reports false when the engine crashed or sealed mid-batch.
 func (e *Engine) runBatch(first *request) bool {
@@ -1129,11 +959,6 @@ func (e *Engine) runBatch(first *request) bool {
 			b.reason = SealFull
 			break
 		}
-		if len(e.pending) > 0 {
-			// Between applies, so that a busy queue cannot hold a due ack
-			// back by more than one apply.
-			e.ackDue()
-		}
 		var req *request
 		why := wakeReq
 		select {
@@ -1144,9 +969,8 @@ func (e *Engine) runBatch(first *request) bool {
 				why = wakeClosed
 			}
 		default:
-			// Queue empty. Every earlier batch is persisted, so pending alone
-			// is the medium's occupancy.
-			if len(e.pending) < e.cfg.MaxInflightCommits && e.lastCommitNS < int64(e.cfg.MaxDelay) {
+			// Queue empty.
+			if e.lastCommitNS < int64(e.cfg.MaxDelay) {
 				b.reason = SealIdle
 				continue
 			}
@@ -1162,8 +986,6 @@ func (e *Engine) runBatch(first *request) bool {
 			return false
 		case wakeTimer:
 			b.reason = SealDelay
-		case wakeAcked:
-			// A slot freed: re-check occupancy.
 		case wakeClosed:
 			// Closing: seal what we have; loop sees the closed queue next
 			// and commits the open epoch.
@@ -1178,7 +1000,6 @@ func (e *Engine) runBatch(first *request) bool {
 		}
 	}
 	b.sealNS = int64(time.Since(b.start))
-	b.inflight = len(e.pending) + 1 // this batch included
 	return e.commit(b)
 }
 
@@ -1218,21 +1039,12 @@ const (
 	wakeReq                // a request arrived
 	wakeClosed             // the request queue was closed: graceful Close
 	wakeTimer              // the caller's timer fired
-	wakeAcked              // the oldest pending epoch came due and was acked
 )
 
 // wait is the writer's one blocking point. It sleeps until the engine stops,
-// a request arrives on reqs (nil: not listening), the caller's timer fires
-// (nil: none), or the oldest pending epoch's modeled media commit completes —
-// whose waiters it then acks, with every other epoch that is due, before it
-// returns. Whatever the writer is waiting for, a due ack is never behind it.
+// a request arrives on reqs (nil: not listening) or the caller's timer fires
+// (nil: none).
 func (e *Engine) wait(reqs <-chan *request, timer <-chan time.Time) (*request, wake) {
-	var due <-chan time.Time
-	if len(e.pending) > 0 {
-		t := time.NewTimer(time.Until(e.pending[0].deadline))
-		defer t.Stop()
-		due = t.C
-	}
 	select {
 	case <-e.stop:
 		return nil, wakeStop
@@ -1243,9 +1055,6 @@ func (e *Engine) wait(reqs <-chan *request, timer <-chan time.Time) (*request, w
 		return req, wakeReq
 	case <-timer:
 		return nil, wakeTimer
-	case <-due:
-		e.ackDue()
-		return nil, wakeAcked
 	}
 }
 
@@ -1254,47 +1063,6 @@ func (e *Engine) wait(reqs <-chan *request, timer <-chan time.Time) (*request, w
 func (e *Engine) pause(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
-	for {
-		switch _, why := e.wait(nil, t.C); why {
-		case wakeTimer:
-			return true
-		case wakeStop:
-			return false
-		}
-	}
-}
-
-// drainPending waits, without taking requests, until at most n epochs are
-// pending, and reports false if the engine stopped first.
-func (e *Engine) drainPending(n int) bool {
-	for len(e.pending) > n {
-		if _, why := e.wait(nil, nil); why == wakeStop {
-			return false
-		}
-	}
-	return true
-}
-
-// ackDue acks every pending epoch whose modeled media commit has completed.
-func (e *Engine) ackDue() {
-	now, n := time.Now(), 0
-	for n < len(e.pending) && !e.pending[n].deadline.After(now) {
-		n++
-	}
-	e.ack(n)
-}
-
-// ack acks the n oldest pending epochs, in epoch order, and closes the FIFO
-// up behind them: a copy of at most runAheadCommits pointers, and that many
-// only once per modeled media completion.
-func (e *Engine) ack(n int) {
-	for _, ic := range e.pending[:n] {
-		e.finishCommit(ic)
-		e.depth.Add(-1)
-	}
-	if n > 0 {
-		rest := copy(e.pending, e.pending[n:])
-		clear(e.pending[rest:])
-		e.pending = e.pending[:rest]
-	}
+	_, why := e.wait(nil, t.C)
+	return why == wakeTimer
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pax"
+	"pax/internal/pmem"
 )
 
 func smallOpts() pax.Options {
@@ -62,31 +63,77 @@ func TestEngineBasicOps(t *testing.T) {
 	}
 }
 
-// busyPipelineConfig is an engine whose single commit slot stays occupied for
-// hold once holdPipeline has run: the configuration under which batches wait
-// for company. MaxDelay is far beyond any test, so only a freed slot (or a
-// full batch) seals.
-func busyPipelineConfig(hold time.Duration) Config {
-	return Config{MaxBatch: 64, MaxDelay: time.Minute, MaxInflightCommits: 1, CommitLatency: hold}
+// testMedium puts a test pool's media commit under the test's control
+// through a FaultFileSync hook, so the writer really sits inside Persist — as
+// behind a slow fsync — while requests queue behind it.
+type testMedium struct {
+	syncs   chan struct{} // a token per sync that reached the medium
+	release chan struct{} // nil: syncs are only delayed
+	once    sync.Once
+	err     error // what every released sync returns
 }
 
-// holdPipeline occupies the one media slot of a MaxInflightCommits=1 engine
-// for one CommitLatency: an ack-on-apply PUT returns at apply time, its batch
-// seals at once (the slot was free) and then sits on the modeled medium.
-// It returns once the writer has started that batch's commit — a request
-// enqueued sooner could still join it — so everything after finds the slot
-// taken.
-func holdPipeline(t *testing.T, eng *Engine) {
+// slowMedium makes every media sync of pool sleep delay and then, with hold,
+// block until releaseWith. A held medium must be released before the engine
+// or the pool is closed: both sync it.
+func slowMedium(pool *pax.Pool, delay time.Duration, hold bool) *testMedium {
+	m := &testMedium{syncs: make(chan struct{}, 64)}
+	if hold {
+		m.release = make(chan struct{})
+	}
+	device(pool).SetFaultFn(func(op pmem.FaultOp) error {
+		if op != pmem.FaultFileSync {
+			return nil
+		}
+		select {
+		case m.syncs <- struct{}{}:
+		default:
+		}
+		time.Sleep(delay)
+		if m.release == nil {
+			return nil
+		}
+		<-m.release
+		return m.err
+	})
+	return m
+}
+
+// awaitSync returns once a sync has reached the medium: its commit is under
+// way, so a request enqueued now lands in a later batch.
+func (m *testMedium) awaitSync(t *testing.T) {
+	t.Helper()
+	select {
+	case <-m.syncs:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no commit reached the medium")
+	}
+}
+
+// releaseWith lets every held and later sync finish with err — nil for a
+// medium that completes them, an error for one that never does.
+func (m *testMedium) releaseWith(err error) {
+	m.once.Do(func() {
+		m.err = err
+		close(m.release)
+	})
+}
+
+// holdCommit occupies the writer: an ack-on-apply PUT returns at apply time,
+// its batch seals at once, and its commit then sits on the medium.
+// Everything enqueued after holdCommit returns waits for that commit.
+func holdCommit(t *testing.T, eng *Engine, m *testMedium) {
 	t.Helper()
 	if _, err := eng.PutPolicy([]byte("hold"), []byte("x"), AckApply); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); eng.depth.Load() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the hold batch never reached the pipeline")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	m.awaitSync(t)
+}
+
+// awaitQueued returns once n requests wait in the engine's queue.
+func awaitQueued(t *testing.T, eng *Engine, n int) {
+	t.Helper()
+	pollUntil(t, fmt.Sprintf("%d requests are queued", n), func() bool { return len(eng.reqs) >= n })
 }
 
 // recentCommits returns the flight recorder's recent ring once it holds n
@@ -108,8 +155,8 @@ func recentCommits(t *testing.T, eng *Engine, n int) []CommitRecord {
 }
 
 // TestIdleEngineSealsAtOnce: a lone PUT on an idle engine does not wait for
-// company — MaxDelay bounds the wait behind a busy pipeline, and an idle
-// pipeline has a free slot.
+// company — MaxDelay bounds the wait after a slow commit, and an idle engine
+// has measured none.
 func TestIdleEngineSealsAtOnce(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{MaxDelay: time.Second})
 	defer pool.Close()
@@ -129,13 +176,15 @@ func TestIdleEngineSealsAtOnce(t *testing.T) {
 }
 
 // TestConcurrentPutsShareEpoch is the group-commit core claim: PUTs from many
-// goroutines that arrive while the commit pipeline is busy land in the same
+// goroutines that arrive while a commit is on the medium land in the same
 // epoch and are acked by one snapshot.
 func TestConcurrentPutsShareEpoch(t *testing.T) {
-	pool, eng := newTestEngine(t, "", busyPipelineConfig(250*time.Millisecond))
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Minute})
 	defer pool.Close()
 	defer eng.Close()
-	holdPipeline(t, eng)
+	m := slowMedium(pool, 0, true)
+	defer m.releaseWith(nil)
+	holdCommit(t, eng, m)
 
 	const writers = 32
 	epochs := make([]uint64, writers)
@@ -151,36 +200,37 @@ func TestConcurrentPutsShareEpoch(t *testing.T) {
 			epochs[i] = ep
 		}(i)
 	}
+	awaitQueued(t, eng, writers)
+	m.releaseWith(nil)
 	wg.Wait()
 	for i := 1; i < writers; i++ {
 		if epochs[i] != epochs[0] {
 			t.Fatalf("writer %d committed in epoch %d, writer 0 in %d", i, epochs[i], epochs[0])
 		}
 	}
-	// One commit held the pipeline, one carried all 32 writers.
+	// One commit held the medium, one carried all 32 writers.
 	if got := eng.Stats().GroupCommits.Load(); got != 2 {
-		t.Fatalf("32 concurrent puts behind a busy pipeline took %d group commits, want 2 (hold + batch)", got)
+		t.Fatalf("32 concurrent puts behind a held commit took %d group commits, want 2 (hold + batch)", got)
 	}
 	if got := eng.Stats().AckedWrites.Load(); got != writers {
 		t.Fatalf("acked %d writes, want %d", got, writers)
 	}
 	recs := recentCommits(t, eng, 2)
 	if last := recs[len(recs)-1]; last.Batch != writers || last.SealReason != SealIdle {
-		t.Fatalf("batch commit %+v, want %d mutations sealed %q when the slot freed", last, writers, SealIdle)
+		t.Fatalf("batch commit %+v, want %d mutations sealed %q once the queue was drained", last, writers, SealIdle)
 	}
 }
 
-// TestMaxDelayBoundsTheWaitBehindABusyPipeline: when the pipeline stays full
-// past MaxDelay the batch seals anyway — its snapshot is taken and it queues
-// for the medium — rather than holding its first writer indefinitely.
+// TestMaxDelayBoundsTheWaitBehindABusyPipeline: a write that queued behind a
+// slow commit waits for company at most MaxDelay once the writer takes it —
+// the batch then seals anyway — not as long again as the commit took.
 func TestMaxDelayBoundsTheWaitBehindABusyPipeline(t *testing.T) {
-	const hold = 200 * time.Millisecond
-	cfg := busyPipelineConfig(hold)
-	cfg.MaxDelay = 10 * time.Millisecond
+	const syncTime = 200 * time.Millisecond
+	cfg := Config{MaxBatch: 64, MaxDelay: 10 * time.Millisecond}
 	pool, eng := newTestEngine(t, "", cfg)
 	defer pool.Close()
 	defer eng.Close()
-	holdPipeline(t, eng)
+	holdCommit(t, eng, slowMedium(pool, syncTime, false))
 
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -189,23 +239,22 @@ func TestMaxDelayBoundsTheWaitBehindABusyPipeline(t *testing.T) {
 	if got.SealReason != SealDelay {
 		t.Fatalf("put sealed %q, want %q: %+v", got.SealReason, SealDelay, got)
 	}
-	if seal := time.Duration(got.SealNS); seal < cfg.MaxDelay || seal >= hold {
-		t.Fatalf("batch stayed open %v, want at least MaxDelay (%v) and well under the %v the slot was held", seal, cfg.MaxDelay, hold)
-	}
-	if got.Inflight != 2 {
-		t.Fatalf("inflight at seal = %d, want 2 (sealed behind the held commit)", got.Inflight)
+	if seal := time.Duration(got.SealNS); seal < cfg.MaxDelay || seal >= syncTime {
+		t.Fatalf("batch stayed open %v, want at least MaxDelay (%v) and well under the %v commit before it", seal, cfg.MaxDelay, syncTime)
 	}
 }
 
 // TestSlowCommitsKeepTheCompanyWait: sealing at once is for commits that are
 // cheap next to MaxDelay. Once a commit has taken MaxDelay or longer — a
-// modeled medium here — a lone writer waits MaxDelay for company even with
-// every slot free, because filling the batch is worth more than the wait.
+// 30 ms sync here — a lone writer waits MaxDelay for company, because filling
+// the batch is worth more than the wait.
 func TestSlowCommitsKeepTheCompanyWait(t *testing.T) {
-	cfg := Config{MaxDelay: 20 * time.Millisecond, CommitLatency: 30 * time.Millisecond}
+	const syncTime = 30 * time.Millisecond
+	cfg := Config{MaxDelay: 20 * time.Millisecond}
 	pool, eng := newTestEngine(t, "", cfg)
 	defer pool.Close()
 	defer eng.Close()
+	slowMedium(pool, syncTime, false)
 
 	for _, key := range []string{"first", "second"} {
 		if _, err := eng.Put([]byte(key), []byte("v")); err != nil {
@@ -217,7 +266,7 @@ func TestSlowCommitsKeepTheCompanyWait(t *testing.T) {
 		t.Fatalf("first commit (no commit measured yet) %+v, want sealed %q at once", first, SealIdle)
 	}
 	if second := recs[1]; second.SealReason != SealDelay || time.Duration(second.SealNS) < cfg.MaxDelay {
-		t.Fatalf("commit after a %v commit %+v, want sealed %q after MaxDelay", cfg.CommitLatency, second, SealDelay)
+		t.Fatalf("commit after a %v commit %+v, want sealed %q after MaxDelay", syncTime, second, SealDelay)
 	}
 }
 

@@ -8,11 +8,10 @@ import (
 
 // This file is the structured-lifecycle-event plumbing for the crash black
 // box (internal/blackbox): every interesting transition — seal, failed or
-// slow commit, pipeline-stall onset, split/merge stages, autopilot decision
-// — is emitted as an Event. Events land in a bounded in-memory ring (served
-// inline by the EVENTS wire op, like TRACE, so a sealed engine still
-// answers) and, when a sink is attached (AttachBlackbox), in the persistent
-// journal.
+// slow commit, split/merge stages, autopilot decision — is emitted as an
+// Event. Events land in a bounded in-memory ring (served inline by the EVENTS
+// wire op, like TRACE, so a sealed engine still answers) and, when a sink is
+// attached (AttachBlackbox), in the persistent journal.
 
 // Event is one structured lifecycle event.
 type Event struct {
@@ -131,13 +130,4 @@ type splitDetail struct {
 type mergeDetail struct {
 	Report *MergeReport `json:"report"`
 	Error  string       `json:"error,omitempty"`
-}
-
-// stallDetail describes a pipeline-stall onset.
-type stallDetail struct {
-	// Depth is the number of persisted epochs awaiting their modeled media
-	// completion when the writer hit the run-ahead bound; Epoch is the epoch
-	// whose persist had to wait.
-	Depth int64  `json:"depth"`
-	Epoch uint64 `json:"epoch"`
 }

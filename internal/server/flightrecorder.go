@@ -33,18 +33,18 @@ const (
 type SealReason string
 
 // Seal reasons. SealIdle and SealDelay are the two an operator tells apart:
-// "sealed because the commit pipeline had a free slot" versus "waited out
-// MaxDelay" (behind a full pipeline, or because commits cost that much).
+// "sealed as soon as the queue was empty" versus "waited out MaxDelay for
+// company" (because the last commit cost that much).
 const (
-	SealIdle    SealReason = "idle"    // queue empty and a commit slot free
+	SealIdle    SealReason = "idle"    // queue empty and commits cheaper than MaxDelay
 	SealFull    SealReason = "full"    // MaxBatch mutations collected
 	SealDelay   SealReason = "delay"   // MaxDelay expired waiting for company
 	SealPersist SealReason = "persist" // an explicit PERSIST forced the commit
 	SealDrain   SealReason = "drain"   // the engine is closing
 )
 
-// CommitRecord describes one group commit end to end. All *NS fields are
-// wall-clock nanoseconds.
+// CommitRecord describes one group commit end to end. All *NS fields but
+// SimNS are wall-clock nanoseconds.
 type CommitRecord struct {
 	// Seq numbers commits per engine, from 1; gaps in a trace mean the
 	// recent ring wrapped. Shard is which shard committed (0 on an unsharded
@@ -57,11 +57,12 @@ type CommitRecord struct {
 	// ack-on-apply included) shared this commit; 0 is the shutdown seal of
 	// an open epoch.
 	Batch int `json:"batch"`
-	// Inflight is the pipeline depth when this batch sealed: how many
-	// commits (this one included) were in flight toward media. 1 on a
-	// serial engine (MaxInflightCommits=1); up to MaxInflightCommits when
-	// the pipeline is keeping the medium busy.
-	Inflight int `json:"inflight"`
+	// SimNS is the device time the paper's model charges for this commit:
+	// the pool's PersistStats.SimulatedLatency, the simulated PAX commit of
+	// exactly this epoch's dirty lines (summed over attempts when retried,
+	// and set on a failed commit too). It is virtual time, recorded and not
+	// waited for; PersistNS is the wall clock the commit really took.
+	SimNS int64 `json:"sim_ns"`
 	// Retries is how many extra persist attempts the commit needed.
 	Retries int `json:"retries"`
 	// Start is the wall-clock time the batch opened (first request applied),
@@ -70,9 +71,9 @@ type CommitRecord struct {
 	// SealReason is the seal condition that closed the batch.
 	SealReason SealReason `json:"seal_reason,omitempty"`
 	// SealNS is batch open → commit start (the group-commit window: applying
-	// the batch, plus any wait for company behind a full pipeline). PersistNS is the persist call
-	// including retries, backoff, and the modeled media latency. AckNS is the
-	// ack fan-out to the batch's waiters. TotalNS covers all three.
+	// the batch, plus any wait for company after a slow commit). PersistNS is
+	// the persist call including retries and backoff. AckNS is the ack
+	// fan-out to the batch's waiters. TotalNS covers all three.
 	SealNS    int64 `json:"seal_ns"`
 	PersistNS int64 `json:"persist_ns"`
 	AckNS     int64 `json:"ack_ns"`

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pax"
 	"pax/internal/pmem"
 	"pax/internal/stats"
 	"pax/internal/wire"
@@ -125,6 +126,70 @@ func TestEngineTraceRecordsCommits(t *testing.T) {
 	}
 }
 
+// TestCommitRecordCarriesTheModeledPAXTime: a commit's SimNS is the
+// SimulatedLatency the pool returned for exactly that epoch — here a batch of
+// n distinct keys. The simulator is deterministic, so a twin pool driven
+// through the same operations (the engine's index rebuild, a held epoch,
+// then the batch) returns the number to compare against.
+func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
+	const n = 16
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Minute})
+	defer pool.Close()
+	defer eng.Close()
+	m := slowMedium(pool, 0, true)
+	defer m.releaseWith(nil)
+	holdCommit(t, eng, m)
+	// Enqueued from one goroutine while the writer is held: applied in this
+	// order, as one batch.
+	reqs := make([]*request, n)
+	for i := range reqs {
+		reqs[i] = newRequest(opPut, []byte(fmt.Sprintf("k%02d", i)), []byte("v"))
+		if err := eng.begin(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.releaseWith(nil)
+	for _, req := range reqs {
+		if res := <-req.done; res.err != nil {
+			t.Fatal(res.err)
+		}
+		req.release()
+	}
+	got := recentCommits(t, eng, 2)[1]
+	if got.Batch != n {
+		t.Fatalf("batch commit %+v, want all %d puts in it", got, n)
+	}
+
+	twin, err := pax.MapPool("", smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	kv, err := pax.NewMap(twin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv.ForEach(func(_, _ []byte) bool { return true })
+	if err := kv.Put([]byte("hold"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := kv.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := twin.Persist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(st.SimulatedLatency.Duration()); got.SimNS != want || want <= 0 {
+		t.Fatalf("commit of %d keys records SimNS %d, the pool returned SimulatedLatency %v", n, got.SimNS, st.SimulatedLatency)
+	}
+}
+
 // A sealed engine must still answer TRACE — the record explaining the seal is
 // pinned, and reading it is the whole point of the recorder.
 func TestEngineTraceSurvivesSeal(t *testing.T) {
@@ -159,6 +224,9 @@ func TestEngineTraceSurvivesSeal(t *testing.T) {
 	}
 	if last.Epoch != 0 {
 		t.Fatalf("failed commit claims durable epoch %d", last.Epoch)
+	}
+	if last.SimNS <= 0 {
+		t.Fatalf("failed commit records no modeled PAX time: %+v", last)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 
 // TestLoadgenAmortization is the acceptance bar for the serving subsystem:
 // ≥64 concurrent clients drive the engine and the group-commit layer turns
-// their individually-acked durable writes into far fewer snapshots. The
-// medium is modeled (2 ms per commit) and MaxDelay is out of reach, so the
-// batching is a property of the pipeline — a batch is whatever arrived while
-// the previous commits held the medium's slots — not an accident of a timer.
+// their individually-acked durable writes into far fewer snapshots. Every
+// sync takes 2 ms and MaxDelay is out of reach, so the batching is a property
+// of the commit path — a batch is whatever arrived while the previous commit
+// was on the medium — not an accident of a timer.
 func TestLoadgenAmortization(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Second, CommitLatency: 2 * time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Second})
 	defer pool.Close()
+	slowMedium(pool, 2*time.Millisecond, false)
 
 	const (
 		clients      = 64

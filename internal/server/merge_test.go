@@ -106,35 +106,6 @@ func TestSplitZeroCountersMovesHalf(t *testing.T) {
 	verifyKeys(t, eng, keys)
 }
 
-// A deep backlog of pending epochs models minutes of media time; Crash must
-// not sleep it out. Every commit in the backlog really persisted, so
-// releasing the acks immediately on shutdown is correct — the writer's wait
-// for a modeled deadline has to end on the stop channel.
-func TestCrashInterruptsAckerBacklog(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch:           1,
-		MaxDelay:           50 * time.Microsecond,
-		CommitLatency:      300 * time.Millisecond,
-		MaxInflightCommits: 1,
-	})
-	defer pool.Close()
-
-	// Ack-on-apply writes return immediately but each lands in its own
-	// commit; the modeled media would serialize the backlog at 300ms per
-	// epoch — 2.4s for these 8.
-	for i := 0; i < 8; i++ {
-		if _, err := eng.PutPolicy([]byte(fmt.Sprintf("k%d", i)), []byte("v"), AckApply); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(50 * time.Millisecond) // let the pipeline issue some commits
-	start := time.Now()
-	eng.Crash()
-	if d := time.Since(start); d > 1500*time.Millisecond {
-		t.Fatalf("Crash took %v; the writer slept out the modeled backlog", d)
-	}
-}
-
 func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")

@@ -7,21 +7,18 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"pax"
-	"pax/internal/blackbox"
 	"pax/internal/pmem"
 )
 
 // This file tests the commit path — one writer goroutine that applies, seals,
-// persists and acks, with modeled media time as deadlines on its pending
-// FIFO — and the per-request ack policies: media-latency overlap, what a
-// failed commit does to the epochs around it, crash exactness with epochs
-// pending, the run-ahead stall, and the documented weaker contract of
-// ack-on-apply.
+// persists and acks — and the per-request ack policies: what a failed commit
+// does to the requests behind it, crash exactness with a commit on the
+// medium, the retry backoff under Crash and Close, and the documented weaker
+// contract of ack-on-apply.
 
 func TestRetryDelayClamp(t *testing.T) {
 	base := 2 * time.Millisecond
@@ -45,47 +42,6 @@ func TestRetryDelayClamp(t *testing.T) {
 	}
 }
 
-// TestPipelineOverlapsCommitLatency is the tentpole's A/B: with MaxBatch=1
-// and four concurrent single-write batches, a serial engine (window 1) pays
-// 4x the modeled media latency end to end, while a window that admits all
-// four overlaps their media time and finishes in little more than one
-// latency. Bounds are deliberately loose — the assertion is the overlap, not
-// a precise speedup.
-func TestPipelineOverlapsCommitLatency(t *testing.T) {
-	const lat = 40 * time.Millisecond
-	run := func(window int) time.Duration {
-		pool, eng := newTestEngine(t, "", Config{
-			MaxBatch: 1, MaxDelay: time.Millisecond,
-			CommitLatency:      lat,
-			MaxInflightCommits: window,
-		})
-		defer pool.Close()
-		defer eng.Close()
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, err := eng.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
-					t.Errorf("put %d: %v", i, err)
-				}
-			}(i)
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	serial := run(1)
-	pipelined := run(4)
-	if serial < 4*lat-lat/8 {
-		t.Fatalf("serial window finished in %v, want >= ~%v (4 batches x %v media latency)", serial, 4*lat, lat)
-	}
-	if pipelined >= 3*lat {
-		t.Fatalf("window 4 finished in %v, want well under the serial %v (media time should overlap)", pipelined, serial)
-	}
-	t.Logf("4 single-write batches at %v media latency: serial %v, window-4 %v", lat, serial, pipelined)
-}
-
 // TestPipelineFailureFailsAllSealedEpochs: epoch N's persist fails after
 // retries while the write that would have been epoch N+1 waits in the request
 // queue behind it (the writer takes nothing while it backs off). Both writes
@@ -96,7 +52,6 @@ func TestPipelineFailureFailsAllSealedEpochs(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
 		MaxBatch: 1, MaxDelay: time.Millisecond,
 		CommitRetries: 2, CommitRetryDelay: 25 * time.Millisecond,
-		MaxInflightCommits: 2,
 	})
 	defer pool.Close()
 
@@ -164,116 +119,6 @@ func reopenedMap(t *testing.T, path string) *pax.Map {
 		t.Fatal(err)
 	}
 	return kv
-}
-
-// TestPersistedEpochStillAcksAfterLaterFailure is the failure matrix's first
-// row: epoch M is persisted and sits out its modeled media time when a later
-// epoch N exhausts its retries and seals the engine. M's sync succeeded, so
-// its waiter is acked with M — at once, the rest of the modeled wait is
-// skipped — while N's waiter fails and N rolls back on recovery.
-func TestPersistedEpochStillAcksAfterLaterFailure(t *testing.T) {
-	// Far longer than two failing full-image syncs take, so that a's ack
-	// inside lat is the seal's doing and not the model's.
-	const lat = 3 * time.Second
-	path := filepath.Join(t.TempDir(), "matrix.pool")
-	pool, eng := newTestEngine(t, path, Config{
-		MaxDelay: time.Millisecond, CommitLatency: lat, MaxInflightCommits: 2,
-		CommitRetries: 1, CommitRetryDelay: time.Millisecond,
-	})
-
-	type ack struct {
-		epoch uint64
-		err   error
-		took  time.Duration
-	}
-	aDone := make(chan ack, 1)
-	start := time.Now()
-	go func() {
-		ep, err := eng.Put([]byte("a"), []byte("v"))
-		aDone <- ack{ep, err, time.Since(start)}
-	}()
-	// depth > 0: a's batch is sealed, so the barrier cannot join it, and the
-	// writer applies the barrier only after a's commit returned — persisted.
-	pollUntil(t, "a's batch reaches its commit", func() bool { return eng.depth.Load() > 0 })
-	if err := eng.applyBarrier(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-aDone:
-		t.Fatalf("a acked (%+v) before its %v of modeled media time", got, lat)
-	default:
-	}
-
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
-	if _, err := eng.Put([]byte("b"), []byte("v")); !errors.Is(err, ErrSealed) {
-		t.Fatalf("b on failing media: %v, want ErrSealed", err)
-	}
-	a := <-aDone
-	if a.err != nil || a.epoch == 0 {
-		t.Fatalf("a, persisted before the failure: epoch %d, %v; want its ack", a.epoch, a.err)
-	}
-	if a.took >= lat {
-		t.Fatalf("a acked after %v: the seal should have skipped the rest of its %v modeled wait", a.took, lat)
-	}
-	if got := eng.Stats().AckedWrites.Load(); got != 1 {
-		t.Fatalf("acked writes = %d, want 1 (a only)", got)
-	}
-	if err := eng.Close(); !errors.Is(err, ErrSealed) {
-		t.Fatalf("close of sealed engine = %v, want seal error", err)
-	}
-	// The fault stays in: closing the pool syncs it, and a sync that worked
-	// would publish the very epoch whose commit failed. Failing, it leaves the
-	// file as the crash this stands in for would.
-	pool.Close()
-	kv := reopenedMap(t, path)
-	if _, ok := kv.Get([]byte("a")); !ok {
-		t.Fatal("acked write a lost")
-	}
-	if _, ok := kv.Get([]byte("b")); ok {
-		t.Fatal("failed write b survived recovery")
-	}
-}
-
-// TestRunAheadStallIsMeasured: with the pending FIFO full the writer waits
-// for the medium before it persists more, and that wait — not a hand-off
-// that never blocks — is what paxserve_pipeline_stall_ns and the
-// pipeline_stall event report.
-func TestRunAheadStallIsMeasured(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 1, MaxInflightCommits: 1, CommitLatency: 20 * time.Millisecond,
-	})
-	defer pool.Close()
-	// Crash, not Close: a full FIFO is 82 s of modeled media time.
-	defer eng.Crash()
-
-	// Through the sink: the recent-events ring wraps under the commit_slow
-	// events every one of these commits also emits.
-	var stalls atomic.Int64
-	eng.SetEventSink(func(ev Event) {
-		if ev.Type == blackbox.EvStall {
-			stalls.Add(1)
-		}
-	})
-	// Every ack-on-apply PUT is a full batch, persisted at host speed onto a
-	// medium that completes one epoch per 20 ms: the FIFO fills, and each PUT
-	// past its capacity waits for the medium to take an epoch. The medium
-	// takes some while the FIFO fills (dozens, under -race), so the bound is
-	// a multiple of the capacity, not capacity plus a few.
-	puts := 0
-	for ; puts < 3*runAheadCommits && eng.Stats().PipelineStallNS.Sum() == 0; puts++ {
-		if _, err := eng.PutPolicy([]byte(fmt.Sprintf("k%02d", puts%64)), []byte("v"), AckApply); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.applyBarrier(); err != nil {
-		t.Fatal(err)
-	}
-	if sum := eng.Stats().PipelineStallNS.Sum(); sum <= 0 {
-		t.Fatalf("stall sum = %d ns after %d single-write epochs against a %d-epoch run-ahead buffer, want > 0", sum, puts, runAheadCommits)
-	}
-	if stalls.Load() == 0 {
-		t.Fatal("no pipeline_stall event for a stalled writer")
-	}
 }
 
 // failingPut starts a durable PUT on an engine whose syncs fail and returns
@@ -401,18 +246,14 @@ func TestOneWriterGoroutinePerEngine(t *testing.T) {
 }
 
 // TestPipelineCrashRecoversExactlyAckedWrites re-runs the crash-exactness
-// contract with the pipeline actually deep: small batches, modeled media
-// latency, and a window of 4, so the crash lands with several epochs in
-// flight (sealed, persisting, and awaiting ack). Acked ack-on-durable writes
-// must all survive, unacked ones must all roll back — same contract as the
-// serial engine, window notwithstanding.
+// contract with a commit on the medium when the machine dies: small batches
+// under load, then the medium holds a sync and the crash lands while it does,
+// with writers queued behind it. The held commit never completes — its sync
+// fails once released, as a sync cut off by power loss would — so its writes
+// and the queued ones must all roll back, and every acked write must survive.
 func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pipecrash.pool")
-	pool, eng := newTestEngine(t, path, Config{
-		MaxBatch: 4, MaxDelay: 500 * time.Microsecond,
-		CommitLatency:      2 * time.Millisecond,
-		MaxInflightCommits: 4,
-	})
+	pool, eng := newTestEngine(t, path, Config{MaxBatch: 4, MaxDelay: 500 * time.Microsecond})
 
 	const clients = 16
 	type oplog struct {
@@ -438,12 +279,22 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 			}
 		}(c)
 	}
-	time.Sleep(60 * time.Millisecond)
-	eng.Crash()
+	pollUntil(t, "writes are acked", func() bool { return eng.Stats().AckedWrites.Load() >= 64 })
+	m := slowMedium(pool, 0, true)
+	m.awaitSync(t)
+	awaitQueued(t, eng, 1)
+	crashed := make(chan struct{})
+	go func() {
+		eng.Crash()
+		close(crashed)
+	}()
+	<-eng.stop
+	m.releaseWith(errInjected)
+	<-crashed
 	wg.Wait()
-	if err := pool.Close(); err != nil { // crash-like close: no final persist
-		t.Fatal(err)
-	}
+	// The fault stays in: closing the pool syncs it, and a sync that worked
+	// would publish the epoch whose commit the crash cut off.
+	pool.Close()
 
 	pool2, err := pax.OpenPool(path, smallOpts())
 	if err != nil {
@@ -459,7 +310,7 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 		totalAcked += len(logs[c].acked)
 		for _, key := range logs[c].acked {
 			if _, ok := kv.Get([]byte(key)); !ok {
-				t.Fatalf("acked write %s lost in a mid-pipeline crash", key)
+				t.Fatalf("acked write %s lost in a crash mid-commit", key)
 			}
 		}
 		for _, key := range logs[c].errored {
@@ -468,13 +319,10 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 			}
 		}
 	}
-	if totalAcked == 0 {
-		t.Fatal("crashed before any write was acked; raise the sleep")
-	}
 	if got := int(kv.Len()); got != totalAcked {
 		t.Fatalf("recovered %d keys, want exactly the %d acked", got, totalAcked)
 	}
-	t.Logf("mid-pipeline crash after %d acked writes; all recovered", totalAcked)
+	t.Logf("crash mid-commit after %d acked writes; all recovered", totalAcked)
 }
 
 // TestAckApplyRollbackIsTheDocumentedContract pins ack-on-apply's weaker
@@ -483,53 +331,51 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 // back — acked or not. That rollback is the documented trade, not a bug.
 func TestAckApplyRollbackIsTheDocumentedContract(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "applyroll.pool")
-	// A batch that never seals: it opens behind a commit that holds the only
-	// slot, with MaxDelay and the modeled media time far beyond the test.
-	pool, eng := newTestEngine(t, path, busyPipelineConfig(time.Minute))
-	holdPipeline(t, eng)
+	pool, eng := newTestEngine(t, path, Config{})
+	// The write's commit reaches the medium, which never completes it.
+	m := slowMedium(pool, 0, true)
 
 	if _, err := eng.PutPolicy([]byte("k"), []byte("v"), AckApply); err != nil {
 		t.Fatalf("ack-on-apply put: %v", err)
 	}
-	// Acked and visible (read-your-writes) while its epoch is still open.
+	m.awaitSync(t)
+	// Acked and visible (read-your-writes) while its epoch is not durable.
 	if v, ok, err := eng.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("get after apply-ack: %q %v %v", v, ok, err)
 	}
-	if got := eng.Stats().AckedOnApply.Load(); got != 2 {
-		t.Fatalf("acked-on-apply counter = %d, want 2 (hold + k)", got)
+	if got := eng.Stats().AckedOnApply.Load(); got != 1 {
+		t.Fatalf("acked-on-apply counter = %d, want 1", got)
 	}
 	if got := eng.Stats().AckedWrites.Load(); got != 0 {
 		t.Fatalf("durable-acked counter = %d, want 0 (nothing committed)", got)
 	}
 
-	eng.Crash()
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pool2, err := pax.OpenPool(path, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool2.Close()
-	kv, err := pax.NewMap(pool2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	crashed := make(chan struct{})
+	go func() {
+		eng.Crash()
+		close(crashed)
+	}()
+	<-eng.stop
+	m.releaseWith(errInjected)
+	<-crashed
+	// The fault stays in: closing the pool syncs it, and a sync that worked
+	// would publish the epoch whose commit the crash cut off.
+	pool.Close()
+	kv := reopenedMap(t, path)
 	if _, ok := kv.Get([]byte("k")); ok {
 		t.Fatal("apply-acked write survived a crash before its commit — the weaker contract should have rolled it back")
 	}
 }
 
-// TestAckApplyDecouplesAckFromMedia: with a large modeled media latency, an
-// ack-on-apply write returns without waiting for it while an ack-on-durable
-// write must sit out the full commit.
+// TestAckApplyDecouplesAckFromMedia: on a slow medium, an ack-on-apply write
+// returns without waiting for its commit while an ack-on-durable write must
+// sit out a full one.
 func TestAckApplyDecouplesAckFromMedia(t *testing.T) {
-	const lat = 50 * time.Millisecond
-	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 4, MaxDelay: 5 * time.Millisecond, CommitLatency: lat,
-	})
+	const syncTime = 50 * time.Millisecond
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: 5 * time.Millisecond})
 	defer pool.Close()
 	defer eng.Close()
+	slowMedium(pool, syncTime, false)
 
 	t0 := time.Now()
 	if _, err := eng.PutPolicy([]byte("fast"), []byte("v"), AckApply); err != nil {
@@ -543,11 +389,11 @@ func TestAckApplyDecouplesAckFromMedia(t *testing.T) {
 	}
 	durableAck := time.Since(t0)
 
-	if applyAck >= lat/2 {
-		t.Fatalf("apply-ack took %v, want well under the %v media latency", applyAck, lat)
+	if applyAck >= syncTime/2 {
+		t.Fatalf("apply-ack took %v, want well under the %v sync", applyAck, syncTime)
 	}
-	if durableAck < lat {
-		t.Fatalf("durable ack returned in %v, before the %v media latency elapsed", durableAck, lat)
+	if durableAck < syncTime {
+		t.Fatalf("durable ack returned in %v, before a %v sync could finish", durableAck, syncTime)
 	}
 	// Both writes commit regardless of how they were acked: a later durable
 	// persist flushes the apply-acked mutation too.

@@ -13,10 +13,10 @@ import (
 )
 
 // TestGetServedDuringCommitInFlight is the tentpole claim: a commit in
-// flight (Persist + the modeled media latency) no longer blanks out reads.
-// The writer sits in a 400ms commit while GETs complete against the index.
+// flight no longer blanks out reads. The writer sits in a commit whose sync
+// the medium holds while GETs complete against the index.
 func TestGetServedDuringCommitInFlight(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond, CommitLatency: 400 * time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -24,6 +24,8 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 	if _, err := eng.Put([]byte("warm"), []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
+	m := slowMedium(pool, 0, true)
+	defer m.releaseWith(nil)
 
 	putDone := make(chan struct{})
 	go func() {
@@ -32,20 +34,11 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 			t.Errorf("put: %v", err)
 		}
 	}()
-
-	// Wait until the write is applied (visible in the index) — which happens
-	// before its commit finishes, so the ack is still at least ~400ms away.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, ok, err := eng.Get([]byte("hot")); err != nil {
-			t.Fatal(err)
-		} else if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("applied write never became visible")
-		}
-		time.Sleep(time.Millisecond)
+	// The write is applied (visible in the index) before its commit reaches
+	// the medium, and the held medium keeps the ack away.
+	m.awaitSync(t)
+	if _, ok, err := eng.Get([]byte("hot")); err != nil || !ok {
+		t.Fatalf("applied write not visible during its commit: ok=%v err=%v", ok, err)
 	}
 
 	// The commit is now in flight. Reads must keep completing.
@@ -59,12 +52,13 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 	elapsed := time.Since(start)
 	select {
 	case <-putDone:
-		t.Fatalf("commit finished before the reads ran — test raced, raise CommitLatency")
+		t.Fatal("the put acked while its commit was held on the medium")
 	default:
 	}
 	if elapsed > 100*time.Millisecond {
 		t.Fatalf("%d reads took %v during a commit; reads are stalling behind the writer", reads, elapsed)
 	}
+	m.releaseWith(nil)
 	<-putDone
 	if hits := eng.Stats().ReadIndexHits.Load(); hits < reads {
 		t.Fatalf("read index served %d hits, want >= %d", hits, reads)
@@ -118,31 +112,27 @@ func TestReadYourWritesAfterAck(t *testing.T) {
 // of the contract: a read may observe an applied write whose group commit is
 // still in flight — the same window queued reads always had.
 func TestGetObservesAppliedBeforeDurable(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond, CommitLatency: 300 * time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond})
 	defer pool.Close()
 	defer eng.Close()
+	m := slowMedium(pool, 0, true)
+	defer m.releaseWith(nil)
 
 	putDone := make(chan struct{})
 	go func() {
 		defer close(putDone)
 		eng.Put([]byte("k"), []byte("v"))
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, ok, _ := eng.Get([]byte("k")); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("write never became visible")
-		}
-		time.Sleep(time.Millisecond)
+	m.awaitSync(t)
+	if _, ok, _ := eng.Get([]byte("k")); !ok {
+		t.Fatal("write not visible while its commit is on the medium")
 	}
 	select {
 	case <-putDone:
-		t.Log("commit already finished; the pre-durable window was not observed this run")
+		t.Fatal("the put acked while its commit was held on the medium")
 	default:
-		// The expected case: visible while the ack is still pending.
 	}
+	m.releaseWith(nil)
 	<-putDone
 }
 
@@ -242,9 +232,9 @@ func TestCrashNotStalledByFullQueue(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
 		MaxBatch: 1, MaxDelay: time.Millisecond,
 		QueueDepth: 1, EnqueueTimeout: 30 * time.Second,
-		CommitLatency: 100 * time.Millisecond,
 	})
 	defer pool.Close()
+	slowMedium(pool, 100*time.Millisecond, false)
 
 	const writers = 16
 	var wg sync.WaitGroup
@@ -271,7 +261,7 @@ func TestCrashNotStalledByFullQueue(t *testing.T) {
 // GET on one connection completes while another connection's PUT commit is
 // in flight on the same shard.
 func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond, CommitLatency: 500 * time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -297,6 +287,8 @@ func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 	if _, err := writer.Put([]byte("warm"), []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
+	m := slowMedium(pool, 0, true)
+	defer m.releaseWith(nil)
 
 	putDone := make(chan struct{})
 	go func() {
@@ -305,19 +297,11 @@ func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 			t.Errorf("put: %v", err)
 		}
 	}()
-	// Wait for the PUT to be applied, then read through the other
-	// connection while its commit sleeps.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, ok, err := reader.Get([]byte("hot")); err != nil {
-			t.Fatal(err)
-		} else if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("applied write never became visible over TCP")
-		}
-		time.Sleep(time.Millisecond)
+	// The PUT is applied once its commit reaches the medium; read through
+	// the other connection while the medium holds that commit.
+	m.awaitSync(t)
+	if _, ok, err := reader.Get([]byte("hot")); err != nil || !ok {
+		t.Fatalf("applied write not visible over TCP during its commit: ok=%v err=%v", ok, err)
 	}
 	start := time.Now()
 	for i := 0; i < 50; i++ {
@@ -328,11 +312,12 @@ func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 	elapsed := time.Since(start)
 	select {
 	case <-putDone:
-		t.Fatal("commit finished before the reads ran — raise CommitLatency")
+		t.Fatal("the put acked while its commit was held on the medium")
 	default:
 	}
 	if elapsed > 200*time.Millisecond {
 		t.Fatalf("50 TCP gets took %v during a commit", elapsed)
 	}
+	m.releaseWith(nil)
 	<-putDone
 }

@@ -99,10 +99,11 @@ func TestTCPEndToEnd(t *testing.T) {
 
 // Concurrent callers multiplexed onto ONE pipelined connection must still
 // share group commits — the server dispatches a connection's requests
-// concurrently, in wire order — when they arrive behind a busy pipeline.
+// concurrently, in wire order — when they arrive behind a commit in flight.
 func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
-	pool, eng := newTestEngine(t, "", busyPipelineConfig(250*time.Millisecond))
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Minute})
 	t.Cleanup(func() { pool.Close() })
+	m := slowMedium(pool, 0, true)
 	srv := NewServer(eng)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -124,7 +125,8 @@ func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	holdPipeline(t, eng)
+	defer m.releaseWith(nil)
+	holdCommit(t, eng, m)
 
 	const writers = 32
 	epochs := make([]uint64, writers)
@@ -141,6 +143,8 @@ func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
 			epochs[i] = ep
 		}(i)
 	}
+	awaitQueued(t, eng, writers)
+	m.releaseWith(nil)
 	wg.Wait()
 	for i := 1; i < writers; i++ {
 		if epochs[i] != epochs[0] {

@@ -137,7 +137,11 @@ type PersistStats struct {
 	// LinesSnooped is how many modified lines the device recalled from host
 	// caches; LinesWritten how many it wrote back to PM.
 	LinesSnooped, LinesWritten int
-	// SimulatedLatency is the virtual time Persist took.
+	// SimulatedLatency is the virtual time the device took to commit the
+	// epoch: its completion time minus the calling core's clock at the call.
+	// It depends on the epoch's dirty lines, not on how much the pool has
+	// simulated before. For PersistAsync it is the device-side commit
+	// duration, not the (shorter) time the caller was held.
 	SimulatedLatency sim.Time
 	// PersistedBytes is how many bytes the media commit actually wrote: the
 	// delta record size in epoch-log mode, the full image size in full-image
@@ -263,17 +267,7 @@ func MapPool(path string, opts Options) (*Pool, error) {
 // Persist is legal — a later successful call makes everything up to it
 // durable. The stats are returned either way for their timing fields.
 func (p *Pool) Persist() (PersistStats, error) {
-	rep, err := p.inner.Persist()
-	st := PersistStats{
-		Epoch:            rep.Epoch,
-		LinesSnooped:     rep.LinesSnooped,
-		LinesWritten:     rep.LinesWritten,
-		SimulatedLatency: rep.Done,
-	}
-	if err == nil {
-		st.PersistedBytes = p.pm.LastSyncBytes()
-	}
-	return st, err
+	return p.persistStats(p.inner.Persist)
 }
 
 // PersistAsync is the §6 non-blocking persist: the snapshot point is now,
@@ -281,12 +275,20 @@ func (p *Pool) Persist() (PersistStats, error) {
 // A later Persist or Close fully serializes. Errors mean the same thing as
 // for Persist: the epoch is not durable on media.
 func (p *Pool) PersistAsync() (PersistStats, error) {
-	rep, err := p.inner.PersistPipelined()
+	return p.persistStats(p.inner.PersistPipelined)
+}
+
+// persistStats runs one of core's persists and reports it. The device
+// report's Done is an absolute virtual time, so the latency is measured from
+// core 0's clock at the call — the clock the persist is issued on.
+func (p *Pool) persistStats(persist func() (device.PersistReport, error)) (PersistStats, error) {
+	start := p.inner.Hierarchy().Core(0).Now()
+	rep, err := persist()
 	st := PersistStats{
 		Epoch:            rep.Epoch,
 		LinesSnooped:     rep.LinesSnooped,
 		LinesWritten:     rep.LinesWritten,
-		SimulatedLatency: rep.Done,
+		SimulatedLatency: rep.Done - start,
 	}
 	if err == nil {
 		st.PersistedBytes = p.pm.LastSyncBytes()

@@ -214,6 +214,60 @@ func TestPersistAsync(t *testing.T) {
 	}
 }
 
+// TestSimulatedLatencyIsTheEpochsOwn pins what PersistStats.SimulatedLatency
+// means: the device's commit time for this epoch's dirty lines. Equal epochs
+// report equal latency however much the pool simulated before them, and an
+// N-line epoch costs what the epoch experiment's avg_persist_us column
+// reports for N lines per persist (0.4 / 2.2 / 20.0 µs at 1 / 10 / 100).
+func TestSimulatedLatencyIsTheEpochsOwn(t *testing.T) {
+	pool, err := pax.MapPool("", pax.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const lines = 4096
+	base, err := pool.Alloc(lines * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(0) // line index of the next store, so every epoch dirties fresh lines
+	epoch := func(n int) pax.PersistStats {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			pool.Store(base+next*64, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+			next++
+		}
+		st, err := pool.Persist()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LinesSnooped != n {
+			t.Fatalf("%d-line epoch snooped %d lines", n, st.LinesSnooped)
+		}
+		return st
+	}
+	if _, err := pool.Persist(); err != nil { // the allocation's own epoch
+		t.Fatal(err)
+	}
+
+	first := epoch(1)
+	for i := 0; i < 20; i++ {
+		epoch(100) // traffic the device simulates between the two 1-line epochs
+	}
+	if again := epoch(1); again.SimulatedLatency != first.SimulatedLatency {
+		t.Fatalf("1-line epochs report %v and, after 2000 lines of traffic, %v; want equal", first.SimulatedLatency, again.SimulatedLatency)
+	}
+	for _, c := range []struct {
+		lines  int
+		wantUS float64
+	}{{1, 0.4}, {10, 2.2}, {100, 20.0}} {
+		got := epoch(c.lines).SimulatedLatency.Nanoseconds() / 1000
+		if got < c.wantUS*0.95 || got > c.wantUS*1.05 {
+			t.Errorf("%d-line epoch: %.3f µs, want %.1f µs ± 5%% (epoch experiment)", c.lines, got, c.wantUS)
+		}
+	}
+}
+
 func TestEnzianProfile(t *testing.T) {
 	opts := smallOpts()
 	opts.Profile = pax.ProfileEnzian

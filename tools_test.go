@@ -5,6 +5,7 @@ package pax_test
 // user's shell session.
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -139,6 +140,40 @@ func TestBenchToolQuick(t *testing.T) {
 
 	if out, err := exec.Command(bench, "-experiment", "nope").CombinedOutput(); err == nil {
 		t.Fatalf("unknown experiment accepted:\n%s", out)
+	}
+}
+
+// Every BENCH_loadgen.json row names the paxbench command and the commit that
+// produced it, and today's paxbench still accepts that command: each row's
+// arguments are parsed by the binary itself, with -h appended so a command
+// that parses prints its usage instead of running the load. A row recorded
+// with a flag that has since been deleted fails here.
+func TestLoadgenLedgerRowsParse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	blob, err := os.ReadFile(filepath.Join(repoRoot(t), "BENCH_loadgen.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Command string `json:"command"`
+		Commit  string `json:"commit"`
+	}
+	if err := json.Unmarshal(blob, &rows); err != nil {
+		t.Fatal(err)
+	}
+	bench := buildTool(t, t.TempDir(), "paxbench")
+	for i, row := range rows {
+		args, ok := strings.CutPrefix(row.Command, "paxbench ")
+		if !ok || row.Commit == "" {
+			t.Errorf("row %d: command %q, commit %q; want a paxbench command line and its commit", i, row.Command, row.Commit)
+			continue
+		}
+		out, _ := exec.Command(bench, append(strings.Fields(args), "-h")...).CombinedOutput()
+		if !strings.HasPrefix(string(out), "Usage of") {
+			t.Errorf("row %d: today's paxbench rejects %q:\n%s", i, row.Command, out)
+		}
 	}
 }
 
