@@ -72,7 +72,7 @@ func dumpEpochStore(path string, img []byte) {
 	defer store.Close()
 	info := store.Info()
 	if len(info.Segments) == 0 && !info.TornRoll {
-		return // no segment directory, or an empty one: a full-image pool
+		return // no segment directory, or an empty one: the checkpoint is the pool
 	}
 	fmt.Printf("  epoch store: %s (checkpoint epoch %d, %d committed delta(s) in %d segment(s), %d bytes)\n",
 		dir, ckptEpoch, info.Records, len(info.Segments), info.Bytes)

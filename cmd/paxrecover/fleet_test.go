@@ -12,11 +12,10 @@ import (
 	"pax/internal/server"
 )
 
-// The round trip that makes "the store is a fact on disk" hold in both
-// directions: paxrecover converts every shard of a served fleet back to the
-// plain full-image layout (segments gone), and the daemon's open — which
-// takes no store option — serves the same contents from it, upgrading the
-// shards to delta pools again.
+// The round trip through paxrecover: it folds every shard's log of a served
+// fleet into the checkpoint (segments gone), and the daemon's open serves
+// the same contents from the checkpoints alone, each shard gaining a fresh
+// log on its next commit.
 func TestRecoveredFleetReopens(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kv.pool")
 	opts := pax.Options{DataSize: 4 << 20, LogSize: 2 << 20, HBMSize: 64 << 10}
@@ -45,27 +44,27 @@ func TestRecoveredFleetReopens(t *testing.T) {
 			t.Fatalf("paxrecover shard %d: %v", k, err)
 		}
 		if _, err := os.Stat(sp + epochlog.DirSuffix); !os.IsNotExist(err) {
-			t.Fatalf("shard %d still has an epoch log after conversion: %v", k, err)
+			t.Fatalf("shard %d still has an epoch log after the fold: %v", k, err)
 		}
 	}
 
 	eng, err = server.OpenSharded(path, 2, opts, 0, server.Config{})
 	if err != nil {
-		t.Fatalf("reopening the converted fleet: %v", err)
+		t.Fatalf("reopening the recovered fleet: %v", err)
 	}
 	defer eng.Close()
 	for k, v := range want {
 		got, ok, err := eng.Get([]byte(k))
 		if err != nil || !ok || string(got) != v {
-			t.Fatalf("after conversion %s = %q %v %v, want %q", k, got, ok, err, v)
+			t.Fatalf("after the fold %s = %q %v %v, want %q", k, got, ok, err, v)
 		}
 	}
-	if _, err := eng.Put([]byte("after"), []byte("conversion")); err != nil {
+	if _, err := eng.Put([]byte("after"), []byte("the fold")); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 2; k++ {
 		if _, err := os.Stat(server.ShardPath(path, 2, k) + epochlog.DirSuffix); err != nil {
-			t.Fatalf("shard %d was not upgraded back to a delta pool: %v", k, err)
+			t.Fatalf("shard %d started no new epoch log: %v", k, err)
 		}
 	}
 }

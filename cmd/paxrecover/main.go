@@ -2,16 +2,14 @@
 // pool (which performs the §3.4 rollback of any unpersisted epoch) and
 // writes the repaired image back, reporting what was undone.
 //
-// Pools persisted with the epoch store (every pool paxserve has served) are
-// a checkpoint image plus delta segments in <pool>.epochlog/. paxrecover reconstructs the
-// last committed state by replaying the committed deltas onto the
-// checkpoint (a torn tail — an append cut by a crash — is reported and
-// discarded, never an error), runs the same §3.4 rollback, and then
-// CONVERTS the pool to the plain full-image layout: the repaired image
-// replaces the file and the consumed segments are removed. The converted
-// pool opens as a full-image pool through the pax library, and paxserve
-// upgrades it back in place: a fresh segment directory is started on its
-// next commit.
+// A pool is a checkpoint image plus delta segments in <pool>.epochlog/.
+// paxrecover reconstructs the last committed state by replaying the
+// committed deltas onto the checkpoint (a torn tail — an append cut by a
+// crash — is reported and discarded, never an error), runs the same §3.4
+// rollback, and then FOLDS the log into the checkpoint: the repaired image
+// replaces the file and the consumed segments are removed. The result
+// reopens as a delta pool with an empty log; its next commit starts a fresh
+// segment directory.
 //
 // Usage:
 //
@@ -103,7 +101,7 @@ func recoverPool(path string, dryRun bool, out io.Writer, publishHook seglog.Hoo
 			fmt.Fprintf(out, "torn tail:        yes — an append was cut by the crash; recovery uses the last committed delta\n")
 		}
 	} else {
-		fmt.Fprintf(out, "layout:           full image\n")
+		fmt.Fprintf(out, "layout:           checkpoint only (empty epoch log)\n")
 	}
 	fmt.Fprintf(out, "durable epoch:    %d\n", rep.DurableEpoch)
 	fmt.Fprintf(out, "entries scanned:  %d\n", rep.EntriesScanned)
@@ -127,6 +125,6 @@ func recoverPool(path string, dryRun bool, out io.Writer, publishHook seglog.Hoo
 	if err := os.RemoveAll(logDir); err != nil {
 		return fmt.Errorf("removing consumed segments: %w", err)
 	}
-	fmt.Fprintln(out, "pool recovered in place (converted to full-image layout; segments removed)")
+	fmt.Fprintln(out, "pool recovered in place (log folded into the checkpoint; segments removed)")
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 // before the rename must leave the pool file byte-identical and every
 // segment in place — the pool still recovers everything it had acked.
 func TestSegmentsOutliveAFailedPublish(t *testing.T) {
-	opts := pax.Options{DataSize: 1 << 20, LogSize: 1 << 20, HBMSize: 32 << 10, EpochLog: true}
+	opts := pax.Options{DataSize: 1 << 20, LogSize: 1 << 20, HBMSize: 32 << 10}
 	path := filepath.Join(t.TempDir(), "delta.pool")
 	pool, err := pax.MapPool(path, opts)
 	if err != nil {
@@ -52,8 +52,8 @@ func TestSegmentsOutliveAFailedPublish(t *testing.T) {
 		}
 	}
 
-	// With the fault gone the conversion completes, and the key written only
-	// to the log is in the full image.
+	// With the fault gone the fold completes, and the key written only to
+	// the log is in the checkpoint.
 	var out bytes.Buffer
 	if err := recoverPool(path, false, &out, nil); err != nil {
 		t.Fatalf("recoverPool: %v\n%s", err, out.String())
@@ -61,7 +61,6 @@ func TestSegmentsOutliveAFailedPublish(t *testing.T) {
 	if _, err := os.Stat(logDir); !os.IsNotExist(err) {
 		t.Fatalf("segments not removed after a durable publish: %v", err)
 	}
-	opts.EpochLog = false
 	pool, err = pax.OpenPool(path, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +68,6 @@ func TestSegmentsOutliveAFailedPublish(t *testing.T) {
 	defer pool.Close()
 	m, _ = pax.NewMap(pool, 0)
 	if v, ok := m.Get([]byte("acked")); !ok || string(v) != "in the epoch log only" {
-		t.Fatalf("acked key after conversion = %q, %v", v, ok)
+		t.Fatalf("acked key after the fold = %q, %v", v, ok)
 	}
 }

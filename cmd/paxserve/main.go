@@ -63,9 +63,9 @@
 // Every pool is served through the delta epoch store: a group commit appends
 // the byte ranges the batch dirtied to <pool>.epochlog/ and fsyncs the
 // append, and the pool file is the checkpoint a background pass refreshes.
-// Which store a pool is in is read off the disk, never off the command line:
-// a pool with an epoch log is replayed, a plain full-image pool (written by
-// the pax library, or by paxrecover) is upgraded in place on first open.
+// There is no store to choose: a pool's epoch log is replayed on open, and a
+// pool file without one (a legacy full-image pool, or paxrecover's output)
+// opens as a checkpoint with an empty log.
 //
 // The protocol is internal/wire's length-prefixed binary framing; the Go
 // client is pax/internal/wire.Client. SIGINT/SIGTERM shut down gracefully:

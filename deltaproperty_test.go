@@ -1,10 +1,11 @@
 package pax_test
 
-// Recovery-equivalence property tests for the epoch store: the same op
-// sequence driven through a full-image pool and an epoch-log pool, with the
-// same persist and crash schedule, must recover to byte-identical media
-// after every restart — (checkpoint + replayed deltas) IS the full image.
-// A torn final append must recover to the previous committed epoch.
+// Recovery-equivalence property tests for the epoch store: a pool driven
+// through random ops, persists and crashes must recover, after every
+// restart, to media byte-identical to the image captured in memory right
+// after its last acknowledged Persist — (checkpoint + replayed deltas) IS
+// that image. A torn final append must recover to the previous committed
+// epoch.
 
 import (
 	"bytes"
@@ -18,12 +19,6 @@ import (
 	"pax"
 	"pax/internal/epochlog"
 )
-
-func deltaOpts() pax.Options {
-	o := smallOpts()
-	o.EpochLog = true
-	return o
-}
 
 // copyPoolState clones a pool's on-disk durable state (checkpoint file plus
 // segment directory) — the image a crash at this instant would leave.
@@ -63,36 +58,17 @@ func TestEpochLogMatchesFullImageAcrossRestarts(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			dir := t.TempDir()
-			fullPath := filepath.Join(dir, "full.pool")
-			deltaPath := filepath.Join(dir, "delta.pool")
-
-			full, err := pax.MapPool(fullPath, smallOpts())
+			path := filepath.Join(t.TempDir(), "delta.pool")
+			pool, err := pax.MapPool(path, smallOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			delta, err := pax.MapPool(deltaPath, deltaOpts())
+			// The reference: the full media image as of the last acknowledged
+			// Persist (CreatePool's format commit is the first).
+			want := pool.Internal().PM().Snapshot()
+			m, err := pax.NewMap(pool, 0)
 			if err != nil {
 				t.Fatal(err)
-			}
-			fm, err := pax.NewMap(full, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dm, err := pax.NewMap(delta, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Apply the same op to both pools; they must stay in lockstep.
-			both := func(op func(m *pax.Map) error) {
-				t.Helper()
-				if err := op(fm); err != nil {
-					t.Fatal(err)
-				}
-				if err := op(dm); err != nil {
-					t.Fatal(err)
-				}
 			}
 
 			for round := 0; round < 5; round++ {
@@ -100,58 +76,44 @@ func TestEpochLogMatchesFullImageAcrossRestarts(t *testing.T) {
 				for i := 0; i < ops; i++ {
 					k := []byte(fmt.Sprintf("k%03d", rng.Intn(60)))
 					if rng.Intn(4) == 0 {
-						both(func(m *pax.Map) error { _, err := m.Delete(k); return err })
+						_, err = m.Delete(k)
 					} else {
-						v := []byte(fmt.Sprintf("v%06d", rng.Intn(1_000_000)))
-						both(func(m *pax.Map) error { return m.Put(k, v) })
+						err = m.Put(k, []byte(fmt.Sprintf("v%06d", rng.Intn(1_000_000))))
+					}
+					if err != nil {
+						t.Fatal(err)
 					}
 				}
 				if rng.Intn(2) == 0 {
-					if _, err := full.Persist(); err != nil {
+					if _, err := pool.Persist(); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := delta.Persist(); err != nil {
-						t.Fatal(err)
-					}
+					want = pool.Internal().PM().Snapshot()
 				}
 				if rng.Intn(3) == 0 {
-					// Crash both and reopen: the recovered media must be
-					// byte-identical, whichever way it was persisted.
-					full.Close()
-					delta.Close()
-					full, err = pax.MapPool(fullPath, smallOpts())
+					// Crash — drop the device without syncing anything more —
+					// and reopen: the recovered media must equal the image at
+					// the last acknowledged Persist, byte for byte.
+					pool.Internal().PM().Close()
+					pool, err = pax.MapPool(path, smallOpts())
 					if err != nil {
 						t.Fatal(err)
 					}
-					delta, err = pax.MapPool(deltaPath, deltaOpts())
-					if err != nil {
-						t.Fatal(err)
-					}
-					fimg := full.Internal().PM().Snapshot()
-					dimg := delta.Internal().PM().Snapshot()
-					if !bytes.Equal(fimg, dimg) {
-						off := -1
-						for i := range fimg {
-							if fimg[i] != dimg[i] {
-								off = i
-								break
-							}
+					got := pool.Internal().PM().Snapshot()
+					if !bytes.Equal(got, want) {
+						off := 0
+						for got[off] == want[off] {
+							off++
 						}
-						t.Fatalf("round %d: recovered media diverges at offset %#x (full=%x delta=%x)",
-							round, off, fimg[off], dimg[off])
+						t.Fatalf("round %d: recovered media diverges at offset %#x (want=%x got=%x)",
+							round, off, want[off], got[off])
 					}
-					fm, err = pax.NewMap(full, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dm, err = pax.NewMap(delta, 0)
-					if err != nil {
+					if m, err = pax.NewMap(pool, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			full.Close()
-			delta.Close()
+			pool.Close()
 		})
 	}
 }
@@ -163,7 +125,7 @@ func TestEpochLogMatchesFullImageAcrossRestarts(t *testing.T) {
 func TestEpochLogTornTailRecoversPreviousCommit(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "live.pool")
-	pool, err := pax.CreatePool(path, deltaOpts())
+	pool, err := pax.CreatePool(path, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +174,7 @@ func TestEpochLogTornTailRecoversPreviousCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := pax.OpenPool(torn, deltaOpts())
+	re, err := pax.OpenPool(torn, smallOpts())
 	if err != nil {
 		t.Fatalf("opening torn pool: %v", err)
 	}
@@ -234,6 +196,64 @@ func TestEpochLogTornTailRecoversPreviousCommit(t *testing.T) {
 		}
 		if _, ok := rm.Get([]byte(fmt.Sprintf("b%02d", i))); ok {
 			t.Fatalf("torn key b%02d survived the cut append", i)
+		}
+	}
+}
+
+// TestRawImagePoolGainsALog: a pool file with no epoch log — a full-image
+// pool an older build wrote, or paxrecover's output — opens through
+// OpenPool as a checkpoint, keeps its keys, and its first commit starts the
+// log that a crash then recovers from.
+func TestRawImagePoolGainsALog(t *testing.T) {
+	mem, err := pax.CreatePool("", smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pax.NewMap(mem, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put([]byte("old"), []byte("in the image")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "raw.pool")
+	if err := os.WriteFile(path, mem.Internal().PM().Snapshot(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	pool, err := pax.OpenPool(path, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = pax.NewMap(pool, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put([]byte("new"), []byte("in the log")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if has, err := epochlog.HasSegments(path + epochlog.DirSuffix); err != nil || !has {
+		t.Fatalf("first commit started no epoch log: %v %v", has, err)
+	}
+	pool.Internal().PM().Close() // crash: nothing more reaches the disk
+
+	re, err := pax.OpenPool(path, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rm, err := pax.NewMap(re, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]string{"old": "in the image", "new": "in the log"} {
+		if v, ok := rm.Get([]byte(k)); !ok || string(v) != want {
+			t.Fatalf("%s after the crash = %q %v, want %q", k, v, ok, want)
 		}
 	}
 }

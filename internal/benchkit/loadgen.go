@@ -873,37 +873,28 @@ func (r *loadRun) client(spec LoadSpec, c int, ackLat *stats.LatencyHistogram, s
 	}
 }
 
-// EpochStoreAmplification is the epoch-store A/B, at the level where both
-// stores still exist — the pax library: the same fixed workload (192 PUTs in
-// 16-write epochs) over growing file-backed pools, each epoch persisted as a
-// full-image republish vs as a delta record. Full-image per-commit bytes
-// track the pool size (write amplification 1.0 by construction); the delta
-// store's stay O(dirty) — flat across the sweep — which is the property the
-// epoch store exists to buy, and why it is the only store paxserve serves
-// from. The workload is deliberately small: the measurement is bytes per
-// commit (PersistStats.PersistedBytes), and the full-image side rewrites the
-// whole pool every commit.
+// EpochStoreAmplification measures what the epoch store buys: the same
+// fixed workload (192 PUTs in 16-write epochs) over growing file-backed
+// pools, bytes persisted per commit. Delta commits stay O(dirty) — flat
+// across the sweep. Beside them, the "full-image" column is the per-commit
+// cost of republishing the whole pool, the store this one replaced: it is
+// the pool's media size by definition (amplification 1.0), so it is computed,
+// not run.
 func EpochStoreAmplification(cfg Config, sz Sizes) []*stats.Table {
 	poolMiB := []int{64, 128, 256}
 	if sz.MeasureOps < 10_000 {
-		poolMiB = []int{16, 32, 64} // quick scale: keep full-image I/O in check
+		poolMiB = []int{16, 32, 64} // quick scale: smaller checkpoint files
 	}
 	table := stats.NewTable("epoch store: per-commit persisted bytes vs pool size (192 PUTs, 16 per epoch, file-backed)",
-		"store", "pool MiB", "commits", "p50 KiB/commit", "p99 KiB/commit", "amplification")
-	for _, epochLog := range []bool{false, true} {
-		store := "full-image"
-		if epochLog {
-			store = "delta"
+		"pool MiB", "commits", "p50 KiB/commit", "p99 KiB/commit", "amplification", "full-image KiB/commit")
+	for _, mib := range poolMiB {
+		commits, poolBytes, err := persistedBytesPerEpoch(mib)
+		if err != nil {
+			panic(fmt.Sprintf("benchkit: epoch-store sweep (%d MiB): %v", mib, err))
 		}
-		for _, mib := range poolMiB {
-			commits, poolBytes, err := persistedBytesPerEpoch(mib, epochLog)
-			if err != nil {
-				panic(fmt.Sprintf("benchkit: epoch-store sweep (%s, %d MiB): %v", store, mib, err))
-			}
-			table.AddRowf(store, mib, commits.Count(),
-				float64(commits.Quantile(0.50))/1024, float64(commits.Quantile(0.99))/1024,
-				commits.Mean()/float64(poolBytes))
-		}
+		table.AddRowf(mib, commits.Count(),
+			float64(commits.Quantile(0.50))/1024, float64(commits.Quantile(0.99))/1024,
+			commits.Mean()/float64(poolBytes), float64(poolBytes)/1024)
 	}
 	return []*stats.Table{table}
 }
@@ -912,14 +903,14 @@ func EpochStoreAmplification(cfg Config, sz Sizes) []*stats.Table {
 // file-backed pool and returns the per-Persist byte counts (a size histogram
 // on the latency machinery, like paxserve_epoch_delta_bytes) and the pool's
 // media size.
-func persistedBytesPerEpoch(poolMiB int, epochLog bool) (*stats.LatencyHistogram, int, error) {
+func persistedBytesPerEpoch(poolMiB int) (*stats.LatencyHistogram, int, error) {
 	dir, err := os.MkdirTemp("", "pax-epochstore-*")
 	if err != nil {
 		return nil, 0, err
 	}
 	defer os.RemoveAll(dir)
 	pool, err := pax.CreatePool(filepath.Join(dir, "es.pool"), pax.Options{
-		DataSize: uint64(poolMiB) << 20, LogSize: 16 << 20, HBMSize: 16 << 20, EpochLog: epochLog,
+		DataSize: uint64(poolMiB) << 20, LogSize: 16 << 20, HBMSize: 16 << 20,
 	})
 	if err != nil {
 		return nil, 0, err

@@ -119,9 +119,8 @@ type PersistTimings struct {
 	SyncNS    stats.LatencyHistogram // media commit (pmem.Sync, all stages)
 	LogWaitPS stats.LatencyHistogram // simulated undo-durability stall
 	// SyncBytes is not a latency at all but rides the same lock-free
-	// histogram machinery: bytes persisted per media commit. Full-image mode
-	// pins it at the pool size; epoch-log mode makes it O(dirty), which is
-	// the whole point — the quantiles read out the write amplification.
+	// histogram machinery: bytes persisted per media commit — the delta
+	// record, O(dirty) — so the quantiles read out the write amplification.
 	SyncBytes stats.LatencyHistogram
 }
 

@@ -351,9 +351,8 @@ func (s *Store) Close() error {
 	return s.log.Close()
 }
 
-// HasSegments reports whether dir holds any segment files — the signal that
-// a pool was last written in epoch-log mode and a full-image open would
-// silently lose the deltas.
+// HasSegments reports whether dir holds any segment files — deltas the
+// checkpoint beside them may lack.
 func HasSegments(dir string) (bool, error) {
 	indices, err := seglog.List(dir, format)
 	return len(indices) > 0, err

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -9,15 +10,14 @@ import (
 	"pax/internal/seglog"
 )
 
-// This file is the delta epoch-store backend (Config.EpochLog): the device
+// This file is the delta epoch store, the device's only store: the device
 // tracks the dirty byte ranges of every media write and Sync persists only
-// those — one appended, fsynced delta record in the pool's epoch log —
-// instead of republishing the full image. The full-image publish survives as
-// the background checkpoint: once the log grows past a threshold, a
-// goroutine snapshots the media into the reused scratch buffer, publishes it
-// atomically under the pool's name, and compacts the segments the checkpoint
-// covers. Commit cost becomes O(dirty bytes); the O(pool) cost moves off the
-// commit path entirely.
+// those — one appended, fsynced delta record in the pool's epoch log. The
+// full image is published only as the background checkpoint: once the log
+// grows past a threshold, a goroutine snapshots the media into the reused
+// scratch buffer, publishes it atomically under the pool's name, and
+// compacts the segments the checkpoint covers. Commit cost is O(dirty
+// bytes); the O(pool) cost stays off the commit path entirely.
 //
 // Correctness hinges on one ordering rule, enforced in checkpoint(): the
 // covered sequence number j is read BEFORE the media snapshot is taken.
@@ -37,11 +37,11 @@ type dirtyRange struct{ addr, end uint64 }
 const dirtyCompactLimit = 1 << 14
 
 // trackDirtyLocked records a media write. Called under d.mu on every Write
-// when the device is in epoch-log mode; the fast path extends the previous
-// range, since log appends and sequential write-back dominate the write
-// stream.
+// once tracking has started (see Device.tracking); the fast path extends the
+// previous range, since log appends and sequential write-back dominate the
+// write stream.
 func (d *Device) trackDirtyLocked(addr uint64, n int) {
-	if !d.trackDirty || n == 0 {
+	if !d.tracking || n == 0 {
 		return
 	}
 	end := addr + uint64(n)
@@ -137,10 +137,10 @@ func (d *Device) epochValueLocked() uint64 {
 	return v
 }
 
-// syncDelta is Sync's epoch-log fast path: append one delta record covering
-// the dirty ranges and fsync only that. On append failure the ranges are
+// syncDelta is a file-backed Sync: append one delta record covering the
+// dirty ranges and fsync only that. On append failure the ranges are
 // re-marked dirty, so a retried Sync re-persists them — the caller must
-// treat the epoch as not durable, exactly as with a failed full-image Sync.
+// treat the epoch as not durable.
 func (d *Device) syncDelta(start time.Time) error {
 	d.deltaMu.Lock()
 	defer d.deltaMu.Unlock()
@@ -192,7 +192,7 @@ func (d *Device) maybeCheckpoint() {
 // through maybeCheckpoint instead.
 func (d *Device) Checkpoint() error {
 	if d.store == nil {
-		return fmt.Errorf("pmem: %s is not in epoch-log mode", d.path)
+		return errors.New("pmem: an in-memory device has no checkpoint")
 	}
 	if err := d.checkpoint(); err != nil {
 		d.CheckpointFailures.Inc()
@@ -211,8 +211,8 @@ func (d *Device) checkpoint() error {
 	// so every compacted record is provably inside the published image.
 	covered := d.store.LastSeq()
 	// No per-stage fault hooks: checkpoint fault injection goes through the
-	// single FaultCheckpoint stage, so the FailSyncs schedules (which count
-	// commit fsyncs) keep meaning the same thing in both modes.
+	// single FaultCheckpoint stage, so the FailSyncs schedules count commit
+	// fsyncs only.
 	if err := seglog.Publish(d.path, d.snapshotLocked(), nil); err != nil {
 		return fmt.Errorf("pmem: checkpoint: %w", err)
 	}
@@ -224,26 +224,25 @@ func (d *Device) checkpoint() error {
 	return nil
 }
 
-// EpochLog exposes the device's epoch store (nil when the device is not in
-// file-backed epoch-log mode). Stats plumbing reads LiveBytes and segment
-// counts through it.
-func (d *Device) EpochLog() *epochlog.Store { return d.store }
+// EpochStore exposes the device's epoch store (nil for an in-memory device).
+// Stats plumbing reads LiveBytes and segment counts through it.
+func (d *Device) EpochStore() *epochlog.Store { return d.store }
 
-// ReplayInfo reports what Open recovered from the epoch log (zero value when
-// the device did not open an epoch log).
+// ReplayInfo reports what Open recovered from the epoch log (zero value for
+// an in-memory device).
 func (d *Device) ReplayInfo() epochlog.Info { return d.replayInfo }
 
 // LastSyncBytes reports how many bytes the most recent successful Sync
-// persisted: the delta record size in epoch-log mode, the full image size in
-// full-image mode. This is the numerator of the write-amplification metric.
+// persisted: the delta record size (the whole image for an in-memory
+// device's first Sync). This is the numerator of the write-amplification
+// metric.
 func (d *Device) LastSyncBytes() int64 { return d.lastSyncBytes.Load() }
 
 // WaitCheckpoint blocks until any in-flight background checkpoint finishes.
 func (d *Device) WaitCheckpoint() { d.ckptWG.Wait() }
 
 // Close stops background checkpointing and releases the epoch store's file
-// handles. The media image stays valid: delta pools reopen from checkpoint +
-// log, full-image pools from the last published image.
+// handles. The pool reopens from checkpoint + log.
 func (d *Device) Close() error {
 	d.closed.Store(true)
 	d.ckptWG.Wait()
@@ -253,10 +252,10 @@ func (d *Device) Close() error {
 	return nil
 }
 
-// openEpochLog attaches the epoch store to a file-backed device and replays
+// openStore attaches the epoch store to a file-backed device and replays
 // committed deltas onto the freshly loaded checkpoint image. Called from
 // Open after the checkpoint (pool file) is in memory.
-func (d *Device) openEpochLog() error {
+func (d *Device) openStore() error {
 	segBytes := d.cfg.EpochLogSegmentBytes
 	st, err := epochlog.Open(epochlog.Config{
 		Dir:          d.path + epochlog.DirSuffix,

@@ -13,12 +13,6 @@ import (
 	"pax/internal/seglog"
 )
 
-func deltaConfig(size int) Config {
-	cfg := DefaultConfig(size)
-	cfg.EpochLog = true
-	return cfg
-}
-
 func openDelta(t *testing.T, path string, cfg Config) *Device {
 	t.Helper()
 	d, err := Open(path, cfg)
@@ -31,62 +25,52 @@ func openDelta(t *testing.T, path string, cfg Config) *Device {
 
 // TestDeltaRecoveryEquivalence is the core property test: a random write
 // workload synced through the epoch log recovers, across repeated
-// close/reopen cycles, byte-identical to the same workload synced through
-// full-image mode.
+// close/reopen cycles, byte-identical to the media image captured at the
+// last successful Sync — writes after it are lost like any unsynced state.
 func TestDeltaRecoveryEquivalence(t *testing.T) {
 	const size = 1 << 16
 	rng := rand.New(rand.NewSource(42))
-	dir := t.TempDir()
-	deltaPath := filepath.Join(dir, "delta.pool")
-	fullPath := filepath.Join(dir, "full.pool")
+	path := filepath.Join(t.TempDir(), "delta.pool")
+	cfg := DefaultConfig(size)
+	cfg.EpochLogSegmentBytes = 8 << 10 // force rolls
+	d := openDelta(t, path, cfg)
 
-	dcfg := deltaConfig(size)
-	dcfg.EpochLogSegmentBytes = 8 << 10 // force rolls
-	fcfg := DefaultConfig(size)
-
-	delta := openDelta(t, deltaPath, dcfg)
-	full := openDelta(t, fullPath, fcfg)
-
-	writeBoth := func() {
+	write := func() {
 		n := 1 + rng.Intn(20)
 		for i := 0; i < n; i++ {
 			addr := uint64(rng.Intn(size - 256))
 			buf := make([]byte, 1+rng.Intn(256))
 			rng.Read(buf)
-			delta.Write(addr, buf, 0)
-			full.Write(addr, buf, 0)
+			d.Write(addr, buf, 0)
 		}
 	}
 
+	var want []byte
 	for cycle := 0; cycle < 8; cycle++ {
 		for s := 0; s < 5; s++ {
-			writeBoth()
-			if err := delta.Sync(); err != nil {
-				t.Fatalf("cycle %d: delta sync: %v", cycle, err)
+			write()
+			if err := d.Sync(); err != nil {
+				t.Fatalf("cycle %d: sync: %v", cycle, err)
 			}
-			if err := full.Sync(); err != nil {
-				t.Fatalf("cycle %d: full sync: %v", cycle, err)
-			}
+			want = d.Snapshot()
 		}
-		// "Crash": drop both devices without any further persistence and
-		// reopen from disk.
-		delta.Close()
-		full.Close()
-		delta = openDelta(t, deltaPath, dcfg)
-		full = openDelta(t, fullPath, fcfg)
-		if !bytes.Equal(delta.Snapshot(), full.Snapshot()) {
-			t.Fatalf("cycle %d: delta and full-image recovery diverged", cycle)
+		// "Crash": write past the last Sync, drop the device without any
+		// further persistence and reopen from disk.
+		write()
+		d.Close()
+		d = openDelta(t, path, cfg)
+		if !bytes.Equal(d.Snapshot(), want) {
+			t.Fatalf("cycle %d: recovered media differs from the image at the last sync", cycle)
 		}
 	}
 }
 
 // TestDeltaSyncIsODirty checks the headline property: on a large pool, a
-// small write syncs a small number of bytes, while full-image mode persists
-// the whole pool every time.
+// small write syncs a small number of bytes, not the pool.
 func TestDeltaSyncIsODirty(t *testing.T) {
 	const size = 4 << 20
 	dir := t.TempDir()
-	d := openDelta(t, filepath.Join(dir, "p.pool"), deltaConfig(size))
+	d := openDelta(t, filepath.Join(dir, "p.pool"), DefaultConfig(size))
 	if err := d.Sync(); err != nil { // flush the initial whole-pool dirtiness
 		t.Fatal(err)
 	}
@@ -97,14 +81,29 @@ func TestDeltaSyncIsODirty(t *testing.T) {
 	if got := d.LastSyncBytes(); got > 1024 {
 		t.Fatalf("delta sync persisted %d bytes for a 4-byte write", got)
 	}
+}
 
-	f := openDelta(t, filepath.Join(dir, "f.pool"), DefaultConfig(size))
-	f.Write(1234, []byte("tiny"), 0)
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
+// maxSyncAllocs is the allocation count of a file-backed Sync of a small
+// dirty set: the capture buffer is reused and the append allocates nothing,
+// so what is left is the range table and coalesce's sort.
+const maxSyncAllocs = 4
+
+// TestDeltaSyncAllocations holds a small Sync to maxSyncAllocs. A regression
+// here is garbage on every commit.
+func TestDeltaSyncAllocations(t *testing.T) {
+	d := openDelta(t, filepath.Join(t.TempDir(), "p.pool"), DefaultConfig(1<<16))
+	line := bytes.Repeat([]byte{7}, 64)
+	sync := func() {
+		for i := uint64(0); i < 4; i++ {
+			d.Write(i*4096, line, 0)
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := f.LastSyncBytes(); got != size {
-		t.Fatalf("full-image sync persisted %d bytes, want %d", got, size)
+	sync() // size the reused buffers
+	if avg := testing.AllocsPerRun(50, sync); avg > maxSyncAllocs {
+		t.Fatalf("a 4-range Sync allocates %.1f times, ceiling %d", avg, maxSyncAllocs)
 	}
 }
 
@@ -114,7 +113,7 @@ func TestDeltaTornAppendRecoversPreviousEpoch(t *testing.T) {
 	const size = 1 << 12
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := deltaConfig(size)
+	cfg := DefaultConfig(size)
 	d := openDelta(t, path, cfg)
 
 	d.Write(0, bytes.Repeat([]byte{1}, 64), 0)
@@ -158,7 +157,7 @@ func TestDeltaCheckpointAndCompaction(t *testing.T) {
 	const size = 1 << 16
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := deltaConfig(size)
+	cfg := DefaultConfig(size)
 	cfg.EpochLogSegmentBytes = 4 << 10
 	cfg.EpochLogCheckpointBytes = 8 << 10
 	d := openDelta(t, path, cfg)
@@ -179,7 +178,7 @@ func TestDeltaCheckpointAndCompaction(t *testing.T) {
 	if d.Checkpoints.Load() == 0 {
 		t.Fatalf("no checkpoint ran despite %d live bytes threshold", cfg.EpochLogCheckpointBytes)
 	}
-	if live := d.EpochLog().LiveBytes(); live > cfg.EpochLogCheckpointBytes {
+	if live := d.EpochStore().LiveBytes(); live > cfg.EpochLogCheckpointBytes {
 		t.Fatalf("compaction left %d live bytes (threshold %d)", live, cfg.EpochLogCheckpointBytes)
 	}
 	want := d.Snapshot()
@@ -198,7 +197,7 @@ func TestDeltaCrashMidCheckpoint(t *testing.T) {
 	const size = 1 << 14
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := deltaConfig(size)
+	cfg := DefaultConfig(size)
 	d := openDelta(t, path, cfg)
 	d.Write(100, []byte("committed state"), 0)
 	if err := d.Sync(); err != nil {
@@ -242,7 +241,7 @@ func TestDeltaCrashMidCompaction(t *testing.T) {
 	const size = 1 << 14
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := deltaConfig(size)
+	cfg := DefaultConfig(size)
 	cfg.EpochLogSegmentBytes = 2 << 10
 	// Threshold high enough that no background checkpoint interferes.
 	cfg.EpochLogCheckpointBytes = 1 << 30
@@ -296,7 +295,7 @@ func TestDeltaFailedAppendKeepsRangesDirty(t *testing.T) {
 	const size = 1 << 12
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := deltaConfig(size)
+	cfg := DefaultConfig(size)
 	d := openDelta(t, path, cfg)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
@@ -330,7 +329,7 @@ func TestDeltaFailedAppendKeepsRangesDirty(t *testing.T) {
 func TestDeltaRetriedAppendCapturesCurrentBytes(t *testing.T) {
 	const size = 1 << 12
 	path := filepath.Join(t.TempDir(), "p.pool")
-	cfg := deltaConfig(size)
+	cfg := DefaultConfig(size)
 	d := openDelta(t, path, cfg)
 
 	d.SetFaultFn(FailSyncs(1, errors.New("injected media fault")))
@@ -366,42 +365,20 @@ func TestDeltaRetriedAppendCapturesCurrentBytes(t *testing.T) {
 	}
 }
 
-// TestFullImageOpenRefusesDeltaPool: opening a pool whose epoch log still
-// holds segments without EpochLog mode must fail loudly, not silently
-// recover a stale checkpoint.
-func TestFullImageOpenRefusesDeltaPool(t *testing.T) {
-	const size = 1 << 12
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.pool")
-	d := openDelta(t, path, deltaConfig(size))
-	d.Write(0, []byte("x"), 0)
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-	if _, err := Open(path, DefaultConfig(size)); err == nil {
-		t.Fatalf("full-image open of a delta pool should fail")
-	}
-}
-
-// TestDeltaOpenUpgradesFullImagePool: epoch-log mode on an existing plain
-// pool file is a seamless upgrade.
+// TestDeltaOpenUpgradesFullImagePool: a plain pool file with no epoch log —
+// a legacy full-image pool, or paxrecover's output — opens as a checkpoint
+// and gains a log on its first Sync.
 func TestDeltaOpenUpgradesFullImagePool(t *testing.T) {
 	const size = 1 << 12
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	f, err := Open(path, DefaultConfig(size))
-	if err != nil {
+	want := make([]byte, size)
+	copy(want[8:], "legacy image")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Write(8, []byte("legacy image"), 0)
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	want := f.Snapshot()
-	f.Close()
 
-	d := openDelta(t, path, deltaConfig(size))
+	d := openDelta(t, path, DefaultConfig(size))
 	if !bytes.Equal(d.Snapshot(), want) {
 		t.Fatalf("upgrade open lost the legacy image")
 	}
@@ -411,16 +388,24 @@ func TestDeltaOpenUpgradesFullImagePool(t *testing.T) {
 	}
 	want2 := d.Snapshot()
 	d.Close()
-	re := openDelta(t, path, deltaConfig(size))
+	re := openDelta(t, path, DefaultConfig(size))
 	if !bytes.Equal(re.Snapshot(), want2) {
 		t.Fatalf("post-upgrade recovery diverged")
 	}
 }
 
-// TestInMemoryDeltaAccounting: an in-memory epoch-log device persists
-// nothing but still reports the modeled delta size.
+// TestInMemoryDeltaAccounting: an in-memory device persists nothing but
+// still reports the modeled delta size. Its first Sync starts tracking and
+// reports the whole image, like a fresh file pool's first checkpoint.
 func TestInMemoryDeltaAccounting(t *testing.T) {
-	d := New(deltaConfig(1 << 16))
+	d := New(DefaultConfig(1 << 16))
+	d.Write(0, []byte{1}, 0)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.LastSyncBytes(); got != 1<<16 {
+		t.Fatalf("first in-memory LastSyncBytes = %d, want the whole image", got)
+	}
 	d.Write(0, bytes.Repeat([]byte{1}, 100), 0)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
@@ -429,13 +414,22 @@ func TestInMemoryDeltaAccounting(t *testing.T) {
 	if got < 100 || got > 1024 {
 		t.Fatalf("in-memory delta LastSyncBytes = %d, want ≈100 + overhead", got)
 	}
-	m := New(DefaultConfig(1 << 16))
-	m.Write(0, []byte{1}, 0)
-	if err := m.Sync(); err != nil {
-		t.Fatal(err)
+}
+
+// TestUnsyncedDeviceTracksNothing: a device that never Syncs — the DRAM,
+// PM-Direct and PMDK baselines — must not record dirty ranges, or its list
+// would grow without bound and re-sort on every write past
+// dirtyCompactLimit.
+func TestUnsyncedDeviceTracksNothing(t *testing.T) {
+	const size = 1 << 20
+	d := New(DefaultConfig(size))
+	rng := rand.New(rand.NewSource(3))
+	buf := make([]byte, 8)
+	for i := 0; i < 100_000; i++ {
+		d.Write(uint64(rng.Intn(size/64))*64, buf, 0)
 	}
-	if m.LastSyncBytes() != 1<<16 {
-		t.Fatalf("in-memory full-image LastSyncBytes = %d", m.LastSyncBytes())
+	if n := len(d.dirty); n != 0 {
+		t.Fatalf("a device that never synced tracks %d dirty ranges", n)
 	}
 }
 
@@ -445,7 +439,7 @@ func TestDeltaCheckpointFaultInjection(t *testing.T) {
 	const size = 1 << 12
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := deltaConfig(size)
+	cfg := DefaultConfig(size)
 	d := openDelta(t, path, cfg)
 	d.SetFaultFn(func(op FaultOp) error {
 		if op == FaultCheckpoint {

@@ -12,6 +12,10 @@
 // the controller write queue inside the persistence domain). Volatile state —
 // CPU caches, accelerator buffers, un-issued stores — lives in the layers
 // above and is what crash injection discards.
+//
+// A file-backed device has one store, the delta epoch store (delta.go): the
+// pool file is a checkpoint image, and Sync appends the byte ranges written
+// since the previous Sync to <path>.epochlog/ and fsyncs only that append.
 package pmem
 
 import (
@@ -33,28 +37,19 @@ import (
 const AtomicWriteUnit = 8
 
 // FaultOp identifies a media-durability stage a fault hook can fail: the
-// seglog stage vocabulary, which the full-image publish and the epoch log
-// both run through. In-memory devices, which have no file to sync, consult
-// only FaultFileSync (modeling the media commit itself), so one fault
-// schedule drives both backings.
+// seglog stage vocabulary the epoch log runs through, plus FaultCheckpoint.
+// In-memory devices, which have no file to sync, consult only FaultFileSync
+// (modeling the media commit itself), so one fault schedule drives both
+// backings.
 type FaultOp = seglog.Stage
 
-// Sync stages, in execution order.
+// Sync and checkpoint stages.
 const (
-	// FaultWriteImage fails writing the staged temp image (ENOSPC-class).
-	FaultWriteImage = seglog.StageWrite
-	// FaultFileSync fails the temp file's fsync (EIO-class). This is the
-	// stage the FailSyncs/FailSyncsAfter schedules count.
-	FaultFileSync = seglog.StageFsync
-	// FaultRename fails publishing the image under the pool's name.
-	FaultRename = seglog.StageRename
-	// FaultDirSync fails the directory fsync that makes the rename durable.
-	FaultDirSync = seglog.StageDirSync
-
-	// Epoch-log (delta) mode stages.
-
 	// FaultAppend fails writing a delta record into the epoch log.
 	FaultAppend = seglog.StageAppend
+	// FaultFileSync fails the append's fsync (EIO-class) — the media commit
+	// itself. This is the stage the FailSyncs/FailSyncsAfter schedules count.
+	FaultFileSync = seglog.StageFsync
 	// FaultCheckpoint fails a background checkpoint before it starts; the
 	// log keeps every commit durable, so the failure only defers compaction.
 	FaultCheckpoint FaultOp = "checkpoint"
@@ -77,12 +72,6 @@ type Config struct {
 	// SetFaultFn.
 	FaultFn func(FaultOp) error
 
-	// EpochLog selects the log-structured delta epoch store: Sync appends a
-	// delta record of the dirty byte ranges to <path>.epochlog/ instead of
-	// republishing the full image, which becomes the background checkpoint.
-	// On an in-memory device there is no log to write, but the device still
-	// tracks dirty ranges so LastSyncBytes models the delta cost.
-	EpochLog bool
 	// EpochLogSegmentBytes is the segment roll threshold (0 = epochlog's
 	// default).
 	EpochLogSegmentBytes int64
@@ -175,10 +164,12 @@ type Device struct {
 	// faultFn, when set, can fail media-durability stages (see FaultOp).
 	faultFn func(FaultOp) error
 
-	// Epoch-log (delta) mode state — see delta.go. trackDirty is set in any
-	// EpochLog config; store only on file-backed devices, which actually
-	// persist the deltas.
-	trackDirty bool
+	// Delta epoch-store state — see delta.go. tracking starts at Open for a
+	// file-backed device and at the first Sync for an in-memory one, so a
+	// device that never Syncs (the volatile baselines) keeps an empty dirty
+	// list. store is set only on file-backed devices, which actually persist
+	// the deltas.
+	tracking   bool
 	dirty      []dirtyRange
 	store      *epochlog.Store
 	replayInfo epochlog.Info
@@ -190,8 +181,8 @@ type Device struct {
 	deltaMu   sync.Mutex
 	deltaData []byte
 
-	// publishMu serializes full-image publishes (full-image Sync and the
-	// background checkpoint) and guards scratch, the reused staging buffer.
+	// publishMu serializes checkpoint publishes and guards scratch, the
+	// reused staging buffer.
 	publishMu sync.Mutex
 	scratch   []byte
 
@@ -204,7 +195,7 @@ type Device struct {
 	Reads, Writes           stats.Counter
 	BytesRead, BytesWritten stats.Counter
 	// SyncBytes accumulates bytes persisted by successful Syncs (delta
-	// record sizes in epoch-log mode, full images otherwise); Checkpoints /
+	// record sizes); Checkpoints /
 	// CheckpointBytes / CheckpointFailures count background checkpoints.
 	SyncBytes          stats.Counter
 	Checkpoints        stats.Counter
@@ -216,19 +207,14 @@ type Device struct {
 	SyncTimings SyncTimings
 }
 
-// SyncTimings are wall-clock nanosecond histograms of Sync's durability
-// stages, recorded per call: staging the image into the temp file, fsyncing
-// it, renaming it over the pool file, fsyncing the directory, and the whole
-// Sync. They answer "where does a media commit spend its time" — the repro's
-// analogue of the per-stage persist breakdowns NearPM and Snapshot report.
-// The histograms are lock-free; sampling them never blocks a commit.
+// SyncTimings are wall-clock nanosecond histograms of Sync, recorded per
+// call: the delta-record append with its fsync, and the whole Sync. They
+// answer "where does a media commit spend its time" — the repro's analogue
+// of the per-stage persist breakdowns NearPM and Snapshot report. The
+// histograms are lock-free; sampling them never blocks a commit.
 type SyncTimings struct {
-	WriteImage stats.LatencyHistogram // write the staged temp image
-	FileSync   stats.LatencyHistogram // fsync the temp file
-	Rename     stats.LatencyHistogram // publish via rename
-	DirSync    stats.LatencyHistogram // fsync the directory
-	Append     stats.LatencyHistogram // delta-record append + fsync (epoch-log mode)
-	Total      stats.LatencyHistogram // full Sync, all stages
+	Append stats.LatencyHistogram // delta-record append + fsync (file-backed)
+	Total  stats.LatencyHistogram // the whole Sync
 }
 
 // New returns an in-memory device.
@@ -241,43 +227,42 @@ func New(cfg Config) *Device {
 		ckptBytes = DefaultCheckpointBytes
 	}
 	return &Device{
-		cfg:        cfg,
-		media:      make([]byte, cfg.Size),
-		faultFn:    cfg.FaultFn,
-		trackDirty: cfg.EpochLog,
-		ckptBytes:  ckptBytes,
-		readBW:     sim.NewBandwidthMeter("pm-read", cfg.ReadBandwidth),
-		writeBW:    sim.NewBandwidthMeter("pm-write", cfg.WriteBandwidth),
+		cfg:       cfg,
+		media:     make([]byte, cfg.Size),
+		faultFn:   cfg.FaultFn,
+		ckptBytes: ckptBytes,
+		readBW:    sim.NewBandwidthMeter("pm-read", cfg.ReadBandwidth),
+		writeBW:   sim.NewBandwidthMeter("pm-write", cfg.WriteBandwidth),
 	}
 }
 
-// Open returns a device backed by the file at path, creating it (zero-filled)
-// if absent. Existing contents are loaded; a size mismatch with cfg.Size is
-// an error, because silently resizing a pool would corrupt its layout. A
-// stale staging file left by a crash mid-Sync is removed: it is never valid
-// state (Sync republishes the whole image atomically via rename), only
-// leftover garbage that would otherwise accumulate and confuse layout
-// discovery.
-//
-// With cfg.EpochLog the pool file is the checkpoint: after loading it, Open
-// replays the committed delta records from <path>.epochlog/ on top (a torn
-// tail is discarded and reported in ReplayInfo) and attaches the store for
-// appends. Opening a plain full-image pool in epoch-log mode upgrades it
-// seamlessly. The reverse — a full-image open of a pool whose epoch log
-// still holds segments — is refused: the checkpoint alone may be stale, and
-// silently recovering it would lose acked commits. Convert with paxrecover
-// first.
+// Open returns a device backed by the file at path. The file is the pool's
+// checkpoint image: a missing file is created by publishing the zero-filled
+// image, an existing one is loaded (a size mismatch with cfg.Size is an
+// error, because silently resizing a pool would corrupt its layout). Open
+// then replays the committed delta records from <path>.epochlog/ on top (a
+// torn tail is discarded and reported in ReplayInfo) and attaches the store
+// for appends. A pool file with no epoch log — a legacy full-image pool, or
+// paxrecover's output — opens as a checkpoint with an empty log. A stale
+// staging file left by a crash mid-checkpoint is removed: it is never valid
+// state, only leftover garbage that would otherwise accumulate and confuse
+// layout discovery.
 func Open(path string, cfg Config) (*Device, error) {
 	d := New(cfg)
 	d.path = path
+	d.tracking = true
 	if err := os.Remove(path + syncTempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("pmem: removing stale temp for %s: %w", path, err)
 	}
 	data, err := os.ReadFile(path)
-	exists := true
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		exists = false // fresh pool file
+		// Publish the zero-filled checkpoint now so the invariant "a pool
+		// always has a checkpoint file" holds from the first commit on
+		// (layout discovery and size checks rely on the file existing).
+		if err := seglog.Publish(path, d.media, nil); err != nil {
+			return nil, fmt.Errorf("pmem: open: %w", err)
+		}
 	case err != nil:
 		return nil, fmt.Errorf("pmem: open %s: %w", path, err)
 	case len(data) != cfg.Size:
@@ -285,23 +270,7 @@ func Open(path string, cfg Config) (*Device, error) {
 	default:
 		copy(d.media, data)
 	}
-	if !cfg.EpochLog {
-		if has, herr := epochlog.HasSegments(path + epochlog.DirSuffix); herr != nil {
-			return nil, fmt.Errorf("pmem: open %s: %w", path, herr)
-		} else if has {
-			return nil, fmt.Errorf("pmem: %s has an epoch log with unconsumed segments; open in epoch-log mode or convert with paxrecover", path)
-		}
-		return d, nil
-	}
-	if !exists {
-		// Publish the zero-filled checkpoint now so the invariant "a delta
-		// pool always has a checkpoint file" holds from the first commit on
-		// (layout discovery and size checks rely on the file existing).
-		if err := seglog.Publish(path, d.media, nil); err != nil {
-			return nil, fmt.Errorf("pmem: open: %w", err)
-		}
-	}
-	if err := d.openEpochLog(); err != nil {
+	if err := d.openStore(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -397,8 +366,8 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 	d.trackDirtyLocked(addr, n)
 }
 
-// syncTempSuffix names the staging file Sync writes before renaming it over
-// the pool file. Open and shard discovery know to ignore/clean it.
+// syncTempSuffix names the staging file a checkpoint writes before renaming
+// it over the pool file. Open and shard discovery know to ignore/clean it.
 const syncTempSuffix = seglog.TempSuffix
 
 // SetFaultFn installs (or, with nil, clears) a fault hook on an open device;
@@ -420,56 +389,34 @@ func (d *Device) faultAt(op FaultOp) error {
 	return fn(op)
 }
 
-// Sync makes the media image durable on the backing file, if any. The image
-// is published with seglog.Publish — staged through a temp file (written,
-// fsynced), renamed over the pool file, directory fsynced — so a crash at
-// any point leaves either the old image or the new one, never a torn mix,
-// and the rename itself survives a kernel crash. On failure the previous
-// image is untouched and the staging file is cleaned up; the caller must
-// treat the epoch as not durable. In-memory devices have no file but still
-// consult the fault hook (at the FaultFileSync stage), so durability
-// failures can be injected without file backing.
+// Sync makes everything written since the previous Sync durable. On a
+// file-backed device that is one delta record appended and fsynced to the
+// epoch log (syncDelta); on failure the caller must treat the epoch as not
+// durable. An in-memory device has no file but still consults the fault
+// hook (at the FaultFileSync stage), so durability failures can be injected
+// without file backing, and still reports the record size a file-backed
+// Sync would have persisted. Its first Sync — core.Create's format persist —
+// starts dirty tracking and reports the whole image, like a fresh file
+// pool's first checkpoint.
 func (d *Device) Sync() error {
 	start := time.Now()
-	if d.path == "" {
-		if err := d.faultAt(FaultFileSync); err != nil {
-			return fmt.Errorf("pmem: sync: %w", err)
-		}
-		// No file to persist, but keep the write-amplification accounting
-		// honest: in epoch-log mode the cost modeled is the delta record the
-		// dirty ranges would encode to; in full-image mode it is the image.
-		if d.trackDirty {
-			d.deltaMu.Lock()
-			d.mu.Lock()
-			ranges := d.takeDirtyLocked()
-			d.mu.Unlock()
-			n := epochlog.RecordSize(ranges)
-			d.deltaMu.Unlock()
-			d.lastSyncBytes.Store(n)
-			d.SyncBytes.Add(uint64(n))
-		} else {
-			d.lastSyncBytes.Store(int64(d.cfg.Size))
-			d.SyncBytes.Add(uint64(d.cfg.Size))
-		}
-		d.SyncTimings.Total.Since(start)
-		return nil
-	}
 	if d.store != nil {
 		return d.syncDelta(start)
 	}
-	// Full-image mode. publishMu serializes concurrent Syncs (they share one
-	// staging file) and guards the reused scratch buffer — the former
-	// per-call snapshot allocation was the dominant allocation churn on the
-	// commit path, and it is still worth avoiding now that this is the cold
-	// checkpoint/fallback path.
-	d.publishMu.Lock()
-	defer d.publishMu.Unlock()
-	snapshot := d.snapshotLocked()
-	if err := seglog.Publish(d.path, snapshot, d.syncStage); err != nil {
+	if err := d.faultAt(FaultFileSync); err != nil {
 		return fmt.Errorf("pmem: sync: %w", err)
 	}
-	d.lastSyncBytes.Store(int64(len(snapshot)))
-	d.SyncBytes.Add(uint64(len(snapshot)))
+	n := int64(d.cfg.Size)
+	d.deltaMu.Lock()
+	d.mu.Lock()
+	if d.tracking {
+		n = epochlog.RecordSize(d.takeDirtyLocked())
+	}
+	d.tracking = true
+	d.mu.Unlock()
+	d.deltaMu.Unlock()
+	d.lastSyncBytes.Store(n)
+	d.SyncBytes.Add(uint64(n))
 	d.SyncTimings.Total.Since(start)
 	return nil
 }
@@ -484,30 +431,6 @@ func (d *Device) snapshotLocked() []byte {
 	}
 	copy(d.scratch, d.media)
 	return d.scratch
-}
-
-// syncStage is the full-image Sync's publish hook: each stage consults the
-// fault hook first and, when it succeeds, lands in its SyncTimings histogram.
-func (d *Device) syncStage(st FaultOp, run func() error) error {
-	start := time.Now()
-	err := d.faultAt(st)
-	if err == nil {
-		err = run()
-	}
-	if err != nil {
-		return err
-	}
-	switch st {
-	case FaultWriteImage:
-		d.SyncTimings.WriteImage.Since(start)
-	case FaultFileSync:
-		d.SyncTimings.FileSync.Since(start)
-	case FaultRename:
-		d.SyncTimings.Rename.Since(start)
-	case FaultDirSync:
-		d.SyncTimings.DirSync.Since(start)
-	}
-	return nil
 }
 
 // Snapshot returns a copy of the full media image — what a post-crash

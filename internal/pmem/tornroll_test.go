@@ -15,13 +15,13 @@ import (
 func TestDeltaTornRollReopens(t *testing.T) {
 	const size = 1 << 12
 	path := filepath.Join(t.TempDir(), "p.pool")
-	d := openDelta(t, path, deltaConfig(size))
+	d := openDelta(t, path, DefaultConfig(size))
 	d.Write(100, []byte("last committed record"), 0)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	want := d.Snapshot()
-	segs := d.EpochLog().Segments()
+	segs := d.EpochStore().Segments()
 	d.Close()
 
 	stub := filepath.Join(path+epochlog.DirSuffix, "seg-00000002.seg")
@@ -31,7 +31,7 @@ func TestDeltaTornRollReopens(t *testing.T) {
 	if err := os.WriteFile(stub, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re := openDelta(t, path, deltaConfig(size))
+	re := openDelta(t, path, DefaultConfig(size))
 	if !bytes.Equal(re.Snapshot(), want) {
 		t.Fatal("reopen after a torn roll diverged from the last committed state")
 	}

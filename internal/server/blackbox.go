@@ -13,8 +13,8 @@ import (
 // loadgen harness both attach through here.
 
 // openDetail is EvOpen's payload: what recovery found when a shard's pool
-// opened. Replay is set only on epoch-log pools — it carries the replay
-// report, including any torn-tail truncation.
+// opened. Replay is the epoch log's replay report, including any torn-tail
+// truncation (all zero for an in-memory pool).
 type openDetail struct {
 	Epoch  uint64         `json:"epoch"`
 	Replay *epochlog.Info `json:"replay,omitempty"`
@@ -32,12 +32,8 @@ func AttachBlackbox(s *ShardedEngine, j *blackbox.Journal, interval time.Duratio
 		_ = j.AppendJSON(ev.Type, ev)
 	})
 	for k, pool := range s.ShardPools() {
-		d := openDetail{Epoch: pool.Epoch()}
-		if pool.EpochLogEnabled() {
-			info := pool.Internal().PM().ReplayInfo()
-			d.Replay = &info
-		}
-		s.events.emit(blackbox.EvOpen, k, d)
+		info := pool.Internal().PM().ReplayInfo()
+		s.events.emit(blackbox.EvOpen, k, openDetail{Epoch: pool.Epoch(), Replay: &info})
 	}
 	sampler := blackbox.StartSampler(j, s.Metrics, interval)
 	return func() {

@@ -188,7 +188,6 @@ func TestChaosShardIsolation(t *testing.T) {
 func TestChaosApplyPanicSealsOnlyItsShard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kv.pool")
 	opts := smallOpts()
-	opts.EpochLog = true
 	opts.LogSize = 16 << 10 // ~170 undo entries per epoch: single PUTs fit, a rehash does not
 	cfg := Config{MaxBatch: 8, MaxDelay: time.Millisecond}
 	s, err := OpenSharded(path, 2, opts, 0, cfg)

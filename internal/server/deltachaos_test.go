@@ -13,18 +13,11 @@ import (
 	"pax/internal/pmem"
 )
 
-// This file is the chaos harness for the epoch-log persistence mode: the
+// This file is the chaos harness for the epoch store at the file level: the
 // same acked-write contract as chaos_test.go, but over file-backed pools
-// whose commits are delta appends into <pool>.epochlog/ instead of
-// full-image republishes. Crashes are simulated by copying the on-disk
+// whose commits are delta appends into <pool>.epochlog/. Crashes are simulated by copying the on-disk
 // state (checkpoint + segments) mid-run and reopening the copy — exactly
 // what a post-crash recovery sees.
-
-func deltaOpts() pax.Options {
-	o := smallOpts()
-	o.EpochLog = true
-	return o
-}
 
 // crashCopy clones a pool's durable state — the checkpoint file and, if
 // present, its epoch-log segment directory — to dst. The clone is what
@@ -61,18 +54,18 @@ func crashCopy(t *testing.T, src, dst string) {
 	}
 }
 
-// TestDeltaEngineAckedWritesSurviveCrash: every write the engine acks in
-// epoch-log mode is on disk as a committed delta, so a crash copy taken at
+// TestDeltaEngineAckedWritesSurviveCrash: every write the engine acks is on
+// disk as a committed delta, so a crash copy taken at
 // any point after the acks recovers all of them.
 func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.pool")
-	pool, err := pax.CreatePool(path, deltaOpts())
+	pool, err := pax.CreatePool(path, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if !pool.EpochLogEnabled() {
+	if pool.Internal().PM().EpochStore() == nil {
 		t.Fatal("pool opened without the epoch store")
 	}
 	eng, err := New(pool, 0, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
@@ -96,7 +89,7 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 		t.Fatalf("crash copy has no delta segments (has=%v err=%v)", has, err)
 	}
 
-	re, err := pax.OpenPool(crash, deltaOpts())
+	re, err := pax.OpenPool(crash, smallOpts())
 	if err != nil {
 		t.Fatalf("reopening crash copy: %v", err)
 	}
@@ -120,7 +113,7 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 // retry budget is invisible to the client.
 func TestDeltaTransientFaultRetriesAndAcks(t *testing.T) {
 	dir := t.TempDir()
-	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), deltaOpts())
+	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +140,10 @@ func TestDeltaTransientFaultRetriesAndAcks(t *testing.T) {
 }
 
 // TestDeltaPersistentFaultSealsEngine: FailSyncsAfter seals an epoch-log
-// engine fail-stop exactly as it does a full-image one.
+// engine fail-stop.
 func TestDeltaPersistentFaultSealsEngine(t *testing.T) {
 	dir := t.TempDir()
-	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), deltaOpts())
+	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +174,7 @@ func TestShardedEpochLogDiscoveryAndOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.pool")
 	cfg := Config{MaxBatch: 8, MaxDelay: time.Millisecond}
-	opts := deltaOpts()
+	opts := smallOpts()
 	opts.Overwrite = true
 	s, err := OpenSharded(path, 4, opts, 0, cfg)
 	if err != nil {
@@ -214,7 +207,7 @@ func TestShardedEpochLogDiscoveryAndOverwrite(t *testing.T) {
 	}
 
 	// Reopen: every shard recovers from checkpoint + deltas.
-	reopenOpts := deltaOpts()
+	reopenOpts := smallOpts()
 	s2, err := OpenSharded(path, 4, reopenOpts, 0, cfg)
 	if err != nil {
 		t.Fatal(err)

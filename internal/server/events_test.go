@@ -245,7 +245,7 @@ func TestBlackboxCapturesInjectedSeal(t *testing.T) {
 // reads.
 func TestBlackboxCapturesCrashMidMerge(t *testing.T) {
 	pool := filepath.Join(t.TempDir(), "kv.pool")
-	eng := newShardedDelta(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	plantDirect(t, eng, 64)
 
 	dir := filepath.Join(t.TempDir(), "bb")
@@ -291,7 +291,7 @@ func TestBlackboxCapturesCrashMidMerge(t *testing.T) {
 // index).
 func TestBlackboxSplitEvents(t *testing.T) {
 	pool := filepath.Join(t.TempDir(), "kv.pool")
-	eng := newShardedDelta(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	defer eng.Close()
 	plantDirect(t, eng, 64)
 

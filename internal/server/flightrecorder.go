@@ -78,8 +78,8 @@ type CommitRecord struct {
 	PersistNS int64 `json:"persist_ns"`
 	AckNS     int64 `json:"ack_ns"`
 	TotalNS   int64 `json:"total_ns"`
-	// DeltaBytes is how many bytes the commit's media sync persisted (the
-	// delta record under the epoch store, the full image otherwise);
+	// DeltaBytes is how many bytes the commit's media sync persisted (its
+	// delta record);
 	// PoolBytes is the pool's media size. Their ratio is this commit's write
 	// amplification.
 	DeltaBytes int64 `json:"delta_bytes"`

@@ -77,7 +77,7 @@ func verifyKeys(t *testing.T, eng *ShardedEngine, keys []string) {
 func TestSplitZeroCountersMovesHalf(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	defer eng.Close()
 
 	keys := plantDirect(t, eng, 200)
@@ -109,7 +109,7 @@ func TestSplitZeroCountersMovesHalf(t *testing.T) {
 func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 
 	keys := make([]string, 0, 300)
 	for i := 0; i < 300; i++ {
@@ -155,7 +155,7 @@ func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("DiscoverShards found %d, want 2", n)
 	}
-	re := newShardedDelta(t, pool, 2, Config{})
+	re := newSharded(t, pool, 2, Config{})
 	defer re.Close()
 	verifyKeys(t, re, keys)
 }
@@ -167,7 +167,7 @@ func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 func TestMergeVictimNotTop(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	defer eng.Close()
 
 	keys := make([]string, 0, 300)
@@ -199,7 +199,7 @@ func TestMergeVictimNotTop(t *testing.T) {
 }
 
 func TestMergeAutoPicksColdest(t *testing.T) {
-	eng := newShardedDelta(t, "", 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, "", 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	defer eng.Close()
 
 	// Drive traffic only at keys shard 1 does NOT own, so its cumulative
@@ -232,7 +232,7 @@ func TestMergeAutoPicksColdest(t *testing.T) {
 func TestMergeRefusesBelowTwoFileBacked(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 2, Config{})
+	eng := newSharded(t, pool, 2, Config{})
 	defer eng.Close()
 	if _, err := eng.Merge(-1); err == nil {
 		t.Fatal("merging a 2-shard file-backed fleet must refuse (shard-0 files cannot become the bare layout)")
@@ -246,7 +246,7 @@ func TestMergeCrashStages(t *testing.T) {
 	errBoom := errors.New("simulated crash window")
 
 	open := func(t *testing.T, pool string, shards int) (*ShardedEngine, []string) {
-		eng := newShardedDelta(t, pool, shards, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+		eng := newSharded(t, pool, shards, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 		keys := make([]string, 0, 240)
 		for i := 0; i < 240; i++ {
 			key := fmt.Sprintf("crash-%04d", i)
@@ -286,7 +286,7 @@ func TestMergeCrashStages(t *testing.T) {
 		if n != 3 {
 			t.Fatalf("DiscoverShards found %d, want 3", n)
 		}
-		re := newShardedDelta(t, pool, n, Config{})
+		re := newSharded(t, pool, n, Config{})
 		defer re.Close()
 		verifyKeys(t, re, keys)
 	})
@@ -315,7 +315,7 @@ func TestMergeCrashStages(t *testing.T) {
 		if n != 3 {
 			t.Fatalf("DiscoverShards found %d, want 3", n)
 		}
-		re := newShardedDelta(t, pool, n, Config{})
+		re := newSharded(t, pool, n, Config{})
 		defer re.Close()
 		verifyKeys(t, re, keys)
 		route := re.Route()
@@ -356,7 +356,7 @@ func TestMergeCrashStages(t *testing.T) {
 		if n != 3 {
 			t.Fatalf("DiscoverShards found %d files, want 3 (file removal never ran)", n)
 		}
-		re := newShardedDelta(t, pool, n, Config{})
+		re := newSharded(t, pool, n, Config{})
 		verifyKeys(t, re, keys)
 		rep, err := re.Merge(2)
 		if err != nil {
@@ -376,14 +376,14 @@ func TestMergeCrashStages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		re2 := newShardedDelta(t, pool, n, Config{})
+		re2 := newSharded(t, pool, n, Config{})
 		defer re2.Close()
 		verifyKeys(t, re2, keys)
 	})
 }
 
 func TestMergeOverTCP(t *testing.T) {
-	eng := newShardedDelta(t, "", 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, "", 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	srv := NewServer(eng)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -13,29 +13,13 @@ import (
 	"pax/internal/wire"
 )
 
-// newShardedDelta opens a file-backed sharded engine on the delta epoch
-// store: migration tests force plenty of commits (per-slot copy commits and
-// durable put streams), and O(dirty) commit cost keeps them honest about
-// what the migration itself costs rather than measuring full-image
-// republish IO.
-func newShardedDelta(t *testing.T, path string, shards int, cfg Config) *ShardedEngine {
-	t.Helper()
-	opts := smallOpts()
-	opts.EpochLog = true
-	eng, err := OpenSharded(path, shards, opts, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
 // Splitting must move exactly the keys whose slots the report lists — every
 // key in a moved slot reroutes to the destination, every other key keeps its
 // owner — and the new route must survive a reopen.
 func TestSplitMovesOnlyMovedSlotKeys(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 
 	const keys = 400
 	before := make(map[string]int)
@@ -95,7 +79,7 @@ func TestSplitMovesOnlyMovedSlotKeys(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("discover after split: %d %v", n, err)
 	}
-	re := newShardedDelta(t, pool, n, Config{})
+	re := newSharded(t, pool, n, Config{})
 	defer re.Close()
 	for key := range before {
 		want := rep.Dest
@@ -117,7 +101,7 @@ func TestSplitMovesOnlyMovedSlotKeys(t *testing.T) {
 func TestSplitUnderConcurrentWritersNoAckedLoss(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 
 	const writers = 8
 	var (
@@ -171,7 +155,7 @@ func TestSplitUnderConcurrentWritersNoAckedLoss(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("discover after crash: %d %v", n, err)
 	}
-	re := newShardedDelta(t, pool, n, Config{})
+	re := newSharded(t, pool, n, Config{})
 	defer re.Close()
 	for key, val := range acked {
 		v, ok, err := re.Get([]byte(key))
@@ -187,7 +171,7 @@ func TestSplitUnderConcurrentWritersNoAckedLoss(t *testing.T) {
 func TestSplitAutoPicksHottestShard(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	defer eng.Close()
 
 	// Find a key on shard 1 and hammer it so shard 1 is unambiguously hot.
@@ -218,7 +202,7 @@ func TestSplitAutoPicksHottestShard(t *testing.T) {
 func TestSplitReusesIdleShard(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
 	defer eng.Close()
 
 	for i := 0; i < 100; i++ {
@@ -308,7 +292,7 @@ func TestReopenPurgesOrphanCopies(t *testing.T) {
 func TestSplitMetrics(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 2, Config{MaxBatch: 8, MaxDelay: 0})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 8, MaxDelay: 0})
 	defer eng.Close()
 	for i := 0; i < 64; i++ {
 		if _, err := eng.Put([]byte(fmt.Sprintf("m-%03d", i)), []byte("v")); err != nil {

@@ -17,17 +17,16 @@ import (
 // (the default map, or a refusal — never a migration).
 
 // writeFullImageFleet lays down a 2-shard fleet the way the pre-delta daemon
-// did: plain full-image pools, no epoch log, each key on the shard the
-// default slot map routes it to, no sidecar.
+// did: raw pool images, no epoch log, each key on the shard the default slot
+// map routes it to, no sidecar. Each image is an in-memory pool's media
+// right after its last Persist.
 func writeFullImageFleet(t *testing.T, path string, keys int) []string {
 	t.Helper()
-	opts := smallOpts()
-	opts.EpochLog = false
 	route := DefaultSlotMap(2)
 	var maps [2]*pax.Map
 	var pools [2]*pax.Pool
 	for k := range pools {
-		pool, err := pax.CreatePool(ShardPath(path, 2, k), opts)
+		pool, err := pax.CreatePool("", smallOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +47,8 @@ func writeFullImageFleet(t *testing.T, path string, keys int) []string {
 		if _, err := pool.Persist(); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Close(); err != nil {
+		if err := os.WriteFile(ShardPath(path, 2, k), pool.Internal().PM().Snapshot(), 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if has, _ := epochlog.HasSegments(ShardPath(path, 2, k) + epochlog.DirSuffix); has {
-			t.Fatalf("shard %d: a full-image pool wrote epoch-log segments", k)
 		}
 	}
 	return out
@@ -90,13 +86,13 @@ func TestOpenShardedUpgradesFullImageLayout(t *testing.T) {
 	verifyKeys(t, eng, append(keys, "after-upgrade"))
 }
 
-// The failure the -epoch-log flag used to cause, at the level it bit: a fleet
-// created with EpochLog set (what bench/ passes, what the flag passed) must
-// reopen under options that leave it unset — yesterday's flagless restart,
-// refused with "has an epoch log with unconsumed segments".
+// The failure the -epoch-log flag used to cause, at the level it bit: a
+// delta fleet must reopen under the same options it was created with — the
+// store is read off the disk. (Before there was one store, this flagless
+// restart was refused with "has an epoch log with unconsumed segments".)
 func TestFlaglessReopenOfDeltaFleet(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kv.pool")
-	eng, err := OpenSharded(path, 2, deltaOpts(), 0, Config{})
+	eng, err := OpenSharded(path, 2, smallOpts(), 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +105,7 @@ func TestFlaglessReopenOfDeltaFleet(t *testing.T) {
 
 	eng, err = OpenSharded(path, 2, smallOpts(), 0, Config{})
 	if err != nil {
-		t.Fatalf("reopening without EpochLog in the options: %v", err)
+		t.Fatalf("reopening a delta fleet: %v", err)
 	}
 	defer eng.Close()
 	verifyKeys(t, eng, []string{"k"})
@@ -182,7 +178,7 @@ func TestMissingSlotMapRefusesMisplacedKeys(t *testing.T) {
 		t.Helper()
 		out := make(map[string]int)
 		for k := 0; k < 2; k++ {
-			pool, err := pax.MapPool(ShardPath(path, 2, k), deltaOpts())
+			pool, err := pax.MapPool(ShardPath(path, 2, k), smallOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +202,7 @@ func TestMissingSlotMapRefusesMisplacedKeys(t *testing.T) {
 
 	stray := []byte("stray")
 	wrong := 1 - int(DefaultSlotMap(2).Assign[SlotFor(stray)])
-	pool, err := pax.MapPool(ShardPath(path, 2, wrong), deltaOpts())
+	pool, err := pax.MapPool(ShardPath(path, 2, wrong), smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

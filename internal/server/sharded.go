@@ -220,11 +220,10 @@ func DiscoverShards(path string) (int, error) {
 // sidecar) are removed first so a reformat never leaves stale higher-numbered
 // shards behind.
 //
-// Every shard persists through the delta epoch store, whatever opts.EpochLog
-// says: which store a pool is in is a fact on disk, not a choice the caller
-// repeats on every open. pmem.Open replays a pool that has an epoch log and
-// upgrades a plain full-image pool in place on its first open here;
-// paxrecover converts one back.
+// Every shard persists through the delta epoch store, the only store:
+// pmem.Open replays a pool's epoch log, and a pool file without one (a
+// legacy full-image pool, or paxrecover's output) opens as a checkpoint
+// with an empty log that its first commit starts.
 //
 // Routing state comes up in one of two ways: a persisted slot map is loaded
 // and its routing reconciled (crash leftovers from an interrupted migration
@@ -253,7 +252,6 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 		}
 		persisted = m
 	}
-	opts.EpochLog = true // before s.opts is kept, so addShard's new pools inherit it
 	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg}
 	s.persistMap = path != "" && shards > 1
 	list := make([]shard, shards)

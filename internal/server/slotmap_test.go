@@ -93,7 +93,7 @@ func TestSlotMapSaveLoadRoundtrip(t *testing.T) {
 func TestSlotMapRouteStableAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newShardedDelta(t, pool, 3, Config{MaxBatch: 8, MaxDelay: 0})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 8, MaxDelay: 0})
 
 	route := make(map[string]int)
 	for i := 0; i < 200; i++ {
@@ -108,7 +108,7 @@ func TestSlotMapRouteStableAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := newShardedDelta(t, pool, 3, Config{})
+	re := newSharded(t, pool, 3, Config{})
 	defer re.Close()
 	if got := re.Route().Seq; got != seq {
 		t.Fatalf("slot map seq changed across reopen: %d -> %d", seq, got)

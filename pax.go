@@ -60,16 +60,11 @@ type Options struct {
 	// Overwrite lets CreatePool reformat a path that already holds a file.
 	// Without it, CreatePool refuses to clobber existing pools.
 	Overwrite bool
-	// EpochLog selects the log-structured delta epoch store: each Persist
-	// appends and fsyncs one delta record (dirty byte ranges only) to
-	// <path>.epochlog/ instead of republishing the full pool image, which
-	// becomes a background checkpoint. Commit cost is O(dirty bytes), not
-	// O(pool bytes). Opening a plain pool with EpochLog upgrades it in
-	// place; opening an epoch-log pool without it is refused (convert with
-	// paxrecover). Ignored semantically for in-memory pools, which still
-	// track dirty ranges so the delta size is observable in stats. The
-	// serving layer (server.OpenSharded) always sets it; the choice exists
-	// for library users and for the tests that hold the two stores equal.
+	// Deprecated: EpochLog is ignored. Every file-backed pool persists
+	// through the delta epoch store — each Persist appends and fsyncs the
+	// dirty byte ranges to <path>.epochlog/, and the pool file is a
+	// background checkpoint — so there is nothing left to select. The field
+	// remains so existing callers compile.
 	EpochLog bool
 }
 
@@ -144,8 +139,8 @@ type PersistStats struct {
 	// duration, not the (shorter) time the caller was held.
 	SimulatedLatency sim.Time
 	// PersistedBytes is how many bytes the media commit actually wrote: the
-	// delta record size in epoch-log mode, the full image size in full-image
-	// mode. Dividing by the pool size gives the commit's write
+	// delta record size (the whole image for the format commit of an
+	// in-memory pool). Dividing by the pool size gives the commit's write
 	// amplification.
 	PersistedBytes int64
 }
@@ -169,13 +164,11 @@ func poolSize(o core.Options) int {
 	return int(core.HeaderSize + o.LogSize + o.DataSize)
 }
 
-// pmemConfig builds the media-device config for this pool: the default
-// Optane-class device plus the epoch-log selection and the location of the
-// pool's durable-epoch cell (so delta records are stamped with the epoch
-// they commit).
-func (o Options) pmemConfig(size int) pmem.Config {
+// pmemConfig builds the media-device config for a pool: the default
+// Optane-class device plus the location of the pool's durable-epoch cell
+// (so delta records are stamped with the epoch they commit).
+func pmemConfig(size int) pmem.Config {
 	cfg := pmem.DefaultConfig(size)
-	cfg.EpochLog = o.EpochLog
 	cfg.EpochCellOffset = core.EpochCellOffset
 	return cfg
 }
@@ -191,7 +184,7 @@ func CreatePool(path string, opts Options) (*Pool, error) {
 	}
 	var pm *pmem.Device
 	if path == "" {
-		pm = pmem.New(opts.pmemConfig(poolSize(copts)))
+		pm = pmem.New(pmemConfig(poolSize(copts)))
 	} else {
 		if _, err := os.Stat(path); err == nil {
 			if !opts.Overwrite {
@@ -208,7 +201,7 @@ func CreatePool(path string, opts Options) (*Pool, error) {
 		if err := os.RemoveAll(path + epochlog.DirSuffix); err != nil {
 			return nil, fmt.Errorf("pax: clearing stale epoch log: %w", err)
 		}
-		pm, err = pmem.Open(path, opts.pmemConfig(poolSize(copts)))
+		pm, err = pmem.Open(path, pmemConfig(poolSize(copts)))
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +226,7 @@ func OpenPool(path string, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pax: opening pool: %w", err)
 	}
-	pm, err := pmem.Open(path, opts.pmemConfig(int(fi.Size())))
+	pm, err := pmem.Open(path, pmemConfig(int(fi.Size())))
 	if err != nil {
 		return nil, err
 	}
@@ -308,10 +301,6 @@ func (p *Pool) Epoch() uint64 { return p.inner.Epoch() }
 // MediaSize reports the total media footprint of the pool (header + undo log
 // + data region) — the denominator of the write-amplification metric.
 func (p *Pool) MediaSize() int { return p.pm.Size() }
-
-// EpochLogEnabled reports whether this pool persists through the delta
-// epoch store.
-func (p *Pool) EpochLogEnabled() bool { return p.pm.Config().EpochLog }
 
 // DurableEpoch reports the last committed epoch.
 func (p *Pool) DurableEpoch() uint64 { return p.inner.DurableEpoch() }
@@ -443,32 +432,27 @@ func (p *Pool) StatsRegistry() *stats.Registry {
 	r.RegisterLatencyHistogram("pax_persist_sync_ns", &t.SyncNS)
 	r.RegisterLatencyHistogram("pax_persist_log_wait_ps", &t.LogWaitPS)
 	// Bytes per media commit (a size histogram on the latency machinery):
-	// pinned at the pool size in full-image mode, O(dirty) in epoch-log mode.
+	// the delta record each Persist appended, O(dirty bytes).
 	r.RegisterLatencyHistogram("pax_persist_bytes", &t.SyncBytes)
 	st := &p.pm.SyncTimings
-	r.RegisterLatencyHistogram("pax_sync_write_image_ns", &st.WriteImage)
-	r.RegisterLatencyHistogram("pax_sync_fsync_ns", &st.FileSync)
-	r.RegisterLatencyHistogram("pax_sync_rename_ns", &st.Rename)
-	r.RegisterLatencyHistogram("pax_sync_dirsync_ns", &st.DirSync)
 	r.RegisterLatencyHistogram("pax_sync_append_ns", &st.Append)
 	r.RegisterLatencyHistogram("pax_sync_ns", &st.Total)
 
-	// Epoch-store counters. pax_sync_bytes_total accumulates in both modes,
-	// so the A/B write-amplification comparison reads the same gauge; the
-	// checkpoint and segment gauges only move in epoch-log mode.
+	// Epoch-store counters. The checkpoint and segment gauges stay zero on
+	// an in-memory pool, which has no log to write.
 	r.Register("pax_sync_bytes_total", func() float64 { return float64(p.pm.SyncBytes.Load()) })
 	r.Register("pax_sync_last_bytes", func() float64 { return float64(p.pm.LastSyncBytes()) })
 	r.Register("pax_epoch_checkpoints_total", func() float64 { return float64(p.pm.Checkpoints.Load()) })
 	r.Register("pax_epoch_checkpoint_bytes_total", func() float64 { return float64(p.pm.CheckpointBytes.Load()) })
 	r.Register("pax_epoch_checkpoint_failures_total", func() float64 { return float64(p.pm.CheckpointFailures.Load()) })
 	r.Register("pax_epoch_log_live_bytes", func() float64 {
-		if el := p.pm.EpochLog(); el != nil {
+		if el := p.pm.EpochStore(); el != nil {
 			return float64(el.LiveBytes())
 		}
 		return 0
 	})
 	r.Register("pax_epoch_log_segments", func() float64 {
-		if el := p.pm.EpochLog(); el != nil {
+		if el := p.pm.EpochStore(); el != nil {
 			return float64(len(el.Segments()))
 		}
 		return 0
