@@ -57,7 +57,6 @@ func main() {
 	flag.IntVar(&lg.clients, "clients", 256, "loadgen: concurrent clients")
 	flag.IntVar(&lg.ops, "ops", 150, "loadgen: writes per client")
 	flag.IntVar(&lg.maxBatch, "max-batch", 16, "loadgen: max writes per group commit")
-	flag.DurationVar(&lg.maxDelay, "max-delay", 2*time.Millisecond, "loadgen: max wait for company once a commit takes this long")
 	flag.StringVar(&lg.shardList, "shards", "1", "loadgen: comma-separated shard counts to sweep (e.g. 1,2,4,8)")
 	flag.Float64Var(&lg.readRatio, "read-ratio", 0, "loadgen: fraction of ops issued as GETs against previously written keys (0 = write-heavy with periodic read-backs)")
 	flag.StringVar(&lg.poolDir, "pool-dir", "", "loadgen: back the engines with pool files in this directory instead of in-memory devices (required for write-amplification sweeps)")
@@ -140,7 +139,6 @@ type loadgenConfig struct {
 	clients   int
 	ops       int
 	maxBatch  int
-	maxDelay  time.Duration
 	readRatio float64
 	poolDir   string
 	dataSizes string
@@ -168,7 +166,6 @@ func (cfg loadgenConfig) spec(shards int, dataSize uint64, apply bool) benchkit.
 		ValueBytes:     64,
 		ReadRatio:      cfg.readRatio,
 		MaxBatch:       cfg.maxBatch,
-		MaxDelay:       cfg.maxDelay,
 		Shards:         shards,
 		PoolDir:        cfg.poolDir,
 		DataSize:       dataSize,

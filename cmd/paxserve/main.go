@@ -13,7 +13,9 @@
 //	paxserve -pool ./kv.pool -ack-policy apply            # acks at apply time
 //
 // Each shard's one writer goroutine applies, persists and acks its group
-// commits: a durable ack follows its own epoch's delta append and fsync.
+// commits: a batch seals as soon as the shard's queue is empty (or at
+// -max-batch writes, a PERSIST, or shutdown) — it never waits for company —
+// and a durable ack follows its own epoch's delta append and fsync.
 // -ack-policy picks the default
 // durability contract for clients that do not set one per request on the
 // wire: "durable" (the default — every write ack means its epoch reached
@@ -100,7 +102,6 @@ func main() {
 		profile   = flag.String("profile", "cxl", "device profile: cxl | enzian")
 		overwrite = flag.Bool("overwrite", false, "reformat the pool file even if it already exists")
 		maxBatch  = flag.Int("max-batch", 128, "max writes acked per group commit")
-		maxDelay  = flag.Duration("max-delay", time.Millisecond, "max wait for company once a commit takes this long")
 		queue     = flag.Int("queue", 1024, "request queue depth (backpressure bound)")
 		reqTmo    = flag.Duration("req-timeout", 5*time.Second, "per-request enqueue timeout")
 		retries   = flag.Int("commit-retries", 3, "persist retries per group commit before the shard seals fail-stop (-1 disables)")
@@ -178,7 +179,6 @@ func main() {
 
 	eng, err := server.OpenSharded(*poolPath, n, opts, 0, server.Config{
 		MaxBatch:         *maxBatch,
-		MaxDelay:         *maxDelay,
 		QueueDepth:       *queue,
 		EnqueueTimeout:   *reqTmo,
 		CommitRetries:    *retries,
@@ -260,8 +260,8 @@ func main() {
 	signal.Notify(splits, syscall.SIGUSR1)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
-	fmt.Printf("paxserve: serving %s on %s (%d shard(s), durable epoch %d, max batch %d, max delay %v)\n",
-		*poolPath, lis.Addr(), eng.NumShards(), eng.DurableEpoch(), *maxBatch, *maxDelay)
+	fmt.Printf("paxserve: serving %s on %s (%d shard(s), durable epoch %d, max batch %d)\n",
+		*poolPath, lis.Addr(), eng.NumShards(), eng.DurableEpoch(), *maxBatch)
 
 	var splitting sync.WaitGroup
 serve:

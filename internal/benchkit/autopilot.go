@@ -195,7 +195,6 @@ func AutopilotAB(cfg Config, sz Sizes) []*stats.Table {
 		Dist:         "zipf",
 		ZipfS:        1.5,
 		MaxBatch:     8,
-		MaxDelay:     2 * time.Millisecond,
 		Shards:       2,
 		PoolDir:      dir,
 	}, AutopilotAct)

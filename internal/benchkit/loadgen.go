@@ -46,7 +46,6 @@ type LoadSpec struct {
 	// so runs are reproducible.
 	ReadRatio float64
 	MaxBatch  int
-	MaxDelay  time.Duration
 	// Shards partitions the keyspace across N independent pools, each with
 	// its own writer loop and device, so N group commits run in parallel
 	// (default 1 — the single-writer engine).
@@ -524,11 +523,8 @@ func RunScript(spec LoadSpec, act Act) (LoadResult, error) {
 // openFleet creates the run's fresh fleet and attaches the black box.
 func openFleet(spec LoadSpec, act Act) (*loadRun, error) {
 	r := &loadRun{
-		opts: pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20},
-		cfg: server.Config{
-			MaxBatch: spec.MaxBatch,
-			MaxDelay: spec.MaxDelay,
-		},
+		opts:  pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20},
+		cfg:   server.Config{MaxBatch: spec.MaxBatch},
 		value: make([]byte, spec.ValueBytes),
 	}
 	for i := range r.value {
@@ -956,7 +952,6 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			ValueBytes:   64,
 			GetEveryN:    4,
 			MaxBatch:     128,
-			MaxDelay:     2 * time.Millisecond,
 		}, NoAct)
 		if err != nil {
 			panic(fmt.Sprintf("benchkit: loadgen with %d clients: %v", clients, err))
@@ -981,7 +976,6 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			ValueBytes:   64,
 			GetEveryN:    4,
 			MaxBatch:     16,
-			MaxDelay:     2 * time.Millisecond,
 			Shards:       shards,
 			PoolDir:      dir,
 		}, NoAct)
@@ -1013,7 +1007,6 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			ValueBytes:   64,
 			ReadRatio:    0.95,
 			MaxBatch:     16,
-			MaxDelay:     2 * time.Millisecond,
 			Shards:       shards,
 			PoolDir:      dir,
 		}, NoAct)

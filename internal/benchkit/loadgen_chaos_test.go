@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pax/internal/blackbox"
 )
@@ -20,7 +19,6 @@ func TestRunLoadChaosJournalsTheCause(t *testing.T) {
 		Clients:        4,
 		OpsPerClient:   400,
 		ValueBytes:     64,
-		MaxDelay:       time.Millisecond,
 		Shards:         2,
 		PoolDir:        dir,
 		Keys:           256,

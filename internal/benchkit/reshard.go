@@ -85,7 +85,6 @@ func Reshard(cfg Config, sz Sizes) []*stats.Table {
 			Dist:         sw.dist,
 			ZipfS:        sw.s,
 			MaxBatch:     16,
-			MaxDelay:     2 * time.Millisecond,
 			Shards:       4,
 		}, NoAct)
 		if err != nil {
@@ -113,7 +112,6 @@ func Reshard(cfg Config, sz Sizes) []*stats.Table {
 		Dist:         "zipf",
 		ZipfS:        1.2,
 		MaxBatch:     16,
-		MaxDelay:     2 * time.Millisecond,
 		Shards:       2,
 		PoolDir:      dir,
 	}, SplitAct)

@@ -3,7 +3,6 @@ package benchkit
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // checkPhases asserts what every run with an act owes its caller: the two
@@ -90,7 +89,6 @@ func TestRunScriptAutopilot(t *testing.T) {
 		Dist:         "zipf",
 		ZipfS:        1.5,
 		MaxBatch:     8,
-		MaxDelay:     2 * time.Millisecond,
 	}, AutopilotAct)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func startTCPWith(t *testing.T, cfg Config, policy AckPolicy) (*Engine, string) 
 // wins, and a flagless request — the old-client encoding — takes the
 // server's default.
 func TestTCPAckPolicyFlags(t *testing.T) {
-	cfg := Config{MaxBatch: 4, MaxDelay: time.Millisecond}
+	cfg := Config{MaxBatch: 4}
 	for _, tc := range []struct {
 		name       string
 		serverPol  AckPolicy
@@ -100,7 +100,7 @@ func waitForCommits(t *testing.T, eng *Engine, n uint64) {
 // TestTCPAckApplyDelete: the flags byte works on DELETE and PERSIST too, and
 // an apply-acked DELETE still reports prior presence.
 func TestTCPAckApplyDelete(t *testing.T) {
-	eng, addr := startTCPWith(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond}, AckDurable)
+	eng, addr := startTCPWith(t, Config{MaxBatch: 4}, AckDurable)
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

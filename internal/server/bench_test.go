@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"pax"
 )
@@ -29,11 +28,11 @@ func benchEngine(b *testing.B, cfg Config) *Engine {
 	return eng
 }
 
-// BenchmarkEnginePut measures the acked-durable write path. MaxBatch 1 on an
-// in-memory pool keeps the group-commit machinery in the loop without making
-// the benchmark wait on batching timers.
+// BenchmarkEnginePut measures the acked-durable write path: one serial
+// writer, so every PUT is a batch of its own and pays a whole group commit on
+// an in-memory pool.
 func BenchmarkEnginePut(b *testing.B) {
-	eng := benchEngine(b, Config{MaxBatch: 1, MaxDelay: 10 * time.Millisecond})
+	eng := benchEngine(b, Config{MaxBatch: 1})
 	key := []byte("bench-key")
 	val := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
 	b.ReportAllocs()
@@ -47,7 +46,7 @@ func BenchmarkEnginePut(b *testing.B) {
 
 // BenchmarkEngineGet measures the read path against a warm store.
 func BenchmarkEngineGet(b *testing.B) {
-	eng := benchEngine(b, Config{MaxBatch: 64, MaxDelay: time.Millisecond})
+	eng := benchEngine(b, Config{MaxBatch: 64})
 	const keys = 1024
 	val := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
 	for i := 0; i < keys; i++ {
@@ -68,7 +67,7 @@ func BenchmarkEngineGet(b *testing.B) {
 // BenchmarkEngineGetParallel is the concurrent read path — the case the
 // read index exists for: many reader goroutines against one engine.
 func BenchmarkEngineGetParallel(b *testing.B) {
-	eng := benchEngine(b, Config{MaxBatch: 64, MaxDelay: time.Millisecond})
+	eng := benchEngine(b, Config{MaxBatch: 64})
 	val := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
 	if _, err := eng.Put([]byte("hot"), val); err != nil {
 		b.Fatal(err)

@@ -27,7 +27,7 @@ var errInjected = errors.New("injected EIO")
 func device(p *pax.Pool) *pmem.Device { return p.Internal().PM() }
 
 func TestChaosTransientFaultRetriesAndAcks(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: time.Millisecond, CommitRetryDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, CommitRetryDelay: time.Millisecond})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -53,7 +53,7 @@ func TestChaosTransientFaultRetriesAndAcks(t *testing.T) {
 
 func TestChaosPersistentFaultSealsEngine(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 4, MaxDelay: time.Millisecond,
+		MaxBatch:      4,
 		CommitRetries: -1, // no retries: every fault is immediately persistent
 	})
 	defer pool.Close()
@@ -92,7 +92,7 @@ func TestChaosPersistentFaultSealsEngine(t *testing.T) {
 func TestChaosShardIsolation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.pool")
-	cfg := Config{MaxBatch: 8, MaxDelay: time.Millisecond, CommitRetries: -1}
+	cfg := Config{MaxBatch: 8, CommitRetries: -1}
 	s := newSharded(t, path, 4, cfg)
 
 	const keys = 64
@@ -189,7 +189,7 @@ func TestChaosApplyPanicSealsOnlyItsShard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kv.pool")
 	opts := smallOpts()
 	opts.LogSize = 16 << 10 // ~170 undo entries per epoch: single PUTs fit, a rehash does not
-	cfg := Config{MaxBatch: 8, MaxDelay: time.Millisecond}
+	cfg := Config{MaxBatch: 8}
 	s, err := OpenSharded(path, 2, opts, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestChaosApplyPanicSealsOnlyItsShard(t *testing.T) {
 // no write may ack, and Close must surface the seal.
 func TestChaosCloseRacesFailingCommit(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 4, MaxDelay: 100 * time.Microsecond,
+		MaxBatch:      4,
 		CommitRetries: -1,
 	})
 	defer pool.Close()
@@ -302,7 +302,7 @@ func TestChaosCloseRacesFailingCommit(t *testing.T) {
 // ack: the shutdown epoch-seal itself fails, and Close must say so instead
 // of reporting a clean shutdown.
 func TestChaosCloseSurfacesFinalCommitFailure(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: time.Millisecond, CommitRetries: -1})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, CommitRetries: -1})
 	defer pool.Close()
 
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
@@ -318,7 +318,7 @@ func TestChaosCloseSurfacesFinalCommitFailure(t *testing.T) {
 // the normal commit path, so it shows up in the group-commit counters instead
 // of bypassing them.
 func TestShutdownCommitAccounting(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4})
 	defer pool.Close()
 
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
@@ -350,7 +350,7 @@ func TestOpenShardedPartialFailure(t *testing.T) {
 	if err := os.Remove(ShardPath(path, 4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	s := newSharded(t, path, 4, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	s := newSharded(t, path, 4, Config{MaxBatch: 4})
 	if _, err := s.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatalf("put after recovered open: %v", err)
 	}

@@ -68,7 +68,7 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 	if pool.Internal().PM().EpochStore() == nil {
 		t.Fatal("pool opened without the epoch store")
 	}
-	eng, err := New(pool, 0, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	eng, err := New(pool, 0, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 		t.Fatalf("reopening crash copy: %v", err)
 	}
 	defer re.Close()
-	reng, err := New(re, 0, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	reng, err := New(re, 0, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDeltaTransientFaultRetriesAndAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	eng, err := New(pool, 0, Config{MaxBatch: 4, MaxDelay: time.Millisecond, CommitRetryDelay: time.Millisecond})
+	eng, err := New(pool, 0, Config{MaxBatch: 4, CommitRetryDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDeltaPersistentFaultSealsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	eng, err := New(pool, 0, Config{MaxBatch: 4, MaxDelay: time.Millisecond, CommitRetries: -1})
+	eng, err := New(pool, 0, Config{MaxBatch: 4, CommitRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestDeltaPersistentFaultSealsEngine(t *testing.T) {
 func TestShardedEpochLogDiscoveryAndOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.pool")
-	cfg := Config{MaxBatch: 8, MaxDelay: time.Millisecond}
+	cfg := Config{MaxBatch: 8}
 	opts := smallOpts()
 	opts.Overwrite = true
 	s, err := OpenSharded(path, 4, opts, 0, cfg)

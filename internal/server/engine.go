@@ -8,14 +8,13 @@
 // goroutine and turns Persist into a *group commit*: mutations are applied
 // in arrival order, and one snapshot per batch makes the whole batch durable
 // before its callers are acked. A batch is whatever arrived while the
-// previous commit ran: it seals the moment the queue is empty, and otherwise
-// when it reaches MaxBatch or after MaxDelay. N concurrent writers therefore
-// share one snapshot's cost — the amortization that makes PAX epochs fast,
-// formed the way Snapshot amortizes msync: over what accumulated during the
-// previous one — while an idle engine never sleeps in front of an idle
-// device. The one exception is a medium whose commits cost MaxDelay or more
-// (a slow fsync): there a part-filled batch waits MaxDelay for company (see
-// runBatch). What a commit writes is the pool's business: OpenSharded serves
+// previous commit ran: it seals the moment the queue is empty, when it
+// reaches MaxBatch, on a PERSIST, or when the engine closes — nothing else,
+// and no timer. N concurrent writers therefore share one snapshot's cost —
+// the amortization that makes PAX epochs fast, formed the way Snapshot
+// amortizes msync: over what accumulated during the previous one — while an
+// idle engine never sleeps in front of an idle device, however slow the
+// medium. What a commit writes is the pool's business: OpenSharded serves
 // every pool through the delta epoch store, so a snapshot costs the bytes the
 // batch dirtied.
 //
@@ -75,12 +74,9 @@ var (
 // Config tunes the engine.
 type Config struct {
 	// MaxBatch is the most acked mutations per group commit (default 128).
+	// A batch never waits to fill: it seals as soon as the request queue is
+	// empty, so MaxBatch only caps what queued during the previous commit.
 	MaxBatch int
-	// MaxDelay bounds how long the first mutation of a batch waits for
-	// company before the batch is sealed anyway (default 1ms). The wait only
-	// happens when the last commit itself took MaxDelay or longer; otherwise
-	// a batch seals as soon as the request queue is empty.
-	MaxDelay time.Duration
 	// QueueDepth bounds the request queue; a full queue pushes back on
 	// clients (default 1024).
 	QueueDepth int
@@ -112,9 +108,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 128
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -269,8 +262,8 @@ type EngineStats struct {
 	// Commit-pipeline latency histograms (wall-clock nanoseconds), one per
 	// stage of a group commit: how long an enqueue waited for queue space
 	// (0 on the uncontended fast path), how long the batch stayed open
-	// collecting company, the persist itself (retries and backoff included),
-	// the ack fan-out, and the whole batch end to end.
+	// applying what was queued, the persist itself (retries and backoff
+	// included), the ack fan-out, and the whole batch end to end.
 	EnqueueWaitNS stats.LatencyHistogram
 	BatchSealNS   stats.LatencyHistogram
 	PersistNS     stats.LatencyHistogram
@@ -301,11 +294,6 @@ type Engine struct {
 
 	reqs chan *request
 	stop chan struct{} // closed by Crash/seal: abandon uncommitted work
-
-	// lastCommitNS is the most recently acked commit's persist stage
-	// (snapshot, sync and any retries): what a seal weighs MaxDelay against.
-	// Writer-goroutine-only; no locking.
-	lastCommitNS int64
 
 	// mu guards closed and sealErr. It is never held across a blocking
 	// enqueue — begin registers with inflight under the read lock and
@@ -861,7 +849,6 @@ func (e *Engine) commit(b *sealedBatch) bool {
 	}
 	rec.AckNS = int64(time.Since(ackStart))
 	rec.TotalNS = rec.SealNS + rec.PersistNS + rec.AckNS
-	e.lastCommitNS = rec.PersistNS
 	e.stats.BatchSealNS.Observe(rec.SealNS)
 	e.stats.PersistNS.Observe(rec.PersistNS)
 	e.stats.AckNS.Observe(rec.AckNS)
@@ -927,21 +914,13 @@ func (e *Engine) loop() {
 	}
 }
 
-// runBatch opens a batch with first and keeps applying until a seal
-// condition fires, then commits the sealed batch. Whatever is already queued
-// is drained without blocking. Once the queue is empty the batch seals at
-// once if commits are cheap next to MaxDelay; otherwise it waits for company
-// until it is full or MaxDelay has passed since it opened:
-//
-//   - Last commit under MaxDelay: an idle engine acks at host speed. A
-//     part-filled batch costs one more cheap commit, and batches form out of
-//     the requests that arrived while the previous commit ran.
-//   - Last commit took MaxDelay or longer (a device whose fsync is that
-//     slow): a part-filled batch costs a whole slow commit, and closed-loop
-//     writers released by the previous ack return within the window, so the
-//     wait — at most as long again as the commit — is what fills batches.
-//
-// It reports false when the engine crashed or sealed mid-batch.
+// runBatch opens a batch with first, applies whatever is already queued
+// without blocking, and commits the batch once one of four conditions seals
+// it: the queue is empty (idle), it holds MaxBatch mutations (full), a
+// PERSIST forced it (persist), or the engine is closing (drain). It never
+// waits for company: the requests that arrive while this commit runs form
+// the next batch, so batches grow with the cost of a commit on their own. It
+// reports false when the engine crashed or sealed mid-batch.
 func (e *Engine) runBatch(first *request) bool {
 	b := &sealedBatch{start: time.Now()}
 	if first.op == opPersist {
@@ -953,50 +932,30 @@ func (e *Engine) runBatch(first *request) bool {
 	if b.mutations == 0 {
 		return true // stats, snapshot or barrier: nothing to commit
 	}
-	var timer *time.Timer // MaxDelay, armed only once the batch has to wait
 	for b.reason == "" {
 		if b.mutations >= e.cfg.MaxBatch {
 			b.reason = SealFull
 			break
 		}
-		var req *request
-		why := wakeReq
 		select {
 		case <-e.stop:
-			why = wakeStop
-		case r, ok := <-e.reqs:
-			if req = r; !ok {
-				why = wakeClosed
-			}
-		default:
-			// Queue empty.
-			if e.lastCommitNS < int64(e.cfg.MaxDelay) {
-				b.reason = SealIdle
-				continue
-			}
-			if timer == nil {
-				timer = time.NewTimer(e.cfg.MaxDelay - time.Since(b.start))
-				defer timer.Stop()
-			}
-			req, why = e.wait(e.reqs, timer.C)
-		}
-		switch why {
-		case wakeStop:
 			failAll(b.waiters, e.failErr())
 			return false
-		case wakeTimer:
-			b.reason = SealDelay
-		case wakeClosed:
-			// Closing: seal what we have; loop sees the closed queue next
-			// and commits the open epoch.
-			b.reason = SealDrain
-		case wakeReq:
+		case req, ok := <-e.reqs:
+			if !ok {
+				// Closing: seal what we have; loop sees the closed queue
+				// next and commits the open epoch.
+				b.reason = SealDrain
+				break
+			}
 			if req.op == opPersist {
 				b.reason = SealPersist
 			}
 			if !e.applyInto(b, req) {
 				return false
 			}
+		default:
+			b.reason = SealIdle
 		}
 	}
 	b.sealNS = int64(time.Since(b.start))

@@ -52,7 +52,7 @@ func TestEventHubSink(t *testing.T) {
 // and exactly one seal event no matter how many writes bounce afterwards.
 func TestEngineSealEmitsEvents(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 4, MaxDelay: time.Millisecond,
+		MaxBatch:      4,
 		CommitRetries: -1,
 	})
 	defer pool.Close()
@@ -92,7 +92,7 @@ func TestEngineSealEmitsEvents(t *testing.T) {
 // event ring — the same contract TRACE and STATS have.
 func TestEventsWireOpOnSealedEngine(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 4, MaxDelay: time.Millisecond,
+		MaxBatch:      4,
 		CommitRetries: -1,
 	})
 	t.Cleanup(func() { pool.Close() })
@@ -182,7 +182,7 @@ func replayJournal(t *testing.T, dir string) (map[string][]Event, int) {
 // the failing commit record, and the seal with the injected error.
 func TestBlackboxCapturesInjectedSeal(t *testing.T) {
 	eng := newSharded(t, "", 2, Config{
-		MaxBatch: 4, MaxDelay: time.Millisecond,
+		MaxBatch:      4,
 		CommitRetries: -1,
 	})
 	dir := filepath.Join(t.TempDir(), "bb")
@@ -245,7 +245,7 @@ func TestBlackboxCapturesInjectedSeal(t *testing.T) {
 // reads.
 func TestBlackboxCapturesCrashMidMerge(t *testing.T) {
 	pool := filepath.Join(t.TempDir(), "kv.pool")
-	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16})
 	plantDirect(t, eng, 64)
 
 	dir := filepath.Join(t.TempDir(), "bb")
@@ -291,7 +291,7 @@ func TestBlackboxCapturesCrashMidMerge(t *testing.T) {
 // index).
 func TestBlackboxSplitEvents(t *testing.T) {
 	pool := filepath.Join(t.TempDir(), "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16})
 	defer eng.Close()
 	plantDirect(t, eng, 64)
 

@@ -32,13 +32,12 @@ const (
 // SealReason says which seal condition closed a batch.
 type SealReason string
 
-// Seal reasons. SealIdle and SealDelay are the two an operator tells apart:
-// "sealed as soon as the queue was empty" versus "waited out MaxDelay for
-// company" (because the last commit cost that much).
+// Seal reasons: the four conditions that close a batch. A batch never waits
+// for company, so an operator reads SealIdle as "everything queued went in"
+// and SealFull as "more was queued than MaxBatch takes".
 const (
-	SealIdle    SealReason = "idle"    // queue empty and commits cheaper than MaxDelay
+	SealIdle    SealReason = "idle"    // the request queue was empty
 	SealFull    SealReason = "full"    // MaxBatch mutations collected
-	SealDelay   SealReason = "delay"   // MaxDelay expired waiting for company
 	SealPersist SealReason = "persist" // an explicit PERSIST forced the commit
 	SealDrain   SealReason = "drain"   // the engine is closing
 )
@@ -71,7 +70,7 @@ type CommitRecord struct {
 	// SealReason is the seal condition that closed the batch.
 	SealReason SealReason `json:"seal_reason,omitempty"`
 	// SealNS is batch open → commit start (the group-commit window: applying
-	// the batch, plus any wait for company after a slow commit). PersistNS is
+	// what was queued; a batch never waits for more). PersistNS is
 	// the persist call including retries and backoff. AckNS is the ack
 	// fan-out to the batch's waiters. TotalNS covers all three.
 	SealNS    int64 `json:"seal_ns"`

@@ -84,7 +84,7 @@ func TestFlightRecorderPinsSlowAndFailed(t *testing.T) {
 }
 
 func TestEngineTraceRecordsCommits(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 8})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -133,7 +133,7 @@ func TestEngineTraceRecordsCommits(t *testing.T) {
 // then the batch) returns the number to compare against.
 func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
 	const n = 16
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Minute})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64})
 	defer pool.Close()
 	defer eng.Close()
 	m := slowMedium(pool, 0, true)
@@ -194,7 +194,7 @@ func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
 // pinned, and reading it is the whole point of the recorder.
 func TestEngineTraceSurvivesSeal(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 4, MaxDelay: time.Millisecond,
+		MaxBatch:      4,
 		CommitRetries: -1, SlowCommit: -1,
 	})
 	defer pool.Close()
@@ -231,7 +231,7 @@ func TestEngineTraceSurvivesSeal(t *testing.T) {
 }
 
 func TestStatsTextHasLatencyQuantiles(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 8})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -306,7 +306,7 @@ func TestTCPTrace(t *testing.T) {
 
 func TestShardedTraceMergesAndStampsShards(t *testing.T) {
 	const shards = 4
-	s := newSharded(t, "", shards, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	s := newSharded(t, "", shards, Config{MaxBatch: 8})
 	defer s.Close()
 
 	seen := make(map[int]bool)
@@ -374,7 +374,7 @@ func TestMergeSummariesQuantileSemantics(t *testing.T) {
 }
 
 func TestShardedStatsTextQuantiles(t *testing.T) {
-	s := newSharded(t, "", 2, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	s := newSharded(t, "", 2, Config{MaxBatch: 8})
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		if _, err := s.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {

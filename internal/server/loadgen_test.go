@@ -10,11 +10,11 @@ import (
 // TestLoadgenAmortization is the acceptance bar for the serving subsystem:
 // ≥64 concurrent clients drive the engine and the group-commit layer turns
 // their individually-acked durable writes into far fewer snapshots. Every
-// sync takes 2 ms and MaxDelay is out of reach, so the batching is a property
-// of the commit path — a batch is whatever arrived while the previous commit
-// was on the medium — not an accident of a timer.
+// sync takes 2 ms and no batch ever waits for company, so the batching is a
+// property of the commit path alone — a batch is whatever arrived while the
+// previous commit was on the medium.
 func TestLoadgenAmortization(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Second})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64})
 	defer pool.Close()
 	slowMedium(pool, 2*time.Millisecond, false)
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pax/internal/wire"
 )
@@ -77,7 +76,7 @@ func verifyKeys(t *testing.T, eng *ShardedEngine, keys []string) {
 func TestSplitZeroCountersMovesHalf(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16})
 	defer eng.Close()
 
 	keys := plantDirect(t, eng, 200)
@@ -109,7 +108,7 @@ func TestSplitZeroCountersMovesHalf(t *testing.T) {
 func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16})
 
 	keys := make([]string, 0, 300)
 	for i := 0; i < 300; i++ {
@@ -167,7 +166,7 @@ func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 func TestMergeVictimNotTop(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16})
 	defer eng.Close()
 
 	keys := make([]string, 0, 300)
@@ -199,7 +198,7 @@ func TestMergeVictimNotTop(t *testing.T) {
 }
 
 func TestMergeAutoPicksColdest(t *testing.T) {
-	eng := newSharded(t, "", 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, "", 3, Config{MaxBatch: 16})
 	defer eng.Close()
 
 	// Drive traffic only at keys shard 1 does NOT own, so its cumulative
@@ -246,7 +245,7 @@ func TestMergeCrashStages(t *testing.T) {
 	errBoom := errors.New("simulated crash window")
 
 	open := func(t *testing.T, pool string, shards int) (*ShardedEngine, []string) {
-		eng := newSharded(t, pool, shards, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+		eng := newSharded(t, pool, shards, Config{MaxBatch: 16})
 		keys := make([]string, 0, 240)
 		for i := 0; i < 240; i++ {
 			key := fmt.Sprintf("crash-%04d", i)
@@ -383,7 +382,7 @@ func TestMergeCrashStages(t *testing.T) {
 }
 
 func TestMergeOverTCP(t *testing.T) {
-	eng := newSharded(t, "", 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, "", 3, Config{MaxBatch: 16})
 	srv := NewServer(eng)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

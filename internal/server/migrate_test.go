@@ -19,7 +19,7 @@ import (
 func TestSplitMovesOnlyMovedSlotKeys(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16})
 
 	const keys = 400
 	before := make(map[string]int)
@@ -101,7 +101,7 @@ func TestSplitMovesOnlyMovedSlotKeys(t *testing.T) {
 func TestSplitUnderConcurrentWritersNoAckedLoss(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16})
 
 	const writers = 8
 	var (
@@ -171,7 +171,7 @@ func TestSplitUnderConcurrentWritersNoAckedLoss(t *testing.T) {
 func TestSplitAutoPicksHottestShard(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16})
 	defer eng.Close()
 
 	// Find a key on shard 1 and hammer it so shard 1 is unambiguously hot.
@@ -202,7 +202,7 @@ func TestSplitAutoPicksHottestShard(t *testing.T) {
 func TestSplitReusesIdleShard(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 3, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 16})
 	defer eng.Close()
 
 	for i := 0; i < 100; i++ {
@@ -254,7 +254,7 @@ func TestSplitBareLayoutRefused(t *testing.T) {
 func TestReopenPurgesOrphanCopies(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 8, MaxDelay: 0})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 8})
 
 	key := []byte("purge-victim")
 	owner := eng.ShardFor(key)
@@ -292,7 +292,7 @@ func TestReopenPurgesOrphanCopies(t *testing.T) {
 func TestSplitMetrics(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 8, MaxDelay: 0})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 8})
 	defer eng.Close()
 	for i := 0; i < 64; i++ {
 		if _, err := eng.Put([]byte(fmt.Sprintf("m-%03d", i)), []byte("v")); err != nil {
@@ -321,7 +321,7 @@ func TestSplitMetrics(t *testing.T) {
 // SPLIT over the wire: a sharded backend runs the migration and replies with
 // the report JSON; a single-pool backend refuses at dispatch.
 func TestSplitOverTCP(t *testing.T) {
-	eng := newSharded(t, "", 2, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	eng := newSharded(t, "", 2, Config{MaxBatch: 8})
 	srv := NewServer(eng)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -374,7 +374,7 @@ func TestSplitOverTCP(t *testing.T) {
 
 // A single-pool (non-sharded) server must refuse SPLIT with a clean error.
 func TestSplitSingleEngineRefused(t *testing.T) {
-	_, eng := newTestEngine(t, "", Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	_, eng := newTestEngine(t, "", Config{MaxBatch: 8})
 	srv := NewServer(eng)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

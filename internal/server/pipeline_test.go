@@ -50,7 +50,7 @@ func TestRetryDelayClamp(t *testing.T) {
 // engine seals.
 func TestPipelineFailureFailsAllSealedEpochs(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 1, MaxDelay: time.Millisecond,
+		MaxBatch:      1,
 		CommitRetries: 2, CommitRetryDelay: 25 * time.Millisecond,
 	})
 	defer pool.Close()
@@ -253,7 +253,7 @@ func TestOneWriterGoroutinePerEngine(t *testing.T) {
 // and the queued ones must all roll back, and every acked write must survive.
 func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pipecrash.pool")
-	pool, eng := newTestEngine(t, path, Config{MaxBatch: 4, MaxDelay: 500 * time.Microsecond})
+	pool, eng := newTestEngine(t, path, Config{MaxBatch: 4})
 
 	const clients = 16
 	type oplog struct {
@@ -372,7 +372,7 @@ func TestAckApplyRollbackIsTheDocumentedContract(t *testing.T) {
 // sit out a full one.
 func TestAckApplyDecouplesAckFromMedia(t *testing.T) {
 	const syncTime = 50 * time.Millisecond
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: 5 * time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4})
 	defer pool.Close()
 	defer eng.Close()
 	slowMedium(pool, syncTime, false)
@@ -406,7 +406,7 @@ func TestAckApplyDecouplesAckFromMedia(t *testing.T) {
 // commit but reports the still-open epoch immediately; the commit itself
 // still happens.
 func TestAckApplyPersistPolicy(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 128, MaxDelay: time.Minute})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 128})
 	defer pool.Close()
 
 	if _, err := eng.PutPolicy([]byte("k"), []byte("v"), AckApply); err != nil {

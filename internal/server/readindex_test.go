@@ -16,7 +16,7 @@ import (
 // flight no longer blanks out reads. The writer sits in a commit whose sync
 // the medium holds while GETs complete against the index.
 func TestGetServedDuringCommitInFlight(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -70,7 +70,7 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 // window (reads may see a write whose commit is still in flight) behaves as
 // documented.
 func TestReadYourWritesAfterAck(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -112,7 +112,7 @@ func TestReadYourWritesAfterAck(t *testing.T) {
 // of the contract: a read may observe an applied write whose group commit is
 // still in flight — the same window queued reads always had.
 func TestGetObservesAppliedBeforeDurable(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1})
 	defer pool.Close()
 	defer eng.Close()
 	m := slowMedium(pool, 0, true)
@@ -143,7 +143,7 @@ func TestGetObservesAppliedBeforeDurable(t *testing.T) {
 func TestCrashRebuildNeverServesRolledBackValue(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rebuild.pool")
 	const shards = 3
-	eng, err := OpenSharded(path, shards, smallOpts(), 0, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	eng, err := OpenSharded(path, shards, smallOpts(), 0, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCrashRebuildNeverServesRolledBackValue(t *testing.T) {
 	}
 	wg.Wait()
 
-	eng2, err := OpenSharded(path, shards, smallOpts(), 0, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	eng2, err := OpenSharded(path, shards, smallOpts(), 0, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestCrashRebuildNeverServesRolledBackValue(t *testing.T) {
 // engine's read lock across the whole wait, blocking markClosed).
 func TestCrashNotStalledByFullQueue(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{
-		MaxBatch: 1, MaxDelay: time.Millisecond,
+		MaxBatch:   1,
 		QueueDepth: 1, EnqueueTimeout: 30 * time.Second,
 	})
 	defer pool.Close()
@@ -261,7 +261,7 @@ func TestCrashNotStalledByFullQueue(t *testing.T) {
 // GET on one connection completes while another connection's PUT commit is
 // in flight on the same shard.
 func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1})
 	defer pool.Close()
 	defer eng.Close()
 

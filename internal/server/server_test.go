@@ -7,14 +7,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pax/internal/wire"
 )
 
 func startTCP(t *testing.T) (*Server, *Engine, string) {
 	t.Helper()
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 32, MaxDelay: time.Millisecond})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 32})
 	t.Cleanup(func() { pool.Close() })
 	srv := NewServer(eng)
 	srv.Logf = t.Logf
@@ -101,7 +100,7 @@ func TestTCPEndToEnd(t *testing.T) {
 // share group commits — the server dispatches a connection's requests
 // concurrently, in wire order — when they arrive behind a commit in flight.
 func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64, MaxDelay: time.Minute})
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64})
 	t.Cleanup(func() { pool.Close() })
 	m := slowMedium(pool, 0, true)
 	srv := NewServer(eng)

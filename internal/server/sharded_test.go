@@ -108,7 +108,7 @@ func TestDiscoverShardsIgnoresStaleTemps(t *testing.T) {
 }
 
 func TestShardedBasicOpsAndMergedStats(t *testing.T) {
-	eng := newSharded(t, "", 4, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	eng := newSharded(t, "", 4, Config{MaxBatch: 8})
 	defer eng.Close()
 
 	const keys = 64
@@ -165,7 +165,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	const shards = 3
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, shards, Config{MaxBatch: 4, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, shards, Config{MaxBatch: 4})
 
 	var (
 		mu    sync.Mutex
@@ -207,7 +207,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		t.Fatalf("crash timing degenerate: %d acked, %d lost", len(acked), len(lost))
 	}
 
-	reopened := newSharded(t, pool, shards, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	reopened := newSharded(t, pool, shards, Config{MaxBatch: 4})
 	defer reopened.Close()
 	for key, want := range acked {
 		v, ok, err := reopened.Get([]byte(key))
@@ -233,7 +233,7 @@ func TestShardedRouterStableAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
 
-	eng := newSharded(t, pool, shards, Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond})
+	eng := newSharded(t, pool, shards, Config{MaxBatch: 16})
 	route := map[string]int{}
 	for i := 0; i < 48; i++ {
 		key := fmt.Sprintf("stable-%03d", i)
@@ -266,7 +266,7 @@ func TestShardedRouterStableAcrossRestart(t *testing.T) {
 // The TCP server must work identically over a ShardedEngine backend,
 // including the fan-out ops (PERSIST, STATS).
 func TestShardedTCPServer(t *testing.T) {
-	eng := newSharded(t, "", 2, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	eng := newSharded(t, "", 2, Config{MaxBatch: 8})
 	srv := NewServer(eng)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

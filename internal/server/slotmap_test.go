@@ -93,7 +93,7 @@ func TestSlotMapSaveLoadRoundtrip(t *testing.T) {
 func TestSlotMapRouteStableAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 3, Config{MaxBatch: 8, MaxDelay: 0})
+	eng := newSharded(t, pool, 3, Config{MaxBatch: 8})
 
 	route := make(map[string]int)
 	for i := 0; i < 200; i++ {
