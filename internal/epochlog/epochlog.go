@@ -3,13 +3,14 @@
 // commit marker) held in rolling segment files next to a full-image
 // checkpoint. It is the persistence backend that makes an epoch commit cost
 // O(dirty bytes) instead of O(pool bytes): per commit, only the delta record
-// is written and fsynced; the full image is republished in the background as
-// a checkpoint, after which consumed segments are deleted.
+// is written and fsynced; in the background the caller folds the records
+// into the checkpoint in place (Scan), fsyncs it, and only then deletes the
+// consumed segments (CompactThrough).
 //
 // On-disk layout, for a pool file P:
 //
-//	P               — the checkpoint: a full pool image, atomically
-//	                  published (tmp + rename + dir fsync) by the caller
+//	P               — the checkpoint: a full pool image the caller creates
+//	                  and its folds update in place
 //	P.epochlog/     — the segment directory owned by this package
 //	    seg-00000001.seg
 //	    seg-00000002.seg
@@ -21,21 +22,22 @@
 //
 // Recovery contract (why replay needs no metadata file): records carry
 // absolute byte values, records are replayed in sequence order, and the
-// checkpoint image always corresponds to the state after some record j with
-// every record > j still retained (compaction deletes only segments whose
-// records a published checkpoint covers, oldest first). Replaying records
-// ≤ j onto the checkpoint rewrites bytes with older values, but every such
-// byte is rewritten again by the records ≤ j that follow, so after the full
-// ordered replay the image equals the state after the last committed record
-// regardless of which checkpoint the crash left behind. A sequence gap
-// between segments therefore only ever appears when a crash interrupted
-// compaction mid-delete; segments older than the gap are provably covered
-// by the published checkpoint and are dropped.
+// checkpoint always holds the state after some record j — possibly with
+// ranges of later records written over it by a fold a crash interrupted —
+// while every record > j is still retained (compaction deletes only segments
+// whose records a durable fold covers, oldest first). After the full ordered
+// replay, every byte some retained record writes holds the last such value,
+// and every other byte was written by no record after j, so the image equals
+// the state after the last committed record wherever the crash left the
+// checkpoint. A sequence gap between segments therefore only ever appears
+// when a crash interrupted compaction mid-delete; segments older than the
+// gap are provably covered by the checkpoint and are dropped.
 package epochlog
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"pax/internal/seglog"
@@ -163,9 +165,7 @@ type Info struct {
 	TornRoll bool `json:"torn_roll,omitempty"`
 }
 
-// Store is an open epoch store, safe for concurrent use. Replay holds the
-// other methods off while it streams, so its callback must not call back
-// into the Store.
+// Store is an open epoch store, safe for concurrent use.
 type Store struct {
 	mu  sync.Mutex
 	log *seglog.Log
@@ -190,7 +190,7 @@ func Open(cfg Config) (*Store, error) {
 	// Gap policy: find the newest contiguous run of segments (by record
 	// sequence) and mark everything older as Dropped. A gap proves
 	// compaction deleted a newer segment first, which it only does after a
-	// checkpoint covering all of them was published. An empty segment
+	// checkpoint covering all of them was made durable. An empty segment
 	// carries its would-be first sequence in FirstSeq, so the chain check
 	// works across it too.
 	segs := log.Segments()
@@ -253,19 +253,40 @@ func (s *Store) LiveBytes() int64 {
 func (s *Store) Segments() []SegmentInfo { return s.Info().Segments }
 
 // Replay streams every committed record, in sequence order, to apply.
-// Dropped segments are skipped (a published checkpoint covers them). The
-// record's range data aliases the segment's image: apply must copy what it
+func (s *Store) Replay(apply func(Record) error) error { return s.Scan(0, math.MaxUint64, apply) }
+
+// Scan streams the committed records with after < Seq ≤ through, oldest
+// first, to fn; Dropped segments are skipped (the checkpoint covers them).
+// It holds the store's lock only to list the segments, so appends go on
+// while it reads and fn may block; a concurrent CompactThrough must be
+// excluded by the caller (a segment removed under Scan fails it). The
+// record's range data aliases the segment's image: fn must copy what it
 // keeps rather than pin it.
-func (s *Store) Replay(apply func(Record) error) error {
+func (s *Store) Scan(after, through uint64, fn func(Record) error) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.Replay(s.keepFrom, func(h seglog.Header, body []byte) error {
-		rec, err := decodeRecord(h, body)
+	var segs []seglog.Segment
+	for _, seg := range s.log.Segments() {
+		if seg.Index >= s.keepFrom && seg.Records > 0 && seg.LastSeq > after && seg.FirstSeq <= through {
+			segs = append(segs, seg)
+		}
+	}
+	s.mu.Unlock()
+	for _, seg := range segs {
+		err := s.log.ReadSegment(seg, func(h seglog.Header, body []byte) error {
+			if h.Seq <= after || h.Seq > through {
+				return nil
+			}
+			rec, err := decodeRecord(h, body)
+			if err != nil {
+				return err
+			}
+			return fn(rec)
+		})
 		if err != nil {
 			return err
 		}
-		return apply(rec)
-	})
+	}
+	return nil
 }
 
 // Append writes one committed delta record for the given epoch and fsyncs
@@ -322,7 +343,7 @@ func decodeRecord(h seglog.Header, body []byte) (Record, error) {
 }
 
 // CompactThrough deletes segments whose records are all ≤ seq — covered by a
-// checkpoint the caller has already durably published. Deletion runs oldest
+// checkpoint the caller has already made durable. Deletion runs oldest
 // first, so a crash mid-compaction leaves at worst a sequence gap whose
 // older side is provably covered (see Open's gap policy). If the active
 // segment itself is fully covered it is rolled first, then deleted, so a

@@ -338,6 +338,38 @@ func TestCompactThrough(t *testing.T) {
 	}
 }
 
+// TestScanStreamsARangeWithoutTheLock: Scan delivers exactly the records in
+// (after, through], across segment rolls, and an Append issued from its
+// callback completes — the store's lock is not held while it reads — without
+// the new record reaching this Scan.
+func TestScanStreamsARangeWithoutTheLock(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "pool.epochlog")
+	s := openT(t, Config{Dir: dir, SegmentBytes: 64})
+	for i := 1; i <= 6; i++ {
+		appendT(t, s, uint64(i), Range{Addr: uint64(i), Data: bytes.Repeat([]byte{byte(i)}, 40)})
+	}
+	var seqs []uint64
+	err := s.Scan(2, 5, func(rec Record) error {
+		seqs = append(seqs, rec.Seq)
+		if rec.Ranges[0].Data[0] != byte(rec.Seq) {
+			t.Errorf("record %d carries data %d", rec.Seq, rec.Ranges[0].Data[0])
+		}
+		if rec.Seq == 3 {
+			appendT(t, s, 7, Range{Addr: 7, Data: []byte("during the scan")})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if fmt.Sprint(seqs) != "[3 4 5]" {
+		t.Fatalf("Scan(2, 5) delivered %v, want [3 4 5]", seqs)
+	}
+	if s.LastSeq() != 7 {
+		t.Fatalf("LastSeq = %d, want 7", s.LastSeq())
+	}
+}
+
 func seqStillPresent(s *Store, seq uint64) bool {
 	for _, seg := range s.Segments() {
 		if seg.Records > 0 && seg.FirstSeq <= seq && seq <= seg.LastSeq {

@@ -3,6 +3,7 @@ package pmem
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -13,19 +14,21 @@ import (
 // This file is the delta epoch store, the device's only store: the device
 // tracks the dirty byte ranges of every media write and Sync persists only
 // those — one appended, fsynced delta record in the pool's epoch log. The
-// full image is published only as the background checkpoint: once the log
-// grows past a threshold, a goroutine snapshots the media into the reused
-// scratch buffer, publishes it atomically under the pool's name, and
-// compacts the segments the checkpoint covers. Commit cost is O(dirty
-// bytes); the O(pool) cost stays off the commit path entirely.
+// pool file is the checkpoint, and a background fold keeps it current in
+// place: once the log grows past a threshold, a goroutine streams the
+// committed records out of the log's segments, writes each record's ranges
+// into the pool file, fsyncs it, and compacts the segments it covered.
+// Commit cost is O(dirty bytes), and so is the checkpoint: no image-sized
+// copy is ever made.
 //
-// Correctness hinges on one ordering rule, enforced in checkpoint(): the
-// covered sequence number j is read BEFORE the media snapshot is taken.
-// Every record ≤ j is then necessarily reflected in the snapshot, so
-// compacting through j after the publish never deletes a record the
-// published image lacks. Records appended during the snapshot window are
-// harmlessly replayed on top at recovery (absolute byte values; replay is
-// idempotent).
+// Correctness hinges on two ordering rules, enforced in checkpoint(). The
+// fold takes its bytes from the records, never from the media, and stops at
+// covered, the newest record when it started: only committed bytes reach
+// the file, and a record appended during the fold waits for the next one.
+// Compaction runs only after the file's fsync, and only through covered:
+// every record it deletes is durably in the file. A crash mid-fold leaves
+// the file a mix of the old checkpoint and newer ranges with no record yet
+// compacted, which replay (absolute byte values, in order) repairs.
 
 // dirtyRange is one [addr, end) interval of media bytes written since the
 // last Sync.
@@ -187,7 +190,7 @@ func (d *Device) maybeCheckpoint() {
 	}()
 }
 
-// Checkpoint synchronously publishes a full-image checkpoint and compacts
+// Checkpoint synchronously folds the log into the pool file and compacts
 // the segments it covers. Tests and tools call it directly; commits go
 // through maybeCheckpoint instead.
 func (d *Device) Checkpoint() error {
@@ -205,23 +208,49 @@ func (d *Device) checkpoint() error {
 	if err := d.faultAt(FaultCheckpoint); err != nil {
 		return fmt.Errorf("pmem: checkpoint %s: %w", d.path, err)
 	}
-	d.publishMu.Lock()
-	defer d.publishMu.Unlock()
-	// Ordering rule: read the covered sequence number before snapshotting,
-	// so every compacted record is provably inside the published image.
+	d.foldMu.Lock()
+	defer d.foldMu.Unlock()
 	covered := d.store.LastSeq()
-	// No per-stage fault hooks: checkpoint fault injection goes through the
-	// single FaultCheckpoint stage, so the FailSyncs schedules count commit
-	// fsyncs only.
-	if err := seglog.Publish(d.path, d.snapshotLocked(), nil); err != nil {
-		return fmt.Errorf("pmem: checkpoint: %w", err)
+	n, err := d.fold(covered)
+	if err != nil {
+		return fmt.Errorf("pmem: checkpoint %s: %w", d.path, err)
 	}
 	d.Checkpoints.Inc()
-	d.CheckpointBytes.Add(uint64(len(d.scratch)))
+	d.CheckpointBytes.Add(n)
+	// Only now, with every record through covered fsynced into the file,
+	// may the log forget them.
 	if err := d.store.CompactThrough(covered); err != nil {
 		return fmt.Errorf("pmem: checkpoint %s: %w", d.path, err)
 	}
 	return nil
+}
+
+// fold writes the ranges of every retained record through covered into the
+// pool file, oldest first, and fsyncs it, returning the range bytes written.
+// It holds neither d.mu nor the store's lock while it reads and writes, so
+// commits keep appending meanwhile. A record an earlier fold already wrote
+// (the segment that straddled its covered) is written again, idempotently.
+func (d *Device) fold(covered uint64) (uint64, error) {
+	var n uint64
+	err := seglog.Patch(d.path, func(w io.WriterAt) error {
+		return d.store.Scan(0, covered, func(rec epochlog.Record) error {
+			for _, r := range rec.Ranges {
+				if _, err := w.WriteAt(r.Data, int64(r.Addr)); err != nil {
+					return err
+				}
+				n += uint64(len(r.Data))
+			}
+			return nil
+		})
+	}, func(_ seglog.Stage, run func() error) error {
+		// Every write and the fsync go through the one FaultCheckpoint
+		// stage, so the FailSyncs schedules count commit fsyncs only.
+		if err := d.faultAt(FaultCheckpoint); err != nil {
+			return err
+		}
+		return run()
+	})
+	return n, err
 }
 
 // EpochStore exposes the device's epoch store (nil for an in-memory device).

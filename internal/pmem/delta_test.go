@@ -71,7 +71,7 @@ func TestDeltaSyncIsODirty(t *testing.T) {
 	const size = 4 << 20
 	dir := t.TempDir()
 	d := openDelta(t, filepath.Join(dir, "p.pool"), DefaultConfig(size))
-	if err := d.Sync(); err != nil { // flush the initial whole-pool dirtiness
+	if err := d.Sync(); err != nil { // a first record with no ranges
 		t.Fatal(err)
 	}
 	d.Write(1234, []byte("tiny"), 0)
@@ -190,9 +190,10 @@ func TestDeltaCheckpointAndCompaction(t *testing.T) {
 	}
 }
 
-// TestDeltaCrashMidCheckpoint simulates the two crash points around a
-// checkpoint: a stale staging file (crash before rename) and a published
-// checkpoint with a crash before compaction (full log still present).
+// TestDeltaCrashMidCheckpoint simulates two crash points: a stale staging
+// file, which only the create-time publish of a new pool's zero checkpoint
+// can leave (a crash before its rename), and a checkpoint folded into the
+// pool file with a crash before compaction (full log still present).
 func TestDeltaCrashMidCheckpoint(t *testing.T) {
 	const size = 1 << 14
 	dir := t.TempDir()
@@ -206,7 +207,8 @@ func TestDeltaCrashMidCheckpoint(t *testing.T) {
 	want := d.Snapshot()
 	d.Close()
 
-	// Crash before rename: a stale .tmp with garbage must be ignored.
+	// Crash before the zero checkpoint's rename: a stale .tmp with garbage
+	// must be ignored.
 	if err := os.WriteFile(path+syncTempSuffix, bytes.Repeat([]byte{0xEE}, size/2), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestDeltaCrashMidCheckpoint(t *testing.T) {
 		t.Fatalf("stale checkpoint staging file corrupted recovery")
 	}
 
-	// Crash after publish, before compaction: checkpoint covers the log but
+	// Crash after the fold, before compaction: checkpoint covers the log but
 	// the log is still there. Replaying it on top must be a no-op
 	// (idempotent absolute-value records).
 	if err := re.Checkpoint(); err != nil {
@@ -236,7 +238,7 @@ func TestDeltaCrashMidCheckpoint(t *testing.T) {
 // TestDeltaCrashMidCompaction deletes a middle segment (the on-disk
 // signature of a crash partway through compaction) and verifies the reopened
 // device still recovers: pre-gap segments are provably covered by the
-// published checkpoint.
+// checkpoint.
 func TestDeltaCrashMidCompaction(t *testing.T) {
 	const size = 1 << 14
 	dir := t.TempDir()
@@ -246,7 +248,7 @@ func TestDeltaCrashMidCompaction(t *testing.T) {
 	// Threshold high enough that no background checkpoint interferes.
 	cfg.EpochLogCheckpointBytes = 1 << 30
 	d := openDelta(t, path, cfg)
-	if err := d.Sync(); err != nil { // initial whole-pool record
+	if err := d.Sync(); err != nil { // a first record with no ranges
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -258,10 +260,9 @@ func TestDeltaCrashMidCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Publish a checkpoint covering everything, then crash "mid-compaction":
-	// manually delete a middle segment instead of letting CompactThrough
-	// finish. Run the real checkpoint but restore the segment files first…
-	// simpler: publish the image by hand.
+	// Write a checkpoint covering everything by hand, then crash
+	// "mid-compaction": delete a middle segment instead of letting
+	// CompactThrough finish.
 	img := d.Snapshot()
 	if err := seglog.Publish(path, img, nil); err != nil {
 		t.Fatal(err)

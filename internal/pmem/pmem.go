@@ -21,6 +21,7 @@ package pmem
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -50,8 +51,10 @@ const (
 	// FaultFileSync fails the append's fsync (EIO-class) — the media commit
 	// itself. This is the stage the FailSyncs/FailSyncsAfter schedules count.
 	FaultFileSync = seglog.StageFsync
-	// FaultCheckpoint fails a background checkpoint before it starts; the
-	// log keeps every commit durable, so the failure only defers compaction.
+	// FaultCheckpoint fails a checkpoint before its fold starts, before each
+	// range the fold writes into the pool file, and before the fsync that
+	// ends it; the log keeps every commit durable, so the failure only
+	// defers compaction.
 	FaultCheckpoint FaultOp = "checkpoint"
 	// FaultCompact fails deleting a checkpoint-covered segment.
 	FaultCompact = seglog.StageRemove
@@ -85,7 +88,7 @@ type Config struct {
 }
 
 // DefaultCheckpointBytes is the default epoch-log size that triggers a
-// background full-image checkpoint.
+// background checkpoint.
 const DefaultCheckpointBytes = 16 << 20
 
 // FailSyncs returns a fault schedule whose first n media syncs fail with err
@@ -181,10 +184,8 @@ type Device struct {
 	deltaMu   sync.Mutex
 	deltaData []byte
 
-	// publishMu serializes checkpoint publishes and guards scratch, the
-	// reused staging buffer.
-	publishMu sync.Mutex
-	scratch   []byte
+	// foldMu serializes checkpoints: a fold and the compaction after it.
+	foldMu sync.Mutex
 
 	closed    atomic.Bool
 	ckptBusy  atomic.Bool
@@ -195,8 +196,8 @@ type Device struct {
 	Reads, Writes           stats.Counter
 	BytesRead, BytesWritten stats.Counter
 	// SyncBytes accumulates bytes persisted by successful Syncs (delta
-	// record sizes); Checkpoints /
-	// CheckpointBytes / CheckpointFailures count background checkpoints.
+	// record sizes); Checkpoints / CheckpointFailures count checkpoints, and
+	// CheckpointBytes the range bytes their folds wrote into the pool file.
 	SyncBytes          stats.Counter
 	Checkpoints        stats.Counter
 	CheckpointBytes    stats.Counter
@@ -244,9 +245,9 @@ func New(cfg Config) *Device {
 // torn tail is discarded and reported in ReplayInfo) and attaches the store
 // for appends. A pool file with no epoch log — a legacy full-image pool, or
 // paxrecover's output — opens as a checkpoint with an empty log. A stale
-// staging file left by a crash mid-checkpoint is removed: it is never valid
-// state, only leftover garbage that would otherwise accumulate and confuse
-// layout discovery.
+// staging file left by a crash while publishing a new pool's zero checkpoint
+// is removed: it is never valid state, only leftover garbage that would
+// otherwise accumulate and confuse layout discovery.
 func Open(path string, cfg Config) (*Device, error) {
 	d := New(cfg)
 	d.path = path
@@ -254,26 +255,45 @@ func Open(path string, cfg Config) (*Device, error) {
 	if err := os.Remove(path + syncTempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("pmem: removing stale temp for %s: %w", path, err)
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		// Publish the zero-filled checkpoint now so the invariant "a pool
 		// always has a checkpoint file" holds from the first commit on
-		// (layout discovery and size checks rely on the file existing).
+		// (layout discovery, size checks and the in-place fold rely on the
+		// file existing).
 		if err := seglog.Publish(path, d.media, nil); err != nil {
 			return nil, fmt.Errorf("pmem: open: %w", err)
 		}
 	case err != nil:
 		return nil, fmt.Errorf("pmem: open %s: %w", path, err)
-	case len(data) != cfg.Size:
-		return nil, fmt.Errorf("pmem: %s holds %d bytes, config wants %d", path, len(data), cfg.Size)
 	default:
-		copy(d.media, data)
+		err := d.load(f)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
 	}
 	if err := d.openStore(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// load reads the checkpoint straight into the media, refusing a file whose
+// size is not the configured one.
+func (d *Device) load(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("pmem: open %s: %w", d.path, err)
+	}
+	if fi.Size() != int64(d.cfg.Size) {
+		return fmt.Errorf("pmem: %s holds %d bytes, config wants %d", d.path, fi.Size(), d.cfg.Size)
+	}
+	if _, err := io.ReadFull(f, d.media); err != nil {
+		return fmt.Errorf("pmem: open %s: %w", d.path, err)
+	}
+	return nil
 }
 
 // Size reports the media capacity in bytes.
@@ -366,8 +386,8 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 	d.trackDirtyLocked(addr, n)
 }
 
-// syncTempSuffix names the staging file a checkpoint writes before renaming
-// it over the pool file. Open and shard discovery know to ignore/clean it.
+// syncTempSuffix names the staging file a new pool's zero checkpoint is
+// published through. Open and shard discovery know to ignore/clean it.
 const syncTempSuffix = seglog.TempSuffix
 
 // SetFaultFn installs (or, with nil, clears) a fault hook on an open device;
@@ -419,18 +439,6 @@ func (d *Device) Sync() error {
 	d.SyncBytes.Add(uint64(n))
 	d.SyncTimings.Total.Since(start)
 	return nil
-}
-
-// snapshotLocked copies the media into the reused scratch buffer. Caller
-// holds publishMu.
-func (d *Device) snapshotLocked() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.scratch == nil {
-		d.scratch = make([]byte, len(d.media))
-	}
-	copy(d.scratch, d.media)
-	return d.scratch
 }
 
 // Snapshot returns a copy of the full media image — what a post-crash

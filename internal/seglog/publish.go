@@ -2,6 +2,7 @@ package seglog
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -11,12 +12,12 @@ import (
 // of the target remove or ignore it.
 const TempSuffix = ".tmp"
 
-// Publish stages, in execution order.
+// Publish stages, in execution order; Patch runs the first two.
 const (
-	// StageWrite writes the staging file.
+	// StageWrite writes the staging file (Patch: one in-place write).
 	StageWrite Stage = "write-image"
 	// StageFsync fsyncs it, so every byte is on media before the rename can
-	// expose the file under the target's name.
+	// expose the file under the target's name (Patch: before it returns).
 	StageFsync Stage = "fsync"
 	// StageRename renames it over the target.
 	StageRename Stage = "rename"
@@ -26,7 +27,7 @@ const (
 	StageDirSync Stage = "dirsync"
 )
 
-// Hook wraps each stage of a Publish: it decides whether run happens (fault
+// Hook wraps each stage of a Publish or Patch: it decides whether run happens (fault
 // injection returns an error instead) and may time it.
 type Hook func(st Stage, run func() error) error
 
@@ -74,6 +75,48 @@ func Publish(path string, data []byte, hook Hook) error {
 		}
 	}
 	return nil
+}
+
+// Patch updates the existing file at path in place: write gets a WriterAt on
+// it, each of whose writes is one StageWrite, and the file is then fsynced
+// (StageFsync). Unlike Publish it is not atomic — a crash or failure
+// part-way leaves any subset of the writes on media, and only a nil return
+// means all of them are durable — so it suits a caller that can redo the
+// writes from a log it keeps until Patch returns. A nil hook runs every
+// stage.
+func Patch(path string, write func(io.WriterAt) error, hook Hook) error {
+	if hook == nil {
+		hook = func(_ Stage, run func() error) error { return run() }
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("seglog: patch %s: %w", path, err)
+	}
+	err = write(patchWriter{f, hook})
+	if err == nil {
+		err = hook(StageFsync, f.Sync)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("seglog: patch %s: %w", path, err)
+	}
+	return nil
+}
+
+// patchWriter runs each WriteAt of a Patch as one StageWrite.
+type patchWriter struct {
+	f    *os.File
+	hook Hook
+}
+
+func (w patchWriter) WriteAt(p []byte, off int64) (n int, err error) {
+	err = w.hook(StageWrite, func() (err error) {
+		n, err = w.f.WriteAt(p, off)
+		return err
+	})
+	return n, err
 }
 
 // SyncDir fsyncs a directory so the creates, renames and removes in it are

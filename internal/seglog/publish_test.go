@@ -3,6 +3,7 @@ package seglog
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,5 +68,60 @@ func TestPublishFaults(t *testing.T) {
 	// A real failure, not an injected one: the directory does not exist.
 	if err := Publish(filepath.Join(t.TempDir(), "absent", "target"), []byte("x"), nil); err == nil {
 		t.Fatal("publish into a missing directory succeeded")
+	}
+}
+
+// TestPatch: each write is one StageWrite and the fsync comes last; a fault
+// keeps the writes before it and stops the rest; a missing file is an
+// error, not a create.
+func TestPatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "target")
+	if err := os.WriteFile(path, []byte("aaaaaa"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writes := func(w io.WriterAt) error {
+		for i, s := range []string{"B", "C", "D"} {
+			if _, err := w.WriteAt([]byte(s), int64(2*i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var order []Stage
+	if err := Patch(path, writes, func(st Stage, run func() error) error {
+		order = append(order, st)
+		return run()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Stage{StageWrite, StageWrite, StageWrite, StageFsync}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("stages ran as %v, want %v", order, want)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "BaCaDa" {
+		t.Fatalf("patched contents = %q", got)
+	}
+
+	injected := errors.New("injected EIO")
+	os.WriteFile(path, []byte("aaaaaa"), 0o644)
+	calls := 0
+	err := Patch(path, writes, func(st Stage, run func() error) error {
+		if calls++; calls == 2 {
+			return injected
+		}
+		return run()
+	})
+	if !errors.Is(err, injected) {
+		t.Fatalf("Patch = %v, want the injected fault", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "Baaaaa" {
+		t.Fatalf("contents after a fault at the second write = %q, want only the first write", got)
+	}
+
+	absent := filepath.Join(t.TempDir(), "absent")
+	if err := Patch(absent, writes, nil); err == nil {
+		t.Fatal("patching a missing file succeeded")
+	}
+	if _, err := os.Stat(absent); !os.IsNotExist(err) {
+		t.Fatalf("Patch created the missing file: %v", err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package seglog is the one append-only segment log under the epoch store
 // (internal/epochlog) and the crash black box (internal/blackbox), and the
-// one atomic file publish (publish.go) beside it: the file-level form of the
-// PAX ordering rule — a record is on media before anything that depends on
-// it, and recovery trusts only what passes an integrity check.
+// one atomic file publish and in-place patch (publish.go) beside it: the
+// file-level form of the PAX ordering rule — a record is on media before
+// anything that depends on it, and recovery trusts only what passes an
+// integrity check.
 //
 // A log is a directory of files seg-<index><ext>, each a 32-byte header and
 // consecutive framed records:
@@ -24,7 +25,7 @@
 // gap between segments means is the consumer's policy, applied on top.
 //
 // A Log is single-writer and not safe for concurrent use: each consumer
-// serializes calls under its own mutex.
+// serializes calls under its own mutex. ReadSegment is the one exception.
 package seglog
 
 import (
@@ -375,13 +376,27 @@ func (l *Log) Replay(from uint64, fn func(Header, []byte) error) error {
 		if seg.Index < from {
 			continue
 		}
-		got, err := l.scanFile(seg.Index, fn)
-		if err != nil {
+		if err := l.ReadSegment(seg, fn); err != nil {
 			return err
 		}
-		if got.End < seg.End {
-			return l.errorf("%s: committed records end at byte %d, were at %d when last scanned", seg.Name, got.End, seg.End)
-		}
+	}
+	return nil
+}
+
+// ReadSegment streams the committed records of seg, a copy the caller took
+// from Segments, oldest first. It reads only the segment's file and the log's
+// fixed configuration, so unlike the other methods it may run while Append
+// and Roll go on elsewhere: those only add records past the End the caller
+// saw, and fn may receive such records too. It fails if the file's committed
+// records now end before seg.End — the segment was removed or damaged since
+// it was listed.
+func (l *Log) ReadSegment(seg Segment, fn func(Header, []byte) error) error {
+	got, err := l.scanFile(seg.Index, fn)
+	if err != nil {
+		return err
+	}
+	if got.End < seg.End {
+		return l.errorf("%s: committed records end at byte %d, were at %d when last scanned", seg.Name, got.End, seg.End)
 	}
 	return nil
 }

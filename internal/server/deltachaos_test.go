@@ -80,7 +80,7 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	// Quiesce any background checkpoint so the copy is not taken mid-publish.
+	// Quiesce any background checkpoint so the copy is not taken mid-fold.
 	device(pool).WaitCheckpoint()
 
 	crash := filepath.Join(dir, "crash.pool")

@@ -152,7 +152,7 @@ func LoadSlotMap(path string) (*SlotMap, error) {
 
 // Save atomically publishes the map as path's slot-map sidecar: staged to a
 // temp file, fsynced, renamed over the old map, directory fsynced (the same
-// seglog.Publish a pool checkpoint uses). A crash at any point leaves either
+// seglog.Publish a new pool's zero checkpoint uses). A crash at any point leaves either
 // the previous assignment or this one intact — which is the cutover's durability point:
 // a slot migration is committed exactly when the map carrying it survives
 // power loss.
