@@ -1,6 +1,10 @@
 package benchkit
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -143,17 +147,57 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 	cfg := TestConfig()
 	sz := Sizes{Keys: 500, MeasureOps: 600, PersistEvery: 100, Threads: []int{1, 8, 32}}
+	var pinned bytes.Buffer
 	for _, e := range Experiments() {
 		tables := e.Run(cfg, sz)
 		if len(tables) == 0 {
 			t.Fatalf("%s produced no tables", e.ID)
+		}
+		if !unpinnedExperiments[e.ID] {
+			pinned.WriteString("### " + e.ID + "\n")
 		}
 		for _, tb := range tables {
 			out := tb.String()
 			if len(out) == 0 || !strings.Contains(out, "\n") {
 				t.Fatalf("%s produced empty table", e.ID)
 			}
+			if !unpinnedExperiments[e.ID] {
+				pinned.WriteString(out)
+			}
 		}
+	}
+	checkGolden(t, filepath.Join("testdata", "quick_tables.golden"), pinned.Bytes())
+}
+
+var update = flag.Bool("update", false, "rewrite testdata goldens from this run")
+
+// unpinnedExperiments run real goroutines against the wall clock, so their
+// tables differ run to run. Every other experiment is a pure function of the
+// simulator and its seeds, and TestAllExperimentsRunQuick pins its tables.
+var unpinnedExperiments = map[string]bool{"loadgen": true, "reshard": true, "autopilot": true}
+
+// checkGolden compares got with the golden file, or rewrites the file under
+// -update. A modeled figure that moves is a change to the reproduction, so
+// it must show up in the diff of a regenerated golden.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -run TestAllExperimentsRunQuick -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(gl)-1 && i < len(wl)-1 && gl[i] == wl[i] {
+			i++
+		}
+		t.Fatalf("modeled tables differ from %s at line %d:\n got: %q\nwant: %q\n(regenerate with -update if the change is intended)", path, i+1, gl[i], wl[i])
 	}
 }
 

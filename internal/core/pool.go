@@ -131,8 +131,10 @@ func headerField(pm *pmem.Device, off uint64) uint64 {
 }
 
 // Create formats a fresh pool on pm and returns it ready for use. pm must be
-// at least HeaderSize + LogSize + DataSize bytes; existing contents are
-// overwritten.
+// zero-filled and at least HeaderSize + LogSize + DataSize bytes: a new
+// device (pmem.New, or pmem.Open on a path that does not exist yet) is born
+// zero, so Create writes only the header, the undo-log header, the allocator
+// and the root table, and its format commit costs what those writes dirtied.
 func Create(pm *pmem.Device, opts Options) (*Pool, error) {
 	if opts.DataSize == 0 || opts.LogSize == 0 {
 		return nil, fmt.Errorf("core: zero region size (data %d, log %d)", opts.DataSize, opts.LogSize)
@@ -161,21 +163,11 @@ func Create(pm *pmem.Device, opts Options) (*Pool, error) {
 	binary.LittleEndian.PutUint32(hdr[offHeaderCRC:], crc32.Checksum(hdr[:headerCRCSpan], crcTable))
 	pm.Write(0, hdr[:], 0)
 
-	// Zero the data region so a reused device starts clean.
-	zero := make([]byte, 64<<10)
-	for off := dataOff; off < dataOff+opts.DataSize; off += uint64(len(zero)) {
-		n := uint64(len(zero))
-		if dataOff+opts.DataSize-off < n {
-			n = dataOff + opts.DataSize - off
-		}
-		pm.Write(off, zero[:n], 0)
-	}
-
 	log := undolog.Create(pm, logOff, opts.LogSize)
 
-	// Formatting wrote megabytes at virtual time zero; clear the media
-	// channel queues so the pool's first epoch does not inherit a formatting
-	// backlog (formatting is offline work, not measured time).
+	// The header writes above ran at virtual time zero; clear the media
+	// channel queues and counters so the pool's first epoch does not inherit
+	// them (formatting is offline work, not measured time).
 	pm.ResetStats()
 
 	p := &Pool{

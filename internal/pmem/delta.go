@@ -36,7 +36,9 @@ type dirtyRange struct{ addr, end uint64 }
 
 // dirtyCompactLimit bounds the un-coalesced dirty list; past it the tracker
 // sorts and merges in place so a scatter-write workload cannot grow the list
-// without bound between Syncs.
+// without bound between Syncs. The next compaction waits until the list has
+// doubled past what the last one left, so an epoch of n disjoint ranges
+// sorts O(log n) times, not once per write.
 const dirtyCompactLimit = 1 << 14
 
 // trackDirtyLocked records a media write. Called under d.mu on every Write
@@ -60,8 +62,9 @@ func (d *Device) trackDirtyLocked(addr uint64, n int) {
 		}
 	}
 	d.dirty = append(d.dirty, dirtyRange{addr, end})
-	if len(d.dirty) > dirtyCompactLimit {
+	if len(d.dirty) > max(dirtyCompactLimit, 2*d.compacted) {
 		d.dirty = coalesce(d.dirty)
+		d.compacted = len(d.dirty)
 	}
 }
 
@@ -98,6 +101,7 @@ const maxRetainedDelta = 1 << 20
 func (d *Device) takeDirtyLocked() []epochlog.Range {
 	merged := coalesce(d.dirty)
 	d.dirty = d.dirty[:0]
+	d.compacted = 0
 	var total uint64
 	for _, r := range merged {
 		total += r.end - r.addr
@@ -140,26 +144,42 @@ func (d *Device) epochValueLocked() uint64 {
 	return v
 }
 
-// syncDelta is a file-backed Sync: append one delta record covering the
-// dirty ranges and fsync only that. On append failure the ranges are
-// re-marked dirty, so a retried Sync re-persists them — the caller must
-// treat the epoch as not durable.
-func (d *Device) syncDelta(start time.Time) error {
+// Sync makes everything written since the previous Sync durable: one delta
+// record of the dirty ranges. A file-backed device appends it to the epoch
+// log and fsyncs only that append. An in-memory device has no file but
+// still consults the fault hook at the FaultFileSync stage, so durability
+// failures can be injected without file backing, and reports the size the
+// record would have had. On failure the ranges are re-marked dirty, so a
+// retried Sync re-persists them — the caller must treat the epoch as not
+// durable.
+func (d *Device) Sync() error {
+	start := time.Now()
 	d.deltaMu.Lock()
 	defer d.deltaMu.Unlock()
 	d.mu.Lock()
+	d.tracking = true
 	ranges := d.takeDirtyLocked()
 	epoch := d.epochValueLocked()
 	d.mu.Unlock()
-	appendStart := time.Now()
-	n, err := d.store.Append(epoch, ranges)
+	var n int64
+	var err error
+	if d.store != nil {
+		appendStart := time.Now()
+		if n, err = d.store.Append(epoch, ranges); err == nil {
+			d.SyncTimings.Append.Since(appendStart)
+		}
+	} else if err = d.faultAt(FaultFileSync); err == nil {
+		n = epochlog.RecordSize(ranges)
+	}
 	if err != nil {
 		d.mu.Lock()
 		d.restoreDirtyLocked(ranges)
 		d.mu.Unlock()
-		return fmt.Errorf("pmem: sync %s: %w", d.path, err)
+		if d.path != "" {
+			err = fmt.Errorf("%s: %w", d.path, err)
+		}
+		return fmt.Errorf("pmem: sync: %w", err)
 	}
-	d.SyncTimings.Append.Since(appendStart)
 	d.lastSyncBytes.Store(n)
 	d.SyncBytes.Add(uint64(n))
 	d.SyncTimings.Total.Since(start)
@@ -171,7 +191,7 @@ func (d *Device) syncDelta(start time.Time) error {
 // past the threshold. At most one checkpoint runs at a time; commits never
 // wait for it.
 func (d *Device) maybeCheckpoint() {
-	if d.closed.Load() || d.store.LiveBytes() < d.ckptBytes {
+	if d.store == nil || d.closed.Load() || d.store.LiveBytes() < d.ckptBytes {
 		return
 	}
 	if !d.ckptBusy.CompareAndSwap(false, true) {
@@ -262,9 +282,8 @@ func (d *Device) EpochStore() *epochlog.Store { return d.store }
 func (d *Device) ReplayInfo() epochlog.Info { return d.replayInfo }
 
 // LastSyncBytes reports how many bytes the most recent successful Sync
-// persisted: the delta record size (the whole image for an in-memory
-// device's first Sync). This is the numerator of the write-amplification
-// metric.
+// persisted: the delta record size. This is the numerator of the
+// write-amplification metric.
 func (d *Device) LastSyncBytes() int64 { return d.lastSyncBytes.Load() }
 
 // WaitCheckpoint blocks until any in-flight background checkpoint finishes.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pax/internal/epochlog"
 	"pax/internal/seglog"
@@ -209,7 +210,7 @@ func TestDeltaCrashMidCheckpoint(t *testing.T) {
 
 	// Crash before the zero checkpoint's rename: a stale .tmp with garbage
 	// must be ignored.
-	if err := os.WriteFile(path+syncTempSuffix, bytes.Repeat([]byte{0xEE}, size/2), 0o644); err != nil {
+	if err := os.WriteFile(path+seglog.TempSuffix, bytes.Repeat([]byte{0xEE}, size/2), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re := openDelta(t, path, cfg)
@@ -396,16 +397,17 @@ func TestDeltaOpenUpgradesFullImagePool(t *testing.T) {
 }
 
 // TestInMemoryDeltaAccounting: an in-memory device persists nothing but
-// still reports the modeled delta size. Its first Sync starts tracking and
-// reports the whole image, like a fresh file pool's first checkpoint.
+// still reports the modeled delta size. It starts tracking at its first
+// Sync, so a device that never Syncs tracks nothing and that first Sync
+// reports an empty record.
 func TestInMemoryDeltaAccounting(t *testing.T) {
 	d := New(DefaultConfig(1 << 16))
 	d.Write(0, []byte{1}, 0)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.LastSyncBytes(); got != 1<<16 {
-		t.Fatalf("first in-memory LastSyncBytes = %d, want the whole image", got)
+	if got, want := d.LastSyncBytes(), epochlog.RecordSize(nil); got != want {
+		t.Fatalf("first in-memory LastSyncBytes = %d, want an empty record's %d", got, want)
 	}
 	d.Write(0, bytes.Repeat([]byte{1}, 100), 0)
 	if err := d.Sync(); err != nil {
@@ -414,6 +416,38 @@ func TestInMemoryDeltaAccounting(t *testing.T) {
 	got := d.LastSyncBytes()
 	if got < 100 || got > 1024 {
 		t.Fatalf("in-memory delta LastSyncBytes = %d, want ≈100 + overhead", got)
+	}
+}
+
+// TestScatteredWritesCompactInLogTime: an epoch of n disjoint dirty ranges
+// re-sorts its list O(log n) times. When every write past dirtyCompactLimit
+// re-sorted the whole list, these 40 000 scattered lines took 16 s; the
+// record that follows must still hold every byte written.
+func TestScatteredWritesCompactInLogTime(t *testing.T) {
+	const lines = 40_000
+	const size = lines * 128
+	d := openDelta(t, filepath.Join(t.TempDir(), "p.pool"), DefaultConfig(size))
+	start := time.Now()
+	for i, k := range rand.New(rand.NewSource(5)).Perm(lines) {
+		d.Write(uint64(k)*128, bytes.Repeat([]byte{byte(i%255 + 1)}, 64), 0)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("%d scattered writes and one Sync took %v", lines, took)
+	}
+	got := make([]byte, size)
+	ranges := 0
+	err := d.EpochStore().Scan(0, d.EpochStore().LastSeq(), func(rec epochlog.Record) error {
+		ranges += len(rec.Ranges)
+		return rec.Apply(got)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ranges != lines || !bytes.Equal(got, d.Snapshot()) {
+		t.Fatalf("log holds %d ranges (want %d), image equal: %v", ranges, lines, bytes.Equal(got, d.Snapshot()))
 	}
 }
 

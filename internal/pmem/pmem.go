@@ -25,7 +25,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pax/internal/epochlog"
 	"pax/internal/seglog"
@@ -172,8 +171,11 @@ type Device struct {
 	// device that never Syncs (the volatile baselines) keeps an empty dirty
 	// list. store is set only on file-backed devices, which actually persist
 	// the deltas.
-	tracking   bool
-	dirty      []dirtyRange
+	tracking bool
+	dirty    []dirtyRange
+	// compacted is len(dirty) after its last compaction (see
+	// trackDirtyLocked); Sync resets it with the list.
+	compacted  int
 	store      *epochlog.Store
 	replayInfo epochlog.Info
 
@@ -252,7 +254,7 @@ func Open(path string, cfg Config) (*Device, error) {
 	d := New(cfg)
 	d.path = path
 	d.tracking = true
-	if err := os.Remove(path + syncTempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := os.Remove(path + seglog.TempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("pmem: removing stale temp for %s: %w", path, err)
 	}
 	f, err := os.Open(path)
@@ -386,10 +388,6 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 	d.trackDirtyLocked(addr, n)
 }
 
-// syncTempSuffix names the staging file a new pool's zero checkpoint is
-// published through. Open and shard discovery know to ignore/clean it.
-const syncTempSuffix = seglog.TempSuffix
-
 // SetFaultFn installs (or, with nil, clears) a fault hook on an open device;
 // the next durability stage consults it. See Config.FaultFn.
 func (d *Device) SetFaultFn(fn func(FaultOp) error) {
@@ -407,38 +405,6 @@ func (d *Device) faultAt(op FaultOp) error {
 		return nil
 	}
 	return fn(op)
-}
-
-// Sync makes everything written since the previous Sync durable. On a
-// file-backed device that is one delta record appended and fsynced to the
-// epoch log (syncDelta); on failure the caller must treat the epoch as not
-// durable. An in-memory device has no file but still consults the fault
-// hook (at the FaultFileSync stage), so durability failures can be injected
-// without file backing, and still reports the record size a file-backed
-// Sync would have persisted. Its first Sync — core.Create's format persist —
-// starts dirty tracking and reports the whole image, like a fresh file
-// pool's first checkpoint.
-func (d *Device) Sync() error {
-	start := time.Now()
-	if d.store != nil {
-		return d.syncDelta(start)
-	}
-	if err := d.faultAt(FaultFileSync); err != nil {
-		return fmt.Errorf("pmem: sync: %w", err)
-	}
-	n := int64(d.cfg.Size)
-	d.deltaMu.Lock()
-	d.mu.Lock()
-	if d.tracking {
-		n = epochlog.RecordSize(d.takeDirtyLocked())
-	}
-	d.tracking = true
-	d.mu.Unlock()
-	d.deltaMu.Unlock()
-	d.lastSyncBytes.Store(n)
-	d.SyncBytes.Add(uint64(n))
-	d.SyncTimings.Total.Since(start)
-	return nil
 }
 
 // Snapshot returns a copy of the full media image — what a post-crash

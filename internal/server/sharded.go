@@ -14,6 +14,7 @@ import (
 
 	"pax"
 	"pax/internal/epochlog"
+	"pax/internal/seglog"
 	"pax/internal/stats"
 )
 
@@ -177,9 +178,9 @@ func DiscoverShards(path string) (int, error) {
 	} else if len(matches) > 0 {
 		seen := make(map[int]bool)
 		for _, m := range matches {
-			if strings.HasSuffix(m, ".tmp") {
-				// Staging litter from a crash mid-Sync (pmem writes <file>.tmp
-				// then renames). Open cleans it per shard; it is not a shard.
+			if strings.HasSuffix(m, seglog.TempSuffix) {
+				// Staging litter from a crash while publishing a new shard's
+				// zero checkpoint. Open cleans it per shard; it is not a shard.
 				continue
 			}
 			if strings.HasSuffix(m, epochlog.DirSuffix) {

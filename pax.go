@@ -139,8 +139,7 @@ type PersistStats struct {
 	// duration, not the (shorter) time the caller was held.
 	SimulatedLatency sim.Time
 	// PersistedBytes is how many bytes the media commit actually wrote: the
-	// delta record size (the whole image for the format commit of an
-	// in-memory pool). Dividing by the pool size gives the commit's write
+	// delta record size. Dividing by the pool size gives the commit's write
 	// amplification.
 	PersistedBytes int64
 }

@@ -81,6 +81,66 @@ func TestFileBackedRestartRecovers(t *testing.T) {
 	}
 }
 
+// TestNewPoolCommitsOnlyItsFormat: a new pool file is born zero (its zero
+// checkpoint is published before formatting), so formatting a 64 MiB pool
+// commits only what formatting wrote — the header, undo-log header,
+// allocator and root table — and leaves no log for a checkpoint to fold.
+func TestNewPoolCommitsOnlyItsFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "new.pool")
+	opts := smallOpts()
+	opts.DataSize = 64 << 20
+	pool, err := pax.CreatePool(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := pool.Internal().PM()
+	if n := pm.LastSyncBytes(); n >= 64<<10 {
+		t.Fatalf("format commit persisted %d bytes, want < 64 KiB", n)
+	}
+	pm.WaitCheckpoint()
+	if n := pm.Checkpoints.Load(); n != 0 {
+		t.Fatalf("%d checkpoints after formatting, want 0", n)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The format alone reopens: every root unset, the allocator serving.
+	if pool, err = pax.OpenPool(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 16; slot++ {
+		if r := pool.Root(slot); r != 0 {
+			t.Fatalf("root %d = %#x on a new pool", slot, r)
+		}
+	}
+	addr, err := pool.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Store(addr, []byte("born zero"))
+	pool.SetRoot(3, addr)
+	if _, err := pool.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if pool, err = pax.OpenPool(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	got := make([]byte, len("born zero"))
+	pool.Load(addr, got)
+	if pool.Root(3) != addr || string(got) != "born zero" {
+		t.Fatalf("root 3 = %#x holding %q, want %#x holding %q", pool.Root(3), got, addr, "born zero")
+	}
+	if next, err := pool.Alloc(64); err != nil || next == addr {
+		t.Fatalf("Alloc after reopen = %#x, %v: the allocator forgot %#x", next, err, addr)
+	}
+}
+
 func TestAllStructureFacades(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "structs.pool")
 	pool, err := pax.MapPool(path, smallOpts())
