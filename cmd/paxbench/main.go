@@ -69,7 +69,7 @@ func main() {
 	flag.Float64Var(&lg.rmwRatio, "rmw-ratio", 0, "loadgen: fraction of ops issued as read-modify-writes (GET then PUT of the same key)")
 	flag.StringVar(&lg.valueDist, "value-dist", "fixed", "loadgen: value size distribution: fixed | uniform (1..value bytes)")
 	flag.Int64Var(&lg.seed, "seed", 1, "loadgen: base RNG seed for shared-keyspace sampling")
-	flag.BoolVar(&lg.split, "split", false, "loadgen: make every run a live-split A/B: measure, split the hottest shard, measure again, then crash and verify no acked write was lost (file-backed zipfian shared keyspace; -shards counts below 2 run as 2)")
+	flag.BoolVar(&lg.split, "split", false, "loadgen: make every run a live-split A/B: measure, split the hottest shard, measure again, then crash and verify no acked write was lost (file-backed zipfian shared keyspace; any shard count, 1 splits to 2)")
 	flag.BoolVar(&lg.autopilot, "autopilot", false, "loadgen: make every run a reshard-autopilot A/B: measure, flood until the policy splits on its own, measure again, idle until it merges back, then crash and verify (same requirements as -split)")
 	flag.BoolVar(&lg.blackbox, "blackbox", false, "loadgen: journal lifecycle events and windowed metrics snapshots to <pool-dir>/load.pool.blackbox/ (requires -pool-dir; the A/B against the same run without it bounds journaling overhead)")
 	flag.IntVar(&lg.failAfter, "fail-syncs-after", 0, "loadgen: inject a persistent media-sync fault into shard 0 after N successful syncs — the shard seals fail-stop and the run ends in a simulated crash (postmortem smoke harness)")
@@ -222,9 +222,6 @@ func runLoadgen(cfg loadgenConfig) error {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n <= 0 {
 			return fmt.Errorf("bad -shards value %q (want positive ints like 1,2,4,8)", f)
-		}
-		if act != benchkit.NoAct && n < 2 {
-			n = 2 // a bare single-shard layout cannot split
 		}
 		counts = append(counts, n)
 	}

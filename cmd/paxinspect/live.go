@@ -54,17 +54,15 @@ func printStats(cl *wire.Client) error {
 }
 
 // printShardStats parses the STATS registry text (`name value` lines, with
-// per-shard series labeled {shard="K"}) and renders one row per shard: the
-// view that makes a hot shard visible at a glance. A single-pool server has
-// no {shard=...} series; the summary then covers the one implicit shard 0
-// from the unlabeled counters.
+// per-shard series labeled {shard="K"} and the fleet size in paxserve_shards)
+// and renders one row per shard: the view that makes a hot shard visible at
+// a glance.
 func printShardStats(cl *wire.Client) error {
 	text, err := cl.Stats()
 	if err != nil {
 		return err
 	}
 	m := make(map[string]float64)
-	shards := 1
 	for _, line := range strings.Split(text, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
@@ -75,21 +73,12 @@ func printShardStats(cl *wire.Client) error {
 			continue
 		}
 		m[fields[0]] = v
-		if i := strings.Index(fields[0], `{shard="`); i >= 0 {
-			rest := fields[0][i+len(`{shard="`):]
-			if j := strings.IndexByte(rest, '"'); j > 0 {
-				if k, err := strconv.Atoi(rest[:j]); err == nil && k+1 > shards {
-					shards = k + 1
-				}
-			}
-		}
 	}
+	shards := int(m["paxserve_shards"])
 	fmt.Printf("-- shards @ %s --\n", time.Now().Format(time.RFC3339))
-	if seq, ok := m["paxserve_slotmap_seq"]; ok {
-		fmt.Printf("router: %d shard(s), slot map seq %.0f, %.0f split(s), %.0f merge(s), %.0f slot(s) / %.0f key(s) moved, %.0f stale key(s) purged\n",
-			shards, seq, m["paxserve_reshard_splits"], m["paxserve_reshard_merges"], m["paxserve_reshard_moved_slots"],
-			m["paxserve_reshard_moved_keys"], m["paxserve_reshard_purged_keys"])
-	}
+	fmt.Printf("router: %d shard(s), slot map seq %.0f, %.0f split(s), %.0f merge(s), %.0f slot(s) / %.0f key(s) moved, %.0f stale key(s) purged\n",
+		shards, m["paxserve_slotmap_seq"], m["paxserve_reshard_splits"], m["paxserve_reshard_merges"], m["paxserve_reshard_moved_slots"],
+		m["paxserve_reshard_moved_keys"], m["paxserve_reshard_purged_keys"])
 	autopilot := m["paxserve_autopilot_enabled"] == 1
 	if autopilot {
 		line := fmt.Sprintf("autopilot: on, %.0f split(s) / %.0f merge(s) by policy",
@@ -110,19 +99,9 @@ func printShardStats(cl *wire.Client) error {
 		fmt.Println(line)
 	}
 	get := func(name string, k int) float64 {
-		if shards == 1 {
-			if v, ok := m[name]; ok {
-				return v
-			}
-		}
 		return m[name+`{shard="`+strconv.Itoa(k)+`"}`]
 	}
 	quant := func(name string, k int) float64 {
-		if shards == 1 {
-			if v, ok := m[name+`{q="p99"}`]; ok {
-				return v
-			}
-		}
 		return m[name+`{q="p99",shard="`+strconv.Itoa(k)+`"}`]
 	}
 	fmt.Printf("  %5s %14s %12s %12s %10s %16s %15s %13s\n",

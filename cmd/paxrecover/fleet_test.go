@@ -36,7 +36,7 @@ func TestRecoveredFleetReopens(t *testing.T) {
 	}
 
 	for k := 0; k < 2; k++ {
-		sp := server.ShardPath(path, 2, k)
+		sp := server.ShardPath(path, k)
 		if has, err := epochlog.HasSegments(sp + epochlog.DirSuffix); err != nil || !has {
 			t.Fatalf("shard %d was not served as a delta pool: %v %v", k, has, err)
 		}
@@ -63,7 +63,7 @@ func TestRecoveredFleetReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 2; k++ {
-		if _, err := os.Stat(server.ShardPath(path, 2, k) + epochlog.DirSuffix); err != nil {
+		if _, err := os.Stat(server.ShardPath(path, k) + epochlog.DirSuffix); err != nil {
 			t.Fatalf("shard %d started no new epoch log: %v", k, err)
 		}
 	}

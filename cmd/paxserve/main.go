@@ -1,4 +1,4 @@
-// Command paxserve is the PAX KV daemon: it serves a pool file over TCP to
+// Command paxserve is the PAX KV daemon: it serves a shard fleet over TCP to
 // many concurrent clients, multiplexing them onto the paper's single-writer
 // programming model with epoch group commits (one Persist per batch of
 // writes, so N clients share one snapshot's cost).
@@ -31,22 +31,25 @@
 // profiler. The plane is unauthenticated — keep it on localhost or an
 // operator network.
 //
-// With -shards N > 1 the keyspace is hash-partitioned across N pool files
-// (kv.pool.shard-0 … kv.pool.shard-N-1), each with its own writer loop,
-// undo log, and device, so N group commits run in parallel; startup opens
-// and recovers all shards concurrently. Keys route through a fixed 256-slot
-// space with a persisted slot→shard map (kv.pool.slotmap), so the fleet can
-// grow live: SIGUSR1 (or the SPLIT wire op) splits the hottest shard —
-// a new shard pool comes up, the hot half of the source's slots migrate
-// through the normal epoch machinery with acked writes durable throughout,
-// and the new assignment publishes atomically. The MERGE wire op runs the
-// inverse: the coldest shard's slots drain onto a survivor and the fleet
-// shrinks by one, the retired shard file removed crash-safely. On restart
-// the shard count is detected from the files present (-shards 0, the
-// default), and an explicit -shards that disagrees with the files is
-// refused unless -overwrite. A bare single-shard layout cannot split (its
-// pool file cannot coexist with shard files); start with -shards 2 to keep
-// splitting open.
+// Every pool is a fleet of N >= 1 shards: the keyspace is hash-partitioned
+// across N pool files (kv.pool.shard-0 … kv.pool.shard-N-1; one shard by
+// default), each with its own writer loop, undo log, and device, so N group
+// commits run in parallel; startup opens and recovers all shards
+// concurrently. Keys route through a fixed 256-slot space with a persisted
+// slot→shard map (kv.pool.slotmap), so the fleet can grow live from any
+// size, one shard included: SIGUSR1 (or the SPLIT wire op) splits the
+// hottest shard — a new shard pool comes up, the hot half of the source's
+// slots migrate through the normal epoch machinery with acked writes durable
+// throughout, and the new assignment publishes atomically. The MERGE wire op
+// runs the inverse, down to one shard: the coldest shard's slots drain onto
+// a survivor and the fleet shrinks by one, the retired shard file removed
+// crash-safely. On restart the shard count is detected from the files
+// present (-shards 0, the default), and an explicit -shards that disagrees
+// with the files is refused unless -overwrite. A bare kv.pool file (the layout one-shard pools
+// had before every pool was a fleet) is refused without touching it; the
+// error names the two renames — kv.pool -> kv.pool.shard-0 and
+// kv.pool.epochlog -> kv.pool.shard-0.epochlog — that make it a one-shard
+// fleet, and -overwrite reformats it instead.
 //
 // -autosplit and -merge-idle hand resharding to the built-in autopilot: a
 // policy loop samples windowed per-shard load every -autopilot-interval and
@@ -76,6 +79,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -94,13 +98,13 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7421", "TCP listen address")
-		poolPath  = flag.String("pool", "", "pool file path (required; created if missing)")
+		poolPath  = flag.String("pool", "", "fleet path: the shards are <pool>.shard-0…N-1 beside <pool>.slotmap (required; created if missing)")
 		shards    = flag.Int("shards", 0, "keyspace shards, each its own pool file and commit pipeline (0 = detect from existing files, else 1)")
 		dataSize  = flag.Uint64("data", 64<<20, "vPM data region size in bytes, per shard (pool creation only)")
 		logSize   = flag.Uint64("log", 8<<20, "undo log region size in bytes, per shard (pool creation only)")
 		hbmSize   = flag.Int("hbm", 16<<20, "device HBM cache size in bytes (0 disables)")
 		profile   = flag.String("profile", "cxl", "device profile: cxl | enzian")
-		overwrite = flag.Bool("overwrite", false, "reformat the pool file even if it already exists")
+		overwrite = flag.Bool("overwrite", false, "reformat the pool files even if they already exist")
 		maxBatch  = flag.Int("max-batch", 128, "max writes acked per group commit")
 		queue     = flag.Int("queue", 1024, "request queue depth (backpressure bound)")
 		reqTmo    = flag.Duration("req-timeout", 5*time.Second, "per-request enqueue timeout")
@@ -108,13 +112,11 @@ func main() {
 		retryDly  = flag.Duration("commit-retry-delay", 2*time.Millisecond, "wait before the first commit retry, doubling per attempt")
 		debugAddr = flag.String("debug-addr", "", "HTTP observability listener serving /metrics, /trace, and /debug/pprof/ (unauthenticated — bind to localhost; empty disables)")
 		slowCmt   = flag.Duration("slow-commit", server.DefaultSlowCommit, "pin group commits slower than this in the flight recorder (negative disables pinning)")
-		traceN    = flag.Int("trace-depth", server.DefaultTraceDepth, "flight recorder depth in commits, per shard")
-		slowN     = flag.Int("slow-depth", server.DefaultSlowDepth, "flight recorder pinned ring depth for failed and slow commits, per shard")
 		bbox      = flag.Bool("blackbox", false, "journal lifecycle events and windowed metrics snapshots to <pool>.blackbox/ for crash postmortems (paxinspect -postmortem)")
 		bboxTick  = flag.Duration("blackbox-interval", time.Second, "black-box windowed metrics snapshot period")
 		ackPolicy = flag.String("ack-policy", "durable", "default ack policy for requests without an explicit wire flag: durable (ack when the group commit reaches media) | apply (ack when applied and read-index-visible; durability asynchronous)")
-		autosplit = flag.Bool("autosplit", false, "run the reshard autopilot's split policy: split the hottest shard when its commit pipeline stays saturated (requires a sharded layout)")
-		mergeIdle = flag.Duration("merge-idle", 0, "run the reshard autopilot's merge policy: fold the coldest shard back after it idles this long (0 disables; requires a sharded layout)")
+		autosplit = flag.Bool("autosplit", false, "run the reshard autopilot's split policy: split the hottest shard when its commit pipeline stays saturated")
+		mergeIdle = flag.Duration("merge-idle", 0, "run the reshard autopilot's merge policy: fold the coldest shard back after it idles this long, never below 2 shards (0 disables)")
 		apTick    = flag.Duration("autopilot-interval", time.Second, "reshard autopilot policy tick (windowed load sampling period)")
 	)
 	flag.Parse()
@@ -148,6 +150,9 @@ func main() {
 	// than guess (live growth is SIGUSR1 / the SPLIT wire op, not -shards).
 	n := *shards
 	discovered, err := server.DiscoverShards(*poolPath)
+	if *overwrite && errors.Is(err, server.ErrBarePool) {
+		err = nil // -overwrite reformats a bare pool like any other layout
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paxserve: %v\n", err)
 		os.Exit(1)
@@ -184,8 +189,6 @@ func main() {
 		CommitRetries:    *retries,
 		CommitRetryDelay: *retryDly,
 		SlowCommit:       *slowCmt,
-		TraceDepth:       *traceN,
-		SlowDepth:        *slowN,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paxserve: %v\n", err)
@@ -218,10 +221,6 @@ func main() {
 	}
 
 	if *autosplit || *mergeIdle > 0 {
-		if n < 2 {
-			fmt.Fprintln(os.Stderr, "paxserve: -autosplit/-merge-idle require a sharded layout (-shards >= 2)")
-			os.Exit(2)
-		}
 		if _, err := eng.StartAutopilot(server.AutopilotConfig{
 			Interval:     *apTick,
 			SplitEnabled: *autosplit,

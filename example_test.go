@@ -3,6 +3,7 @@ package pax_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"pax"
 )
@@ -32,8 +33,9 @@ func ExampleMapPool() {
 // ExamplePool_Persist demonstrates snapshot semantics: unpersisted changes
 // vanish on recovery, persisted ones survive.
 func ExamplePool_Persist() {
-	path := "example_persist.pool"
-	defer os.Remove(path)
+	dir, _ := os.MkdirTemp("", "pax-example-*")
+	defer os.RemoveAll(dir) // the pool file and its <pool>.epochlog/ segments
+	path := filepath.Join(dir, "example_persist.pool")
 
 	pool, _ := pax.MapPool(path, pax.Options{DataSize: 2 << 20, LogSize: 2 << 20})
 	m, _ := pax.NewMap(pool, 0)

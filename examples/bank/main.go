@@ -99,6 +99,7 @@ func (b *bank) audit() (sum uint64) {
 
 func main() {
 	defer os.Remove(poolFile)
+	defer os.RemoveAll(poolFile + ".epochlog") // the pool's delta segments
 	rng := rand.New(rand.NewSource(2022))
 
 	// Phase 1: run transfers with group commit, then crash mid-epoch.

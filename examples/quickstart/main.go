@@ -15,6 +15,7 @@ import (
 func main() {
 	const poolFile = "quickstart.pool"
 	defer os.Remove(poolFile)
+	defer os.RemoveAll(poolFile + ".epochlog") // the pool's delta segments
 
 	// Line 1-2 of Listing 1: map the pool, wrap it in an allocator, hand it
 	// to an unmodified hash map.

@@ -82,6 +82,7 @@ func (s *store) audit() error {
 
 func main() {
 	defer os.Remove(poolFile)
+	defer os.RemoveAll(poolFile + ".epochlog") // the pool's delta segments
 
 	s := open()
 	// Epoch 1: five users, committed.

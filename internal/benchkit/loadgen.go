@@ -389,11 +389,11 @@ func (spec LoadSpec) validate(act Act) error {
 		return nil
 	}
 	// An act reshapes a fleet on disk and is judged by the keyspace that
-	// survives the crash: bare single-shard layouts cannot split, in-memory
-	// fleets have nothing to reopen, private keys have no keyspace to count.
+	// survives the crash: in-memory fleets have nothing to reopen, private
+	// keys have no keyspace to count.
 	name := actNames[act].load
-	if spec.PoolDir == "" || spec.Keys == 0 || spec.Shards < 2 {
-		return fmt.Errorf("benchkit: %s load needs PoolDir, Keys > 0, and Shards >= 2, got %+v", name, spec)
+	if spec.PoolDir == "" || spec.Keys == 0 {
+		return fmt.Errorf("benchkit: %s load needs PoolDir and Keys > 0, got %+v", name, spec)
 	}
 	if spec.AckOnApply {
 		// The crash check asserts every acked write survives; apply-acked

@@ -73,6 +73,30 @@ func TestRunScriptSplit(t *testing.T) {
 	}
 }
 
+// A one-shard fleet is a fleet like any other: it splits onto a new second
+// shard and loses nothing across the crash.
+func TestRunScriptSplitFromOneShard(t *testing.T) {
+	post, err := RunScript(LoadSpec{
+		Clients:      8,
+		OpsPerClient: 40,
+		Shards:       1,
+		PoolDir:      t.TempDir(),
+		Keys:         500,
+		Dist:         "zipf",
+		ZipfS:        1.3,
+	}, SplitAct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPhases(t, post, "pre-split", "post-split")
+	if post.Pre.Spec.Shards != 1 || post.Spec.Shards != 2 {
+		t.Fatalf("fleet went %d -> %d shards, want 1 -> 2", post.Pre.Spec.Shards, post.Spec.Shards)
+	}
+	if s := post.Split; s == nil || !s.NewShard || !s.CrashVerified || s.LostKeys != 0 {
+		t.Fatalf("split %+v, want a new shard and a verified crash with no lost keys", s)
+	}
+}
+
 func TestRunScriptAutopilot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the policy's split and its idle merge-back")
@@ -110,13 +134,12 @@ func TestRunScriptAutopilot(t *testing.T) {
 }
 
 // An act reshapes files and is judged by a keyspace that survives a crash, so
-// a spec without files, without a shared keyspace, without a second shard, or
-// with acks that may roll back is refused before anything is opened.
+// a spec without files, without a shared keyspace, or with acks that may roll
+// back is refused before anything is opened.
 func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
 	ok := LoadSpec{Clients: 2, OpsPerClient: 4, Shards: 2, PoolDir: t.TempDir(), Keys: 16}
-	inMemory, singleShard, private, apply := ok, ok, ok, ok
+	inMemory, private, apply := ok, ok, ok
 	inMemory.PoolDir = ""
-	singleShard.Shards = 1
 	private.Keys = 0
 	apply.AckOnApply = true
 	for _, tc := range []struct {
@@ -125,12 +148,10 @@ func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
 		act  Act
 		want string
 	}{
-		{"in-memory split", inMemory, SplitAct, "benchkit: split load needs PoolDir, Keys > 0, and Shards >= 2"},
-		{"single-shard split", singleShard, SplitAct, "benchkit: split load needs PoolDir, Keys > 0, and Shards >= 2"},
-		{"private-key split", private, SplitAct, "benchkit: split load needs PoolDir, Keys > 0, and Shards >= 2"},
+		{"in-memory split", inMemory, SplitAct, "benchkit: split load needs PoolDir and Keys > 0"},
+		{"private-key split", private, SplitAct, "benchkit: split load needs PoolDir and Keys > 0"},
 		{"apply-acked split", apply, SplitAct, "benchkit: split load measures durable acks; AckOnApply would make the crash check vacuous"},
-		{"in-memory autopilot", inMemory, AutopilotAct, "benchkit: autopilot load needs PoolDir, Keys > 0, and Shards >= 2"},
-		{"single-shard autopilot", singleShard, AutopilotAct, "benchkit: autopilot load needs PoolDir, Keys > 0, and Shards >= 2"},
+		{"in-memory autopilot", inMemory, AutopilotAct, "benchkit: autopilot load needs PoolDir and Keys > 0"},
 		{"apply-acked autopilot", apply, AutopilotAct, "benchkit: autopilot load measures durable acks; AckOnApply would make the crash check vacuous"},
 	} {
 		if _, err := RunScript(tc.spec, tc.act); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
@@ -138,7 +159,7 @@ func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
 		}
 	}
 	// The same specs are fine without an act.
-	for _, spec := range []LoadSpec{inMemory, singleShard, apply} {
+	for _, spec := range []LoadSpec{inMemory, apply} {
 		if _, err := RunScript(spec, NoAct); err != nil {
 			t.Errorf("no act, %+v: %v", spec, err)
 		}

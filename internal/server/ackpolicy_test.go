@@ -1,36 +1,20 @@
 package server
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"pax/internal/wire"
 )
 
-// startTCPWith is startTCP with an engine config and a server default ack
-// policy — the harness for the wire-level policy tests.
+// startTCPWith serves a one-shard in-memory fleet with an engine config and
+// a server default ack policy — the harness for the wire-level policy tests —
+// and returns the shard's engine and the address.
 func startTCPWith(t *testing.T, cfg Config, policy AckPolicy) (*Engine, string) {
 	t.Helper()
-	pool, eng := newTestEngine(t, "", cfg)
-	t.Cleanup(func() { pool.Close() })
-	srv := NewServer(eng)
-	srv.DefaultAckPolicy = policy
-	srv.Logf = t.Logf
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		eng.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return eng, lis.Addr().String()
+	fleet, _, eng := oneShard(t, cfg)
+	_, addr := serveTCP(t, fleet, policy)
+	return eng, addr
 }
 
 // TestTCPAckPolicyFlags drives every wire-flag × server-default combination
@@ -120,4 +104,32 @@ func TestTCPAckApplyDelete(t *testing.T) {
 		t.Fatalf("apply-acked persist: %v", err)
 	}
 	waitForCommits(t, eng, 2) // the delete's commit and the forced one
+}
+
+// TestAckApplyPersistPolicy: an ack-on-apply PERSIST schedules the forced
+// commit on every shard but answers at apply time, while the commit is still
+// on the medium; the commit itself still happens.
+func TestAckApplyPersistPolicy(t *testing.T) {
+	const syncTime = 300 * time.Millisecond
+	fleet, pool, eng := oneShard(t, Config{MaxBatch: 128})
+	_, addr := serveTCP(t, fleet, AckDurable)
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.PutFlags([]byte("k"), []byte("v"), wire.FlagAckApply); err != nil {
+		t.Fatal(err)
+	}
+	waitForCommits(t, eng, 1)
+	slowMedium(pool, syncTime, false)
+	before := eng.Stats().GroupCommits.Load()
+	start := time.Now()
+	if _, err := cl.PersistFlags(wire.FlagAckApply); err != nil {
+		t.Fatalf("apply-acked persist: %v", err)
+	}
+	if took := time.Since(start); took >= syncTime/2 {
+		t.Fatalf("apply-acked PERSIST took %v: it waited out the %v medium", took, syncTime)
+	}
+	waitForCommits(t, eng, before+1)
 }

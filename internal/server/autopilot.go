@@ -169,7 +169,7 @@ type AutopilotConfig struct {
 	SplitHotTicks     int
 
 	// MergeEnabled turns on cold-shard merges, down to MinShards (default
-	// 2). A merge fires when the coldest shard stays under
+	// 2; 1 lets an idle fleet fold back to a single shard). A merge fires when the coldest shard stays under
 	// MergeIdleOpsPerSec (default 1) windowed ops/s for MergeIdle (default
 	// 30s) while no split condition is pending.
 	MergeEnabled       bool
@@ -208,7 +208,7 @@ func (c AutopilotConfig) withDefaults() AutopilotConfig {
 	if c.SplitHotTicks <= 0 {
 		c.SplitHotTicks = 3
 	}
-	if c.MinShards < 2 {
+	if c.MinShards <= 0 {
 		c.MinShards = 2
 	}
 	if c.MergeIdleOpsPerSec <= 0 {

@@ -73,13 +73,13 @@ func TestChaosPersistentFaultSealsEngine(t *testing.T) {
 	if got := eng.Stats().CommitFailures.Load(); got != 1 {
 		t.Fatalf("commit failures = %d, want 1", got)
 	}
-	// Health stays observable: STATS works on a sealed engine.
-	text, err := eng.StatsText()
+	// Health stays observable: the registry samples on a sealed engine.
+	snap, err := eng.Snapshot()
 	if err != nil {
 		t.Fatalf("stats on sealed engine: %v", err)
 	}
-	if !strings.Contains(text, "paxserve_sealed 1") || !strings.Contains(text, "paxserve_commit_failures 1") {
-		t.Fatalf("sealed stats missing failure gauges:\n%s", text)
+	if snap["paxserve_sealed"] != 1 || snap["paxserve_commit_failures"] != 1 {
+		t.Fatalf("sealed stats: paxserve_sealed %v, paxserve_commit_failures %v; want 1 and 1", snap["paxserve_sealed"], snap["paxserve_commit_failures"])
 	}
 	if err := eng.Close(); !errors.Is(err, ErrSealed) {
 		t.Fatalf("close of sealed engine = %v, want its seal error", err)
@@ -341,13 +341,13 @@ func TestOpenShardedPartialFailure(t *testing.T) {
 	path := filepath.Join(dir, "kv.pool")
 	// A directory where shard 2's pool file must go makes that one shard
 	// unopenable.
-	if err := os.Mkdir(ShardPath(path, 4, 2), 0o755); err != nil {
+	if err := os.Mkdir(ShardPath(path, 2), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenSharded(path, 4, smallOpts(), 0, Config{}); err == nil {
 		t.Fatal("partial open succeeded with an unopenable shard")
 	}
-	if err := os.Remove(ShardPath(path, 4, 2)); err != nil {
+	if err := os.Remove(ShardPath(path, 2)); err != nil {
 		t.Fatal(err)
 	}
 	s := newSharded(t, path, 4, Config{MaxBatch: 4})

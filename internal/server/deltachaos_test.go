@@ -190,7 +190,7 @@ func TestShardedEpochLogDiscoveryAndOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 4; k++ {
-		segDir := ShardPath(path, 4, k) + epochlog.DirSuffix
+		segDir := ShardPath(path, k) + epochlog.DirSuffix
 		if has, err := epochlog.HasSegments(segDir); err != nil || !has {
 			t.Fatalf("shard %d has no segment directory (has=%v err=%v)", k, has, err)
 		}

@@ -43,7 +43,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -97,12 +96,6 @@ type Config struct {
 	// outlier ring so it survives after the recent ring wraps (default 10ms;
 	// negative disables pinning — failed commits are still pinned).
 	SlowCommit time.Duration
-	// TraceDepth is the flight recorder's recent-ring size in commits
-	// (default 256); SlowDepth sizes the pinned outlier ring that holds
-	// failed and over-threshold commits (default 64). A postmortem wants
-	// deeper rings than live debugging does.
-	TraceDepth int
-	SlowDepth  int
 }
 
 func (c Config) withDefaults() Config {
@@ -129,12 +122,6 @@ func (c Config) withDefaults() Config {
 		c.SlowCommit = DefaultSlowCommit
 	case c.SlowCommit < 0:
 		c.SlowCommit = 0
-	}
-	if c.TraceDepth <= 0 {
-		c.TraceDepth = DefaultTraceDepth
-	}
-	if c.SlowDepth <= 0 {
-		c.SlowDepth = DefaultSlowDepth
 	}
 	return c
 }
@@ -166,20 +153,20 @@ const (
 	opStats
 	opSnapshot
 	opTrace
-	// opSplit asks the sharded router to split a shard live (migrate.go); a
-	// plain Engine has no shards and rejects it at begin.
+	// opSplit asks the fleet to split a shard live (migrate.go); the router
+	// answers it, as it answers opStats, opTrace, opEvents and opMerge —
+	// none of them reaches an engine's begin.
 	opSplit
 	// opMerge is the inverse: drain the coldest shard and shrink the fleet
-	// (merge.go). Like opSplit it only makes sense on the sharded router.
+	// (merge.go).
 	opMerge
 	// opBarrier is a queue flush: it applies as a no-op and acks at apply
 	// time, so its return means every previously enqueued request has been
 	// applied — without forcing a commit the way opPersist does. Migration
 	// uses it as the drain fence before copying a slot.
 	opBarrier
-	// opEvents returns the recent structured lifecycle events (events.go).
-	// Like opTrace it is answered inline, so a sealed engine still serves
-	// the events that explain the seal.
+	// opEvents returns the fleet's recent structured lifecycle events
+	// (events.go).
 	opEvents
 )
 
@@ -333,7 +320,7 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 		idx:  newReadIndex(),
 		stop: make(chan struct{}),
 	}
-	e.rec = newFlightRecorder(e.cfg.TraceDepth, e.cfg.SlowDepth, e.cfg.SlowCommit)
+	e.rec = newFlightRecorder(DefaultTraceDepth, DefaultSlowDepth, e.cfg.SlowCommit)
 	kv.ForEach(func(key, value []byte) bool {
 		// ForEach hands out fresh copies, so the index can keep them.
 		s := e.idx.stripe(key)
@@ -402,36 +389,6 @@ func (r *request) finish(res result) { r.done <- res }
 // which is what lets the TCP server resolve a pipelined GET without
 // serializing it behind the connection's PUT acks.
 func (e *Engine) begin(req *request) error {
-	if req.op == opSplit || req.op == opMerge {
-		name := "SPLIT"
-		if req.op == opMerge {
-			name = "MERGE"
-		}
-		return fmt.Errorf("server: %s requires a sharded server (-shards >= 2)", name)
-	}
-	if req.op == opTrace {
-		// Answered inline from the recorder's own mutex — never through the
-		// queue — so a sealed or crashed engine still serves its trace, which
-		// is exactly when the trace matters most.
-		buf, err := json.Marshal(e.rec.snapshot())
-		if err != nil {
-			req.finish(result{err: err})
-			return nil
-		}
-		req.finish(result{value: buf})
-		return nil
-	}
-	if req.op == opEvents {
-		// Inline for the same reason as TRACE: the events that explain a seal
-		// must be readable from the sealed engine.
-		buf, err := json.Marshal(e.Events())
-		if err != nil {
-			req.finish(result{err: err})
-			return nil
-		}
-		req.finish(result{value: buf})
-		return nil
-	}
 	if req.op == opGet {
 		v, ok, err := e.Get(req.key)
 		if err != nil {
@@ -574,32 +531,12 @@ func (e *Engine) Persist() (uint64, error) {
 	return res.epoch, res.err
 }
 
-// PersistPolicy is Persist under an explicit ack policy: AckApply schedules
-// the forced commit but returns immediately with the still-open epoch
-// instead of waiting for media.
-func (e *Engine) PersistPolicy(policy AckPolicy) (uint64, error) {
-	res := e.doPolicy(opPersist, nil, nil, policy)
-	return res.epoch, res.err
-}
-
-// StatsText renders the metrics registry on the writer loop (so sampling
-// never races the mutator) and returns the `name value` lines. A sealed
-// engine still renders: health must stay observable after a failure, and
-// with the writer loop gone direct sampling cannot race a mutator.
-func (e *Engine) StatsText() (string, error) {
-	res := e.do(opStats, nil, nil)
-	if res.err != nil && errors.Is(res.err, ErrSealed) {
-		e.wg.Wait()
-		return e.reg.Text(), nil
-	}
-	return res.text, res.err
-}
-
-// Snapshot samples the metrics registry on the writer loop and returns the
-// raw summary — the structured form of StatsText, for callers (the sharded
-// router) that merge several engines' metrics before rendering. Like
-// StatsText it keeps working on a sealed engine, so a sharded STATS can
-// report per-shard health with one shard down.
+// Snapshot samples the metrics registry on the writer loop (so sampling
+// never races the mutator) and returns the raw summary, which the fleet
+// merges across shards. A sealed engine still answers — health must stay
+// observable after a failure, and with the writer loop gone direct sampling
+// cannot race a mutator — so a fleet's STATS reports per-shard health with
+// one shard down.
 func (e *Engine) Snapshot() (stats.Summary, error) {
 	res := e.do(opSnapshot, nil, nil)
 	if res.err != nil && errors.Is(res.err, ErrSealed) {
@@ -761,9 +698,6 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 		return req, true
 	case opBarrier:
 		req.finish(result{epoch: e.pool.Epoch()})
-		return nil, false
-	case opStats:
-		req.finish(result{text: e.reg.Text()})
 		return nil, false
 	case opSnapshot:
 		req.finish(result{snap: e.reg.Snapshot()})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,9 +56,14 @@ func TestEngineBasicOps(t *testing.T) {
 	if err != nil || epoch == 0 {
 		t.Fatalf("persist: %d %v", epoch, err)
 	}
-	text, err := eng.StatsText()
-	if err != nil || !strings.Contains(text, "paxserve_acked_writes") || !strings.Contains(text, "pax_device_persists") {
-		t.Fatalf("stats text: %v\n%s", err, text)
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"paxserve_acked_writes", "pax_device_persists"} {
+		if _, ok := snap[name]; !ok {
+			t.Fatalf("stats snapshot has no %s", name)
+		}
 	}
 }
 

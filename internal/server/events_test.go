@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -88,29 +87,16 @@ func TestEngineSealEmitsEvents(t *testing.T) {
 	}
 }
 
-// The EVENTS wire op is answered inline, so a sealed engine still serves its
-// event ring — the same contract TRACE and STATS have.
+// The EVENTS wire op is answered inline, so a fleet whose only shard sealed
+// still serves its event ring — the same contract TRACE and STATS have.
 func TestEventsWireOpOnSealedEngine(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
+	fleet, pool, _ := oneShard(t, Config{
 		MaxBatch:      4,
 		CommitRetries: -1,
 	})
-	t.Cleanup(func() { pool.Close() })
-	srv := NewServer(eng)
-	srv.Logf = t.Logf
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		eng.Close()
-		<-done
-	})
+	_, addr := serveTCP(t, fleet, AckDurable)
 
-	cl, err := wire.Dial(lis.Addr().String())
+	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,10 @@ import (
 // under the same mutex, so a TRACE never blocks a commit for more than two
 // slice copies.
 
-// Flight-recorder defaults: the recent ring keeps the last DefaultTraceDepth
-// commits, the pinned ring the last DefaultSlowDepth outliers, and a commit
-// counts as an outlier past DefaultSlowCommit (or on any error).
+// Flight-recorder sizes: every engine's recent ring keeps the last
+// DefaultTraceDepth commits and its pinned ring the last DefaultSlowDepth
+// outliers; a commit counts as an outlier past DefaultSlowCommit (the
+// Config.SlowCommit default) or on any error.
 const (
 	DefaultTraceDepth = 256
 	DefaultSlowDepth  = 64
@@ -138,12 +139,6 @@ func (r *ring) ordered() []CommitRecord {
 }
 
 func newFlightRecorder(depth, slowDepth int, threshold time.Duration) *flightRecorder {
-	if depth <= 0 {
-		depth = DefaultTraceDepth
-	}
-	if slowDepth <= 0 {
-		slowDepth = DefaultSlowDepth
-	}
 	return &flightRecorder{
 		threshold: threshold,
 		recent:    ring{buf: make([]CommitRecord, depth)},

@@ -190,26 +190,30 @@ func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
 	}
 }
 
-// A sealed engine must still answer TRACE — the record explaining the seal is
-// pinned, and reading it is the whole point of the recorder.
+// A fleet whose shard sealed must still answer TRACE — the record explaining
+// the seal is pinned, and reading it is the whole point of the recorder.
 func TestEngineTraceSurvivesSeal(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
+	fleet, pool, _ := oneShard(t, Config{
 		MaxBatch:      4,
 		CommitRetries: -1, SlowCommit: -1,
 	})
-	defer pool.Close()
-	defer eng.Close()
+	defer fleet.Close()
 
-	if _, err := eng.Put([]byte("ok"), []byte("v")); err != nil {
+	if _, err := fleet.Put([]byte("ok"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
-	if _, err := eng.Put([]byte("doomed"), []byte("v")); !errors.Is(err, ErrSealed) {
+	if _, err := fleet.Put([]byte("doomed"), []byte("v")); !errors.Is(err, ErrSealed) {
 		t.Fatalf("put on faulted media: %v", err)
 	}
-	res := eng.do(opTrace, nil, nil)
+	req := newRequest(opTrace, nil, nil)
+	if err := fleet.begin(req); err != nil {
+		t.Fatalf("TRACE on sealed fleet: %v", err)
+	}
+	res := <-req.done
+	req.release()
 	if res.err != nil {
-		t.Fatalf("TRACE on sealed engine: %v", res.err)
+		t.Fatalf("TRACE on sealed fleet: %v", res.err)
 	}
 	var snap TraceSnapshot
 	if err := json.Unmarshal(res.value, &snap); err != nil {
@@ -231,8 +235,7 @@ func TestEngineTraceSurvivesSeal(t *testing.T) {
 }
 
 func TestStatsTextHasLatencyQuantiles(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 8})
-	defer pool.Close()
+	eng, _, _ := oneShard(t, Config{MaxBatch: 8})
 	defer eng.Close()
 
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {

@@ -81,11 +81,9 @@ type MergeReport struct {
 // contract; the shrunk assignment then publishes (the commit point for the
 // fleet shrink), the in-memory fleet shrinks, and the top shard's engine is
 // closed and its file removed. A crash anywhere in between converges at next
-// open — see the crash-window taxonomy at the top of this file.
-//
-// File-backed layouts cannot merge below 2 shards: a lone <path>.shard-0
-// file is not the bare single-file layout, so a 1-shard reopen would look in
-// the wrong place. In-memory fleets may merge down to 1.
+// open — see the crash-window taxonomy at the top of this file. A fleet
+// merges down to one shard, file-backed or not; with two shards the top is
+// the one drained, whichever victim was named.
 //
 // Concurrent per-key traffic is safe throughout (slots stall only while
 // their own cutover runs). A concurrent fleet-wide Persist/Stats that
@@ -102,9 +100,6 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	if n < 2 {
 		return nil, fmt.Errorf("server: %d shard(s); nothing to merge", n)
 	}
-	if s.persistMap && n <= 2 {
-		return nil, fmt.Errorf("server: cannot merge below 2 shards in a file-backed layout")
-	}
 	if victim < 0 {
 		victim = s.coldestShard(m)
 	}
@@ -113,6 +108,12 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	}
 
 	top := n - 1
+	if n == 2 {
+		// Only the top file is removable, and with two shards the only
+		// possible end state is every slot on shard 0: drain the top into it
+		// directly instead of moving the victim's keys there and back.
+		victim = top
+	}
 	rep = &MergeReport{Victim: victim, Retired: top, Dest: -1, Shards: n}
 
 	// The destination takes the victim's slots: the coldest shard that is
@@ -213,7 +214,7 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 		s.logf("server: merge: closing retired shard %d pool: %v", top, err)
 	}
 	if s.path != "" {
-		sp := ShardPath(s.path, n, top)
+		sp := ShardPath(s.path, top)
 		if err := os.RemoveAll(sp + epochlog.DirSuffix); err != nil {
 			s.logf("server: merge: removing retired shard %d epoch log: %v", top, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -228,13 +227,16 @@ func TestMergeAutoPicksColdest(t *testing.T) {
 	verifyKeys(t, eng, keys)
 }
 
-func TestMergeRefusesBelowTwoFileBacked(t *testing.T) {
-	dir := t.TempDir()
-	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 2, Config{})
+// A fleet merges down to one shard, file-backed or not, and no further.
+func TestMergeRefusesBelowOneShard(t *testing.T) {
+	pool := filepath.Join(t.TempDir(), "kv.pool")
+	eng := newSharded(t, pool, 1, Config{})
 	defer eng.Close()
 	if _, err := eng.Merge(-1); err == nil {
-		t.Fatal("merging a 2-shard file-backed fleet must refuse (shard-0 files cannot become the bare layout)")
+		t.Fatal("merging a one-shard fleet succeeded")
+	}
+	if eng.NumShards() != 1 || shardFilesOnDisk(t, pool) != 1 {
+		t.Fatalf("refused merge left %d shards, %d shard files", eng.NumShards(), shardFilesOnDisk(t, pool))
 	}
 }
 
@@ -382,24 +384,8 @@ func TestMergeCrashStages(t *testing.T) {
 }
 
 func TestMergeOverTCP(t *testing.T) {
-	eng := newSharded(t, "", 3, Config{MaxBatch: 16})
-	srv := NewServer(eng)
-	srv.Logf = t.Logf
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		eng.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-
-	cl, err := wire.Dial(lis.Addr().String())
+	_, addr := serveTCP(t, newSharded(t, "", 3, Config{MaxBatch: 16}), AckDurable)
+	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,21 +70,14 @@ type SplitReport struct {
 // a newly created shard pool with the same geometry. The moving set is
 // chosen by per-slot op counts — slots greedily balanced so roughly half the
 // measured load leaves — and migrated one slot at a time: acked writes stay
-// durable throughout, and only the slot in flight ever stalls.
-//
-// A bare single-shard file layout cannot split: its pool file is <path>
-// itself, which cannot coexist with <path>.shard-* files. Start file-backed
-// deployments with -shards >= 2 to keep splitting open; in-memory engines
-// split from any count.
+// durable throughout, and only the slot in flight ever stalls. Any fleet
+// splits, a one-shard fleet included.
 func (s *ShardedEngine) Split(src int) (*SplitReport, error) {
 	s.migrateMu.Lock()
 	defer s.migrateMu.Unlock()
 
 	m := s.route.Load()
 	shards := *s.shards.Load()
-	if s.path != "" && len(shards) == 1 {
-		return nil, fmt.Errorf("server: cannot split a bare single-shard file layout (start with -shards >= 2)")
-	}
 	if src < 0 {
 		src = s.hottestShard(m)
 	}
@@ -228,7 +221,7 @@ func (s *ShardedEngine) addShard() (int, error) {
 	}
 	opts := s.opts
 	opts.Overwrite = true
-	sp := ShardPath(s.path, k+1, k)
+	sp := ShardPath(s.path, k)
 	pool, err := pax.CreatePool(sp, opts)
 	if err != nil {
 		return 0, fmt.Errorf("server: shard %d: %w", k, err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -237,17 +236,6 @@ func TestSplitReusesIdleShard(t *testing.T) {
 	}
 }
 
-// Bare single-file layouts have no slot map on disk and cannot grow.
-func TestSplitBareLayoutRefused(t *testing.T) {
-	dir := t.TempDir()
-	pool := filepath.Join(dir, "kv.pool")
-	eng := newSharded(t, pool, 1, Config{})
-	defer eng.Close()
-	if _, err := eng.Split(-1); err == nil {
-		t.Fatal("split of a bare single-shard layout succeeded")
-	}
-}
-
 // Crash window simulation: a crash mid-copy leaves orphan copies on the
 // destination with the slot map still pointing at the source. The orphans
 // must be purged at open, not resurrected.
@@ -318,27 +306,11 @@ func TestSplitMetrics(t *testing.T) {
 	}
 }
 
-// SPLIT over the wire: a sharded backend runs the migration and replies with
-// the report JSON; a single-pool backend refuses at dispatch.
+// SPLIT over the wire: the fleet runs the migration and replies with the
+// report JSON.
 func TestSplitOverTCP(t *testing.T) {
-	eng := newSharded(t, "", 2, Config{MaxBatch: 8})
-	srv := NewServer(eng)
-	srv.Logf = t.Logf
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		eng.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-
-	cl, err := wire.Dial(lis.Addr().String())
+	_, addr := serveTCP(t, newSharded(t, "", 2, Config{MaxBatch: 8}), AckDurable)
+	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,27 +344,46 @@ func TestSplitOverTCP(t *testing.T) {
 	}
 }
 
-// A single-pool (non-sharded) server must refuse SPLIT with a clean error.
-func TestSplitSingleEngineRefused(t *testing.T) {
-	_, eng := newTestEngine(t, "", Config{MaxBatch: 8})
-	srv := NewServer(eng)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		eng.Close()
-		<-done
-	})
-	cl, err := wire.Dial(lis.Addr().String())
+// The smallest server paxserve runs, one shard, splits and merges over the
+// wire like any other fleet; a MERGE of its last shard is a clean error.
+func TestSplitOneShardOverTCP(t *testing.T) {
+	_, addr := serveTCP(t, newSharded(t, "", 1, Config{MaxBatch: 8}), AckDurable)
+	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Split(-1); err == nil {
-		t.Fatal("SPLIT on a single-pool server succeeded")
+	for i := 0; i < 32; i++ {
+		key := []byte(fmt.Sprintf("one-%03d", i))
+		if _, err := cl.Put(key, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := cl.Split(-1)
+	if err != nil {
+		t.Fatalf("SPLIT on a one-shard server: %v", err)
+	}
+	var rep SplitReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("decoding split report %q: %v", body, err)
+	}
+	if rep.Shards != 2 || !rep.NewShard {
+		t.Fatalf("split report %+v, want a new second shard", rep)
+	}
+	if body, err = cl.Merge(-1); err != nil {
+		t.Fatalf("MERGE back to one shard: %v", err)
+	}
+	var mrep MergeReport
+	if err := json.Unmarshal(body, &mrep); err != nil || mrep.Shards != 1 {
+		t.Fatalf("merge report %q (%v), want one shard left", body, err)
+	}
+	for i := 0; i < 32; i++ {
+		key := []byte(fmt.Sprintf("one-%03d", i))
+		if v, ok, err := cl.Get(key); err != nil || !ok || !bytes.Equal(v, key) {
+			t.Fatalf("key %s after split and merge: ok=%v err=%v", key, ok, err)
+		}
+	}
+	if _, err := cl.Merge(-1); err == nil {
+		t.Fatal("MERGE of the last shard succeeded")
 	}
 }

@@ -47,7 +47,7 @@ func writeFullImageFleet(t *testing.T, path string, keys int) []string {
 		if _, err := pool.Persist(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(ShardPath(path, 2, k), pool.Internal().PM().Snapshot(), 0o644); err != nil {
+		if err := os.WriteFile(ShardPath(path, k), pool.Internal().PM().Snapshot(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestOpenShardedUpgradesFullImageLayout(t *testing.T) {
 	}
 	verifyKeys(t, eng, keys)
 	for k := 0; k < 2; k++ {
-		if fi, err := os.Stat(ShardPath(path, 2, k) + epochlog.DirSuffix); err != nil || !fi.IsDir() {
+		if fi, err := os.Stat(ShardPath(path, k) + epochlog.DirSuffix); err != nil || !fi.IsDir() {
 			t.Fatalf("shard %d has no epoch-log directory after the open: %v", k, err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestMissingSlotMapRefusesMisplacedKeys(t *testing.T) {
 		t.Helper()
 		out := make(map[string]int)
 		for k := 0; k < 2; k++ {
-			pool, err := pax.MapPool(ShardPath(path, 2, k), smallOpts())
+			pool, err := pax.MapPool(ShardPath(path, k), smallOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestMissingSlotMapRefusesMisplacedKeys(t *testing.T) {
 
 	stray := []byte("stray")
 	wrong := 1 - int(DefaultSlotMap(2).Assign[SlotFor(stray)])
-	pool, err := pax.MapPool(ShardPath(path, 2, wrong), smallOpts())
+	pool, err := pax.MapPool(ShardPath(path, wrong), smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

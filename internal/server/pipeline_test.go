@@ -401,29 +401,3 @@ func TestAckApplyDecouplesAckFromMedia(t *testing.T) {
 		t.Fatalf("persist: %d %v", ep, err)
 	}
 }
-
-// TestAckApplyPersistPolicy: an ack-on-apply PERSIST schedules the forced
-// commit but reports the still-open epoch immediately; the commit itself
-// still happens.
-func TestAckApplyPersistPolicy(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 128})
-	defer pool.Close()
-
-	if _, err := eng.PutPolicy([]byte("k"), []byte("v"), AckApply); err != nil {
-		t.Fatal(err)
-	}
-	before := eng.Stats().GroupCommits.Load()
-	if _, err := eng.PersistPolicy(AckApply); err != nil {
-		t.Fatalf("apply-acked persist: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for eng.Stats().GroupCommits.Load() == before {
-		if time.Now().After(deadline) {
-			t.Fatal("forced commit never ran after an apply-acked PERSIST")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

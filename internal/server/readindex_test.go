@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -261,24 +260,15 @@ func TestCrashNotStalledByFullQueue(t *testing.T) {
 // GET on one connection completes while another connection's PUT commit is
 // in flight on the same shard.
 func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1})
-	defer pool.Close()
-	defer eng.Close()
+	fleet, pool, _ := oneShard(t, Config{MaxBatch: 1})
+	_, addr := serveTCP(t, fleet, AckDurable)
 
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(eng)
-	go srv.Serve(lis)
-	defer srv.Shutdown()
-
-	writer, err := wire.Dial(lis.Addr().String())
+	writer, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	reader, err := wire.Dial(lis.Addr().String())
+	reader, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

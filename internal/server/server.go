@@ -11,21 +11,14 @@ import (
 	"pax/internal/wire"
 )
 
-// Backend is what the TCP front end serves: the single-pool Engine or the
-// ShardedEngine router. begin enqueues a request without waiting; on nil
-// the backend owns the request and delivers exactly one result on req.done.
-type Backend interface {
-	begin(req *request) error
-}
-
 // Server is the TCP front end: it speaks the wire protocol and forwards
-// requests to a Backend. Each connection gets a reader goroutine that
-// enqueues requests on the backend in wire order and a writer goroutine
+// requests to a shard fleet. Each connection gets a reader goroutine that
+// enqueues requests on the fleet in wire order and a writer goroutine
 // that sends the responses back in that same order — so pipelined requests
 // are in flight concurrently and even a single connection's writes land in
 // shared group commits.
 type Server struct {
-	backend Backend
+	fleet *ShardedEngine
 	// DefaultAckPolicy is what a request without an explicit ack-policy flag
 	// gets — every pre-flags client, and every new client sending
 	// FlagAckDefault. The zero value is AckDurable, the protocol's original
@@ -44,9 +37,9 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// NewServer wraps a backend (an Engine or a ShardedEngine).
-func NewServer(b Backend) *Server {
-	return &Server{backend: b, WriteTimeout: 30 * time.Second, conns: make(map[net.Conn]struct{})}
+// NewServer wraps a shard fleet; a one-shard fleet is the smallest server.
+func NewServer(fleet *ShardedEngine) *Server {
+	return &Server{fleet: fleet, WriteTimeout: 30 * time.Second, conns: make(map[net.Conn]struct{})}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -216,7 +209,7 @@ func (s *Server) beginDispatch(req wire.Request) func() wire.Response {
 	case wire.FlagAckApply:
 		ereq.ackOnApply = true
 	}
-	if err := s.backend.begin(ereq); err != nil {
+	if err := s.fleet.begin(ereq); err != nil {
 		ereq.release()
 		resp := errResponse(err)
 		return func() wire.Response { return resp }

@@ -8,14 +8,27 @@ import (
 	"sync"
 	"testing"
 
+	"pax"
 	"pax/internal/wire"
 )
 
-func startTCP(t *testing.T) (*Server, *Engine, string) {
+// oneShard opens a one-shard in-memory fleet — the smallest configuration
+// paxserve runs — and returns it with its shard's pool and engine, for tests
+// that reach under the router.
+func oneShard(t *testing.T, cfg Config) (*ShardedEngine, *pax.Pool, *Engine) {
 	t.Helper()
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 32})
-	t.Cleanup(func() { pool.Close() })
-	srv := NewServer(eng)
+	fleet := newSharded(t, "", 1, cfg)
+	sh := (*fleet.shards.Load())[0]
+	return fleet, sh.pool, sh.eng
+}
+
+// serveTCP serves fleet on a loopback port until the test ends, then shuts
+// the server down and closes the fleet. policy is the server's default ack
+// policy.
+func serveTCP(t *testing.T, fleet *ShardedEngine, policy AckPolicy) (*Server, string) {
+	t.Helper()
+	srv := NewServer(fleet)
+	srv.DefaultAckPolicy = policy
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -25,12 +38,21 @@ func startTCP(t *testing.T) (*Server, *Engine, string) {
 	go func() { done <- srv.Serve(lis) }()
 	t.Cleanup(func() {
 		srv.Shutdown()
-		eng.Close()
+		fleet.Close()
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv, eng, lis.Addr().String()
+	return srv, lis.Addr().String()
+}
+
+// startTCP serves a one-shard in-memory fleet and returns the server, the
+// fleet and its address.
+func startTCP(t *testing.T) (*Server, *ShardedEngine, string) {
+	t.Helper()
+	fleet, _, _ := oneShard(t, Config{MaxBatch: 32})
+	srv, addr := serveTCP(t, fleet, AckDurable)
+	return srv, fleet, addr
 }
 
 func TestTCPEndToEnd(t *testing.T) {
@@ -100,31 +122,16 @@ func TestTCPEndToEnd(t *testing.T) {
 // share group commits — the server dispatches a connection's requests
 // concurrently, in wire order — when they arrive behind a commit in flight.
 func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64})
-	t.Cleanup(func() { pool.Close() })
+	fleet, pool, eng := oneShard(t, Config{MaxBatch: 64})
 	m := slowMedium(pool, 0, true)
-	srv := NewServer(eng)
-	srv.Logf = t.Logf
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		eng.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
+	defer m.releaseWith(nil)
+	_, addr := serveTCP(t, fleet, AckDurable)
 
-	cl, err := wire.Dial(lis.Addr().String())
+	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	defer m.releaseWith(nil)
 	holdCommit(t, eng, m)
 
 	const writers = 32
@@ -156,7 +163,7 @@ func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
 }
 
 func TestTCPShutdownClosesClients(t *testing.T) {
-	srv, eng, addr := startTCP(t)
+	srv, fleet, addr := startTCP(t)
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +173,7 @@ func TestTCPShutdownClosesClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Shutdown()
-	eng.Close()
+	fleet.Close()
 	if _, err := cl.Put([]byte("k2"), []byte("v")); err == nil {
 		t.Fatal("put succeeded after server shutdown")
 	}

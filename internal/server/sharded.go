@@ -43,9 +43,8 @@ type shard struct {
 	eng  *Engine
 }
 
-// ShardedEngine routes requests across N single-writer engines. All methods
-// are safe for concurrent use. It implements the same Backend contract as
-// Engine, so the TCP server works over either.
+// ShardedEngine routes requests across N single-writer engines, N >= 1. All
+// methods are safe for concurrent use. It is what the TCP server serves.
 type ShardedEngine struct {
 	// shards is the live shard slice, replaced wholesale (copy-on-write)
 	// when Split grows the fleet. Loaded once per operation; the slice and
@@ -89,10 +88,8 @@ type ShardedEngine struct {
 	opts    pax.Options
 	accSlot int
 	cfg     Config
-	// persistMap is whether cutovers write the slot-map sidecar: file-backed
-	// multi-shard layouts only. A bare single-shard file stays byte-for-byte
-	// compatible with the unsharded daemon (and cannot grow — see Split);
-	// in-memory engines have nothing to persist to.
+	// persistMap is whether cutovers write the slot-map sidecar: every
+	// file-backed fleet; in-memory engines have nothing to persist to.
 	persistMap bool
 
 	closeOnce sync.Once
@@ -138,67 +135,74 @@ func (s *ShardedEngine) slotLoad(slot int) uint64 {
 	return s.slotOps[slot].Load()
 }
 
-// ShardPath returns shard k's pool file path. A single-shard engine uses
-// path itself — so 1-shard serving stays file-compatible with the unsharded
-// daemon — and an in-memory engine (path "") has no files.
-func ShardPath(path string, shards, k int) string {
-	if path == "" || shards == 1 {
+// ShardPath returns shard k's pool file path, <path>.shard-k — every fleet
+// uses this layout, from one shard up; an in-memory engine (path "") has no
+// files.
+func ShardPath(path string, k int) string {
+	if path == "" {
 		return path
 	}
 	return fmt.Sprintf("%s.shard-%d", path, k)
 }
 
+// ErrBarePool is wrapped by the refusal to open a bare <path> pool file (the
+// layout one-shard fleets used to keep) as a fleet.
+var ErrBarePool = errors.New("server: bare pool file")
+
+// barePoolErr returns the refusal for a bare pool file at path, naming the
+// two renames that turn it into a one-shard fleet, or nil when there is none.
+func barePoolErr(path string) error {
+	if _, err := os.Stat(path); err != nil {
+		return nil
+	}
+	sp := ShardPath(path, 0)
+	return fmt.Errorf("%w %s is not a shard fleet; to serve it as one shard, rename %s -> %s and %s -> %s (if present), or reformat with -overwrite",
+		ErrBarePool, path, path, sp, path+epochlog.DirSuffix, sp+epochlog.DirSuffix)
+}
+
 // DiscoverShards inspects the files at path and reports how many shards a
-// previous run left behind: 1 for a bare pool file, N for a contiguous
-// <path>.shard-0..N-1 set, 0 for nothing. A gap in the shard sequence or a
-// bare file alongside shard files is corruption worth refusing to guess at,
-// and so is a slot map that references more shards than there are files —
-// those slots' keys would have nowhere to live. A slot map referencing
-// *fewer* shards is fine: a crash between Split creating a shard file and
-// the first cutover publishing it leaves exactly that, and the extra shard
-// simply owns zero slots until the next split adopts it.
+// previous run left behind: N for a contiguous <path>.shard-0..N-1 set, 0 for
+// nothing. A bare <path> pool file is refused (see barePoolErr) with nothing
+// on disk touched. A gap in the shard sequence is corruption worth refusing
+// to guess at, and so is a slot map that references more shards than there
+// are files — those slots' keys would have nowhere to live. A slot map
+// referencing *fewer* shards is fine: a crash between Split creating a shard
+// file and the first cutover publishing it leaves exactly that, and the extra
+// shard simply owns zero slots until the next split adopts it.
 func DiscoverShards(path string) (int, error) {
 	if path == "" {
 		return 0, nil
 	}
-	bare := false
-	if _, err := os.Stat(path); err == nil {
-		bare = true
+	if err := barePoolErr(path); err != nil {
+		return 0, err
 	}
 	matches, err := filepath.Glob(path + ".shard-*")
 	if err != nil {
 		return 0, err
 	}
-	if bare && len(matches) > 0 {
-		return 0, fmt.Errorf("server: both %q and %d shard files exist; remove one layout", path, len(matches))
-	}
+	seen := make(map[int]bool)
 	count := 0
-	if bare {
-		count = 1
-	} else if len(matches) > 0 {
-		seen := make(map[int]bool)
-		for _, m := range matches {
-			if strings.HasSuffix(m, seglog.TempSuffix) {
-				// Staging litter from a crash while publishing a new shard's
-				// zero checkpoint. Open cleans it per shard; it is not a shard.
-				continue
-			}
-			if strings.HasSuffix(m, epochlog.DirSuffix) {
-				// A shard's delta-epoch-store segment directory
-				// (<shard>.epochlog), not a shard of its own.
-				continue
-			}
-			k, err := strconv.Atoi(strings.TrimPrefix(m, path+".shard-"))
-			if err != nil {
-				return 0, fmt.Errorf("server: unrecognized shard file %q", m)
-			}
-			seen[k] = true
-			count++
+	for _, m := range matches {
+		if strings.HasSuffix(m, seglog.TempSuffix) {
+			// Staging litter from a crash while publishing a new shard's
+			// zero checkpoint. Open cleans it per shard; it is not a shard.
+			continue
 		}
-		for k := 0; k < count; k++ {
-			if !seen[k] {
-				return 0, fmt.Errorf("server: shard files are not contiguous: missing %s", ShardPath(path, count+1, k))
-			}
+		if strings.HasSuffix(m, epochlog.DirSuffix) {
+			// A shard's delta-epoch-store segment directory
+			// (<shard>.epochlog), not a shard of its own.
+			continue
+		}
+		k, err := strconv.Atoi(strings.TrimPrefix(m, path+".shard-"))
+		if err != nil {
+			return 0, fmt.Errorf("server: unrecognized shard file %q", m)
+		}
+		seen[k] = true
+		count++
+	}
+	for k := 0; k < count; k++ {
+		if !seen[k] {
+			return 0, fmt.Errorf("server: shard files are not contiguous: missing %s", ShardPath(path, k))
 		}
 	}
 	m, err := LoadSlotMap(path)
@@ -216,10 +220,11 @@ func DiscoverShards(path string) (int, error) {
 // concurrently across shards — recovery cost is paid once per shard, in
 // parallel, not summed — and the first error wins: on any failure every
 // already-opened shard is closed and the error is returned. opts sizes each
-// shard individually (DataSize is per shard, not divided). With
-// opts.Overwrite set, any existing files of either layout (and the slot-map
-// sidecar) are removed first so a reformat never leaves stale higher-numbered
-// shards behind.
+// shard individually (DataSize is per shard, not divided). A bare <path>
+// pool file is refused as DiscoverShards refuses it. With opts.Overwrite set,
+// any existing shard files, a bare pool file and the slot-map sidecar are
+// removed first, so a reformat never leaves stale higher-numbered shards
+// behind.
 //
 // Every shard persists through the delta epoch store, the only store:
 // pmem.Open replays a pool's epoch log, and a pool file without one (a
@@ -244,6 +249,9 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 	}
 	var persisted *SlotMap
 	if path != "" && !opts.Overwrite {
+		if err := barePoolErr(path); err != nil {
+			return nil, err
+		}
 		m, err := LoadSlotMap(path)
 		if err != nil {
 			return nil, err
@@ -253,8 +261,7 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 		}
 		persisted = m
 	}
-	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg}
-	s.persistMap = path != "" && shards > 1
+	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg, persistMap: path != ""}
 	list := make([]shard, shards)
 	var (
 		mu       sync.Mutex
@@ -272,7 +279,7 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			sp := ShardPath(path, shards, k)
+			sp := ShardPath(path, k)
 			var pool *pax.Pool
 			var err error
 			if opts.Overwrite {
@@ -378,7 +385,7 @@ func (s *ShardedEngine) ShardPools() []*pax.Pool {
 //     owner-wins deletion erases both kinds, and because it runs before
 //     serving starts it is idempotent across repeated crashes.
 //  2. No map: install the default map (persisting it for file-backed
-//     multi-shard layouts). Beside existing shard files that is a legal
+//     fleets). Beside existing shard files that is a legal
 //     state — a crash between OpenSharded creating the files and the first
 //     Save below leaves exactly it, and a pre-slot-map layout with a
 //     power-of-two shard count already sits where the default map routes it
@@ -442,8 +449,8 @@ func (s *ShardedEngine) purgeMisrouted() error {
 	return nil
 }
 
-// removeShardFiles clears both layouts (bare file and shard files) plus the
-// slot-map sidecar so an Overwrite reformat never leaves a stale layout for
+// removeShardFiles clears the shard files, a bare <path> pool file and the
+// slot-map sidecar so an Overwrite reformat never leaves stale files for
 // DiscoverShards to trip over.
 func removeShardFiles(path string) error {
 	matches, err := filepath.Glob(path + ".shard-*")
@@ -503,11 +510,12 @@ func (s *ShardedEngine) engineForSlot(slot int) *Engine {
 	return shards[m.Assign[slot]].eng
 }
 
-// begin implements Backend: per-key operations route to the owning shard's
-// queue (FIFO per shard, so a connection's same-key operations keep their
-// wire order) under the slot's gate; persist and stats fan out across every
-// shard and deliver one merged result; split runs the migration off the
-// dispatch goroutine.
+// begin starts one request without waiting for it; on nil the fleet owns the
+// request and delivers exactly one result on req.done. Per-key operations
+// route to the owning shard's queue (FIFO per shard, so a connection's
+// same-key operations keep their wire order) under the slot's gate; persist
+// and stats fan out across every shard and deliver one merged result; split
+// and merge run the migration off the dispatch goroutine.
 func (s *ShardedEngine) begin(req *request) error {
 	switch req.op {
 	case opGet, opPut, opDelete:
@@ -524,8 +532,12 @@ func (s *ShardedEngine) begin(req *request) error {
 		g.RUnlock()
 		return err
 	case opPersist:
+		policy := AckDurable
+		if req.ackOnApply {
+			policy = AckApply
+		}
 		go func() {
-			epoch, err := s.Persist()
+			epoch, err := s.persist(policy)
 			req.finish(result{epoch: epoch, err: err})
 		}()
 		return nil
@@ -659,7 +671,12 @@ func (s *ShardedEngine) DeletePolicy(key []byte, policy AckPolicy) (bool, uint64
 // Persist forces a group commit on every shard in parallel and joins. The
 // returned epoch is the maximum shard epoch — shards number their epochs
 // independently, so it is a watermark, not a global ordering point.
-func (s *ShardedEngine) Persist() (uint64, error) {
+func (s *ShardedEngine) Persist() (uint64, error) { return s.persist(AckDurable) }
+
+// persist is Persist under an ack policy: AckApply schedules every shard's
+// forced commit and returns the open epochs' watermark without waiting for
+// media.
+func (s *ShardedEngine) persist(policy AckPolicy) (uint64, error) {
 	shards := *s.shards.Load()
 	epochs := make([]uint64, len(shards))
 	errs := make([]error, len(shards))
@@ -668,7 +685,8 @@ func (s *ShardedEngine) Persist() (uint64, error) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			epochs[k], errs[k] = shards[k].eng.Persist()
+			res := shards[k].eng.doPolicy(opPersist, nil, nil, policy)
+			epochs[k], errs[k] = res.epoch, res.err
 		}(k)
 	}
 	wg.Wait()

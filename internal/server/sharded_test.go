@@ -2,8 +2,8 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pax"
 	"pax/internal/wire"
 )
 
@@ -24,13 +25,13 @@ func newSharded(t *testing.T, path string, shards int, cfg Config) *ShardedEngin
 }
 
 func TestShardPathLayout(t *testing.T) {
-	if got := ShardPath("/d/kv.pool", 1, 0); got != "/d/kv.pool" {
-		t.Fatalf("1-shard path = %q, want the bare path", got)
+	if got := ShardPath("/d/kv.pool", 0); got != "/d/kv.pool.shard-0" {
+		t.Fatalf("shard 0 path = %q; a one-shard fleet is a fleet too", got)
 	}
-	if got := ShardPath("/d/kv.pool", 4, 2); got != "/d/kv.pool.shard-2" {
+	if got := ShardPath("/d/kv.pool", 2); got != "/d/kv.pool.shard-2" {
 		t.Fatalf("shard path = %q", got)
 	}
-	if got := ShardPath("", 4, 2); got != "" {
+	if got := ShardPath("", 2); got != "" {
 		t.Fatalf("in-memory shard path = %q, want empty", got)
 	}
 }
@@ -62,18 +63,18 @@ func TestDiscoverShards(t *testing.T) {
 		t.Fatal("gap in shard files not detected")
 	}
 	touch(pool + ".shard-1")
-	// Both layouts at once is corruption.
+	// A bare pool file is not a fleet, beside shard files or alone.
 	touch(pool)
-	if _, err := DiscoverShards(pool); err == nil {
-		t.Fatal("bare file alongside shard files not detected")
+	if _, err := DiscoverShards(pool); !errors.Is(err, ErrBarePool) {
+		t.Fatalf("bare file alongside shard files: %v, want ErrBarePool", err)
 	}
 	for k := 0; k < 3; k++ {
 		if err := os.Remove(fmt.Sprintf("%s.shard-%d", pool, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, err := DiscoverShards(pool); n != 1 || err != nil {
-		t.Fatalf("bare file: %d %v", n, err)
+	if n, err := DiscoverShards(pool); n != 0 || !errors.Is(err, ErrBarePool) {
+		t.Fatalf("bare file: %d %v, want ErrBarePool", n, err)
 	}
 }
 
@@ -263,27 +264,11 @@ func TestShardedRouterStableAcrossRestart(t *testing.T) {
 	}
 }
 
-// The TCP server must work identically over a ShardedEngine backend,
+// The TCP server must work identically over a multi-shard fleet,
 // including the fan-out ops (PERSIST, STATS).
 func TestShardedTCPServer(t *testing.T) {
-	eng := newSharded(t, "", 2, Config{MaxBatch: 8})
-	srv := NewServer(eng)
-	srv.Logf = t.Logf
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		eng.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-
-	cl, err := wire.Dial(lis.Addr().String())
+	_, addr := serveTCP(t, newSharded(t, "", 2, Config{MaxBatch: 8}), AckDurable)
+	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +321,209 @@ func TestOpenShardedOverwriteReplacesLayout(t *testing.T) {
 		t.Fatal("reformat kept old data")
 	}
 	if n, err := DiscoverShards(pool); n != 3 || err != nil {
+		t.Fatalf("discover after reformat: %d %v", n, err)
+	}
+}
+
+// A file-backed fleet opened with one shard is <p>.shard-0 beside
+// <p>.slotmap, like any other fleet: it splits to two shards under durable
+// writers and merges back to one, and a crash after each loses no acked key.
+func TestOneShardFleetSplitsAndMergesBack(t *testing.T) {
+	pool := filepath.Join(t.TempDir(), "kv.pool")
+	eng := newSharded(t, pool, 1, Config{MaxBatch: 16})
+	for _, p := range []string{ShardPath(pool, 0), SlotMapPath(pool)} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("one-shard fleet: %v", err)
+		}
+	}
+	if _, err := os.Stat(pool); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("one-shard fleet left a bare %s (stat: %v)", pool, err)
+	}
+	var keys []string
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("before-%03d", i)
+		if _, err := eng.Put([]byte(key), []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+
+	var (
+		mu   sync.Mutex
+		wg   sync.WaitGroup
+		stop = make(chan struct{})
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprintf("during-%d-%04d", w, i)
+				if _, err := eng.Put([]byte(key), []byte(key)); err != nil {
+					t.Errorf("durable put during split: %v", err)
+					return
+				}
+				mu.Lock()
+				keys = append(keys, key)
+				mu.Unlock()
+			}
+		}(w)
+	}
+	rep, err := eng.Split(-1)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Source != 0 || rep.Dest != 1 || !rep.NewShard || rep.Shards != 2 {
+		t.Fatalf("split report %+v, want shard 0 split onto a new shard 1", rep)
+	}
+	if err := eng.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := DiscoverShards(pool); n != 2 || err != nil {
+		t.Fatalf("discover after split and crash: %d %v", n, err)
+	}
+	two := newSharded(t, pool, 2, Config{MaxBatch: 16})
+	verifyKeys(t, two, keys)
+
+	mrep, err := two.Merge(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mrep.Shards != 1 {
+		t.Fatalf("merge report %+v, want one shard left", mrep)
+	}
+	if err := two.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := DiscoverShards(pool); n != 1 || err != nil {
+		t.Fatalf("discover after merge and crash: %d %v", n, err)
+	}
+	one := newSharded(t, pool, 1, Config{})
+	defer one.Close()
+	verifyKeys(t, one, keys)
+	t.Logf("%d acked keys survived 1 -> 2 -> 1 shards with a crash after each", len(keys))
+}
+
+// writeBarePool writes keys into a bare single-file pool at path through the
+// library, the way the unsharded daemon stored one-shard pools.
+func writeBarePool(t *testing.T, path string, keys []string) {
+	t.Helper()
+	p, err := pax.CreatePool(path, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := pax.NewMap(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if err := kv.Put([]byte(key), []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirContents maps every file under dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(p)
+		out[p] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A bare <p> pool file is refused, with nothing on disk touched and the two
+// renames that convert it named; after those renames the same keys open as a
+// one-shard fleet, and Overwrite reformats a bare pool in place.
+func TestBarePoolRefusedUntilRenamed(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "kv.pool")
+	var keys []string
+	for i := 0; i < 32; i++ {
+		keys = append(keys, fmt.Sprintf("bare-%02d", i))
+	}
+	writeBarePool(t, path, keys)
+	before := dirContents(t, dir)
+
+	renames := []string{
+		path + " -> " + path + ".shard-0",
+		path + ".epochlog -> " + path + ".shard-0.epochlog",
+	}
+	_, discoverErr := DiscoverShards(path)
+	_, openErr := OpenSharded(path, 1, smallOpts(), 0, Config{})
+	for _, err := range []error{discoverErr, openErr} {
+		if !errors.Is(err, ErrBarePool) {
+			t.Fatalf("bare pool: %v, want ErrBarePool", err)
+		}
+		for _, r := range renames {
+			if !strings.Contains(err.Error(), r) {
+				t.Fatalf("refusal %q does not name the rename %q", err, r)
+			}
+		}
+	}
+	after := dirContents(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refusal changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	for p, b := range before {
+		if after[p] != b {
+			t.Fatalf("refusal changed %s", p)
+		}
+	}
+
+	if err := os.Rename(path, ShardPath(path, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".epochlog", ShardPath(path, 0)+".epochlog"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := DiscoverShards(path); n != 1 || err != nil {
+		t.Fatalf("discover after the renames: %d %v", n, err)
+	}
+	fleet := newSharded(t, path, 1, Config{})
+	verifyKeys(t, fleet, keys)
+	if err := fleet.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := filepath.Join(t.TempDir(), "kv.pool")
+	writeBarePool(t, fresh, keys)
+	opts := smallOpts()
+	opts.Overwrite = true
+	re, err := OpenSharded(fresh, 1, opts, 0, Config{})
+	if err != nil {
+		t.Fatalf("Overwrite over a bare pool: %v", err)
+	}
+	defer re.Close()
+	if _, ok, _ := re.Get([]byte(keys[0])); ok {
+		t.Fatal("reformat kept the bare pool's data")
+	}
+	if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("reformat left the bare file (stat: %v)", err)
+	}
+	if n, err := DiscoverShards(fresh); n != 1 || err != nil {
 		t.Fatalf("discover after reformat: %d %v", n, err)
 	}
 }

@@ -129,9 +129,9 @@ func (m *SlotMap) maxShard() int {
 }
 
 // LoadSlotMap reads and validates the slot map persisted for the layout at
-// path. A missing file returns (nil, nil): the layout predates slot routing
-// (or is a bare single-shard pool, which never writes one) and the caller
-// falls back to the default assignment.
+// path. A missing file returns (nil, nil): the layout predates slot routing,
+// or a crash hit between creating the shard files and the first Save, and the
+// caller falls back to the default assignment.
 func LoadSlotMap(path string) (*SlotMap, error) {
 	data, err := os.ReadFile(SlotMapPath(path))
 	if errors.Is(err, os.ErrNotExist) {

@@ -3,9 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"testing"
-	"time"
 )
 
 func TestMergeRequestRoundTrip(t *testing.T) {
@@ -29,39 +27,5 @@ func TestMergeRequestRoundTrip(t *testing.T) {
 		if got.Op != OpMerge || got.Shard != want.Shard {
 			t.Fatalf("round trip: got %+v want %+v", got, want)
 		}
-	}
-}
-
-// Close during a backoff sleep must fail the in-flight call with
-// ErrClientClosed immediately — not after the rest of the retry schedule.
-func TestRetryClientCloseInterruptsBackoff(t *testing.T) {
-	dialErr := errors.New("server down")
-	r := NewRetryClient(nil, RetryPolicy{
-		MaxAttempts: 4,
-		Backoff:     5 * time.Second,
-		MaxBackoff:  5 * time.Second,
-	}, func(string) (*Client, error) { return nil, dialErr })
-	r.addr = "test"
-
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := r.Get([]byte("k"))
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the first attempt fail into the backoff sleep
-	start := time.Now()
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Fatalf("interrupted call returned %v, want ErrClientClosed", err)
-		}
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("call returned %v after Close; backoff was not interrupted", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("call still sleeping its backoff after Close")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -157,6 +158,19 @@ func TestClientServerError(t *testing.T) {
 	}
 }
 
+// StatusBusy is the protocol's one retryable status: a client tells it from
+// a fatal StatusError with errors.Is(err, ErrServerBusy).
+func TestServerErrorBusyMatching(t *testing.T) {
+	busy := &ServerError{Status: StatusBusy, Msg: "queue full"}
+	if !errors.Is(busy, ErrServerBusy) {
+		t.Fatal("StatusBusy ServerError must match ErrServerBusy")
+	}
+	fatal := &ServerError{Status: StatusError, Msg: "sealed"}
+	if errors.Is(fatal, ErrServerBusy) {
+		t.Fatal("StatusError ServerError must not match ErrServerBusy")
+	}
+}
+
 func TestClientCloseFailsOutstanding(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	c := NewClient(cliConn)
@@ -180,5 +194,44 @@ func TestClientCloseFailsOutstanding(t *testing.T) {
 	}
 	if _, _, err := c.Get([]byte("k")); err == nil {
 		t.Fatal("call on closed client succeeded")
+	}
+}
+
+// The codec's garbage per request, pinned: decoding a PUT with a 128-byte
+// value and encoding an epoch reply each allocate the frame's payload and its
+// 4-byte length header (which escapes through the io.Reader / io.Writer
+// call). A change that adds an allocation to either fails here.
+func TestCodecAllocationCeilings(t *testing.T) {
+	var frame bytes.Buffer
+	put := Request{Op: OpPut, Key: []byte("key-000042"), Value: bytes.Repeat([]byte("v"), 128)}
+	if err := WriteRequest(&frame, put); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(frame.Bytes())
+	br := bufio.NewReader(rd)
+	decode := testing.AllocsPerRun(1000, func() {
+		rd.Reset(frame.Bytes())
+		br.Reset(rd)
+		if _, err := ReadRequest(br); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bw := bufio.NewWriter(io.Discard)
+	resp := Response{Status: StatusOK, Body: EpochBody(42)}
+	encode := testing.AllocsPerRun(1000, func() {
+		if err := WriteResponse(bw, resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, c := range []struct {
+		name         string
+		got, ceiling float64
+	}{
+		{"ReadRequest of a 128-byte PUT", decode, 2},
+		{"WriteResponse of an epoch body", encode, 2},
+	} {
+		if c.got > c.ceiling {
+			t.Errorf("%s: %v allocs, ceiling %v", c.name, c.got, c.ceiling)
+		}
 	}
 }
