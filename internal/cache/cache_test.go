@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -334,64 +335,95 @@ func TestMissRatesTracked(t *testing.T) {
 	}
 }
 
-// Random op soup across two cores, continuously compared against a flat model
-// array, with invariants checked along the way. This is the main MESI
-// correctness test.
+// opModel applies the MESI test ops — Store, Load, SnpData, SnpInv — to a
+// hierarchy and keeps a flat byte array of what every address must hold.
+type opModel struct {
+	h     *Hierarchy
+	home  *fakeHome
+	model []byte
+}
+
+func newOpModel(h *Hierarchy, home *fakeHome, space int) *opModel {
+	return &opModel{h: h, home: home, model: make([]byte, space)}
+}
+
+func (m *opModel) store(c *Core, addr uint64, data []byte) {
+	c.Store(addr, data)
+	copy(m.model[addr:], data)
+}
+
+func (m *opModel) load(c *Core, addr uint64, n int) error {
+	buf := make([]byte, n)
+	c.Load(addr, buf)
+	if want := m.model[addr : addr+uint64(n)]; !bytes.Equal(buf, want) {
+		return fmt.Errorf("core %d load at %d got %v want %v", c.ID(), addr, buf, want)
+	}
+	return nil
+}
+
+// snoop sends a device snoop for la. Dirty data it returns must match the
+// model; the device becomes responsible for it, so it goes to the home as
+// PAX would write it.
+func (m *opModel) snoop(la uint64, op coherence.SnoopOp) error {
+	res := m.h.SnoopLine(la, op, 0)
+	if res.Present && res.Dirty {
+		if !bytes.Equal(res.Data[:], m.model[la:la+LineSize]) {
+			return fmt.Errorf("%v snoop data mismatch at %#x", op, la)
+		}
+		m.home.WriteBackLine(la, res.Data[:], 0)
+	}
+	return nil
+}
+
+// drain flushes the whole hierarchy and compares the home with the model.
+func (m *opModel) drain() error {
+	m.h.FlushAll(0)
+	for la := uint64(0); la < uint64(len(m.model)); la += LineSize {
+		line := m.home.mem[la] // absent lines read as zero
+		if !bytes.Equal(line[:], m.model[la:la+LineSize]) {
+			return fmt.Errorf("home line %#x diverged from model", la)
+		}
+	}
+	return nil
+}
+
+// Random op soup across every core, continuously compared against a flat
+// model array, with invariants checked along the way. This is the main MESI
+// correctness test; FuzzHierarchyOps drives the same ops from fuzz bytes.
 func TestRandomOpsMatchModel(t *testing.T) {
 	h, home := newTestHierarchy(t, true)
 	const space = 1 << 14
-	model := make([]byte, space)
+	m := newOpModel(h, home, space)
 	rng := rand.New(rand.NewSource(12345))
 
 	for i := 0; i < 6000; i++ {
 		c := h.Core(rng.Intn(h.NumCores()))
 		addr := uint64(rng.Intn(space - 16))
+		var err error
 		switch rng.Intn(5) {
 		case 0, 1: // store
-			n := 1 + rng.Intn(16)
-			data := make([]byte, n)
+			data := make([]byte, 1+rng.Intn(16))
 			rng.Read(data)
-			c.Store(addr, data)
-			copy(model[addr:], data)
+			m.store(c, addr, data)
 		case 2, 3: // load and compare
-			n := 1 + rng.Intn(16)
-			buf := make([]byte, n)
-			c.Load(addr, buf)
-			if !bytes.Equal(buf, model[addr:int(addr)+n]) {
-				t.Fatalf("op %d: load at %d got %v want %v", i, addr, buf, model[addr:int(addr)+n])
-			}
+			err = m.load(c, addr, 1+rng.Intn(16))
 		case 4: // device snoop
-			la := coherence.LineAddr(addr)
 			op := coherence.SnpData
 			if rng.Intn(2) == 0 {
 				op = coherence.SnpInv
 			}
-			res := h.SnoopLine(la, op, 0)
-			if res.Present && res.Dirty {
-				// Snooped data must match the model; the device becomes
-				// responsible for it, so write it to the home like PAX would.
-				if !bytes.Equal(res.Data[:], model[la:la+LineSize]) {
-					t.Fatalf("op %d: snoop data mismatch at %#x", i, la)
-				}
-				home.WriteBackLine(la, res.Data[:], 0)
-			}
+			err = m.snoop(coherence.LineAddr(addr), op)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
 		if i%500 == 0 {
 			mustInvariants(t, h)
 		}
 	}
 	mustInvariants(t, h)
-
-	// Drain everything and compare home contents with the model.
-	h.FlushAll(0)
-	for la := uint64(0); la < space; la += LineSize {
-		line, ok := home.mem[la]
-		if !ok {
-			line = [LineSize]byte{}
-		}
-		if !bytes.Equal(line[:], model[la:la+LineSize]) {
-			t.Fatalf("home line %#x diverged from model", la)
-		}
+	if err := m.drain(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -101,7 +101,7 @@ func (c *Core) access(la uint64, write bool, at sim.Time) (*line, sim.Time) {
 			at += h.prof.LLC.Latency
 			h.invalidateSharers(ll, c.id)
 			at = h.hostUpgrade(ll, at)
-			ll.owner = c.id
+			ll.owner = int32(c.id)
 			ll.sharers = 0
 			ln.state = coherence.Modified
 			if l2ln := c.l2.lookup(la); l2ln != nil {
@@ -129,7 +129,7 @@ func (c *Core) access(la uint64, write bool, at sim.Time) (*line, sim.Time) {
 			at += h.prof.LLC.Latency
 			h.invalidateSharers(ll, c.id)
 			at = h.hostUpgrade(ll, at)
-			ll.owner = c.id
+			ll.owner = int32(c.id)
 			ll.sharers = 0
 			ln.state = coherence.Modified
 		}

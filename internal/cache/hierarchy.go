@@ -14,15 +14,19 @@ import (
 // host↔home state (does the host own the line exclusively; is the host's copy
 // dirty with respect to the home). The host↔home state is what a CXL.cache
 // home agent — the PAX device for vPM ranges — observes.
+//
+// The record packs into 96 bytes (the default 22 MiB LLC is 360 448 of
+// them), with everything a probe reads before the data; owner fits an int32
+// because NewHierarchy caps the core count at 64.
 type llcLine struct {
-	valid    bool
 	tag      uint64
-	data     [LineSize]byte
-	dirty    bool   // host copy newer than home's
-	hostExcl bool   // host holds exclusive ownership w.r.t. the home
 	sharers  uint64 // bitmask of cores holding Shared copies
-	owner    int    // core holding an E/M copy, -1 if none
 	lastUse  uint64
+	owner    int32 // core holding an E/M copy, -1 if none
+	valid    bool
+	dirty    bool // host copy newer than home's
+	hostExcl bool // host holds exclusive ownership w.r.t. the home
+	data     [LineSize]byte
 }
 
 type homeRange struct {
@@ -41,7 +45,8 @@ type Hierarchy struct {
 	prof  sim.HostProfile
 	cores []*Core
 
-	llcSets [][]llcLine
+	llc     []llcLine // sets × llcWays, set-major
+	llcWays int
 	llcMask uint64
 	llcUse  uint64
 
@@ -73,18 +78,16 @@ func NewHierarchy(prof sim.HostProfile) *Hierarchy {
 	}
 	h := &Hierarchy{
 		prof:    prof,
-		llcSets: make([][]llcLine, numSets),
+		llc:     make([]llcLine, lines),
+		llcWays: prof.LLC.Ways,
 		llcMask: uint64(numSets - 1),
-	}
-	for i := range h.llcSets {
-		h.llcSets[i] = make([]llcLine, prof.LLC.Ways)
 	}
 	for id := 0; id < prof.Cores; id++ {
 		h.cores = append(h.cores, &Core{
 			h:     h,
 			id:    id,
-			l1:    newLevel(fmt.Sprintf("core%d-l1", id), prof.L1),
-			l2:    newLevel(fmt.Sprintf("core%d-l2", id), prof.L2),
+			l1:    newLevel("L1", prof.L1),
+			l2:    newLevel("L2", prof.L2),
 			clock: sim.NewClock(0),
 		})
 	}
@@ -120,8 +123,14 @@ func (h *Hierarchy) home(addr uint64) coherence.Home {
 	panic(fmt.Sprintf("cache: address %#x is not mapped to any home", addr))
 }
 
+// llcSet returns the LLC ways addr maps to.
+func (h *Hierarchy) llcSet(addr uint64) []llcLine {
+	i := int((addr/LineSize)&h.llcMask) * h.llcWays
+	return h.llc[i : i+h.llcWays]
+}
+
 func (h *Hierarchy) llcLookup(addr uint64) *llcLine {
-	set := h.llcSets[(addr/LineSize)&h.llcMask]
+	set := h.llcSet(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == addr {
 			return &set[i]
@@ -136,7 +145,7 @@ func (h *Hierarchy) llcTouch(ll *llcLine) {
 }
 
 func (h *Hierarchy) llcVictim(addr uint64) *llcLine {
-	set := h.llcSets[(addr/LineSize)&h.llcMask]
+	set := h.llcSet(addr)
 	var lru *llcLine
 	for i := range set {
 		if !set[i].valid {
@@ -262,7 +271,7 @@ func (h *Hierarchy) privateEvict(c *Core, la uint64, data *[LineSize]byte, dirty
 	if ll == nil {
 		panic(fmt.Sprintf("cache: inclusion violated: core %d evicted %#x absent from LLC", c.id, la))
 	}
-	if ll.owner == c.id {
+	if int(ll.owner) == c.id {
 		ll.owner = -1
 	}
 	ll.sharers &^= 1 << uint(c.id)
@@ -280,20 +289,20 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) ([LineSize
 	if ll := h.llcLookup(la); ll != nil {
 		h.LLCRatio.Hits.Inc()
 		h.llcTouch(ll)
-		if ll.owner >= 0 && ll.owner != c.id {
+		if ll.owner >= 0 && int(ll.owner) != c.id {
 			at = h.recallOwner(ll, write, at)
 		}
 		if write {
 			h.invalidateSharers(ll, c.id)
 			at = h.hostUpgrade(ll, at)
-			ll.owner = c.id
+			ll.owner = int32(c.id)
 			ll.sharers = 0
 			return ll.data, coherence.Modified, at
 		}
 		// Read: grant Exclusive when this core is the only holder and the
 		// host already owns the line; otherwise Shared.
 		if ll.hostExcl && ll.sharers == 0 && ll.owner < 0 {
-			ll.owner = c.id
+			ll.owner = int32(c.id)
 			return ll.data, coherence.Exclusive, at
 		}
 		ll.owner = -1
@@ -323,13 +332,13 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) ([LineSize
 	if write {
 		// An exclusive fetch (RdOwn) always grants ownership.
 		victim.hostExcl = true
-		victim.owner = c.id
+		victim.owner = int32(c.id)
 		return buf, coherence.Modified, at
 	}
 	switch res.State {
 	case coherence.Exclusive:
 		victim.hostExcl = true
-		victim.owner = c.id
+		victim.owner = int32(c.id)
 		return buf, coherence.Exclusive, at
 	case coherence.Shared:
 		victim.hostExcl = false
@@ -395,22 +404,20 @@ func (h *Hierarchy) ResetStats() {
 func (h *Hierarchy) FlushAll(at sim.Time) sim.Time {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for s := range h.llcSets {
-		for w := range h.llcSets[s] {
-			ll := &h.llcSets[s][w]
-			if !ll.valid {
-				continue
-			}
-			if ll.owner >= 0 {
-				at = h.recallOwner(ll, false, at)
-			}
-			if ll.dirty {
-				h.WriteBacks.Inc()
-				at = h.home(ll.tag).WriteBackLine(ll.tag, ll.data[:], at)
-				ll.dirty = false
-			}
-			ll.hostExcl = false
+	for i := range h.llc {
+		ll := &h.llc[i]
+		if !ll.valid {
+			continue
 		}
+		if ll.owner >= 0 {
+			at = h.recallOwner(ll, false, at)
+		}
+		if ll.dirty {
+			h.WriteBacks.Inc()
+			at = h.home(ll.tag).WriteBackLine(ll.tag, ll.data[:], at)
+			ll.dirty = false
+		}
+		ll.hostExcl = false
 	}
 	return at
 }

@@ -66,57 +66,55 @@ func (h *Hierarchy) CheckInvariants() error {
 
 	// Walk the LLC and check the directory against gathered presence.
 	llcTags := make(map[uint64]*llcLine)
-	for s := range h.llcSets {
-		for w := range h.llcSets[s] {
-			ll := &h.llcSets[s][w]
-			if !ll.valid {
+	for w := range h.llc {
+		ll := &h.llc[w]
+		if !ll.valid {
+			continue
+		}
+		llcTags[ll.tag] = ll
+
+		var exclHolders, shareHolders []int
+		anyDirty := ll.dirty
+		for i := range h.cores {
+			p, ok := perCore[i][ll.tag]
+			if !ok {
 				continue
 			}
-			llcTags[ll.tag] = ll
-
-			var exclHolders, shareHolders []int
-			anyDirty := ll.dirty
-			for i := range h.cores {
-				p, ok := perCore[i][ll.tag]
-				if !ok {
-					continue
-				}
-				anyDirty = anyDirty || p.dirty
-				switch p.state {
-				case coherence.Exclusive, coherence.Modified:
-					exclHolders = append(exclHolders, i)
-				case coherence.Shared:
-					shareHolders = append(shareHolders, i)
-				}
+			anyDirty = anyDirty || p.dirty
+			switch p.state {
+			case coherence.Exclusive, coherence.Modified:
+				exclHolders = append(exclHolders, i)
+			case coherence.Shared:
+				shareHolders = append(shareHolders, i)
 			}
-			if len(exclHolders) > 1 {
-				return fmt.Errorf("line %#x: multiple exclusive holders %v", ll.tag, exclHolders)
+		}
+		if len(exclHolders) > 1 {
+			return fmt.Errorf("line %#x: multiple exclusive holders %v", ll.tag, exclHolders)
+		}
+		if len(exclHolders) == 1 {
+			if len(shareHolders) > 0 {
+				return fmt.Errorf("line %#x: exclusive at core %d with sharers %v", ll.tag, exclHolders[0], shareHolders)
 			}
-			if len(exclHolders) == 1 {
-				if len(shareHolders) > 0 {
-					return fmt.Errorf("line %#x: exclusive at core %d with sharers %v", ll.tag, exclHolders[0], shareHolders)
-				}
-				if ll.owner != exclHolders[0] {
-					return fmt.Errorf("line %#x: directory owner %d but core %d holds E/M", ll.tag, ll.owner, exclHolders[0])
-				}
-			} else if ll.owner >= 0 {
-				if _, ok := perCore[ll.owner][ll.tag]; !ok {
-					return fmt.Errorf("line %#x: directory owner %d holds nothing", ll.tag, ll.owner)
-				}
+			if int(ll.owner) != exclHolders[0] {
+				return fmt.Errorf("line %#x: directory owner %d but core %d holds E/M", ll.tag, ll.owner, exclHolders[0])
 			}
-			for _, i := range shareHolders {
-				if ll.sharers&(1<<uint(i)) == 0 && ll.owner != i {
-					return fmt.Errorf("line %#x: core %d holds S copy unknown to directory", ll.tag, i)
-				}
+		} else if ll.owner >= 0 {
+			if _, ok := perCore[ll.owner][ll.tag]; !ok {
+				return fmt.Errorf("line %#x: directory owner %d holds nothing", ll.tag, ll.owner)
 			}
-			if anyDirty && !ll.hostExcl {
-				return fmt.Errorf("line %#x: dirty on host but not host-exclusive", ll.tag)
+		}
+		for _, i := range shareHolders {
+			if ll.sharers&(1<<uint(i)) == 0 && int(ll.owner) != i {
+				return fmt.Errorf("line %#x: core %d holds S copy unknown to directory", ll.tag, i)
 			}
-			if len(exclHolders) == 1 && !ll.hostExcl {
-				st := perCore[exclHolders[0]][ll.tag].state
-				if st == coherence.Modified {
-					return fmt.Errorf("line %#x: Modified at core %d but not host-exclusive", ll.tag, exclHolders[0])
-				}
+		}
+		if anyDirty && !ll.hostExcl {
+			return fmt.Errorf("line %#x: dirty on host but not host-exclusive", ll.tag)
+		}
+		if len(exclHolders) == 1 && !ll.hostExcl {
+			st := perCore[exclHolders[0]][ll.tag].state
+			if st == coherence.Modified {
+				return fmt.Errorf("line %#x: Modified at core %d but not host-exclusive", ll.tag, exclHolders[0])
 			}
 		}
 	}

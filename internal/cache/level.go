@@ -3,6 +3,11 @@
 // directory, kept coherent with MESI and connected to per-range homes (memory
 // controllers or the PAX device).
 //
+// Every level is one flat sets × ways array of line records. The LLC is
+// allocated with the hierarchy; a core's private levels are allocated at
+// their first fill, so a hierarchy pays line storage only for the cores that
+// have run (a served pool drives core 0 alone).
+//
 // The hierarchy is the functional memory path, not just a timing model: lines
 // hold real data, stores land in caches and reach the home only on eviction,
 // flush, or snoop. This matters because the PAX protocol's correctness
@@ -21,19 +26,23 @@ import (
 // LineSize is the cache line size in bytes.
 const LineSize = coherence.LineSize
 
+// line is one private-cache line. The record packs into 88 bytes (a core's
+// L1 + L2 is 16 896 of them), with everything a probe reads before the data.
 type line struct {
-	valid   bool
 	tag     uint64 // line-aligned base address
+	lastUse uint64
+	valid   bool
 	state   coherence.State
 	dirty   bool
 	data    [LineSize]byte
-	lastUse uint64
 }
 
-// level is one set-associative private cache level (L1 or L2).
+// level is one set-associative private cache level (L1 or L2). Its lines are
+// one sets × ways array, allocated at the level's first fill: a core that
+// never runs costs no line storage, and until then every probe misses.
 type level struct {
-	name    string
-	sets    [][]line
+	lines   []line // nil until the first victim call
+	ways    int
 	setMask uint64
 	latency sim.Time
 	useCtr  uint64
@@ -51,20 +60,20 @@ func newLevel(name string, geom sim.CacheGeometry) *level {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %s set count %d is not a power of two", name, numSets))
 	}
-	sets := make([][]line, numSets)
-	for i := range sets {
-		sets[i] = make([]line, geom.Ways)
-	}
 	return &level{
-		name:    name,
-		sets:    sets,
+		ways:    geom.Ways,
 		setMask: uint64(numSets - 1),
 		latency: geom.Latency,
 	}
 }
 
+// set returns the ways addr maps to, or nil while the level is unallocated.
 func (l *level) set(addr uint64) []line {
-	return l.sets[(addr/LineSize)&l.setMask]
+	if l.lines == nil {
+		return nil
+	}
+	i := int((addr/LineSize)&l.setMask) * l.ways
+	return l.lines[i : i+l.ways]
 }
 
 // lookup returns the line holding addr, or nil.
@@ -88,6 +97,9 @@ func (l *level) touch(ln *line) {
 // if one exists, else the LRU way. The caller must handle eviction of the
 // returned line if it is valid.
 func (l *level) victim(addr uint64) *line {
+	if l.lines == nil {
+		l.lines = make([]line, int(l.setMask+1)*l.ways)
+	}
 	set := l.set(addr)
 	var lru *line
 	for i := range set {
@@ -124,11 +136,9 @@ func (l *level) invalidate(addr uint64) (data [LineSize]byte, dirty, present boo
 
 // forEachValid calls fn for every valid line in the level.
 func (l *level) forEachValid(fn func(*line)) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if l.sets[s][w].valid {
-				fn(&l.sets[s][w])
-			}
+	for i := range l.lines {
+		if l.lines[i].valid {
+			fn(&l.lines[i])
 		}
 	}
 }

@@ -63,7 +63,7 @@ type slot struct {
 // Cache is the HBM cache: set-associative, with durability-aware eviction.
 // It is purely functional; the device charges HBM latency itself.
 type Cache struct {
-	sets   [][]slot
+	slots  []slot // sets × ways, set-major
 	mask   uint64
 	ways   int
 	policy Policy
@@ -93,11 +93,7 @@ func New(sizeBytes, ways int, policy Policy) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("hbm: set count %d not a power of two", numSets))
 	}
-	sets := make([][]slot, numSets)
-	for i := range sets {
-		sets[i] = make([]slot, ways)
-	}
-	return &Cache{sets: sets, mask: uint64(numSets - 1), ways: ways, policy: policy,
+	return &Cache{slots: make([]slot, lines), mask: uint64(numSets - 1), ways: ways, policy: policy,
 		dirty: make(map[uint64]struct{})}
 }
 
@@ -105,7 +101,8 @@ func New(sizeBytes, ways int, policy Policy) *Cache {
 func (c *Cache) Policy() Policy { return c.policy }
 
 func (c *Cache) set(addr uint64) []slot {
-	return c.sets[(addr/LineSize)&c.mask]
+	i := int((addr/LineSize)&c.mask) * c.ways
+	return c.slots[i : i+c.ways]
 }
 
 // Lookup returns a pointer to the cached line for addr, or nil. It counts a
@@ -253,11 +250,9 @@ func (c *Cache) ForEachDirty(fn func(*Line)) {
 // Len reports the number of valid lines.
 func (c *Cache) Len() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				n++
-			}
+	for i := range c.slots {
+		if c.slots[i].valid {
+			n++
 		}
 	}
 	return n

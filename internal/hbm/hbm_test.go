@@ -204,14 +204,12 @@ func TestCacheCapacityProperty(t *testing.T) {
 		}
 		seen := map[uint64]bool{}
 		dup := false
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				if c.sets[s][w].valid {
-					if seen[c.sets[s][w].line.Addr] {
-						dup = true
-					}
-					seen[c.sets[s][w].line.Addr] = true
+		for i := range c.slots {
+			if c.slots[i].valid {
+				if seen[c.slots[i].line.Addr] {
+					dup = true
 				}
+				seen[c.slots[i].line.Addr] = true
 			}
 		}
 		return !dup

@@ -417,3 +417,49 @@ func TestEpochAccounting(t *testing.T) {
 		t.Fatalf("epochs after persist: durable %d epoch %d", pool.DurableEpoch(), pool.Epoch())
 	}
 }
+
+// TestMapPutAllocations pins the garbage of a 128-byte Map.Put on a default
+// pool, through the allocator, the simulated caches and the device: a new
+// key, and an overwrite of a key stored and persisted before. AllocsPerRun
+// truncates the mean, and the hash map's occasional growth is in it. A change
+// that adds an allocation per Put fails here.
+func TestMapPutAllocations(t *testing.T) {
+	pool, err := pax.CreatePool("", pax.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	m, err := pax.NewMap(pool, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 1000
+	keys := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+	}
+	val := bytes.Repeat([]byte("v"), 128)
+	next := 0
+	put := func() {
+		if err := m.Put(keys[next%len(keys)], val); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	insert := testing.AllocsPerRun(runs, put)
+	if _, err := pool.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	overwrite := testing.AllocsPerRun(runs, put)
+	for _, c := range []struct {
+		name         string
+		got, ceiling float64
+	}{
+		{"Put of a new key", insert, 39},
+		{"Put over a persisted key", overwrite, 14},
+	} {
+		if c.got > c.ceiling {
+			t.Errorf("%s: %v allocs, ceiling %v", c.name, c.got, c.ceiling)
+		}
+	}
+}
