@@ -24,7 +24,8 @@ type Server struct {
 	// FlagAckDefault. The zero value is AckDurable, the protocol's original
 	// contract; paxserve -ack-policy overrides it.
 	DefaultAckPolicy AckPolicy
-	// WriteTimeout bounds each response write (default 30s).
+	// WriteTimeout bounds each write of buffered responses to the
+	// connection (default 30s).
 	WriteTimeout time.Duration
 	// Logf, when set, receives connection-level errors (default: drop them;
 	// a malformed client is not a server event worth crashing over).
@@ -114,35 +115,50 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	bw := bufio.NewWriter(timedWriter{conn, s.WriteTimeout})
 
 	// Responses must leave in request order, but a response is not ready
 	// until its group commit — so the reader enqueues each request on the
 	// engine immediately (one goroutine, so the engine applies them in wire
-	// order) and pushes its wait function onto pending; the writer drains
-	// pending in order. Between the two, a connection's pipelined writes
-	// fill batches instead of paying one commit each.
-	pending := make(chan func() wire.Response, maxInflight)
+	// order) and pushes it onto pending; the writer drains pending in order.
+	// Between the two, a connection's pipelined writes fill batches instead
+	// of paying one commit each.
+	//
+	// The writer flushes before it blocks: it buffers every response that is
+	// already resolved and writes them out in one go when pending is empty or
+	// the next response is not ready. Flushing only when pending is empty
+	// would hold a resolved response behind a later request's whole commit.
+	pending := make(chan dispatched, maxInflight)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		broken := false
-		for wait := range pending {
-			resp := wait() // must consume even after a write error
+		fail := func(err error) {
+			s.logf("paxserve: %s: write: %v", conn.RemoteAddr(), err)
+			broken = true
+			conn.Close() // unblock the reader
+		}
+		flush := func() {
 			if broken {
-				continue
+				return
 			}
-			if s.WriteTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+			if err := bw.Flush(); err != nil {
+				fail(err)
 			}
-			err := wire.WriteResponse(bw, resp)
-			if err == nil {
-				err = bw.Flush()
+		}
+		for f := range pending {
+			resp, ready := f.response(false)
+			if !ready {
+				flush()
+				resp, _ = f.response(true) // must consume even after a write error
 			}
-			if err != nil {
-				s.logf("paxserve: %s: write: %v", conn.RemoteAddr(), err)
-				broken = true
-				conn.Close() // unblock the reader
+			if !broken {
+				if err := wire.WriteResponse(bw, resp); err != nil {
+					fail(err)
+				}
+			}
+			if len(pending) == 0 {
+				flush()
 			}
 		}
 	}()
@@ -160,13 +176,57 @@ func (s *Server) handle(conn net.Conn) {
 	<-writerDone
 }
 
-// beginDispatch starts req on the engine and returns a function that blocks
-// for its result and renders the wire response. Enqueue failures (closed,
-// backpressure) resolve immediately, and so do GETs: the engine answers them
-// inline from the read index inside begin, so a pipelined GET's value is
-// fixed at dispatch time — it does not serialize behind the connection's
-// unacked PUTs (the response still leaves the wire in request order).
-func (s *Server) beginDispatch(req wire.Request) func() wire.Response {
+// timedWriter renews the connection's write deadline before every write
+// that reaches the socket, so a deadline bounds each buffer that goes out
+// rather than each response put into it.
+type timedWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w timedWriter) Write(p []byte) (int, error) {
+	if w.timeout > 0 {
+		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+	return w.conn.Write(p)
+}
+
+// dispatched is one request in flight as the connection writer sees it:
+// either an engine request whose result is still to be collected, or a
+// response rendered at dispatch (unknown opcode, enqueue failure).
+type dispatched struct {
+	req  *request // nil: resp is the response
+	op   byte     // req's wire opcode, to render its result
+	resp wire.Response
+}
+
+// response renders f's reply. Without block it returns ready false, and
+// consumes nothing, if the engine has not resolved the request yet.
+func (f dispatched) response(block bool) (resp wire.Response, ready bool) {
+	if f.req == nil {
+		return f.resp, true
+	}
+	var res result
+	if block {
+		res = <-f.req.done
+	} else {
+		select {
+		case res = <-f.req.done:
+		default:
+			return wire.Response{}, false
+		}
+	}
+	f.req.release()
+	return renderResponse(f.op, res), true
+}
+
+// beginDispatch starts req on the engine and returns it in flight.
+// Enqueue failures (closed, backpressure) resolve immediately, and so do
+// GETs: the engine answers them inline from the read index inside begin, so
+// a pipelined GET's value is fixed at dispatch time — it does not serialize
+// behind the connection's unacked PUTs (the response still leaves the wire
+// in request order).
+func (s *Server) beginDispatch(req wire.Request) dispatched {
 	var op opKind
 	switch req.Op {
 	case wire.OpGet:
@@ -188,8 +248,7 @@ func (s *Server) beginDispatch(req wire.Request) func() wire.Response {
 	case wire.OpEvents:
 		op = opEvents
 	default:
-		resp := wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(req.Op))}
-		return func() wire.Response { return resp }
+		return dispatched{resp: wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(req.Op))}}
 	}
 	ereq := newRequest(op, req.Key, req.Value)
 	if op == opSplit || op == opMerge {
@@ -211,15 +270,9 @@ func (s *Server) beginDispatch(req wire.Request) func() wire.Response {
 	}
 	if err := s.fleet.begin(ereq); err != nil {
 		ereq.release()
-		resp := errResponse(err)
-		return func() wire.Response { return resp }
+		return dispatched{resp: errResponse(err)}
 	}
-	wireOp := req.Op
-	return func() wire.Response {
-		res := <-ereq.done
-		ereq.release()
-		return renderResponse(wireOp, res)
-	}
+	return dispatched{req: ereq, op: req.Op}
 }
 
 func renderResponse(op byte, res result) wire.Response {

@@ -296,12 +296,34 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 	return req, nil
 }
 
-// WriteResponse frames and writes one response.
+// respHeader is a response frame's bytes before its body: frame length,
+// status and body length.
+const respHeader = 4 + 1 + 4
+
+// WriteResponse frames and writes one response. On a *bufio.Writer it
+// builds the header in the writer's free space and allocates nothing.
 func WriteResponse(w io.Writer, resp Response) error {
-	payload := make([]byte, 0, 5+len(resp.Body))
-	payload = append(payload, resp.Status)
-	payload = appendBytes(payload, resp.Body)
-	return writeFrame(w, payload)
+	n := 1 + 4 + len(resp.Body) // the frame: status, body length, body
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
+	}
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		if bw.Available() < respHeader {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		hdr = bw.AvailableBuffer()
+	}
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
+	hdr = append(hdr, resp.Status)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(resp.Body)))
+	if _, err := w.Write(hdr); err != nil || len(resp.Body) == 0 {
+		return err
+	}
+	_, err := w.Write(resp.Body)
+	return err
 }
 
 // ReadResponse reads and decodes one response frame.
