@@ -8,7 +8,9 @@
 package device
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pax/internal/coherence"
@@ -332,7 +334,7 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 	for a := range d.logged {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 
 	// Phase 1: snoop back modified lines.
 	for _, hostAddr := range addrs {
@@ -369,7 +371,7 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 	if d.cache != nil {
 		d.cache.ForEachDirty(func(l *hbm.Line) { dirty = append(dirty, *l) })
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Addr < dirty[j].Addr })
+	slices.SortFunc(dirty, func(a, b hbm.Line) int { return cmp.Compare(a.Addr, b.Addr) })
 	for _, ln := range dirty {
 		at = d.pm.Write(d.toPM(ln.Addr), ln.Data[:], at)
 		d.cache.MarkClean(ln.Addr)

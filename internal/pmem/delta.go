@@ -1,10 +1,11 @@
 package pmem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"pax/internal/epochlog"
@@ -74,7 +75,7 @@ func coalesce(ranges []dirtyRange) []dirtyRange {
 	if len(ranges) < 2 {
 		return ranges
 	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].addr < ranges[j].addr })
+	slices.SortFunc(ranges, func(a, b dirtyRange) int { return cmp.Compare(a.addr, b.addr) })
 	out := ranges[:1]
 	for _, r := range ranges[1:] {
 		if last := &out[len(out)-1]; r.addr <= last.end {
@@ -86,6 +87,47 @@ func coalesce(ranges []dirtyRange) []dirtyRange {
 		out = append(out, r)
 	}
 	return out
+}
+
+// Discard tells the device that the bytes of [addr, addr+n) written since
+// the last Sync are dead: the next delta record leaves them out. The media
+// keeps them, and a later Write re-dirties them as usual. The caller vouches
+// that no recovery reads the span's bytes from the record — the undo log
+// discards the slots its tail has just passed, whose entries nothing reads
+// again.
+func (d *Device) Discard(addr uint64, n int) {
+	d.checkRange(addr, n)
+	if n == 0 {
+		return
+	}
+	d.mu.Lock()
+	d.discardDirtyLocked(addr, addr+uint64(n))
+	d.mu.Unlock()
+}
+
+// discardDirtyLocked removes [lo, hi) from the dirty list, filtering it in
+// place so a Discard allocates nothing. A range inside the span is dropped
+// and one reaching past its left edge is trimmed there; the parts of ranges
+// reaching past its right edge all start at hi, so their union is the one
+// range [hi, rest) appended at the end — at most one split per call, however
+// many ranges straddle the span.
+func (d *Device) discardDirtyLocked(lo, hi uint64) {
+	out := d.dirty[:0]
+	rest := hi
+	for _, r := range d.dirty {
+		if r.addr < hi && lo < r.end {
+			rest = max(rest, r.end)
+			if r.addr >= lo {
+				continue
+			}
+			r.end = lo
+		}
+		out = append(out, r)
+	}
+	if rest > hi {
+		out = append(out, dirtyRange{hi, rest})
+	}
+	d.dirty = out
 }
 
 // maxRetainedDelta caps the capture buffer a device keeps between Syncs, so

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -85,26 +86,174 @@ func TestDeltaSyncIsODirty(t *testing.T) {
 }
 
 // maxSyncAllocs is the allocation count of a file-backed Sync of a small
-// dirty set: the capture buffer is reused and the append allocates nothing,
-// so what is left is the range table and coalesce's sort.
-const maxSyncAllocs = 4
+// dirty set: the capture buffer is reused, the append and coalesce's sort
+// allocate nothing, so what is left is the range table.
+const maxSyncAllocs = 1
 
-// TestDeltaSyncAllocations holds a small Sync to maxSyncAllocs. A regression
-// here is garbage on every commit.
+// TestDeltaSyncAllocations holds a small Sync to maxSyncAllocs, with and
+// without a Discard that splits a dirty range first. A regression here is
+// garbage on every commit.
 func TestDeltaSyncAllocations(t *testing.T) {
 	d := openDelta(t, filepath.Join(t.TempDir(), "p.pool"), DefaultConfig(1<<16))
 	line := bytes.Repeat([]byte{7}, 64)
-	sync := func() {
+	for _, discard := range []bool{false, true} {
+		sync := func() {
+			for i := uint64(0); i < 4; i++ {
+				d.Write(i*4096, line, 0)
+			}
+			if discard {
+				d.Discard(8192+16, 16)
+			}
+			if err := d.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sync() // size the reused buffers
+		if avg := testing.AllocsPerRun(50, sync); avg > maxSyncAllocs {
+			t.Fatalf("a 4-range Sync (discard %v) allocates %.1f times, ceiling %d", discard, avg, maxSyncAllocs)
+		}
+	}
+}
+
+// dirtyAfter starts tracking on a fresh in-memory device, applies the
+// writes, then discards [lo, hi), and returns the coalesced dirty list.
+func dirtyAfter(writes []dirtyRange, lo, hi uint64) []dirtyRange {
+	d := New(DefaultConfig(1 << 12))
+	d.Sync()
+	for _, w := range writes {
+		d.Write(w.addr, make([]byte, w.end-w.addr), 0)
+	}
+	d.Discard(lo, int(hi-lo))
+	return coalesce(d.dirty)
+}
+
+func TestDiscardTrimsDirtyRanges(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		writes []dirtyRange
+		lo, hi uint64
+		want   []dirtyRange
+	}{
+		{"inside one range", []dirtyRange{{100, 200}}, 120, 150, []dirtyRange{{100, 120}, {150, 200}}},
+		{"over its left edge", []dirtyRange{{100, 200}}, 50, 150, []dirtyRange{{150, 200}}},
+		{"over its right edge", []dirtyRange{{100, 200}}, 150, 250, []dirtyRange{{100, 150}}},
+		{"exactly one range", []dirtyRange{{100, 200}, {300, 400}}, 100, 200, []dirtyRange{{300, 400}}},
+		{"covering several ranges", []dirtyRange{{100, 200}, {300, 400}, {500, 600}}, 150, 550,
+			[]dirtyRange{{100, 150}, {550, 600}}},
+		// [100,180) after [300,400) is not merged into [100,200), so two
+		// list entries straddle the span and leave one right-hand piece.
+		{"inside two overlapping entries", []dirtyRange{{100, 200}, {300, 400}, {100, 180}}, 120, 150,
+			[]dirtyRange{{100, 120}, {150, 200}, {300, 400}}},
+		{"disjoint", []dirtyRange{{100, 200}}, 200, 300, []dirtyRange{{100, 200}}},
+		{"empty span", []dirtyRange{{100, 200}}, 150, 150, []dirtyRange{{100, 200}}},
+	} {
+		if got := dirtyAfter(tc.writes, tc.lo, tc.hi); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: discarding [%d,%d) leaves %v, want %v", tc.name, tc.lo, tc.hi, got, tc.want)
+		}
+	}
+}
+
+// TestDiscardMatchesByteModel drives random writes and discards against a
+// per-byte model: a byte is dirty exactly when its last event was a write.
+func TestDiscardMatchesByteModel(t *testing.T) {
+	const size = 1 << 10
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		d := New(DefaultConfig(size))
+		d.Sync()
+		var model [size]bool
+		for op := 0; op < 20; op++ {
+			addr, n := rng.Intn(size-64), 1+rng.Intn(64)
+			write := rng.Intn(3) != 0
+			if write {
+				d.Write(uint64(addr), make([]byte, n), 0)
+			} else {
+				d.Discard(uint64(addr), n)
+			}
+			for i := addr; i < addr+n; i++ {
+				model[i] = write
+			}
+		}
+		var want []dirtyRange
+		for i := 0; i < size; i++ {
+			if !model[i] {
+				continue
+			}
+			if k := len(want) - 1; k >= 0 && want[k].end == uint64(i) {
+				want[k].end++
+			} else {
+				want = append(want, dirtyRange{uint64(i), uint64(i) + 1})
+			}
+		}
+		if got := coalesce(d.dirty); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: dirty list %v, byte model %v", trial, got, want)
+		}
+	}
+}
+
+// TestDiscardDropsOnlyEarlierWrites: a discarded span stays out of the next
+// record, a write after the Discard puts its bytes back, and the file-backed
+// pool reopens with the discarded span at its previously committed bytes.
+func TestDiscardDropsOnlyEarlierWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.pool")
+	d := openDelta(t, path, DefaultConfig(1<<12))
+	d.Write(0, bytes.Repeat([]byte{1}, 256), 0)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	d.Write(0, bytes.Repeat([]byte{2}, 256), 0)
+	d.Discard(64, 128)
+	d.Write(128, bytes.Repeat([]byte{3}, 16), 0) // re-dirties part of the span
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.LastSyncBytes(), epochlog.RecordSize([]epochlog.Range{
+		{Addr: 0, Data: make([]byte, 64)},
+		{Addr: 128, Data: make([]byte, 16)},
+		{Addr: 192, Data: make([]byte, 64)},
+	}); got != want {
+		t.Fatalf("record after the discard is %d bytes, want %d", got, want)
+	}
+	d.Close()
+
+	want := bytes.Repeat([]byte{2}, 256)
+	copy(want[64:192], bytes.Repeat([]byte{1}, 128)) // the committed bytes
+	copy(want[128:144], bytes.Repeat([]byte{3}, 16))
+	re := openDelta(t, path, DefaultConfig(1<<12))
+	got := make([]byte, 256)
+	re.Read(0, got, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reopened bytes\n%x\nwant\n%x", got, want)
+	}
+}
+
+// TestInMemoryDiscardShrinksRecord: an in-memory device reports the record
+// a Sync would have appended, so discarding dirty bytes shrinks it by them.
+func TestInMemoryDiscardShrinksRecord(t *testing.T) {
+	d := New(DefaultConfig(1 << 12))
+	d.Sync()
+	syncBytes := func(discard bool) int64 {
 		for i := uint64(0); i < 4; i++ {
-			d.Write(i*4096, line, 0)
+			d.Write(i*512, make([]byte, 96), 0)
+		}
+		if discard {
+			d.Discard(1024, 96)
+			d.Discard(1536+32, 32)
 		}
 		if err := d.Sync(); err != nil {
 			t.Fatal(err)
 		}
+		return d.LastSyncBytes()
 	}
-	sync() // size the reused buffers
-	if avg := testing.AllocsPerRun(50, sync); avg > maxSyncAllocs {
-		t.Fatalf("a 4-range Sync allocates %.1f times, ceiling %d", avg, maxSyncAllocs)
+	full, trimmed := syncBytes(false), syncBytes(true)
+	want := epochlog.RecordSize([]epochlog.Range{
+		{Addr: 0, Data: make([]byte, 96)},
+		{Addr: 512, Data: make([]byte, 96)},
+		{Addr: 1536, Data: make([]byte, 32)},
+		{Addr: 1536 + 64, Data: make([]byte, 32)},
+	})
+	if trimmed != want || trimmed >= full {
+		t.Fatalf("record with discards = %d bytes (want %d), without = %d", trimmed, want, full)
 	}
 }
 

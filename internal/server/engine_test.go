@@ -417,7 +417,7 @@ func TestCloseSealsOpenEpoch(t *testing.T) {
 // request, apply, one group commit, ack, on both goroutines — and an
 // index-served Get, whose one allocation is the caller's copy of the value.
 const (
-	maxPutAllocs = 37
+	maxPutAllocs = 29
 	maxGetAllocs = 1
 )
 

@@ -116,7 +116,7 @@ func Open(dev *pmem.Device, base, size uint64) (*Log, error) {
 	// Scan forward: the head is the first slot that fails validation.
 	l.head = l.tail
 	for l.head-l.tail < l.capacity {
-		if _, ok := l.readEntry(l.head); !ok {
+		if _, ok := l.EntryAt(l.head); !ok {
 			break
 		}
 		l.head += EntrySize
@@ -133,8 +133,8 @@ func (l *Log) writeHeader(tail uint64) {
 	l.dev.Write(l.base, hdr[:], 0)
 }
 
-// slotAddr maps a virtual offset to its media address.
-func (l *Log) slotAddr(virt uint64) uint64 {
+// SlotAddr maps a virtual offset to the media address of its entry slot.
+func (l *Log) SlotAddr(virt uint64) uint64 {
 	return l.base + headerSize + virt%l.capacity
 }
 
@@ -149,13 +149,13 @@ func encodeEntry(e Entry) [EntrySize]byte {
 	return buf
 }
 
-// readEntry reads and validates the entry at virtual offset virt. Validation
-// requires an intact checksum and the dense sequence number implied by the
-// offset, which rejects both torn appends and stale entries from a previous
-// lap of the ring.
-func (l *Log) readEntry(virt uint64) (Entry, bool) {
+// EntryAt reads and validates the entry at virtual offset virt — the check
+// Open's head scan stops at. Validation requires an intact checksum and the
+// dense sequence number implied by the offset, which rejects both torn
+// appends and stale entries from a previous lap of the ring.
+func (l *Log) EntryAt(virt uint64) (Entry, bool) {
 	var buf [EntrySize]byte
-	l.dev.Read(l.slotAddr(virt), buf[:], 0)
+	l.dev.Read(l.SlotAddr(virt), buf[:], 0)
 	crc := crc32.Checksum(buf[:88], crcTable)
 	if crc != binary.LittleEndian.Uint32(buf[88:]) {
 		return Entry{}, false
@@ -181,7 +181,7 @@ func (l *Log) Append(epoch uint64, addr uint64, old [coherence.LineSize]byte, at
 	}
 	e := Entry{Epoch: epoch, Seq: l.head / EntrySize, Addr: addr, Old: old}
 	buf := encodeEntry(e)
-	done := l.dev.Write(l.slotAddr(l.head), buf[:], at)
+	done := l.dev.Write(l.SlotAddr(l.head), buf[:], at)
 	off := l.head
 	l.head += EntrySize
 	l.Appends++
@@ -194,6 +194,13 @@ func (l *Log) Append(epoch uint64, addr uint64, old [coherence.LineSize]byte, at
 // Truncate discards all entries below virtual offset upTo by bumping the
 // persistent tail. The tail update is a single 8-byte atomic store, so a
 // crash leaves either the old or the new tail — both yield a valid log.
+//
+// The truncated slots are dead from here on, so Truncate tells the media
+// device to leave their bytes out of its next commit record (pmem.Discard);
+// the tail store itself is recorded. A slot the record never carries keeps
+// whatever an older commit left there, which cannot validate at or beyond
+// the recovered tail: EntryAt wants the sequence number of that very
+// offset, and no entry at or past the tail was ever discarded.
 func (l *Log) Truncate(upTo uint64, at sim.Time) sim.Time {
 	if upTo < l.tail || upTo > l.head || upTo%EntrySize != 0 {
 		panic(fmt.Sprintf("undolog: truncate to %d outside [%d,%d]", upTo, l.tail, l.head))
@@ -201,12 +208,25 @@ func (l *Log) Truncate(upTo uint64, at sim.Time) sim.Time {
 	if upTo == l.tail {
 		return at
 	}
+	l.discardSlots(l.tail, upTo)
 	l.tail = upTo
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], upTo)
 	done := l.dev.WriteAtomic(l.base+24, b[:], at)
 	l.Truncations++
 	return done
+}
+
+// discardSlots discards the media slots of virtual offsets [from, to): one
+// span, or two when it wraps the ring.
+func (l *Log) discardSlots(from, to uint64) {
+	start := from % l.capacity
+	n := to - from
+	if first := l.capacity - start; n > first {
+		l.dev.Discard(l.SlotAddr(0), int(n-first))
+		n = first
+	}
+	l.dev.Discard(l.SlotAddr(start), int(n))
 }
 
 // Head reports the virtual offset of the next append.
@@ -226,7 +246,7 @@ func (l *Log) CapacityEntries() int { return int(l.capacity / EntrySize) }
 func (l *Log) Entries() []Entry {
 	out := make([]Entry, 0, l.Live())
 	for off := l.tail; off < l.head; off += EntrySize {
-		e, ok := l.readEntry(off)
+		e, ok := l.EntryAt(off)
 		if !ok {
 			// The scan in Open defines the head as the first invalid entry,
 			// so an invalid entry below the head means media corruption

@@ -74,7 +74,7 @@ func TestTornEntryRejectedOnRecovery(t *testing.T) {
 		l.Append(1, uint64(i*64), line(1), 0)
 	}
 	// Tear the last entry: only 16 of its 96 bytes persisted.
-	lastSlot := l.slotAddr(4 * EntrySize)
+	lastSlot := l.SlotAddr(4 * EntrySize)
 	dev.InjectTear(lastSlot, EntrySize, 16)
 
 	l2, err := Open(dev, 0, 64<<10)
