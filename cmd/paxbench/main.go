@@ -72,7 +72,7 @@ func main() {
 	flag.BoolVar(&lg.split, "split", false, "loadgen: make every run a live-split A/B: measure, split the hottest shard, measure again, then crash and verify no acked write was lost (file-backed zipfian shared keyspace; any shard count, 1 splits to 2)")
 	flag.BoolVar(&lg.autopilot, "autopilot", false, "loadgen: make every run a reshard-autopilot A/B: measure, flood until the policy splits on its own, measure again, idle until it merges back, then crash and verify (same requirements as -split)")
 	flag.BoolVar(&lg.blackbox, "blackbox", false, "loadgen: journal lifecycle events and windowed metrics snapshots to <pool-dir>/load.pool.blackbox/ (requires -pool-dir; the A/B against the same run without it bounds journaling overhead)")
-	flag.IntVar(&lg.failAfter, "fail-syncs-after", 0, "loadgen: inject a persistent media-sync fault into shard 0 after N successful syncs — the shard seals fail-stop and the run ends in a simulated crash (postmortem smoke harness)")
+	flag.IntVar(&lg.failAfter, "fail-syncs-after", 0, "loadgen: inject a persistent media-sync fault into shard 0 after N successful fsyncs of its epoch-log segments (commits and segment rolls) — the shard seals fail-stop and the run ends in a simulated crash (postmortem smoke harness; needs -pool-dir)")
 	flag.Parse()
 
 	if *loadgen {

@@ -46,10 +46,11 @@ func main() {
 	}
 }
 
-// recoverPool is the whole tool; publishHook reaches the one publish so a
-// test can fail it stage by stage.
-func recoverPool(path string, dryRun bool, out io.Writer, publishHook seglog.Hook) error {
-	img, err := os.ReadFile(path)
+// recoverPool is the whole tool. Every file operation goes through fs (nil
+// means seglog.OS), so a test can fail any of them.
+func recoverPool(path string, dryRun bool, out io.Writer, fs seglog.FS) error {
+	fs = seglog.OrOS(fs)
+	img, err := seglog.ReadFile(fs, path)
 	if err != nil {
 		return err
 	}
@@ -59,7 +60,7 @@ func recoverPool(path string, dryRun bool, out io.Writer, publishHook seglog.Hoo
 	// leaves even a torn tail untouched on disk.
 	// A pool without a segment directory opens as an empty store.
 	logDir := path + epochlog.DirSuffix
-	store, err := epochlog.Open(epochlog.Config{Dir: logDir, ReadOnly: true})
+	store, err := epochlog.Open(epochlog.Config{Dir: logDir, ReadOnly: true, FS: fs})
 	if err != nil {
 		return fmt.Errorf("epoch log: %w", err)
 	}
@@ -111,7 +112,7 @@ func recoverPool(path string, dryRun bool, out io.Writer, publishHook seglog.Hoo
 		fmt.Fprintln(out, "dry run: pool file not modified")
 		return nil
 	}
-	if err := seglog.Publish(path, pm.Snapshot(), publishHook); err != nil {
+	if err := seglog.Publish(fs, path, pm.Snapshot()); err != nil {
 		return err
 	}
 	if !hasLog {
@@ -122,7 +123,7 @@ func recoverPool(path string, dryRun bool, out io.Writer, publishHook seglog.Hoo
 	// Publish returned, so the image and its rename are on media. Removing
 	// the segments only now means a crash here at worst leaves segments
 	// whose replay is idempotent over the repaired image.
-	if err := os.RemoveAll(logDir); err != nil {
+	if err := fs.RemoveAll(logDir); err != nil {
 		return fmt.Errorf("removing consumed segments: %w", err)
 	}
 	fmt.Fprintln(out, "pool recovered in place (log folded into the checkpoint; segments removed)")

@@ -10,6 +10,7 @@ import (
 
 	"pax"
 	"pax/internal/epochlog"
+	"pax/internal/faultfs"
 	"pax/internal/seglog"
 )
 
@@ -34,13 +35,15 @@ func TestSegmentsOutliveAFailedPublish(t *testing.T) {
 	before, _ := os.ReadFile(path)
 
 	injected := errors.New("injected power cut")
-	for _, stage := range []seglog.Stage{seglog.StageWrite, seglog.StageFsync, seglog.StageRename} {
-		err := recoverPool(path, false, io.Discard, func(st seglog.Stage, run func() error) error {
-			if st == stage {
+	for _, stage := range []faultfs.Kind{faultfs.WriteAt, faultfs.Sync, faultfs.Rename} {
+		fs := faultfs.New(nil)
+		fs.Set(func(op faultfs.Op) error {
+			if op.Kind == stage && op.Path == path+seglog.TempSuffix {
 				return injected
 			}
-			return run()
+			return nil
 		})
+		err := recoverPool(path, false, io.Discard, fs)
 		if !errors.Is(err, injected) {
 			t.Fatalf("%s: recoverPool = %v, want the injected fault", stage, err)
 		}

@@ -149,7 +149,7 @@ func main() {
 	// still almost certainly a typo'd path or a stale flag — refuse rather
 	// than guess (live growth is SIGUSR1 / the SPLIT wire op, not -shards).
 	n := *shards
-	discovered, err := server.DiscoverShards(*poolPath)
+	discovered, err := server.DiscoverShards(nil, *poolPath)
 	if *overwrite && errors.Is(err, server.ErrBarePool) {
 		err = nil // -overwrite reformats a bare pool like any other layout
 	}

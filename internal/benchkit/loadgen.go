@@ -11,7 +11,8 @@ import (
 
 	"pax"
 	"pax/internal/blackbox"
-	"pax/internal/pmem"
+	"pax/internal/epochlog"
+	"pax/internal/faultfs"
 	"pax/internal/server"
 	"pax/internal/stats"
 	"pax/internal/workload"
@@ -100,11 +101,13 @@ type LoadSpec struct {
 	// even sub-second runs capture a windowed sample).
 	BlackboxInterval time.Duration
 	// FailSyncsAfter, when > 0, injects a persistent media-sync fault into
-	// shard 0 after that many successful syncs: every later persist fails,
+	// shard 0 after that many successful fsyncs of its epoch-log segments
+	// (a commit's, and a segment roll's header): every later persist fails,
 	// commit retries exhaust, and the shard seals fail-stop mid-run. Client
 	// errors are then expected (the client stops, the run continues), and
 	// the run ends with Crash() instead of Close() — a simulated kill, so
 	// what the black box captured is exactly what a postmortem would find.
+	// Requires PoolDir: the fault is injected at the files, through a faultfs.
 	FailSyncsAfter int
 }
 
@@ -385,6 +388,9 @@ func (spec LoadSpec) validate(act Act) error {
 	if spec.Blackbox && spec.PoolDir == "" {
 		return fmt.Errorf("benchkit: Blackbox journals to a directory; set PoolDir")
 	}
+	if spec.FailSyncsAfter > 0 && spec.PoolDir == "" {
+		return fmt.Errorf("benchkit: FailSyncsAfter faults the pool files' syncs; set PoolDir")
+	}
 	if act == NoAct {
 		return nil
 	}
@@ -454,10 +460,10 @@ func RunScript(spec LoadSpec, act Act) (LoadResult, error) {
 	chaos := spec.FailSyncsAfter > 0
 	if chaos {
 		// Injected after the preload so the fill always lands: shard 0's
-		// device starts refusing media syncs partway through the measured
+		// epoch log starts refusing fsyncs partway through the measured
 		// phase, its commit retries exhaust, and it seals fail-stop.
-		r.eng.ShardPools()[0].Internal().PM().SetFaultFn(
-			pmem.FailSyncsAfter(spec.FailSyncsAfter, ErrInjectedFault))
+		r.opts.FS.(*faultfs.FS).Set(faultfs.FailSyncsAfter(faultfs.In(server.ShardPath(r.path, 0)+epochlog.DirSuffix),
+			spec.FailSyncsAfter, ErrInjectedFault))
 	}
 	ph, err := r.measure(spec)
 	if err != nil {
@@ -537,6 +543,9 @@ func openFleet(spec LoadSpec, act Act) (*loadRun, error) {
 		r.path = filepath.Join(spec.PoolDir, "load.pool")
 		r.opts.Overwrite = true
 	}
+	if spec.FailSyncsAfter > 0 {
+		r.opts.FS = faultfs.New(nil)
+	}
 	if act == AutopilotAct {
 		// A shallow queue makes hot-shard saturation visible where the policy
 		// looks for it: durable writers pile into the enqueue path, so the hot
@@ -594,11 +603,12 @@ func (r *loadRun) crashVerify(keys uint64) (shards, lost int, err error) {
 	if err := r.stop(true); err != nil {
 		return 0, 0, fmt.Errorf("benchkit: crash: %w", err)
 	}
-	if shards, err = server.DiscoverShards(r.path); err != nil {
+	if shards, err = server.DiscoverShards(nil, r.path); err != nil {
 		return 0, 0, fmt.Errorf("benchkit: rediscovering layout: %w", err)
 	}
+	// A fresh process after the crash: no fault armed.
 	opts := r.opts
-	opts.Overwrite = false
+	opts.Overwrite, opts.FS = false, nil
 	eng, err := server.OpenSharded(r.path, shards, opts, 0, r.cfg)
 	if err != nil {
 		return 0, 0, fmt.Errorf("benchkit: reopening after crash: %w", err)

@@ -27,7 +27,6 @@ package blackbox
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -121,7 +120,7 @@ func Open(cfg Config) (*Journal, error) {
 	}
 	cfg.MaxSegments = max(cfg.MaxSegments, 2)
 	if cfg.ReadOnly {
-		if fi, err := os.Stat(cfg.Dir); err != nil {
+		if fi, err := seglog.OS.Stat(cfg.Dir); err != nil {
 			return nil, fmt.Errorf("blackbox: %w", err)
 		} else if !fi.IsDir() {
 			return nil, fmt.Errorf("blackbox: %s is not a directory", cfg.Dir)

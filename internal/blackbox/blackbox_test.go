@@ -136,7 +136,7 @@ func TestRotationPrunesOldest(t *testing.T) {
 // activeSegPath returns the newest segment's path.
 func activeSegPath(t *testing.T, dir string) string {
 	t.Helper()
-	indices, err := seglog.List(dir, format)
+	indices, err := seglog.List(nil, dir, format)
 	if err != nil || len(indices) == 0 {
 		t.Fatalf("seglog.List: %v (%d)", err, len(indices))
 	}
@@ -242,7 +242,7 @@ func TestTornMiddleSegmentIsCorruption(t *testing.T) {
 	}
 	j.Close()
 
-	indices, _ := seglog.List(dir, format)
+	indices, _ := seglog.List(nil, dir, format)
 	middle := filepath.Join(dir, format.SegName(indices[1]))
 	fi, _ := os.Stat(middle)
 	if err := os.Truncate(middle, fi.Size()-5); err != nil {
@@ -266,7 +266,7 @@ func TestMissingSegmentIsCorruption(t *testing.T) {
 		t.Fatalf("test needs >= 3 segments, got %d", j.Info().Segments)
 	}
 	j.Close()
-	indices, _ := seglog.List(dir, format)
+	indices, _ := seglog.List(nil, dir, format)
 	if err := os.Remove(filepath.Join(dir, format.SegName(indices[1]))); err != nil {
 		t.Fatal(err)
 	}

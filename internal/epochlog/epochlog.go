@@ -67,29 +67,14 @@ var format = seglog.Format{
 	Unit:       rangeHeaderSize,
 }
 
-// Stage identifies a durability stage a fault hook can fail (the delta-mode
-// analogue of pmem's Sync stages).
-type Stage = seglog.Stage
-
-// Stages, in execution order.
-const (
-	// StageAppend fails writing a delta record into the active segment.
-	StageAppend = seglog.StageAppend
-	// StageAppendSync fails the segment fsync that commits the record.
-	StageAppendSync = seglog.StageAppendSync
-	// StageCompact fails deleting a checkpoint-covered segment.
-	StageCompact = seglog.StageRemove
-)
-
 // Config parameterizes a Store.
 type Config struct {
 	// Dir is the segment directory (conventionally <pool>+DirSuffix).
 	Dir string
 	// SegmentBytes is the segment size cap (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// Fault, when set, is consulted before each durability stage; a non-nil
-	// return fails that stage with the returned error.
-	Fault func(Stage) error
+	// FS is where the segment files live (nil means seglog.OS).
+	FS seglog.FS
 	// ReadOnly opens the store for inspection: no directory creation, no
 	// torn-tail truncation, no appends. Tools use it on live or damaged
 	// stores.
@@ -181,7 +166,7 @@ func Open(cfg Config) (*Store, error) {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
 	log, err := seglog.Open(seglog.Config{
-		Dir: cfg.Dir, Format: format, SegmentBytes: cfg.SegmentBytes, Fault: cfg.Fault, ReadOnly: cfg.ReadOnly,
+		Dir: cfg.Dir, Format: format, SegmentBytes: cfg.SegmentBytes, FS: cfg.FS, ReadOnly: cfg.ReadOnly,
 	})
 	if err != nil {
 		return nil, err
@@ -375,6 +360,6 @@ func (s *Store) Close() error {
 // HasSegments reports whether dir holds any segment files — deltas the
 // checkpoint beside them may lack.
 func HasSegments(dir string) (bool, error) {
-	indices, err := seglog.List(dir, format)
+	indices, err := seglog.List(nil, dir, format)
 	return len(indices) > 0, err
 }

@@ -2,12 +2,14 @@ package epochlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"pax/internal/faultfs"
 	"pax/internal/seglog"
 )
 
@@ -380,20 +382,23 @@ func seqStillPresent(s *Store, seq uint64) bool {
 }
 
 func TestAppendFaultRewindsAndRetries(t *testing.T) {
-	for _, stage := range []Stage{StageAppend, StageAppendSync} {
-		t.Run(string(stage), func(t *testing.T) {
+	for _, step := range []struct {
+		name string
+		kind faultfs.Kind
+	}{{"append", faultfs.WriteAt}, {"append-fsync", faultfs.Sync}} {
+		t.Run(step.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "pool.epochlog")
-			fail := 0
-			cfg := Config{Dir: dir, Fault: func(st Stage) error {
-				if st == stage && fail > 0 {
+			fs := faultfs.New(nil)
+			s := openT(t, Config{Dir: dir, FS: fs})
+			appendT(t, s, 1, Range{Addr: 0, Data: []byte("good")})
+			fail := 1
+			fs.Set(func(op faultfs.Op) error {
+				if op.Kind == step.kind && fail > 0 {
 					fail--
-					return fmt.Errorf("injected %s fault", st)
+					return fmt.Errorf("injected %s fault", op.Kind)
 				}
 				return nil
-			}}
-			s := openT(t, cfg)
-			appendT(t, s, 1, Range{Addr: 0, Data: []byte("good")})
-			fail = 1
+			})
 			if _, err := s.Append(2, []Range{{Addr: 4, Data: []byte("doomed")}}); err == nil {
 				t.Fatalf("append should have failed")
 			}
@@ -415,18 +420,19 @@ func TestAppendFaultRewindsAndRetries(t *testing.T) {
 
 func TestCompactFaultLeavesRecoverableStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "pool.epochlog")
+	fs := faultfs.New(nil)
+	s := openT(t, Config{Dir: dir, SegmentBytes: 64, FS: fs})
+	for i := 1; i <= 4; i++ {
+		appendT(t, s, uint64(i), Range{Addr: 0, Data: bytes.Repeat([]byte{byte(i)}, 48)})
+	}
 	var injected bool
-	cfg := Config{Dir: dir, SegmentBytes: 64, Fault: func(st Stage) error {
-		if st == StageCompact && !injected {
+	fs.Set(func(op faultfs.Op) error {
+		if op.Kind == faultfs.Remove && !injected {
 			injected = true
 			return fmt.Errorf("injected compact fault")
 		}
 		return nil
-	}}
-	s := openT(t, cfg)
-	for i := 1; i <= 4; i++ {
-		appendT(t, s, uint64(i), Range{Addr: 0, Data: bytes.Repeat([]byte{byte(i)}, 48)})
-	}
+	})
 	if err := s.CompactThrough(3); err == nil {
 		t.Fatalf("compact should have failed")
 	}
@@ -586,4 +592,50 @@ func TestParentFixture(t *testing.T) {
 	if !bytes.Equal(old, again) {
 		t.Fatalf("re-encoding the fixture's records gave different bytes:\n old %x\n new %x", old, again)
 	}
+}
+
+// FuzzRecordApply feeds hostile record bodies through decodeRecord — with
+// the n word bounded as seglog's scan guarantees, n*16 ≤ len(body) — and
+// applies what decodes onto a 4 KiB image. Either step may refuse with an
+// error; neither may panic, and Apply may write only the bytes its ranges
+// name, in order, stopping at the first range outside the image.
+func FuzzRecordApply(f *testing.F) {
+	encode := func(ranges ...Range) []byte {
+		body := make([]byte, RecordSize(ranges)-seglog.RecHeaderSize-seglog.RecTrailerSize)
+		off := rangeHeaderSize * len(ranges)
+		for i, r := range ranges {
+			binary.LittleEndian.PutUint64(body[i*rangeHeaderSize:], r.Addr)
+			binary.LittleEndian.PutUint64(body[i*rangeHeaderSize+8:], uint64(len(r.Data)))
+			off += copy(body[off:], r.Data)
+		}
+		return body
+	}
+	f.Add(encode(Range{Addr: 8, Data: []byte("first")}, Range{Addr: 4000, Data: []byte("past the end")}), uint32(2))
+	f.Add(encode(Range{Addr: 0, Data: bytes.Repeat([]byte{1}, 4096)}), uint32(1))
+	f.Add(encode(Range{Addr: ^uint64(0) - 2, Data: []byte("wraps")}), uint32(1))
+	f.Add(encode(Range{Addr: 16, Data: []byte("short")}), uint32(0))
+	f.Add([]byte{}, uint32(7))
+	f.Fuzz(func(t *testing.T, body []byte, n uint32) {
+		h := seglog.Header{Seq: 1, N: n % uint32(len(body)/rangeHeaderSize+1)}
+		rec, err := decodeRecord(h, body)
+		if err != nil {
+			return
+		}
+		img := bytes.Repeat([]byte{0xee}, 4096)
+		want := bytes.Clone(img)
+		fits := true
+		for _, r := range rec.Ranges {
+			end := r.Addr + uint64(len(r.Data))
+			if fits = end >= r.Addr && end <= uint64(len(want)); !fits {
+				break
+			}
+			copy(want[r.Addr:end], r.Data)
+		}
+		if err := rec.Apply(img); (err == nil) != fits {
+			t.Fatalf("Apply = %v, but every range fits = %v", err, fits)
+		}
+		if !bytes.Equal(img, want) {
+			t.Fatal("Apply wrote bytes its ranges do not name")
+		}
+	})
 }

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pax/internal/epochlog"
+	"pax/internal/faultfs"
 )
 
 // heapInuse reports the live heap after a full collection.
@@ -104,9 +106,9 @@ func segmentNames(t *testing.T, path string) []string {
 	return names
 }
 
-// TestCheckpointFailsAtAnyRange fails the fold at its k-th FaultCheckpoint
-// stage — before it starts (k=1), before a range write, or before the final
-// fsync — for several k. Each failure leaves the pool file a mix of the old
+// TestCheckpointFailsAtAnyRange fails the fold at its k-th operation on the
+// pool file — its open (k=1), a range write, or the final fsync — for
+// several k. Each failure leaves the pool file a mix of the old
 // checkpoint and some newer ranges, and must leave every segment in place,
 // count the failure, and reopen to the image at the last acked Sync; a
 // checkpoint after the reopen then succeeds over the mixed file.
@@ -115,9 +117,9 @@ func TestCheckpointFailsAtAnyRange(t *testing.T) {
 	bang := errors.New("injected checkpoint fault")
 	// setup builds the same history each time: a first checkpoint, then
 	// records still to fold, then writes no Sync acked.
-	setup := func(t *testing.T) (d *Device, path string, cfg Config, want []byte) {
+	setup := func(t *testing.T) (d *Device, path string, cfg Config, ffs *faultfs.FS, want []byte) {
 		path = filepath.Join(t.TempDir(), "p.pool")
-		cfg = DefaultConfig(size)
+		cfg, ffs = faulty(DefaultConfig(size))
 		cfg.EpochLogSegmentBytes = 4 << 10
 		cfg.EpochLogCheckpointBytes = 1 << 30
 		d = openDelta(t, path, cfg)
@@ -146,10 +148,10 @@ func TestCheckpointFailsAtAnyRange(t *testing.T) {
 		}
 		want = d.Snapshot()
 		write(10)
-		return d, path, cfg, want
+		return d, path, cfg, ffs, want
 	}
 
-	d, _, _, _ := setup(t)
+	d, _, _, _, _ := setup(t)
 	ranges := 0
 	if err := d.EpochStore().Replay(func(rec epochlog.Record) error {
 		ranges += len(rec.Ranges)
@@ -157,19 +159,19 @@ func TestCheckpointFailsAtAnyRange(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stages := 1 + ranges + 1 // start, one per range, fsync
+	stages := 1 + ranges + 1 // open, one write per range, fsync
 	d.Close()
 
 	for _, k := range []int{1, 2, 3, stages / 2, stages - 1, stages} {
-		d, path, cfg, want := setup(t)
+		d, path, cfg, ffs, want := setup(t)
 		before, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		segs := segmentNames(t, path)
 		var calls atomic.Int64
-		d.SetFaultFn(func(op FaultOp) error {
-			if op == FaultCheckpoint && calls.Add(1) == int64(k) {
+		ffs.Set(func(op faultfs.Op) error {
+			if op.Path == path && calls.Add(1) == int64(k) {
 				return bang
 			}
 			return nil
@@ -190,7 +192,7 @@ func TestCheckpointFailsAtAnyRange(t *testing.T) {
 		if k > 2 && bytes.Equal(after, before) {
 			t.Fatalf("k=%d: the fold wrote nothing before failing; the mixed file is untested", k)
 		}
-		d.SetFaultFn(nil)
+		ffs.Set(nil)
 		d.Close()
 
 		re := openDelta(t, path, cfg)
@@ -208,13 +210,13 @@ func TestCheckpointFailsAtAnyRange(t *testing.T) {
 }
 
 // TestSyncCompletesWhileTheFoldIsHeld: the fold holds neither the device
-// lock nor the store's, so a Sync completes while a fault hook holds the
+// lock nor the store's, so a Sync completes while the medium holds the
 // fold part-way; the record it appends is not compacted by that fold and
 // survives a reopen.
 func TestSyncCompletesWhileTheFoldIsHeld(t *testing.T) {
 	const size = 1 << 14
 	path := filepath.Join(t.TempDir(), "p.pool")
-	cfg := DefaultConfig(size)
+	cfg, ffs := faulty(DefaultConfig(size))
 	cfg.EpochLogCheckpointBytes = 1 << 30
 	d := openDelta(t, path, cfg)
 	for i := 0; i < 4; i++ {
@@ -226,8 +228,8 @@ func TestSyncCompletesWhileTheFoldIsHeld(t *testing.T) {
 
 	held, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int64
-	d.SetFaultFn(func(op FaultOp) error {
-		if op == FaultCheckpoint && calls.Add(1) == 3 { // the second range write
+	ffs.Set(func(op faultfs.Op) error {
+		if op.Path == path && calls.Add(1) == 3 { // the second range write
 			close(held)
 			<-release
 		}
@@ -264,5 +266,58 @@ func TestSyncCompletesWhileTheFoldIsHeld(t *testing.T) {
 	d.Close()
 	if !bytes.Equal(openDelta(t, path, cfg).Snapshot(), want) {
 		t.Fatal("reopen lost the Sync that completed during the fold")
+	}
+}
+
+// TestCheckpointFoldOrder: the fold writes its ranges into the pool file in
+// place and fsyncs it once — no staging file, no rename — and only then does
+// compaction remove a segment.
+func TestCheckpointFoldOrder(t *testing.T) {
+	const size = 1 << 14
+	dir := t.TempDir()
+	path := filepath.Join(dir, "p.pool")
+	cfg, ffs := faulty(DefaultConfig(size))
+	cfg.EpochLogSegmentBytes = 1 << 10
+	cfg.EpochLogCheckpointBytes = 1 << 30
+	d := openDelta(t, path, cfg)
+	ranges := 0
+	for i := 0; i < 6; i++ {
+		d.Write(uint64(i*2048), bytes.Repeat([]byte{byte('a' + i)}, 300), 0)
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		ranges++
+	}
+	var ops []string
+	ffs.Set(func(op faultfs.Op) error {
+		if op.Kind == faultfs.WriteAt || op.Kind == faultfs.Sync || op.Kind == faultfs.Rename || op.Kind == faultfs.Remove {
+			rel, _ := filepath.Rel(dir, op.Path)
+			ops = append(ops, string(op.Kind)+" "+rel)
+		}
+		return nil
+	})
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Set(nil)
+	var fold []string
+	for range ranges {
+		fold = append(fold, "WriteAt p.pool")
+	}
+	fold = append(fold, "Sync p.pool")
+	if len(ops) < len(fold) || !slices.Equal(ops[:len(fold)], fold) {
+		t.Fatalf("checkpoint began %q, want %d range writes then one fsync of the pool file", ops, ranges)
+	}
+	removed := 0
+	for _, op := range ops[len(fold):] {
+		if strings.HasSuffix(op, " p.pool") || strings.HasPrefix(op, "Rename") {
+			t.Fatalf("after the fold's fsync the checkpoint ran %q; want only compaction (all ops %q)", op, ops)
+		}
+		if strings.HasPrefix(op, "Remove ") {
+			removed++
+		}
+	}
+	if removed == 0 {
+		t.Fatalf("the checkpoint compacted nothing: %q", ops)
 	}
 }

@@ -188,12 +188,10 @@ func (d *Device) epochValueLocked() uint64 {
 
 // Sync makes everything written since the previous Sync durable: one delta
 // record of the dirty ranges. A file-backed device appends it to the epoch
-// log and fsyncs only that append. An in-memory device has no file but
-// still consults the fault hook at the FaultFileSync stage, so durability
-// failures can be injected without file backing, and reports the size the
-// record would have had. On failure the ranges are re-marked dirty, so a
-// retried Sync re-persists them — the caller must treat the epoch as not
-// durable.
+// log and fsyncs only that append; on failure the ranges are re-marked
+// dirty, so a retried Sync re-persists them — the caller must treat the
+// epoch as not durable. An in-memory device has no file, so its Sync cannot
+// fail: it reports the size the record would have had.
 func (d *Device) Sync() error {
 	start := time.Now()
 	d.deltaMu.Lock()
@@ -210,17 +208,14 @@ func (d *Device) Sync() error {
 		if n, err = d.store.Append(epoch, ranges); err == nil {
 			d.SyncTimings.Append.Since(appendStart)
 		}
-	} else if err = d.faultAt(FaultFileSync); err == nil {
+	} else {
 		n = epochlog.RecordSize(ranges)
 	}
 	if err != nil {
 		d.mu.Lock()
 		d.restoreDirtyLocked(ranges)
 		d.mu.Unlock()
-		if d.path != "" {
-			err = fmt.Errorf("%s: %w", d.path, err)
-		}
-		return fmt.Errorf("pmem: sync: %w", err)
+		return fmt.Errorf("pmem: sync: %s: %w", d.path, err)
 	}
 	d.lastSyncBytes.Store(n)
 	d.SyncBytes.Add(uint64(n))
@@ -267,9 +262,6 @@ func (d *Device) Checkpoint() error {
 }
 
 func (d *Device) checkpoint() error {
-	if err := d.faultAt(FaultCheckpoint); err != nil {
-		return fmt.Errorf("pmem: checkpoint %s: %w", d.path, err)
-	}
 	d.foldMu.Lock()
 	defer d.foldMu.Unlock()
 	covered := d.store.LastSeq()
@@ -294,7 +286,7 @@ func (d *Device) checkpoint() error {
 // (the segment that straddled its covered) is written again, idempotently.
 func (d *Device) fold(covered uint64) (uint64, error) {
 	var n uint64
-	err := seglog.Patch(d.path, func(w io.WriterAt) error {
+	err := seglog.Patch(d.cfg.FS, d.path, func(w io.WriterAt) error {
 		return d.store.Scan(0, covered, func(rec epochlog.Record) error {
 			for _, r := range rec.Ranges {
 				if _, err := w.WriteAt(r.Data, int64(r.Addr)); err != nil {
@@ -304,13 +296,6 @@ func (d *Device) fold(covered uint64) (uint64, error) {
 			}
 			return nil
 		})
-	}, func(_ seglog.Stage, run func() error) error {
-		// Every write and the fsync go through the one FaultCheckpoint
-		// stage, so the FailSyncs schedules count commit fsyncs only.
-		if err := d.faultAt(FaultCheckpoint); err != nil {
-			return err
-		}
-		return run()
 	})
 	return n, err
 }
@@ -339,35 +324,5 @@ func (d *Device) Close() error {
 	if d.store != nil {
 		return d.store.Close()
 	}
-	return nil
-}
-
-// openStore attaches the epoch store to a file-backed device and replays
-// committed deltas onto the freshly loaded checkpoint image. Called from
-// Open after the checkpoint (pool file) is in memory.
-func (d *Device) openStore() error {
-	segBytes := d.cfg.EpochLogSegmentBytes
-	st, err := epochlog.Open(epochlog.Config{
-		Dir:          d.path + epochlog.DirSuffix,
-		SegmentBytes: segBytes,
-		Fault: func(st FaultOp) error {
-			if st == epochlog.StageAppendSync {
-				// The append fsync IS the media commit in delta mode: route
-				// it through the stage the FailSyncs schedules count.
-				st = FaultFileSync
-			}
-			return d.faultAt(st)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	err = st.Replay(func(rec epochlog.Record) error { return rec.Apply(d.media) })
-	if err != nil {
-		st.Close()
-		return fmt.Errorf("pmem: %s: %w", d.path, err)
-	}
-	d.store = st
-	d.replayInfo = st.Info()
 	return nil
 }

@@ -12,8 +12,17 @@ import (
 	"time"
 
 	"pax/internal/epochlog"
+	"pax/internal/faultfs"
 	"pax/internal/seglog"
 )
+
+// faulty puts cfg on a fresh faultfs, returned to arm once the device is
+// open.
+func faulty(cfg Config) (Config, *faultfs.FS) {
+	ffs := faultfs.New(nil)
+	cfg.FS = ffs
+	return cfg, ffs
+}
 
 func openDelta(t *testing.T, path string, cfg Config) *Device {
 	t.Helper()
@@ -414,7 +423,7 @@ func TestDeltaCrashMidCompaction(t *testing.T) {
 	// "mid-compaction": delete a middle segment instead of letting
 	// CompactThrough finish.
 	img := d.Snapshot()
-	if err := seglog.Publish(path, img, nil); err != nil {
+	if err := seglog.Publish(nil, path, img); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -446,14 +455,14 @@ func TestDeltaFailedAppendKeepsRangesDirty(t *testing.T) {
 	const size = 1 << 12
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := DefaultConfig(size)
+	cfg, ffs := faulty(DefaultConfig(size))
 	d := openDelta(t, path, cfg)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
 	bang := errors.New("injected media fault")
-	d.SetFaultFn(FailSyncs(1, bang))
+	ffs.Set(faultfs.FailSyncs(faultfs.In(path+epochlog.DirSuffix), 1, bang))
 	d.Write(64, []byte("must survive the retry"), 0)
 	if err := d.Sync(); err == nil {
 		t.Fatalf("sync should have failed")
@@ -480,10 +489,10 @@ func TestDeltaFailedAppendKeepsRangesDirty(t *testing.T) {
 func TestDeltaRetriedAppendCapturesCurrentBytes(t *testing.T) {
 	const size = 1 << 12
 	path := filepath.Join(t.TempDir(), "p.pool")
-	cfg := DefaultConfig(size)
+	cfg, ffs := faulty(DefaultConfig(size))
 	d := openDelta(t, path, cfg)
 
-	d.SetFaultFn(FailSyncs(1, errors.New("injected media fault")))
+	ffs.Set(faultfs.FailSyncs(faultfs.In(path+epochlog.DirSuffix), 1, errors.New("injected media fault")))
 	d.Write(512, []byte("stale bytes, staged by the failed attempt"), 0)
 	d.Write(2048, []byte("untouched between the attempts"), 0)
 	if err := d.Sync(); err == nil {
@@ -617,16 +626,16 @@ func TestUnsyncedDeviceTracksNothing(t *testing.T) {
 	}
 }
 
-// TestDeltaCheckpointFaultInjection: a FaultCheckpoint error defers the
+// TestDeltaCheckpointFaultInjection: a fault on the pool file defers the
 // checkpoint without hurting durability.
 func TestDeltaCheckpointFaultInjection(t *testing.T) {
 	const size = 1 << 12
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.pool")
-	cfg := DefaultConfig(size)
+	cfg, ffs := faulty(DefaultConfig(size))
 	d := openDelta(t, path, cfg)
-	d.SetFaultFn(func(op FaultOp) error {
-		if op == FaultCheckpoint {
+	ffs.Set(func(op faultfs.Op) error {
+		if op.Path == path {
 			return fmt.Errorf("injected checkpoint fault")
 		}
 		return nil
@@ -642,7 +651,7 @@ func TestDeltaCheckpointFaultInjection(t *testing.T) {
 		t.Fatalf("checkpoint failure not counted")
 	}
 	want := d.Snapshot()
-	d.SetFaultFn(nil)
+	ffs.Set(nil)
 	d.Close()
 	re := openDelta(t, path, cfg)
 	if !bytes.Equal(re.Snapshot(), want) {

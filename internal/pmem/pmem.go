@@ -21,7 +21,6 @@ package pmem
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -36,29 +35,6 @@ import (
 // atomicity of a single store (8 bytes on x86).
 const AtomicWriteUnit = 8
 
-// FaultOp identifies a media-durability stage a fault hook can fail: the
-// seglog stage vocabulary the epoch log runs through, plus FaultCheckpoint.
-// In-memory devices, which have no file to sync, consult only FaultFileSync
-// (modeling the media commit itself), so one fault schedule drives both
-// backings.
-type FaultOp = seglog.Stage
-
-// Sync and checkpoint stages.
-const (
-	// FaultAppend fails writing a delta record into the epoch log.
-	FaultAppend = seglog.StageAppend
-	// FaultFileSync fails the append's fsync (EIO-class) — the media commit
-	// itself. This is the stage the FailSyncs/FailSyncsAfter schedules count.
-	FaultFileSync = seglog.StageFsync
-	// FaultCheckpoint fails a checkpoint before its fold starts, before each
-	// range the fold writes into the pool file, and before the fsync that
-	// ends it; the log keeps every commit durable, so the failure only
-	// defers compaction.
-	FaultCheckpoint FaultOp = "checkpoint"
-	// FaultCompact fails deleting a checkpoint-covered segment.
-	FaultCompact = seglog.StageRemove
-)
-
 // Config parameterizes a Device.
 type Config struct {
 	// Size is the media capacity in bytes.
@@ -67,12 +43,9 @@ type Config struct {
 	ReadLatency, WriteLatency sim.Time
 	// ReadBandwidth and WriteBandwidth are channel rates in bytes/second.
 	ReadBandwidth, WriteBandwidth float64
-	// FaultFn, when set, is consulted before each media-durability stage; a
-	// non-nil return makes that stage fail with the returned error. Fault
-	// injection for tests and chaos harnesses — see FailSyncs and
-	// FailSyncsAfter for ready-made schedules. Installable after Open via
-	// SetFaultFn.
-	FaultFn func(FaultOp) error
+	// FS is where a file-backed device keeps its pool file and epoch log
+	// (nil means seglog.OS). An in-memory device has no file and ignores it.
+	FS seglog.FS
 
 	// EpochLogSegmentBytes is the segment roll threshold (0 = epochlog's
 	// default).
@@ -89,39 +62,6 @@ type Config struct {
 // DefaultCheckpointBytes is the default epoch-log size that triggers a
 // background checkpoint.
 const DefaultCheckpointBytes = 16 << 20
-
-// FailSyncs returns a fault schedule whose first n media syncs fail with err
-// and whose later ones succeed — a transient fault the medium recovers from.
-// The schedule counts FaultFileSync stages only, so one schedule means the
-// same thing on file-backed and in-memory devices. Safe for concurrent use.
-func FailSyncs(n int, err error) func(FaultOp) error {
-	var calls atomic.Int64
-	return func(op FaultOp) error {
-		if op != FaultFileSync {
-			return nil
-		}
-		if calls.Add(1) <= int64(n) {
-			return err
-		}
-		return nil
-	}
-}
-
-// FailSyncsAfter returns a fault schedule whose first k media syncs succeed
-// and whose later ones all fail with err — a persistent fault (dead device,
-// filesystem gone read-only). k=0 fails every sync. Counts like FailSyncs.
-func FailSyncsAfter(k int, err error) func(FaultOp) error {
-	var calls atomic.Int64
-	return func(op FaultOp) error {
-		if op != FaultFileSync {
-			return nil
-		}
-		if calls.Add(1) > int64(k) {
-			return err
-		}
-		return nil
-	}
-}
 
 // DefaultConfig returns an Optane-DCPMM-like device of the given size.
 func DefaultConfig(size int) Config {
@@ -162,9 +102,6 @@ type Device struct {
 	// writeHook, when set, observes every media write (crash-exploration
 	// tests record the exact durable-write sequence through it).
 	writeHook func(addr uint64, data []byte)
-
-	// faultFn, when set, can fail media-durability stages (see FaultOp).
-	faultFn func(FaultOp) error
 
 	// Delta epoch-store state — see delta.go. tracking starts at Open for a
 	// file-backed device and at the first Sync for an in-memory one, so a
@@ -232,7 +169,6 @@ func New(cfg Config) *Device {
 	return &Device{
 		cfg:       cfg,
 		media:     make([]byte, cfg.Size),
-		faultFn:   cfg.FaultFn,
 		ckptBytes: ckptBytes,
 		readBW:    sim.NewBandwidthMeter("pm-read", cfg.ReadBandwidth),
 		writeBW:   sim.NewBandwidthMeter("pm-write", cfg.WriteBandwidth),
@@ -251,51 +187,52 @@ func New(cfg Config) *Device {
 // is removed: it is never valid state, only leftover garbage that would
 // otherwise accumulate and confuse layout discovery.
 func Open(path string, cfg Config) (*Device, error) {
+	cfg.FS = seglog.OrOS(cfg.FS)
 	d := New(cfg)
 	d.path = path
 	d.tracking = true
-	if err := os.Remove(path + seglog.TempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := cfg.FS.Remove(path + seglog.TempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("pmem: removing stale temp for %s: %w", path, err)
 	}
-	f, err := os.Open(path)
+	f, err := cfg.FS.OpenFile(path, os.O_RDONLY, 0)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		// Publish the zero-filled checkpoint now so the invariant "a pool
 		// always has a checkpoint file" holds from the first commit on
 		// (layout discovery, size checks and the in-place fold rely on the
 		// file existing).
-		if err := seglog.Publish(path, d.media, nil); err != nil {
+		if err := seglog.Publish(cfg.FS, path, d.media); err != nil {
 			return nil, fmt.Errorf("pmem: open: %w", err)
 		}
 	case err != nil:
 		return nil, fmt.Errorf("pmem: open %s: %w", path, err)
 	default:
-		err := d.load(f)
+		// Load the checkpoint straight into the media, refusing a file whose
+		// size is not the configured one.
+		fi, err := f.Stat()
+		if err == nil && fi.Size() != int64(cfg.Size) {
+			err = fmt.Errorf("holds %d bytes, config wants %d", fi.Size(), cfg.Size)
+		}
+		if err == nil {
+			_, err = f.ReadAt(d.media, 0)
+		}
 		f.Close()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pmem: open %s: %w", path, err)
 		}
 	}
-	if err := d.openStore(); err != nil {
+	// Attach the epoch store and replay its committed deltas onto the
+	// checkpoint image just loaded.
+	st, err := epochlog.Open(epochlog.Config{Dir: path + epochlog.DirSuffix, SegmentBytes: cfg.EpochLogSegmentBytes, FS: cfg.FS})
+	if err != nil {
 		return nil, err
 	}
+	if err := st.Replay(func(rec epochlog.Record) error { return rec.Apply(d.media) }); err != nil {
+		st.Close()
+		return nil, fmt.Errorf("pmem: %s: %w", path, err)
+	}
+	d.store, d.replayInfo = st, st.Info()
 	return d, nil
-}
-
-// load reads the checkpoint straight into the media, refusing a file whose
-// size is not the configured one.
-func (d *Device) load(f *os.File) error {
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("pmem: open %s: %w", d.path, err)
-	}
-	if fi.Size() != int64(d.cfg.Size) {
-		return fmt.Errorf("pmem: %s holds %d bytes, config wants %d", d.path, fi.Size(), d.cfg.Size)
-	}
-	if _, err := io.ReadFull(f, d.media); err != nil {
-		return fmt.Errorf("pmem: open %s: %w", d.path, err)
-	}
-	return nil
 }
 
 // Size reports the media capacity in bytes.
@@ -386,25 +323,6 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 		d.media[addr+uint64(i)] = 0xCD
 	}
 	d.trackDirtyLocked(addr, n)
-}
-
-// SetFaultFn installs (or, with nil, clears) a fault hook on an open device;
-// the next durability stage consults it. See Config.FaultFn.
-func (d *Device) SetFaultFn(fn func(FaultOp) error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.faultFn = fn
-}
-
-// faultAt consults the fault hook for one durability stage.
-func (d *Device) faultAt(op FaultOp) error {
-	d.mu.Lock()
-	fn := d.faultFn
-	d.mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(op)
 }
 
 // Snapshot returns a copy of the full media image — what a post-crash

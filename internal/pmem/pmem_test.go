@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pax/internal/epochlog"
+	"pax/internal/faultfs"
 	"pax/internal/sim"
 )
 
@@ -202,13 +204,18 @@ func TestOpenCleansStaleTemp(t *testing.T) {
 }
 
 // TestSyncFaultLeavesOldImage: a failed Sync must not become durable,
-// whichever stage failed — a reopen recovers the previous Sync's image.
+// whether its record's write or its fsync failed — a reopen recovers the
+// previous Sync's image.
 func TestSyncFaultLeavesOldImage(t *testing.T) {
 	injected := errors.New("injected EIO")
-	for _, stage := range []FaultOp{FaultAppend, FaultFileSync} {
-		t.Run(string(stage), func(t *testing.T) {
+	for _, step := range []struct {
+		stage string
+		kind  faultfs.Kind
+	}{{"append", faultfs.WriteAt}, {"fsync", faultfs.Sync}} {
+		stage := step.stage
+		t.Run(stage, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "test.pool")
-			cfg := DefaultConfig(1024)
+			cfg, ffs := faulty(DefaultConfig(1024))
 			d, err := Open(path, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -219,9 +226,9 @@ func TestSyncFaultLeavesOldImage(t *testing.T) {
 			}
 
 			d.Write(0, []byte("new image"), 0)
-			stage := stage
-			d.SetFaultFn(func(op FaultOp) error {
-				if op == stage {
+			inLog := faultfs.In(path + epochlog.DirSuffix)
+			ffs.Set(func(op faultfs.Op) error {
+				if op.Kind == step.kind && inLog(op.Path) {
 					return injected
 				}
 				return nil
@@ -240,35 +247,6 @@ func TestSyncFaultLeavesOldImage(t *testing.T) {
 				t.Fatalf("stage %s: a failed sync became durable: %q", stage, got)
 			}
 		})
-	}
-}
-
-// TestFaultSchedules exercises the transient and persistent schedule
-// constructors on an in-memory device.
-func TestFaultSchedules(t *testing.T) {
-	injected := errors.New("injected fault")
-
-	cfg := DefaultConfig(64)
-	cfg.FaultFn = FailSyncs(2, injected)
-	d := New(cfg)
-	for i := 0; i < 2; i++ {
-		if err := d.Sync(); !errors.Is(err, injected) {
-			t.Fatalf("transient sync %d: got %v, want fault", i, err)
-		}
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatalf("transient fault did not clear: %v", err)
-	}
-
-	d2 := New(DefaultConfig(64))
-	d2.SetFaultFn(FailSyncsAfter(1, injected))
-	if err := d2.Sync(); err != nil {
-		t.Fatalf("sync before fail-after threshold: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := d2.Sync(); !errors.Is(err, injected) {
-			t.Fatalf("persistent sync %d: got %v, want fault", i, err)
-		}
 	}
 }
 

@@ -12,89 +12,56 @@ import (
 // of the target remove or ignore it.
 const TempSuffix = ".tmp"
 
-// Publish stages, in execution order; Patch runs the first two.
-const (
-	// StageWrite writes the staging file (Patch: one in-place write).
-	StageWrite Stage = "write-image"
-	// StageFsync fsyncs it, so every byte is on media before the rename can
-	// expose the file under the target's name (Patch: before it returns).
-	StageFsync Stage = "fsync"
-	// StageRename renames it over the target.
-	StageRename Stage = "rename"
-	// StageDirSync fsyncs the directory: without it a kernel crash shortly
-	// after the rename can resurrect the old directory entry, and with it
-	// the old contents, losing a publish already reported durable.
-	StageDirSync Stage = "dirsync"
-)
-
-// Hook wraps each stage of a Publish or Patch: it decides whether run happens (fault
-// injection returns an error instead) and may time it.
-type Hook func(st Stage, run func() error) error
-
-// Publish atomically replaces (or creates) the file at path with data: write
-// path+TempSuffix, fsync it, rename it over path, fsync the directory. A
-// crash at any point leaves either the old contents or the new ones, never a
-// torn mix, and once Publish returns the new contents survive power loss. On
-// failure before the rename the old contents are untouched and the staging
-// file is removed; a failed directory fsync leaves the new contents visible
-// but not yet known durable. A nil hook runs every stage.
-func Publish(path string, data []byte, hook Hook) error {
-	if hook == nil {
-		hook = func(_ Stage, run func() error) error { return run() }
-	}
+// Publish atomically replaces (or creates) the file at path with data,
+// through fs (nil means OS): write path+TempSuffix, fsync it, rename it over
+// path, fsync the directory. The tmp fsync comes before the rename so every
+// byte is on media before the target's name can expose the file; the
+// directory fsync comes after it, or a kernel crash shortly after the rename
+// could resurrect the old entry, and with it the old contents, losing a
+// publish already reported durable. A crash at any point leaves either the
+// old contents or the new ones, never a torn mix, and once Publish returns
+// the new contents survive power loss. On failure before the rename the old
+// contents are untouched and the staging file is removed; a failed directory
+// fsync leaves the new contents visible but not yet known durable.
+func Publish(fs FS, path string, data []byte) error {
+	fs = OrOS(fs)
 	tmp := path + TempSuffix
-	var f *os.File
-	stages := []struct {
-		st  Stage
-		run func() error
-	}{
-		{StageWrite, func() (err error) {
-			if f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644); err == nil {
-				_, err = f.Write(data)
-			}
-			return err
-		}},
-		{StageFsync, func() error {
-			if err := f.Sync(); err != nil {
-				return err
-			}
-			staged := f
-			f = nil
-			return staged.Close()
-		}},
-		{StageRename, func() error { return os.Rename(tmp, path) }},
-		{StageDirSync, func() error { return SyncDir(filepath.Dir(path)) }},
-	}
-	for _, s := range stages {
-		if err := hook(s.st, s.run); err != nil {
-			if f != nil {
-				f.Close()
-			}
-			os.Remove(tmp) // best effort; openers clear leftovers too
-			return fmt.Errorf("seglog: publish %s: %s: %w", path, s.st, err)
+	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = f.WriteAt(data, 0); err == nil {
+			err = f.Sync()
 		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		fs.Remove(tmp) // best effort; openers clear leftovers too
+		return fmt.Errorf("seglog: publish %s: %w", path, err)
+	}
+	if err := SyncDir(fs, filepath.Dir(path)); err != nil {
+		return fmt.Errorf("seglog: publish %s: %w", path, err)
 	}
 	return nil
 }
 
-// Patch updates the existing file at path in place: write gets a WriterAt on
-// it, each of whose writes is one StageWrite, and the file is then fsynced
-// (StageFsync). Unlike Publish it is not atomic — a crash or failure
-// part-way leaves any subset of the writes on media, and only a nil return
-// means all of them are durable — so it suits a caller that can redo the
-// writes from a log it keeps until Patch returns. A nil hook runs every
-// stage.
-func Patch(path string, write func(io.WriterAt) error, hook Hook) error {
-	if hook == nil {
-		hook = func(_ Stage, run func() error) error { return run() }
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+// Patch updates the existing file at path in place, through fs (nil means
+// OS): write gets the open file, and the file is then fsynced. Unlike
+// Publish it is not atomic — a crash or failure part-way leaves any subset
+// of the writes on media, and only a nil return means all of them are
+// durable — so it suits a caller that can redo the writes from a log it
+// keeps until Patch returns.
+func Patch(fs FS, path string, write func(io.WriterAt) error) error {
+	f, err := OrOS(fs).OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return fmt.Errorf("seglog: patch %s: %w", path, err)
 	}
-	err = write(patchWriter{f, hook})
+	err = write(f)
 	if err == nil {
-		err = hook(StageFsync, f.Sync)
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -103,32 +70,4 @@ func Patch(path string, write func(io.WriterAt) error, hook Hook) error {
 		return fmt.Errorf("seglog: patch %s: %w", path, err)
 	}
 	return nil
-}
-
-// patchWriter runs each WriteAt of a Patch as one StageWrite.
-type patchWriter struct {
-	f    *os.File
-	hook Hook
-}
-
-func (w patchWriter) WriteAt(p []byte, off int64) (n int, err error) {
-	err = w.hook(StageWrite, func() (err error) {
-		n, err = w.f.WriteAt(p, off)
-		return err
-	})
-	return n, err
-}
-
-// SyncDir fsyncs a directory so the creates, renames and removes in it are
-// durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -3,7 +3,8 @@
 // one atomic file publish and in-place patch (publish.go) beside it: the
 // file-level form of the PAX ordering rule — a record is on media before
 // anything that depends on it, and recovery trusts only what passes an
-// integrity check.
+// integrity check. Every file operation of it goes through one FS (fs.go),
+// the seam tests substitute to fail, hold or record them.
 //
 // A log is a directory of files seg-<index><ext>, each a 32-byte header and
 // consecutive framed records:
@@ -86,21 +87,6 @@ func (f Format) errorf(format string, args ...any) error {
 	return fmt.Errorf(f.Name+": "+format, args...)
 }
 
-// Stage identifies a durability step a fault hook can fail.
-type Stage string
-
-// Log stages. The publish stages are in publish.go.
-const (
-	// StageAppend fails writing a record into the active segment.
-	StageAppend Stage = "append"
-	// StageAppendSync fails the segment fsync that commits the record.
-	StageAppendSync Stage = "append-fsync"
-	// StageRoll fails starting the next segment.
-	StageRoll Stage = "roll"
-	// StageRemove fails deleting an oldest segment.
-	StageRemove Stage = "remove"
-)
-
 // Config parameterizes Open.
 type Config struct {
 	Dir    string
@@ -109,9 +95,8 @@ type Config struct {
 	// unless the active segment holds no record yet (a record larger than
 	// the cap gets a segment to itself).
 	SegmentBytes int64
-	// Fault, when set, is consulted before each stage; a non-nil return
-	// fails that stage with the returned error.
-	Fault func(Stage) error
+	// FS is where the segment files live (nil means OS).
+	FS FS
 	// ReadOnly opens for inspection: no directory creation, no repair, no
 	// appends. Tools use it on live or damaged logs.
 	ReadOnly bool
@@ -154,7 +139,7 @@ func (s *Segment) add(seq, stamp uint64, frame int) {
 type Log struct {
 	cfg  Config
 	segs []Segment // ascending Index; the last one is active
-	f    *os.File  // active segment; nil when read-only or closed
+	f    File      // active segment; nil when read-only or closed
 	// buf is Append's staging buffer, reused so the commit path allocates
 	// nothing per record.
 	buf []byte
@@ -167,14 +152,14 @@ type Log struct {
 	TornRoll string
 }
 
-// List returns the indices of the segment files in dir, ascending; a missing
-// directory holds none. A name that begins "seg-" and ends in the format's
-// extension claims to be a segment, so one that does not round-trip through
-// SegName is refused rather than skipped — skipping it would turn a renamed
-// segment into a silent sequence gap. Everything else (staging files, other
-// logs' segments, editor litter) is ignored.
-func List(dir string, f Format) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+// List returns the indices of the segment files in dir on fs (nil means OS),
+// ascending; a missing directory holds none. A name that begins "seg-" and
+// ends in the format's extension claims to be a segment, so one that does
+// not round-trip through SegName is refused rather than skipped — skipping
+// it would turn a renamed segment into a silent sequence gap. Everything
+// else (staging files, other logs' segments, editor litter) is ignored.
+func List(fs FS, dir string, f Format) ([]uint64, error) {
+	entries, err := OrOS(fs).ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
@@ -204,13 +189,14 @@ func List(dir string, f Format) ([]uint64, error) {
 // the two legal crash states and prepares it for appends, creating the
 // directory and first segment as needed.
 func Open(cfg Config) (*Log, error) {
+	cfg.FS = OrOS(cfg.FS)
 	l := &Log{cfg: cfg}
 	if !cfg.ReadOnly {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, l.errorf("%w", err)
 		}
 	}
-	indices, err := List(cfg.Dir, cfg.Format)
+	indices, err := List(cfg.FS, cfg.Dir, cfg.Format)
 	if err != nil {
 		return nil, err
 	}
@@ -225,9 +211,9 @@ func Open(cfg Config) (*Log, error) {
 		l.TornRoll = l.segs[n-1].Name
 		l.segs = l.segs[:n-1]
 		if !cfg.ReadOnly {
-			err := os.Remove(l.path(l.TornRoll))
+			err := cfg.FS.Remove(l.path(l.TornRoll))
 			if err == nil {
-				err = SyncDir(cfg.Dir)
+				err = SyncDir(cfg.FS, cfg.Dir)
 			}
 			if err != nil {
 				return nil, l.errorf("removing torn roll %s: %w", l.TornRoll, err)
@@ -255,7 +241,7 @@ func Open(cfg Config) (*Log, error) {
 		return l, nil
 	}
 	last := l.active()
-	f, err := os.OpenFile(l.path(last.Name), os.O_RDWR, 0o644)
+	f, err := cfg.FS.OpenFile(l.path(last.Name), os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, l.errorf("%w", err)
 	}
@@ -280,19 +266,12 @@ func (l *Log) errorf(format string, args ...any) error { return l.cfg.Format.err
 func (l *Log) path(name string) string                 { return filepath.Join(l.cfg.Dir, name) }
 func (l *Log) active() *Segment                        { return &l.segs[len(l.segs)-1] }
 
-func (l *Log) fault(st Stage) error {
-	if l.cfg.Fault == nil {
-		return nil
-	}
-	return l.cfg.Fault(st)
-}
-
 // scanFile scans one segment file of the log's directory. The records it
 // reports alias the file's image, read whole: a segment is bounded by
 // SegmentBytes or by the one record too large for it.
 func (l *Log) scanFile(index uint64, fn func(Header, []byte) error) (Segment, error) {
 	name := l.cfg.Format.SegName(index)
-	img, err := os.ReadFile(l.path(name))
+	img, err := ReadFile(l.cfg.FS, l.path(name))
 	if err != nil {
 		return Segment{}, l.errorf("%w", err)
 	}
@@ -417,9 +396,6 @@ func (l *Log) Append(n uint32, stamp, size uint64, fill func(body []byte)) (int6
 			return 0, err
 		}
 	}
-	if err := l.fault(StageAppend); err != nil {
-		return 0, l.errorf("append: %w", err)
-	}
 	seg, seq := l.active(), l.NextSeq()
 	buf := l.buf
 	if cap(buf) < total {
@@ -440,9 +416,6 @@ func (l *Log) Append(n uint32, stamp, size uint64, fill func(body []byte)) (int6
 	le.PutUint64(buf[crcAt+4:], l.cfg.Format.CommitMark)
 
 	_, err := l.f.WriteAt(buf, seg.End)
-	if err == nil {
-		err = l.fault(StageAppendSync)
-	}
 	if err == nil {
 		err = l.f.Sync()
 	}
@@ -471,11 +444,7 @@ func (l *Log) Roll() error {
 		index = l.active().Index + 1
 	}
 	name := l.cfg.Format.SegName(index)
-	err := l.fault(StageRoll)
-	var f *os.File
-	if err == nil {
-		f, err = os.OpenFile(l.path(name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	}
+	f, err := l.cfg.FS.OpenFile(l.path(name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return l.errorf("roll: %w", err)
 	}
@@ -483,15 +452,15 @@ func (l *Log) Roll() error {
 	le.PutUint64(hdr[0:], l.cfg.Format.SegMagic)
 	le.PutUint64(hdr[8:], segVersion)
 	le.PutUint64(hdr[16:], first)
-	if _, err = f.Write(hdr[:]); err == nil {
+	if _, err = f.WriteAt(hdr[:], 0); err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
-		err = SyncDir(l.cfg.Dir)
+		err = SyncDir(l.cfg.FS, l.cfg.Dir)
 	}
 	if err != nil {
 		f.Close()
-		os.Remove(l.path(name))
+		l.cfg.FS.Remove(l.path(name))
 		return l.errorf("roll: %w", err)
 	}
 	if l.f != nil {
@@ -516,18 +485,14 @@ func (l *Log) RemoveOldest(k int) error {
 	}
 	removed := false
 	for ; k > 0 && len(l.segs) > 1; k-- {
-		err := l.fault(StageRemove)
-		if err == nil {
-			err = os.Remove(l.path(l.segs[0].Name))
-		}
-		if err != nil {
+		if err := l.cfg.FS.Remove(l.path(l.segs[0].Name)); err != nil {
 			return l.errorf("remove: %w", err)
 		}
 		l.segs = l.segs[1:]
 		removed = true
 	}
 	if removed {
-		if err := SyncDir(l.cfg.Dir); err != nil {
+		if err := SyncDir(l.cfg.FS, l.cfg.Dir); err != nil {
 			return l.errorf("remove: %w", err)
 		}
 	}

@@ -2,7 +2,6 @@ package seglog
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -259,7 +258,7 @@ func TestDamageOutsideTheNewestSegmentIsRefused(t *testing.T) {
 			t.Run(c.name, func(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), "log")
 				buildLog(t, f, dir, rand.New(rand.NewSource(3)), 20)
-				indices, err := List(dir, f)
+				indices, err := List(nil, dir, f)
 				if err != nil || len(indices) < 3 {
 					t.Fatalf("need ≥3 segments, got %d (%v)", len(indices), err)
 				}
@@ -290,7 +289,7 @@ func TestSecondTornRollIsRefused(t *testing.T) {
 	f := formats[0]
 	dir := filepath.Join(t.TempDir(), "log")
 	buildLog(t, f, dir, rand.New(rand.NewSource(3)), 5)
-	indices, _ := List(dir, f)
+	indices, _ := List(nil, dir, f)
 	next := indices[len(indices)-1] + 1
 	for _, idx := range []uint64{next, next + 1} {
 		if err := os.WriteFile(filepath.Join(dir, f.SegName(idx)), nil, 0o644); err != nil {
@@ -299,117 +298,6 @@ func TestSecondTornRollIsRefused(t *testing.T) {
 	}
 	if _, err := Open(Config{Dir: dir, Format: f, SegmentBytes: 512, ReadOnly: true}); err == nil {
 		t.Fatal("two headerless segments accepted")
-	}
-}
-
-// TestFailedRollIsRetried: the new segment is created, headered and synced
-// before the swap, so a failed roll returns its error, leaves the log where
-// it was, and the next append rolls again and lands.
-func TestFailedRollIsRetried(t *testing.T) {
-	eachFormat(t, func(t *testing.T, f Format) {
-		dir := filepath.Join(t.TempDir(), "log")
-		injected := errors.New("injected ENOSPC")
-		failRolls := 0
-		l := openT(t, Config{Dir: dir, Format: f, SegmentBytes: 128, Fault: func(st Stage) error {
-			if st == StageRoll && failRolls > 0 {
-				failRolls--
-				return injected
-			}
-			return nil
-		}})
-		first, second := bytes.Repeat([]byte{1}, 64), bytes.Repeat([]byte{2}, 64)
-		mustAppend(t, l, 1, first)
-		failRolls = 1
-		if err := appendBody(l, 2, second); !errors.Is(err, injected) {
-			t.Fatalf("append across a failing roll = %v, want the injected fault", err)
-		}
-		if n := len(l.Segments()); n != 1 || l.NextSeq() != 2 {
-			t.Fatalf("failed roll left %d segments, NextSeq %d", n, l.NextSeq())
-		}
-		mustAppend(t, l, 2, second)
-		if n := len(l.Segments()); n != 2 {
-			t.Fatalf("retried roll left %d segments, want 2", n)
-		}
-		l.Close()
-		re := openT(t, Config{Dir: dir, Format: f, ReadOnly: true})
-		if got := collect(t, re, 1); len(got) != 2 || !bytes.Equal(got[1], second) {
-			t.Fatalf("replay after the retried roll = %d records", len(got))
-		}
-	})
-}
-
-// TestFailedAppendRewinds: a failed append consumes no sequence number and
-// leaves no bytes a later reopen could mistake for a record.
-func TestFailedAppendRewinds(t *testing.T) {
-	for _, stage := range []Stage{StageAppend, StageAppendSync} {
-		t.Run(string(stage), func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "log")
-			fail := false
-			l := openT(t, Config{Dir: dir, Format: formats[1], Fault: func(st Stage) error {
-				if st == stage && fail {
-					fail = false
-					return errors.New("injected")
-				}
-				return nil
-			}})
-			mustAppend(t, l, 1, []byte("good"))
-			fail = true
-			if err := appendBody(l, 2, []byte("doomed, and longer than its replacement")); err == nil {
-				t.Fatal("append should have failed")
-			}
-			if l.NextSeq() != 2 {
-				t.Fatalf("failed append consumed a sequence number: NextSeq %d", l.NextSeq())
-			}
-			mustAppend(t, l, 2, []byte("retried"))
-			l.Close()
-			re := openT(t, Config{Dir: dir, Format: formats[1], ReadOnly: true})
-			if got := collect(t, re, 1); len(got) != 2 || string(got[1]) != "retried" || re.TornBytes != 0 {
-				t.Fatalf("replay after retry = %q (torn %d)", got, re.TornBytes)
-			}
-		})
-	}
-}
-
-// TestRemoveOldest covers deletion and its crash matrix row: a failure
-// part-way leaves a shorter log that still opens, oldest segments gone.
-func TestRemoveOldest(t *testing.T) {
-	f := formats[0]
-	dir := filepath.Join(t.TempDir(), "log")
-	failAt := -1
-	l := openT(t, Config{Dir: dir, Format: f, SegmentBytes: 128, Fault: func(st Stage) error {
-		if st == StageRemove {
-			if failAt == 0 {
-				return errors.New("injected")
-			}
-			failAt--
-		}
-		return nil
-	}})
-	for i := 0; i < 6; i++ {
-		mustAppend(t, l, uint64(i), bytes.Repeat([]byte{byte(i)}, 64))
-	}
-	if n := len(l.Segments()); n != 6 {
-		t.Fatalf("expected one record per segment, got %d segments", n)
-	}
-	failAt = 1
-	if err := l.RemoveOldest(3); err == nil {
-		t.Fatal("remove should have failed on its second segment")
-	}
-	if segs := l.Segments(); len(segs) != 5 || segs[0].FirstSeq != 2 {
-		t.Fatalf("after a part-way failure: %d segments starting at seq %d", len(segs), segs[0].FirstSeq)
-	}
-	failAt = -1
-	if err := l.RemoveOldest(100); err != nil {
-		t.Fatal(err)
-	}
-	if segs := l.Segments(); len(segs) != 1 || segs[0].FirstSeq != 6 {
-		t.Fatalf("RemoveOldest must stop at the active segment: %+v", segs)
-	}
-	mustAppend(t, l, 7, []byte("still appendable"))
-	l.Close()
-	re := openT(t, Config{Dir: dir, Format: f, ReadOnly: true})
-	if got := collect(t, re, 6); len(got) != 2 {
-		t.Fatalf("reopen after removal replayed %d records, want 2", len(got))
 	}
 }
 
@@ -438,7 +326,7 @@ func TestRollRule(t *testing.T) {
 func TestListRule(t *testing.T) {
 	f := formats[0]
 	dir := t.TempDir()
-	if got, err := List(filepath.Join(dir, "absent"), f); err != nil || got != nil {
+	if got, err := List(nil, filepath.Join(dir, "absent"), f); err != nil || got != nil {
 		t.Fatalf("missing dir: %v, %v", got, err)
 	}
 	for _, name := range []string{"seg-00000010.seg", "seg-00000002.seg", "seg-00000002.bb", "seg-00000003.seg.tmp", "notes.txt", "seg-123456789.seg"} {
@@ -446,14 +334,14 @@ func TestListRule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := List(dir, f)
+	got, err := List(nil, dir, f)
 	if err != nil || fmt.Sprint(got) != "[2 10 123456789]" {
 		t.Fatalf("List = %v, %v; want [2 10 123456789] (numeric order, strangers ignored)", got, err)
 	}
 	for _, bad := range []string{"seg-3.seg", "seg-x.seg", "seg-.seg"} {
 		path := filepath.Join(dir, bad)
 		os.WriteFile(path, nil, 0o644)
-		if _, err := List(dir, f); err == nil || !strings.Contains(err.Error(), "malformed segment name") {
+		if _, err := List(nil, dir, f); err == nil || !strings.Contains(err.Error(), "malformed segment name") {
 			t.Fatalf("%s: List = %v, want a malformed-name refusal", bad, err)
 		}
 		os.Remove(path)

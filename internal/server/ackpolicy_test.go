@@ -111,7 +111,7 @@ func TestTCPAckApplyDelete(t *testing.T) {
 // on the medium; the commit itself still happens.
 func TestAckApplyPersistPolicy(t *testing.T) {
 	const syncTime = 300 * time.Millisecond
-	fleet, pool, eng := oneShard(t, Config{MaxBatch: 128})
+	fleet, eng, ffs := faultyFleet(t, "", 1, Config{MaxBatch: 128})
 	_, addr := serveTCP(t, fleet, AckDurable)
 	cl, err := wire.Dial(addr)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestAckApplyPersistPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForCommits(t, eng, 1)
-	slowMedium(pool, syncTime, false)
+	slowMedium(ffs, syncTime, false)
 	before := eng.Stats().GroupCommits.Load()
 	start := time.Now()
 	if _, err := cl.PersistFlags(wire.FlagAckApply); err != nil {

@@ -12,6 +12,8 @@ import (
 
 	"pax"
 	"pax/internal/blackbox"
+	"pax/internal/epochlog"
+	"pax/internal/faultfs"
 	"pax/internal/pmem"
 )
 
@@ -26,14 +28,64 @@ var errInjected = errors.New("injected EIO")
 // device reaches the simulated media under an engine's pool.
 func device(p *pax.Pool) *pmem.Device { return p.Internal().PM() }
 
+// logSyncs matches the epoch-log segment files of every pool on an FS: their
+// fsyncs are the media commits a fault schedule counts.
+func logSyncs(path string) bool {
+	return filepath.Ext(path) == ".seg" && strings.HasSuffix(filepath.Dir(path), epochlog.DirSuffix)
+}
+
+// faultyOpts is smallOpts on ffs, with regions shrunk to what a faulted
+// test writes: its pool is a real file, published zero-filled at creation.
+func faultyOpts(ffs *faultfs.FS) pax.Options {
+	opts := smallOpts()
+	opts.DataSize, opts.LogSize, opts.FS = 2<<20, 1<<20, ffs
+	return opts
+}
+
+// faultyEngine is newTestEngine on a file-backed pool — an in-memory pool
+// has no file to fault — whose files go through the returned faultfs. Path
+// "" puts the pool under t.TempDir().
+func faultyEngine(t *testing.T, path string, cfg Config) (*pax.Pool, *Engine, *faultfs.FS) {
+	t.Helper()
+	if path == "" {
+		path = filepath.Join(t.TempDir(), "kv.pool")
+	}
+	ffs := faultfs.New(nil)
+	pool, err := pax.MapPool(path, faultyOpts(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(pool, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool, eng, ffs
+}
+
+// faultyFleet is newSharded on files whose operations all go through the
+// returned faultfs, with shard 0's engine beside it. Path "" puts the fleet
+// under t.TempDir().
+func faultyFleet(t *testing.T, path string, shards int, cfg Config) (*ShardedEngine, *Engine, *faultfs.FS) {
+	t.Helper()
+	if path == "" {
+		path = filepath.Join(t.TempDir(), "kv.pool")
+	}
+	ffs := faultfs.New(nil)
+	fleet, err := OpenSharded(path, shards, faultyOpts(ffs), 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet, (*fleet.shards.Load())[0].eng, ffs
+}
+
 func TestChaosTransientFaultRetriesAndAcks(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, CommitRetryDelay: time.Millisecond})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 4, CommitRetryDelay: time.Millisecond})
 	defer pool.Close()
 	defer eng.Close()
 
 	// The first two sync attempts fail, the third succeeds: inside the
 	// default retry budget of 3, so the client must never see the fault.
-	device(pool).SetFaultFn(pmem.FailSyncs(2, errInjected))
+	ffs.Set(faultfs.FailSyncs(logSyncs, 2, errInjected))
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatalf("put through transient fault: %v", err)
 	}
@@ -52,13 +104,13 @@ func TestChaosTransientFaultRetriesAndAcks(t *testing.T) {
 }
 
 func TestChaosPersistentFaultSealsEngine(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
+	pool, eng, ffs := faultyEngine(t, "", Config{
 		MaxBatch:      4,
 		CommitRetries: -1, // no retries: every fault is immediately persistent
 	})
 	defer pool.Close()
 
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	_, err := eng.Put([]byte("k"), []byte("v"))
 	if !errors.Is(err, ErrSealed) {
 		t.Fatalf("put on failing media: %v, want ErrSealed", err)
@@ -93,7 +145,7 @@ func TestChaosShardIsolation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.pool")
 	cfg := Config{MaxBatch: 8, CommitRetries: -1}
-	s := newSharded(t, path, 4, cfg)
+	s, _, ffs := faultyFleet(t, path, 4, cfg)
 
 	const keys = 64
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d", i)) }
@@ -109,7 +161,7 @@ func TestChaosShardIsolation(t *testing.T) {
 
 	// Inject a persistent fault into shard 0's media only.
 	const sick = 0
-	device((*s.shards.Load())[sick].pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(faultfs.In(ShardPath(path, sick)+epochlog.DirSuffix), 0, errInjected))
 
 	// Phase 2: the sick shard's keyspace fails (never acks); every other
 	// shard keeps acking.
@@ -271,13 +323,13 @@ func TestChaosApplyPanicSealsOnlyItsShard(t *testing.T) {
 // whose media is failing while Close runs: nothing may panic or deadlock,
 // no write may ack, and Close must surface the seal.
 func TestChaosCloseRacesFailingCommit(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
+	pool, eng, ffs := faultyEngine(t, "", Config{
 		MaxBatch:      4,
 		CommitRetries: -1,
 	})
 	defer pool.Close()
 
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -302,13 +354,13 @@ func TestChaosCloseRacesFailingCommit(t *testing.T) {
 // ack: the shutdown epoch-seal itself fails, and Close must say so instead
 // of reporting a clean shutdown.
 func TestChaosCloseSurfacesFinalCommitFailure(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4, CommitRetries: -1})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 4, CommitRetries: -1})
 	defer pool.Close()
 
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	if err := eng.Close(); !errors.Is(err, ErrSealed) {
 		t.Fatalf("close with failing final commit = %v, want ErrSealed", err)
 	}

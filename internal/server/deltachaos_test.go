@@ -10,7 +10,7 @@ import (
 
 	"pax"
 	"pax/internal/epochlog"
-	"pax/internal/pmem"
+	"pax/internal/faultfs"
 )
 
 // This file is the chaos harness for the epoch store at the file level: the
@@ -113,7 +113,8 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 // retry budget is invisible to the client.
 func TestDeltaTransientFaultRetriesAndAcks(t *testing.T) {
 	dir := t.TempDir()
-	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), smallOpts())
+	ffs := faultfs.New(nil)
+	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), faultyOpts(ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestDeltaTransientFaultRetriesAndAcks(t *testing.T) {
 	}
 	defer eng.Close()
 
-	device(pool).SetFaultFn(pmem.FailSyncs(2, errInjected))
+	ffs.Set(faultfs.FailSyncs(logSyncs, 2, errInjected))
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatalf("put through transient delta fault: %v", err)
 	}
@@ -143,7 +144,8 @@ func TestDeltaTransientFaultRetriesAndAcks(t *testing.T) {
 // engine fail-stop.
 func TestDeltaPersistentFaultSealsEngine(t *testing.T) {
 	dir := t.TempDir()
-	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), smallOpts())
+	ffs := faultfs.New(nil)
+	pool, err := pax.CreatePool(filepath.Join(dir, "kv.pool"), faultyOpts(ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestDeltaPersistentFaultSealsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	if _, err := eng.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrSealed) {
 		t.Fatalf("put on failing delta media: %v, want ErrSealed", err)
 	}
@@ -198,7 +200,7 @@ func TestShardedEpochLogDiscoveryAndOverwrite(t *testing.T) {
 
 	// The .epochlog directories match the kv.pool.shard-* glob; discovery
 	// must not count them as shards.
-	n, err := DiscoverShards(path)
+	n, err := DiscoverShards(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"pax"
-	"pax/internal/pmem"
+	"pax/internal/faultfs"
 )
 
 func smallOpts() pax.Options {
@@ -67,9 +67,9 @@ func TestEngineBasicOps(t *testing.T) {
 	}
 }
 
-// testMedium puts a test pool's media commit under the test's control
-// through a FaultFileSync hook, so the writer really sits inside Persist — as
-// behind a slow fsync — while requests queue behind it.
+// testMedium puts a test pool's media commit — its epoch-log fsync — under
+// the test's control through the pool's faultfs, so the writer really sits
+// inside Persist — as behind a slow fsync — while requests queue behind it.
 type testMedium struct {
 	syncs   chan struct{} // a token per sync that reached the medium
 	release chan struct{} // nil: syncs are only delayed
@@ -77,16 +77,16 @@ type testMedium struct {
 	err     error // what every released sync returns
 }
 
-// slowMedium makes every media sync of pool sleep delay and then, with hold,
+// slowMedium makes every media sync on ffs sleep delay and then, with hold,
 // block until releaseWith. A held medium must be released before the engine
 // or the pool is closed: both sync it.
-func slowMedium(pool *pax.Pool, delay time.Duration, hold bool) *testMedium {
+func slowMedium(ffs *faultfs.FS, delay time.Duration, hold bool) *testMedium {
 	m := &testMedium{syncs: make(chan struct{}, 64)}
 	if hold {
 		m.release = make(chan struct{})
 	}
-	device(pool).SetFaultFn(func(op pmem.FaultOp) error {
-		if op != pmem.FaultFileSync {
+	ffs.Set(func(op faultfs.Op) error {
+		if op.Kind != faultfs.Sync || !logSyncs(op.Path) {
 			return nil
 		}
 		select {
@@ -182,10 +182,10 @@ func TestIdleEngineSealsAtOnce(t *testing.T) {
 // goroutines that arrive while a commit is on the medium land in the same
 // epoch and are acked by one snapshot.
 func TestConcurrentPutsShareEpoch(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 64})
 	defer pool.Close()
 	defer eng.Close()
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 	holdCommit(t, eng, m)
 
@@ -230,10 +230,10 @@ func TestConcurrentPutsShareEpoch(t *testing.T) {
 // what queues up behind them, never when a batch seals.
 func TestSlowCommitsStillSealIdle(t *testing.T) {
 	const syncTime = 30 * time.Millisecond
-	pool, eng := newTestEngine(t, "", Config{})
+	pool, eng, ffs := faultyEngine(t, "", Config{})
 	defer pool.Close()
 	defer eng.Close()
-	slowMedium(pool, syncTime, false)
+	slowMedium(ffs, syncTime, false)
 
 	for _, key := range []string{"first", "second"} {
 		if _, err := eng.Put([]byte(key), []byte("v")); err != nil {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"pax/internal/blackbox"
-	"pax/internal/pmem"
+	"pax/internal/faultfs"
 	"pax/internal/wire"
 )
 
@@ -50,13 +50,13 @@ func TestEventHubSink(t *testing.T) {
 // commit_failed record that explains the failure, then the seal transition —
 // and exactly one seal event no matter how many writes bounce afterwards.
 func TestEngineSealEmitsEvents(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
+	pool, eng, ffs := faultyEngine(t, "", Config{
 		MaxBatch:      4,
 		CommitRetries: -1,
 	})
 	defer pool.Close()
 
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	if _, err := eng.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrSealed) {
 		t.Fatalf("put on failing media: %v, want ErrSealed", err)
 	}
@@ -90,7 +90,7 @@ func TestEngineSealEmitsEvents(t *testing.T) {
 // The EVENTS wire op is answered inline, so a fleet whose only shard sealed
 // still serves its event ring — the same contract TRACE and STATS have.
 func TestEventsWireOpOnSealedEngine(t *testing.T) {
-	fleet, pool, _ := oneShard(t, Config{
+	fleet, _, ffs := faultyFleet(t, "", 1, Config{
 		MaxBatch:      4,
 		CommitRetries: -1,
 	})
@@ -114,7 +114,7 @@ func TestEventsWireOpOnSealedEngine(t *testing.T) {
 		t.Fatalf("EVENTS body: %v\n%s", err, body)
 	}
 
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	if _, err := cl.Put([]byte("k2"), []byte("v2")); err == nil {
 		t.Fatal("put on failing media succeeded")
 	}
@@ -167,7 +167,7 @@ func replayJournal(t *testing.T, dir string) (map[string][]Event, int) {
 // replayed cold), the journal alone must name the cause: the open events,
 // the failing commit record, and the seal with the injected error.
 func TestBlackboxCapturesInjectedSeal(t *testing.T) {
-	eng := newSharded(t, "", 2, Config{
+	eng, _, ffs := faultyFleet(t, "", 2, Config{
 		MaxBatch:      4,
 		CommitRetries: -1,
 	})
@@ -182,8 +182,7 @@ func TestBlackboxCapturesInjectedSeal(t *testing.T) {
 	if len(pools) != 2 {
 		t.Fatalf("ShardPools = %d, want 2", len(pools))
 	}
-	pools[0].Internal().PM().SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
-	pools[1].Internal().PM().SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 
 	var sawErr bool
 	for i := 0; i < 64 && !sawErr; i++ {

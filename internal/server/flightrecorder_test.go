@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"pax"
-	"pax/internal/pmem"
+	"pax/internal/faultfs"
 	"pax/internal/stats"
 	"pax/internal/wire"
 )
@@ -133,10 +133,10 @@ func TestEngineTraceRecordsCommits(t *testing.T) {
 // then the batch) returns the number to compare against.
 func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
 	const n = 16
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 64})
 	defer pool.Close()
 	defer eng.Close()
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 	holdCommit(t, eng, m)
 	// Enqueued from one goroutine while the writer is held: applied in this
@@ -193,7 +193,7 @@ func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
 // A fleet whose shard sealed must still answer TRACE — the record explaining
 // the seal is pinned, and reading it is the whole point of the recorder.
 func TestEngineTraceSurvivesSeal(t *testing.T) {
-	fleet, pool, _ := oneShard(t, Config{
+	fleet, _, ffs := faultyFleet(t, "", 1, Config{
 		MaxBatch:      4,
 		CommitRetries: -1, SlowCommit: -1,
 	})
@@ -202,7 +202,7 @@ func TestEngineTraceSurvivesSeal(t *testing.T) {
 	if _, err := fleet.Put([]byte("ok"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	if _, err := fleet.Put([]byte("doomed"), []byte("v")); !errors.Is(err, ErrSealed) {
 		t.Fatalf("put on faulted media: %v", err)
 	}

@@ -14,9 +14,9 @@ import (
 // property of the commit path alone — a batch is whatever arrived while the
 // previous commit was on the medium.
 func TestLoadgenAmortization(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 64})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 64})
 	defer pool.Close()
-	slowMedium(pool, 2*time.Millisecond, false)
+	slowMedium(ffs, 2*time.Millisecond, false)
 
 	const (
 		clients      = 64

@@ -2,10 +2,9 @@ package server
 
 import (
 	"fmt"
-	"os"
 
 	"pax/internal/blackbox"
-	"pax/internal/epochlog"
+	"pax/internal/seglog"
 )
 
 // This file is the inverse of Split: Merge drains one shard and shrinks the
@@ -182,7 +181,7 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	next.Seq++
 	next.Shards = top
 	if s.persistMap {
-		if err := next.Save(s.path); err != nil {
+		if err := next.Save(s.opts.FS, s.path); err != nil {
 			rep.Seq = s.route.Load().Seq
 			return rep, fmt.Errorf("server: publishing shrunk slot map: %w", err)
 		}
@@ -215,13 +214,10 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	}
 	if s.path != "" {
 		sp := ShardPath(s.path, top)
-		if err := os.RemoveAll(sp + epochlog.DirSuffix); err != nil {
-			s.logf("server: merge: removing retired shard %d epoch log: %v", top, err)
+		if err := removePool(s.opts.FS, sp); err != nil {
+			s.logf("server: merge: removing retired shard %d: %v", top, err)
 		}
-		if err := os.Remove(sp); err != nil && !os.IsNotExist(err) {
-			s.logf("server: merge: removing retired shard %d file: %v", top, err)
-		}
-		_ = os.Remove(sp + ".tmp")
+		_ = s.opts.FS.Remove(sp + seglog.TempSuffix)
 	}
 	s.reshard.merges.Add(1)
 	s.logf("server: merge: shard %d drained to %d, shard %d retired (%d shards, %d slots, %d keys moved)",

@@ -146,7 +146,7 @@ func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 	}
 
 	// The shrunk layout must reopen cleanly and still hold every key.
-	n, err := DiscoverShards(pool)
+	n, err := DiscoverShards(nil, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestMergeCrashStages(t *testing.T) {
 		}
 		eng.Crash()
 
-		n, err := DiscoverShards(pool)
+		n, err := DiscoverShards(nil, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestMergeCrashStages(t *testing.T) {
 		// All slots left shard 2 but the shrink never published: reopen
 		// finds 3 files, shard 2 owns zero slots, and the next Split adopts
 		// it instead of creating a fourth shard.
-		n, err := DiscoverShards(pool)
+		n, err := DiscoverShards(nil, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestMergeCrashStages(t *testing.T) {
 		// The shrunk map published but the file survived: a map counting
 		// fewer shards than there are files is the legal adoptable-leftover
 		// state, and a clean merge afterwards converges it fully.
-		n, err := DiscoverShards(pool)
+		n, err := DiscoverShards(nil, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func TestMergeCrashStages(t *testing.T) {
 		if files := shardFilesOnDisk(t, pool); files != 2 {
 			t.Fatalf("%d shard files on disk after converging merge, want 2", files)
 		}
-		n, err = DiscoverShards(pool)
+		n, err = DiscoverShards(nil, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -347,7 +347,7 @@ func (s *ShardedEngine) migrateSlot(slot, dst int) (moved int, err error) {
 		next.Shards = dst + 1
 	}
 	if s.persistMap {
-		if err := next.Save(s.path); err != nil {
+		if err := next.Save(s.opts.FS, s.path); err != nil {
 			return 0, fmt.Errorf("publishing slot map: %w", err)
 		}
 	}

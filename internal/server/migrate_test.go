@@ -74,7 +74,7 @@ func TestSplitMovesOnlyMovedSlotKeys(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := DiscoverShards(pool)
+	n, err := DiscoverShards(nil, pool)
 	if err != nil || n != 3 {
 		t.Fatalf("discover after split: %d %v", n, err)
 	}
@@ -150,7 +150,7 @@ func TestSplitUnderConcurrentWritersNoAckedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n, err := DiscoverShards(pool)
+	n, err := DiscoverShards(nil, pool)
 	if err != nil || n != 3 {
 		t.Fatalf("discover after crash: %d %v", n, err)
 	}

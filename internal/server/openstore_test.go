@@ -127,7 +127,7 @@ func TestMissingSlotMapOnFreshFleetIsRewritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyKeys(t, eng, []string{"k"})
-	m, err := LoadSlotMap(path)
+	m, err := LoadSlotMap(nil, path)
 	if err != nil || m == nil {
 		t.Fatalf("sidecar not rewritten: %v %v", m, err)
 	}

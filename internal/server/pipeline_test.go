@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"pax"
-	"pax/internal/pmem"
+	"pax/internal/faultfs"
 )
 
 // This file tests the commit path — one writer goroutine that applies, seals,
@@ -49,7 +49,7 @@ func TestRetryDelayClamp(t *testing.T) {
 // queue, because acking it would reorder durability past a hole — and the
 // engine seals.
 func TestPipelineFailureFailsAllSealedEpochs(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
+	pool, eng, ffs := faultyEngine(t, "", Config{
 		MaxBatch:      1,
 		CommitRetries: 2, CommitRetryDelay: 25 * time.Millisecond,
 	})
@@ -57,7 +57,7 @@ func TestPipelineFailureFailsAllSealedEpochs(t *testing.T) {
 
 	// Every sync fails: batch 1's persist retries for ~75ms before sealing,
 	// which is the window k2 is enqueued in.
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
@@ -139,8 +139,8 @@ func failingPut(t *testing.T, eng *Engine) <-chan error {
 // nothing acks, and recovery rolls the epoch back.
 func TestCrashCutsRetryBackoffShort(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "backoff.pool")
-	pool, eng := newTestEngine(t, path, Config{CommitRetries: 5, CommitRetryDelay: 500 * time.Millisecond})
-	device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+	pool, eng, ffs := faultyEngine(t, path, Config{CommitRetries: 5, CommitRetryDelay: 500 * time.Millisecond})
+	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	done := failingPut(t, eng)
 
 	start := time.Now()
@@ -166,9 +166,9 @@ func TestCrashCutsRetryBackoffShort(t *testing.T) {
 // TestCloseRunsTheRetryBudget: a graceful Close during a backoff lets the
 // retries run, and one that succeeds still acks.
 func TestCloseRunsTheRetryBudget(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{CommitRetries: 3, CommitRetryDelay: 20 * time.Millisecond})
+	pool, eng, ffs := faultyEngine(t, "", Config{CommitRetries: 3, CommitRetryDelay: 20 * time.Millisecond})
 	defer pool.Close()
-	device(pool).SetFaultFn(pmem.FailSyncs(2, errInjected))
+	ffs.Set(faultfs.FailSyncs(logSyncs, 2, errInjected))
 	done := failingPut(t, eng)
 
 	if err := eng.Close(); err != nil {
@@ -215,24 +215,24 @@ func TestOneWriterGoroutinePerEngine(t *testing.T) {
 	}
 	for _, end := range []struct {
 		name string
-		stop func(*pax.Pool, *Engine)
+		stop func(*faultfs.FS, *Engine)
 	}{
-		{"Close", func(_ *pax.Pool, eng *Engine) { eng.Close() }},
-		{"Crash", func(_ *pax.Pool, eng *Engine) { eng.Crash() }},
-		{"seal, then Close", func(pool *pax.Pool, eng *Engine) {
-			device(pool).SetFaultFn(pmem.FailSyncsAfter(0, errInjected))
+		{"Close", func(_ *faultfs.FS, eng *Engine) { eng.Close() }},
+		{"Crash", func(_ *faultfs.FS, eng *Engine) { eng.Crash() }},
+		{"seal, then Close", func(ffs *faultfs.FS, eng *Engine) {
+			ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 			if _, err := eng.Put([]byte("x"), []byte("v")); !errors.Is(err, ErrSealed) {
 				t.Fatalf("put on failing media: %v, want ErrSealed", err)
 			}
 			eng.Close()
 		}},
 	} {
-		pool, eng := newTestEngine(t, "", Config{CommitRetries: -1})
+		pool, eng, ffs := faultyEngine(t, "", Config{CommitRetries: -1})
 		if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		want("open engine", 1)
-		end.stop(pool, eng)
+		end.stop(ffs, eng)
 		want("after "+end.name, 0)
 		pool.Close()
 	}
@@ -253,7 +253,7 @@ func TestOneWriterGoroutinePerEngine(t *testing.T) {
 // and the queued ones must all roll back, and every acked write must survive.
 func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pipecrash.pool")
-	pool, eng := newTestEngine(t, path, Config{MaxBatch: 4})
+	pool, eng, ffs := faultyEngine(t, path, Config{MaxBatch: 4})
 
 	const clients = 16
 	type oplog struct {
@@ -280,7 +280,7 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 		}(c)
 	}
 	pollUntil(t, "writes are acked", func() bool { return eng.Stats().AckedWrites.Load() >= 64 })
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	m.awaitSync(t)
 	awaitQueued(t, eng, 1)
 	crashed := make(chan struct{})
@@ -331,9 +331,9 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 // back — acked or not. That rollback is the documented trade, not a bug.
 func TestAckApplyRollbackIsTheDocumentedContract(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "applyroll.pool")
-	pool, eng := newTestEngine(t, path, Config{})
+	pool, eng, ffs := faultyEngine(t, path, Config{})
 	// The write's commit reaches the medium, which never completes it.
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 
 	if _, err := eng.PutPolicy([]byte("k"), []byte("v"), AckApply); err != nil {
 		t.Fatalf("ack-on-apply put: %v", err)
@@ -372,10 +372,10 @@ func TestAckApplyRollbackIsTheDocumentedContract(t *testing.T) {
 // sit out a full one.
 func TestAckApplyDecouplesAckFromMedia(t *testing.T) {
 	const syncTime = 50 * time.Millisecond
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 4})
 	defer pool.Close()
 	defer eng.Close()
-	slowMedium(pool, syncTime, false)
+	slowMedium(ffs, syncTime, false)
 
 	t0 := time.Now()
 	if _, err := eng.PutPolicy([]byte("fast"), []byte("v"), AckApply); err != nil {

@@ -15,7 +15,7 @@ import (
 // flight no longer blanks out reads. The writer sits in a commit whose sync
 // the medium holds while GETs complete against the index.
 func TestGetServedDuringCommitInFlight(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 1})
 	defer pool.Close()
 	defer eng.Close()
 
@@ -23,7 +23,7 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 	if _, err := eng.Put([]byte("warm"), []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 
 	putDone := make(chan struct{})
@@ -111,10 +111,10 @@ func TestReadYourWritesAfterAck(t *testing.T) {
 // of the contract: a read may observe an applied write whose group commit is
 // still in flight — the same window queued reads always had.
 func TestGetObservesAppliedBeforeDurable(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{MaxBatch: 1})
+	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 1})
 	defer pool.Close()
 	defer eng.Close()
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 
 	putDone := make(chan struct{})
@@ -228,12 +228,12 @@ func TestCrashRebuildNeverServesRolledBackValue(t *testing.T) {
 // Crash must not wait out their EnqueueTimeout (begin used to hold the
 // engine's read lock across the whole wait, blocking markClosed).
 func TestCrashNotStalledByFullQueue(t *testing.T) {
-	pool, eng := newTestEngine(t, "", Config{
+	pool, eng, ffs := faultyEngine(t, "", Config{
 		MaxBatch:   1,
 		QueueDepth: 1, EnqueueTimeout: 30 * time.Second,
 	})
 	defer pool.Close()
-	slowMedium(pool, 100*time.Millisecond, false)
+	slowMedium(ffs, 100*time.Millisecond, false)
 
 	const writers = 16
 	var wg sync.WaitGroup
@@ -260,7 +260,7 @@ func TestCrashNotStalledByFullQueue(t *testing.T) {
 // GET on one connection completes while another connection's PUT commit is
 // in flight on the same shard.
 func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
-	fleet, pool, _ := oneShard(t, Config{MaxBatch: 1})
+	fleet, _, ffs := faultyFleet(t, "", 1, Config{MaxBatch: 1})
 	_, addr := serveTCP(t, fleet, AckDurable)
 
 	writer, err := wire.Dial(addr)
@@ -277,7 +277,7 @@ func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 	if _, err := writer.Put([]byte("warm"), []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 
 	putDone := make(chan struct{})

@@ -131,8 +131,8 @@ func TestTCPEndToEnd(t *testing.T) {
 // share group commits — the server dispatches a connection's requests
 // concurrently, in wire order — when they arrive behind a commit in flight.
 func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
-	fleet, pool, eng := oneShard(t, Config{MaxBatch: 64})
-	m := slowMedium(pool, 0, true)
+	fleet, eng, ffs := faultyFleet(t, "", 1, Config{MaxBatch: 64})
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 	_, addr := serveTCP(t, fleet, AckDurable)
 
@@ -290,11 +290,11 @@ func (c *rawClient) recv(within time.Duration, what string) wire.Response {
 // has reached the medium, so by then every GET is pending and the writer
 // cannot catch up again by winning a race against the reader.
 func TestResolvedResponsesShareOneWrite(t *testing.T) {
-	fleet, pool, eng := oneShard(t, Config{})
+	fleet, eng, ffs := faultyFleet(t, "", 1, Config{})
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 	resume := make(chan struct{})
 	lis := tap(t, func(n int64) {
@@ -344,11 +344,11 @@ func awaitClosed(c chan struct{}) {
 // the case a writer that flushed only when nothing was pending would get
 // wrong.
 func TestResolvedResponseNotHeldBehindCommit(t *testing.T) {
-	fleet, pool, eng := oneShard(t, Config{})
+	fleet, eng, ffs := faultyFleet(t, "", 1, Config{})
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	m := slowMedium(pool, 0, true)
+	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
 	held, resume := make(chan struct{}), make(chan struct{})
 	lis := tap(t, func(n int64) {

@@ -151,8 +151,8 @@ var ErrBarePool = errors.New("server: bare pool file")
 
 // barePoolErr returns the refusal for a bare pool file at path, naming the
 // two renames that turn it into a one-shard fleet, or nil when there is none.
-func barePoolErr(path string) error {
-	if _, err := os.Stat(path); err != nil {
+func barePoolErr(fs seglog.FS, path string) error {
+	if _, err := fs.Stat(path); err != nil {
 		return nil
 	}
 	sp := ShardPath(path, 0)
@@ -160,37 +160,51 @@ func barePoolErr(path string) error {
 		ErrBarePool, path, path, sp, path+epochlog.DirSuffix, sp+epochlog.DirSuffix)
 }
 
-// DiscoverShards inspects the files at path and reports how many shards a
-// previous run left behind: N for a contiguous <path>.shard-0..N-1 set, 0 for
-// nothing. A bare <path> pool file is refused (see barePoolErr) with nothing
-// on disk touched. A gap in the shard sequence is corruption worth refusing
-// to guess at, and so is a slot map that references more shards than there
-// are files — those slots' keys would have nowhere to live. A slot map
-// referencing *fewer* shards is fine: a crash between Split creating a shard
-// file and the first cutover publishing it leaves exactly that, and the extra
-// shard simply owns zero slots until the next split adopts it.
-func DiscoverShards(path string) (int, error) {
+// shardFiles lists, through fs, what the pattern <path>.shard-* names: the
+// shard pool files beside path, their epoch-log directories and litter.
+func shardFiles(fs seglog.FS, path string) ([]string, error) {
+	entries, err := fs.ReadDir(filepath.Dir(path))
+	if errors.Is(err, os.ErrNotExist) {
+		err = nil
+	}
+	var out []string
+	for _, e := range entries {
+		if rest, ok := strings.CutPrefix(e.Name(), filepath.Base(path)+".shard-"); ok {
+			out = append(out, path+".shard-"+rest)
+		}
+	}
+	return out, err
+}
+
+// DiscoverShards inspects the files at path on fs (nil means seglog.OS) and
+// reports how many shards a previous run left behind: N for a contiguous
+// <path>.shard-0..N-1 set, 0 for nothing. A bare <path> pool file is refused
+// (see barePoolErr) with nothing on disk touched. A gap in the shard sequence
+// is corruption worth refusing to guess at, and so is a slot map that
+// references more shards than there are files — those slots' keys would
+// have nowhere to live. A slot map referencing *fewer* shards is fine: a
+// crash between Split creating a shard file and the first cutover publishing
+// it leaves exactly that, and the extra shard simply owns zero slots until
+// the next split adopts it.
+func DiscoverShards(fs seglog.FS, path string) (int, error) {
 	if path == "" {
 		return 0, nil
 	}
-	if err := barePoolErr(path); err != nil {
+	fs = seglog.OrOS(fs)
+	if err := barePoolErr(fs, path); err != nil {
 		return 0, err
 	}
-	matches, err := filepath.Glob(path + ".shard-*")
+	matches, err := shardFiles(fs, path)
 	if err != nil {
 		return 0, err
 	}
 	seen := make(map[int]bool)
 	count := 0
 	for _, m := range matches {
-		if strings.HasSuffix(m, seglog.TempSuffix) {
-			// Staging litter from a crash while publishing a new shard's
-			// zero checkpoint. Open cleans it per shard; it is not a shard.
-			continue
-		}
-		if strings.HasSuffix(m, epochlog.DirSuffix) {
-			// A shard's delta-epoch-store segment directory
-			// (<shard>.epochlog), not a shard of its own.
+		// Neither staging litter from a crash while publishing a new shard's
+		// zero checkpoint (Open cleans it per shard) nor a shard's epoch-log
+		// directory is a shard of its own.
+		if strings.HasSuffix(m, seglog.TempSuffix) || strings.HasSuffix(m, epochlog.DirSuffix) {
 			continue
 		}
 		k, err := strconv.Atoi(strings.TrimPrefix(m, path+".shard-"))
@@ -205,7 +219,7 @@ func DiscoverShards(path string) (int, error) {
 			return 0, fmt.Errorf("server: shard files are not contiguous: missing %s", ShardPath(path, k))
 		}
 	}
-	m, err := LoadSlotMap(path)
+	m, err := LoadSlotMap(fs, path)
 	if err != nil {
 		return 0, err
 	}
@@ -242,17 +256,18 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 	if shards > NumSlots {
 		return nil, fmt.Errorf("server: shard count %d exceeds the %d-slot routing space", shards, NumSlots)
 	}
+	opts.FS = seglog.OrOS(opts.FS)
 	if opts.Overwrite && path != "" {
-		if err := removeShardFiles(path); err != nil {
+		if err := removeShardFiles(opts.FS, path); err != nil {
 			return nil, err
 		}
 	}
 	var persisted *SlotMap
 	if path != "" && !opts.Overwrite {
-		if err := barePoolErr(path); err != nil {
+		if err := barePoolErr(opts.FS, path); err != nil {
 			return nil, err
 		}
-		m, err := LoadSlotMap(path)
+		m, err := LoadSlotMap(opts.FS, path)
 		if err != nil {
 			return nil, err
 		}
@@ -360,8 +375,8 @@ func (s *ShardedEngine) Events() EventsSnapshot {
 func (s *ShardedEngine) SetEventSink(fn func(Event)) { s.events.setSink(fn) }
 
 // ShardPools returns the live shards' pools, in shard order. Test and
-// benchmark harnesses use it to reach the fault-injection hooks on the
-// backing devices; the pools stay owned by the engine.
+// benchmark harnesses use it to reach the backing devices; the pools stay
+// owned by the engine.
 func (s *ShardedEngine) ShardPools() []*pax.Pool {
 	sp := s.shards.Load()
 	if sp == nil {
@@ -422,7 +437,7 @@ func (s *ShardedEngine) openRoute(persisted *SlotMap, fresh bool) error {
 			return fmt.Errorf("server: %s has no slot map and %d key(s) on shards the default map does not route them to: the layout predates slot routing; nothing was moved or deleted", s.path, misplaced)
 		}
 	}
-	return m.Save(s.path)
+	return m.Save(s.opts.FS, s.path)
 }
 
 // misrouted returns the entries of shard k's read index whose keys the live
@@ -451,34 +466,33 @@ func (s *ShardedEngine) purgeMisrouted() error {
 
 // removeShardFiles clears the shard files, a bare <path> pool file and the
 // slot-map sidecar so an Overwrite reformat never leaves stale files for
-// DiscoverShards to trip over.
-func removeShardFiles(path string) error {
-	matches, err := filepath.Glob(path + ".shard-*")
+// DiscoverShards to trip over. The bare path goes first: a non-empty
+// directory there fails the reformat before anything is deleted.
+func removeShardFiles(fs seglog.FS, path string) error {
+	matches, err := shardFiles(fs, path)
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stat(path); err == nil {
-		matches = append(matches, path)
-	}
-	matches = append(matches, SlotMapPath(path))
-	for _, m := range matches {
-		// Each pool file may have an epoch-log segment directory next to it
-		// (which the glob also matches directly); a reformat must take it
-		// too, or stale deltas would replay onto the fresh pool.
-		if strings.HasSuffix(m, epochlog.DirSuffix) {
-			if err := os.RemoveAll(m); err != nil {
-				return fmt.Errorf("server: reformatting: %w", err)
-			}
-			continue
-		}
-		if err := os.RemoveAll(m + epochlog.DirSuffix); err != nil {
-			return fmt.Errorf("server: reformatting: %w", err)
-		}
-		if err := os.Remove(m); err != nil && !errors.Is(err, os.ErrNotExist) {
+	for _, m := range append([]string{path, SlotMapPath(path)}, matches...) {
+		if err := removePool(fs, m); err != nil {
 			return fmt.Errorf("server: reformatting: %w", err)
 		}
 	}
 	return nil
+}
+
+// removePool removes the pool file at p, then its epoch-log segment
+// directory, or stale deltas would replay onto a fresh pool there; a p that
+// names an epoch log itself (its pool file may be gone) loses just that. A
+// missing file is not an error; a directory at any other p is not removed.
+func removePool(fs seglog.FS, p string) error {
+	if !strings.HasSuffix(p, epochlog.DirSuffix) {
+		if err := fs.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+		p += epochlog.DirSuffix
+	}
+	return fs.RemoveAll(p)
 }
 
 // NumShards reports the current shard count (it grows under Split).

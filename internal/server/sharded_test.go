@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,26 +47,26 @@ func TestDiscoverShards(t *testing.T) {
 		}
 	}
 
-	if n, err := DiscoverShards(pool); n != 0 || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != 0 || err != nil {
 		t.Fatalf("empty dir: %d %v", n, err)
 	}
 	touch(pool + ".shard-0")
 	touch(pool + ".shard-1")
 	touch(pool + ".shard-2")
-	if n, err := DiscoverShards(pool); n != 3 || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != 3 || err != nil {
 		t.Fatalf("3 shard files: %d %v", n, err)
 	}
 	// A gap in the sequence is refused, not guessed at.
 	if err := os.Remove(pool + ".shard-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DiscoverShards(pool); err == nil {
+	if _, err := DiscoverShards(nil, pool); err == nil {
 		t.Fatal("gap in shard files not detected")
 	}
 	touch(pool + ".shard-1")
 	// A bare pool file is not a fleet, beside shard files or alone.
 	touch(pool)
-	if _, err := DiscoverShards(pool); !errors.Is(err, ErrBarePool) {
+	if _, err := DiscoverShards(nil, pool); !errors.Is(err, ErrBarePool) {
 		t.Fatalf("bare file alongside shard files: %v, want ErrBarePool", err)
 	}
 	for k := 0; k < 3; k++ {
@@ -73,7 +74,7 @@ func TestDiscoverShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := DiscoverShards(pool); n != 0 || !errors.Is(err, ErrBarePool) {
+	if n, err := DiscoverShards(nil, pool); n != 0 || !errors.Is(err, ErrBarePool) {
 		t.Fatalf("bare file: %d %v, want ErrBarePool", n, err)
 	}
 }
@@ -93,7 +94,7 @@ func TestDiscoverShardsIgnoresStaleTemps(t *testing.T) {
 	touch(pool + ".shard-0")
 	touch(pool + ".shard-1")
 	touch(pool + ".shard-0.tmp")
-	if n, err := DiscoverShards(pool); n != 2 || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != 2 || err != nil {
 		t.Fatalf("2 shards + stale temp: %d %v", n, err)
 	}
 	// Only litter, no shards: nothing to discover.
@@ -103,7 +104,7 @@ func TestDiscoverShardsIgnoresStaleTemps(t *testing.T) {
 	if err := os.Remove(pool + ".shard-1"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := DiscoverShards(pool); n != 0 || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != 0 || err != nil {
 		t.Fatalf("temp only: %d %v", n, err)
 	}
 }
@@ -248,7 +249,7 @@ func TestShardedRouterStableAcrossRestart(t *testing.T) {
 	}
 
 	// The files on disk describe the layout; discovery must agree.
-	if n, err := DiscoverShards(pool); n != shards || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != shards || err != nil {
 		t.Fatalf("discover after close: %d %v", n, err)
 	}
 	reopened := newSharded(t, pool, shards, Config{})
@@ -320,8 +321,45 @@ func TestOpenShardedOverwriteReplacesLayout(t *testing.T) {
 	if _, ok, _ := eng2.Get([]byte("k")); ok {
 		t.Fatal("reformat kept old data")
 	}
-	if n, err := DiscoverShards(pool); n != 3 || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != 3 || err != nil {
 		t.Fatalf("discover after reformat: %d %v", n, err)
+	}
+}
+
+// A reformat removes pool files, not directories: a non-empty directory at
+// the pool path (a mistyped -pool) fails the Overwrite, and neither it nor
+// the fleet beside it loses a file.
+func TestOverwriteRefusesDirectoryAtPoolPath(t *testing.T) {
+	dir := t.TempDir()
+	pool := filepath.Join(dir, "kv.pool")
+	eng := newSharded(t, pool, 1, Config{})
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(pool, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(pool, "keep"), []byte("data"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree := func() []string {
+		var paths []string
+		filepath.WalkDir(dir, func(p string, _ os.DirEntry, err error) error {
+			paths = append(paths, p)
+			return err
+		})
+		return paths
+	}
+	before := tree()
+
+	opts := smallOpts()
+	opts.Overwrite = true
+	if eng, err := OpenSharded(pool, 1, opts, 0, Config{}); err == nil {
+		eng.Close()
+		t.Fatal("Overwrite over a non-empty directory at the pool path succeeded")
+	}
+	if after := tree(); !slices.Equal(after, before) {
+		t.Fatalf("failed Overwrite changed the tree:\nbefore %q\nafter  %q", before, after)
 	}
 }
 
@@ -386,7 +424,7 @@ func TestOneShardFleetSplitsAndMergesBack(t *testing.T) {
 	if err := eng.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := DiscoverShards(pool); n != 2 || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != 2 || err != nil {
 		t.Fatalf("discover after split and crash: %d %v", n, err)
 	}
 	two := newSharded(t, pool, 2, Config{MaxBatch: 16})
@@ -402,7 +440,7 @@ func TestOneShardFleetSplitsAndMergesBack(t *testing.T) {
 	if err := two.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := DiscoverShards(pool); n != 1 || err != nil {
+	if n, err := DiscoverShards(nil, pool); n != 1 || err != nil {
 		t.Fatalf("discover after merge and crash: %d %v", n, err)
 	}
 	one := newSharded(t, pool, 1, Config{})
@@ -471,7 +509,7 @@ func TestBarePoolRefusedUntilRenamed(t *testing.T) {
 		path + " -> " + path + ".shard-0",
 		path + ".epochlog -> " + path + ".shard-0.epochlog",
 	}
-	_, discoverErr := DiscoverShards(path)
+	_, discoverErr := DiscoverShards(nil, path)
 	_, openErr := OpenSharded(path, 1, smallOpts(), 0, Config{})
 	for _, err := range []error{discoverErr, openErr} {
 		if !errors.Is(err, ErrBarePool) {
@@ -499,7 +537,7 @@ func TestBarePoolRefusedUntilRenamed(t *testing.T) {
 	if err := os.Rename(path+".epochlog", ShardPath(path, 0)+".epochlog"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := DiscoverShards(path); n != 1 || err != nil {
+	if n, err := DiscoverShards(nil, path); n != 1 || err != nil {
 		t.Fatalf("discover after the renames: %d %v", n, err)
 	}
 	fleet := newSharded(t, path, 1, Config{})
@@ -523,7 +561,7 @@ func TestBarePoolRefusedUntilRenamed(t *testing.T) {
 	if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("reformat left the bare file (stat: %v)", err)
 	}
-	if n, err := DiscoverShards(fresh); n != 1 || err != nil {
+	if n, err := DiscoverShards(nil, fresh); n != 1 || err != nil {
 		t.Fatalf("discover after reformat: %d %v", n, err)
 	}
 }

@@ -129,11 +129,12 @@ func (m *SlotMap) maxShard() int {
 }
 
 // LoadSlotMap reads and validates the slot map persisted for the layout at
-// path. A missing file returns (nil, nil): the layout predates slot routing,
-// or a crash hit between creating the shard files and the first Save, and the
-// caller falls back to the default assignment.
-func LoadSlotMap(path string) (*SlotMap, error) {
-	data, err := os.ReadFile(SlotMapPath(path))
+// path, through fs (nil means seglog.OS). A missing file returns (nil, nil):
+// the layout predates slot routing, or a crash hit between creating the
+// shard files and the first Save, and the caller falls back to the default
+// assignment.
+func LoadSlotMap(fs seglog.FS, path string) (*SlotMap, error) {
+	data, err := seglog.ReadFile(fs, SlotMapPath(path))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
@@ -150,13 +151,14 @@ func LoadSlotMap(path string) (*SlotMap, error) {
 	return m, nil
 }
 
-// Save atomically publishes the map as path's slot-map sidecar: staged to a
-// temp file, fsynced, renamed over the old map, directory fsynced (the same
-// seglog.Publish a new pool's zero checkpoint uses). A crash at any point leaves either
-// the previous assignment or this one intact — which is the cutover's durability point:
+// Save atomically publishes the map as path's slot-map sidecar, through fs
+// (nil means seglog.OS): staged to a temp file, fsynced, renamed over the
+// old map, directory fsynced (the same seglog.Publish a new pool's zero
+// checkpoint uses). A crash at any point leaves either the previous
+// assignment or this one intact — which is the cutover's durability point:
 // a slot migration is committed exactly when the map carrying it survives
 // power loss.
-func (m *SlotMap) Save(path string) error {
+func (m *SlotMap) Save(fs seglog.FS, path string) error {
 	if err := m.validate(); err != nil {
 		return err
 	}
@@ -164,5 +166,5 @@ func (m *SlotMap) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return seglog.Publish(SlotMapPath(path), append(data, '\n'), nil)
+	return seglog.Publish(fs, SlotMapPath(path), append(data, '\n'))
 }

@@ -54,10 +54,10 @@ func TestSlotMapSaveLoadRoundtrip(t *testing.T) {
 	m := DefaultSlotMap(3)
 	m.Seq = 17
 	m.Assign[9] = 2
-	if err := m.Save(path); err != nil {
+	if err := m.Save(nil, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSlotMap(path)
+	got, err := LoadSlotMap(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSlotMapSaveLoadRoundtrip(t *testing.T) {
 	}
 
 	// No file is not an error — it is the legacy layout.
-	if m2, err := LoadSlotMap(filepath.Join(dir, "absent.pool")); m2 != nil || err != nil {
+	if m2, err := LoadSlotMap(nil, filepath.Join(dir, "absent.pool")); m2 != nil || err != nil {
 		t.Fatalf("missing slot map: %+v %v", m2, err)
 	}
 
@@ -77,12 +77,12 @@ func TestSlotMapSaveLoadRoundtrip(t *testing.T) {
 	if err := os.WriteFile(SlotMapPath(path), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSlotMap(path); err == nil {
+	if _, err := LoadSlotMap(nil, path); err == nil {
 		t.Fatal("corrupt slot map accepted")
 	}
 	bad := DefaultSlotMap(2)
 	bad.Assign[0] = 7 // points past Shards
-	if err := bad.Save(path); err == nil {
+	if err := bad.Save(nil, path); err == nil {
 		t.Fatal("Save accepted an assignment past the shard count")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"pax/internal/epochlog"
 	"pax/internal/hbm"
 	"pax/internal/pmem"
+	"pax/internal/seglog"
 	"pax/internal/sim"
 	"pax/internal/stats"
 	"pax/internal/undolog"
@@ -66,6 +67,9 @@ type Options struct {
 	// background checkpoint — so there is nothing left to select. The field
 	// remains so existing callers compile.
 	EpochLog bool
+	// FS is where a file-backed pool keeps its files (nil means the
+	// operating system's). It selects no behaviour, only where bytes go.
+	FS seglog.FS
 }
 
 // DefaultOptions returns the default pool configuration.
@@ -166,9 +170,10 @@ func poolSize(o core.Options) int {
 // pmemConfig builds the media-device config for a pool: the default
 // Optane-class device plus the location of the pool's durable-epoch cell
 // (so delta records are stamped with the epoch they commit).
-func pmemConfig(size int) pmem.Config {
+func pmemConfig(size int, fs seglog.FS) pmem.Config {
 	cfg := pmem.DefaultConfig(size)
 	cfg.EpochCellOffset = core.EpochCellOffset
+	cfg.FS = fs
 	return cfg
 }
 
@@ -183,24 +188,25 @@ func CreatePool(path string, opts Options) (*Pool, error) {
 	}
 	var pm *pmem.Device
 	if path == "" {
-		pm = pmem.New(pmemConfig(poolSize(copts)))
+		pm = pmem.New(pmemConfig(poolSize(copts), nil))
 	} else {
-		if _, err := os.Stat(path); err == nil {
+		fs := seglog.OrOS(opts.FS)
+		if _, err := fs.Stat(path); err == nil {
 			if !opts.Overwrite {
 				return nil, fmt.Errorf("pax: pool %q already exists (set Options.Overwrite to reformat it)", path)
 			}
 			// A failed remove must not fall through to pmem.Open: that would
 			// silently reopen the old pool instead of reformatting it.
-			if err := os.Remove(path); err != nil {
+			if err := fs.Remove(path); err != nil {
 				return nil, fmt.Errorf("pax: reformatting pool: %w", err)
 			}
 		}
 		// Formatting means a fresh pool: stale epoch-log segments from a
 		// previous life of this path must never replay onto the new image.
-		if err := os.RemoveAll(path + epochlog.DirSuffix); err != nil {
+		if err := fs.RemoveAll(path + epochlog.DirSuffix); err != nil {
 			return nil, fmt.Errorf("pax: clearing stale epoch log: %w", err)
 		}
-		pm, err = pmem.Open(path, pmemConfig(poolSize(copts)))
+		pm, err = pmem.Open(path, pmemConfig(poolSize(copts), fs))
 		if err != nil {
 			return nil, err
 		}
@@ -221,11 +227,11 @@ func OpenPool(path string, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi, err := os.Stat(path)
+	fi, err := seglog.OrOS(opts.FS).Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("pax: opening pool: %w", err)
 	}
-	pm, err := pmem.Open(path, pmemConfig(int(fi.Size())))
+	pm, err := pmem.Open(path, pmemConfig(int(fi.Size()), opts.FS))
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +248,7 @@ func MapPool(path string, opts Options) (*Pool, error) {
 	if path == "" {
 		return CreatePool("", opts)
 	}
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+	if _, err := seglog.OrOS(opts.FS).Stat(path); errors.Is(err, os.ErrNotExist) {
 		return CreatePool(path, opts)
 	}
 	return OpenPool(path, opts)
