@@ -15,10 +15,10 @@
 // 100k measured operations per system; "quick" is a seconds-long smoke run.
 //
 // -loadgen drives the paxserve group-commit engine with concurrent clients,
-// sweeping the comma-separated -shards counts. Engines run on in-memory
-// devices, where a commit costs the simulator's host time, unless -pool-dir
-// backs them with pool files, where every commit is a real delta append and
-// fsync. -read-ratio mixes GETs into the workload (0.9 models a read-heavy
+// sweeping the comma-separated -shards counts. Every run is on pool files,
+// where each commit is a real delta append and fsync: in -pool-dir when it is
+// set (left there afterwards), else in a temporary directory the run
+// removes. -read-ratio mixes GETs into the workload (0.9 models a read-heavy
 // serving tier); GETs are served from the engine's volatile read index.
 // -ack-policy selects how writes are acked — "durable" (ack when the group
 // commit reaches media), "apply" (ack when applied and read-index-visible),
@@ -59,7 +59,7 @@ func main() {
 	flag.IntVar(&lg.maxBatch, "max-batch", 16, "loadgen: max writes per group commit")
 	flag.StringVar(&lg.shardList, "shards", "1", "loadgen: comma-separated shard counts to sweep (e.g. 1,2,4,8)")
 	flag.Float64Var(&lg.readRatio, "read-ratio", 0, "loadgen: fraction of ops issued as GETs against previously written keys (0 = write-heavy with periodic read-backs)")
-	flag.StringVar(&lg.poolDir, "pool-dir", "", "loadgen: back the engines with pool files in this directory instead of in-memory devices (required for write-amplification sweeps)")
+	flag.StringVar(&lg.poolDir, "pool-dir", "", "loadgen: put the runs' pool files in this directory and leave them there (default: a temporary directory per run, removed afterwards)")
 	flag.StringVar(&lg.dataSizes, "data-sizes", "", "loadgen: comma-separated per-shard vPM data sizes in bytes to sweep (e.g. 67108864,134217728; empty = the 32 MiB default)")
 	flag.StringVar(&lg.ackPolicy, "ack-policy", "durable", "loadgen: ack policy to run: durable | apply | both")
 	flag.StringVar(&lg.jsonOut, "out", "", "loadgen: also write the JSON records to this file")
@@ -72,7 +72,7 @@ func main() {
 	flag.BoolVar(&lg.split, "split", false, "loadgen: make every run a live-split A/B: measure, split the hottest shard, measure again, then crash and verify no acked write was lost (file-backed zipfian shared keyspace; any shard count, 1 splits to 2)")
 	flag.BoolVar(&lg.autopilot, "autopilot", false, "loadgen: make every run a reshard-autopilot A/B: measure, flood until the policy splits on its own, measure again, idle until it merges back, then crash and verify (same requirements as -split)")
 	flag.BoolVar(&lg.blackbox, "blackbox", false, "loadgen: journal lifecycle events and windowed metrics snapshots to <pool-dir>/load.pool.blackbox/ (requires -pool-dir; the A/B against the same run without it bounds journaling overhead)")
-	flag.IntVar(&lg.failAfter, "fail-syncs-after", 0, "loadgen: inject a persistent media-sync fault into shard 0 after N successful fsyncs of its epoch-log segments (commits and segment rolls) — the shard seals fail-stop and the run ends in a simulated crash (postmortem smoke harness; needs -pool-dir)")
+	flag.IntVar(&lg.failAfter, "fail-syncs-after", 0, "loadgen: inject a persistent media-sync fault into shard 0 after N successful fsyncs of its epoch-log segments (commits and segment rolls) — the shard seals fail-stop and the run ends in a simulated crash (postmortem smoke harness)")
 	flag.Parse()
 
 	if *loadgen {
@@ -199,14 +199,6 @@ func runLoadgen(cfg loadgenConfig) error {
 		act = benchkit.AutopilotAct
 	}
 	if act != benchkit.NoAct {
-		if cfg.poolDir == "" {
-			dir, err := os.MkdirTemp("", "paxbench-reshard-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			cfg.poolDir = dir
-		}
 		if cfg.keys == 0 {
 			cfg.keys = 10_000
 		}

@@ -2,7 +2,6 @@ package benchkit
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -179,11 +178,6 @@ func AutopilotAB(cfg Config, sz Sizes) []*stats.Table {
 	if keys > 4_000 {
 		keys = 4_000
 	}
-	dir, err := os.MkdirTemp("", "pax-autopilot-*")
-	if err != nil {
-		panic(fmt.Sprintf("benchkit: autopilot: %v", err))
-	}
-	defer os.RemoveAll(dir)
 	// The capped regime (max batch 8, a shallow queue): the hot shard's
 	// writers pile into the enqueue path behind its commits, which is the
 	// condition the policy is built to detect.
@@ -196,7 +190,6 @@ func AutopilotAB(cfg Config, sz Sizes) []*stats.Table {
 		ZipfS:        1.5,
 		MaxBatch:     8,
 		Shards:       2,
-		PoolDir:      dir,
 	}, AutopilotAct)
 	if err != nil {
 		panic(fmt.Sprintf("benchkit: autopilot A/B: %v", err))

@@ -51,10 +51,10 @@ type LoadSpec struct {
 	// its own writer loop and device, so N group commits run in parallel
 	// (default 1 — the single-writer engine).
 	Shards int
-	// PoolDir, when non-empty, backs the engines with real pool files
-	// created there (fresh layout per run) instead of in-memory devices.
-	// File-backed runs are what the write-amplification sweeps need: the
-	// bytes each commit pushes through the filesystem are the measurement.
+	// PoolDir is where the run's pool files go (a fresh layout per run,
+	// left there afterwards). Empty puts them in a temporary directory that
+	// the run removes. Every run is file-backed: each commit is a delta
+	// append and an fsync.
 	PoolDir string
 	// DataSize overrides the per-shard vPM data region in bytes (default
 	// 32 MiB). The pool-size sweep holds the workload fixed and grows this:
@@ -102,12 +102,12 @@ type LoadSpec struct {
 	BlackboxInterval time.Duration
 	// FailSyncsAfter, when > 0, injects a persistent media-sync fault into
 	// shard 0 after that many successful fsyncs of its epoch-log segments
-	// (a commit's, and a segment roll's header): every later persist fails,
-	// commit retries exhaust, and the shard seals fail-stop mid-run. Client
-	// errors are then expected (the client stops, the run continues), and
-	// the run ends with Crash() instead of Close() — a simulated kill, so
-	// what the black box captured is exactly what a postmortem would find.
-	// Requires PoolDir: the fault is injected at the files, through a faultfs.
+	// (a commit's, and a segment roll's header), through a faultfs: every
+	// later persist fails, commit retries exhaust, and the shard seals
+	// fail-stop mid-run. Client errors are then expected (the client stops,
+	// the run continues), and the run ends with Crash() instead of Close() —
+	// a simulated kill, so what the black box captured is exactly what a
+	// postmortem would find.
 	FailSyncsAfter int
 }
 
@@ -386,20 +386,18 @@ func (spec LoadSpec) validate(act Act) error {
 		}
 	}
 	if spec.Blackbox && spec.PoolDir == "" {
+		// The journal is read after the run; a temporary directory would be
+		// gone by then.
 		return fmt.Errorf("benchkit: Blackbox journals to a directory; set PoolDir")
-	}
-	if spec.FailSyncsAfter > 0 && spec.PoolDir == "" {
-		return fmt.Errorf("benchkit: FailSyncsAfter faults the pool files' syncs; set PoolDir")
 	}
 	if act == NoAct {
 		return nil
 	}
-	// An act reshapes a fleet on disk and is judged by the keyspace that
-	// survives the crash: in-memory fleets have nothing to reopen, private
-	// keys have no keyspace to count.
+	// An act is judged by the keyspace that survives the crash: private keys
+	// have no keyspace to count.
 	name := actNames[act].load
-	if spec.PoolDir == "" || spec.Keys == 0 {
-		return fmt.Errorf("benchkit: %s load needs PoolDir and Keys > 0, got %+v", name, spec)
+	if spec.Keys == 0 {
+		return fmt.Errorf("benchkit: %s load needs Keys > 0, got %+v", name, spec)
 	}
 	if spec.AckOnApply {
 		// The crash check asserts every acked write survives; apply-acked
@@ -412,7 +410,7 @@ func (spec LoadSpec) validate(act Act) error {
 // loadRun is what one run carries from open to teardown.
 type loadRun struct {
 	eng   *server.ShardedEngine
-	path  string // "" for an in-memory fleet
+	path  string // the fleet's pool path, under PoolDir or a temporary directory
 	opts  pax.Options
 	cfg   server.Config
 	value []byte // every written value is a prefix of this
@@ -424,8 +422,9 @@ type loadRun struct {
 	pilot *server.Autopilot // started by autosplit, consulted again by automerge
 }
 
-// RunScript is the load runner. Every run follows one script over fresh pools
-// (one per shard; in-memory by default, file-backed under spec.PoolDir):
+// RunScript is the load runner. Every run follows one script over fresh pool
+// files (one per shard, under spec.PoolDir or a temporary directory removed
+// on every return):
 //
 //	open → preload (shared keyspace only) → measure → [act → measure] →
 //	close, or crash → reopen → verify
@@ -447,7 +446,16 @@ func RunScript(spec LoadSpec, act Act) (LoadResult, error) {
 	if spec.Shards <= 0 {
 		spec.Shards = 1
 	}
-	r, err := openFleet(spec, act)
+	dir := spec.PoolDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "pax-load-*")
+		if err != nil {
+			return LoadResult{}, fmt.Errorf("benchkit: %w", err)
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
+	}
+	r, err := openFleet(spec, act, filepath.Join(dir, "load.pool"))
 	if err != nil {
 		return LoadResult{}, err
 	}
@@ -526,10 +534,11 @@ func RunScript(spec LoadSpec, act Act) (LoadResult, error) {
 	return res, nil
 }
 
-// openFleet creates the run's fresh fleet and attaches the black box.
-func openFleet(spec LoadSpec, act Act) (*loadRun, error) {
+// openFleet creates the run's fresh fleet at path and attaches the black box.
+func openFleet(spec LoadSpec, act Act, path string) (*loadRun, error) {
 	r := &loadRun{
-		opts:  pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20},
+		path:  path,
+		opts:  pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20, Overwrite: true},
 		cfg:   server.Config{MaxBatch: spec.MaxBatch},
 		value: make([]byte, spec.ValueBytes),
 	}
@@ -538,10 +547,6 @@ func openFleet(spec LoadSpec, act Act) (*loadRun, error) {
 	}
 	if spec.DataSize > 0 {
 		r.opts.DataSize = spec.DataSize
-	}
-	if spec.PoolDir != "" {
-		r.path = filepath.Join(spec.PoolDir, "load.pool")
-		r.opts.Overwrite = true
 	}
 	if spec.FailSyncsAfter > 0 {
 		r.opts.FS = faultfs.New(nil)
@@ -944,8 +949,8 @@ func persistedBytesPerEpoch(poolMiB int) (*stats.LatencyHistogram, int, error) {
 }
 
 // Loadgen is the experiment wrapper: sweep client counts (amortization vs
-// concurrency on one in-memory shard), then shard counts and a GET-heavy mix
-// on file-backed pools, where every group commit is a real delta append and
+// concurrency on one shard), then shard counts and a GET-heavy mix. Every
+// run is on pool files, where each group commit is a real delta append and
 // fsync. The last two report what the medium gives; they assert no speedup —
 // on a host with few cores and one disk, shards share both.
 func Loadgen(cfg Config, sz Sizes) []*stats.Table {
@@ -971,11 +976,6 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			float64(res.Wall.Milliseconds()), res.Throughput)
 	}
 
-	dir, err := os.MkdirTemp("", "pax-loadgen-*")
-	if err != nil {
-		panic(fmt.Sprintf("benchkit: loadgen: %v", err))
-	}
-	defer os.RemoveAll(dir)
 	shardsTable := stats.NewTable("loadgen: sharded serving vs shard count (256 clients, file-backed)",
 		"shards", "acked writes", "snapshots", "writes/snapshot", "wall ms", "writes/s", "vs 1 shard", "p99 ack ms")
 	var base float64
@@ -987,7 +987,6 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			GetEveryN:    4,
 			MaxBatch:     16,
 			Shards:       shards,
-			PoolDir:      dir,
 		}, NoAct)
 		if err != nil {
 			panic(fmt.Sprintf("benchkit: loadgen with %d shards: %v", shards, err))
@@ -1018,7 +1017,6 @@ func Loadgen(cfg Config, sz Sizes) []*stats.Table {
 			ReadRatio:    0.95,
 			MaxBatch:     16,
 			Shards:       shards,
-			PoolDir:      dir,
 		}, NoAct)
 		if err != nil {
 			panic(fmt.Sprintf("benchkit: GET-heavy loadgen (%d shards): %v", shards, err))

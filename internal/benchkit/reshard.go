@@ -2,7 +2,6 @@ package benchkit
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"pax/internal/server"
@@ -66,8 +65,6 @@ func Reshard(cfg Config, sz Sizes) []*stats.Table {
 		keys = 20_000
 	}
 
-	// Imbalance is a property of the routing, not of the medium: the sweep
-	// runs in memory, and only the split A/B below needs files to crash.
 	skewTable := stats.NewTable("reshard: zipfian skew vs shard imbalance (4 shards, 64 clients)",
 		"dist", "zipf s", "acked ops/s", "imbalance (max/mean)", "hot shard", "hot p99 ack ms", "p99 ack ms")
 	type sweep struct {
@@ -98,11 +95,6 @@ func Reshard(cfg Config, sz Sizes) []*stats.Table {
 			hotP99, float64(res.AckP99.Microseconds())/1e3)
 	}
 
-	dir, err := os.MkdirTemp("", "pax-reshard-*")
-	if err != nil {
-		panic(fmt.Sprintf("benchkit: reshard: %v", err))
-	}
-	defer os.RemoveAll(dir)
 	post, err := RunScript(LoadSpec{
 		Clients:      64,
 		OpsPerClient: ops,
@@ -113,7 +105,6 @@ func Reshard(cfg Config, sz Sizes) []*stats.Table {
 		ZipfS:        1.2,
 		MaxBatch:     16,
 		Shards:       2,
-		PoolDir:      dir,
 	}, SplitAct)
 	if err != nil {
 		panic(fmt.Sprintf("benchkit: reshard split A/B: %v", err))

@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -133,13 +134,12 @@ func TestRunScriptAutopilot(t *testing.T) {
 	}
 }
 
-// An act reshapes files and is judged by a keyspace that survives a crash, so
-// a spec without files, without a shared keyspace, or with acks that may roll
-// back is refused before anything is opened.
+// An act is judged by a keyspace that survives a crash, so a spec without a
+// shared keyspace, or with acks that may roll back, is refused before
+// anything is opened.
 func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
 	ok := LoadSpec{Clients: 2, OpsPerClient: 4, Shards: 2, PoolDir: t.TempDir(), Keys: 16}
-	inMemory, private, apply := ok, ok, ok
-	inMemory.PoolDir = ""
+	private, apply := ok, ok
 	private.Keys = 0
 	apply.AckOnApply = true
 	for _, tc := range []struct {
@@ -148,10 +148,8 @@ func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
 		act  Act
 		want string
 	}{
-		{"in-memory split", inMemory, SplitAct, "benchkit: split load needs PoolDir and Keys > 0"},
-		{"private-key split", private, SplitAct, "benchkit: split load needs PoolDir and Keys > 0"},
+		{"private-key split", private, SplitAct, "benchkit: split load needs Keys > 0"},
 		{"apply-acked split", apply, SplitAct, "benchkit: split load measures durable acks; AckOnApply would make the crash check vacuous"},
-		{"in-memory autopilot", inMemory, AutopilotAct, "benchkit: autopilot load needs PoolDir and Keys > 0"},
 		{"apply-acked autopilot", apply, AutopilotAct, "benchkit: autopilot load measures durable acks; AckOnApply would make the crash check vacuous"},
 	} {
 		if _, err := RunScript(tc.spec, tc.act); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
@@ -159,9 +157,41 @@ func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
 		}
 	}
 	// The same specs are fine without an act.
-	for _, spec := range []LoadSpec{inMemory, apply} {
+	for _, spec := range []LoadSpec{private, apply} {
 		if _, err := RunScript(spec, NoAct); err != nil {
 			t.Errorf("no act, %+v: %v", spec, err)
+		}
+	}
+}
+
+// Without PoolDir a run puts its pool files in a temporary directory and
+// removes it on every return: after a plain run, after an act's crash and
+// reopen, and after a refused spec. A 4-shard run left behind is ≈ 190 MB.
+func TestRunScriptWithoutPoolDirLeavesNothing(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	keyed := LoadSpec{Clients: 4, OpsPerClient: 10, Shards: 2, Keys: 200, Dist: "zipf", ZipfS: 1.3}
+	refused := keyed
+	refused.AckOnApply = true
+	for _, tc := range []struct {
+		name    string
+		spec    LoadSpec
+		act     Act
+		refused bool
+	}{
+		{"no act", LoadSpec{Clients: 4, OpsPerClient: 10, Shards: 4}, NoAct, false},
+		{"split", keyed, SplitAct, false},
+		{"refused", refused, SplitAct, true},
+	} {
+		res, err := RunScript(tc.spec, tc.act)
+		if (err != nil) != tc.refused {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.act == SplitAct && !tc.refused && (res.Split == nil || !res.Split.CrashVerified) {
+			t.Fatalf("%s: the crash check did not reopen the files: %+v", tc.name, res.Split)
+		}
+		if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+			t.Fatalf("%s: left %v behind in TMPDIR (%v)", tc.name, left, err)
 		}
 	}
 }

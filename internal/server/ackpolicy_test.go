@@ -7,7 +7,7 @@ import (
 	"pax/internal/wire"
 )
 
-// startTCPWith serves a one-shard in-memory fleet with an engine config and
+// startTCPWith serves a one-shard fleet with an engine config and
 // a server default ack policy — the harness for the wire-level policy tests —
 // and returns the shard's engine and the address.
 func startTCPWith(t *testing.T, cfg Config, policy AckPolicy) (*Engine, string) {

@@ -188,7 +188,7 @@ func TestDecideMerge(t *testing.T) {
 // traffic and decay once it stops — the property the cumulative counters
 // themselves lack.
 func TestTrackerWindowedRatesDecay(t *testing.T) {
-	eng := newSharded(t, "", 2, Config{MaxBatch: 16})
+	eng := newSharded(t, tempPool(t), 2, Config{MaxBatch: 16})
 	defer eng.Close()
 
 	tr := newLoadTracker(50 * time.Millisecond)
@@ -236,7 +236,7 @@ func TestAutopilotSplitsThenMerges(t *testing.T) {
 	// path genuinely contended, so the windowed p99 crosses the (1ns)
 	// threshold whenever the flood runs — the pipeline signal without
 	// needing a 4096-commit media backlog.
-	eng := newSharded(t, "", 2, Config{MaxBatch: 1, QueueDepth: 1})
+	eng := newSharded(t, tempPool(t), 2, Config{MaxBatch: 1, QueueDepth: 1})
 	defer eng.Close()
 
 	ap, err := eng.StartAutopilot(AutopilotConfig{

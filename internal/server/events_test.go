@@ -230,7 +230,7 @@ func TestBlackboxCapturesInjectedSeal(t *testing.T) {
 // reads.
 func TestBlackboxCapturesCrashMidMerge(t *testing.T) {
 	pool := filepath.Join(t.TempDir(), "kv.pool")
-	eng := newSharded(t, pool, 3, Config{MaxBatch: 16})
+	eng, _, ffs := faultyFleet(t, pool, 3, Config{MaxBatch: 16})
 	plantDirect(t, eng, 64)
 
 	dir := filepath.Join(t.TempDir(), "bb")
@@ -241,12 +241,7 @@ func TestBlackboxCapturesCrashMidMerge(t *testing.T) {
 	stop := AttachBlackbox(eng, j, time.Hour)
 
 	errBoom := errors.New("injected crash")
-	eng.mergeHook = func(stage mergeStage) error {
-		if stage == mergeStageDrained {
-			return errBoom
-		}
-		return nil
-	}
+	failShrinkPublish(ffs, eng, pool, 2, errBoom)
 	if _, err := eng.Merge(2); !errors.Is(err, errBoom) {
 		t.Fatalf("merge returned %v, want the injected crash", err)
 	}

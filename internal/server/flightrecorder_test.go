@@ -287,29 +287,32 @@ func TestTCPTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	body, err := cl.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The writer records a commit just after it acks the batch, so a TRACE
+	// can overtake the last record: wait until every acked write shows.
 	var snap TraceSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("TRACE body is not a TraceSnapshot: %v\n%s", err, body)
-	}
+	pollUntil(t, "the trace accounts for the 3 acked writes", func() bool {
+		body, err := cl.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap = TraceSnapshot{}
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("TRACE body is not a TraceSnapshot: %v\n%s", err, body)
+		}
+		var acked int
+		for _, rec := range snap.Recent {
+			acked += rec.Batch
+		}
+		return acked == 3
+	})
 	if snap.Shards != 1 || len(snap.Recent) == 0 {
 		t.Fatalf("trace over TCP = %+v", snap)
-	}
-	var acked int
-	for _, rec := range snap.Recent {
-		acked += rec.Batch
-	}
-	if acked != 3 {
-		t.Fatalf("trace accounts for %d acked writes, want 3", acked)
 	}
 }
 
 func TestShardedTraceMergesAndStampsShards(t *testing.T) {
 	const shards = 4
-	s := newSharded(t, "", shards, Config{MaxBatch: 8})
+	s := newSharded(t, tempPool(t), shards, Config{MaxBatch: 8})
 	defer s.Close()
 
 	seen := make(map[int]bool)
@@ -377,7 +380,7 @@ func TestMergeSummariesQuantileSemantics(t *testing.T) {
 }
 
 func TestShardedStatsTextQuantiles(t *testing.T) {
-	s := newSharded(t, "", 2, Config{MaxBatch: 8})
+	s := newSharded(t, tempPool(t), 2, Config{MaxBatch: 8})
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		if _, err := s.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {

@@ -26,30 +26,20 @@ import (
 //
 //   - Crash mid-cutover: identical to a crashed split — the per-slot publish
 //     is the commit point, open-time purge erases whichever side lost.
-//   - Crash after the slots drained but before the shrunk map publishes: the
-//     map still counts N shards; reopen finds N files, the top shard owns
-//     zero slots, and the next Split adopts it (the documented
-//     crashed-split leftover state).
-//   - Crash after the shrunk map publishes but before the file is removed:
-//     reopen finds N files and a map naming N-1 — legal, "fewer is fine" —
-//     and openRoute records the extra zero-slot shard as adoptable. A later
-//     Merge (or Split) converges it.
+//   - Crash after the slots drained but before the shrunk map publishes
+//     (the rename of <path>.slotmap.tmp that carries Shards = N-1): the map
+//     still counts N shards; reopen finds N files, the top shard owns zero
+//     slots, and the next Split adopts it (the documented crashed-split
+//     leftover state).
+//   - Crash after the shrunk map publishes but before the top shard's file
+//     is removed: reopen finds N files and a map naming N-1 — legal,
+//     "fewer is fine" — and openRoute records the extra zero-slot shard as
+//     adoptable. A later Merge (or Split) converges it.
 //   - Crash after the file is removed: a clean N-1 layout.
 //
-// Every acked write is on a routed shard in all four windows.
-
-// mergeStage names the points where a test hook can abort a Merge to
-// simulate a crash window.
-type mergeStage int
-
-const (
-	// mergeStageDrained: every slot has left the retiring shard, the shrunk
-	// map has not published.
-	mergeStageDrained mergeStage = iota
-	// mergeStagePublished: the shrunk map is on disk, the shard file is not
-	// yet removed.
-	mergeStagePublished
-)
+// Every acked write is on a routed shard in all four windows. The windows
+// are file states, so tests reach them by failing that rename or that
+// removal through a faultfs.
 
 // MergeReport describes one completed Merge: which shard drained where, and
 // what was retired.
@@ -78,11 +68,11 @@ type MergeReport struct {
 // (windowed when the autopilot runs, cumulative otherwise). Its slots cut
 // over to the coldest surviving shard one at a time under the Split crash
 // contract; the shrunk assignment then publishes (the commit point for the
-// fleet shrink), the in-memory fleet shrinks, and the top shard's engine is
+// fleet shrink), the live shard slice shrinks, and the top shard's engine is
 // closed and its file removed. A crash anywhere in between converges at next
 // open — see the crash-window taxonomy at the top of this file. A fleet
-// merges down to one shard, file-backed or not; with two shards the top is
-// the one drained, whichever victim was named.
+// merges down to one shard; with two shards the top is the one drained,
+// whichever victim was named.
 //
 // Concurrent per-key traffic is safe throughout (slots stall only while
 // their own cutover runs). A concurrent fleet-wide Persist/Stats that
@@ -126,8 +116,8 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 			rep.Dest = k
 		}
 	}
-	// Every exit after this point — success, abort, simulated crash — closes
-	// the timeline with a done event; a journal holding merge_start with no
+	// Every exit after this point — success or abort — closes the timeline
+	// with a done event; a journal holding merge_start with no
 	// merge_done means the process died inside the merge, and the last stage
 	// event names the crash window.
 	s.events.emit(blackbox.EvMergeStart, -1, mergeDetail{Report: rep})
@@ -163,15 +153,9 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 			return rep, err
 		}
 	}
-	// Stage event first, then the test hook: a simulated crash "after drain"
-	// must still find the drained event in the journal.
+	// Stage event first: a crash before the shrink publishes must still find
+	// the drained event in the journal.
 	s.events.emit(blackbox.EvMergeDrained, -1, mergeDetail{Report: rep})
-	if s.mergeHook != nil {
-		if err := s.mergeHook(mergeStageDrained); err != nil {
-			rep.Seq = s.route.Load().Seq
-			return rep, err
-		}
-	}
 
 	// Commit point for the shrink: publish an assignment that counts one
 	// shard fewer. Nothing references the top index anymore, so the map
@@ -180,20 +164,13 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	next := s.route.Load().clone()
 	next.Seq++
 	next.Shards = top
-	if s.persistMap {
-		if err := next.Save(s.opts.FS, s.path); err != nil {
-			rep.Seq = s.route.Load().Seq
-			return rep, fmt.Errorf("server: publishing shrunk slot map: %w", err)
-		}
+	if err := next.Save(s.opts.FS, s.path); err != nil {
+		rep.Seq = s.route.Load().Seq
+		return rep, fmt.Errorf("server: publishing shrunk slot map: %w", err)
 	}
 	s.route.Store(next)
 	rep.Seq = next.Seq
 	s.events.emit(blackbox.EvMergePublished, -1, mergeDetail{Report: rep})
-	if s.mergeHook != nil {
-		if err := s.mergeHook(mergeStagePublished); err != nil {
-			return rep, err
-		}
-	}
 
 	// Shrink the published fleet before touching the retiring engine: new
 	// fan-outs (Persist/Stats/Metrics) load the short slice and never see it.
@@ -212,13 +189,11 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	if err := retired.pool.Close(); err != nil {
 		s.logf("server: merge: closing retired shard %d pool: %v", top, err)
 	}
-	if s.path != "" {
-		sp := ShardPath(s.path, top)
-		if err := removePool(s.opts.FS, sp); err != nil {
-			s.logf("server: merge: removing retired shard %d: %v", top, err)
-		}
-		_ = s.opts.FS.Remove(sp + seglog.TempSuffix)
+	sp := ShardPath(s.path, top)
+	if err := removePool(s.opts.FS, sp); err != nil {
+		s.logf("server: merge: removing retired shard %d: %v", top, err)
 	}
+	_ = s.opts.FS.Remove(sp + seglog.TempSuffix)
 	s.reshard.merges.Add(1)
 	s.logf("server: merge: shard %d drained to %d, shard %d retired (%d shards, %d slots, %d keys moved)",
 		victim, rep.Dest, top, rep.Shards, rep.MovedSlots, rep.MovedKeys)

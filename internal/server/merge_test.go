@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"pax/internal/faultfs"
+	"pax/internal/seglog"
 	"pax/internal/wire"
 )
 
@@ -27,6 +30,23 @@ func shardFilesOnDisk(t *testing.T, path string) int {
 		n++
 	}
 	return n
+}
+
+// failShrinkPublish arms ffs to fail, with err, the rename that would publish
+// fleet's slot map once victim owns no slot: the map that shrinks the fleet
+// after a merge drained victim. Merge stops in its "drained, shrunk map not
+// yet published" crash window.
+func failShrinkPublish(ffs *faultfs.FS, fleet *ShardedEngine, pool string, victim int, err error) {
+	tmp := SlotMapPath(pool) + seglog.TempSuffix
+	ffs.Set(func(op faultfs.Op) error {
+		if op.Kind != faultfs.Rename || op.Path != tmp {
+			return nil
+		}
+		if route := fleet.Route(); len(route.slotsOf(victim)) == 0 {
+			return err
+		}
+		return nil
+	})
 }
 
 // plantDirect writes keys straight onto their owning shard engines,
@@ -197,7 +217,7 @@ func TestMergeVictimNotTop(t *testing.T) {
 }
 
 func TestMergeAutoPicksColdest(t *testing.T) {
-	eng := newSharded(t, "", 3, Config{MaxBatch: 16})
+	eng := newSharded(t, tempPool(t), 3, Config{MaxBatch: 16})
 	defer eng.Close()
 
 	// Drive traffic only at keys shard 1 does NOT own, so its cumulative
@@ -246,8 +266,8 @@ func TestMergeRefusesBelowOneShard(t *testing.T) {
 func TestMergeCrashStages(t *testing.T) {
 	errBoom := errors.New("simulated crash window")
 
-	open := func(t *testing.T, pool string, shards int) (*ShardedEngine, []string) {
-		eng := newSharded(t, pool, shards, Config{MaxBatch: 16})
+	open := func(t *testing.T, pool string, shards int) (*ShardedEngine, []string, *faultfs.FS) {
+		eng, _, ffs := faultyFleet(t, pool, shards, Config{MaxBatch: 16})
 		keys := make([]string, 0, 240)
 		for i := 0; i < 240; i++ {
 			key := fmt.Sprintf("crash-%04d", i)
@@ -256,12 +276,12 @@ func TestMergeCrashStages(t *testing.T) {
 			}
 			keys = append(keys, key)
 		}
-		return eng, keys
+		return eng, keys, ffs
 	}
 
 	t.Run("mid-cutover", func(t *testing.T) {
 		pool := filepath.Join(t.TempDir(), "kv.pool")
-		eng, keys := open(t, pool, 3)
+		eng, keys, _ := open(t, pool, 3)
 		// A merge drains the victim slot by slot through the ordinary
 		// cutover; crashing mid-drain leaves some slots moved and the map
 		// still counting 3 shards. Reproduce that state exactly: cut half of
@@ -294,13 +314,8 @@ func TestMergeCrashStages(t *testing.T) {
 
 	t.Run("drained-before-publish", func(t *testing.T) {
 		pool := filepath.Join(t.TempDir(), "kv.pool")
-		eng, keys := open(t, pool, 3)
-		eng.mergeHook = func(stage mergeStage) error {
-			if stage == mergeStageDrained {
-				return errBoom
-			}
-			return nil
-		}
+		eng, keys, ffs := open(t, pool, 3)
+		failShrinkPublish(ffs, eng, pool, 2, errBoom)
 		if _, err := eng.Merge(2); !errors.Is(err, errBoom) {
 			t.Fatalf("merge returned %v, want the injected crash", err)
 		}
@@ -335,15 +350,23 @@ func TestMergeCrashStages(t *testing.T) {
 
 	t.Run("published-before-removal", func(t *testing.T) {
 		pool := filepath.Join(t.TempDir(), "kv.pool")
-		eng, keys := open(t, pool, 3)
-		eng.mergeHook = func(stage mergeStage) error {
-			if stage == mergeStagePublished {
+		eng, keys, ffs := open(t, pool, 3)
+		top := ShardPath(pool, 2)
+		ffs.Set(func(op faultfs.Op) error {
+			if op.Kind == faultfs.Remove && op.Path == top {
 				return errBoom
 			}
 			return nil
+		})
+		// The shrink is committed once the map publishes: a failed removal
+		// is logged, not returned, and the fleet serves on 2 shards.
+		var logged []string
+		eng.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		if _, err := eng.Merge(2); err != nil {
+			t.Fatalf("merge: %v", err)
 		}
-		if _, err := eng.Merge(2); !errors.Is(err, errBoom) {
-			t.Fatalf("merge returned %v, want the injected crash", err)
+		if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, errBoom.Error()) }) {
+			t.Fatalf("failed removal not logged: %q", logged)
 		}
 		eng.Crash()
 
@@ -384,7 +407,7 @@ func TestMergeCrashStages(t *testing.T) {
 }
 
 func TestMergeOverTCP(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, "", 3, Config{MaxBatch: 16}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 3, Config{MaxBatch: 16}), AckDurable)
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

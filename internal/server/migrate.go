@@ -346,10 +346,8 @@ func (s *ShardedEngine) migrateSlot(slot, dst int) (moved int, err error) {
 	if next.Shards < dst+1 {
 		next.Shards = dst + 1
 	}
-	if s.persistMap {
-		if err := next.Save(s.opts.FS, s.path); err != nil {
-			return 0, fmt.Errorf("publishing slot map: %w", err)
-		}
+	if err := next.Save(s.opts.FS, s.path); err != nil {
+		return 0, fmt.Errorf("publishing slot map: %w", err)
 	}
 	s.route.Store(next)
 	s.reshard.movedSlots.Add(1)

@@ -309,7 +309,7 @@ func TestSplitMetrics(t *testing.T) {
 // SPLIT over the wire: the fleet runs the migration and replies with the
 // report JSON.
 func TestSplitOverTCP(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, "", 2, Config{MaxBatch: 8}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 2, Config{MaxBatch: 8}), AckDurable)
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestSplitOverTCP(t *testing.T) {
 // The smallest server paxserve runs, one shard, splits and merges over the
 // wire like any other fleet; a MERGE of its last shard is a clean error.
 func TestSplitOneShardOverTCP(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, "", 1, Config{MaxBatch: 8}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 1, Config{MaxBatch: 8}), AckDurable)
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

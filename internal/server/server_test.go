@@ -15,12 +15,12 @@ import (
 	"pax/internal/wire"
 )
 
-// oneShard opens a one-shard in-memory fleet — the smallest configuration
+// oneShard opens a one-shard fleet — the smallest configuration
 // paxserve runs — and returns it with its shard's pool and engine, for tests
 // that reach under the router.
 func oneShard(t *testing.T, cfg Config) (*ShardedEngine, *pax.Pool, *Engine) {
 	t.Helper()
-	fleet := newSharded(t, "", 1, cfg)
+	fleet := newSharded(t, tempPool(t), 1, cfg)
 	sh := (*fleet.shards.Load())[0]
 	return fleet, sh.pool, sh.eng
 }
@@ -55,7 +55,7 @@ func serveOn(t *testing.T, fleet *ShardedEngine, policy AckPolicy, lis net.Liste
 	return srv, lis.Addr().String()
 }
 
-// startTCP serves a one-shard in-memory fleet and returns the server, the
+// startTCP serves a one-shard fleet and returns the server, the
 // fleet and its address.
 func startTCP(t *testing.T) (*Server, *ShardedEngine, string) {
 	t.Helper()

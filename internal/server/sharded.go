@@ -77,20 +77,12 @@ type ShardedEngine struct {
 	// the cumulative counters.
 	autopilot atomic.Pointer[Autopilot]
 
-	// mergeHook, when set (tests only), runs between Merge's stages; a
-	// non-nil error aborts the merge at that stage, simulating a crash
-	// window (merge.go).
-	mergeHook func(stage mergeStage) error
-
 	// Creation-time parameters, kept so Split can open new shard pools with
 	// the same geometry and persist the map next to the same path.
 	path    string
 	opts    pax.Options
 	accSlot int
 	cfg     Config
-	// persistMap is whether cutovers write the slot-map sidecar: every
-	// file-backed fleet; in-memory engines have nothing to persist to.
-	persistMap bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -136,12 +128,8 @@ func (s *ShardedEngine) slotLoad(slot int) uint64 {
 }
 
 // ShardPath returns shard k's pool file path, <path>.shard-k — every fleet
-// uses this layout, from one shard up; an in-memory engine (path "") has no
-// files.
+// uses this layout, from one shard up.
 func ShardPath(path string, k int) string {
-	if path == "" {
-		return path
-	}
 	return fmt.Sprintf("%s.shard-%d", path, k)
 }
 
@@ -178,7 +166,9 @@ func shardFiles(fs seglog.FS, path string) ([]string, error) {
 
 // DiscoverShards inspects the files at path on fs (nil means seglog.OS) and
 // reports how many shards a previous run left behind: N for a contiguous
-// <path>.shard-0..N-1 set, 0 for nothing. A bare <path> pool file is refused
+// <path>.shard-0..N-1 set, 0 for nothing. A name ShardPath does not write
+// (<path>.shard-01, say) is refused, not read as a shard index. A bare
+// <path> pool file is refused
 // (see barePoolErr) with nothing on disk touched. A gap in the shard sequence
 // is corruption worth refusing to guess at, and so is a slot map that
 // references more shards than there are files — those slots' keys would
@@ -187,9 +177,6 @@ func shardFiles(fs seglog.FS, path string) ([]string, error) {
 // it leaves exactly that, and the extra shard simply owns zero slots until
 // the next split adopts it.
 func DiscoverShards(fs seglog.FS, path string) (int, error) {
-	if path == "" {
-		return 0, nil
-	}
 	fs = seglog.OrOS(fs)
 	if err := barePoolErr(fs, path); err != nil {
 		return 0, err
@@ -207,8 +194,10 @@ func DiscoverShards(fs seglog.FS, path string) (int, error) {
 		if strings.HasSuffix(m, seglog.TempSuffix) || strings.HasSuffix(m, epochlog.DirSuffix) {
 			continue
 		}
+		// Only the name ShardPath writes is a shard: kv.pool.shard-01 would
+		// parse as shard 1 and leave the real shard 1 to be created beside it.
 		k, err := strconv.Atoi(strings.TrimPrefix(m, path+".shard-"))
-		if err != nil {
+		if err != nil || k < 0 || m != ShardPath(path, k) {
 			return 0, fmt.Errorf("server: unrecognized shard file %q", m)
 		}
 		seen[k] = true
@@ -235,7 +224,8 @@ func DiscoverShards(fs seglog.FS, path string) (int, error) {
 // parallel, not summed — and the first error wins: on any failure every
 // already-opened shard is closed and the error is returned. opts sizes each
 // shard individually (DataSize is per shard, not divided). A bare <path>
-// pool file is refused as DiscoverShards refuses it. With opts.Overwrite set,
+// pool file is refused as DiscoverShards refuses it, and so is a path that
+// names no file (""): a fleet is its files. With opts.Overwrite set,
 // any existing shard files, a bare pool file and the slot-map sidecar are
 // removed first, so a reformat never leaves stale higher-numbered shards
 // behind.
@@ -256,14 +246,17 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 	if shards > NumSlots {
 		return nil, fmt.Errorf("server: shard count %d exceeds the %d-slot routing space", shards, NumSlots)
 	}
+	if base := filepath.Base(path); base == "." || base == string(filepath.Separator) {
+		return nil, fmt.Errorf("server: fleet path %q names no file: a fleet is its shard files", path)
+	}
 	opts.FS = seglog.OrOS(opts.FS)
-	if opts.Overwrite && path != "" {
+	if opts.Overwrite {
 		if err := removeShardFiles(opts.FS, path); err != nil {
 			return nil, err
 		}
 	}
 	var persisted *SlotMap
-	if path != "" && !opts.Overwrite {
+	if !opts.Overwrite {
 		if err := barePoolErr(opts.FS, path); err != nil {
 			return nil, err
 		}
@@ -276,7 +269,7 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 		}
 		persisted = m
 	}
-	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg, persistMap: path != ""}
+	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg}
 	list := make([]shard, shards)
 	var (
 		mu       sync.Mutex
@@ -399,10 +392,9 @@ func (s *ShardedEngine) ShardPools() []*pax.Pool {
 //     published, cleanup unfinished: the destination is authoritative);
 //     owner-wins deletion erases both kinds, and because it runs before
 //     serving starts it is idempotent across repeated crashes.
-//  2. No map: install the default map (persisting it for file-backed
-//     fleets). Beside existing shard files that is a legal
-//     state — a crash between OpenSharded creating the files and the first
-//     Save below leaves exactly it, and a pre-slot-map layout with a
+//  2. No map: install and persist the default map. Beside existing shard
+//     files that is a legal state — a crash between OpenSharded creating
+//     the files and the first Save below leaves exactly it, and a pre-slot-map layout with a
 //     power-of-two shard count already sits where the default map routes it
 //     — but only if every key is on the shard the default map names. A key
 //     anywhere else means the layout predates slot routing with some other
@@ -425,9 +417,6 @@ func (s *ShardedEngine) openRoute(persisted *SlotMap, fresh bool) error {
 	}
 	m := DefaultSlotMap(n)
 	s.route.Store(m)
-	if !s.persistMap {
-		return nil
-	}
 	if !fresh {
 		misplaced := 0
 		for k := range shards {

@@ -16,6 +16,9 @@ import (
 	"pax/internal/wire"
 )
 
+// tempPool is a fleet path in a directory of its own that the test removes.
+func tempPool(t *testing.T) string { return filepath.Join(t.TempDir(), "kv.pool") }
+
 func newSharded(t *testing.T, path string, shards int, cfg Config) *ShardedEngine {
 	t.Helper()
 	eng, err := OpenSharded(path, shards, smallOpts(), 0, cfg)
@@ -31,9 +34,6 @@ func TestShardPathLayout(t *testing.T) {
 	}
 	if got := ShardPath("/d/kv.pool", 2); got != "/d/kv.pool.shard-2" {
 		t.Fatalf("shard path = %q", got)
-	}
-	if got := ShardPath("", 2); got != "" {
-		t.Fatalf("in-memory shard path = %q, want empty", got)
 	}
 }
 
@@ -51,6 +51,18 @@ func TestDiscoverShards(t *testing.T) {
 		t.Fatalf("empty dir: %d %v", n, err)
 	}
 	touch(pool + ".shard-0")
+	// Only the names ShardPath writes are shards: read as shard 1,
+	// kv.pool.shard-01 would make this a 2-shard fleet, and opening it would
+	// create an empty kv.pool.shard-1 beside it.
+	for _, odd := range []string{"01", "+1", "-1"} {
+		touch(pool + ".shard-" + odd)
+		if n, err := DiscoverShards(nil, pool); err == nil || !strings.Contains(err.Error(), "unrecognized shard file") {
+			t.Fatalf("shard-0 beside shard-%s: %d %v, want an unrecognized shard file", odd, n, err)
+		}
+		if err := os.Remove(pool + ".shard-" + odd); err != nil {
+			t.Fatal(err)
+		}
+	}
 	touch(pool + ".shard-1")
 	touch(pool + ".shard-2")
 	if n, err := DiscoverShards(nil, pool); n != 3 || err != nil {
@@ -109,8 +121,24 @@ func TestDiscoverShardsIgnoresStaleTemps(t *testing.T) {
 	}
 }
 
+// A fleet is its files: a path that names none is refused before any file
+// is made.
+func TestOpenShardedRefusesEmptyPath(t *testing.T) {
+	for _, path := range []string{"", ".", "/"} {
+		if fleet, err := OpenSharded(path, 1, smallOpts(), 0, Config{}); err == nil {
+			fleet.Close()
+			t.Fatalf("OpenSharded(%q) opened a fleet", path)
+		}
+		for _, p := range []string{ShardPath(path, 0), SlotMapPath(path)} {
+			if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("refused OpenSharded(%q) left %s: %v", path, p, err)
+			}
+		}
+	}
+}
+
 func TestShardedBasicOpsAndMergedStats(t *testing.T) {
-	eng := newSharded(t, "", 4, Config{MaxBatch: 8})
+	eng := newSharded(t, tempPool(t), 4, Config{MaxBatch: 8})
 	defer eng.Close()
 
 	const keys = 64
@@ -268,7 +296,7 @@ func TestShardedRouterStableAcrossRestart(t *testing.T) {
 // The TCP server must work identically over a multi-shard fleet,
 // including the fan-out ops (PERSIST, STATS).
 func TestShardedTCPServer(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, "", 2, Config{MaxBatch: 8}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 2, Config{MaxBatch: 8}), AckDurable)
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

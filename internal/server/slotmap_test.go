@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -118,4 +119,47 @@ func TestSlotMapRouteStableAcrossReopen(t *testing.T) {
 			t.Fatalf("key %s rerouted %d -> %d across reopen", key, shard, got)
 		}
 	}
+}
+
+// FuzzLoadSlotMap writes arbitrary bytes as a fleet's .slotmap sidecar:
+// LoadSlotMap must refuse them or return a map that validates — never panic
+// — and a map it returns must Save and load back equal.
+func FuzzLoadSlotMap(f *testing.F) {
+	valid, err := json.MarshalIndent(DefaultSlotMap(3), "", "\t")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"version":1,"seq":7,"shards":2,"assign":[1,1,0]}`))
+	f.Add([]byte(`{"version":1,"shards":2,"assign":[2]}`))
+	f.Add([]byte(`{"version":1,"shards":257}`))
+	f.Add([]byte(`{"version":2,"shards":1}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	pool := filepath.Join(f.TempDir(), "kv.pool")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(SlotMapPath(pool), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadSlotMap(nil, pool)
+		if err != nil {
+			return
+		}
+		if m == nil {
+			t.Fatal("no map and no error for an existing sidecar")
+		}
+		if err := m.validate(); err != nil {
+			t.Fatalf("LoadSlotMap returned an invalid map: %v", err)
+		}
+		if err := m.Save(nil, pool); err != nil {
+			t.Fatalf("saving a loaded map: %v", err)
+		}
+		again, err := LoadSlotMap(nil, pool)
+		if err != nil {
+			t.Fatalf("reloading a saved map: %v", err)
+		}
+		if *again != *m {
+			t.Fatalf("map changed across Save: %+v -> %+v", m, again)
+		}
+	})
 }
