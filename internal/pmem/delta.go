@@ -193,10 +193,13 @@ func (d *Device) epochValueLocked() uint64 {
 // epoch as not durable. An in-memory device has no file, so its Sync cannot
 // fail: it reports the size the record would have had.
 func (d *Device) Sync() error {
+	if d.closed.Load() {
+		return fmt.Errorf("pmem: sync: %s: device is closed", d.path)
+	}
 	start := time.Now()
 	d.deltaMu.Lock()
 	defer d.deltaMu.Unlock()
-	d.mu.Lock()
+	d.lockMedia()
 	d.tracking = true
 	ranges := d.takeDirtyLocked()
 	epoch := d.epochValueLocked()
@@ -316,11 +319,13 @@ func (d *Device) LastSyncBytes() int64 { return d.lastSyncBytes.Load() }
 // WaitCheckpoint blocks until any in-flight background checkpoint finishes.
 func (d *Device) WaitCheckpoint() { d.ckptWG.Wait() }
 
-// Close stops background checkpointing and releases the epoch store's file
-// handles. The pool reopens from checkpoint + log.
+// Close stops background checkpointing, unmaps the media and releases the
+// epoch store's file handles. The pool reopens from checkpoint + log. Any
+// later media access panics; a later Sync fails.
 func (d *Device) Close() error {
 	d.closed.Store(true)
 	d.ckptWG.Wait()
+	d.release()
 	if d.store != nil {
 		return d.store.Close()
 	}

@@ -19,9 +19,11 @@
 package pmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -93,7 +95,7 @@ func DRAMConfig(size int) Config {
 type Device struct {
 	mu    sync.Mutex
 	cfg   Config
-	media []byte
+	media []byte // an anonymous mapping (media.go); nil once released
 	path  string // backing file; empty for in-memory devices
 
 	readBW  *sim.BandwidthMeter
@@ -166,55 +168,63 @@ func New(cfg Config) *Device {
 	if ckptBytes <= 0 {
 		ckptBytes = DefaultCheckpointBytes
 	}
-	return &Device{
+	d := &Device{
 		cfg:       cfg,
-		media:     make([]byte, cfg.Size),
+		media:     newMedia(cfg.Size),
 		ckptBytes: ckptBytes,
 		readBW:    sim.NewBandwidthMeter("pm-read", cfg.ReadBandwidth),
 		writeBW:   sim.NewBandwidthMeter("pm-write", cfg.WriteBandwidth),
 	}
+	runtime.SetFinalizer(d, (*Device).release)
+	return d
 }
 
 // Open returns a device backed by the file at path. The file is the pool's
-// checkpoint image: a missing file is created by publishing the zero-filled
-// image, an existing one is loaded (a size mismatch with cfg.Size is an
-// error, because silently resizing a pool would corrupt its layout). Open
-// then replays the committed delta records from <path>.epochlog/ on top (a
-// torn tail is discarded and reported in ReplayInfo) and attaches the store
-// for appends. A pool file with no epoch log — a legacy full-image pool, or
-// paxrecover's output — opens as a checkpoint with an empty log. A stale
-// staging file left by a crash while publishing a new pool's zero checkpoint
-// is removed: it is never valid state, only leftover garbage that would
-// otherwise accumulate and confuse layout discovery.
-func Open(path string, cfg Config) (*Device, error) {
+// checkpoint image: a missing file is created by publishing a sparse file of
+// cfg.Size zero bytes (seglog.PublishZeros), an existing one is loaded (a
+// size mismatch with cfg.Size is an error, because silently resizing a pool
+// would corrupt its layout). Open then replays the committed delta records
+// from <path>.epochlog/ on top (a torn tail is discarded and reported in
+// ReplayInfo) and attaches the store for appends. A pool file with no epoch
+// log — a legacy full-image pool, or paxrecover's output — opens as a
+// checkpoint with an empty log. A stale staging file left by a crash while
+// publishing a new pool's zero checkpoint is removed: it is never valid
+// state, only leftover garbage that would otherwise accumulate and confuse
+// layout discovery.
+func Open(path string, cfg Config) (_ *Device, err error) {
 	cfg.FS = seglog.OrOS(cfg.FS)
 	d := New(cfg)
 	d.path = path
 	d.tracking = true
+	defer func() {
+		if err != nil {
+			d.release()
+		}
+	}()
 	if err := cfg.FS.Remove(path + seglog.TempSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("pmem: removing stale temp for %s: %w", path, err)
 	}
 	f, err := cfg.FS.OpenFile(path, os.O_RDONLY, 0)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		// Publish the zero-filled checkpoint now so the invariant "a pool
-		// always has a checkpoint file" holds from the first commit on
-		// (layout discovery, size checks and the in-place fold rely on the
-		// file existing).
-		if err := seglog.Publish(cfg.FS, path, d.media); err != nil {
+		// Publish the zero checkpoint now so the invariant "a pool always
+		// has a checkpoint file" holds from the first commit on (layout
+		// discovery, size checks and the in-place fold rely on the file
+		// existing). The media is zero already.
+		if err := seglog.PublishZeros(cfg.FS, path, int64(cfg.Size)); err != nil {
 			return nil, fmt.Errorf("pmem: open: %w", err)
 		}
 	case err != nil:
 		return nil, fmt.Errorf("pmem: open %s: %w", path, err)
 	default:
-		// Load the checkpoint straight into the media, refusing a file whose
-		// size is not the configured one.
+		// Load the checkpoint into the media, refusing a file whose size is
+		// not the configured one.
 		fi, err := f.Stat()
 		if err == nil && fi.Size() != int64(cfg.Size) {
 			err = fmt.Errorf("holds %d bytes, config wants %d", fi.Size(), cfg.Size)
 		}
 		if err == nil {
-			_, err = f.ReadAt(d.media, 0)
+			err = d.load(f)
 		}
 		f.Close()
 		if err != nil {
@@ -235,6 +245,35 @@ func Open(path string, cfg Config) (*Device, error) {
 	return d, nil
 }
 
+// loadChunk is how much of the checkpoint load reads per call, and
+// loadPage the granularity at which it skips zeros.
+const (
+	loadChunk = 1 << 20
+	loadPage  = 4 << 10
+)
+
+// load reads the checkpoint f into the media a chunk at a time through one
+// buffer, copying only the pages that are not all zero: the media starts
+// zero, so an untouched page of the pool stays unfaulted and costs no
+// resident memory.
+func (d *Device) load(f seglog.File) error {
+	buf := make([]byte, loadChunk)
+	var zero [loadPage]byte
+	for off := 0; off < len(d.media); off += len(buf) {
+		chunk := buf[:min(len(buf), len(d.media)-off)]
+		if _, err := f.ReadAt(chunk, int64(off)); err != nil {
+			return err
+		}
+		for p := 0; p < len(chunk); p += loadPage {
+			page := chunk[p:min(p+loadPage, len(chunk))]
+			if !bytes.Equal(page, zero[:len(page)]) {
+				copy(d.media[off+p:], page)
+			}
+		}
+	}
+	return nil
+}
+
 // Size reports the media capacity in bytes.
 func (d *Device) Size() int { return d.cfg.Size }
 
@@ -250,10 +289,10 @@ func (d *Device) checkRange(addr uint64, n int) {
 // Read copies len(buf) bytes at addr into buf and returns the simulated
 // completion time for a request arriving at `at`.
 func (d *Device) Read(addr uint64, buf []byte, at sim.Time) sim.Time {
-	d.mu.Lock()
+	media := d.lockMedia()
 	defer d.mu.Unlock()
 	d.checkRange(addr, len(buf))
-	copy(buf, d.media[addr:addr+uint64(len(buf))])
+	copy(buf, media[addr:addr+uint64(len(buf))])
 	d.Reads.Inc()
 	d.BytesRead.Add(uint64(len(buf)))
 	done := d.readBW.Transfer(at, len(buf))
@@ -268,8 +307,8 @@ func (d *Device) Write(addr uint64, data []byte, at sim.Time) sim.Time {
 	// Validate before locking: checkRange reads only immutable geometry,
 	// and panicking while holding the lock would wedge the device.
 	d.checkRange(addr, len(data))
-	d.mu.Lock()
-	copy(d.media[addr:addr+uint64(len(data))], data)
+	media := d.lockMedia()
+	copy(media[addr:addr+uint64(len(data))], data)
 	d.trackDirtyLocked(addr, len(data))
 	d.Writes.Inc()
 	d.BytesWritten.Add(uint64(len(data)))
@@ -316,11 +355,11 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 	if validPrefix > n {
 		validPrefix = n
 	}
-	d.mu.Lock()
+	media := d.lockMedia()
 	defer d.mu.Unlock()
 	d.checkRange(addr, n)
 	for i := validPrefix; i < n; i++ {
-		d.media[addr+uint64(i)] = 0xCD
+		media[addr+uint64(i)] = 0xCD
 	}
 	d.trackDirtyLocked(addr, n)
 }
@@ -328,22 +367,22 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 // Snapshot returns a copy of the full media image — what a post-crash
 // observer would find. Crash tests diff snapshots against recovered state.
 func (d *Device) Snapshot() []byte {
-	d.mu.Lock()
+	media := d.lockMedia()
 	defer d.mu.Unlock()
-	out := make([]byte, len(d.media))
-	copy(out, d.media)
+	out := make([]byte, len(media))
+	copy(out, media)
 	return out
 }
 
 // Restore overwrites the media with the given image (used by crash tests to
 // rewind a device to a captured post-crash state).
 func (d *Device) Restore(image []byte) {
-	d.mu.Lock()
+	media := d.lockMedia()
 	defer d.mu.Unlock()
-	if len(image) != len(d.media) {
-		panic(fmt.Sprintf("pmem: restore image of %d bytes onto device of %d", len(image), len(d.media)))
+	if len(image) != len(media) {
+		panic(fmt.Sprintf("pmem: restore image of %d bytes onto device of %d", len(image), len(media)))
 	}
-	copy(d.media, image)
+	copy(media, image)
 	d.trackDirtyLocked(0, len(image))
 }
 

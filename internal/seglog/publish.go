@@ -24,11 +24,30 @@ const TempSuffix = ".tmp"
 // contents are untouched and the staging file is removed; a failed directory
 // fsync leaves the new contents visible but not yet known durable.
 func Publish(fs FS, path string, data []byte) error {
+	return publish(fs, path, data, 0)
+}
+
+// PublishZeros is Publish of size zero bytes, the size form: the staging
+// file is not written but Truncated to size, so it is sparse where the file
+// system allows and costs O(1) to write, whatever its size.
+func PublishZeros(fs FS, path string, size int64) error {
+	return publish(fs, path, nil, size)
+}
+
+// publish writes data to the staging file, extends it with zeros to size if
+// that is larger, and publishes it.
+func publish(fs FS, path string, data []byte, size int64) error {
 	fs = OrOS(fs)
 	tmp := path + TempSuffix
 	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err == nil {
-		if _, err = f.WriteAt(data, 0); err == nil {
+		if len(data) > 0 {
+			_, err = f.WriteAt(data, 0)
+		}
+		if err == nil && size > int64(len(data)) {
+			err = f.Truncate(size)
+		}
+		if err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {

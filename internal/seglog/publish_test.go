@@ -76,6 +76,44 @@ func TestPublish(t *testing.T) {
 	}
 }
 
+// TestPublishZeros: the size form runs the same protocol with a Truncate in
+// place of the write, so the published file is size zero bytes; a Truncate
+// that fails leaves the old contents and no staging file.
+func TestPublishZeros(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "target")
+	if err := seglog.Publish(nil, path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected ENOSPC")
+	fs := faultfs.New(nil)
+	failAt(fs, dir, faultfs.Truncate, "target.tmp", injected)
+	if err := seglog.PublishZeros(fs, path, 1<<20); !errors.Is(err, injected) {
+		t.Fatalf("PublishZeros = %v, want the injected fault", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("target holds %q after a failed Truncate, want %q", got, "old")
+	}
+	if _, err := os.Stat(path + seglog.TempSuffix); !os.IsNotExist(err) {
+		t.Fatalf("staging file left behind: %v", err)
+	}
+
+	ops := record(t, fs, dir, faultfs.WriteAt, faultfs.Truncate, faultfs.Sync, faultfs.Rename)
+	if err := seglog.PublishZeros(fs, path, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ops(), []string{"Truncate target.tmp", "Sync target.tmp", "Rename target.tmp", "Sync ."}; !slices.Equal(got, want) {
+		t.Fatalf("ops ran as %q, want %q", got, want)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1<<20 || slices.ContainsFunc(got, func(b byte) bool { return b != 0 }) {
+		t.Fatalf("published %d bytes, want %d zero bytes", len(got), 1<<20)
+	}
+}
+
 // TestPublishFaults: whichever step fails, the target holds either the old
 // contents or the new ones, no staging file survives, and the error carries
 // the cause.

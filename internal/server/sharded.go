@@ -94,8 +94,9 @@ type ShardedEngine struct {
 	// off this hub's sink.
 	events eventHub
 
-	mu    sync.Mutex
-	final stats.Summary // metrics frozen at teardown; guarded by mu
+	mu          sync.Mutex
+	final       stats.Summary // metrics frozen at teardown; guarded by mu
+	sealedEpoch uint64        // DurableEpoch frozen at teardown; guarded by mu
 }
 
 // reshardCounters are the router's own metrics (the engines know nothing of
@@ -850,8 +851,16 @@ func (s *ShardedEngine) Recoveries() []pax.RecoveryInfo {
 	return recs
 }
 
-// DurableEpoch reports the highest committed epoch across shards.
+// DurableEpoch reports the highest committed epoch across shards. After
+// Close or Crash it returns the epoch frozen at teardown: the pools are
+// closed, and their media is gone.
 func (s *ShardedEngine) DurableEpoch() uint64 {
+	s.mu.Lock()
+	sealed, epoch := s.final != nil, s.sealedEpoch
+	s.mu.Unlock()
+	if sealed {
+		return epoch
+	}
 	var max uint64
 	for _, sh := range *s.shards.Load() {
 		if e := sh.pool.DurableEpoch(); e > max {
@@ -910,8 +919,9 @@ func (s *ShardedEngine) Crash() error {
 	return s.teardown()
 }
 
-// teardown runs once: freeze the merged metrics (the loops are gone, so
-// sampling the registries directly cannot race a mutator) and close pools.
+// teardown runs once: freeze the merged metrics and the durable epoch (the
+// loops are gone, so sampling the registries and pools directly cannot race
+// a mutator) and close pools.
 func (s *ShardedEngine) teardown() error {
 	s.closeOnce.Do(func() {
 		shards := *s.shards.Load()
@@ -921,8 +931,9 @@ func (s *ShardedEngine) teardown() error {
 		}
 		final := mergeSummaries(snaps)
 		s.addRouterMetrics(final)
+		epoch := s.DurableEpoch()
 		s.mu.Lock()
-		s.final = final
+		s.final, s.sealedEpoch = final, epoch
 		s.mu.Unlock()
 		for k, sh := range shards {
 			if err := sh.pool.Close(); err != nil && s.closeErr == nil {

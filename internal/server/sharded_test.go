@@ -256,6 +256,39 @@ func TestShardedCrashRecovery(t *testing.T) {
 		len(acked), len(lost), shards)
 }
 
+// TestDurableEpochAfterClose: Close and Crash unmap every shard's media, so
+// DurableEpoch afterwards answers from teardown — the epoch the fleet was
+// sealed at, which is the one a reopen recovers (paxserve prints it on exit).
+func TestDurableEpochAfterClose(t *testing.T) {
+	pool := tempPool(t)
+	for _, stop := range []string{"Close", "Crash"} {
+		eng := newSharded(t, pool, 2, Config{})
+		for i := 0; i < 8; i++ {
+			if _, err := eng.Put([]byte(fmt.Sprintf("%s-%d", stop, i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if stop == "Close" {
+			err = eng.Close()
+		} else {
+			err = eng.Crash()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := eng.DurableEpoch()
+		reopened := newSharded(t, pool, 2, Config{})
+		got := reopened.DurableEpoch()
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if sealed == 0 || sealed != got {
+			t.Fatalf("after %s: DurableEpoch %d, reopen recovers %d", stop, sealed, got)
+		}
+	}
+}
+
 // Router stability: the key→shard mapping must be a pure function of key and
 // shard count, or a restart would look for keys in the wrong pool.
 func TestShardedRouterStableAcrossRestart(t *testing.T) {

@@ -312,6 +312,8 @@ func (p *Pool) DurableEpoch() uint64 { return p.inner.DurableEpoch() }
 
 // Close syncs the backing file (if any) without persisting the open epoch:
 // exactly like a crash, unpersisted changes are rolled back on next open.
+// It releases the pool's media, so a later call that reads or writes the
+// pool panics.
 func (p *Pool) Close() error { return p.inner.Close() }
 
 // Alloc reserves size bytes of vPM and returns its address. Most callers use
