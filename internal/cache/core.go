@@ -221,7 +221,7 @@ func (c *Core) FlushLines(addr uint64, n int) sim.Time {
 		}
 		if ll.dirty {
 			h.WriteBacks.Inc()
-			done := h.home(la).WriteBackLine(la, ll.data[:], at)
+			done := h.home(la).WriteBackLine(la, h.lineData(ll)[:], at)
 			ll.dirty = false
 			c.pendingDrain = sim.MaxTime(c.pendingDrain, done)
 		}

@@ -38,7 +38,7 @@ func TestRandomOpsShrunk(t *testing.T) {
 				t.Logf("  want %v", model[addr:int(addr)+n])
 				ll := h.llcLookup(la)
 				if ll != nil {
-					t.Logf("  llc: dirty=%v hostExcl=%v sharers=%b owner=%d data=%v", ll.dirty, ll.hostExcl, ll.sharers, ll.owner, ll.data[:16])
+					t.Logf("  llc: dirty=%v hostExcl=%v sharers=%b owner=%d data=%v", ll.dirty, ll.hostExcl, ll.sharers, ll.owner, h.lineData(ll)[:16])
 				} else {
 					t.Logf("  llc: ABSENT")
 				}

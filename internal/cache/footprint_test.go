@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"unsafe"
 
+	"pax/internal/coherence"
 	"pax/internal/sim"
 )
 
@@ -17,12 +19,13 @@ func liveHeap() int64 {
 }
 
 // TestHierarchyFootprint holds the default host model to the lines a pool
-// can use: building it costs the LLC array, and a core's private levels are
-// paid for only once that core runs. Eagerly built private levels for all 32
-// cores would add ≈ 48 MB here.
+// has used: building it costs the LLC's 40-byte line records, a core's
+// private levels are paid for only once that core runs, and LLC line data
+// only for the ways ever filled. Eagerly built private levels for all 32
+// cores would add ≈ 48 MB here, and data inline in every LLC way ≈ 23 MB.
 func TestHierarchyFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(llcLine{}); got != 96 {
-		t.Errorf("llcLine is %d bytes, want 96", got)
+	if got := unsafe.Sizeof(llcLine{}); got != 40 {
+		t.Errorf("llcLine is %d bytes, want 40", got)
 	}
 	if got := unsafe.Sizeof(line{}); got != 88 {
 		t.Errorf("line is %d bytes, want 88", got)
@@ -30,22 +33,109 @@ func TestHierarchyFootprint(t *testing.T) {
 	prof := sim.DefaultHost()
 	llcBytes := int64(prof.LLC.SizeBytes/LineSize) * int64(unsafe.Sizeof(llcLine{}))
 	coreBytes := int64((prof.L1.SizeBytes+prof.L2.SizeBytes)/LineSize) * int64(unsafe.Sizeof(line{}))
-	const slack = 1 << 20
+	const (
+		stores    = 10000
+		chunk     = 1 << maxSlabShift * LineSize
+		dataBytes = stores * LineSize
+		slack     = 1 << 20
+	)
 
 	before := liveHeap()
 	h := NewHierarchy(prof)
 	h.AddRange(0, 1<<20, newFakeHome(true))
 	built := liveHeap()
+	t.Logf("NewHierarchy grew the heap by %d bytes", built-before)
 	if grew := built - before; grew > llcBytes+slack {
-		t.Errorf("NewHierarchy grew the heap by %d bytes; the LLC is %d", grew, llcBytes)
+		t.Errorf("NewHierarchy grew the heap by %d bytes; the LLC's line records are %d", grew, llcBytes)
 	}
 
 	c := h.Core(0)
-	for i := 0; i < 10000; i++ {
+	for i := 0; i < stores; i++ {
 		c.Store(uint64(i)*LineSize, []byte{byte(i)})
 	}
-	if grew := liveHeap() - built; grew > coreBytes+slack {
-		t.Errorf("10000 stores on core 0 grew the heap by %d bytes; one core's L1 + L2 is %d", grew, coreBytes)
+	grew := liveHeap() - built
+	t.Logf("%d stores on core 0 grew the heap by %d bytes", stores, grew)
+	if grew > coreBytes+dataBytes+chunk+slack {
+		t.Errorf("%d stores on core 0 grew the heap by %d bytes; one core's L1 + L2 is %d, their data %d, a slab chunk %d",
+			stores, grew, coreBytes, dataBytes, chunk)
 	}
 	runtime.KeepAlive(h)
+}
+
+// TestLLCDataFollowsOccupancy streams four times the LLC's capacity of
+// distinct lines through core 0, dropping every third line from the host
+// with a SnpInv and refilling it, and holds the slab to the ways ever
+// filled: after every step the slab has handed out exactly one slot per way
+// that has held a line, and every reload returns the bytes last stored,
+// including through ways that held another tag before.
+func TestLLCDataFollowsOccupancy(t *testing.T) {
+	h, home := newTestHierarchy(t, true)
+	c := h.Core(0)
+	lines := len(h.llc)
+	want := make(map[uint64][]byte)
+	store := func(la uint64, round int) {
+		b := make([]byte, LineSize)
+		for k := range b {
+			b[k] = byte(int(la/LineSize)*7 + round*13 + k)
+		}
+		c.Store(la, b)
+		want[la] = b
+	}
+	everFilled := make(map[int]bool)
+	tagsSeen := make(map[int]map[uint64]bool)
+	observe := func(step string) {
+		t.Helper()
+		for w := range h.llc {
+			if ll := &h.llc[w]; ll.valid {
+				everFilled[w] = true
+				if tagsSeen[w] == nil {
+					tagsSeen[w] = make(map[uint64]bool)
+				}
+				tagsSeen[w][ll.tag] = true
+			}
+		}
+		if int(h.slots) != len(everFilled) {
+			t.Fatalf("%s: slab has %d slots for %d ways ever filled", step, h.slots, len(everFilled))
+		}
+	}
+
+	for i := 0; i < 4*lines; i++ {
+		la := uint64(i) * LineSize
+		store(la, 0)
+		observe("store")
+		if i%3 != 0 {
+			continue
+		}
+		res := h.SnoopLine(la, coherence.SnpInv, 0)
+		if !res.Present || !res.Dirty {
+			t.Fatalf("line %#x: SnpInv found present=%v dirty=%v, want a dirty line", la, res.Present, res.Dirty)
+		}
+		home.WriteBackLine(la, res.Data[:], 0)
+		observe("snoop")
+		store(la, 1)
+		observe("refill")
+	}
+	mustInvariants(t, h)
+	if len(everFilled) != lines || int(h.slots) != lines {
+		t.Fatalf("after %d distinct lines: %d ways filled, %d slots; want all %d", 4*lines, len(everFilled), h.slots, lines)
+	}
+	reused := 0
+	for _, tags := range tagsSeen {
+		if len(tags) > 1 {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no LLC way held more than one tag")
+	}
+
+	buf := make([]byte, LineSize)
+	for la, b := range want {
+		c.Load(la, buf)
+		if !bytes.Equal(buf, b) {
+			t.Fatalf("line %#x reloaded %v, want %v", la, buf[:8], b[:8])
+		}
+	}
+	observe("reload")
+	mustInvariants(t, h)
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"pax/internal/coherence"
@@ -9,25 +10,31 @@ import (
 	"pax/internal/stats"
 )
 
-// llcLine is one line in the shared, inclusive LLC. Besides data it holds the
-// intra-host directory state (which cores cache the line, and how) and the
-// host↔home state (does the host own the line exclusively; is the host's copy
-// dirty with respect to the home). The host↔home state is what a CXL.cache
-// home agent — the PAX device for vPM ranges — observes.
+// llcLine is one line in the shared, inclusive LLC: the intra-host directory
+// state (which cores cache the line, and how) and the host↔home state (does
+// the host own the line exclusively; is the host's copy dirty with respect to
+// the home). The host↔home state is what a CXL.cache home agent — the PAX
+// device for vPM ranges — observes.
 //
-// The record packs into 96 bytes (the default 22 MiB LLC is 360 448 of
-// them), with everything a probe reads before the data; owner fits an int32
-// because NewHierarchy caps the core count at 64.
+// The record packs into 40 bytes (the default 22 MiB LLC is 360 448 of
+// them) and holds no data: the line's bytes live in the hierarchy's slab at
+// slot, which the way claims at its first fill and keeps. owner and slot fit
+// an int32 because NewHierarchy caps the core count at 64 and the slab never
+// grows past the LLC's line count.
 type llcLine struct {
 	tag      uint64
 	sharers  uint64 // bitmask of cores holding Shared copies
 	lastUse  uint64
 	owner    int32 // core holding an E/M copy, -1 if none
+	slot     int32 // 1-based slab slot of the line's data, 0 if never filled
 	valid    bool
 	dirty    bool // host copy newer than home's
 	hostExcl bool // host holds exclusive ownership w.r.t. the home
-	data     [LineSize]byte
 }
+
+// maxSlabShift sizes a slab chunk: 1<<12 lines (256 KiB), or the LLC's line
+// count rounded down to a power of two when that is smaller.
+const maxSlabShift = 12
 
 type homeRange struct {
 	base, size uint64
@@ -49,6 +56,13 @@ type Hierarchy struct {
 	llcWays int
 	llcMask uint64
 	llcUse  uint64
+
+	// slab holds LLC line data in chunks of 1<<slabShift lines, appended
+	// only when the next slot needs one; slots counts the slots handed out.
+	// It grows with the ways ever filled, never past len(llc).
+	slab      [][][LineSize]byte
+	slabShift uint
+	slots     int32
 
 	homes []homeRange
 
@@ -77,10 +91,11 @@ func NewHierarchy(prof sim.HostProfile) *Hierarchy {
 		panic(fmt.Sprintf("cache: LLC set count %d is not a power of two", numSets))
 	}
 	h := &Hierarchy{
-		prof:    prof,
-		llc:     make([]llcLine, lines),
-		llcWays: prof.LLC.Ways,
-		llcMask: uint64(numSets - 1),
+		prof:      prof,
+		llc:       make([]llcLine, lines),
+		llcWays:   prof.LLC.Ways,
+		llcMask:   uint64(numSets - 1),
+		slabShift: uint(min(maxSlabShift, bits.Len(uint(lines))-1)),
 	}
 	for id := 0; id < prof.Cores; id++ {
 		h.cores = append(h.cores, &Core{
@@ -144,6 +159,27 @@ func (h *Hierarchy) llcTouch(ll *llcLine) {
 	ll.lastUse = h.llcUse
 }
 
+// lineData returns the data of ll, which every read or write of an LLC
+// line's bytes goes through. A way claims the slab's next slot at its first
+// fill and keeps it, so the slab holds data only for ways the LLC has used.
+func (h *Hierarchy) lineData(ll *llcLine) *[LineSize]byte {
+	if ll.slot == 0 {
+		h.claimSlot(ll)
+	}
+	i := uint(ll.slot - 1)
+	return &h.slab[i>>h.slabShift][i&(1<<h.slabShift-1)]
+}
+
+// claimSlot gives ll the slab's next slot, appending a chunk when the
+// chunks in hand are full.
+func (h *Hierarchy) claimSlot(ll *llcLine) {
+	if int(h.slots)>>h.slabShift == len(h.slab) {
+		h.slab = append(h.slab, make([][LineSize]byte, 1<<h.slabShift))
+	}
+	h.slots++
+	ll.slot = h.slots
+}
+
 func (h *Hierarchy) llcVictim(addr uint64) *llcLine {
 	set := h.llcSet(addr)
 	var lru *llcLine
@@ -203,7 +239,7 @@ func (h *Hierarchy) recallOwner(ll *llcLine, inval bool, at sim.Time) sim.Time {
 	data, dirty, present := h.probeOut(o, ll.tag, inval)
 	if present {
 		if dirty {
-			ll.data = data
+			*h.lineData(ll) = data
 			ll.dirty = true
 		}
 	}
@@ -258,7 +294,7 @@ func (h *Hierarchy) llcEvict(ll *llcLine, at sim.Time) sim.Time {
 	h.invalidateSharers(ll, -1)
 	if ll.dirty {
 		h.WriteBacks.Inc()
-		h.home(ll.tag).WriteBackLine(ll.tag, ll.data[:], at)
+		h.home(ll.tag).WriteBackLine(ll.tag, h.lineData(ll)[:], at)
 	}
 	ll.valid = false
 	return at
@@ -276,7 +312,7 @@ func (h *Hierarchy) privateEvict(c *Core, la uint64, data *[LineSize]byte, dirty
 	}
 	ll.sharers &^= 1 << uint(c.id)
 	if dirty {
-		ll.data = *data
+		*h.lineData(ll) = *data
 		ll.dirty = true
 	}
 }
@@ -297,17 +333,17 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) ([LineSize
 			at = h.hostUpgrade(ll, at)
 			ll.owner = int32(c.id)
 			ll.sharers = 0
-			return ll.data, coherence.Modified, at
+			return *h.lineData(ll), coherence.Modified, at
 		}
 		// Read: grant Exclusive when this core is the only holder and the
 		// host already owns the line; otherwise Shared.
 		if ll.hostExcl && ll.sharers == 0 && ll.owner < 0 {
 			ll.owner = int32(c.id)
-			return ll.data, coherence.Exclusive, at
+			return *h.lineData(ll), coherence.Exclusive, at
 		}
 		ll.owner = -1
 		ll.sharers |= 1 << uint(c.id)
-		return ll.data, coherence.Shared, at
+		return *h.lineData(ll), coherence.Shared, at
 	}
 
 	// LLC miss: evict a victim, fetch from the home.
@@ -317,13 +353,12 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) ([LineSize
 	if victim.valid {
 		at = h.llcEvict(victim, at)
 	}
-	var buf [LineSize]byte
+	buf := h.lineData(victim)
 	res := h.home(la).FetchLine(la, write, buf[:], at)
 	at = res.Done
 
 	victim.valid = true
 	victim.tag = la
-	victim.data = buf
 	victim.dirty = false
 	victim.sharers = 0
 	victim.owner = -1
@@ -333,17 +368,17 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) ([LineSize
 		// An exclusive fetch (RdOwn) always grants ownership.
 		victim.hostExcl = true
 		victim.owner = int32(c.id)
-		return buf, coherence.Modified, at
+		return *buf, coherence.Modified, at
 	}
 	switch res.State {
 	case coherence.Exclusive:
 		victim.hostExcl = true
 		victim.owner = int32(c.id)
-		return buf, coherence.Exclusive, at
+		return *buf, coherence.Exclusive, at
 	case coherence.Shared:
 		victim.hostExcl = false
 		victim.sharers = 1 << uint(c.id)
-		return buf, coherence.Shared, at
+		return *buf, coherence.Shared, at
 	default:
 		panic(fmt.Sprintf("cache: home granted invalid fill state %v", res.State))
 	}
@@ -364,7 +399,7 @@ func (h *Hierarchy) SnoopLine(la uint64, op coherence.SnoopOp, at sim.Time) cohe
 	if ll.owner >= 0 {
 		at = h.recallOwner(ll, op == coherence.SnpInv, at)
 	}
-	res := coherence.SnoopResult{Present: true, Dirty: ll.dirty, Data: ll.data, Done: at}
+	res := coherence.SnoopResult{Present: true, Dirty: ll.dirty, Data: *h.lineData(ll), Done: at}
 	switch op {
 	case coherence.SnpData:
 		ll.dirty = false // the device now holds the newest value
@@ -414,7 +449,7 @@ func (h *Hierarchy) FlushAll(at sim.Time) sim.Time {
 		}
 		if ll.dirty {
 			h.WriteBacks.Inc()
-			at = h.home(ll.tag).WriteBackLine(ll.tag, ll.data[:], at)
+			at = h.home(ll.tag).WriteBackLine(ll.tag, h.lineData(ll)[:], at)
 			ll.dirty = false
 		}
 		ll.hostExcl = false

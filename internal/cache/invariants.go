@@ -20,6 +20,9 @@ import (
 //  4. A line that is dirty anywhere on the host, or E/M at any core, is
 //     host-exclusive with respect to its home.
 //  5. Shared copies are never dirty.
+//  6. Every valid LLC line has a slab slot, no two ways share one, every
+//     slot handed out is held by a way, and the slab has handed out no more
+//     slots than its chunks hold or the LLC has lines.
 func (h *Hierarchy) CheckInvariants() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -64,12 +67,36 @@ func (h *Hierarchy) CheckInvariants() error {
 		perCore[i] = m
 	}
 
+	if int(h.slots) > len(h.llc) || int(h.slots) > len(h.slab)<<h.slabShift {
+		return fmt.Errorf("slab: %d slots handed out for %d LLC lines in %d chunks", h.slots, len(h.llc), len(h.slab))
+	}
+	slotWay := make(map[int32]int)
+	for w := range h.llc {
+		s := h.llc[w].slot
+		if s == 0 {
+			continue
+		}
+		if s < 0 || s > h.slots {
+			return fmt.Errorf("LLC way %d: slot %d outside the %d handed out", w, s, h.slots)
+		}
+		if prev, ok := slotWay[s]; ok {
+			return fmt.Errorf("LLC ways %d and %d share slot %d", prev, w, s)
+		}
+		slotWay[s] = w
+	}
+	if len(slotWay) != int(h.slots) {
+		return fmt.Errorf("slab: %d slots handed out, %d held by LLC ways", h.slots, len(slotWay))
+	}
+
 	// Walk the LLC and check the directory against gathered presence.
 	llcTags := make(map[uint64]*llcLine)
 	for w := range h.llc {
 		ll := &h.llc[w]
 		if !ll.valid {
 			continue
+		}
+		if ll.slot == 0 {
+			return fmt.Errorf("line %#x: valid in the LLC without a slab slot", ll.tag)
 		}
 		llcTags[ll.tag] = ll
 

@@ -3,10 +3,14 @@
 // directory, kept coherent with MESI and connected to per-range homes (memory
 // controllers or the PAX device).
 //
-// Every level is one flat sets × ways array of line records. The LLC is
-// allocated with the hierarchy; a core's private levels are allocated at
-// their first fill, so a hierarchy pays line storage only for the cores that
-// have run (a served pool drives core 0 alone).
+// Every level is one flat sets × ways array of line records. A private
+// record carries its line's data; an LLC record carries only the tag, the
+// directory and the home state, and its data lives in a slab of fixed-size
+// chunks filled in order, a slot per way claimed at the way's first fill. The
+// LLC's records are allocated with the hierarchy; a core's private levels are
+// allocated at their first fill, so a hierarchy pays line data only for the
+// LLC ways it has filled and the cores that have run (a served pool drives
+// core 0 alone).
 //
 // The hierarchy is the functional memory path, not just a timing model: lines
 // hold real data, stores land in caches and reach the home only on eviction,
