@@ -9,7 +9,6 @@
 //	paxbench -loadgen -clients 64 -ops 200 # serving-layer load generator
 //	paxbench -loadgen -shards 1,2,4,8 -format json -out BENCH_loadgen.json
 //	paxbench -loadgen -read-ratio 0.9      # GET-heavy mix on the read index
-//	paxbench -loadgen -ack-policy both     # durable vs apply acks
 //
 // Scales: "paper" uses a hash table far larger than the simulated LLC and
 // 100k measured operations per system; "quick" is a seconds-long smoke run.
@@ -20,9 +19,8 @@
 // set (left there afterwards), else in a temporary directory the run
 // removes. -read-ratio mixes GETs into the workload (0.9 models a read-heavy
 // serving tier); GETs are served from the engine's volatile read index.
-// -ack-policy selects how writes are acked — "durable" (ack when the group
-// commit reaches media), "apply" (ack when applied and read-index-visible),
-// or "both" to A/B them. -split and -autopilot run the same sweep with an act
+// Every write is acked once its group commit reaches media. -split and
+// -autopilot run the same sweep with an act
 // in the middle of every run: measure, reshape the fleet, measure again,
 // crash, reopen and count lost keys. The default table output prints one row per
 // measured phase plus the merged metrics registry as `name value` lines (the
@@ -61,7 +59,6 @@ func main() {
 	flag.Float64Var(&lg.readRatio, "read-ratio", 0, "loadgen: fraction of ops issued as GETs against previously written keys (0 = write-heavy with periodic read-backs)")
 	flag.StringVar(&lg.poolDir, "pool-dir", "", "loadgen: put the runs' pool files in this directory and leave them there (default: a temporary directory per run, removed afterwards)")
 	flag.StringVar(&lg.dataSizes, "data-sizes", "", "loadgen: comma-separated per-shard vPM data sizes in bytes to sweep (e.g. 67108864,134217728; empty = the 32 MiB default)")
-	flag.StringVar(&lg.ackPolicy, "ack-policy", "durable", "loadgen: ack policy to run: durable | apply | both")
 	flag.StringVar(&lg.jsonOut, "out", "", "loadgen: also write the JSON records to this file")
 	flag.Uint64Var(&lg.keys, "keys", 0, "loadgen: shared keyspace size; > 0 switches clients from private keys to a preloaded shared keyspace (required for -dist/-rmw-ratio/-value-dist; -split/-autopilot default it to 10000)")
 	flag.StringVar(&lg.dist, "dist", "uniform", "loadgen: shared-keyspace key distribution: uniform | zipf")
@@ -142,7 +139,6 @@ type loadgenConfig struct {
 	readRatio float64
 	poolDir   string
 	dataSizes string
-	ackPolicy string
 	format    string
 	jsonOut   string
 	keys      uint64
@@ -159,7 +155,7 @@ type loadgenConfig struct {
 
 // spec builds the LoadSpec of one run of the sweep: the flags, plus this
 // run's point on each swept axis.
-func (cfg loadgenConfig) spec(shards int, dataSize uint64, apply bool) benchkit.LoadSpec {
+func (cfg loadgenConfig) spec(shards int, dataSize uint64) benchkit.LoadSpec {
 	spec := benchkit.LoadSpec{
 		Clients:        cfg.clients,
 		OpsPerClient:   cfg.ops,
@@ -169,7 +165,6 @@ func (cfg loadgenConfig) spec(shards int, dataSize uint64, apply bool) benchkit.
 		Shards:         shards,
 		PoolDir:        cfg.poolDir,
 		DataSize:       dataSize,
-		AckOnApply:     apply,
 		Keys:           cfg.keys,
 		Dist:           cfg.dist,
 		ZipfS:          cfg.zipfS,
@@ -185,7 +180,7 @@ func (cfg loadgenConfig) spec(shards int, dataSize uint64, apply bool) benchkit.
 	return spec
 }
 
-// runLoadgen sweeps data size × ack policy × shard count,
+// runLoadgen sweeps data size × shard count,
 // one benchkit.RunScript per point, and reports every measured phase as a
 // table plus metrics registry or as JSON records. -split / -autopilot put an
 // act in the middle of each run and fill in what an act needs and the flags
@@ -228,27 +223,14 @@ func runLoadgen(cfg loadgenConfig) error {
 			sizes = append(sizes, n)
 		}
 	}
-	var policies []bool // AckOnApply values to sweep
-	switch cfg.ackPolicy {
-	case "durable":
-		policies = []bool{false}
-	case "apply":
-		policies = []bool{true}
-	case "both":
-		policies = []bool{false, true}
-	default:
-		return fmt.Errorf("bad -ack-policy %q (want durable, apply, or both)", cfg.ackPolicy)
-	}
 	var phases []benchkit.LoadResult
 	for _, dataSize := range sizes {
-		for _, apply := range policies {
-			for _, n := range counts {
-				res, err := benchkit.RunScript(cfg.spec(n, dataSize, apply), act)
-				if err != nil {
-					return fmt.Errorf("%d shards (data=%d, apply=%v): %w", n, dataSize, apply, err)
-				}
-				phases = append(phases, res.Phases()...)
+		for _, n := range counts {
+			res, err := benchkit.RunScript(cfg.spec(n, dataSize), act)
+			if err != nil {
+				return fmt.Errorf("%d shards (data=%d): %w", n, dataSize, err)
 			}
+			phases = append(phases, res.Phases()...)
 		}
 	}
 	return emit(cfg, phases)
@@ -277,14 +259,14 @@ func emit(cfg loadgenConfig, phases []benchkit.LoadResult) error {
 		return err
 	}
 
-	t := stats.NewTable("loadgen", "phase", "ack", "pool MiB", "shards", "clients", "acked writes", "gets", "snapshots", "writes/snapshot", "max batch", "writes/s", "ops/s", "ack p50 ms", "ack p99 ms", "KiB/commit p99", "amp", "imbalance", "hot shard")
+	t := stats.NewTable("loadgen", "phase", "pool MiB", "shards", "clients", "acked writes", "gets", "snapshots", "writes/snapshot", "max batch", "writes/s", "ops/s", "ack p50 ms", "ack p99 ms", "KiB/commit p99", "amp", "imbalance", "hot shard")
 	for i, res := range phases {
 		phase := res.Phase
 		if phase == "" {
 			phase = "-"
 		}
 		j := records[i]
-		t.AddRowf(phase, j.AckPolicy, float64(res.PoolBytes)/(1<<20), j.Shards, res.Spec.Clients, res.AckedWrites, res.Gets, res.GroupCommits,
+		t.AddRowf(phase, float64(res.PoolBytes)/(1<<20), j.Shards, res.Spec.Clients, res.AckedWrites, res.Gets, res.GroupCommits,
 			res.Amortization, res.BatchMax, res.Throughput, res.OpsThroughput,
 			float64(res.AckP50.Microseconds())/1e3, float64(res.AckP99.Microseconds())/1e3,
 			res.CommitP99Bytes/1024, res.WriteAmplification, res.ShardImbalance, res.HotShard)

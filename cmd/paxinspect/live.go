@@ -104,13 +104,12 @@ func printShardStats(cl *wire.Client) error {
 	quant := func(name string, k int) float64 {
 		return m[name+`{q="p99",shard="`+strconv.Itoa(k)+`"}`]
 	}
-	fmt.Printf("  %5s %14s %12s %12s %10s %16s %15s %13s\n",
-		"shard", "acked writes", "on-apply", "gets", "commits", "enqueue p99", "commit p99", "ack p99")
+	fmt.Printf("  %5s %14s %12s %10s %16s %15s %13s\n",
+		"shard", "acked writes", "gets", "commits", "enqueue p99", "commit p99", "ack p99")
 	for k := 0; k < shards; k++ {
-		fmt.Printf("  %5d %14.0f %12.0f %12.0f %10.0f %16s %15s %13s\n",
+		fmt.Printf("  %5d %14.0f %12.0f %10.0f %16s %15s %13s\n",
 			k,
 			get("paxserve_acked_writes", k),
-			get("paxserve_acked_on_apply", k),
 			get("paxserve_gets", k),
 			get("paxserve_group_commits", k),
 			fmtNS(int64(quant("paxserve_enqueue_wait_ns", k))),

@@ -27,7 +27,7 @@ func TestRecoveredFleetReopens(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("fleet-%03d", i)
 		want[k] = fmt.Sprintf("v%d", i)
-		if _, err := eng.PutPolicy([]byte(k), []byte(want[k]), server.AckApply); err != nil {
+		if _, err := eng.Put([]byte(k), []byte(want[k])); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,19 +10,13 @@
 //	paxserve -pool ./kv.pool -overwrite      # reformat an existing pool
 //	paxserve -pool ./kv.pool -shards 4       # partition the keyspace 4 ways
 //	paxserve -pool ./kv.pool -debug-addr 127.0.0.1:7422   # HTTP observability
-//	paxserve -pool ./kv.pool -ack-policy apply            # acks at apply time
 //
 // Each shard's one writer goroutine applies, persists and acks its group
 // commits: a batch seals as soon as the shard's queue is empty (or at
 // -max-batch writes, a PERSIST, or shutdown) — it never waits for company —
-// and a durable ack follows its own epoch's delta append and fsync.
-// -ack-policy picks the default
-// durability contract for clients that do not set one per request on the
-// wire: "durable" (the default — every write ack means its epoch reached
-// media) or "apply" (acks return as soon as the write is applied and visible
-// to GETs; durability trails asynchronously, and a crash may lose writes
-// acked under this policy). Per-request wire flags override the daemon
-// default either way.
+// and every ack follows its own epoch's delta append and fsync. A write
+// becomes visible to GETs at that same point, so a GET never serves a write
+// that a crash could roll back.
 //
 // -debug-addr starts an HTTP observability plane on a second listener:
 // /metrics renders the merged metrics registry (counters, gauges, and the
@@ -62,8 +56,9 @@
 //
 // GETs do not enter the writer queue: each shard keeps a volatile read
 // index (rebuilt from the recovered pool at startup) that the writer
-// updates at apply time, so reads are answered immediately even while a
-// group commit is in flight.
+// publishes each batch to once its commit succeeds, so reads are answered
+// immediately even while a group commit is in flight, and never with a
+// write that commit could still lose.
 //
 // Every pool is served through the delta epoch store: a group commit appends
 // the byte ranges the batch dirtied to <pool>.epochlog/ and fsyncs the
@@ -114,7 +109,6 @@ func main() {
 		slowCmt   = flag.Duration("slow-commit", server.DefaultSlowCommit, "pin group commits slower than this in the flight recorder (negative disables pinning)")
 		bbox      = flag.Bool("blackbox", false, "journal lifecycle events and windowed metrics snapshots to <pool>.blackbox/ for crash postmortems (paxinspect -postmortem)")
 		bboxTick  = flag.Duration("blackbox-interval", time.Second, "black-box windowed metrics snapshot period")
-		ackPolicy = flag.String("ack-policy", "durable", "default ack policy for requests without an explicit wire flag: durable (ack when the group commit reaches media) | apply (ack when applied and read-index-visible; durability asynchronous)")
 		autosplit = flag.Bool("autosplit", false, "run the reshard autopilot's split policy: split the hottest shard when its commit pipeline stays saturated")
 		mergeIdle = flag.Duration("merge-idle", 0, "run the reshard autopilot's merge policy: fold the coldest shard back after it idles this long, never below 2 shards (0 disables)")
 		apTick    = flag.Duration("autopilot-interval", time.Second, "reshard autopilot policy tick (windowed load sampling period)")
@@ -168,17 +162,6 @@ func main() {
 	case discovered > 0 && discovered != n && !*overwrite:
 		fmt.Fprintf(os.Stderr, "paxserve: %q holds %d shard(s) but -shards %d was requested; reopen with -shards %d (or 0) or reformat with -overwrite\n",
 			*poolPath, discovered, n, discovered)
-		os.Exit(2)
-	}
-
-	var defaultAck server.AckPolicy
-	switch *ackPolicy {
-	case "durable":
-		defaultAck = server.AckDurable
-	case "apply":
-		defaultAck = server.AckApply
-	default:
-		fmt.Fprintf(os.Stderr, "paxserve: -ack-policy must be durable or apply, got %q\n", *ackPolicy)
 		os.Exit(2)
 	}
 
@@ -240,7 +223,6 @@ func main() {
 		os.Exit(1)
 	}
 	srv := server.NewServer(eng)
-	srv.DefaultAckPolicy = defaultAck
 	srv.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
 	if *debugAddr != "" {

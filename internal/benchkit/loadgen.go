@@ -60,11 +60,6 @@ type LoadSpec struct {
 	// 32 MiB). The pool-size sweep holds the workload fixed and grows this:
 	// a delta commit's cost must not grow with it.
 	DataSize uint64
-	// AckOnApply issues every write under server.AckApply: acked when
-	// applied and read-index-visible, durability asynchronous. False is the
-	// ack-on-durable default — every ack means the write's group commit
-	// reached media.
-	AckOnApply bool
 	// Keys, when > 0, switches the run to a shared-keyspace workload: the
 	// keyspace is Keys keys ("k%08d"), preloaded durable before the measured
 	// phase, and every client samples the same space — reads and writes alike
@@ -197,8 +192,7 @@ type LoadResult struct {
 // ShardLoad is one shard's share of a phase.
 type ShardLoad struct {
 	Shard int `json:"shard"`
-	// AckedOps is the shard's acked writes (durable + on-apply) plus served
-	// GETs.
+	// AckedOps is the shard's acked writes plus served GETs.
 	AckedOps uint64 `json:"acked_ops"`
 	// EnqueueWaitP99Micros is the shard's server-side enqueue-wait p99 since
 	// the fleet opened — how long requests sat blocked on a full queue, the
@@ -213,14 +207,11 @@ type ShardLoad struct {
 // `paxbench -loadgen -format json` emits so the perf trajectory is tracked
 // across PRs.
 type LoadJSON struct {
-	Shards       int     `json:"shards"`
-	Clients      int     `json:"clients"`
-	OpsPerClient int     `json:"ops_per_client"`
-	MaxBatch     int     `json:"max_batch"`
-	ReadRatio    float64 `json:"read_ratio"`
-	// AckPolicy is "durable" (acks mean on-media) or "apply" (acks mean
-	// applied and read-index-visible, durability async).
-	AckPolicy         string  `json:"ack_policy"`
+	Shards            int     `json:"shards"`
+	Clients           int     `json:"clients"`
+	OpsPerClient      int     `json:"ops_per_client"`
+	MaxBatch          int     `json:"max_batch"`
+	ReadRatio         float64 `json:"read_ratio"`
 	AckedWrites       uint64  `json:"acked_writes"`
 	Gets              uint64  `json:"gets"`
 	Snapshots         uint64  `json:"snapshots"`
@@ -271,10 +262,6 @@ type LoadJSON struct {
 
 // JSON converts one phase to its machine-readable record.
 func (r LoadResult) JSON() LoadJSON {
-	policy := "durable"
-	if r.Spec.AckOnApply {
-		policy = "apply"
-	}
 	dist := "private"
 	zipfS := 0.0
 	valueDist := ""
@@ -300,7 +287,6 @@ func (r LoadResult) JSON() LoadJSON {
 		OpsPerClient:       r.Spec.OpsPerClient,
 		MaxBatch:           r.Spec.MaxBatch,
 		ReadRatio:          r.Spec.ReadRatio,
-		AckPolicy:          policy,
 		AckedWrites:        r.AckedWrites,
 		Gets:               r.Gets,
 		Snapshots:          r.GroupCommits,
@@ -398,11 +384,6 @@ func (spec LoadSpec) validate(act Act) error {
 	name := actNames[act].load
 	if spec.Keys == 0 {
 		return fmt.Errorf("benchkit: %s load needs Keys > 0, got %+v", name, spec)
-	}
-	if spec.AckOnApply {
-		// The crash check asserts every acked write survives; apply-acked
-		// writes are allowed to roll back, so the assertion would be vacuous.
-		return fmt.Errorf("benchkit: %s load measures durable acks; AckOnApply would make the crash check vacuous", name)
 	}
 	return nil
 }
@@ -684,11 +665,9 @@ func (r *loadRun) fold(ph *phase) (LoadResult, error) {
 	}
 	delta := metrics.Diff(ph.before)
 	// writes is the write acks of this phase, fleet-wide ("") or for one
-	// {shard="K"} label. Durable runs count them at commit time
-	// (acked_writes), apply runs at apply time (acked_on_apply); either way
-	// it is one ack per write.
+	// {shard="K"} label: one per write, counted at its commit.
 	writes := func(lbl string) float64 {
-		return delta["paxserve_acked_writes"+lbl] + delta["paxserve_acked_on_apply"+lbl]
+		return delta["paxserve_acked_writes"+lbl]
 	}
 	ack := ph.ackLat.Snapshot()
 	res := LoadResult{
@@ -742,9 +721,9 @@ func (r *loadRun) fold(ph *phase) (LoadResult, error) {
 
 // preload writes the whole shared keyspace before the measured phase, so
 // measured reads always hit and the imbalance numbers reflect steady-state
-// traffic, not fill: ack-on-apply puts fanned across the clients' worth of
-// goroutines, then one forced commit per shard so the preload is durable and
-// the measured phase starts from a clean epoch.
+// traffic, not fill: durable puts fanned across the clients' worth of
+// goroutines, so they share group commits and the measured phase starts
+// from a clean epoch.
 func (r *loadRun) preload(spec LoadSpec) error {
 	loaders := spec.Clients
 	if loaders > 64 {
@@ -765,7 +744,7 @@ func (r *loadRun) preload(spec LoadSpec) error {
 		go func(lo, hi uint64) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				if _, err := r.eng.PutPolicy(sharedKey(i), r.value, server.AckApply); err != nil {
+				if _, err := r.eng.Put(sharedKey(i), r.value); err != nil {
 					errs <- fmt.Errorf("benchkit: preloading key %d: %w", i, err)
 					return
 				}
@@ -777,9 +756,8 @@ func (r *loadRun) preload(spec LoadSpec) error {
 	case err := <-errs:
 		return err
 	default:
+		return nil
 	}
-	_, err := r.eng.Persist()
-	return err
 }
 
 // client is one measured-phase client: OpsPerClient ops, ReadRatio of them
@@ -810,11 +788,7 @@ func (r *loadRun) client(spec LoadSpec, c int, ackLat *stats.LatencyHistogram, s
 		readAcc, rmwAcc float64                            // error-diffusion accumulators, deterministic per client
 		wrote           int                                // private keys this client has written so far
 		rng             = uint32(2654435761 * uint64(c+1)) // per-client LCG: private read picks, value sizes
-		policy          = server.AckDurable
 	)
-	if spec.AckOnApply {
-		policy = server.AckApply
-	}
 	// fail reports what stopped the client — unless a fault was injected:
 	// then errors are the experiment (the sealed shard refuses this client's
 	// ops) and the client just stops.
@@ -868,7 +842,7 @@ func (r *loadRun) client(spec LoadSpec, c int, ackLat *stats.LatencyHistogram, s
 				return
 			}
 		}
-		if _, err := r.eng.PutPolicy(key, v, policy); err != nil {
+		if _, err := r.eng.Put(key, v); err != nil {
 			fail(fmt.Errorf("op %d: %w", op, err))
 			return
 		}

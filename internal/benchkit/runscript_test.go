@@ -135,13 +135,9 @@ func TestRunScriptAutopilot(t *testing.T) {
 }
 
 // An act is judged by a keyspace that survives a crash, so a spec without a
-// shared keyspace, or with acks that may roll back, is refused before
-// anything is opened.
+// shared keyspace is refused before anything is opened.
 func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
-	ok := LoadSpec{Clients: 2, OpsPerClient: 4, Shards: 2, PoolDir: t.TempDir(), Keys: 16}
-	private, apply := ok, ok
-	private.Keys = 0
-	apply.AckOnApply = true
+	private := LoadSpec{Clients: 2, OpsPerClient: 4, Shards: 2, PoolDir: t.TempDir()}
 	for _, tc := range []struct {
 		name string
 		spec LoadSpec
@@ -149,18 +145,15 @@ func TestRunScriptRefusesActsItCannotJudge(t *testing.T) {
 		want string
 	}{
 		{"private-key split", private, SplitAct, "benchkit: split load needs Keys > 0"},
-		{"apply-acked split", apply, SplitAct, "benchkit: split load measures durable acks; AckOnApply would make the crash check vacuous"},
-		{"apply-acked autopilot", apply, AutopilotAct, "benchkit: autopilot load measures durable acks; AckOnApply would make the crash check vacuous"},
+		{"private-key autopilot", private, AutopilotAct, "benchkit: autopilot load needs Keys > 0"},
 	} {
 		if _, err := RunScript(tc.spec, tc.act); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
 		}
 	}
-	// The same specs are fine without an act.
-	for _, spec := range []LoadSpec{private, apply} {
-		if _, err := RunScript(spec, NoAct); err != nil {
-			t.Errorf("no act, %+v: %v", spec, err)
-		}
+	// The same spec is fine without an act.
+	if _, err := RunScript(private, NoAct); err != nil {
+		t.Errorf("no act, %+v: %v", private, err)
 	}
 }
 
@@ -172,7 +165,7 @@ func TestRunScriptWithoutPoolDirLeavesNothing(t *testing.T) {
 	t.Setenv("TMPDIR", tmp)
 	keyed := LoadSpec{Clients: 4, OpsPerClient: 10, Shards: 2, Keys: 200, Dist: "zipf", ZipfS: 1.3}
 	refused := keyed
-	refused.AckOnApply = true
+	refused.Keys = 0
 	for _, tc := range []struct {
 		name    string
 		spec    LoadSpec

@@ -49,8 +49,8 @@ const (
 type Snapshot struct {
 	UnixNano   int64   `json:"unix_nano"`
 	DurSeconds float64 `json:"dur_seconds"`
-	// OpsPerSec is the serving rate over the window: acked writes (durable +
-	// on-apply) plus served GETs per second.
+	// OpsPerSec is the serving rate over the window: acked writes plus
+	// served GETs per second.
 	OpsPerSec float64 `json:"ops_per_sec"`
 	// Rates holds the nonzero per-second counter rates over the window;
 	// Quantiles the current values of the `{q="..."}` latency series.
@@ -60,7 +60,7 @@ type Snapshot struct {
 
 // opsRate sums the serving-rate counters out of a rate summary.
 func opsRate(rates stats.Summary) float64 {
-	return rates["paxserve_acked_writes"] + rates["paxserve_acked_on_apply"] + rates["paxserve_gets"]
+	return rates["paxserve_acked_writes"] + rates["paxserve_gets"]
 }
 
 // MakeSnapshot windows cur against prev: counter deltas become per-second

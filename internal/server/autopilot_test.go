@@ -201,7 +201,7 @@ func TestTrackerWindowedRatesDecay(t *testing.T) {
 	}
 
 	for i := 0; i < 400; i++ {
-		if _, err := eng.PutPolicy([]byte(fmt.Sprintf("rate-%04d", i)), []byte("v"), AckApply); err != nil {
+		if _, err := eng.Put([]byte(fmt.Sprintf("rate-%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestAutopilotSplitsThenMerges(t *testing.T) {
 				default:
 				}
 				key := hotKeys[(w+i)%len(hotKeys)]
-				if _, err := eng.PutPolicy(key, []byte("v"), AckApply); err != nil {
+				if _, err := eng.Put(key, []byte("v")); err != nil {
 					return // engine closing under us ends the flood
 				}
 			}

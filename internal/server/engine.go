@@ -27,19 +27,21 @@
 //	persist — commit runs the pool's Persist: the simulated PAX commit of the
 //	          batch's dirty lines, then the media sync (on a served pool, the
 //	          delta record's append and fsync).
-//	ack     — once that persist has returned, commit acks the batch's
-//	          ack-on-durable waiters with its epoch. A durable ack follows its
-//	          own persist and nothing else: the device time the paper models
-//	          is recorded per commit (CommitRecord.SimNS), not slept.
+//	ack     — once that persist has returned, commit publishes the batch's
+//	          writes to the read index and acks its waiters with its epoch.
+//	          An ack follows its own persist and nothing else: the device
+//	          time the paper models is recorded per commit
+//	          (CommitRecord.SimNS), not slept.
 //
 // A failed persist of epoch N fails N's waiters and seals the engine, which
 // fails everything still queued — an unacked epoch is legal to abandon (§3.4
 // recovery rolls it back), but it must never ack.
 //
 // Reads do not take that path: §3.5 constrains mutation, not observation, so
-// the writer maintains a volatile read index (readindex.go) it updates at
-// apply time, and Get serves from it directly — a GET never enters the
-// request queue and never waits behind a commit in flight.
+// the writer maintains a volatile read index (readindex.go) of what has
+// committed, and Get serves from it directly — a GET never enters the
+// request queue and never waits behind a commit in flight, and it never
+// serves a write that a crash or a failed commit could take back.
 package server
 
 import (
@@ -126,22 +128,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// AckPolicy selects when a mutation is acknowledged to its caller.
+// AckPolicy names when a mutation is acknowledged. It has one value: every
+// ack follows the mutation's group commit to media. It and
+// ShardedEngine.PutPolicy remain only for the served-path benchmark's
+// caller and go with it; new code calls Put. (They carry no Deprecated
+// marker because the linter would then fail that caller.)
 type AckPolicy uint8
 
-const (
-	// AckDurable acks a mutation only after its group commit reached media:
-	// every ack means durable — the engine's original contract, and the
-	// default.
-	AckDurable AckPolicy = iota
-	// AckApply acks a mutation as soon as it is applied and visible in the
-	// read index, with durability asynchronous (NearPM's at-the-host
-	// ordering split). The ack reports the open epoch the write will commit
-	// in; if the engine crashes before that epoch persists, the acked write
-	// rolls back. Readers were never exposed to the rollback as durable
-	// state — the read index is rebuilt from the recovered pool.
-	AckApply
-)
+// AckDurable acks a mutation once its group commit reached media: the one
+// ack rule.
+const AckDurable AckPolicy = 0
 
 type opKind byte
 
@@ -160,10 +156,11 @@ const (
 	// opMerge is the inverse: drain the coldest shard and shrink the fleet
 	// (merge.go).
 	opMerge
-	// opBarrier is a queue flush: it applies as a no-op and acks at apply
-	// time, so its return means every previously enqueued request has been
-	// applied — without forcing a commit the way opPersist does. Migration
-	// uses it as the drain fence before copying a slot.
+	// opBarrier is a queue flush: it joins its batch's waiters without
+	// counting as a mutation, so its return means every previously enqueued
+	// request has committed and is published in the read index — without
+	// forcing a commit of its own the way opPersist does. Migration uses it
+	// as the drain fence before copying a slot.
 	opBarrier
 	// opEvents returns the fleet's recent structured lifecycle events
 	// (events.go).
@@ -183,7 +180,6 @@ type request struct {
 	op         opKind
 	key, value []byte
 	found      bool        // Delete: key was present (carried to the ack)
-	ackOnApply bool        // AckApply: finish at apply time, durability async
 	shard      int         // Split: source to split; Merge: victim to drain; -1 = auto-pick
 	done       chan result // buffered(1); exactly one result per request
 }
@@ -199,7 +195,7 @@ var requestPool = sync.Pool{
 // (and release it) or receive exactly one result from done (and release it).
 func newRequest(op opKind, key, value []byte) *request {
 	r := requestPool.Get().(*request)
-	r.op, r.key, r.value, r.found, r.ackOnApply, r.shard = op, key, value, false, false, 0
+	r.op, r.key, r.value, r.found, r.shard = op, key, value, false, 0
 	return r
 }
 
@@ -211,12 +207,13 @@ func (r *request) release() {
 }
 
 // sealedBatch is one group commit between its seal and its ack: the batch's
-// ack-on-durable waiters, how many mutations it carries (ack-on-apply
-// mutations have no waiter but still need the commit), and how the batch was
-// sealed. The writer persists it before it applies the next batch's first
-// mutation, so a batch's mutations land in exactly its own epoch and the
-// crash contract stays exact: an unacked ack-on-durable write is never in a
-// durable epoch, so it always rolls back.
+// waiters in apply order — every mutation, PERSIST and barrier it took, so
+// its puts and deletes are also the overlay that commit publishes to the
+// read index — how many mutations it carries, and how the batch was sealed.
+// The writer persists it before it applies the next batch's first mutation,
+// so a batch's mutations land in exactly its own epoch and the crash
+// contract stays exact: an unacked write is never in a durable epoch, so it
+// always rolls back, and it was never served.
 type sealedBatch struct {
 	waiters   []*request
 	mutations int
@@ -227,8 +224,7 @@ type sealedBatch struct {
 
 // EngineStats are the engine's own counters (the pool's live underneath).
 type EngineStats struct {
-	AckedWrites  stats.Counter // mutations acked durable (at commit)
-	AckedOnApply stats.Counter // mutations acked at apply time (AckApply), durability pending
+	AckedWrites  stats.Counter // mutations acked (at commit)
 	Gets         stats.Counter // reads served from the read index
 	GroupCommits stats.Counter // snapshots taken by the writer loop
 	BatchMax     stats.Counter // largest batch committed (gauge-as-counter)
@@ -250,7 +246,8 @@ type EngineStats struct {
 	// stage of a group commit: how long an enqueue waited for queue space
 	// (0 on the uncontended fast path), how long the batch stayed open
 	// applying what was queued, the persist itself (retries and backoff
-	// included), the ack fan-out, and the whole batch end to end.
+	// included), the read-index publication and ack fan-out, and the whole
+	// batch end to end.
 	EnqueueWaitNS stats.LatencyHistogram
 	BatchSealNS   stats.LatencyHistogram
 	PersistNS     stats.LatencyHistogram
@@ -331,7 +328,6 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 	e.reqs = make(chan *request, e.cfg.QueueDepth)
 	e.reg = pool.StatsRegistry()
 	e.reg.RegisterCounter("paxserve_acked_writes", &e.stats.AckedWrites)
-	e.reg.RegisterCounter("paxserve_acked_on_apply", &e.stats.AckedOnApply)
 	e.reg.RegisterCounter("paxserve_gets", &e.stats.Gets)
 	e.reg.RegisterCounter("paxserve_group_commits", &e.stats.GroupCommits)
 	e.reg.RegisterCounter("paxserve_batch_max", &e.stats.BatchMax)
@@ -442,13 +438,7 @@ func (e *Engine) begin(req *request) error {
 // do runs one request to completion through the queue, recycling the
 // request struct on every path.
 func (e *Engine) do(op opKind, key, value []byte) result {
-	return e.doPolicy(op, key, value, AckDurable)
-}
-
-// doPolicy is do with an explicit ack policy for mutations.
-func (e *Engine) doPolicy(op opKind, key, value []byte, policy AckPolicy) result {
 	req := newRequest(op, key, value)
-	req.ackOnApply = policy == AckApply
 	if err := e.begin(req); err != nil {
 		req.release()
 		return result{err: err}
@@ -458,26 +448,29 @@ func (e *Engine) doPolicy(op opKind, key, value []byte, policy AckPolicy) result
 	return res
 }
 
-// applyBarrier blocks until every request enqueued before it has been
-// applied (index-visible). Unlike Persist it forces no commit — durability
-// of the drained requests stays with their own acks — so a migration's drain
-// fence never adds a commit of its own.
-func (e *Engine) applyBarrier() error {
+// drainFence blocks until every request enqueued before it has committed
+// and is published in the read index. Unlike Persist it forces no commit: it
+// rides the batch of the requests ahead of it, or is answered at once when
+// it opens a batch, since every earlier batch committed before that one
+// opened. A migration's drain fence therefore never adds a commit of its own.
+func (e *Engine) drainFence() error {
 	return e.do(opBarrier, nil, nil).err
 }
 
 // Get returns the current value for key, served from the volatile read
-// index: applied order, not necessarily durable yet — read-your-writes with
-// respect to acked mutations. Get never blocks behind the request queue or a
-// commit in flight. The returned slice is the caller's to keep.
+// index: the last committed value — read-your-writes with respect to acked
+// mutations, and never a write whose commit has not succeeded. Get never
+// blocks behind the request queue or a commit in flight. The returned slice
+// is the caller's to keep.
 func (e *Engine) Get(key []byte) ([]byte, bool, error) {
 	e.mu.RLock()
 	closed, sealErr := e.closed, e.sealErr
 	e.mu.RUnlock()
 	if closed {
-		// A sealed engine fails reads too: the index may hold applied
-		// mutations the media never accepted, which will roll back on
-		// recovery — serving them would fabricate acked state.
+		// A sealed engine fails reads too: a sealed shard is fail-stop, down
+		// for its whole keyspace until a restart recovers it. (Its index
+		// holds only committed values; the refusal is the contract, not a
+		// guard against serving lost writes.)
 		if sealErr != nil {
 			return nil, false, sealErr
 		}
@@ -503,25 +496,9 @@ func (e *Engine) Put(key, value []byte) (uint64, error) {
 	return res.epoch, res.err
 }
 
-// PutPolicy is Put under an explicit ack policy: AckDurable blocks until
-// the group commit (the Put contract); AckApply returns as soon as the
-// mutation is applied and read-index-visible, reporting the open epoch it
-// will commit in — durability is asynchronous and the write may roll back
-// if the engine crashes before that epoch persists.
-func (e *Engine) PutPolicy(key, value []byte, policy AckPolicy) (uint64, error) {
-	res := e.doPolicy(opPut, key, value, policy)
-	return res.epoch, res.err
-}
-
 // Delete removes key, blocking like Put; found reports prior presence.
 func (e *Engine) Delete(key []byte) (bool, uint64, error) {
 	res := e.do(opDelete, key, nil)
-	return res.found, res.epoch, res.err
-}
-
-// DeletePolicy is Delete under an explicit ack policy (see PutPolicy).
-func (e *Engine) DeletePolicy(key []byte, policy AckPolicy) (bool, uint64, error) {
-	res := e.doPolicy(opDelete, key, nil, policy)
 	return res.found, res.epoch, res.err
 }
 
@@ -653,24 +630,17 @@ func (e *Engine) Crash() {
 
 // apply executes one request against the pool. Only the writer calls it, and
 // only the writer persists, so no mutation (or registry sample of live pool
-// state) overlaps a snapshot point (§3.5). Ack-on-durable mutations and
-// persists are returned as waiters to be acked at the batch commit; barriers
-// and stats are answered immediately, and ack-on-apply mutations are acked
-// right here — after the read-index mirror, so an acked-on-apply write is
-// read-your-writes visible — with mutated reporting that the batch still
-// needs a commit.
+// state) overlaps a snapshot point (§3.5). Mutations, persists and barriers
+// are returned as waiters, to be published and acked at the batch commit,
+// with mutated reporting whether the batch needs that commit; stats are
+// answered immediately. Apply leaves the read index alone: a write becomes
+// visible only once its commit succeeds.
 func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 	switch req.op {
 	case opPut:
 		if err := e.kv.Put(req.key, req.value); err != nil {
 			req.finish(result{err: err})
 			return nil, false
-		}
-		e.idx.put(req.key, req.value)
-		if req.ackOnApply {
-			e.stats.AckedOnApply.Inc()
-			req.finish(result{epoch: e.pool.Epoch()})
-			return nil, true
 		}
 		return req, true
 	case opDelete:
@@ -679,26 +649,12 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 			req.finish(result{err: err})
 			return nil, false
 		}
-		e.idx.delete(req.key)
 		req.found = found
-		if req.ackOnApply {
-			e.stats.AckedOnApply.Inc()
-			req.finish(result{found: found, epoch: e.pool.Epoch()})
-			return nil, true
-		}
 		return req, true
 	case opPersist:
-		if req.ackOnApply {
-			// The forced commit is scheduled (the batch seals force), but
-			// the caller does not wait for media: it learns the still-open
-			// epoch that the commit will make durable.
-			req.finish(result{epoch: e.pool.Epoch()})
-			return nil, true
-		}
 		return req, true
 	case opBarrier:
-		req.finish(result{epoch: e.pool.Epoch()})
-		return nil, false
+		return req, false
 	case opSnapshot:
 		req.finish(result{snap: e.reg.Snapshot()})
 		return nil, false
@@ -723,7 +679,9 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 	return base << attempt
 }
 
-// commit persists one sealed batch and acks its waiters. A persist whose
+// commit persists one sealed batch, publishes its puts and deletes to the
+// read index in apply order, and only then acks its waiters, so a GET issued
+// after an ack sees the write. A persist whose
 // media sync fails is retried up to CommitRetries times with doubling
 // (clamped) backoff — retrying is legal because a failed Sync never publishes
 // a partial image, and nothing is acked until one attempt fully succeeds. A
@@ -731,8 +689,9 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // recovery rolls the epoch back — while a graceful Close lets the budget run,
 // and a retry that succeeds still acks. On exhaustion the batch's waiters are
 // failed (never acked), the failed CommitRecord is pinned and the engine
-// seals fail-stop, which fails what is queued behind the batch. It reports
-// false when the engine sealed or crashed.
+// seals fail-stop, which fails what is queued behind the batch. A batch that
+// fails, seals or crashes publishes nothing. It reports false when the
+// engine sealed or crashed.
 func (e *Engine) commit(b *sealedBatch) bool {
 	rec := CommitRecord{
 		Batch:      b.mutations,
@@ -776,7 +735,15 @@ func (e *Engine) commit(b *sealedBatch) bool {
 	}
 	ackStart := time.Now()
 	for _, w := range b.waiters {
-		if w.op != opPersist {
+		switch w.op {
+		case opPut:
+			e.idx.put(w.key, w.value)
+		case opDelete:
+			e.idx.delete(w.key)
+		}
+	}
+	for _, w := range b.waiters {
+		if w.op == opPut || w.op == opDelete {
 			e.stats.AckedWrites.Inc()
 		}
 		w.finish(result{found: w.found, epoch: st.Epoch})
@@ -864,7 +831,13 @@ func (e *Engine) runBatch(first *request) bool {
 		return false
 	}
 	if b.mutations == 0 {
-		return true // stats, snapshot or barrier: nothing to commit
+		// Stats, snapshot or barrier: nothing to commit. A barrier that opens
+		// a batch has nothing ahead of it left to commit — every batch is
+		// committed before the next one opens — so it is answered here.
+		for _, w := range b.waiters {
+			w.finish(result{})
+		}
+		return true
 	}
 	for b.reason == "" {
 		if b.mutations >= e.cfg.MaxBatch {

@@ -123,14 +123,19 @@ func (m *testMedium) releaseWith(err error) {
 	})
 }
 
-// holdCommit occupies the writer: an ack-on-apply PUT returns at apply time,
-// its batch seals at once, and its commit then sits on the medium.
-// Everything enqueued after holdCommit returns waits for that commit.
+// holdCommit occupies the writer: a PUT of "hold" seals a batch at once,
+// and its commit then sits on the medium. Everything enqueued after
+// holdCommit returns waits for that commit. The PUT returns once the test
+// releases the medium (or closes the engine), and the test's cleanup waits
+// for it.
 func holdCommit(t *testing.T, eng *Engine, m *testMedium) {
 	t.Helper()
-	if _, err := eng.PutPolicy([]byte("hold"), []byte("x"), AckApply); err != nil {
-		t.Fatal(err)
-	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.Put([]byte("hold"), []byte("x"))
+	}()
+	t.Cleanup(func() { <-done })
 	m.awaitSync(t)
 }
 
@@ -215,8 +220,8 @@ func TestConcurrentPutsShareEpoch(t *testing.T) {
 	if got := eng.Stats().GroupCommits.Load(); got != 2 {
 		t.Fatalf("32 concurrent puts behind a held commit took %d group commits, want 2 (hold + batch)", got)
 	}
-	if got := eng.Stats().AckedWrites.Load(); got != writers {
-		t.Fatalf("acked %d writes, want %d", got, writers)
+	if got := eng.Stats().AckedWrites.Load(); got != writers+1 {
+		t.Fatalf("acked %d writes, want %d (the hold and the %d writers)", got, writers+1, writers)
 	}
 	recs := recentCommits(t, eng, 2)
 	if last := recs[len(recs)-1]; last.Batch != writers || last.SealReason != SealIdle {

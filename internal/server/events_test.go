@@ -94,7 +94,7 @@ func TestEventsWireOpOnSealedEngine(t *testing.T) {
 		MaxBatch:      4,
 		CommitRetries: -1,
 	})
-	_, addr := serveTCP(t, fleet, AckDurable)
+	_, addr := serveTCP(t, fleet)
 
 	cl, err := wire.Dial(addr)
 	if err != nil {

@@ -53,9 +53,8 @@ type CommitRecord struct {
 	Shard int    `json:"shard"`
 	// Epoch is the pool epoch the commit made durable (0 if it failed).
 	Epoch uint64 `json:"epoch"`
-	// Batch is how many applied mutations (plus explicit persists,
-	// ack-on-apply included) shared this commit; 0 is the shutdown seal of
-	// an open epoch.
+	// Batch is how many applied mutations (plus explicit persists) shared
+	// this commit; 0 is the shutdown seal of an open epoch.
 	Batch int `json:"batch"`
 	// SimNS is the device time the paper's model charges for this commit:
 	// the pool's PersistStats.SimulatedLatency, the simulated PAX commit of
@@ -72,8 +71,9 @@ type CommitRecord struct {
 	SealReason SealReason `json:"seal_reason,omitempty"`
 	// SealNS is batch open → commit start (the group-commit window: applying
 	// what was queued; a batch never waits for more). PersistNS is
-	// the persist call including retries and backoff. AckNS is the ack
-	// fan-out to the batch's waiters. TotalNS covers all three.
+	// the persist call including retries and backoff. AckNS is the batch's
+	// read-index publication and the ack fan-out to its waiters. TotalNS
+	// covers all three.
 	SealNS    int64 `json:"seal_ns"`
 	PersistNS int64 `json:"persist_ns"`
 	AckNS     int64 `json:"ack_ns"`

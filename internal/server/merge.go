@@ -179,9 +179,10 @@ func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	s.shards.Store(&rest)
 	rep.Shards = top
 
-	// Retire: the engine holds no routed keys (only ack-on-apply cleanup
-	// garbage), so a close failure here cannot lose acked state — log it and
-	// keep going; the file removal is what reclaims the space either way.
+	// Retire: the engine holds no routed keys (at most stale copies whose
+	// migration cleanup failed), so a close failure here cannot lose acked
+	// state — log it and keep going; the file removal is what reclaims the
+	// space either way.
 	retired := shards[top]
 	if err := retired.eng.Close(); err != nil {
 		s.logf("server: merge: closing retired shard %d: %v", top, err)

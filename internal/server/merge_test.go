@@ -56,16 +56,17 @@ func plantDirect(t *testing.T, eng *ShardedEngine, keys int) []string {
 	t.Helper()
 	shards := *eng.shards.Load()
 	out := make([]string, 0, keys)
+	byShard := make([][]indexEntry, len(shards))
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("cold-%04d", i)
 		k := eng.ShardFor([]byte(key))
-		if _, err := shards[k].eng.PutPolicy([]byte(key), []byte(key), AckApply); err != nil {
-			t.Fatal(err)
-		}
+		byShard[k] = append(byShard[k], indexEntry{key: []byte(key), value: []byte(key)})
 		out = append(out, key)
 	}
-	if _, err := eng.Persist(); err != nil {
-		t.Fatal(err)
+	for k, entries := range byShard {
+		if err := pipeline(shards[k].eng, opPut, entries); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out
 }
@@ -407,7 +408,7 @@ func TestMergeCrashStages(t *testing.T) {
 }
 
 func TestMergeOverTCP(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, tempPool(t), 3, Config{MaxBatch: 16}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 3, Config{MaxBatch: 16}))
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

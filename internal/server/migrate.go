@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pax"
 	"pax/internal/blackbox"
@@ -24,20 +23,17 @@ import (
 //   - Before copying, the slot's gate is write-locked. Every request holds
 //     the gate's read side across route-lookup + dispatch, so after the
 //     write lock is held no request can still be routing this slot to the
-//     old owner; an apply barrier through the source's queue then ensures
-//     every already-enqueued write is applied and index-visible before the
-//     copy reads the source index (their durable acks ride the source's own
-//     commit pipeline — the copy below is durable on the destination either
-//     way).
-//   - The copy lands on the destination via the normal epoch machinery and
-//     is made durable (one forced group commit) BEFORE the map publishes.
-//     Crash before publish: the map still names the source, which has every
-//     key — the destination's orphan copies are purged at next open.
+//     old owner; a drain fence through the source's queue then returns once
+//     every already-enqueued write has committed, which is when the read
+//     index the copy reads publishes it.
+//   - The copy lands on the destination via the normal epoch machinery, and
+//     every copy write is acked durable BEFORE the map publishes. Crash
+//     before publish: the map still names the source, which has every key —
+//     the destination's orphan copies are purged at next open.
 //   - The map publishes, the in-memory route swaps, the gate unlocks. Only
-//     then is the source's copy deleted (ack-on-apply; it is garbage, not
-//     state). Crash before cleanup finishes: the map names the destination,
-//     which has every key — the source's stale copies are purged at next
-//     open.
+//     then is the source's copy deleted. Crash before cleanup finishes: the
+//     map names the destination, which has every key — the source's stale
+//     copies are purged at next open.
 //
 // Open-time purge (openRoute case 1) makes both windows idempotent: every
 // shard deletes keys the authoritative map assigns elsewhere, so repeated
@@ -279,13 +275,12 @@ func (s *ShardedEngine) migrateSlot(slot, dst int) (moved int, err error) {
 	g.Lock()
 	defer g.Unlock()
 
-	// Drain barrier: requests hold the gate read side across enqueue, so
-	// everything racing us is already in src's FIFO queue; a barrier behind
-	// them returns once they are applied, i.e. index-visible to the copy
-	// below. Their durability is src's own commit pipeline's business — the
-	// copy carries their data to dst either way, and their durable acks are
-	// not blocked by the migration.
-	if err := srcEng.applyBarrier(); err != nil {
+	// Drain fence: requests hold the gate read side across enqueue, so
+	// everything racing us is already in src's FIFO queue; a fence behind
+	// them returns once their batch has committed, i.e. once they are
+	// published in the index the copy below reads. It rides their commit and
+	// forces none of its own.
+	if err := srcEng.drainFence(); err != nil {
 		return 0, fmt.Errorf("draining source shard %d: %w", src, err)
 	}
 
@@ -294,47 +289,16 @@ func (s *ShardedEngine) migrateSlot(slot, dst int) (moved int, err error) {
 	// leftovers are purged at open). If they survived they could shadow a
 	// later state of the slot — delete before copying.
 	stale := dstEng.idx.collect(func(key []byte) bool { return SlotFor(key) == slot })
-	for _, e := range stale {
-		if _, _, err := dstEng.DeletePolicy(e.key, AckApply); err != nil {
-			return 0, fmt.Errorf("clearing destination shard %d: %w", dst, err)
-		}
+	if err := pipeline(dstEng, opDelete, stale); err != nil {
+		return 0, fmt.Errorf("clearing destination shard %d: %w", dst, err)
 	}
 
-	// Copy through the normal epoch machinery: ack-on-apply puts (issued
-	// concurrently so they share group commits) then one forced commit, so
-	// the whole slot's copy is durable on dst before the cutover publishes.
+	// Copy through the normal epoch machinery. Every copy write is acked
+	// durable, so the whole slot is on dst's media before the cutover
+	// publishes; an empty slot with a clean dst commits nothing.
 	pairs := srcEng.idx.collect(func(key []byte) bool { return SlotFor(key) == slot })
-	const copyFanout = 64
-	sem := make(chan struct{}, copyFanout)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var copyErr error
-	for _, e := range pairs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(key, value []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := dstEng.PutPolicy(key, value, AckApply); err != nil {
-				mu.Lock()
-				if copyErr == nil {
-					copyErr = err
-				}
-				mu.Unlock()
-			}
-		}(e.key, e.value)
-	}
-	wg.Wait()
-	if copyErr != nil {
-		return 0, fmt.Errorf("copying to shard %d: %w", dst, copyErr)
-	}
-	// The copy (and any preclear deletes) must be durable on dst before the
-	// cutover publishes; an empty slot with a clean dst has nothing to commit
-	// and skips the persist entirely — common when splitting a sparse shard.
-	if len(pairs) > 0 || len(stale) > 0 {
-		if _, err := dstEng.Persist(); err != nil {
-			return 0, fmt.Errorf("committing copy on shard %d: %w", dst, err)
-		}
+	if err := pipeline(dstEng, opPut, pairs); err != nil {
+		return 0, fmt.Errorf("copying to shard %d: %w", dst, err)
 	}
 
 	// Cutover: persist the new assignment (the commit point), then swap the
@@ -354,19 +318,40 @@ func (s *ShardedEngine) migrateSlot(slot, dst int) (moved int, err error) {
 	s.reshard.movedKeys.Add(uint64(len(pairs)))
 
 	// Cleanup: the source's copies are garbage now — no route reaches them.
-	// Ack-on-apply is enough; if we crash before these deletes commit, the
-	// open-time purge removes them (the published map never names src).
-	for _, e := range pairs {
-		if _, _, err := srcEng.DeletePolicy(e.key, AckApply); err != nil {
-			// The cutover already published; a cleanup failure degrades to
-			// the crash case (stale copies purged at next open), so the
-			// migration still reports success — but it must not be silent,
-			// or the deferred purge is invisible until someone wonders where
-			// the space went.
-			s.reshard.cleanupFailures.Add(1)
-			s.logf("server: slot %d: source shard %d cleanup failed, stale copies deferred to next open: %v", slot, src, err)
-			break
-		}
+	// If we crash before these deletes commit, the open-time purge removes
+	// them (the published map never names src).
+	if err := pipeline(srcEng, opDelete, pairs); err != nil {
+		// The cutover already published; a cleanup failure degrades to the
+		// crash case (stale copies purged at next open), so the migration
+		// still reports success — but it must not be silent, or the
+		// deferred purge is invisible until someone wonders where the space
+		// went.
+		s.reshard.cleanupFailures.Add(1)
+		s.logf("server: slot %d: source shard %d cleanup failed, stale copies deferred to next open: %v", slot, src, err)
 	}
 	return len(pairs), nil
+}
+
+// pipeline runs one op per entry on eng the way the TCP server runs one
+// connection: it begins every request in order, so they share group commits,
+// and then collects every result. It returns the first error; once a begin
+// fails, no later request is started.
+func pipeline(eng *Engine, op opKind, entries []indexEntry) error {
+	reqs := make([]*request, 0, len(entries))
+	var err error
+	for _, e := range entries {
+		req := newRequest(op, e.key, e.value)
+		if err = eng.begin(req); err != nil {
+			req.release()
+			break
+		}
+		reqs = append(reqs, req)
+	}
+	for _, req := range reqs {
+		if res := <-req.done; res.err != nil && err == nil {
+			err = res.err
+		}
+		req.release()
+	}
+	return err
 }

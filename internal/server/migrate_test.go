@@ -252,7 +252,7 @@ func TestReopenPurgesOrphanCopies(t *testing.T) {
 	}
 	// Plant the orphan exactly where a crashed migration would leave it: on
 	// the non-owner, durable, with the slot map unchanged.
-	if _, err := (*eng.shards.Load())[other].eng.PutPolicy(key, []byte("stale-copy"), AckDurable); err != nil {
+	if _, err := (*eng.shards.Load())[other].eng.Put(key, []byte("stale-copy")); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -309,7 +309,7 @@ func TestSplitMetrics(t *testing.T) {
 // SPLIT over the wire: the fleet runs the migration and replies with the
 // report JSON.
 func TestSplitOverTCP(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, tempPool(t), 2, Config{MaxBatch: 8}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 2, Config{MaxBatch: 8}))
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestSplitOverTCP(t *testing.T) {
 // The smallest server paxserve runs, one shard, splits and merges over the
 // wire like any other fleet; a MERGE of its last shard is a clean error.
 func TestSplitOneShardOverTCP(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, tempPool(t), 1, Config{MaxBatch: 8}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 1, Config{MaxBatch: 8}))
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -385,5 +385,75 @@ func TestSplitOneShardOverTCP(t *testing.T) {
 	}
 	if _, err := cl.Merge(-1); err == nil {
 		t.Fatal("MERGE of the last shard succeeded")
+	}
+}
+
+// The drain fence a migration sends through the source's queue returns only
+// once the writes ahead of it have committed, because only then are they in
+// the read index the slot copy reads. Here a PUT to slot S waits in shard 0's
+// open batch behind a held commit while S migrates to shard 1: once the
+// commit is released, the PUT must be served from the destination and
+// survive a crash. A fence answered at apply time would let the copy miss
+// the PUT, which would then be acked on a shard no route reaches.
+func TestDrainFenceWaitsForCommit(t *testing.T) {
+	path := tempPool(t)
+	fleet, src, ffs := faultyFleet(t, path, 2, Config{})
+	var key, hold []byte
+	for i := 0; hold == nil; i++ {
+		k := []byte(fmt.Sprintf("fence-%d", i))
+		switch {
+		case fleet.ShardFor(k) != 0:
+		case key == nil:
+			key = k
+		case SlotFor(k) != SlotFor(key):
+			hold = k
+		}
+	}
+	m := slowMedium(ffs, 0, true)
+	defer m.releaseWith(nil)
+	holdErr := make(chan error, 1)
+	go func() {
+		_, err := fleet.Put(hold, []byte("x"))
+		holdErr <- err
+	}()
+	m.awaitSync(t)
+
+	putErr := make(chan error, 1)
+	go func() {
+		_, err := fleet.Put(key, []byte("v"))
+		putErr <- err
+	}()
+	awaitQueued(t, src, 1)
+	assign := make([]int, NumSlots)
+	for slot, k := range fleet.route.Load().Assign {
+		assign[slot] = int(k)
+	}
+	assign[SlotFor(key)] = 1
+	moved := make(chan error, 1)
+	go func() { moved <- fleet.Rebalance(assign) }()
+	awaitQueued(t, src, 2) // the fence, behind the PUT
+	m.releaseWith(nil)
+	if err := <-holdErr; err != nil {
+		t.Fatalf("held put: %v", err)
+	}
+	if err := <-putErr; err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := <-moved; err != nil {
+		t.Fatalf("migrating slot %d: %v", SlotFor(key), err)
+	}
+	if got := fleet.ShardFor(key); got != 1 {
+		t.Fatalf("key routes to shard %d after the move, want 1", got)
+	}
+	if v, ok, err := fleet.Get(key); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("acked PUT not served from the destination: %q ok=%v err=%v", v, ok, err)
+	}
+	if err := fleet.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	re := newSharded(t, path, 2, Config{})
+	defer re.Close()
+	if v, ok, err := re.Get(key); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("acked PUT lost across the move and a crash: %q ok=%v err=%v", v, ok, err)
 	}
 }

@@ -15,10 +15,9 @@ import (
 )
 
 // This file tests the commit path — one writer goroutine that applies, seals,
-// persists and acks — and the per-request ack policies: what a failed commit
-// does to the requests behind it, crash exactness with a commit on the
-// medium, the retry backoff under Crash and Close, and the documented weaker
-// contract of ack-on-apply.
+// persists and acks: what a failed commit does to the requests behind it,
+// crash exactness with a commit on the medium, and the retry backoff under
+// Crash and Close.
 
 func TestRetryDelayClamp(t *testing.T) {
 	base := 2 * time.Millisecond
@@ -323,81 +322,4 @@ func TestPipelineCrashRecoversExactlyAckedWrites(t *testing.T) {
 		t.Fatalf("recovered %d keys, want exactly the %d acked", got, totalAcked)
 	}
 	t.Logf("crash mid-commit after %d acked writes; all recovered", totalAcked)
-}
-
-// TestAckApplyRollbackIsTheDocumentedContract pins ack-on-apply's weaker
-// guarantee: the ack arrives before durability, the write is immediately
-// read-your-writes visible, and a crash before its epoch commits rolls it
-// back — acked or not. That rollback is the documented trade, not a bug.
-func TestAckApplyRollbackIsTheDocumentedContract(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "applyroll.pool")
-	pool, eng, ffs := faultyEngine(t, path, Config{})
-	// The write's commit reaches the medium, which never completes it.
-	m := slowMedium(ffs, 0, true)
-
-	if _, err := eng.PutPolicy([]byte("k"), []byte("v"), AckApply); err != nil {
-		t.Fatalf("ack-on-apply put: %v", err)
-	}
-	m.awaitSync(t)
-	// Acked and visible (read-your-writes) while its epoch is not durable.
-	if v, ok, err := eng.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("get after apply-ack: %q %v %v", v, ok, err)
-	}
-	if got := eng.Stats().AckedOnApply.Load(); got != 1 {
-		t.Fatalf("acked-on-apply counter = %d, want 1", got)
-	}
-	if got := eng.Stats().AckedWrites.Load(); got != 0 {
-		t.Fatalf("durable-acked counter = %d, want 0 (nothing committed)", got)
-	}
-
-	crashed := make(chan struct{})
-	go func() {
-		eng.Crash()
-		close(crashed)
-	}()
-	<-eng.stop
-	m.releaseWith(errInjected)
-	<-crashed
-	// The fault stays in: closing the pool syncs it, and a sync that worked
-	// would publish the epoch whose commit the crash cut off.
-	pool.Close()
-	kv := reopenedMap(t, path)
-	if _, ok := kv.Get([]byte("k")); ok {
-		t.Fatal("apply-acked write survived a crash before its commit — the weaker contract should have rolled it back")
-	}
-}
-
-// TestAckApplyDecouplesAckFromMedia: on a slow medium, an ack-on-apply write
-// returns without waiting for its commit while an ack-on-durable write must
-// sit out a full one.
-func TestAckApplyDecouplesAckFromMedia(t *testing.T) {
-	const syncTime = 50 * time.Millisecond
-	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 4})
-	defer pool.Close()
-	defer eng.Close()
-	slowMedium(ffs, syncTime, false)
-
-	t0 := time.Now()
-	if _, err := eng.PutPolicy([]byte("fast"), []byte("v"), AckApply); err != nil {
-		t.Fatal(err)
-	}
-	applyAck := time.Since(t0)
-
-	t0 = time.Now()
-	if _, err := eng.PutPolicy([]byte("slow"), []byte("v"), AckDurable); err != nil {
-		t.Fatal(err)
-	}
-	durableAck := time.Since(t0)
-
-	if applyAck >= syncTime/2 {
-		t.Fatalf("apply-ack took %v, want well under the %v sync", applyAck, syncTime)
-	}
-	if durableAck < syncTime {
-		t.Fatalf("durable ack returned in %v, before a %v sync could finish", durableAck, syncTime)
-	}
-	// Both writes commit regardless of how they were acked: a later durable
-	// persist flushes the apply-acked mutation too.
-	if ep, err := eng.Persist(); err != nil || ep == 0 {
-		t.Fatalf("persist: %d %v", ep, err)
-	}
 }

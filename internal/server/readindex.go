@@ -4,25 +4,28 @@ import "sync"
 
 // readIndex is the volatile lookaside index in front of the persistent map:
 // a striped in-memory shadow of every (key, value) the writer loop has
-// applied. GETs read it directly — no queue, no simulator, no waiting behind
-// a commit in flight — which is legal because the paper's §3.5 single-mutator
-// rule constrains who may *mutate* the pool during Persist, not who may
-// observe already-applied state.
+// committed. GETs read it directly — no queue, no simulator, no waiting
+// behind a commit in flight — which is legal because the paper's §3.5
+// single-mutator rule constrains who may *mutate* the pool during Persist,
+// not who may observe already-committed state.
 //
 // Consistency contract (tested in readindex_test.go):
 //
-//   - Read-your-writes with respect to applied mutations: the writer updates
-//     the index at apply time, before the mutation's ack, so any GET issued
-//     after a PUT/DELETE ack sees it.
-//   - Reads may observe applied-but-not-yet-durable data — the same window
-//     queued reads always had, since apply also precedes commit.
+//   - Publication at commit: the writer publishes a batch's puts and deletes,
+//     in apply order, once the batch's Persist has succeeded and before any
+//     of its waiters is acked. A GET therefore serves the durable epoch
+//     snapshot and nothing newer, and a batch that fails, seals or crashes
+//     publishes nothing.
+//   - Read-your-writes with respect to acked mutations: publication precedes
+//     the ack, so any GET issued after a PUT/DELETE ack sees it.
 //   - The index is volatile by design: it dies with the engine and is rebuilt
-//     from the *recovered* pool at startup, so a value rolled back by crash
-//     recovery is never served.
+//     from the *recovered* pool at startup. Recovery keeps every committed
+//     epoch, so it keeps every value that was ever published.
 //
 // The stripes bound contention: the single writer touches one stripe per
-// mutation while readers fan out across all of them, so a commit in flight
-// (which holds no index locks at all) never stalls a read.
+// published mutation while readers fan out across all of them, so a commit
+// in flight (which holds no index locks until it publishes) never stalls a
+// read.
 const indexStripes = 64
 
 type indexStripe struct {
@@ -73,7 +76,7 @@ func (ix *readIndex) get(key []byte) ([]byte, bool) {
 	return out, true
 }
 
-// put records an applied mutation. The value is copied: callers (the wire
+// put publishes a committed put. The value is copied: callers (the wire
 // layer, benchmark drivers) reuse their buffers, and index entries outlive
 // the request that wrote them.
 func (ix *readIndex) put(key, value []byte) {
@@ -84,7 +87,7 @@ func (ix *readIndex) put(key, value []byte) {
 	s.mu.Unlock()
 }
 
-// delete removes an applied deletion's key.
+// delete publishes a committed deletion.
 func (ix *readIndex) delete(key []byte) {
 	s := ix.stripe(key)
 	s.mu.Lock()

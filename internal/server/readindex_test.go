@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pax"
+	"pax/internal/faultfs"
 	"pax/internal/wire"
 )
 
-// TestGetServedDuringCommitInFlight is the tentpole claim: a commit in
-// flight no longer blanks out reads. The writer sits in a commit whose sync
-// the medium holds while GETs complete against the index.
+// TestGetServedDuringCommitInFlight: a commit in flight does not blank out
+// reads, and does not leak into them. The writer sits in a commit whose sync
+// the medium holds while GETs complete against the index, which does not
+// show the held write until its ack.
 func TestGetServedDuringCommitInFlight(t *testing.T) {
 	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 1})
 	defer pool.Close()
@@ -33,11 +37,11 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 			t.Errorf("put: %v", err)
 		}
 	}()
-	// The write is applied (visible in the index) before its commit reaches
-	// the medium, and the held medium keeps the ack away.
+	// The write is applied before its commit reaches the medium, and the
+	// held medium keeps both its ack and its publication away.
 	m.awaitSync(t)
-	if _, ok, err := eng.Get([]byte("hot")); err != nil || !ok {
-		t.Fatalf("applied write not visible during its commit: ok=%v err=%v", ok, err)
+	if v, ok, err := eng.Get([]byte("hot")); err != nil || ok {
+		t.Fatalf("write served while its commit was held: %q ok=%v err=%v", v, ok, err)
 	}
 
 	// The commit is now in flight. Reads must keep completing.
@@ -59,15 +63,17 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 	}
 	m.releaseWith(nil)
 	<-putDone
+	if v, ok, err := eng.Get([]byte("hot")); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("acked write not served: %q ok=%v err=%v", v, ok, err)
+	}
 	if hits := eng.Stats().ReadIndexHits.Load(); hits < reads {
 		t.Fatalf("read index served %d hits, want >= %d", hits, reads)
 	}
 }
 
 // TestReadYourWritesAfterAck pins the consistency contract: once a mutation
-// is acked, every subsequent Get observes it — and the applied-but-unacked
-// window (reads may see a write whose commit is still in flight) behaves as
-// documented.
+// is acked, every subsequent Get observes it, because a batch is published
+// to the index before any of its waiters is acked.
 func TestReadYourWritesAfterAck(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4})
 	defer pool.Close()
@@ -107,32 +113,50 @@ func TestReadYourWritesAfterAck(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGetObservesAppliedBeforeDurable documents (and pins) the weaker half
-// of the contract: a read may observe an applied write whose group commit is
-// still in flight — the same window queued reads always had.
-func TestGetObservesAppliedBeforeDurable(t *testing.T) {
-	pool, eng, ffs := faultyEngine(t, "", Config{MaxBatch: 1})
-	defer pool.Close()
-	defer eng.Close()
+// TestHeldCommitIsNotServed is the dirty read a read index updated at apply
+// time allows: while a PUT's commit is held on the medium, a GET of its key
+// must serve the last committed value. The medium then refuses the sync, the
+// PUT fails, and after a crash and reopen the old value is what recovery
+// serves — so no reader saw a write its writer was told had failed.
+func TestHeldCommitIsNotServed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "held.pool")
+	pool, eng, ffs := faultyEngine(t, path, Config{})
+	key := []byte("k")
+	if _, err := eng.Put(key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
 	m := slowMedium(ffs, 0, true)
-	defer m.releaseWith(nil)
-
-	putDone := make(chan struct{})
+	putErr := make(chan error, 1)
 	go func() {
-		defer close(putDone)
-		eng.Put([]byte("k"), []byte("v"))
+		_, err := eng.Put(key, []byte("new"))
+		putErr <- err
 	}()
 	m.awaitSync(t)
-	if _, ok, _ := eng.Get([]byte("k")); !ok {
-		t.Fatal("write not visible while its commit is on the medium")
+	if v, ok, err := eng.Get(key); err != nil || !ok || string(v) != "old" {
+		t.Fatalf("GET during the held commit served %q (ok=%v err=%v), want \"old\"", v, ok, err)
 	}
-	select {
-	case <-putDone:
-		t.Fatal("the put acked while its commit was held on the medium")
-	default:
+	m.releaseWith(errInjected)
+	if err := <-putErr; !errors.Is(err, ErrSealed) {
+		t.Fatalf("PUT whose sync failed returned %v, want ErrSealed", err)
 	}
-	m.releaseWith(nil)
-	<-putDone
+	eng.Crash()
+	// The fault stays in: closing the pool syncs it, and a sync that worked
+	// would publish the epoch whose commit failed.
+	pool.Close()
+
+	pool2, err := pax.OpenPool(path, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool2.Close()
+	eng2, err := New(pool2, 0, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	if v, ok, err := eng2.Get(key); err != nil || !ok || string(v) != "old" {
+		t.Fatalf("after reopen: %q ok=%v err=%v, want \"old\"", v, ok, err)
+	}
 }
 
 // TestCrashRebuildNeverServesRolledBackValue crashes a sharded engine under
@@ -258,10 +282,10 @@ func TestCrashNotStalledByFullQueue(t *testing.T) {
 
 // TestTCPGetsNotSerializedBehindCommit drives the contract end to end: a
 // GET on one connection completes while another connection's PUT commit is
-// in flight on the same shard.
+// in flight on the same shard, and does not see that PUT until its ack.
 func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 	fleet, _, ffs := faultyFleet(t, "", 1, Config{MaxBatch: 1})
-	_, addr := serveTCP(t, fleet, AckDurable)
+	_, addr := serveTCP(t, fleet)
 
 	writer, err := wire.Dial(addr)
 	if err != nil {
@@ -290,8 +314,8 @@ func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 	// The PUT is applied once its commit reaches the medium; read through
 	// the other connection while the medium holds that commit.
 	m.awaitSync(t)
-	if _, ok, err := reader.Get([]byte("hot")); err != nil || !ok {
-		t.Fatalf("applied write not visible over TCP during its commit: ok=%v err=%v", ok, err)
+	if v, ok, err := reader.Get([]byte("hot")); err != nil || ok {
+		t.Fatalf("write served over TCP while its commit was held: %q ok=%v err=%v", v, ok, err)
 	}
 	start := time.Now()
 	for i := 0; i < 50; i++ {
@@ -310,4 +334,117 @@ func TestTCPGetsNotSerializedBehindCommit(t *testing.T) {
 	}
 	m.releaseWith(nil)
 	<-putDone
+	if v, ok, err := reader.Get([]byte("hot")); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("acked write not served over TCP: %q ok=%v err=%v", v, ok, err)
+	}
+}
+
+// TestGetsServeOnlyWhatRecoveryKeeps holds the read index's contract across
+// held, failed and crashed commits: writers and readers share a few keys
+// while every epoch-log sync is held briefly and every other one fails, so
+// commits retry. The run ends with a commit that exhausts its retries and
+// seals the engine, or with a crash that lands wherever the writer is. After
+// reopen, every value a GET observed is one whose PUT was acked or the value
+// recovery shows. Run it under -race.
+func TestGetsServeOnlyWhatRecoveryKeeps(t *testing.T) {
+	for _, seal := range []bool{true, false} {
+		name := "crash"
+		if seal {
+			name = "seal"
+		}
+		t.Run(name, func(t *testing.T) { servedAgainstRecovered(t, seal) })
+	}
+}
+
+func servedAgainstRecovered(t *testing.T, seal bool) {
+	path := filepath.Join(t.TempDir(), "served.pool")
+	pool, eng, ffs := faultyEngine(t, path, Config{CommitRetries: 3, CommitRetryDelay: 500 * time.Microsecond})
+	var syncs atomic.Int64
+	var failAll atomic.Bool
+	ffs.Set(func(op faultfs.Op) error {
+		if op.Kind != faultfs.Sync || !logSyncs(op.Path) {
+			return nil
+		}
+		time.Sleep(200 * time.Microsecond)
+		if failAll.Load() || syncs.Add(1)%2 == 0 {
+			return errInjected
+		}
+		return nil
+	})
+
+	const keys, writers, readers = 8, 4, 2
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%d", i%keys)) }
+	var (
+		mu       sync.Mutex
+		acked    = map[string]bool{} // values whose PUT returned nil
+		observed = map[[2]string]bool{}
+		wg       sync.WaitGroup
+		stop     = make(chan struct{})
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				v := fmt.Sprintf("w%d-%d", w, i)
+				if _, err := eng.Put(key(w+i), []byte(v)); err != nil {
+					return // sealed or crashed
+				}
+				mu.Lock()
+				acked[v] = true
+				mu.Unlock()
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			seen := map[[2]string]bool{}
+			defer func() {
+				mu.Lock()
+				for o := range seen {
+					observed[o] = true
+				}
+				mu.Unlock()
+			}()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, ok, err := eng.Get(key(i)); err == nil && ok {
+					seen[[2]string{string(key(i)), string(v)}] = true
+				}
+			}
+		}(r)
+	}
+
+	pollUntil(t, "commits retry under load", func() bool { return eng.Stats().CommitRetries.Load() >= 5 })
+	if seal {
+		failAll.Store(true)
+		pollUntil(t, "a commit exhausts its retries", func() bool { return eng.SealErr() != nil })
+	}
+	eng.Crash()
+	close(stop)
+	wg.Wait()
+	// Every later sync fails, as after a power cut: closing the pool must
+	// not commit what the crash abandoned.
+	failAll.Store(true)
+	pool.Close()
+
+	kv := reopenedMap(t, path)
+	for o := range observed {
+		if acked[o[1]] {
+			continue
+		}
+		if v, ok := kv.Get([]byte(o[0])); !ok || string(v) != o[1] {
+			t.Errorf("GET served %s=%s, whose PUT was never acked and which recovery does not show (recovered %q, ok=%v)", o[0], o[1], v, ok)
+		}
+	}
+	if len(acked) == 0 || len(observed) == 0 {
+		t.Fatalf("vacuous run: %d acked writes, %d observed values", len(acked), len(observed))
+	}
+	t.Logf("%d acked writes, %d observed values, %d commit retries", len(acked), len(observed), eng.Stats().CommitRetries.Load())
 }

@@ -19,11 +19,6 @@ import (
 // shared group commits.
 type Server struct {
 	fleet *ShardedEngine
-	// DefaultAckPolicy is what a request without an explicit ack-policy flag
-	// gets — every pre-flags client, and every new client sending
-	// FlagAckDefault. The zero value is AckDurable, the protocol's original
-	// contract; paxserve -ack-policy overrides it.
-	DefaultAckPolicy AckPolicy
 	// WriteTimeout bounds each write of buffered responses to the
 	// connection (default 30s).
 	WriteTimeout time.Duration
@@ -259,14 +254,6 @@ func (s *Server) beginDispatch(req wire.Request) dispatched {
 		} else {
 			ereq.shard = int(req.Shard)
 		}
-	}
-	switch req.Flags {
-	case wire.FlagAckDefault:
-		ereq.ackOnApply = s.DefaultAckPolicy == AckApply && (op == opPut || op == opDelete || op == opPersist)
-	case wire.FlagAckDurable:
-		ereq.ackOnApply = false
-	case wire.FlagAckApply:
-		ereq.ackOnApply = true
 	}
 	if err := s.fleet.begin(ereq); err != nil {
 		ereq.release()

@@ -26,22 +26,20 @@ func oneShard(t *testing.T, cfg Config) (*ShardedEngine, *pax.Pool, *Engine) {
 }
 
 // serveTCP serves fleet on a loopback port until the test ends, then shuts
-// the server down and closes the fleet. policy is the server's default ack
-// policy.
-func serveTCP(t *testing.T, fleet *ShardedEngine, policy AckPolicy) (*Server, string) {
+// the server down and closes the fleet.
+func serveTCP(t *testing.T, fleet *ShardedEngine) (*Server, string) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serveOn(t, fleet, policy, lis)
+	return serveOn(t, fleet, lis)
 }
 
 // serveOn is serveTCP on a listener the test made.
-func serveOn(t *testing.T, fleet *ShardedEngine, policy AckPolicy, lis net.Listener) (*Server, string) {
+func serveOn(t *testing.T, fleet *ShardedEngine, lis net.Listener) (*Server, string) {
 	t.Helper()
 	srv := NewServer(fleet)
-	srv.DefaultAckPolicy = policy
 	srv.Logf = t.Logf
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
@@ -60,7 +58,7 @@ func serveOn(t *testing.T, fleet *ShardedEngine, policy AckPolicy, lis net.Liste
 func startTCP(t *testing.T) (*Server, *ShardedEngine, string) {
 	t.Helper()
 	fleet, _, _ := oneShard(t, Config{MaxBatch: 32})
-	srv, addr := serveTCP(t, fleet, AckDurable)
+	srv, addr := serveTCP(t, fleet)
 	return srv, fleet, addr
 }
 
@@ -134,7 +132,7 @@ func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
 	fleet, eng, ffs := faultyFleet(t, "", 1, Config{MaxBatch: 64})
 	m := slowMedium(ffs, 0, true)
 	defer m.releaseWith(nil)
-	_, addr := serveTCP(t, fleet, AckDurable)
+	_, addr := serveTCP(t, fleet)
 
 	cl, err := wire.Dial(addr)
 	if err != nil {
@@ -302,7 +300,7 @@ func TestResolvedResponsesShareOneWrite(t *testing.T) {
 			awaitClosed(resume)
 		}
 	})
-	_, addr := serveOn(t, fleet, AckDurable, lis)
+	_, addr := serveOn(t, fleet, lis)
 	cl := dialRaw(t, addr)
 
 	const gets = 16
@@ -357,7 +355,7 @@ func TestResolvedResponseNotHeldBehindCommit(t *testing.T) {
 			awaitClosed(resume)
 		}
 	})
-	_, addr := serveOn(t, fleet, AckDurable, lis)
+	_, addr := serveOn(t, fleet, lis)
 	cl := dialRaw(t, addr)
 
 	cl.send(wire.Request{Op: wire.OpGet, Key: []byte("k")})

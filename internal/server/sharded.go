@@ -536,12 +536,8 @@ func (s *ShardedEngine) begin(req *request) error {
 		g.RUnlock()
 		return err
 	case opPersist:
-		policy := AckDurable
-		if req.ackOnApply {
-			policy = AckApply
-		}
 		go func() {
-			epoch, err := s.persist(policy)
+			epoch, err := s.Persist()
 			req.finish(result{epoch: epoch, err: err})
 		}()
 		return nil
@@ -594,9 +590,8 @@ func (s *ShardedEngine) begin(req *request) error {
 
 // doKey runs one per-key request through begin (slot gate, route, shard
 // queue) to completion, recycling the request struct on every path.
-func (s *ShardedEngine) doKey(op opKind, key, value []byte, policy AckPolicy) result {
+func (s *ShardedEngine) doKey(op opKind, key, value []byte) result {
 	req := newRequest(op, key, value)
-	req.ackOnApply = policy == AckApply
 	if err := s.begin(req); err != nil {
 		req.release()
 		return result{err: err}
@@ -641,46 +636,32 @@ func (s *ShardedEngine) Trace() TraceSnapshot {
 // no queue, no waiting behind the shard's commit in flight (read-your-writes
 // with respect to acked mutations, like Engine.Get).
 func (s *ShardedEngine) Get(key []byte) ([]byte, bool, error) {
-	res := s.doKey(opGet, key, nil, AckDurable)
+	res := s.doKey(opGet, key, nil)
 	return res.value, res.found, res.err
 }
 
 // Put routes to the key's shard and blocks until that shard's group commit
 // makes the write durable.
 func (s *ShardedEngine) Put(key, value []byte) (uint64, error) {
-	res := s.doKey(opPut, key, value, AckDurable)
+	res := s.doKey(opPut, key, value)
 	return res.epoch, res.err
 }
 
-// PutPolicy routes to the key's shard under an explicit ack policy (see
-// Engine.PutPolicy); the policy is per request, so one router serves
-// durable and apply-acked writers side by side.
-func (s *ShardedEngine) PutPolicy(key, value []byte, policy AckPolicy) (uint64, error) {
-	res := s.doKey(opPut, key, value, policy)
-	return res.epoch, res.err
+// PutPolicy is Put; AckDurable is the only policy (see AckPolicy).
+func (s *ShardedEngine) PutPolicy(key, value []byte, _ AckPolicy) (uint64, error) {
+	return s.Put(key, value)
 }
 
 // Delete routes to the key's shard, blocking like Put.
 func (s *ShardedEngine) Delete(key []byte) (bool, uint64, error) {
-	res := s.doKey(opDelete, key, nil, AckDurable)
-	return res.found, res.epoch, res.err
-}
-
-// DeletePolicy routes to the key's shard under an explicit ack policy.
-func (s *ShardedEngine) DeletePolicy(key []byte, policy AckPolicy) (bool, uint64, error) {
-	res := s.doKey(opDelete, key, nil, policy)
+	res := s.doKey(opDelete, key, nil)
 	return res.found, res.epoch, res.err
 }
 
 // Persist forces a group commit on every shard in parallel and joins. The
 // returned epoch is the maximum shard epoch — shards number their epochs
 // independently, so it is a watermark, not a global ordering point.
-func (s *ShardedEngine) Persist() (uint64, error) { return s.persist(AckDurable) }
-
-// persist is Persist under an ack policy: AckApply schedules every shard's
-// forced commit and returns the open epochs' watermark without waiting for
-// media.
-func (s *ShardedEngine) persist(policy AckPolicy) (uint64, error) {
+func (s *ShardedEngine) Persist() (uint64, error) {
 	shards := *s.shards.Load()
 	epochs := make([]uint64, len(shards))
 	errs := make([]error, len(shards))
@@ -689,7 +670,7 @@ func (s *ShardedEngine) persist(policy AckPolicy) (uint64, error) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			res := shards[k].eng.doPolicy(opPersist, nil, nil, policy)
+			res := shards[k].eng.do(opPersist, nil, nil)
 			epochs[k], errs[k] = res.epoch, res.err
 		}(k)
 	}
@@ -798,7 +779,6 @@ func mergeSummaries(snaps []stats.Summary) stats.Summary {
 // AggregateStats is the cross-shard rollup of the per-engine counters.
 type AggregateStats struct {
 	AckedWrites     uint64
-	AckedOnApply    uint64
 	Gets            uint64
 	GroupCommits    uint64
 	BatchMax        uint64 // largest single-shard batch
@@ -814,7 +794,6 @@ func (s *ShardedEngine) AggregateStats() AggregateStats {
 	for _, sh := range *s.shards.Load() {
 		st := sh.eng.Stats()
 		a.AckedWrites += st.AckedWrites.Load()
-		a.AckedOnApply += st.AckedOnApply.Load()
 		a.Gets += st.Gets.Load()
 		a.GroupCommits += st.GroupCommits.Load()
 		a.Rejects += st.Rejects.Load()

@@ -329,7 +329,7 @@ func TestShardedRouterStableAcrossRestart(t *testing.T) {
 // The TCP server must work identically over a multi-shard fleet,
 // including the fan-out ops (PERSIST, STATS).
 func TestShardedTCPServer(t *testing.T) {
-	_, addr := serveTCP(t, newSharded(t, tempPool(t), 2, Config{MaxBatch: 8}), AckDurable)
+	_, addr := serveTCP(t, newSharded(t, tempPool(t), 2, Config{MaxBatch: 8}))
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

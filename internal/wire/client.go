@@ -184,37 +184,20 @@ func (c *Client) Get(key []byte) (value []byte, ok bool, err error) {
 	return resp.Body, true, nil
 }
 
-// Put stores key=value, returning once the write is acked under the
-// server's default policy — durable, unless the server was started with an
-// ack-on-apply default. The returned epoch is the snapshot that contains
-// (or, acked-on-apply, will contain) it.
+// Put stores key=value, returning once the write is durable. The returned
+// epoch is the snapshot that contains it.
 func (c *Client) Put(key, value []byte) (epoch uint64, err error) {
-	return c.PutFlags(key, value, FlagAckDefault)
-}
-
-// PutFlags is Put with an explicit ack-policy flag: FlagAckDurable acks
-// only once the group commit reached media; FlagAckApply acks when the
-// write is applied and read-index-visible, with durability asynchronous —
-// such a write can roll back if the server crashes before its epoch
-// commits. FlagAckDefault defers to the server and encodes exactly like the
-// pre-flags protocol.
-func (c *Client) PutFlags(key, value []byte, flags byte) (epoch uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpPut, Key: key, Value: value, Flags: flags})
+	resp, err := c.roundTrip(Request{Op: OpPut, Key: key, Value: value})
 	if err != nil {
 		return 0, err
 	}
 	return DecodeEpoch(resp.Body), nil
 }
 
-// Delete removes key, reporting whether it was present; like Put it acks
-// under the server's default policy.
+// Delete removes key, reporting whether it was present; like Put it returns
+// once the deletion is durable.
 func (c *Client) Delete(key []byte) (found bool, epoch uint64, err error) {
-	return c.DeleteFlags(key, FlagAckDefault)
-}
-
-// DeleteFlags is Delete with an explicit ack-policy flag (see PutFlags).
-func (c *Client) DeleteFlags(key []byte, flags byte) (found bool, epoch uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpDelete, Key: key, Flags: flags})
+	resp, err := c.roundTrip(Request{Op: OpDelete, Key: key})
 	if err != nil {
 		return false, 0, err
 	}
@@ -223,14 +206,7 @@ func (c *Client) DeleteFlags(key []byte, flags byte) (found bool, epoch uint64, 
 
 // Persist forces a group commit of everything applied so far.
 func (c *Client) Persist() (epoch uint64, err error) {
-	return c.PersistFlags(FlagAckDefault)
-}
-
-// PersistFlags is Persist with an explicit ack-policy flag: FlagAckApply
-// schedules the forced commit but returns immediately with the still-open
-// epoch instead of waiting for media.
-func (c *Client) PersistFlags(flags byte) (epoch uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpPersist, Flags: flags})
+	resp, err := c.roundTrip(Request{Op: OpPersist})
 	if err != nil {
 		return 0, err
 	}

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// This file pins the cross-version wire contract around the ack-policy flags
-// byte: a pre-flags encoder's frames (no trailing byte) must decode on a new
-// server as FlagAckDefault, and a new encoder's default-policy frames must be
-// byte-identical to the old encoding so an old server parses them unchanged.
+// This file pins the cross-version wire contract around the optional flags
+// byte of PUT, DELETE and PERSIST: a pre-flags encoder's frames (no trailing
+// byte) decode unchanged, a frame ending in FlagAckDurable decodes to the same
+// request, any other flags byte is refused, and the encoder writes the old
+// bytes exactly, so an old server parses them unchanged.
 
 // oldEncodeRequest is the pre-flags encoder, reconstructed verbatim: opcode,
 // then length-prefixed key (and value for PUT), never a trailing byte. It
@@ -38,9 +39,8 @@ func frame(payload []byte) []byte {
 }
 
 // TestOldClientDecodesAsDefaultPolicy: frames from a pre-flags encoder carry
-// no flags byte, and the new decoder must read them as FlagAckDefault — which
-// the server resolves to ack-on-durable unless configured otherwise, so an
-// old client keeps the every-ack-means-durable contract it was written
+// no flags byte, and the decoder reads them as the request they encode — which
+// the server acks once durable, the contract an old client was written
 // against.
 func TestOldClientDecodesAsDefaultPolicy(t *testing.T) {
 	for _, req := range []Request{
@@ -56,18 +56,15 @@ func TestOldClientDecodesAsDefaultPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: new decoder rejects old encoding: %v", OpName(req.Op), err)
 		}
-		if got.Flags != FlagAckDefault {
-			t.Fatalf("%s: old encoding decoded with flags %d, want FlagAckDefault", OpName(req.Op), got.Flags)
-		}
 		if got.Op != req.Op || !bytes.Equal(got.Key, req.Key) || !bytes.Equal(got.Value, req.Value) {
 			t.Fatalf("%s: old encoding decoded as %+v, want %+v", OpName(req.Op), got, req)
 		}
 	}
 }
 
-// TestDefaultPolicyEncodingIsByteIdenticalToOld: a new client that does not
-// set a policy must emit exactly the old bytes, so an old server — which
-// would reject trailing bytes — parses the frame unchanged.
+// TestDefaultPolicyEncodingIsByteIdenticalToOld: the encoder must emit exactly
+// the old bytes, so an old server — which would reject trailing bytes —
+// parses the frame unchanged.
 func TestDefaultPolicyEncodingIsByteIdenticalToOld(t *testing.T) {
 	for _, req := range []Request{
 		{Op: OpPut, Key: []byte("key"), Value: []byte("value")},
@@ -82,59 +79,49 @@ func TestDefaultPolicyEncodingIsByteIdenticalToOld(t *testing.T) {
 			t.Fatalf("%s: %v", OpName(req.Op), err)
 		}
 		if want := oldEncodeRequest(req); !bytes.Equal(got, want) {
-			t.Fatalf("%s: default-policy encoding % x differs from old encoding % x — an old server would reject it",
+			t.Fatalf("%s: encoding % x differs from old encoding % x — an old server would reject it",
 				OpName(req.Op), got, want)
 		}
 	}
 }
 
-// TestExplicitFlagsRoundTrip: explicit policies ride as exactly one trailing
-// byte and decode back unchanged.
+// TestExplicitFlagsRoundTrip: a client written when the ack policy was a
+// choice may end a mutation with FlagAckDurable. That byte asks for the one
+// ack every mutation gets, so it decodes to the same request as the flagless
+// frame and is served durable; the retired ack-on-apply byte (2) is refused.
 func TestExplicitFlagsRoundTrip(t *testing.T) {
-	for _, flags := range []byte{FlagAckDurable, FlagAckApply} {
-		for _, req := range []Request{
-			{Op: OpPut, Key: []byte("k"), Value: []byte("v"), Flags: flags},
-			{Op: OpDelete, Key: []byte("k"), Flags: flags},
-			{Op: OpPersist, Flags: flags},
-		} {
-			payload, err := EncodeRequest(req)
-			if err != nil {
-				t.Fatalf("%s flags %d: %v", OpName(req.Op), flags, err)
-			}
-			if want := append(oldEncodeRequest(Request{Op: req.Op, Key: req.Key, Value: req.Value}), flags); !bytes.Equal(payload, want) {
-				t.Fatalf("%s flags %d: encoding % x, want old bytes plus one flags byte % x",
-					OpName(req.Op), flags, payload, want)
-			}
-			got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame(payload))))
-			if err != nil {
-				t.Fatalf("%s flags %d: decode: %v", OpName(req.Op), flags, err)
-			}
-			if got.Flags != flags {
-				t.Fatalf("%s: flags %d decoded as %d", OpName(req.Op), flags, got.Flags)
-			}
+	for _, req := range []Request{
+		{Op: OpPut, Key: []byte("k"), Value: []byte("v")},
+		{Op: OpDelete, Key: []byte("k")},
+		{Op: OpPersist},
+	} {
+		old := oldEncodeRequest(req)
+		got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame(append(old, FlagAckDurable)))))
+		if err != nil {
+			t.Fatalf("%s + FlagAckDurable: decode: %v", OpName(req.Op), err)
+		}
+		if got.Op != req.Op || !bytes.Equal(got.Key, req.Key) || !bytes.Equal(got.Value, req.Value) {
+			t.Fatalf("%s + FlagAckDurable decoded as %+v, want %+v", OpName(req.Op), got, req)
+		}
+		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame(append(old, 2))))); err == nil {
+			t.Fatalf("%s: decoder accepted the retired ack-on-apply byte", OpName(req.Op))
 		}
 	}
 }
 
-// TestFlagValidation: unknown flag values and flags on non-mutations are
-// protocol errors on both sides, not silently-misread bytes.
+// TestFlagValidation: a flags byte other than FlagAckDurable, and a flags
+// byte on a non-mutation, are protocol errors, not silently misread bytes.
 func TestFlagValidation(t *testing.T) {
-	if _, err := EncodeRequest(Request{Op: OpPut, Key: []byte("k"), Value: []byte("v"), Flags: FlagAckApply + 1}); err == nil {
-		t.Fatal("encoder accepted an unknown ack flag")
-	}
-	for _, op := range []byte{OpGet, OpStats, OpTrace} {
-		if _, err := EncodeRequest(Request{Op: op, Key: []byte("k"), Flags: FlagAckApply}); err == nil {
-			t.Fatalf("encoder accepted ack flags on %s", OpName(op))
+	// A decoder must reject an unknown flags byte rather than ack under a
+	// rule it does not know.
+	for _, flags := range []byte{0, 2, 3, 0xff} {
+		bad := append(oldEncodeRequest(Request{Op: OpPersist}), flags)
+		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame(bad)))); err == nil {
+			t.Fatalf("decoder accepted flags byte %d", flags)
 		}
 	}
-	// A decoder must reject an out-of-range flags byte rather than ack under
-	// a policy it does not know.
-	bad := append(oldEncodeRequest(Request{Op: OpPersist}), FlagAckApply+1)
-	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame(bad)))); err == nil {
-		t.Fatal("decoder accepted an unknown ack flag")
-	}
 	// A trailing byte on GET is trailing garbage, not a policy.
-	badGet := append(oldEncodeRequest(Request{Op: OpGet, Key: []byte("k")}), FlagAckApply)
+	badGet := append(oldEncodeRequest(Request{Op: OpGet, Key: []byte("k")}), FlagAckDurable)
 	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame(badGet)))); err == nil {
 		t.Fatal("decoder accepted a flags byte on GET")
 	}

@@ -17,16 +17,12 @@
 //	SPLIT(7):           shard:u32be (SplitAuto = pick the hottest shard)
 //	MERGE(8):           shard:u32be (MergeAuto = pick the coldest shard)
 //
-// The optional trailing flags byte on mutations selects the ack policy:
-// FlagAckDurable (ack only once the group commit is on media) or
-// FlagAckApply (ack when applied and read-index-visible, durability
-// asynchronous). It was introduced after the base protocol, so both sides
-// are version-tolerant: an encoder omits the byte for FlagAckDefault —
-// making the default encoding byte-identical to the old one — and a decoder
-// treats an absent byte as FlagAckDefault, which the server resolves to its
-// configured default (ack-on-durable unless overridden). Old clients
-// against a new server, and new clients against an old server, therefore
-// keep today's every-ack-means-durable contract.
+// Every PUT, DELETE and PERSIST is acked once its group commit is on media;
+// there is no other ack rule. The optional trailing flags byte on mutations
+// is a compatibility rule for clients that once chose an ack policy: a
+// decoder accepts FlagAckDurable there and ignores it, since that is what
+// every mutation gets, and refuses any other value as unknown. An encoder
+// never writes the byte.
 //
 // Response bodies: the value for GET, the durable epoch (u64le) for PUT /
 // DELETE / PERSIST, the registry text for STATS, the flight-recorder
@@ -49,10 +45,9 @@
 //     waiting for the PUT's response, may therefore observe the pre-PUT
 //     value (its response still arrives in order). Reads are
 //     read-your-writes with respect to acked mutations: wait for the PUT
-//     response before the GET and the new value is guaranteed. GETs may
-//     also observe applied-but-not-yet-durable data; after a crash the
-//     server rebuilds its index from recovered state, so a rolled-back
-//     value is never served.
+//     response before the GET and the new value is guaranteed. A GET never
+//     observes a write whose group commit has not succeeded, so a value it
+//     serves is one no crash can roll back.
 package wire
 
 import (
@@ -96,22 +91,10 @@ const (
 	StatusBusy     byte = 3
 )
 
-// Ack-policy flags, carried in the optional trailing flags byte of
-// PUT/DELETE/PERSIST. FlagAckDefault is never put on the wire — it encodes
-// as the byte's absence, so a default-policy request is byte-identical to
-// the pre-flags protocol.
-const (
-	// FlagAckDefault defers to the server's configured default policy.
-	FlagAckDefault byte = 0
-	// FlagAckDurable requests ack-on-durable explicitly: the response is
-	// sent only once the mutation's group commit reached media.
-	FlagAckDurable byte = 1
-	// FlagAckApply requests ack-on-apply: the response is sent as soon as
-	// the mutation is applied and read-index-visible; durability is
-	// asynchronous and the write may roll back if the server crashes before
-	// its epoch commits.
-	FlagAckApply byte = 2
-)
+// FlagAckDurable is the one flags byte a decoder accepts after a PUT,
+// DELETE or PERSIST: it asks for the ack every mutation gets — once its
+// group commit reached media — so it is read and dropped.
+const FlagAckDurable byte = 1
 
 // MaxFrame is the largest frame either side accepts. It bounds per-request
 // memory on both ends; a frame header announcing more is a protocol error.
@@ -122,9 +105,6 @@ type Request struct {
 	Op    byte
 	Key   []byte
 	Value []byte
-	// Flags is the ack-policy byte on PUT/DELETE/PERSIST (FlagAck*);
-	// FlagAckDefault encodes as no byte at all.
-	Flags byte
 	// Shard is SPLIT's / MERGE's operand: the shard to split (or drain), or
 	// SplitAuto / MergeAuto to let the server pick.
 	Shard uint32
@@ -209,14 +189,6 @@ func takeBytes(payload []byte) (field, rest []byte, err error) {
 
 // EncodeRequest renders a request payload (without the frame header).
 func EncodeRequest(req Request) ([]byte, error) {
-	if req.Flags != FlagAckDefault {
-		if req.Flags > FlagAckApply {
-			return nil, fmt.Errorf("wire: unknown ack flag %d", req.Flags)
-		}
-		if req.Op != OpPut && req.Op != OpDelete && req.Op != OpPersist {
-			return nil, fmt.Errorf("wire: ack flags not valid on %s", OpName(req.Op))
-		}
-	}
 	buf := []byte{req.Op}
 	switch req.Op {
 	case OpGet, OpDelete:
@@ -230,9 +202,6 @@ func EncodeRequest(req Request) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, req.Shard)
 	default:
 		return nil, fmt.Errorf("wire: unknown opcode %d", req.Op)
-	}
-	if req.Flags != FlagAckDefault {
-		buf = append(buf, req.Flags)
 	}
 	return buf, nil
 }
@@ -282,11 +251,9 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 		return Request{}, fmt.Errorf("wire: unknown opcode %d", req.Op)
 	}
 	if len(rest) == 1 && (req.Op == OpPut || req.Op == OpDelete || req.Op == OpPersist) {
-		// Optional ack-policy byte: absent on pre-flags encoders, which
-		// means FlagAckDefault.
-		req.Flags = rest[0]
-		if req.Flags > FlagAckApply {
-			return Request{}, fmt.Errorf("wire: unknown ack flag %d on %s", req.Flags, OpName(req.Op))
+		// The optional flags byte: FlagAckDurable names the one ack rule.
+		if rest[0] != FlagAckDurable {
+			return Request{}, fmt.Errorf("wire: unknown ack flag %d on %s", rest[0], OpName(req.Op))
 		}
 		rest = rest[1:]
 	}
