@@ -632,7 +632,7 @@ func Capacity(cfg Config, sz Sizes) []*stats.Table {
 		PersistEvery: sz.PersistEvery,
 	})
 	live := f.Pool.Arena().Brk() - f.Pool.DataBase()
-	peakLog := uint64(f.Dev.Log().PeakLive) * undolog.EntrySize
+	peakLog := uint64(f.Dev.Log().PeakLive()) * undolog.EntrySize
 	paxTotal := float64(live + peakLog)
 	t := stats.NewTable("§1 — PM capacity cost per byte of live data",
 		"approach", "pm_bytes", "ratio_to_live")

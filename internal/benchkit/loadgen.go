@@ -675,7 +675,7 @@ func (r *loadRun) fold(ph *phase) (LoadResult, error) {
 		AckedWrites:    uint64(writes("")),
 		Gets:           uint64(delta["paxserve_gets"]),
 		GroupCommits:   uint64(delta["paxserve_group_commits"]),
-		BatchMax:       r.eng.AggregateStats().BatchMax,
+		BatchMax:       uint64(metrics["paxserve_batch_max"]),
 		Wall:           ph.wall,
 		Metrics:        metrics,
 		AckP50:         time.Duration(ack.Quantile(0.50)),

@@ -124,12 +124,6 @@ type PersistTimings struct {
 	SyncBytes stats.LatencyHistogram
 }
 
-func headerField(pm *pmem.Device, off uint64) uint64 {
-	var b [8]byte
-	pm.Read(off, b[:], 0)
-	return binary.LittleEndian.Uint64(b[:])
-}
-
 // Create formats a fresh pool on pm and returns it ready for use. pm must be
 // zero-filled and at least HeaderSize + LogSize + DataSize bytes: a new
 // device (pmem.New, or pmem.Open on a path that does not exist yet) is born
@@ -311,8 +305,10 @@ func (p *Pool) Timings() *PersistTimings { return &p.timings }
 // Epoch reports the current (not yet durable) epoch.
 func (p *Pool) Epoch() uint64 { return p.dev.Epoch() }
 
-// DurableEpoch reads the committed epoch from media.
-func (p *Pool) DurableEpoch() uint64 { return headerField(p.pm, offDurableEpoch) }
+// DurableEpoch reports the committed epoch: the device's mirror of the
+// media's durable-epoch cell, so it never touches media and is safe at any
+// time, after Close included.
+func (p *Pool) DurableEpoch() uint64 { return p.dev.DurableEpoch() }
 
 // SetRoot stores a vPM address in root slot i. Roots live in vPM, so they
 // become durable at the next Persist like any other data.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"pax/internal/coherence"
 	"pax/internal/cxl"
@@ -66,7 +67,9 @@ type PersistReport struct {
 // Device is one PAX accelerator instance. It implements coherence.Home for
 // its vPM range. It is not safe for concurrent use; the cache hierarchy
 // serializes home calls under its own lock, matching a single device
-// pipeline.
+// pipeline. Its observable state — Epoch, DurableEpoch, Stats and the undo
+// log's counters — is atomic, so it may be read at any time, from any
+// goroutine, and after the media is closed.
 type Device struct {
 	cfg  Config
 	pm   *pmem.Device
@@ -81,7 +84,10 @@ type Device struct {
 	cache *hbm.Cache
 	host  coherence.Snooper
 
-	epoch uint64 // current, not-yet-durable epoch
+	epoch atomic.Uint64 // current, not-yet-durable epoch
+	// durable mirrors the media's durable-epoch cell: set at open and
+	// wherever Persist writes the cell, so a reader never touches media.
+	durable atomic.Uint64
 
 	// logged maps host line address → log bound (entry virtual offset +
 	// entry size) for lines undo-logged in the current epoch. Its key set is
@@ -123,9 +129,10 @@ func New(cfg Config, pm *pmem.Device, hostBase, pmBase, size uint64, log *undolo
 		size:     size,
 		epochPos: epochCell,
 		log:      log,
-		epoch:    startEpoch,
 		logged:   make(map[uint64]uint64),
 	}
+	d.epoch.Store(startEpoch)
+	d.durable.Store(startEpoch - 1)
 	if cfg.HBMSize > 0 {
 		d.cache = hbm.New(cfg.HBMSize, cfg.HBMWays, cfg.Policy)
 	}
@@ -140,7 +147,11 @@ func (d *Device) AttachHost(h coherence.Snooper) { d.host = h }
 func (d *Device) Link() *cxl.Link { return d.link }
 
 // Epoch reports the current (not yet durable) epoch number.
-func (d *Device) Epoch() uint64 { return d.epoch }
+func (d *Device) Epoch() uint64 { return d.epoch.Load() }
+
+// DurableEpoch reports the epoch in the media's durable-epoch cell without
+// reading media: the cell's value as of open or the last Persist.
+func (d *Device) DurableEpoch() uint64 { return d.durable.Load() }
 
 // Log exposes the undo log (tests and the inspector tool).
 func (d *Device) Log() *undolog.Log { return d.log }
@@ -202,7 +213,7 @@ func (d *Device) logLine(hostAddr uint64, at sim.Time) uint64 {
 	} else {
 		d.pm.Read(pmAddr, old[:], at)
 	}
-	off, done, err := d.log.Append(d.epoch, pmAddr, old, at)
+	off, done, err := d.log.Append(d.epoch.Load(), pmAddr, old, at)
 	if err != nil {
 		panic(fmt.Sprintf("device: %v — size the undo log for the epoch working set or call persist() more often", err))
 	}
@@ -327,7 +338,8 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 	if d.host == nil && len(d.logged) > 0 {
 		panic("device: Persist with no host attached")
 	}
-	rep := PersistReport{Epoch: d.epoch, LinesSnooped: len(d.logged)}
+	epoch := d.epoch.Load()
+	rep := PersistReport{Epoch: epoch, LinesSnooped: len(d.logged)}
 
 	// Deterministic iteration order for reproducible timings.
 	addrs := make([]uint64, 0, len(d.logged))
@@ -381,12 +393,13 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 
 	// Phase 4: atomically commit the epoch.
 	var cell [8]byte
-	putUint64(cell[:], d.epoch)
+	putUint64(cell[:], epoch)
 	at = d.pm.WriteAtomic(d.epochPos, cell[:], at)
+	d.durable.Store(epoch)
 
 	// Phase 5: drop the epoch's undo entries and start the next epoch.
 	at = d.log.Truncate(d.log.Head(), at)
-	d.epoch++
+	d.epoch.Store(epoch + 1)
 	d.logged = make(map[uint64]uint64)
 	d.logDone = d.logDone[:0]
 	d.lastLogDone = 0

@@ -41,7 +41,9 @@
 // the writer maintains a volatile read index (readindex.go) of what has
 // committed, and Get serves from it directly — a GET never enters the
 // request queue and never waits behind a commit in flight, and it never
-// serves a write that a crash or a failed commit could take back.
+// serves a write that a crash or a failed commit could take back. Metrics
+// do not take it either: every registry gauge reads an atomic, so STATS
+// samples the registry from any goroutine, at any time.
 package server
 
 import (
@@ -147,7 +149,6 @@ const (
 	opDelete
 	opPersist
 	opStats
-	opSnapshot
 	opTrace
 	// opSplit asks the fleet to split a shard live (migrate.go); the router
 	// answers it, as it answers opStats, opTrace, opEvents and opMerge —
@@ -172,7 +173,6 @@ type result struct {
 	found bool
 	epoch uint64
 	text  string
-	snap  stats.Summary
 	err   error
 }
 
@@ -368,11 +368,6 @@ func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
 // Stats exposes the engine counters.
 func (e *Engine) Stats() *EngineStats { return &e.stats }
 
-// Registry is the merged engine + pool metrics registry. The pool gauges
-// read simulator state, so sample it either via the STATS request (which
-// runs on the writer loop) or after Close — not concurrently with traffic.
-func (e *Engine) Registry() *stats.Registry { return e.reg }
-
 func (r *request) finish(res result) { r.done <- res }
 
 // begin enqueues a request without waiting for its result. On nil the
@@ -508,20 +503,11 @@ func (e *Engine) Persist() (uint64, error) {
 	return res.epoch, res.err
 }
 
-// Snapshot samples the metrics registry on the writer loop (so sampling
-// never races the mutator) and returns the raw summary, which the fleet
-// merges across shards. A sealed engine still answers — health must stay
-// observable after a failure, and with the writer loop gone direct sampling
-// cannot race a mutator — so a fleet's STATS reports per-shard health with
-// one shard down.
-func (e *Engine) Snapshot() (stats.Summary, error) {
-	res := e.do(opSnapshot, nil, nil)
-	if res.err != nil && errors.Is(res.err, ErrSealed) {
-		e.wg.Wait()
-		return e.reg.Snapshot(), nil
-	}
-	return res.snap, res.err
-}
+// Snapshot samples the engine + pool metrics registry, which the fleet
+// merges across shards. Every gauge reads an atomic or a mutex-guarded
+// value, so it is safe at any time: beside the writer, on a sealed engine
+// (health stays observable after a failure) and after Close.
+func (e *Engine) Snapshot() stats.Summary { return e.reg.Snapshot() }
 
 // SealErr reports the durability failure that sealed the engine fail-stop
 // (nil while healthy). A sealed engine rejects every request with this
@@ -629,11 +615,10 @@ func (e *Engine) Crash() {
 }
 
 // apply executes one request against the pool. Only the writer calls it, and
-// only the writer persists, so no mutation (or registry sample of live pool
-// state) overlaps a snapshot point (§3.5). Mutations, persists and barriers
-// are returned as waiters, to be published and acked at the batch commit,
-// with mutated reporting whether the batch needs that commit; stats are
-// answered immediately. Apply leaves the read index alone: a write becomes
+// only the writer persists, so no mutation overlaps a snapshot point (§3.5).
+// Mutations, persists and barriers are returned as waiters, to be published
+// and acked at the batch commit, with mutated reporting whether the batch
+// needs that commit. Apply leaves the read index alone: a write becomes
 // visible only once its commit succeeds.
 func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 	switch req.op {
@@ -655,9 +640,6 @@ func (e *Engine) apply(req *request) (waiter *request, mutated bool) {
 		return req, true
 	case opBarrier:
 		return req, false
-	case opSnapshot:
-		req.finish(result{snap: e.reg.Snapshot()})
-		return nil, false
 	}
 	req.finish(result{err: fmt.Errorf("server: unknown op %d", req.op)})
 	return nil, false

@@ -247,6 +247,10 @@ func TestStatsTextHasLatencyQuantiles(t *testing.T) {
 	if _, _, err := eng.Get([]byte("missing")); err != nil {
 		t.Fatal(err)
 	}
+	// STATS samples beside the writer, which observes a commit's stage
+	// timings just after its acks and then records the commit: wait for
+	// the record, so the sample is sure to hold them.
+	pollUntil(t, "the commit is recorded", func() bool { return len(eng.Trace().Recent) == 1 })
 	text, err := eng.StatsText()
 	if err != nil {
 		t.Fatal(err)

@@ -93,10 +93,6 @@ type ShardedEngine struct {
 	// split/merge/policy events directly. AttachBlackbox hangs the journal
 	// off this hub's sink.
 	events eventHub
-
-	mu          sync.Mutex
-	final       stats.Summary // metrics frozen at teardown; guarded by mu
-	sealedEpoch uint64        // DurableEpoch frozen at teardown; guarded by mu
 }
 
 // reshardCounters are the router's own metrics (the engines know nothing of
@@ -518,8 +514,9 @@ func (s *ShardedEngine) engineForSlot(slot int) *Engine {
 // request and delivers exactly one result on req.done. Per-key operations
 // route to the owning shard's queue (FIFO per shard, so a connection's
 // same-key operations keep their wire order) under the slot's gate; persist
-// and stats fan out across every shard and deliver one merged result; split
-// and merge run the migration off the dispatch goroutine.
+// fans out across every shard and delivers one merged result; split and
+// merge run the migration off the dispatch goroutine; stats, trace and
+// events are answered inline.
 func (s *ShardedEngine) begin(req *request) error {
 	switch req.op {
 	case opGet, opPut, opDelete:
@@ -542,10 +539,10 @@ func (s *ShardedEngine) begin(req *request) error {
 		}()
 		return nil
 	case opStats:
-		go func() {
-			text, err := s.StatsText()
-			req.finish(result{text: text, err: err})
-		}()
+		// Every gauge reads an atomic, so STATS never enters a writer queue:
+		// answered inline, like TRACE and EVENTS.
+		text, err := s.StatsText()
+		req.finish(result{text: text, err: err})
 		return nil
 	case opSplit:
 		// Migration blocks on drain barriers and bulk copies — never on the
@@ -687,34 +684,17 @@ func (s *ShardedEngine) Persist() (uint64, error) {
 	return max, nil
 }
 
-// Metrics samples every shard's registry on its writer loop (in parallel)
-// and merges them: each metric appears once per shard with a `{shard="K"}`
-// suffix and once as the plain-named sum across shards, plus a
-// paxserve_shards count and the router's own slot/reshard gauges. After
-// Close or Crash it returns the final snapshot frozen at teardown.
+// Metrics samples every shard's registry and merges them: each metric
+// appears once per shard with a `{shard="K"}` suffix and once under its
+// plain name (see mergeSummaries), plus a paxserve_shards count and the
+// router's own slot/reshard gauges. Every gauge reads an atomic, so Metrics
+// is safe at any time — under load, mid-migration, with shards sealed, and
+// after Close or Crash — and its error is always nil.
 func (s *ShardedEngine) Metrics() (stats.Summary, error) {
-	s.mu.Lock()
-	final := s.final
-	s.mu.Unlock()
-	if final != nil {
-		return final, nil
-	}
 	shards := *s.shards.Load()
 	snaps := make([]stats.Summary, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for k := range shards {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			snaps[k], errs[k] = shards[k].eng.Snapshot()
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d: %w", k, err)
-		}
+	for k, sh := range shards {
+		snaps[k] = sh.eng.Snapshot()
 	}
 	m := mergeSummaries(snaps)
 	s.addRouterMetrics(m)
@@ -749,61 +729,43 @@ func (s *ShardedEngine) StatsText() (string, error) {
 	return b.String(), nil
 }
 
+// mergeSummaries merges per-shard summaries. Each metric keeps a
+// `{shard="K"}` copy per shard; a histogram quantile line, e.g.
+// name{q="p99"}, takes the tag into its existing label set instead of a
+// second brace group. The plain name is the sum across shards, except for
+// values that do not add: quantiles, the batch high-water mark and the two
+// epoch numbers take the largest shard's value (the worst tail, the biggest
+// batch, the newest epoch — so plain pax_durable_epoch is the fleet's
+// DurableEpoch).
 func mergeSummaries(snaps []stats.Summary) stats.Summary {
 	merged := make(stats.Summary)
-	seenQuantile := make(map[string]bool)
 	for k, snap := range snaps {
 		label := fmt.Sprintf("{shard=%q}", strconv.Itoa(k))
 		for name, v := range snap {
-			if strings.Contains(name, `{q="`) {
-				// Histogram quantile line, e.g. name{q="p99"}: the shard tag
-				// joins the existing label set instead of forming a second
-				// brace group, and the plain name takes the max across shards
-				// — the worst shard's tail — because quantiles do not sum.
-				withShard := name[:len(name)-1] + `,shard=` + strconv.Quote(strconv.Itoa(k)) + `}`
-				merged[withShard] = v
-				if !seenQuantile[name] || v > merged[name] {
-					merged[name] = v
-				}
-				seenQuantile[name] = true
+			quantile := strings.Contains(name, `{q="`)
+			if quantile {
+				merged[name[:len(name)-1]+`,shard=`+strconv.Quote(strconv.Itoa(k))+`}`] = v
+			} else {
+				merged[name+label] = v
+			}
+			if !quantile && !maxMerged[name] {
+				merged[name] += v
 				continue
 			}
-			merged[name+label] = v
-			merged[name] += v
+			if prev, seen := merged[name]; !seen || v > prev {
+				merged[name] = v
+			}
 		}
 	}
 	merged["paxserve_shards"] = float64(len(snaps))
 	return merged
 }
 
-// AggregateStats is the cross-shard rollup of the per-engine counters.
-type AggregateStats struct {
-	AckedWrites     uint64
-	Gets            uint64
-	GroupCommits    uint64
-	BatchMax        uint64 // largest single-shard batch
-	Rejects         uint64
-	ReadIndexHits   uint64
-	ReadIndexMisses uint64
-}
-
-// AggregateStats sums the engine counters across shards (BatchMax is the
-// max). Counters are atomic, so this is safe at any time.
-func (s *ShardedEngine) AggregateStats() AggregateStats {
-	var a AggregateStats
-	for _, sh := range *s.shards.Load() {
-		st := sh.eng.Stats()
-		a.AckedWrites += st.AckedWrites.Load()
-		a.Gets += st.Gets.Load()
-		a.GroupCommits += st.GroupCommits.Load()
-		a.Rejects += st.Rejects.Load()
-		a.ReadIndexHits += st.ReadIndexHits.Load()
-		a.ReadIndexMisses += st.ReadIndexMisses.Load()
-		if b := st.BatchMax.Load(); b > a.BatchMax {
-			a.BatchMax = b
-		}
-	}
-	return a
+// maxMerged names the plain gauges whose fleet value is the largest shard's.
+var maxMerged = map[string]bool{
+	"paxserve_batch_max": true,
+	"pax_epoch":          true,
+	"pax_durable_epoch":  true,
 }
 
 // Health reports each shard's seal error, indexed by shard: nil for a shard
@@ -830,16 +792,10 @@ func (s *ShardedEngine) Recoveries() []pax.RecoveryInfo {
 	return recs
 }
 
-// DurableEpoch reports the highest committed epoch across shards. After
-// Close or Crash it returns the epoch frozen at teardown: the pools are
-// closed, and their media is gone.
+// DurableEpoch reports the highest committed epoch across shards. Each pool
+// mirrors its durable-epoch cell in an atomic, so this is safe at any time,
+// after Close or Crash included.
 func (s *ShardedEngine) DurableEpoch() uint64 {
-	s.mu.Lock()
-	sealed, epoch := s.final != nil, s.sealedEpoch
-	s.mu.Unlock()
-	if sealed {
-		return epoch
-	}
 	var max uint64
 	for _, sh := range *s.shards.Load() {
 		if e := sh.pool.DurableEpoch(); e > max {
@@ -850,8 +806,7 @@ func (s *ShardedEngine) DurableEpoch() uint64 {
 }
 
 // Close drains and seals every shard in parallel (each engine commits its
-// remaining mutations plus the open epoch), freezes a final metrics
-// snapshot, and closes the backing pools. Unlike Engine.Close it owns the
+// remaining mutations plus the open epoch) and closes the backing pools. Unlike Engine.Close it owns the
 // pools, because it opened them. Every shard is closed regardless of
 // individual failures; the first durability error (by shard index) is
 // returned so a degraded shutdown is never reported clean.
@@ -898,23 +853,11 @@ func (s *ShardedEngine) Crash() error {
 	return s.teardown()
 }
 
-// teardown runs once: freeze the merged metrics and the durable epoch (the
-// loops are gone, so sampling the registries and pools directly cannot race
-// a mutator) and close pools.
+// teardown runs once and closes the pools. Metrics and DurableEpoch keep
+// answering afterwards: they read atomics, not the closed media.
 func (s *ShardedEngine) teardown() error {
 	s.closeOnce.Do(func() {
-		shards := *s.shards.Load()
-		snaps := make([]stats.Summary, len(shards))
-		for k, sh := range shards {
-			snaps[k] = sh.eng.reg.Snapshot()
-		}
-		final := mergeSummaries(snaps)
-		s.addRouterMetrics(final)
-		epoch := s.DurableEpoch()
-		s.mu.Lock()
-		s.final, s.sealedEpoch = final, epoch
-		s.mu.Unlock()
-		for k, sh := range shards {
+		for k, sh := range *s.shards.Load() {
 			if err := sh.pool.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = fmt.Errorf("server: shard %d: %w", k, err)
 			}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,9 +167,12 @@ func TestShardedBasicOpsAndMergedStats(t *testing.T) {
 	}
 
 	// Uniform keys should touch every shard.
-	agg := eng.AggregateStats()
-	if agg.AckedWrites != keys+1 {
-		t.Fatalf("acked writes = %d, want %d", agg.AckedWrites, keys+1)
+	m, err := eng.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m["paxserve_acked_writes"]; got != keys+1 {
+		t.Fatalf("acked writes = %v, want %d", got, keys+1)
 	}
 	text, err := eng.StatsText()
 	if err != nil {
@@ -226,7 +230,14 @@ func TestShardedCrashRecovery(t *testing.T) {
 		}(c)
 	}
 	// Let every shard commit a few batches, then pull the plug mid-load.
-	for eng.AggregateStats().GroupCommits < 3*shards {
+	for {
+		m, err := eng.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m["paxserve_group_commits"] >= 3*shards {
+			break
+		}
 		time.Sleep(time.Millisecond)
 	}
 	if err := eng.Crash(); err != nil {
@@ -257,8 +268,10 @@ func TestShardedCrashRecovery(t *testing.T) {
 }
 
 // TestDurableEpochAfterClose: Close and Crash unmap every shard's media, so
-// DurableEpoch afterwards answers from teardown — the epoch the fleet was
-// sealed at, which is the one a reopen recovers (paxserve prints it on exit).
+// DurableEpoch afterwards answers from each pool's mirror of its
+// durable-epoch cell — the epoch the fleet was sealed at, which is the one a
+// reopen recovers (paxserve prints it on exit) and the one plain
+// pax_durable_epoch reports.
 func TestDurableEpochAfterClose(t *testing.T) {
 	pool := tempPool(t)
 	for _, stop := range []string{"Close", "Crash"} {
@@ -278,6 +291,13 @@ func TestDurableEpochAfterClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		sealed := eng.DurableEpoch()
+		m, err := eng.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m["pax_durable_epoch"]; got != float64(sealed) {
+			t.Fatalf("after %s: pax_durable_epoch %v, DurableEpoch %d", stop, got, sealed)
+		}
 		reopened := newSharded(t, pool, 2, Config{})
 		got := reopened.DurableEpoch()
 		if err := reopened.Close(); err != nil {
@@ -286,6 +306,78 @@ func TestDurableEpochAfterClose(t *testing.T) {
 		if sealed == 0 || sealed != got {
 			t.Fatalf("after %s: DurableEpoch %d, reopen recovers %d", stop, sealed, got)
 		}
+	}
+}
+
+// TestMetricsReadAnyTime: every gauge reads an atomic, so STATS answers at
+// any moment of a fleet's life with a nil error — under PUT load, across a
+// live split and a merge (whose retired shard closes while a sample may
+// still hold it), and through and after Close or Crash, whose teardown
+// unmaps every shard's media.
+func TestMetricsReadAnyTime(t *testing.T) {
+	for _, stop := range []string{"Close", "Crash"} {
+		t.Run(stop, func(t *testing.T) {
+			eng := newSharded(t, tempPool(t), 2, Config{MaxBatch: 8})
+			done := make(chan struct{})
+			failed := make(chan error, 2)
+			var samples atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < 2; c++ {
+				wg.Add(2)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						key := []byte(fmt.Sprintf("c%d-%03d", c, i%200))
+						if _, err := eng.Put(key, key); err != nil {
+							return // the fleet has stopped
+						}
+					}
+				}(c)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						if _, err := eng.StatsText(); err != nil {
+							failed <- err
+							return
+						}
+						samples.Add(1)
+					}
+				}()
+			}
+			if _, err := eng.Split(-1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Merge(-1); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if stop == "Close" {
+				err = eng.Close()
+			} else {
+				err = eng.Crash()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(done)
+			wg.Wait()
+			select {
+			case err := <-failed:
+				t.Fatalf("STATS failed: %v", err)
+			default:
+			}
+			if samples.Load() == 0 {
+				t.Fatal("no STATS sample completed while the fleet ran")
+			}
+			if _, err := eng.StatsText(); err != nil {
+				t.Fatalf("STATS after %s: %v", stop, err)
+			}
+		})
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // view. Components register gauge functions (sampled at read time), counters,
 // or ratios under stable snake_case names; consumers take a Snapshot or
 // render the whole registry as text with WriteTo. Registration and sampling
-// are safe for concurrent use, but a gauge function must itself be safe to
-// call from the sampling goroutine.
+// are safe for concurrent use, and a sample is safe at any time, including
+// after the component behind it is closed, so long as every gauge function
+// reads an atomic or a mutex-guarded value (counters, ratios and latency
+// histograms do) — never a writer's plain fields or a closed resource.
 type Registry struct {
 	mu     sync.Mutex
 	gauges map[string]func() float64

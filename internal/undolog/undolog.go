@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync/atomic"
 
 	"pax/internal/coherence"
 	"pax/internal/pmem"
@@ -59,23 +60,24 @@ var ErrFull = errors.New("undolog: log full (live entries fill capacity)")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Log is the undo log manager. It is not safe for concurrent use; the PAX
-// device serializes access (a hardware log writer is a single pipeline).
+// Log is the undo log manager. Appending and truncating are not safe for
+// concurrent use; the PAX device serializes them (a hardware log writer is a
+// single pipeline). The occupancy and the counters are atomics that only
+// that writer stores — a load and a store, no read-modify-write — so Head,
+// Tail, Live, PeakLive, Appends and Truncations are safe to read at any
+// time, from any goroutine.
 type Log struct {
 	dev  *pmem.Device
 	base uint64
 	size uint64
 
-	capacity uint64 // usable entry bytes (multiple of EntrySize)
-	head     uint64 // virtual offset of next append
-	tail     uint64 // virtual offset of oldest live entry
+	capacity uint64        // usable entry bytes (multiple of EntrySize)
+	head     atomic.Uint64 // virtual offset of next append
+	tail     atomic.Uint64 // virtual offset of oldest live entry
 
-	// Appends counts entries ever appended; Truncations counts tail bumps;
-	// PeakLive is the maximum number of live entries ever outstanding (the
-	// pool's real log footprint).
-	Appends     uint64
-	Truncations uint64
-	PeakLive    int
+	appends     atomic.Uint64
+	truncations atomic.Uint64
+	peakLive    atomic.Uint64
 }
 
 func usableCapacity(size uint64) uint64 {
@@ -108,19 +110,21 @@ func Open(dev *pmem.Device, base, size uint64) (*Log, error) {
 	if got := binary.LittleEndian.Uint64(hdr[16:]); got != l.capacity {
 		return nil, fmt.Errorf("undolog: header capacity %d, geometry implies %d", got, l.capacity)
 	}
-	l.tail = binary.LittleEndian.Uint64(hdr[24:])
-	if l.tail%EntrySize != 0 {
-		return nil, fmt.Errorf("undolog: tail %d not entry-aligned", l.tail)
+	tail := binary.LittleEndian.Uint64(hdr[24:])
+	if tail%EntrySize != 0 {
+		return nil, fmt.Errorf("undolog: tail %d not entry-aligned", tail)
 	}
 
 	// Scan forward: the head is the first slot that fails validation.
-	l.head = l.tail
-	for l.head-l.tail < l.capacity {
-		if _, ok := l.EntryAt(l.head); !ok {
+	head := tail
+	for head-tail < l.capacity {
+		if _, ok := l.EntryAt(head); !ok {
 			break
 		}
-		l.head += EntrySize
+		head += EntrySize
 	}
+	l.tail.Store(tail)
+	l.head.Store(head)
 	return l, nil
 }
 
@@ -176,17 +180,17 @@ func (l *Log) EntryAt(virt uint64) (Entry, bool) {
 // and the simulated time at which the entry is durable on PM, for a write
 // issued at `at`. The caller provides Epoch, Addr, and Old; Seq is assigned.
 func (l *Log) Append(epoch uint64, addr uint64, old [coherence.LineSize]byte, at sim.Time) (uint64, sim.Time, error) {
-	if l.head-l.tail+EntrySize > l.capacity {
+	off, tail := l.head.Load(), l.tail.Load()
+	if off-tail+EntrySize > l.capacity {
 		return 0, 0, ErrFull
 	}
-	e := Entry{Epoch: epoch, Seq: l.head / EntrySize, Addr: addr, Old: old}
+	e := Entry{Epoch: epoch, Seq: off / EntrySize, Addr: addr, Old: old}
 	buf := encodeEntry(e)
-	done := l.dev.Write(l.SlotAddr(l.head), buf[:], at)
-	off := l.head
-	l.head += EntrySize
-	l.Appends++
-	if live := l.Live(); live > l.PeakLive {
-		l.PeakLive = live
+	done := l.dev.Write(l.SlotAddr(off), buf[:], at)
+	l.head.Store(off + EntrySize)
+	l.appends.Store(l.appends.Load() + 1)
+	if live := (off + EntrySize - tail) / EntrySize; live > l.peakLive.Load() {
+		l.peakLive.Store(live)
 	}
 	return off, done, nil
 }
@@ -202,18 +206,19 @@ func (l *Log) Append(epoch uint64, addr uint64, old [coherence.LineSize]byte, at
 // the recovered tail: EntryAt wants the sequence number of that very
 // offset, and no entry at or past the tail was ever discarded.
 func (l *Log) Truncate(upTo uint64, at sim.Time) sim.Time {
-	if upTo < l.tail || upTo > l.head || upTo%EntrySize != 0 {
-		panic(fmt.Sprintf("undolog: truncate to %d outside [%d,%d]", upTo, l.tail, l.head))
+	tail, head := l.tail.Load(), l.head.Load()
+	if upTo < tail || upTo > head || upTo%EntrySize != 0 {
+		panic(fmt.Sprintf("undolog: truncate to %d outside [%d,%d]", upTo, tail, head))
 	}
-	if upTo == l.tail {
+	if upTo == tail {
 		return at
 	}
-	l.discardSlots(l.tail, upTo)
-	l.tail = upTo
+	l.discardSlots(tail, upTo)
+	l.tail.Store(upTo)
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], upTo)
 	done := l.dev.WriteAtomic(l.base+24, b[:], at)
-	l.Truncations++
+	l.truncations.Store(l.truncations.Load() + 1)
 	return done
 }
 
@@ -230,13 +235,28 @@ func (l *Log) discardSlots(from, to uint64) {
 }
 
 // Head reports the virtual offset of the next append.
-func (l *Log) Head() uint64 { return l.head }
+func (l *Log) Head() uint64 { return l.head.Load() }
 
 // Tail reports the virtual offset of the oldest live entry.
-func (l *Log) Tail() uint64 { return l.tail }
+func (l *Log) Tail() uint64 { return l.tail.Load() }
 
-// Live reports the number of live (untruncated) entries.
-func (l *Log) Live() int { return int((l.head - l.tail) / EntrySize) }
+// Live reports the number of live (untruncated) entries. It loads the tail
+// first: both offsets only grow and the tail never passes the head, so a
+// reader racing the writer never computes a negative count.
+func (l *Log) Live() int {
+	tail := l.tail.Load()
+	return int((l.head.Load() - tail) / EntrySize)
+}
+
+// PeakLive reports the maximum number of live entries ever outstanding: the
+// pool's real log footprint.
+func (l *Log) PeakLive() int { return int(l.peakLive.Load()) }
+
+// Appends counts the entries ever appended.
+func (l *Log) Appends() uint64 { return l.appends.Load() }
+
+// Truncations counts the tail bumps.
+func (l *Log) Truncations() uint64 { return l.truncations.Load() }
 
 // CapacityEntries reports how many entries the ring can hold.
 func (l *Log) CapacityEntries() int { return int(l.capacity / EntrySize) }
@@ -245,7 +265,7 @@ func (l *Log) CapacityEntries() int { return int(l.capacity / EntrySize) }
 // it; the device itself tracks entries it has in flight.
 func (l *Log) Entries() []Entry {
 	out := make([]Entry, 0, l.Live())
-	for off := l.tail; off < l.head; off += EntrySize {
+	for off, head := l.Tail(), l.Head(); off < head; off += EntrySize {
 		e, ok := l.EntryAt(off)
 		if !ok {
 			// The scan in Open defines the head as the first invalid entry,

@@ -55,6 +55,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Opcodes.
@@ -154,18 +155,42 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// frameChunk is what readFrame allocates before any payload byte arrives.
+// A header announces up to MaxFrame bytes; trusting it up front would let a
+// peer that sends four bytes and stalls pin 16 MiB per connection.
+const frameChunk = 64 << 10
+
+// readFrame reads one frame's payload. A payload of at most frameChunk bytes
+// costs one allocation and the header none (it is read in place from r's
+// buffer); a longer payload grows by doubling as its bytes arrive, so what a
+// frame holds is never more than twice what was received.
 func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
+	_, _ = r.Discard(4) // cannot fail: Peek has buffered the 4 bytes
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
+	payload := make([]byte, min(n, frameChunk))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
+	}
+	for len(payload) < n {
+		have := len(payload)
+		grow := min(n-have, have)
+		payload = slices.Grow(payload, grow)[:have+grow]
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // part of the payload did arrive
+			}
+			return nil, err
+		}
 	}
 	return payload, nil
 }

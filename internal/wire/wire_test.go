@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,59 @@ func TestReadRequestRejectsGarbage(t *testing.T) {
 		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(raw))); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+}
+
+// TestFrameHeaderAllocatesNoMoreThanArrives: a header that announces a
+// 16 MiB frame and is followed by nothing costs the reader one first chunk,
+// not the announced length.
+func TestFrameHeaderAllocatesNoMoreThanArrives(t *testing.T) {
+	br := bufio.NewReader(bytes.NewReader([]byte{0x00, 0xff, 0xff, 0xff}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadRequest(br)
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("header then EOF: %v, want io.EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("header then EOF allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestLongFrameGrowsAsItArrives: a frame past the first chunk reads back
+// whole, and one cut short past the first chunk is an unexpected EOF.
+func TestLongFrameGrowsAsItArrives(t *testing.T) {
+	put := Request{Op: OpPut, Key: []byte("k"), Value: bytes.Repeat([]byte("0123456789"), 100_000)}
+	var buf bytes.Buffer
+	if err := WriteRequest(&buf, put); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadRequest(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+	if err != nil || !bytes.Equal(got.Value, put.Value) {
+		t.Fatalf("read %d-byte value: %v", len(got.Value), err)
+	}
+	cut := buf.Bytes()[:buf.Len()-1]
+	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(cut))); err != io.ErrUnexpectedEOF {
+		t.Fatalf("frame one byte short: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestFirstChunkFrameIsOneAllocation: a frame that fits the first chunk
+// costs exactly one payload allocation.
+func TestFirstChunkFrameIsOneAllocation(t *testing.T) {
+	raw := frame(make([]byte, frameChunk))
+	rd := bytes.NewReader(raw)
+	br := bufio.NewReader(rd)
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(raw)
+		br.Reset(rd)
+		if _, err := readFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d-byte frame: %v allocations, want 1", frameChunk, allocs)
 	}
 }
 
@@ -211,8 +265,8 @@ func TestClientCloseFailsOutstanding(t *testing.T) {
 }
 
 // The codec's garbage per request, pinned: decoding a PUT with a 128-byte
-// value allocates the frame's payload and its 4-byte length header (which
-// escapes through the io.Reader call); encoding an epoch reply into a
+// value allocates the frame's payload and nothing else (the length header is
+// read in place from the bufio.Reader); encoding an epoch reply into a
 // bufio.Writer builds the frame in the writer's buffer and allocates
 // nothing. A change that adds an allocation to either fails here.
 func TestCodecAllocationCeilings(t *testing.T) {
@@ -241,7 +295,7 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		name         string
 		got, ceiling float64
 	}{
-		{"ReadRequest of a 128-byte PUT", decode, 2},
+		{"ReadRequest of a 128-byte PUT", decode, 1},
 		{"WriteResponse of an epoch body", encode, 0},
 	} {
 		if c.got > c.ceiling {

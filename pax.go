@@ -340,9 +340,9 @@ func (p *Pool) Root(slot int) uint64 { return p.inner.Root(slot) }
 func (p *Pool) Internal() *core.Pool { return p.inner }
 
 // PoolStats is a point-in-time snapshot of the pool's device, host-cache,
-// and undo-log counters. Like every pool operation it must not race with a
-// mutator: take snapshots from the goroutine that owns the pool (the serving
-// engine does exactly that).
+// and undo-log counters. Every field is read from an atomic, so a snapshot is
+// safe at any time, including after Close and beside a mutator on another
+// goroutine; fields are then sampled one by one, not as of one instant.
 type PoolStats struct {
 	// Epoch is the open epoch; DurableEpoch the last committed one.
 	Epoch, DurableEpoch uint64
@@ -372,18 +372,20 @@ type PoolStats struct {
 	LogTruncations     uint64
 }
 
-// Stats snapshots the pool's device/cache/undo-log counters.
+// Stats snapshots the pool's device/cache/undo-log counters. It is safe at
+// any time, including after Close.
 func (p *Pool) Stats() PoolStats {
 	d := p.inner.Device()
 	h := p.inner.Hierarchy()
 	log := d.Log()
-	s := PoolStats{
-		Epoch:              p.inner.Epoch(),
-		DurableEpoch:       p.inner.DurableEpoch(),
+	return PoolStats{
+		Epoch:              d.Epoch(),
+		DurableEpoch:       d.DurableEpoch(),
 		DeviceLogAppends:   d.Stats.LogAppends.Load(),
 		DeviceLogSkips:     d.Stats.LogSkips.Load(),
 		DeviceFillsServed:  d.Stats.FillsServed.Load(),
 		DeviceHBMHits:      d.Stats.HBMHits.Load(),
+		DeviceHBMMisses:    hbmMisses(d),
 		DeviceSnoopsSent:   d.Stats.SnoopsSent.Load(),
 		DeviceSnoopsDirty:  d.Stats.SnoopsDirty.Load(),
 		DeviceLinesWritten: d.Stats.LinesPersisted.Load(),
@@ -394,42 +396,52 @@ func (p *Pool) Stats() PoolStats {
 		HostWriteBacks:     h.WriteBacks.Load(),
 		LogLiveEntries:     log.Live(),
 		LogCapacityEntries: log.CapacityEntries(),
-		LogPeakLive:        log.PeakLive,
-		LogAppends:         log.Appends,
-		LogTruncations:     log.Truncations,
+		LogPeakLive:        log.PeakLive(),
+		LogAppends:         log.Appends(),
+		LogTruncations:     log.Truncations(),
 	}
-	s.DeviceHBMMisses = s.DeviceFillsServed - s.DeviceHBMHits
-	return s
+}
+
+// hbmMisses is the device's fills that went to media. A fill counts as
+// served before it counts as a hit, so loading the hits first keeps the
+// difference from wrapping while a fill is in flight.
+func hbmMisses(d *device.Device) uint64 {
+	hits := d.Stats.HBMHits.Load()
+	return d.Stats.FillsServed.Load() - hits
 }
 
 // StatsRegistry returns a metrics registry over this pool's live counters,
-// with stable `pax_*` gauge names. Sampling the registry reads the same
-// counters as Stats and has the same single-mutator requirement.
+// with stable `pax_*` gauge names. Every gauge reads an atomic or a
+// mutex-guarded value and never media, so sampling is safe at any time,
+// including after Close and while the pool's owner mutates it.
 func (p *Pool) StatsRegistry() *stats.Registry {
 	r := stats.NewRegistry()
-	gauge := func(name string, fn func(PoolStats) float64) {
-		r.Register(name, func() float64 { return fn(p.Stats()) })
+	d := p.inner.Device()
+	h := p.inner.Hierarchy()
+	log := d.Log()
+	gauge := func(name string, fn func() uint64) {
+		r.Register(name, func() float64 { return float64(fn()) })
 	}
-	gauge("pax_epoch", func(s PoolStats) float64 { return float64(s.Epoch) })
-	gauge("pax_durable_epoch", func(s PoolStats) float64 { return float64(s.DurableEpoch) })
-	gauge("pax_device_log_appends", func(s PoolStats) float64 { return float64(s.DeviceLogAppends) })
-	gauge("pax_device_log_skips", func(s PoolStats) float64 { return float64(s.DeviceLogSkips) })
-	gauge("pax_device_fills_served", func(s PoolStats) float64 { return float64(s.DeviceFillsServed) })
-	gauge("pax_device_hbm_hits", func(s PoolStats) float64 { return float64(s.DeviceHBMHits) })
-	gauge("pax_device_hbm_misses", func(s PoolStats) float64 { return float64(s.DeviceHBMMisses) })
-	gauge("pax_device_snoops_sent", func(s PoolStats) float64 { return float64(s.DeviceSnoopsSent) })
-	gauge("pax_device_snoops_dirty", func(s PoolStats) float64 { return float64(s.DeviceSnoopsDirty) })
-	gauge("pax_device_lines_written", func(s PoolStats) float64 { return float64(s.DeviceLinesWritten) })
-	gauge("pax_device_persists", func(s PoolStats) float64 { return float64(s.DevicePersists) })
-	gauge("pax_host_llc_hits", func(s PoolStats) float64 { return float64(s.HostLLCHits) })
-	gauge("pax_host_llc_misses", func(s PoolStats) float64 { return float64(s.HostLLCMisses) })
-	gauge("pax_host_upgrades", func(s PoolStats) float64 { return float64(s.HostUpgrades) })
-	gauge("pax_host_writebacks", func(s PoolStats) float64 { return float64(s.HostWriteBacks) })
-	gauge("pax_log_live_entries", func(s PoolStats) float64 { return float64(s.LogLiveEntries) })
-	gauge("pax_log_capacity_entries", func(s PoolStats) float64 { return float64(s.LogCapacityEntries) })
-	gauge("pax_log_peak_live", func(s PoolStats) float64 { return float64(s.LogPeakLive) })
-	gauge("pax_log_appends_total", func(s PoolStats) float64 { return float64(s.LogAppends) })
-	gauge("pax_log_truncations_total", func(s PoolStats) float64 { return float64(s.LogTruncations) })
+	gauge("pax_epoch", d.Epoch)
+	gauge("pax_durable_epoch", d.DurableEpoch)
+	r.RegisterCounter("pax_device_log_appends", &d.Stats.LogAppends)
+	r.RegisterCounter("pax_device_log_skips", &d.Stats.LogSkips)
+	r.RegisterCounter("pax_device_fills_served", &d.Stats.FillsServed)
+	r.RegisterCounter("pax_device_hbm_hits", &d.Stats.HBMHits)
+	gauge("pax_device_hbm_misses", func() uint64 { return hbmMisses(d) })
+	r.RegisterCounter("pax_device_snoops_sent", &d.Stats.SnoopsSent)
+	r.RegisterCounter("pax_device_snoops_dirty", &d.Stats.SnoopsDirty)
+	r.RegisterCounter("pax_device_lines_written", &d.Stats.LinesPersisted)
+	r.RegisterCounter("pax_device_persists", &d.Stats.Persists)
+	r.RegisterCounter("pax_host_llc_hits", &h.LLCRatio.Hits)
+	r.RegisterCounter("pax_host_llc_misses", &h.LLCRatio.Misses)
+	r.RegisterCounter("pax_host_upgrades", &h.Upgrades)
+	r.RegisterCounter("pax_host_writebacks", &h.WriteBacks)
+	r.Register("pax_log_live_entries", func() float64 { return float64(log.Live()) })
+	r.Register("pax_log_capacity_entries", func() float64 { return float64(log.CapacityEntries()) })
+	r.Register("pax_log_peak_live", func() float64 { return float64(log.PeakLive()) })
+	gauge("pax_log_appends_total", log.Appends)
+	gauge("pax_log_truncations_total", log.Truncations)
 
 	// Persist-stage latency histograms (lock-free; each renders as
 	// name{q="p50"…"p999"} + name_count + name_sum lines). The *_ns names are
