@@ -343,19 +343,10 @@ func (p *Pool) Root(slot int) uint64 {
 // makes everything up to it durable. The report is returned either way for
 // its timing fields.
 func (p *Pool) Persist() (device.PersistReport, error) {
-	devStart := time.Now()
-	core0 := p.hier.Core(0)
-	rep := p.dev.Persist(core0.Now())
-	core0.Clock().AdvanceTo(rep.Done)
-	p.timings.DeviceNS.Since(devStart)
-	p.timings.LogWaitPS.Observe(int64(rep.LogWaited))
-	syncStart := time.Now()
-	if err := p.pm.Sync(); err != nil {
-		return rep, fmt.Errorf("core: committing epoch %d: %w", rep.Epoch, err)
-	}
-	p.timings.SyncNS.Since(syncStart)
-	p.timings.SyncBytes.Observe(p.pm.LastSyncBytes())
-	return rep, nil
+	return p.persist(func(now sim.Time) (device.PersistReport, sim.Time) {
+		rep := p.dev.Persist(now)
+		return rep, rep.Done
+	})
 }
 
 // PersistPipelined is the §6 non-blocking persist: the calling thread pays
@@ -365,10 +356,18 @@ func (p *Pool) Persist() (device.PersistReport, error) {
 // the call (the snapshot point is the call itself), and a non-nil error
 // means the epoch is not durable on media (see Persist).
 func (p *Pool) PersistPipelined() (device.PersistReport, error) {
+	return p.persist(p.dev.PersistPipelined)
+}
+
+// persist is both persists' body: devicePersist commits the epoch on the
+// device at core 0's current time and returns its report and the time core
+// 0 resumes at; then the media sync makes the epoch durable. Both stages'
+// wall-clock timings and the sync's size are recorded.
+func (p *Pool) persist(devicePersist func(now sim.Time) (device.PersistReport, sim.Time)) (device.PersistReport, error) {
 	devStart := time.Now()
 	core0 := p.hier.Core(0)
-	rep, release := p.dev.PersistPipelined(core0.Now())
-	core0.Clock().AdvanceTo(release)
+	rep, resume := devicePersist(core0.Now())
+	core0.Clock().AdvanceTo(resume)
 	p.timings.DeviceNS.Since(devStart)
 	p.timings.LogWaitPS.Observe(int64(rep.LogWaited))
 	syncStart := time.Now()

@@ -17,7 +17,7 @@ func benchEngine(b *testing.B, cfg Config) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := New(pool, 0, cfg)
+	eng, err := newEngine(pool, 0, cfg, 0, newEventHub())
 	if err != nil {
 		b.Fatal(err)
 	}

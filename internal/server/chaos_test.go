@@ -55,7 +55,7 @@ func faultyEngine(t *testing.T, path string, cfg Config) (*pax.Pool, *Engine, *f
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(pool, 0, cfg)
+	eng, err := newEngine(pool, 0, cfg, 0, newEventHub())
 	if err != nil {
 		t.Fatal(err)
 	}

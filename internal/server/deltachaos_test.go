@@ -68,7 +68,7 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 	if pool.Internal().PM().EpochStore() == nil {
 		t.Fatal("pool opened without the epoch store")
 	}
-	eng, err := New(pool, 0, Config{MaxBatch: 8})
+	eng, err := newEngine(pool, 0, Config{MaxBatch: 8}, 0, newEventHub())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDeltaEngineAckedWritesSurviveCrash(t *testing.T) {
 		t.Fatalf("reopening crash copy: %v", err)
 	}
 	defer re.Close()
-	reng, err := New(re, 0, Config{MaxBatch: 8})
+	reng, err := newEngine(re, 0, Config{MaxBatch: 8}, 0, newEventHub())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDeltaTransientFaultRetriesAndAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	eng, err := New(pool, 0, Config{MaxBatch: 4, CommitRetryDelay: time.Millisecond})
+	eng, err := newEngine(pool, 0, Config{MaxBatch: 4, CommitRetryDelay: time.Millisecond}, 0, newEventHub())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDeltaPersistentFaultSealsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	eng, err := New(pool, 0, Config{MaxBatch: 4, CommitRetries: -1})
+	eng, err := newEngine(pool, 0, Config{MaxBatch: 4, CommitRetries: -1}, 0, newEventHub())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,9 @@
 // request queue and never waits behind a commit in flight, and it never
 // serves a write that a crash or a failed commit could take back. Metrics
 // do not take it either: every registry gauge reads an atomic, so STATS
-// samples the registry from any goroutine, at any time.
+// samples the registry from any goroutine, at any time. The queue carries
+// only what the writer applies — PUT, DELETE, PERSIST and the migration's
+// drain barrier; every other wire op is answered where it is dispatched.
 package server
 
 import (
@@ -141,38 +143,27 @@ type AckPolicy uint8
 // ack rule.
 const AckDurable AckPolicy = 0
 
+// opKind names what a queued request asks of the writer.
 type opKind byte
 
 const (
-	opGet opKind = iota
-	opPut
+	opPut opKind = iota
 	opDelete
 	opPersist
-	opStats
-	opTrace
-	// opSplit asks the fleet to split a shard live (migrate.go); the router
-	// answers it, as it answers opStats, opTrace, opEvents and opMerge —
-	// none of them reaches an engine's begin.
-	opSplit
-	// opMerge is the inverse: drain the coldest shard and shrink the fleet
-	// (merge.go).
-	opMerge
 	// opBarrier is a queue flush: it joins its batch's waiters without
 	// counting as a mutation, so its return means every previously enqueued
 	// request has committed and is published in the read index — without
 	// forcing a commit of its own the way opPersist does. Migration uses it
 	// as the drain fence before copying a slot.
 	opBarrier
-	// opEvents returns the fleet's recent structured lifecycle events
-	// (events.go).
-	opEvents
 )
 
+// result is one request's outcome. value carries a fleet call's JSON report
+// when the connection writer waits on one (SPLIT, MERGE).
 type result struct {
 	value []byte
 	found bool
 	epoch uint64
-	text  string
 	err   error
 }
 
@@ -180,7 +171,6 @@ type request struct {
 	op         opKind
 	key, value []byte
 	found      bool        // Delete: key was present (carried to the ack)
-	shard      int         // Split: source to split; Merge: victim to drain; -1 = auto-pick
 	done       chan result // buffered(1); exactly one result per request
 }
 
@@ -195,7 +185,7 @@ var requestPool = sync.Pool{
 // (and release it) or receive exactly one result from done (and release it).
 func newRequest(op opKind, key, value []byte) *request {
 	r := requestPool.Get().(*request)
-	r.op, r.key, r.value, r.found, r.shard = op, key, value, false, 0
+	r.op, r.key, r.value, r.found = op, key, value, false
 	return r
 }
 
@@ -294,28 +284,35 @@ type Engine struct {
 	reg   *stats.Registry
 	rec   *flightRecorder
 
-	// events is the recent-lifecycle-events ring (events.go); the sharded
-	// router installs itself as its sink so fleet-level consumers (EVENTS,
-	// the black-box journal) see every shard's events.
-	events eventHub
+	// shard is the engine's index in its fleet's shard slice, fixed for
+	// life: Merge retires only the top index, so no engine ever moves. Its
+	// lifecycle events and commit records carry it.
+	shard int
+	// events is the fleet's event ring (events.go), shared by every engine
+	// of the fleet and the router.
+	events *eventHub
 }
 
-// New builds an engine serving the map rooted at slot of pool and starts its
-// writer loop. The engine becomes the pool's only legal mutator: direct pool
-// use while the engine runs violates the single-writer model. The read index
-// is rebuilt here from the pool's recovered contents — recovery has already
-// rolled back any uncommitted epoch, so nothing rolled back can be indexed.
-func New(pool *pax.Pool, slot int, cfg Config) (*Engine, error) {
+// newEngine builds shard number shard of a fleet: an engine serving the map
+// rooted at slot of pool, emitting its lifecycle events into the fleet's
+// events. It starts the writer loop. The engine becomes the pool's only
+// legal mutator: direct pool use while the engine runs violates the
+// single-writer model. The read index is rebuilt here from the pool's
+// recovered contents — recovery has already rolled back any uncommitted
+// epoch, so nothing rolled back can be indexed.
+func newEngine(pool *pax.Pool, slot int, cfg Config, shard int, events *eventHub) (*Engine, error) {
 	kv, err := pax.NewMap(pool, slot)
 	if err != nil {
 		return nil, fmt.Errorf("server: binding map root: %w", err)
 	}
 	e := &Engine{
-		pool: pool,
-		kv:   kv,
-		cfg:  cfg.withDefaults(),
-		idx:  newReadIndex(),
-		stop: make(chan struct{}),
+		pool:   pool,
+		kv:     kv,
+		cfg:    cfg.withDefaults(),
+		idx:    newReadIndex(),
+		stop:   make(chan struct{}),
+		shard:  shard,
+		events: events,
 	}
 	e.rec = newFlightRecorder(DefaultTraceDepth, DefaultSlowDepth, e.cfg.SlowCommit)
 	kv.ForEach(func(key, value []byte) bool {
@@ -375,19 +372,7 @@ func (r *request) finish(res result) { r.done <- res }
 // the caller must read it. Callers that enqueue from a single goroutine get
 // their requests applied in call order — that is what lets the TCP server
 // pipeline a connection's writes without reordering them.
-//
-// GETs never reach the queue: begin answers them inline from the read index,
-// which is what lets the TCP server resolve a pipelined GET without
-// serializing it behind the connection's PUT acks.
 func (e *Engine) begin(req *request) error {
-	if req.op == opGet {
-		v, ok, err := e.Get(req.key)
-		if err != nil {
-			return err
-		}
-		req.finish(result{value: v, found: ok})
-		return nil
-	}
 	e.mu.RLock()
 	if e.closed {
 		err := ErrClosed
@@ -552,7 +537,7 @@ func (e *Engine) seal(cause error) {
 	e.closed = true
 	e.mu.Unlock()
 	if first {
-		e.events.emit(blackbox.EvSeal, 0, errDetail{Error: cause.Error()})
+		e.events.emit(blackbox.EvSeal, e.shard, errDetail{Error: cause.Error()})
 	}
 	e.stopOnce.Do(func() { close(e.stop) })
 }
@@ -676,6 +661,7 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // engine sealed or crashed.
 func (e *Engine) commit(b *sealedBatch) bool {
 	rec := CommitRecord{
+		Shard:      e.shard,
 		Batch:      b.mutations,
 		Start:      b.start.UnixNano(),
 		SealNS:     b.sealNS,
@@ -699,8 +685,8 @@ func (e *Engine) commit(b *sealedBatch) bool {
 		e.stats.CommitFailures.Inc()
 		rec.TotalNS = b.sealNS + rec.PersistNS
 		rec.Err = err.Error()
-		rec = e.rec.record(rec)
-		e.events.emit(blackbox.EvCommitFailed, 0, rec)
+		rec, _ = e.rec.record(rec)
+		e.events.emit(blackbox.EvCommitFailed, e.shard, rec)
 		// Seal first: a caller that has seen its write fail must find the
 		// engine sealed.
 		e.seal(err)
@@ -736,9 +722,8 @@ func (e *Engine) commit(b *sealedBatch) bool {
 	e.stats.PersistNS.Observe(rec.PersistNS)
 	e.stats.AckNS.Observe(rec.AckNS)
 	e.stats.CommitNS.Observe(rec.TotalNS)
-	rec = e.rec.record(rec)
-	if thr := e.cfg.SlowCommit; thr > 0 && rec.TotalNS >= int64(thr) {
-		e.events.emit(blackbox.EvCommitSlow, 0, rec)
+	if rec, pinned := e.rec.record(rec); pinned {
+		e.events.emit(blackbox.EvCommitSlow, e.shard, rec)
 	}
 	return true
 }
@@ -746,14 +731,6 @@ func (e *Engine) commit(b *sealedBatch) bool {
 // Trace returns the flight recorder's current contents. Safe on a sealed,
 // crashed, or closed engine — the recorder outlives the writer loop.
 func (e *Engine) Trace() TraceSnapshot { return e.rec.snapshot() }
-
-// Events returns the engine's recent lifecycle events, oldest first. Like
-// Trace it is safe on a sealed or crashed engine.
-func (e *Engine) Events() EventsSnapshot { return EventsSnapshot{Events: e.events.snapshot()} }
-
-// SetEventSink forwards every subsequent lifecycle event to fn (nil clears).
-// The sharded router uses it to merge per-shard events into its fleet hub.
-func (e *Engine) SetEventSink(fn func(Event)) { e.events.setSink(fn) }
 
 func failAll(waiters []*request, err error) {
 	for _, w := range waiters {
@@ -813,9 +790,9 @@ func (e *Engine) runBatch(first *request) bool {
 		return false
 	}
 	if b.mutations == 0 {
-		// Stats, snapshot or barrier: nothing to commit. A barrier that opens
-		// a batch has nothing ahead of it left to commit — every batch is
-		// committed before the next one opens — so it is answered here.
+		// A barrier opened the batch: nothing ahead of it is left to
+		// commit — every batch is committed before the next one opens — so
+		// it is answered here.
 		for _, w := range b.waiters {
 			w.finish(result{})
 		}

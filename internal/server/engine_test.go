@@ -22,7 +22,7 @@ func newTestEngine(t *testing.T, path string, cfg Config) (*pax.Pool, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(pool, 0, cfg)
+	eng, err := newEngine(pool, 0, cfg, 0, newEventHub())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,14 @@ import (
 // This file is the structured-lifecycle-event plumbing for the crash black
 // box (internal/blackbox): every interesting transition — seal, failed or
 // slow commit, split/merge stages, autopilot decision — is emitted as an
-// Event. Events land in a bounded in-memory ring (served inline by the EVENTS
-// wire op, like TRACE, so a sealed engine still answers) and, when a sink is
-// attached (AttachBlackbox), in the persistent journal.
+// Event. Events land in the fleet's bounded in-memory ring (read at dispatch
+// by the EVENTS wire op, like TRACE, so a sealed engine still answers) and,
+// when a sink is attached (AttachBlackbox), in the persistent journal.
 
 // Event is one structured lifecycle event.
 type Event struct {
-	// Seq orders events within this process (assigned by the hub that
-	// first saw the event); UnixNano is wall-clock time at emission.
+	// Seq orders events within this process (assigned by the fleet's hub);
+	// UnixNano is wall-clock time at emission.
 	Seq      uint64 `json:"seq"`
 	UnixNano int64  `json:"unix_nano"`
 	// Type is one of the blackbox.Ev* record types.
@@ -39,22 +39,23 @@ type EventsSnapshot struct {
 // are rare; 256 comfortably spans an incident.
 const eventRingDepth = 256
 
-// eventHub is a bounded recent-events ring plus an optional forwarding sink.
-// Engines own one each; the ShardedEngine owns the merged one and installs
-// itself as each engine's sink (stamping the shard index), so the sharded
-// hub sees every event in the fleet and the black-box journal hangs off it.
+// eventHub is the fleet's one event ring plus an optional forwarding sink.
+// The ShardedEngine owns it and hands it to every engine it builds, so
+// engine events (stamped with the engine's fixed shard index) and the
+// router's split/merge/policy events land in the same ring, and the
+// black-box journal hangs off its sink.
 type eventHub struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	count int
-	seq   uint64
-	sink  func(Event)
+	mu   sync.Mutex
+	ring ring[Event]
+	seq  uint64
+	sink func(Event)
 }
 
+func newEventHub() *eventHub { return &eventHub{ring: newRing[Event](eventRingDepth)} }
+
 // emit builds an event (marshaling detail, which must not fail for the
-// types we pass — a marshal error drops the detail, never the event) and
-// publishes it to the ring and the sink.
+// types we pass — a marshal error drops the detail, never the event), stores
+// it in the ring with the next seq and forwards it to the sink.
 func (h *eventHub) emit(typ string, shard int, detail any) {
 	var blob json.RawMessage
 	if detail != nil {
@@ -62,27 +63,16 @@ func (h *eventHub) emit(typ string, shard int, detail any) {
 			blob = b
 		}
 	}
-	h.publish(Event{
+	ev := Event{
 		UnixNano: time.Now().UnixNano(),
 		Type:     typ,
 		Shard:    shard,
 		Detail:   blob,
-	})
-}
-
-// publish stores a pre-built event (assigning its seq) and forwards it.
-func (h *eventHub) publish(ev Event) {
+	}
 	h.mu.Lock()
 	h.seq++
 	ev.Seq = h.seq
-	if h.ring == nil {
-		h.ring = make([]Event, eventRingDepth)
-	}
-	h.ring[h.next] = ev
-	h.next = (h.next + 1) % len(h.ring)
-	if h.count < len(h.ring) {
-		h.count++
-	}
+	h.ring.push(ev)
 	sink := h.sink
 	h.mu.Unlock()
 	if sink != nil {
@@ -102,15 +92,7 @@ func (h *eventHub) setSink(fn func(Event)) {
 func (h *eventHub) snapshot() []Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]Event, 0, h.count)
-	start := h.next - h.count
-	if start < 0 {
-		start += len(h.ring)
-	}
-	for i := 0; i < h.count; i++ {
-		out = append(out, h.ring[(start+i)%len(h.ring)])
-	}
-	return out
+	return h.ring.ordered()
 }
 
 // errDetail is the generic {"error": ...} payload for failure events.

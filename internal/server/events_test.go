@@ -10,12 +10,13 @@ import (
 	"time"
 
 	"pax/internal/blackbox"
+	"pax/internal/epochlog"
 	"pax/internal/faultfs"
 	"pax/internal/wire"
 )
 
 func TestEventHubRingWrap(t *testing.T) {
-	h := &eventHub{}
+	h := newEventHub()
 	for i := 0; i < eventRingDepth+44; i++ {
 		h.emit("ev", i, nil)
 	}
@@ -31,7 +32,7 @@ func TestEventHubRingWrap(t *testing.T) {
 }
 
 func TestEventHubSink(t *testing.T) {
-	h := &eventHub{}
+	h := newEventHub()
 	h.emit("before-sink", 0, nil)
 	var got []Event
 	h.setSink(func(ev Event) { got = append(got, ev) })
@@ -46,28 +47,36 @@ func TestEventHubSink(t *testing.T) {
 	}
 }
 
-// A persistent media fault must leave a causal pair in the event ring: the
-// commit_failed record that explains the failure, then the seal transition —
-// and exactly one seal event no matter how many writes bounce afterwards.
+// A persistent media fault must leave a causal pair in the fleet's event
+// ring: the commit_failed record that explains the failure, then the seal
+// transition — exactly one seal event no matter how many writes bounce
+// afterwards, and both stamped with the faulted engine's shard index.
 func TestEngineSealEmitsEvents(t *testing.T) {
-	pool, eng, ffs := faultyEngine(t, "", Config{
+	const sick = 1
+	path := filepath.Join(t.TempDir(), "kv.pool")
+	fleet, _, ffs := faultyFleet(t, path, 2, Config{
 		MaxBatch:      4,
 		CommitRetries: -1,
 	})
-	defer pool.Close()
 
-	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
-	if _, err := eng.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrSealed) {
-		t.Fatalf("put on failing media: %v, want ErrSealed", err)
+	ffs.Set(faultfs.FailSyncsAfter(faultfs.In(ShardPath(path, sick)+epochlog.DirSuffix), 0, errInjected))
+	for i, bounced := 0, 0; bounced < 2; i++ {
+		key := []byte(fmt.Sprintf("k%d", i))
+		if fleet.ShardFor(key) != sick {
+			continue
+		}
+		if _, err := fleet.Put(key, []byte("v")); !errors.Is(err, ErrSealed) {
+			t.Fatalf("put %d on failing media: %v, want ErrSealed", bounced, err)
+		}
+		bounced++
 	}
-	if _, err := eng.Put([]byte("k2"), []byte("v2")); !errors.Is(err, ErrSealed) {
-		t.Fatalf("put after seal: %v", err)
+	if err := fleet.Close(); !errors.Is(err, ErrSealed) {
+		t.Fatalf("close = %v, want the seal error", err)
 	}
-	eng.Close()
 
 	var failed, sealed int
 	var sealDetail string
-	for _, ev := range eng.Events().Events {
+	for _, ev := range fleet.Events().Events {
 		switch ev.Type {
 		case blackbox.EvCommitFailed:
 			failed++
@@ -77,6 +86,11 @@ func TestEngineSealEmitsEvents(t *testing.T) {
 		case blackbox.EvSeal:
 			sealed++
 			sealDetail = string(ev.Detail)
+		default:
+			continue
+		}
+		if ev.Shard != sick {
+			t.Fatalf("%s event stamped shard %d, want %d", ev.Type, ev.Shard, sick)
 		}
 	}
 	if failed != 1 || sealed != 1 {
@@ -87,8 +101,9 @@ func TestEngineSealEmitsEvents(t *testing.T) {
 	}
 }
 
-// The EVENTS wire op is answered inline, so a fleet whose only shard sealed
-// still serves its event ring — the same contract TRACE and STATS have.
+// The EVENTS wire op is answered at dispatch, so a fleet whose only shard
+// sealed still serves its event ring — the same contract TRACE and STATS
+// have.
 func TestEventsWireOpOnSealedEngine(t *testing.T) {
 	fleet, _, ffs := faultyFleet(t, "", 1, Config{
 		MaxBatch:      4,
@@ -267,11 +282,11 @@ func TestBlackboxCapturesCrashMidMerge(t *testing.T) {
 }
 
 // Split emits its start/done pair through the fleet hub, and an engine added
-// by the split is wired into the hub (its later events carry the new shard's
-// index).
+// by the split emits into the same hub (its events carry the new shard's
+// index; every commit here is over the pin threshold, so each emits one).
 func TestBlackboxSplitEvents(t *testing.T) {
 	pool := filepath.Join(t.TempDir(), "kv.pool")
-	eng := newSharded(t, pool, 2, Config{MaxBatch: 16})
+	eng := newSharded(t, pool, 2, Config{MaxBatch: 16, SlowCommit: time.Nanosecond})
 	defer eng.Close()
 	plantDirect(t, eng, 64)
 
@@ -282,9 +297,21 @@ func TestBlackboxSplitEvents(t *testing.T) {
 	}
 	stop := AttachBlackbox(eng, j, time.Hour)
 
-	if _, err := eng.Split(0); err != nil {
+	rep, err := eng.Split(0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if !rep.NewShard {
+		t.Fatalf("split of a 2-shard fleet reused shard %d", rep.Dest)
+	}
+	pollUntil(t, "the new shard's commit is an event", func() bool {
+		for _, ev := range eng.Events().Events {
+			if ev.Type == blackbox.EvCommitSlow && ev.Shard == rep.Dest {
+				return true
+			}
+		}
+		return false
+	})
 	stop()
 	j.Close()
 

@@ -47,8 +47,8 @@ const (
 // SimNS are wall-clock nanoseconds.
 type CommitRecord struct {
 	// Seq numbers commits per engine, from 1; gaps in a trace mean the
-	// recent ring wrapped. Shard is which shard committed (0 on an unsharded
-	// engine; the router stamps it on merged traces).
+	// recent ring wrapped. Shard is the committing engine's index in its
+	// fleet, fixed when the engine is built.
 	Seq   uint64 `json:"seq"`
 	Shard int    `json:"shard"`
 	// Epoch is the pool epoch the commit made durable (0 if it failed).
@@ -109,31 +109,35 @@ type flightRecorder struct {
 	mu        sync.Mutex
 	seq       uint64
 	threshold time.Duration // ≤ 0: pinning disabled
-	recent    ring
-	slow      ring
+	recent    ring[CommitRecord]
+	slow      ring[CommitRecord]
 }
 
-// ring is a fixed-capacity overwrite-oldest record buffer.
-type ring struct {
-	buf  []CommitRecord
-	next int  // slot the next record lands in
+// ring is a fixed-capacity overwrite-oldest buffer: the flight recorder's
+// two record rings and the fleet's event ring (events.go).
+type ring[T any] struct {
+	buf  []T
+	next int  // slot the next element lands in
 	full bool // buf has wrapped at least once
 }
 
-func (r *ring) push(rec CommitRecord) {
-	r.buf[r.next] = rec
+func newRing[T any](depth int) ring[T] { return ring[T]{buf: make([]T, depth)} }
+
+func (r *ring[T]) push(v T) {
+	r.buf[r.next] = v
 	r.next++
 	if r.next == len(r.buf) {
 		r.next, r.full = 0, true
 	}
 }
 
-// ordered returns the ring's records oldest-first in a fresh slice.
-func (r *ring) ordered() []CommitRecord {
+// ordered returns the ring's elements oldest-first in a fresh, non-nil
+// slice (an empty ring encodes as [] in JSON).
+func (r *ring[T]) ordered() []T {
 	if !r.full {
-		return append([]CommitRecord(nil), r.buf[:r.next]...)
+		return append(make([]T, 0, r.next), r.buf[:r.next]...)
 	}
-	out := make([]CommitRecord, 0, len(r.buf))
+	out := make([]T, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
 }
@@ -141,25 +145,27 @@ func (r *ring) ordered() []CommitRecord {
 func newFlightRecorder(depth, slowDepth int, threshold time.Duration) *flightRecorder {
 	return &flightRecorder{
 		threshold: threshold,
-		recent:    ring{buf: make([]CommitRecord, depth)},
-		slow:      ring{buf: make([]CommitRecord, slowDepth)},
+		recent:    newRing[CommitRecord](depth),
+		slow:      newRing[CommitRecord](slowDepth),
 	}
 }
 
 // record assigns the next sequence number and appends; failed or
-// over-threshold commits are copied to the pinned ring too. It returns the
-// stamped record so event emitters journal the same seq TRACE shows —
-// a postmortem's failing-commit record cross-references the flight recorder.
-func (f *flightRecorder) record(rec CommitRecord) CommitRecord {
+// over-threshold commits are copied to the pinned ring too, and pinned
+// reports that. It returns the stamped record so event emitters journal the
+// same seq TRACE shows — a postmortem's failing-commit record
+// cross-references the flight recorder.
+func (f *flightRecorder) record(rec CommitRecord) (stamped CommitRecord, pinned bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
 	rec.Seq = f.seq
 	f.recent.push(rec)
-	if rec.Err != "" || (f.threshold > 0 && rec.TotalNS >= int64(f.threshold)) {
+	pinned = rec.Err != "" || (f.threshold > 0 && rec.TotalNS >= int64(f.threshold))
+	if pinned {
 		f.slow.push(rec)
 	}
-	return rec
+	return rec, pinned
 }
 
 // snapshot copies both rings.

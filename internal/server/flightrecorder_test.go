@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"pax"
+	"pax/internal/blackbox"
+	"pax/internal/epochlog"
 	"pax/internal/faultfs"
 	"pax/internal/stats"
 	"pax/internal/wire"
@@ -52,9 +55,18 @@ func TestFlightRecorderPartialRing(t *testing.T) {
 
 func TestFlightRecorderPinsSlowAndFailed(t *testing.T) {
 	f := newFlightRecorder(4, 2, 10*time.Millisecond)
-	f.record(CommitRecord{TotalNS: int64(time.Millisecond)})      // fast: not pinned
-	f.record(CommitRecord{TotalNS: int64(50 * time.Millisecond)}) // slow: pinned
-	f.record(CommitRecord{TotalNS: 1, Err: "injected"})           // failed: pinned
+	for _, c := range []struct {
+		rec    CommitRecord
+		pinned bool
+	}{
+		{CommitRecord{TotalNS: int64(time.Millisecond)}, false},
+		{CommitRecord{TotalNS: int64(50 * time.Millisecond)}, true},
+		{CommitRecord{TotalNS: 1, Err: "injected"}, true},
+	} {
+		if _, pinned := f.record(c.rec); pinned != c.pinned {
+			t.Fatalf("record(%+v) pinned = %v, want %v", c.rec, pinned, c.pinned)
+		}
+	}
 	// Five more fast commits wrap the recent ring past both outliers.
 	for i := 0; i < 5; i++ {
 		f.record(CommitRecord{TotalNS: 2})
@@ -191,40 +203,41 @@ func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
 }
 
 // A fleet whose shard sealed must still answer TRACE — the record explaining
-// the seal is pinned, and reading it is the whole point of the recorder.
+// the seal is pinned, and reading it is the whole point of the recorder. The
+// record carries the faulted engine's shard index.
 func TestEngineTraceSurvivesSeal(t *testing.T) {
-	fleet, _, ffs := faultyFleet(t, "", 1, Config{
+	const sick = 1
+	path := filepath.Join(t.TempDir(), "kv.pool")
+	fleet, _, ffs := faultyFleet(t, path, 2, Config{
 		MaxBatch:      4,
 		CommitRetries: -1, SlowCommit: -1,
 	})
 	defer fleet.Close()
 
-	if _, err := fleet.Put([]byte("ok"), []byte("v")); err != nil {
+	key := func(prefix string) []byte {
+		for i := 0; ; i++ {
+			if k := []byte(fmt.Sprintf("%s-%d", prefix, i)); fleet.ShardFor(k) == sick {
+				return k
+			}
+		}
+	}
+	if _, err := fleet.Put(key("ok"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
-	if _, err := fleet.Put([]byte("doomed"), []byte("v")); !errors.Is(err, ErrSealed) {
+	ffs.Set(faultfs.FailSyncsAfter(faultfs.In(ShardPath(path, sick)+epochlog.DirSuffix), 0, errInjected))
+	if _, err := fleet.Put(key("doomed"), []byte("v")); !errors.Is(err, ErrSealed) {
 		t.Fatalf("put on faulted media: %v", err)
 	}
-	req := newRequest(opTrace, nil, nil)
-	if err := fleet.begin(req); err != nil {
-		t.Fatalf("TRACE on sealed fleet: %v", err)
+	snap := fleet.Trace()
+	if len(snap.Slow) != 1 {
+		t.Fatalf("pinned %d records, want the failed commit alone: %+v", len(snap.Slow), snap.Slow)
 	}
-	res := <-req.done
-	req.release()
-	if res.err != nil {
-		t.Fatalf("TRACE on sealed fleet: %v", res.err)
-	}
-	var snap TraceSnapshot
-	if err := json.Unmarshal(res.value, &snap); err != nil {
-		t.Fatalf("TRACE body: %v", err)
-	}
-	if len(snap.Slow) == 0 {
-		t.Fatal("failed commit was not pinned")
-	}
-	last := snap.Slow[len(snap.Slow)-1]
+	last := snap.Slow[0]
 	if last.Err == "" || !strings.Contains(last.Err, "injected") {
 		t.Fatalf("pinned record err = %q, want the injected fault", last.Err)
+	}
+	if last.Shard != sick {
+		t.Fatalf("pinned record stamped shard %d, want %d", last.Shard, sick)
 	}
 	if last.Epoch != 0 {
 		t.Fatalf("failed commit claims durable epoch %d", last.Epoch)
@@ -314,9 +327,13 @@ func TestTCPTrace(t *testing.T) {
 	}
 }
 
+// The fleet's trace interleaves every shard's records, each stamped with
+// its engine's shard index. With every commit over the pin threshold, each
+// pinned record — and nothing else — is also a commit_slow event carrying
+// the same shard and seq.
 func TestShardedTraceMergesAndStampsShards(t *testing.T) {
 	const shards = 4
-	s := newSharded(t, tempPool(t), shards, Config{MaxBatch: 8})
+	s := newSharded(t, tempPool(t), shards, Config{MaxBatch: 8, SlowCommit: time.Nanosecond})
 	defer s.Close()
 
 	seen := make(map[int]bool)
@@ -348,6 +365,37 @@ func TestShardedTraceMergesAndStampsShards(t *testing.T) {
 		if !got[k] {
 			t.Fatalf("shard %d committed but has no trace records", k)
 		}
+	}
+
+	// A writer records a commit just after acking it and emits its event
+	// after that: once the fleet is closed, both are final.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	type commitID struct {
+		shard int
+		seq   uint64
+	}
+	pinned := make(map[commitID]bool)
+	for _, rec := range s.Trace().Slow {
+		pinned[commitID{rec.Shard, rec.Seq}] = true
+	}
+	var slow int
+	for _, ev := range s.Events().Events {
+		if ev.Type != blackbox.EvCommitSlow {
+			continue
+		}
+		var rec CommitRecord
+		if err := json.Unmarshal(ev.Detail, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Shard != rec.Shard || !pinned[commitID{rec.Shard, rec.Seq}] {
+			t.Fatalf("commit_slow event on shard %d for record %+v, which is not pinned", ev.Shard, rec)
+		}
+		slow++
+	}
+	if slow == 0 || slow != len(pinned) {
+		t.Fatalf("%d commit_slow events for %d pinned commits", slow, len(pinned))
 	}
 }
 

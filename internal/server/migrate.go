@@ -222,12 +222,11 @@ func (s *ShardedEngine) addShard() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("server: shard %d: %w", k, err)
 	}
-	eng, err := New(pool, s.accSlot, s.cfg)
+	eng, err := newEngine(pool, s.accSlot, s.cfg, k, s.events)
 	if err != nil {
 		pool.Close()
 		return 0, fmt.Errorf("server: shard %d: %w", k, err)
 	}
-	s.forwardEvents(eng)
 	next := make([]shard, k+1)
 	copy(next, shards)
 	next[k] = shard{pool: pool, eng: eng}

@@ -149,7 +149,7 @@ func TestHeldCommitIsNotServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool2.Close()
-	eng2, err := New(pool2, 0, Config{})
+	eng2, err := newEngine(pool2, 0, Config{}, 0, newEventHub())
 	if err != nil {
 		t.Fatal(err)
 	}

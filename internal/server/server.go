@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -13,7 +14,7 @@ import (
 
 // Server is the TCP front end: it speaks the wire protocol and forwards
 // requests to a shard fleet. Each connection gets a reader goroutine that
-// enqueues requests on the fleet in wire order and a writer goroutine
+// dispatches requests to the fleet in wire order and a writer goroutine
 // that sends the responses back in that same order — so pipelined requests
 // are in flight concurrently and even a single connection's writes land in
 // shared group commits.
@@ -112,12 +113,12 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(timedWriter{conn, s.WriteTimeout})
 
-	// Responses must leave in request order, but a response is not ready
-	// until its group commit — so the reader enqueues each request on the
-	// engine immediately (one goroutine, so the engine applies them in wire
-	// order) and pushes it onto pending; the writer drains pending in order.
-	// Between the two, a connection's pipelined writes fill batches instead
-	// of paying one commit each.
+	// Responses must leave in request order, but a write's response is not
+	// ready until its group commit — so the reader dispatches each request
+	// immediately (one goroutine, so each shard applies a connection's writes
+	// in wire order) and pushes it onto pending; the writer drains pending in
+	// order. Between the two, a connection's pipelined writes fill batches
+	// instead of paying one commit each.
 	//
 	// The writer flushes before it blocks: it buffers every response that is
 	// already resolved and writes them out in one go when pending is empty or
@@ -187,8 +188,9 @@ func (w timedWriter) Write(p []byte) (int, error) {
 }
 
 // dispatched is one request in flight as the connection writer sees it:
-// either an engine request whose result is still to be collected, or a
-// response rendered at dispatch (unknown opcode, enqueue failure).
+// either a future whose result is still to be collected — a PUT or DELETE
+// queued on its shard, or a fleet-wide PERSIST, SPLIT or MERGE running off
+// the reader — or a response ready at dispatch.
 type dispatched struct {
 	req  *request // nil: resp is the response
 	op   byte     // req's wire opcode, to render its result
@@ -196,7 +198,7 @@ type dispatched struct {
 }
 
 // response renders f's reply. Without block it returns ready false, and
-// consumes nothing, if the engine has not resolved the request yet.
+// consumes nothing, if the future has not resolved yet.
 func (f dispatched) response(block bool) (resp wire.Response, ready bool) {
 	if f.req == nil {
 		return f.resp, true
@@ -215,77 +217,109 @@ func (f dispatched) response(block bool) (resp wire.Response, ready bool) {
 	return renderResponse(f.op, res), true
 }
 
-// beginDispatch starts req on the engine and returns it in flight.
-// Enqueue failures (closed, backpressure) resolve immediately, and so do
-// GETs: the engine answers them inline from the read index inside begin, so
-// a pipelined GET's value is fixed at dispatch time — it does not serialize
-// behind the connection's unacked PUTs (the response still leaves the wire
-// in request order).
+// beginDispatch starts req and returns it in flight. Only a PUT or DELETE
+// enters a shard's queue; everything else is either a fleet call (runFleet)
+// or answered right here. A GET reads the read index at dispatch time, so it
+// does not serialize behind the connection's unacked PUTs, and STATS, TRACE
+// and EVENTS read atomics and mutex-guarded rings, so they answer on a
+// sealed fleet too (every response still leaves the wire in request order).
 func (s *Server) beginDispatch(req wire.Request) dispatched {
-	var op opKind
 	switch req.Op {
 	case wire.OpGet:
-		op = opGet
-	case wire.OpPut:
-		op = opPut
-	case wire.OpDelete:
-		op = opDelete
-	case wire.OpPersist:
-		op = opPersist
-	case wire.OpStats:
-		op = opStats
-	case wire.OpTrace:
-		op = opTrace
-	case wire.OpSplit:
-		op = opSplit
-	case wire.OpMerge:
-		op = opMerge
-	case wire.OpEvents:
-		op = opEvents
-	default:
-		return dispatched{resp: wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(req.Op))}}
-	}
-	ereq := newRequest(op, req.Key, req.Value)
-	if op == opSplit || op == opMerge {
-		// SplitAuto/MergeAuto (all ones) means "server picks"; the engine
-		// side uses -1.
-		if req.Shard == wire.SplitAuto {
-			ereq.shard = -1
-		} else {
-			ereq.shard = int(req.Shard)
+		v, ok, err := s.fleet.Get(req.Key)
+		switch {
+		case err != nil:
+			return dispatched{resp: errResponse(err)}
+		case !ok:
+			return dispatched{resp: wire.Response{Status: wire.StatusNotFound}}
 		}
+		return dispatched{resp: wire.Response{Status: wire.StatusOK, Body: v}}
+	case wire.OpPut, wire.OpDelete:
+		op := opPut
+		if req.Op == wire.OpDelete {
+			op = opDelete
+		}
+		ereq := newRequest(op, req.Key, req.Value)
+		if err := s.fleet.begin(ereq); err != nil {
+			ereq.release()
+			return dispatched{resp: errResponse(err)}
+		}
+		return dispatched{req: ereq, op: req.Op}
+	case wire.OpPersist:
+		return runFleet(req.Op, func() result {
+			epoch, err := s.fleet.Persist()
+			return result{epoch: epoch, err: err}
+		})
+	case wire.OpSplit:
+		shard := shardOperand(req.Shard)
+		return runFleet(req.Op, func() result { return reportResult(s.fleet.Split(shard)) })
+	case wire.OpMerge:
+		shard := shardOperand(req.Shard)
+		return runFleet(req.Op, func() result { return reportResult(s.fleet.Merge(shard)) })
+	case wire.OpStats:
+		text, err := s.fleet.StatsText()
+		return bodyResponse([]byte(text), err)
+	case wire.OpTrace:
+		return bodyResponse(json.Marshal(s.fleet.Trace()))
+	case wire.OpEvents:
+		return bodyResponse(json.Marshal(s.fleet.Events()))
 	}
-	if err := s.fleet.begin(ereq); err != nil {
-		ereq.release()
-		return dispatched{resp: errResponse(err)}
-	}
-	return dispatched{req: ereq, op: req.Op}
+	return dispatched{resp: wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(req.Op))}}
 }
 
+// runFleet runs a fleet-wide call off the connection reader — a PERSIST
+// waits on every shard's commit, a SPLIT or MERGE on drain barriers and bulk
+// copies — and returns a pooled request as the future its result resolves.
+func runFleet(op byte, call func() result) dispatched {
+	req := requestPool.Get().(*request)
+	go func() { req.finish(call()) }()
+	return dispatched{req: req, op: op}
+}
+
+// shardOperand maps SPLIT's / MERGE's operand onto the fleet's: SplitAuto
+// (= MergeAuto, all ones) means "server picks", which the fleet spells -1.
+func shardOperand(shard uint32) int {
+	if shard == wire.SplitAuto {
+		return -1
+	}
+	return int(shard)
+}
+
+// reportResult renders a SPLIT or MERGE report as its JSON body.
+func reportResult(rep any, err error) result {
+	if err != nil {
+		return result{err: err}
+	}
+	buf, err := json.Marshal(rep)
+	return result{value: buf, err: err}
+}
+
+// bodyResponse is a response ready at dispatch: body on success.
+func bodyResponse(body []byte, err error) dispatched {
+	if err != nil {
+		return dispatched{resp: errResponse(err)}
+	}
+	return dispatched{resp: wire.Response{Status: wire.StatusOK, Body: body}}
+}
+
+// renderResponse renders a future's result: the durable epoch for PUT,
+// DELETE and PERSIST (NOT_FOUND for a DELETE of an absent key), the JSON
+// report for SPLIT and MERGE.
 func renderResponse(op byte, res result) wire.Response {
 	if res.err != nil {
 		return errResponse(res.err)
 	}
 	switch op {
-	case wire.OpGet:
-		if !res.found {
-			return wire.Response{Status: wire.StatusNotFound}
-		}
-		return wire.Response{Status: wire.StatusOK, Body: res.value}
-	case wire.OpPut, wire.OpPersist:
-		return wire.Response{Status: wire.StatusOK, Body: wire.EpochBody(res.epoch)}
 	case wire.OpDelete:
 		st := wire.StatusOK
 		if !res.found {
 			st = wire.StatusNotFound
 		}
 		return wire.Response{Status: st, Body: wire.EpochBody(res.epoch)}
-	case wire.OpStats:
-		return wire.Response{Status: wire.StatusOK, Body: []byte(res.text)}
-	case wire.OpTrace, wire.OpEvents, wire.OpSplit, wire.OpMerge:
+	case wire.OpSplit, wire.OpMerge:
 		return wire.Response{Status: wire.StatusOK, Body: res.value}
 	}
-	return wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(op))}
+	return wire.Response{Status: wire.StatusOK, Body: wire.EpochBody(res.epoch)}
 }
 
 // errResponse maps engine errors onto wire statuses: backpressure (ErrBusy)

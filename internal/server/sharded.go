@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -87,12 +86,11 @@ type ShardedEngine struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// events is the fleet-level lifecycle-event hub: per-engine events are
-	// forwarded here (stamped with their shard index at forward time, so
-	// relabeling across merges stays correct), and the router emits its own
-	// split/merge/policy events directly. AttachBlackbox hangs the journal
-	// off this hub's sink.
-	events eventHub
+	// events is the fleet's one lifecycle-event ring: every engine emits
+	// into it with its fixed shard index, and the router its own
+	// split/merge/policy events. AttachBlackbox hangs the journal off its
+	// sink.
+	events *eventHub
 }
 
 // reshardCounters are the router's own metrics (the engines know nothing of
@@ -266,7 +264,7 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 		}
 		persisted = m
 	}
-	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg}
+	s := &ShardedEngine{path: path, opts: opts, accSlot: slot, cfg: cfg, events: newEventHub()}
 	list := make([]shard, shards)
 	var (
 		mu       sync.Mutex
@@ -296,7 +294,7 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 				fail(fmt.Errorf("server: shard %d: %w", k, err))
 				return
 			}
-			eng, err := New(pool, slot, cfg)
+			eng, err := newEngine(pool, slot, cfg, k, s.events)
 			if err != nil {
 				pool.Close()
 				fail(fmt.Errorf("server: shard %d: %w", k, err))
@@ -317,40 +315,12 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 		}
 		return nil, firstErr
 	}
-	for _, sh := range list {
-		s.forwardEvents(sh.eng)
-	}
 	s.shards.Store(&list)
 	if err := s.openRoute(persisted, opts.Overwrite); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
-}
-
-// forwardEvents installs the fleet hub as eng's event sink. The shard index
-// is stamped at forward time — engines keep their slice position for life,
-// but resolving late keeps the stamp correct for engines forwarded before
-// their slice is published (open, addShard).
-func (s *ShardedEngine) forwardEvents(eng *Engine) {
-	eng.SetEventSink(func(ev Event) {
-		ev.Shard = s.shardIndexOf(eng)
-		s.events.publish(ev)
-	})
-}
-
-// shardIndexOf resolves an engine's index in the live shard slice, -1 when
-// it is not (yet, or no longer) published. O(shards), and lifecycle events
-// are rare.
-func (s *ShardedEngine) shardIndexOf(eng *Engine) int {
-	if sp := s.shards.Load(); sp != nil {
-		for i, sh := range *sp {
-			if sh.eng == eng {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 // Events returns the fleet's recent lifecycle events, oldest first: every
@@ -510,83 +480,24 @@ func (s *ShardedEngine) engineForSlot(slot int) *Engine {
 	return shards[m.Assign[slot]].eng
 }
 
-// begin starts one request without waiting for it; on nil the fleet owns the
-// request and delivers exactly one result on req.done. Per-key operations
-// route to the owning shard's queue (FIFO per shard, so a connection's
-// same-key operations keep their wire order) under the slot's gate; persist
-// fans out across every shard and delivers one merged result; split and
-// merge run the migration off the dispatch goroutine; stats, trace and
-// events are answered inline.
+// begin enqueues one PUT or DELETE on the key's shard without waiting for
+// it; on nil the shard owns the request and delivers exactly one result on
+// req.done. The slot's gate read side brackets route-lookup + enqueue: FIFO
+// order per shard then guarantees a later drain barrier on the old owner
+// sees the write, so migration's write side fences the slot exactly, and a
+// connection's same-key writes keep their wire order.
 func (s *ShardedEngine) begin(req *request) error {
-	switch req.op {
-	case opGet, opPut, opDelete:
-		slot := SlotFor(req.key)
-		s.slotOps[slot].Add(1)
-		g := &s.gates[slot]
-		// The gate read side brackets route-lookup + dispatch: for writes
-		// that is the enqueue (FIFO order then guarantees a later drain
-		// barrier on the old owner sees them), for index reads the whole
-		// lookup (so a read never lands on a shard whose slot already cut
-		// over). Migration's write side therefore fences the slot exactly.
-		g.RLock()
-		err := s.engineForSlot(slot).begin(req)
-		g.RUnlock()
-		return err
-	case opPersist:
-		go func() {
-			epoch, err := s.Persist()
-			req.finish(result{epoch: epoch, err: err})
-		}()
-		return nil
-	case opStats:
-		// Every gauge reads an atomic, so STATS never enters a writer queue:
-		// answered inline, like TRACE and EVENTS.
-		text, err := s.StatsText()
-		req.finish(result{text: text, err: err})
-		return nil
-	case opSplit:
-		// Migration blocks on drain barriers and bulk copies — never on the
-		// dispatch goroutine.
-		go func() {
-			rep, err := s.Split(req.shard)
-			if err != nil {
-				req.finish(result{err: err})
-				return
-			}
-			buf, err := json.Marshal(rep)
-			req.finish(result{value: buf, err: err})
-		}()
-		return nil
-	case opMerge:
-		go func() {
-			rep, err := s.Merge(req.shard)
-			if err != nil {
-				req.finish(result{err: err})
-				return
-			}
-			buf, err := json.Marshal(rep)
-			req.finish(result{value: buf, err: err})
-		}()
-		return nil
-	case opTrace:
-		// Recorder snapshots never touch the writer loops (each recorder has
-		// its own mutex), so this is answered inline — and keeps working with
-		// shards sealed or crashed.
-		buf, err := json.Marshal(s.Trace())
-		req.finish(result{value: buf, err: err})
-		return nil
-	case opEvents:
-		// Same inline contract as TRACE: the hub has its own mutex, so a
-		// sealed fleet still serves the events that explain the seal.
-		buf, err := json.Marshal(s.Events())
-		req.finish(result{value: buf, err: err})
-		return nil
-	}
-	return fmt.Errorf("server: unknown op %d", req.op)
+	slot := SlotFor(req.key)
+	s.slotOps[slot].Add(1)
+	g := &s.gates[slot]
+	g.RLock()
+	err := s.engineForSlot(slot).begin(req)
+	g.RUnlock()
+	return err
 }
 
-// doKey runs one per-key request through begin (slot gate, route, shard
-// queue) to completion, recycling the request struct on every path.
+// doKey runs one PUT or DELETE through begin to completion, recycling the
+// request struct on every path.
 func (s *ShardedEngine) doKey(op opKind, key, value []byte) result {
 	req := newRequest(op, key, value)
 	if err := s.begin(req); err != nil {
@@ -598,22 +509,16 @@ func (s *ShardedEngine) doKey(op opKind, key, value []byte) result {
 	return res
 }
 
-// Trace merges every shard's flight recorder into one snapshot: records are
-// stamped with their shard index and interleaved oldest-first by batch start
-// time. Sequence numbers stay per-shard — (shard, seq) identifies a commit.
+// Trace merges every shard's flight recorder into one snapshot, interleaved
+// oldest-first by batch start time. Each engine's records carry its shard
+// index; sequence numbers stay per-shard — (shard, seq) identifies a commit.
 func (s *ShardedEngine) Trace() TraceSnapshot {
 	shards := *s.shards.Load()
 	out := TraceSnapshot{Shards: len(shards)}
-	for k, sh := range shards {
+	for _, sh := range shards {
 		snap := sh.eng.Trace()
 		if snap.SlowThresholdNS > out.SlowThresholdNS {
 			out.SlowThresholdNS = snap.SlowThresholdNS
-		}
-		for i := range snap.Recent {
-			snap.Recent[i].Shard = k
-		}
-		for i := range snap.Slow {
-			snap.Slow[i].Shard = k
 		}
 		out.Recent = append(out.Recent, snap.Recent...)
 		out.Slow = append(out.Slow, snap.Slow...)
@@ -629,12 +534,19 @@ func (s *ShardedEngine) Trace() TraceSnapshot {
 	return out
 }
 
-// Get routes to the key's shard and serves from that shard's read index —
-// no queue, no waiting behind the shard's commit in flight (read-your-writes
-// with respect to acked mutations, like Engine.Get).
+// Get serves key from its shard's read index — no queue, no request, no
+// waiting behind the shard's commit in flight (read-your-writes with respect
+// to acked mutations, like Engine.Get). It counts toward the slot's load and
+// holds the slot's gate read side across the lookup, so a read never lands
+// on a shard whose slot already cut over.
 func (s *ShardedEngine) Get(key []byte) ([]byte, bool, error) {
-	res := s.doKey(opGet, key, nil)
-	return res.value, res.found, res.err
+	slot := SlotFor(key)
+	s.slotOps[slot].Add(1)
+	g := &s.gates[slot]
+	g.RLock()
+	v, ok, err := s.engineForSlot(slot).Get(key)
+	g.RUnlock()
+	return v, ok, err
 }
 
 // Put routes to the key's shard and blocks until that shard's group commit

@@ -16,6 +16,7 @@
 //	STATS(5), TRACE(6): empty
 //	SPLIT(7):           shard:u32be (SplitAuto = pick the hottest shard)
 //	MERGE(8):           shard:u32be (MergeAuto = pick the coldest shard)
+//	EVENTS(9):          empty
 //
 // Every PUT, DELETE and PERSIST is acked once its group commit is on media;
 // there is no other ack rule. The optional trailing flags byte on mutations
@@ -24,13 +25,15 @@
 // every mutation gets, and refuses any other value as unknown. An encoder
 // never writes the byte.
 //
-// Response bodies: the value for GET, the durable epoch (u64le) for PUT /
-// DELETE / PERSIST, the registry text for STATS, the flight-recorder
-// snapshot as JSON for TRACE, the split report as JSON for SPLIT, the merge
-// report as JSON for MERGE, an error
-// message for StatusError, empty otherwise. The protocol is strictly in-order
-// request/response per connection, which is what lets clients pipeline:
-// the k-th response on a connection always answers the k-th request.
+// Response statuses are OK(0), NOT_FOUND(1), ERROR(2) and BUSY(3). Response
+// bodies: the value for GET, the durable epoch (u64le) for PUT / DELETE /
+// PERSIST, the registry text for STATS, the flight-recorder snapshot as
+// JSON for TRACE, the split report as JSON for SPLIT, the merge report as
+// JSON for MERGE, the recent lifecycle events as JSON for EVENTS, an error
+// message for StatusError and StatusBusy, empty otherwise. The protocol is
+// strictly in-order request/response per connection, which is what lets
+// clients pipeline: the k-th response on a connection always answers the
+// k-th request.
 //
 // # Ordering contract
 //
