@@ -156,10 +156,9 @@ type loadgenConfig struct {
 // spec builds the LoadSpec of one run of the sweep: the flags, plus this
 // run's point on each swept axis.
 func (cfg loadgenConfig) spec(shards int, dataSize uint64) benchkit.LoadSpec {
-	spec := benchkit.LoadSpec{
+	return benchkit.LoadSpec{
 		Clients:        cfg.clients,
 		OpsPerClient:   cfg.ops,
-		ValueBytes:     64,
 		ReadRatio:      cfg.readRatio,
 		MaxBatch:       cfg.maxBatch,
 		Shards:         shards,
@@ -174,10 +173,6 @@ func (cfg loadgenConfig) spec(shards int, dataSize uint64) benchkit.LoadSpec {
 		Blackbox:       cfg.blackbox,
 		FailSyncsAfter: cfg.failAfter,
 	}
-	if cfg.readRatio == 0 && cfg.keys == 0 {
-		spec.GetEveryN = 4
-	}
-	return spec
 }
 
 // runLoadgen sweeps data size × shard count,

@@ -9,14 +9,14 @@ import (
 	"pax/internal/stats"
 )
 
-// This file is the reshard-autopilot experiment: the same hot-shard story as
-// reshard.go, but nobody calls Split. A zipfian flood runs against a
-// file-backed fleet with the policy loop watching windowed per-shard load;
-// the policy must split the hot shard on its own (the commit pipeline is
-// measurably saturated), the post-split phase is measured like a manual
-// split's, and once the load stops the policy must fold the extra shard
-// back — ending at the starting fleet size with every acked write surviving a
-// crash+reopen. It is RunScript with AutopilotAct.
+// This file is AutopilotAct, the reshard-autopilot act of RunScript
+// (paxbench -loadgen -autopilot): the same hot-shard story as SplitAct, but
+// nobody calls Split. A zipfian flood runs against a file-backed fleet with
+// the policy loop watching windowed per-shard load; the policy must split
+// the hot shard on its own (the commit pipeline is measurably saturated), the
+// post-split phase is measured like a manual split's, and once the load stops
+// the policy must fold the extra shard back — ending at the starting fleet
+// size with every acked write surviving a crash+reopen.
 
 // AutopilotJSON is the policy half of an autopilot A/B record: what the
 // policy did unprompted and whether the crash check passed. It rides on the
@@ -165,44 +165,4 @@ func (r *loadRun) awaitDecision(action string) bool {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// AutopilotAB is the experiment wrapper: the policy-driven split/merge cycle
-// at zipf s=1.5 on a 2-shard file-backed fleet.
-func AutopilotAB(cfg Config, sz Sizes) []*stats.Table {
-	ops := sz.MeasureOps / 30
-	if ops < 40 {
-		ops = 40
-	}
-	keys := sz.sweepKeys()
-	if keys > 4_000 {
-		keys = 4_000
-	}
-	// The capped regime (max batch 8, a shallow queue): the hot shard's
-	// writers pile into the enqueue path behind its commits, which is the
-	// condition the policy is built to detect.
-	post, err := RunScript(LoadSpec{
-		Clients:      128,
-		OpsPerClient: ops,
-		ValueBytes:   64,
-		Keys:         keys,
-		Dist:         "zipf",
-		ZipfS:        1.5,
-		MaxBatch:     8,
-		Shards:       2,
-	}, AutopilotAct)
-	if err != nil {
-		panic(fmt.Sprintf("benchkit: autopilot A/B: %v", err))
-	}
-	t := stats.NewTable("autopilot: policy-driven split/merge cycle (zipf s=1.5, 2 shards, file-backed)",
-		"phase", "shards", "acked ops/s", "imbalance", "ack p99 ms", "policy action", "wait ms", "crash ok")
-	pre, pilot := *post.Pre, *post.Autopilot
-	t.AddRowf(pre.Phase, pre.Spec.Shards, pre.OpsThroughput, pre.ShardImbalance,
-		float64(pre.AckP99.Microseconds())/1e3, "-", "-", "-")
-	t.AddRowf(post.Phase, post.Spec.Shards, post.OpsThroughput, post.ShardImbalance,
-		float64(post.AckP99.Microseconds())/1e3,
-		fmt.Sprintf("split x%d", pilot.Splits), pilot.SplitWaitMS, "-")
-	t.AddRowf("idle merge-back", pilot.EndShards, 0.0, "-", "-",
-		fmt.Sprintf("merge x%d", pilot.Merges), pilot.MergeWaitMS, pilot.CrashVerified)
-	return []*stats.Table{t}
 }

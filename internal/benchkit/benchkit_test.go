@@ -3,9 +3,11 @@ package benchkit
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"pax/internal/workload"
@@ -141,40 +143,95 @@ func TestScaleModel(t *testing.T) {
 	}
 }
 
+// quickSizes is the scale the registry is pinned at: the whole registry runs
+// in about a second.
+var quickSizes = Sizes{Keys: 500, MeasureOps: 600, PersistEvery: 100, Threads: []int{1, 8, 32}}
+
+// runRegistry runs every registered experiment at quickSizes and returns
+// their tables as `-experiment all` prints them, each after an "### id" line.
+func runRegistry() ([]byte, error) {
+	var out bytes.Buffer
+	for _, e := range Experiments() {
+		tables := e.Run(TestConfig(), quickSizes)
+		if len(tables) == 0 {
+			return nil, fmt.Errorf("%s produced no tables", e.ID)
+		}
+		out.WriteString("### " + e.ID + "\n")
+		for _, tb := range tables {
+			s := tb.String()
+			if len(s) == 0 || !strings.Contains(s, "\n") {
+				return nil, fmt.Errorf("%s produced an empty table", e.ID)
+			}
+			out.WriteString(s)
+		}
+	}
+	return out.Bytes(), nil
+}
+
+// passes is the registry run twice in this process, side by side: the golden
+// check reads the first pass and the determinism check compares the two. Two
+// concurrent passes cost one pass's wall time on two cores, and state that
+// one run of an experiment shares with another shows up as a difference, or
+// as a race under -race.
+var passes struct {
+	once   sync.Once
+	tables [2][]byte
+	errs   [2]error
+}
+
+func registryPasses(t *testing.T) (first, second []byte) {
+	t.Helper()
+	passes.once.Do(func() {
+		var wg sync.WaitGroup
+		for i := range passes.tables {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				passes.tables[i], passes.errs[i] = runRegistry()
+			}(i)
+		}
+		wg.Wait()
+	})
+	for _, err := range passes.errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return passes.tables[0], passes.tables[1]
+}
+
+// Every registered experiment is a pure function of the simulator and its
+// seeds: the golden pins every table -experiment prints.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("experiments are seconds each")
+		t.Skip("runs every experiment")
 	}
-	cfg := TestConfig()
-	sz := Sizes{Keys: 500, MeasureOps: 600, PersistEvery: 100, Threads: []int{1, 8, 32}}
-	var pinned bytes.Buffer
-	for _, e := range Experiments() {
-		tables := e.Run(cfg, sz)
-		if len(tables) == 0 {
-			t.Fatalf("%s produced no tables", e.ID)
-		}
-		if !unpinnedExperiments[e.ID] {
-			pinned.WriteString("### " + e.ID + "\n")
-		}
-		for _, tb := range tables {
-			out := tb.String()
-			if len(out) == 0 || !strings.Contains(out, "\n") {
-				t.Fatalf("%s produced empty table", e.ID)
-			}
-			if !unpinnedExperiments[e.ID] {
-				pinned.WriteString(out)
-			}
-		}
+	first, _ := registryPasses(t)
+	checkGolden(t, filepath.Join("testdata", "quick_tables.golden"), first)
+}
+
+// A second pass in the same process prints the same bytes, so an experiment
+// that reads the wall clock or the scheduler cannot enter the registry; a
+// served-load measurement belongs to paxbench -loadgen.
+func TestExperimentsAreDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
 	}
-	checkGolden(t, filepath.Join("testdata", "quick_tables.golden"), pinned.Bytes())
+	first, second := registryPasses(t)
+	if !bytes.Equal(first, second) {
+		fl, sl := strings.Split(string(first), "\n"), strings.Split(string(second), "\n")
+		id, i := "", 0
+		for i < len(fl)-1 && i < len(sl)-1 && fl[i] == sl[i] {
+			if strings.HasPrefix(fl[i], "### ") {
+				id = fl[i][4:]
+			}
+			i++
+		}
+		t.Fatalf("experiment %s printed different tables on a second pass, line %d:\nfirst:  %q\nsecond: %q", id, i+1, fl[i], sl[i])
+	}
 }
 
 var update = flag.Bool("update", false, "rewrite testdata goldens from this run")
-
-// unpinnedExperiments run real goroutines against the wall clock, so their
-// tables differ run to run. Every other experiment is a pure function of the
-// simulator and its seeds, and TestAllExperimentsRunQuick pins its tables.
-var unpinnedExperiments = map[string]bool{"loadgen": true, "reshard": true, "autopilot": true}
 
 // checkGolden compares got with the golden file, or rewrites the file under
 // -update. A modeled figure that moves is a change to the reproduction, so
@@ -208,9 +265,39 @@ func TestFindExperiment(t *testing.T) {
 	if _, ok := Find("bogus"); ok {
 		t.Fatal("bogus found")
 	}
-	if len(Experiments()) != 23 {
-		t.Fatalf("%d experiments, want 23", len(Experiments()))
+}
+
+// paxbench_paper.txt is `paxbench -experiment all -scale paper` as committed:
+// its "=== id (paper): description" headers are the registry, in order.
+func TestPaperOutputListsTheRegistry(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "paxbench_paper.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var got []string
+	for _, line := range strings.Split(string(blob), "\n") {
+		if strings.HasPrefix(line, "=== ") {
+			got = append(got, line)
+		}
+	}
+	var want []string
+	for _, e := range Experiments() {
+		want = append(want, fmt.Sprintf("=== %s (%s): %s", e.ID, e.Paper, e.Desc))
+	}
+	for i := 0; i < len(got) || i < len(want); i++ {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			t.Fatalf("paxbench_paper.txt has %d experiment headers, the registry %d; they part at header %d: file %q, registry %q (regenerate the file with paxbench -experiment all -scale paper)",
+				len(got), len(want), i+1, at(got, i), at(want, i))
+		}
+	}
+}
+
+// at returns s[i], or "" past its end.
+func at(s []string, i int) string {
+	if i < len(s) {
+		return s[i]
+	}
+	return ""
 }
 
 func TestFig2aShape(t *testing.T) {

@@ -78,10 +78,7 @@ func Experiments() []Experiment {
 		{"hybrid", "§5.1", "combining with paging: direct-mapped clean pages + vPM dirty pages", HybridPaging},
 		{"tail", "§3.2 extension", "tail latency: group commit's persist spikes vs per-op WAL", TailLatency},
 		{"scan", "§3.1 extension", "ordered structure (B+tree) inserts and range scans across systems", ScanWorkload},
-		{"loadgen", "§3.2 extension", "concurrent KV serving: group-commit amortization vs client count", Loadgen},
 		{"epochstore", "§3.3 extension", "per-commit persisted bytes vs pool size: the delta epoch store beside a full-image republish", EpochStoreAmplification},
-		{"reshard", "§3.2 extension", "zipfian skew vs shard imbalance, plus a live hot-shard split A/B with crash check", Reshard},
-		{"autopilot", "§3.2 extension", "reshard autopilot: policy-driven split under zipf skew, idle merge-back, crash check", AutopilotAB},
 	}
 }
 

@@ -35,16 +35,12 @@ var ErrInjectedFault = errors.New("injected media failure (loadgen chaos)")
 type LoadSpec struct {
 	Clients      int
 	OpsPerClient int
-	ValueBytes   int
-	// GetEveryN issues a read after every N writes per client (0 disables).
-	// Those reads ride on top of OpsPerClient writes; for a workload whose
-	// op *mix* is controlled, use ReadRatio instead.
-	GetEveryN int
 	// ReadRatio is the fraction of each client's OpsPerClient ops issued as
-	// GETs against that client's previously written keys (0 disables and
-	// GetEveryN applies; 0.9 models a read-heavy serving tier). The
-	// interleave is deterministic — an error-diffusion pattern, not a PRNG —
-	// so runs are reproducible.
+	// GETs against previously written keys (0.9 models a read-heavy serving
+	// tier). The interleave is deterministic — an error-diffusion pattern,
+	// not a PRNG — so runs are reproducible. At 0 a private-key client reads
+	// back every readBackEvery-th key it writes, on top of its OpsPerClient
+	// writes.
 	ReadRatio float64
 	MaxBatch  int
 	// Shards partitions the keyspace across N independent pools, each with
@@ -80,7 +76,7 @@ type LoadSpec struct {
 	// of a blind Put. Requires Keys > 0.
 	RMWRatio float64
 	// ValueDist sizes each written value: "fixed" (default, every value is
-	// ValueBytes) or "uniform" (per-op size uniform in [1, ValueBytes]).
+	// valueBytes) or "uniform" (per-op size uniform in [1, valueBytes]).
 	// Requires Keys > 0.
 	ValueDist string
 	// Seed perturbs the samplers; runs with equal specs are identical, and
@@ -88,13 +84,10 @@ type LoadSpec struct {
 	Seed int64
 	// Blackbox attaches a crash black box (internal/blackbox) to the run:
 	// lifecycle events and windowed metrics snapshots journal to
-	// <PoolDir>/load.pool.blackbox/. Requires PoolDir (the journal is a
-	// directory of files). The A/B against an identical spec without it is
-	// the journaling-overhead bound.
+	// <PoolDir>/load.pool.blackbox/ every blackboxInterval. Requires PoolDir
+	// (the journal is a directory of files). The A/B against an identical
+	// spec without it is the journaling-overhead bound.
 	Blackbox bool
-	// BlackboxInterval is the snapshot period (default 250ms — short, so
-	// even sub-second runs capture a windowed sample).
-	BlackboxInterval time.Duration
 	// FailSyncsAfter, when > 0, injects a persistent media-sync fault into
 	// shard 0 after that many successful fsyncs of its epoch-log segments
 	// (a commit's, and a segment roll's header), through a faultfs: every
@@ -328,6 +321,17 @@ func (r LoadResult) Phases() []LoadResult {
 	return []LoadResult{r}
 }
 
+// The runner's fixed shape: every written value is valueBytes long (or a
+// prefix of it under ValueDist "uniform"); a write-only private-key client
+// reads back every readBackEvery-th write; a black box snapshots the metrics
+// every blackboxInterval — short, so even sub-second runs capture a windowed
+// sample.
+const (
+	valueBytes       = 64
+	readBackEvery    = 4
+	blackboxInterval = 250 * time.Millisecond
+)
+
 // defaultZipfS is the zipfian exponent used when Dist is "zipf" and ZipfS is
 // unset — skewed enough that one shard's slots clearly dominate, mild enough
 // that every shard still sees traffic (the YCSB constant is 0.99 for its
@@ -420,9 +424,6 @@ type loadRun struct {
 func RunScript(spec LoadSpec, act Act) (LoadResult, error) {
 	if err := spec.validate(act); err != nil {
 		return LoadResult{}, err
-	}
-	if spec.ValueBytes <= 0 {
-		spec.ValueBytes = 64
 	}
 	if spec.Shards <= 0 {
 		spec.Shards = 1
@@ -521,7 +522,7 @@ func openFleet(spec LoadSpec, act Act, path string) (*loadRun, error) {
 		path:  path,
 		opts:  pax.Options{DataSize: 32 << 20, LogSize: 16 << 20, HBMSize: 16 << 20, Overwrite: true},
 		cfg:   server.Config{MaxBatch: spec.MaxBatch},
-		value: make([]byte, spec.ValueBytes),
+		value: make([]byte, valueBytes),
 	}
 	for i := range r.value {
 		r.value[i] = byte('a' + i%26)
@@ -549,11 +550,7 @@ func openFleet(spec LoadSpec, act Act, path string) (*loadRun, error) {
 			eng.Close()
 			return nil, fmt.Errorf("benchkit: blackbox: %w", err)
 		}
-		iv := spec.BlackboxInterval
-		if iv <= 0 {
-			iv = 250 * time.Millisecond
-		}
-		r.bb, r.bbStop = j, server.AttachBlackbox(eng, j, iv)
+		r.bb, r.bbStop = j, server.AttachBlackbox(eng, j, blackboxInterval)
 	}
 	return r, nil
 }
@@ -766,8 +763,9 @@ func (r *loadRun) preload(spec LoadSpec) error {
 // — a hot key is hot on both paths), RMWRatio of the writes are
 // read-modify-writes (the ack time then includes the read), and ValueDist
 // sizes each value. Without one the client writes its own key sequence and
-// reads back keys it already wrote, so every read hits with realistic reuse.
-// It sends at most one error.
+// reads back keys it already wrote, so every read hits with realistic reuse;
+// at ReadRatio 0 it reads back every readBackEvery-th write instead. It sends
+// at most one error.
 func (r *loadRun) client(spec LoadSpec, c int, ackLat *stats.LatencyHistogram, shardAck []stats.LatencyHistogram, errs chan<- error) {
 	// sampler draws shared-keyspace keys (workload.Zipf or workload.Uniform);
 	// nil means private keys.
@@ -849,7 +847,7 @@ func (r *loadRun) client(spec LoadSpec, c int, ackLat *stats.LatencyHistogram, s
 		d := time.Since(t0).Nanoseconds()
 		ackLat.Observe(d)
 		shardAck[shard].Observe(d)
-		if spec.ReadRatio == 0 && spec.GetEveryN > 0 && op%spec.GetEveryN == spec.GetEveryN-1 {
+		if sampler == nil && spec.ReadRatio == 0 && op%readBackEvery == readBackEvery-1 {
 			if _, ok, err := r.eng.Get(key); err != nil || !ok {
 				fail(fmt.Errorf("read-back %s: ok=%v err=%v", key, ok, err))
 				return
@@ -920,83 +918,4 @@ func persistedBytesPerEpoch(poolMiB int) (*stats.LatencyHistogram, int, error) {
 		}
 	}
 	return &commits, pool.MediaSize(), nil
-}
-
-// Loadgen is the experiment wrapper: sweep client counts (amortization vs
-// concurrency on one shard), then shard counts and a GET-heavy mix. Every
-// run is on pool files, where each group commit is a real delta append and
-// fsync. The last two report what the medium gives; they assert no speedup —
-// on a host with few cores and one disk, shards share both.
-func Loadgen(cfg Config, sz Sizes) []*stats.Table {
-	ops := sz.MeasureOps / 30
-	if ops < 20 {
-		ops = 20
-	}
-	clientsTable := stats.NewTable("loadgen: group-commit serving vs client count",
-		"clients", "acked writes", "snapshots", "writes/snapshot", "max batch", "wall ms", "writes/s")
-	for _, clients := range []int{1, 4, 16, 64, 128} {
-		res, err := RunScript(LoadSpec{
-			Clients:      clients,
-			OpsPerClient: ops,
-			ValueBytes:   64,
-			GetEveryN:    4,
-			MaxBatch:     128,
-		}, NoAct)
-		if err != nil {
-			panic(fmt.Sprintf("benchkit: loadgen with %d clients: %v", clients, err))
-		}
-		clientsTable.AddRowf(clients, res.AckedWrites, res.GroupCommits,
-			res.Amortization, res.BatchMax,
-			float64(res.Wall.Milliseconds()), res.Throughput)
-	}
-
-	shardsTable := stats.NewTable("loadgen: sharded serving vs shard count (256 clients, file-backed)",
-		"shards", "acked writes", "snapshots", "writes/snapshot", "wall ms", "writes/s", "vs 1 shard", "p99 ack ms")
-	var base float64
-	for _, shards := range []int{1, 2, 4} {
-		res, err := RunScript(LoadSpec{
-			Clients:      256,
-			OpsPerClient: ops,
-			ValueBytes:   64,
-			GetEveryN:    4,
-			MaxBatch:     16,
-			Shards:       shards,
-		}, NoAct)
-		if err != nil {
-			panic(fmt.Sprintf("benchkit: loadgen with %d shards: %v", shards, err))
-		}
-		if shards == 1 {
-			base = res.Throughput
-		}
-		ratio := 0.0
-		if base > 0 {
-			ratio = res.Throughput / base
-		}
-		shardsTable.AddRowf(shards, res.AckedWrites, res.GroupCommits,
-			res.Amortization, float64(res.Wall.Milliseconds()), res.Throughput, ratio,
-			float64(res.AckP99.Microseconds())/1e3)
-	}
-
-	// The GET-heavy sweep: 95% GETs served from the volatile read index while
-	// writes commit behind them. Its other arm — every GET queued through the
-	// writer loop, the engine before commit e7f5f0a — lost 4.7× at 4 shards
-	// and has been deleted; EXPERIMENTS.md keeps the recorded A/B.
-	readTable := stats.NewTable("loadgen: GET-heavy (read-ratio 0.95, 128 clients, file-backed)",
-		"shards", "acked writes", "gets", "wall ms", "ops/s")
-	for _, shards := range []int{1, 4} {
-		res, err := RunScript(LoadSpec{
-			Clients:      128,
-			OpsPerClient: ops * 2,
-			ValueBytes:   64,
-			ReadRatio:    0.95,
-			MaxBatch:     16,
-			Shards:       shards,
-		}, NoAct)
-		if err != nil {
-			panic(fmt.Sprintf("benchkit: GET-heavy loadgen (%d shards): %v", shards, err))
-		}
-		readTable.AddRowf(shards, res.AckedWrites, res.Gets,
-			float64(res.Wall.Milliseconds()), res.OpsThroughput)
-	}
-	return []*stats.Table{clientsTable, shardsTable, readTable}
 }

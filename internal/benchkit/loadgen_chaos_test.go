@@ -18,7 +18,6 @@ func TestRunLoadChaosJournalsTheCause(t *testing.T) {
 	res, err := RunScript(LoadSpec{
 		Clients:        4,
 		OpsPerClient:   400,
-		ValueBytes:     64,
 		Shards:         2,
 		PoolDir:        dir,
 		Keys:           256,

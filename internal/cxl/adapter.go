@@ -111,17 +111,13 @@ func (a *Adapter) Translate(n NativeMessage) (Message, error) {
 	default:
 		return Message{}, fmt.Errorf("cxl: unknown native op %v", n.Op)
 	}
-	m := Message{Op: op, Addr: n.Addr}
-	if op.CarriesData() {
-		if len(n.Data) != DataBytes {
-			return Message{}, fmt.Errorf("cxl: native %v carries %d bytes, want %d", n.Op, len(n.Data), DataBytes)
-		}
-		m.Data = n.Data
-	} else if len(n.Data) != 0 {
-		// Native protocols attach speculative payloads in places CXL does
-		// not; the adapter strips them.
-		m.Data = nil
+	// A data-carrying opcode needs a full line on the native side. Native
+	// protocols also attach speculative payloads where CXL carries none;
+	// those are dropped with the rest of the native bytes.
+	if op.CarriesData() && len(n.Data) != DataBytes {
+		return Message{}, fmt.Errorf("cxl: native %v carries %d bytes, want %d", n.Op, len(n.Data), DataBytes)
 	}
+	m := Message{Op: op, Addr: n.Addr}
 	if err := m.Validate(); err != nil {
 		return Message{}, err
 	}

@@ -49,7 +49,7 @@ func TestMessageValidateAndWireBytes(t *testing.T) {
 	if ok.WireBytes() != HeaderBytes {
 		t.Fatalf("WireBytes = %d", ok.WireBytes())
 	}
-	data := Message{Op: DirtyEvict, Addr: 64, Data: make([]byte, 64)}
+	data := Message{Op: DirtyEvict, Addr: 64}
 	if err := data.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,8 @@ func TestMessageValidateAndWireBytes(t *testing.T) {
 		t.Fatalf("WireBytes = %d", data.WireBytes())
 	}
 	bad := []Message{
-		{Op: RdOwn, Addr: 3},                             // misaligned
-		{Op: DirtyEvict, Addr: 0, Data: make([]byte, 8)}, // short payload
-		{Op: RdShared, Addr: 0, Data: make([]byte, 64)},  // unexpected payload
-		{Op: OpInvalid, Addr: 0},                         // no direction
+		{Op: RdOwn, Addr: 3},     // misaligned
+		{Op: OpInvalid, Addr: 0}, // no direction
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -83,7 +81,7 @@ func TestLinkLatencyAndSerialization(t *testing.T) {
 	if l.Messages.Load() != 1 || l.H2DMessages.Load() != 1 {
 		t.Fatal("message counters wrong")
 	}
-	resp := Message{Op: GO, Addr: 0, Data: make([]byte, 64)}
+	resp := Message{Op: GO, Addr: 0}
 	back := l.ToHost(resp, arrive)
 	if back <= arrive {
 		t.Fatal("response arrived before request")
@@ -122,7 +120,7 @@ func TestLinkPipelineBottleneck(t *testing.T) {
 
 func TestRequestResponseRoundTrip(t *testing.T) {
 	l := NewLink(sim.CXLLink)
-	done := l.RequestResponse(Message{Op: RdOwn, Addr: 0}, 0, true)
+	done := l.RequestResponse(Message{Op: RdOwn, Addr: 0}, 0)
 	if done < sim.CXLLink.RoundTrip() {
 		t.Fatalf("round trip %v < link RTT %v", done, sim.CXLLink.RoundTrip())
 	}
@@ -192,10 +190,10 @@ func TestAdapterRejectsMalformed(t *testing.T) {
 	if _, err := a.Translate(NativeMessage{Op: NativeOp(99), Addr: 0}); err == nil {
 		t.Error("unknown op accepted")
 	}
-	// Stray payloads on non-data messages are stripped, not rejected.
+	// Stray payloads on non-data messages are dropped, not rejected.
 	m, err := a.Translate(NativeMessage{Op: NativeLoadShared, Addr: 0, Data: make([]byte, 64)})
-	if err != nil || m.Data != nil {
-		t.Errorf("stray payload not stripped: %v %v", m, err)
+	if err != nil || m != (Message{Op: RdShared, Addr: 0}) {
+		t.Errorf("stray payload rejected: %v %v", m, err)
 	}
 }
 

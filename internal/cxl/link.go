@@ -66,16 +66,11 @@ func (l *Link) DeviceProcess(arrive sim.Time) sim.Time {
 }
 
 // RequestResponse is the common full round trip for a host request: send the
-// request, process it at the device, return the response. respPayload sets
-// whether the response carries line data.
-func (l *Link) RequestResponse(req Message, at sim.Time, respPayload bool) sim.Time {
+// request, process it at the device, return the GO response.
+func (l *Link) RequestResponse(req Message, at sim.Time) sim.Time {
 	arrive := l.ToDevice(req, at)
 	done := l.DeviceProcess(arrive)
-	resp := Message{Op: GO, Addr: req.Addr}
-	if respPayload {
-		resp.Data = make([]byte, DataBytes)
-	}
-	return l.ToHost(resp, done)
+	return l.ToHost(Message{Op: GO, Addr: req.Addr}, done)
 }
 
 // PipelineRate reports the device's peak message rate (messages/second).

@@ -112,11 +112,12 @@ const (
 	DataBytes   = 64
 )
 
-// Message is one CXL.cache message.
+// Message is one CXL.cache message. It carries no payload bytes: the model
+// prices a message by its size on the link, which its opcode fixes, and the
+// line values themselves move through the cache and device models.
 type Message struct {
 	Op   Opcode
 	Addr uint64 // line-aligned
-	Data []byte // present iff Op.CarriesData()
 }
 
 // WireBytes reports the message's size on the link.
@@ -128,8 +129,8 @@ func (m Message) WireBytes() int {
 	return n
 }
 
-// Validate reports whether the message is well-formed: a known direction,
-// line-aligned address, and a payload exactly when the opcode carries one.
+// Validate reports whether the message is well-formed: a known direction and
+// a line-aligned address.
 func (m Message) Validate() error {
 	if !m.Op.IsH2D() && !m.Op.IsD2H() {
 		return fmt.Errorf("cxl: opcode %v has no direction", m.Op)
@@ -137,18 +138,12 @@ func (m Message) Validate() error {
 	if m.Addr%DataBytes != 0 {
 		return fmt.Errorf("cxl: %v address %#x not line-aligned", m.Op, m.Addr)
 	}
-	if m.Op.CarriesData() && len(m.Data) != DataBytes {
-		return fmt.Errorf("cxl: %v carries %d payload bytes, want %d", m.Op, len(m.Data), DataBytes)
-	}
-	if !m.Op.CarriesData() && len(m.Data) != 0 {
-		return fmt.Errorf("cxl: %v must not carry data", m.Op)
-	}
 	return nil
 }
 
 func (m Message) String() string {
 	if m.Op.CarriesData() {
-		return fmt.Sprintf("%v{addr=%#x, %dB}", m.Op, m.Addr, len(m.Data))
+		return fmt.Sprintf("%v{addr=%#x, %dB}", m.Op, m.Addr, DataBytes)
 	}
 	return fmt.Sprintf("%v{addr=%#x}", m.Op, m.Addr)
 }

@@ -38,8 +38,7 @@ func (e TraceEvent) String() string {
 }
 
 // Tracer is a bounded ring of recent link messages, attachable to a Link for
-// debugging and protocol tests. Data payloads are not retained (only sizes
-// matter for tracing), keeping the ring cheap.
+// debugging and protocol tests.
 type Tracer struct {
 	ring  []TraceEvent
 	next  int
@@ -55,8 +54,7 @@ func NewTracer(capacity int) *Tracer {
 }
 
 func (t *Tracer) record(dir Direction, m Message, at sim.Time) {
-	// Drop the payload; keep the shape.
-	ev := TraceEvent{Seq: t.total, Dir: dir, Msg: Message{Op: m.Op, Addr: m.Addr}, At: at}
+	ev := TraceEvent{Seq: t.total, Dir: dir, Msg: m, At: at}
 	t.total++
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, ev)

@@ -290,8 +290,7 @@ func (d *Device) FetchLine(hostAddr uint64, excl bool, buf []byte, at sim.Time) 
 	if excl {
 		st = coherence.Exclusive
 	}
-	resp := cxl.Message{Op: cxl.GO, Addr: hostAddr, Data: make([]byte, LineSize)}
-	at = d.link.ToHost(resp, at)
+	at = d.link.ToHost(cxl.Message{Op: cxl.GO, Addr: hostAddr}, at)
 	return coherence.FillResult{State: st, Done: at}
 }
 
@@ -301,14 +300,13 @@ func (d *Device) UpgradeLine(hostAddr uint64, at sim.Time) sim.Time {
 	at = d.link.ToDevice(cxl.Message{Op: cxl.ItoMWr, Addr: hostAddr}, at)
 	at = d.link.DeviceProcess(at)
 	d.logLine(hostAddr, at)
-	return d.link.ToHost(cxl.Message{Op: cxl.GO, Addr: hostAddr, Data: make([]byte, LineSize)}, at)
+	return d.link.ToHost(cxl.Message{Op: cxl.GO, Addr: hostAddr}, at)
 }
 
 // WriteBackLine implements coherence.Home: the host evicted a dirty vPM
 // line. The device buffers it; it reaches PM once its undo entry is durable.
 func (d *Device) WriteBackLine(hostAddr uint64, data []byte, at sim.Time) sim.Time {
-	msg := cxl.Message{Op: cxl.DirtyEvict, Addr: hostAddr, Data: append([]byte(nil), data...)}
-	at = d.link.ToDevice(msg, at)
+	at = d.link.ToDevice(cxl.Message{Op: cxl.DirtyEvict, Addr: hostAddr}, at)
 	at = d.link.DeviceProcess(at)
 	d.Stats.WriteBacksRecv.Inc()
 
@@ -358,11 +356,7 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 		if res.Present {
 			respOp = cxl.RspData
 		}
-		respMsg := cxl.Message{Op: respOp, Addr: hostAddr}
-		if respOp == cxl.RspData {
-			respMsg.Data = make([]byte, LineSize)
-		}
-		at = d.link.ToDevice(respMsg, at)
+		at = d.link.ToDevice(cxl.Message{Op: respOp, Addr: hostAddr}, at)
 		at = d.link.DeviceProcess(at)
 		if res.Dirty {
 			d.Stats.SnoopsDirty.Inc()

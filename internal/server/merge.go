@@ -75,10 +75,10 @@ type MergeReport struct {
 // whichever victim was named.
 //
 // Concurrent per-key traffic is safe throughout (slots stall only while
-// their own cutover runs). A concurrent fleet-wide Persist/Stats that
-// sampled the old shard slice may race the retiring engine's close and
-// report an error for it; per-key requests never can, because no published
-// route references the retired shard by then.
+// their own cutover runs). A concurrent fleet-wide Persist that sampled the
+// old shard slice may race the retiring engine's close and report an error
+// for it; per-key requests never can, because no published route references
+// the retired shard by then. Metrics reads only atomics and never errors.
 func (s *ShardedEngine) Merge(victim int) (rep *MergeReport, err error) {
 	s.migrateMu.Lock()
 	defer s.migrateMu.Unlock()
