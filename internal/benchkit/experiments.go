@@ -250,10 +250,10 @@ func WriteAmplification(cfg Config, sz Sizes) []*stats.Table {
 		// PAX.
 		px := mustBuild(PAXCXL, cfg)
 		pxBase := px.Pool.DataBase() + cfg.DataSize/2
-		px0 := px.Dev.Stats.LogAppends.Load()
+		px0 := px.Dev.Log().Appends()
 		pxStored := storePattern(px.RawMem, pxBase, region, pattern)
 		px.Persist()
-		pxWA := float64((px.Dev.Stats.LogAppends.Load()-px0)*undolog.EntrySize) / float64(pxStored)
+		pxWA := float64((px.Dev.Log().Appends()-px0)*undolog.EntrySize) / float64(pxStored)
 
 		t.AddRowf(pattern, fmt.Sprintf("%.1f", pfWA), fmt.Sprintf("%.1f", pxWA),
 			fmt.Sprintf("%.1fx", pfWA/pxWA))
@@ -396,7 +396,7 @@ func buildPAXWithLink(cfg Config, link sim.LinkProfile) *Fixture {
 		Arena:            pool.Arena(),
 		OpWrap:           plainWrap,
 		Fences:           noCount,
-		LoggedBytes:      func() uint64 { return dev.Stats.LogAppends.Load() * undolog.EntrySize },
+		LoggedBytes:      func() uint64 { return dev.Log().Appends() * undolog.EntrySize },
 		Traps:            noCount,
 	}
 }
@@ -437,11 +437,11 @@ func EpochLength(cfg Config, sz Sizes) []*stats.Table {
 			MeasureOps:   measure,
 			PersistEvery: every,
 			PostLoad: func() {
-				appends0 = f.Dev.Stats.LogAppends.Load()
+				appends0 = f.Dev.Log().Appends()
 				persistTime, persists, lines = 0, 0, 0
 			},
 		})
-		appends := float64(f.Dev.Stats.LogAppends.Load() - appends0)
+		appends := float64(f.Dev.Log().Appends() - appends0)
 		avgPersist := 0.0
 		avgLines := 0.0
 		if persists > 0 {
@@ -780,9 +780,10 @@ func TailLatency(cfg Config, sz Sizes) []*stats.Table {
 			Pipelined:       v.pipelined,
 			RecordLatencies: true,
 		})
-		h := res.Latencies
 		ns := func(ps int64) string { return fmt.Sprintf("%.0f", float64(ps)/1000) }
-		t.AddRowf(v.name, ns(h.Quantile(0.5)), ns(h.Quantile(0.99)), ns(h.Max()), fmt.Sprintf("%.0f", h.Mean()/1000))
+		// A quantile is its bucket's upper bound, so clamp it to the exact max.
+		q := func(p float64) string { return ns(min(res.Latencies.Quantile(p), res.MaxLatency)) }
+		t.AddRowf(v.name, q(0.5), q(0.99), ns(res.MaxLatency), fmt.Sprintf("%.0f", res.Latencies.Mean()/1000))
 	}
 	return []*stats.Table{t}
 }

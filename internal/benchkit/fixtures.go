@@ -317,7 +317,7 @@ func buildPAX(kind SystemKind, cfg Config, link sim.LinkProfile) (*Fixture, erro
 		Arena:            pool.Arena(),
 		OpWrap:           plainWrap,
 		Fences:           noCount, // PAX stalls only inside persist()
-		LoggedBytes:      func() uint64 { return dev.Stats.LogAppends.Load() * undolog.EntrySize },
+		LoggedBytes:      func() uint64 { return dev.Log().Appends() * undolog.EntrySize },
 		Traps:            noCount,
 	}, nil
 }
@@ -368,7 +368,7 @@ func buildHybrid(cfg Config) (*Fixture, error) {
 		Arena:            arena,
 		OpWrap:           plainWrap,
 		Fences:           noCount,
-		LoggedBytes:      func() uint64 { return dev.Stats.LogAppends.Load() * undolog.EntrySize },
+		LoggedBytes:      func() uint64 { return dev.Log().Appends() * undolog.EntrySize },
 		Traps: func() uint64 {
 			return hmem.Faults.Load()
 		},

@@ -34,8 +34,10 @@ type RunResult struct {
 	HBMHitRate              float64
 
 	// Latencies is the per-op simulated latency histogram (picoseconds),
-	// populated when RunSpec.RecordLatencies is set.
-	Latencies *stats.Histogram
+	// populated when RunSpec.RecordLatencies is set; MaxLatency is the
+	// exact largest sample, which the histogram knows only to its bucket.
+	Latencies  *stats.LatencyHistogram
+	MaxLatency int64
 }
 
 // MopsSingle reports single-thread throughput in million ops/second.
@@ -115,9 +117,10 @@ func RunKV(f *Fixture, spec RunSpec) RunResult {
 	if spec.Pipelined && f.PersistPipelined != nil {
 		persist = f.PersistPipelined
 	}
-	var hist *stats.Histogram
+	var hist *stats.LatencyHistogram
+	var maxLatency int64
 	if spec.RecordLatencies {
-		hist = stats.NewHistogram()
+		hist = new(stats.LatencyHistogram)
 	}
 	for i := 0; i < spec.MeasureOps; i++ {
 		opStart := f.Core.Now()
@@ -140,7 +143,14 @@ func RunKV(f *Fixture, spec RunSpec) RunResult {
 			persist()
 		}
 		if hist != nil {
-			hist.Observe(int64(f.Core.Now() - opStart))
+			// A negative simulated latency is a simulator bug; the
+			// histogram would clamp it to zero and hide it.
+			lat := int64(f.Core.Now() - opStart)
+			if lat < 0 {
+				panic(fmt.Sprintf("benchkit: negative simulated latency %d ps", lat))
+			}
+			hist.Observe(lat)
+			maxLatency = max(maxLatency, lat)
 		}
 	}
 	if spec.PersistEvery > 0 && spec.MeasureOps%spec.PersistEvery != 0 {
@@ -162,7 +172,7 @@ func RunKV(f *Fixture, spec RunSpec) RunResult {
 		LoggedBytesPerOp: float64(f.LoggedBytes()-logged0) / ops,
 		TrapsPerOp:       float64(f.Traps()-traps0) / ops,
 	}
-	res.Latencies = hist
+	res.Latencies, res.MaxLatency = hist, maxLatency
 	res.L1Miss, res.L2Miss, res.LLCMiss = f.Hier.MissRates()
 	if f.Link != nil {
 		wire := f.Link.H2DBandwidth().Bytes() + f.Link.D2HBandwidth().Bytes()

@@ -118,10 +118,6 @@ type PersistTimings struct {
 	DeviceNS  stats.LatencyHistogram // snoop + log wait + write-back (device side)
 	SyncNS    stats.LatencyHistogram // media commit (pmem.Sync, all stages)
 	LogWaitPS stats.LatencyHistogram // simulated undo-durability stall
-	// SyncBytes is not a latency at all but rides the same lock-free
-	// histogram machinery: bytes persisted per media commit — the delta
-	// record, O(dirty) — so the quantiles read out the write amplification.
-	SyncBytes stats.LatencyHistogram
 }
 
 // Create formats a fresh pool on pm and returns it ready for use. pm must be
@@ -362,7 +358,7 @@ func (p *Pool) PersistPipelined() (device.PersistReport, error) {
 // persist is both persists' body: devicePersist commits the epoch on the
 // device at core 0's current time and returns its report and the time core
 // 0 resumes at; then the media sync makes the epoch durable. Both stages'
-// wall-clock timings and the sync's size are recorded.
+// wall-clock timings are recorded.
 func (p *Pool) persist(devicePersist func(now sim.Time) (device.PersistReport, sim.Time)) (device.PersistReport, error) {
 	devStart := time.Now()
 	core0 := p.hier.Core(0)
@@ -375,7 +371,6 @@ func (p *Pool) persist(devicePersist func(now sim.Time) (device.PersistReport, s
 		return rep, fmt.Errorf("core: committing epoch %d: %w", rep.Epoch, err)
 	}
 	p.timings.SyncNS.Since(syncStart)
-	p.timings.SyncBytes.Observe(p.pm.LastSyncBytes())
 	return rep, nil
 }
 

@@ -78,15 +78,15 @@ func TestLinkLatencyAndSerialization(t *testing.T) {
 	if arrive < sim.CXLLink.Latency || arrive > sim.CXLLink.Latency+sim.NS(2) {
 		t.Fatalf("arrival %v, want ~%v", arrive, sim.CXLLink.Latency)
 	}
-	if l.Messages.Load() != 1 || l.H2DMessages.Load() != 1 {
-		t.Fatal("message counters wrong")
+	if l.H2DBandwidth().Transfers() != 1 || l.D2HBandwidth().Transfers() != 0 {
+		t.Fatal("transfer counters wrong")
 	}
 	resp := Message{Op: GO, Addr: 0}
 	back := l.ToHost(resp, arrive)
 	if back <= arrive {
 		t.Fatal("response arrived before request")
 	}
-	if l.H2DMessages.Load() != 1 {
+	if l.H2DBandwidth().Transfers() != 1 || l.D2HBandwidth().Transfers() != 1 {
 		t.Fatal("D2H message counted as H2D")
 	}
 }
@@ -118,14 +118,18 @@ func TestLinkPipelineBottleneck(t *testing.T) {
 	}
 }
 
+// TestRequestResponseRoundTrip drives a host request the way the device
+// serves one — to the device, through its pipeline, GO back to the host —
+// and checks that ResetStats clears both channels and the pipeline.
 func TestRequestResponseRoundTrip(t *testing.T) {
 	l := NewLink(sim.CXLLink)
-	done := l.RequestResponse(Message{Op: RdOwn, Addr: 0}, 0)
+	arrive := l.ToDevice(Message{Op: RdOwn, Addr: 0}, 0)
+	done := l.ToHost(Message{Op: GO, Addr: 0}, l.DeviceProcess(arrive))
 	if done < sim.CXLLink.RoundTrip() {
 		t.Fatalf("round trip %v < link RTT %v", done, sim.CXLLink.RoundTrip())
 	}
 	l.ResetStats()
-	if l.Messages.Load() != 0 || l.PipelineServed() != 0 {
+	if l.H2DBandwidth().Transfers() != 0 || l.D2HBandwidth().Transfers() != 0 || l.PipelineServed() != 0 {
 		t.Fatal("ResetStats incomplete")
 	}
 }

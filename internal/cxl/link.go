@@ -1,9 +1,6 @@
 package cxl
 
-import (
-	"pax/internal/sim"
-	"pax/internal/stats"
-)
+import "pax/internal/sim"
 
 // Link models the host↔device transport: a fixed per-direction message
 // latency, per-direction payload bandwidth, and the device-side message
@@ -17,12 +14,6 @@ type Link struct {
 	d2h      *sim.BandwidthMeter
 	pipeline *sim.Pipeline
 	tracer   *Tracer
-
-	// Messages counts every message carried in either direction.
-	Messages stats.Counter
-	// H2DMessages counts host-to-device traffic only (the device's inbound
-	// message rate, which the pipeline must sustain).
-	H2DMessages stats.Counter
 }
 
 // NewLink builds a link from a profile.
@@ -41,8 +32,6 @@ func (l *Link) Profile() sim.LinkProfile { return l.prof }
 // ToDevice carries a host→device message sent at `at` and returns its arrival
 // time at the device, after link latency and payload serialization.
 func (l *Link) ToDevice(m Message, at sim.Time) sim.Time {
-	l.Messages.Inc()
-	l.H2DMessages.Inc()
 	if l.tracer != nil {
 		l.tracer.record(H2D, m, at)
 	}
@@ -52,7 +41,6 @@ func (l *Link) ToDevice(m Message, at sim.Time) sim.Time {
 // ToHost carries a device→host message sent at `at` and returns its arrival
 // time at the host.
 func (l *Link) ToHost(m Message, at sim.Time) sim.Time {
-	l.Messages.Inc()
 	if l.tracer != nil {
 		l.tracer.record(D2H, m, at)
 	}
@@ -63,14 +51,6 @@ func (l *Link) ToHost(m Message, at sim.Time) sim.Time {
 // returning when the device has produced its response or side effect.
 func (l *Link) DeviceProcess(arrive sim.Time) sim.Time {
 	return l.pipeline.Serve(arrive)
-}
-
-// RequestResponse is the common full round trip for a host request: send the
-// request, process it at the device, return the GO response.
-func (l *Link) RequestResponse(req Message, at sim.Time) sim.Time {
-	arrive := l.ToDevice(req, at)
-	done := l.DeviceProcess(arrive)
-	return l.ToHost(Message{Op: GO, Addr: req.Addr}, done)
 }
 
 // PipelineRate reports the device's peak message rate (messages/second).
@@ -86,10 +66,8 @@ func (l *Link) H2DBandwidth() *sim.BandwidthMeter { return l.h2d }
 // D2HBandwidth exposes the device→host payload channel.
 func (l *Link) D2HBandwidth() *sim.BandwidthMeter { return l.d2h }
 
-// ResetStats clears counters and channel state.
+// ResetStats clears the channel meters and the device pipeline.
 func (l *Link) ResetStats() {
-	l.Messages.Reset()
-	l.H2DMessages.Reset()
 	l.h2d.Reset()
 	l.d2h.Reset()
 	l.pipeline.Reset()

@@ -41,12 +41,12 @@ func DefaultConfig() Config {
 	return Config{Link: sim.CXLLink, HBMSize: 16 << 20, HBMWays: 8, Policy: hbm.PreferDurable}
 }
 
-// Stats aggregates device-side event counters.
+// Stats aggregates device-side event counters. Undo entries written are the
+// log's own count (Log().Appends()), and fills served from HBM the cache's
+// (HBM().Ratio.Hits).
 type Stats struct {
-	LogAppends     stats.Counter // undo entries written
 	LogSkips       stats.Counter // upgrades for lines already logged this epoch
 	FillsServed    stats.Counter // host line fills
-	HBMHits        stats.Counter // fills served from HBM
 	WriteBacksRecv stats.Counter // dirty evictions received from the host
 	SnoopsSent     stats.Counter // persist()-time SnpData recalls
 	SnoopsDirty    stats.Counter // recalls that returned modified data
@@ -223,7 +223,6 @@ func (d *Device) logLine(hostAddr uint64, at sim.Time) uint64 {
 	if done > d.lastLogDone {
 		d.lastLogDone = done
 	}
-	d.Stats.LogAppends.Inc()
 	return bound
 }
 
@@ -275,7 +274,6 @@ func (d *Device) FetchLine(hostAddr uint64, excl bool, buf []byte, at sim.Time) 
 			data = ln.Data
 			at += sim.HBMLatency
 			served = true
-			d.Stats.HBMHits.Inc()
 		}
 	}
 	if !served {

@@ -64,7 +64,7 @@ func TestFetchGrantsSharedOnRead(t *testing.T) {
 	if res.Done < sim.CXLLink.RoundTrip() {
 		t.Fatalf("fill faster than link RTT: %v", res.Done)
 	}
-	if d.Stats.LogAppends.Load() != 0 {
+	if d.Log().Appends() != 0 {
 		t.Fatal("read fetch logged")
 	}
 }
@@ -77,8 +77,8 @@ func TestExclusiveFetchLogsPreImage(t *testing.T) {
 	if res.State != coherence.Exclusive {
 		t.Fatalf("RdOwn granted %v", res.State)
 	}
-	if d.Stats.LogAppends.Load() != 1 {
-		t.Fatalf("log appends = %d", d.Stats.LogAppends.Load())
+	if d.Log().Appends() != 1 {
+		t.Fatalf("log appends = %d", d.Log().Appends())
 	}
 	entries := d.Log().Entries()
 	if len(entries) != 1 || entries[0].Addr != dataBase || entries[0].Old[0] != 0xCD || entries[0].Epoch != 1 {
@@ -91,8 +91,8 @@ func TestFirstModificationOnlyPerEpoch(t *testing.T) {
 	d.UpgradeLine(hostBase, 0)
 	d.UpgradeLine(hostBase, 0) // re-upgrade after host silently dropped
 	d.UpgradeLine(hostBase+64, 0)
-	if d.Stats.LogAppends.Load() != 2 {
-		t.Fatalf("appends = %d, want 2", d.Stats.LogAppends.Load())
+	if d.Log().Appends() != 2 {
+		t.Fatalf("appends = %d, want 2", d.Log().Appends())
 	}
 	if d.Stats.LogSkips.Load() != 1 {
 		t.Fatalf("skips = %d, want 1", d.Stats.LogSkips.Load())
@@ -195,8 +195,8 @@ func TestLoggingResumesAfterPersist(t *testing.T) {
 	d.UpgradeLine(hostBase, 0)
 	d.Persist(0)
 	d.UpgradeLine(hostBase, 0) // same line, new epoch: logged again
-	if d.Stats.LogAppends.Load() != 2 {
-		t.Fatalf("appends = %d", d.Stats.LogAppends.Load())
+	if d.Log().Appends() != 2 {
+		t.Fatalf("appends = %d", d.Log().Appends())
 	}
 	if e := d.Log().Entries(); len(e) != 1 || e[0].Epoch != 2 {
 		t.Fatalf("entries = %+v", e)
@@ -207,13 +207,13 @@ func TestHBMHitAvoidsPM(t *testing.T) {
 	d, pm, _ := testDevice(t, cfgCXL())
 	var buf [LineSize]byte
 	d.FetchLine(hostBase, false, buf[:], 0)
-	reads := pm.Reads.Load()
+	read := pm.BytesRead.Load()
 	res := d.FetchLine(hostBase, false, buf[:], 0) // HBM hit
-	if pm.Reads.Load() != reads {
+	if pm.BytesRead.Load() != read {
 		t.Fatal("second fetch read PM despite HBM")
 	}
-	if d.Stats.HBMHits.Load() != 1 {
-		t.Fatalf("HBM hits = %d", d.Stats.HBMHits.Load())
+	if d.HBM().Ratio.Hits.Load() != 1 {
+		t.Fatalf("HBM hits = %d", d.HBM().Ratio.Hits.Load())
 	}
 	// An HBM hit must be faster than a PM fetch.
 	first := d.FetchLine(hostBase+128, false, buf[:], res.Done)

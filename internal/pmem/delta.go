@@ -196,7 +196,6 @@ func (d *Device) Sync() error {
 	if d.closed.Load() {
 		return fmt.Errorf("pmem: sync: %s: device is closed", d.path)
 	}
-	start := time.Now()
 	d.deltaMu.Lock()
 	defer d.deltaMu.Unlock()
 	d.lockMedia()
@@ -222,7 +221,6 @@ func (d *Device) Sync() error {
 	}
 	d.lastSyncBytes.Store(n)
 	d.SyncBytes.Add(uint64(n))
-	d.SyncTimings.Total.Since(start)
 	d.maybeCheckpoint()
 	return nil
 }

@@ -134,7 +134,6 @@ type Device struct {
 	ckptBytes int64
 
 	// Stats.
-	Reads, Writes           stats.Counter
 	BytesRead, BytesWritten stats.Counter
 	// SyncBytes accumulates bytes persisted by successful Syncs (delta
 	// record sizes); Checkpoints / CheckpointFailures count checkpoints, and
@@ -149,14 +148,12 @@ type Device struct {
 	SyncTimings SyncTimings
 }
 
-// SyncTimings are wall-clock nanosecond histograms of Sync, recorded per
-// call: the delta-record append with its fsync, and the whole Sync. They
-// answer "where does a media commit spend its time" — the repro's analogue
-// of the per-stage persist breakdowns NearPM and Snapshot report. The
-// histograms are lock-free; sampling them never blocks a commit.
+// SyncTimings are wall-clock nanosecond histograms of Sync's stages,
+// recorded per call: the delta-record append with its fsync. The whole
+// Sync is timed once, by its caller (core.PersistTimings.SyncNS). The
+// histogram is lock-free; sampling it never blocks a commit.
 type SyncTimings struct {
 	Append stats.LatencyHistogram // delta-record append + fsync (file-backed)
-	Total  stats.LatencyHistogram // the whole Sync
 }
 
 // New returns an in-memory device.
@@ -293,7 +290,6 @@ func (d *Device) Read(addr uint64, buf []byte, at sim.Time) sim.Time {
 	defer d.mu.Unlock()
 	d.checkRange(addr, len(buf))
 	copy(buf, media[addr:addr+uint64(len(buf))])
-	d.Reads.Inc()
 	d.BytesRead.Add(uint64(len(buf)))
 	done := d.readBW.Transfer(at, len(buf))
 	return done + d.cfg.ReadLatency
@@ -310,7 +306,6 @@ func (d *Device) Write(addr uint64, data []byte, at sim.Time) sim.Time {
 	media := d.lockMedia()
 	copy(media[addr:addr+uint64(len(data))], data)
 	d.trackDirtyLocked(addr, len(data))
-	d.Writes.Inc()
 	d.BytesWritten.Add(uint64(len(data)))
 	done := d.writeBW.Transfer(at, len(data))
 	hook := d.writeHook
@@ -386,18 +381,10 @@ func (d *Device) Restore(image []byte) {
 	d.trackDirtyLocked(0, len(image))
 }
 
-// ReadBandwidthMeter exposes the read channel for utilization reporting.
-func (d *Device) ReadBandwidthMeter() *sim.BandwidthMeter { return d.readBW }
-
-// WriteBandwidthMeter exposes the write channel for utilization reporting.
-func (d *Device) WriteBandwidthMeter() *sim.BandwidthMeter { return d.writeBW }
-
 // ResetStats clears counters and channel meters; media contents are kept.
 func (d *Device) ResetStats() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.Reads.Reset()
-	d.Writes.Reset()
 	d.BytesRead.Reset()
 	d.BytesWritten.Reset()
 	d.readBW.Reset()

@@ -22,11 +22,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatalf("read back %q, want %q", buf, data)
 	}
-	if d.Reads.Load() != 1 || d.Writes.Load() != 1 {
-		t.Fatalf("counters reads=%d writes=%d", d.Reads.Load(), d.Writes.Load())
-	}
-	if d.BytesWritten.Load() != uint64(len(data)) {
-		t.Fatalf("bytes written = %d", d.BytesWritten.Load())
+	if d.BytesRead.Load() != uint64(len(data)) || d.BytesWritten.Load() != uint64(len(data)) {
+		t.Fatalf("bytes read = %d, written = %d", d.BytesRead.Load(), d.BytesWritten.Load())
 	}
 }
 
@@ -276,11 +273,11 @@ func TestResetStats(t *testing.T) {
 	d.Write(0, make([]byte, 64), 0)
 	d.Read(0, make([]byte, 64), 0)
 	d.ResetStats()
-	if d.Reads.Load() != 0 || d.Writes.Load() != 0 || d.BytesRead.Load() != 0 {
+	if d.BytesRead.Load() != 0 || d.BytesWritten.Load() != 0 {
 		t.Fatal("stats not reset")
 	}
-	if d.WriteBandwidthMeter().Bytes() != 0 {
-		t.Fatal("write meter not reset")
+	if d.readBW.Bytes() != 0 || d.writeBW.Bytes() != 0 {
+		t.Fatal("channel meters not reset")
 	}
 	// Media preserved.
 	buf := make([]byte, 1)

@@ -373,11 +373,11 @@ func TestShutdownCommitAccounting(t *testing.T) {
 	if _, err := eng.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	before := eng.Stats().GroupCommits.Load()
+	before := eng.Stats().GroupCommits()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Stats().GroupCommits.Load(); got != before+1 {
+	if got := eng.Stats().GroupCommits(); got != before+1 {
 		t.Fatalf("group commits after shutdown = %d, want %d (shutdown seal counted)", got, before+1)
 	}
 }

@@ -213,17 +213,16 @@ type sealedBatch struct {
 }
 
 // EngineStats are the engine's own counters (the pool's live underneath).
+// GETs and group commits are counted once, by their histograms:
+// GetHitNS.Count() and GetMissNS.Count() are the read-index hits and misses,
+// and GroupCommits reads DeltaBytes.Count().
 type EngineStats struct {
-	AckedWrites  stats.Counter // mutations acked (at commit)
-	Gets         stats.Counter // reads served from the read index
-	GroupCommits stats.Counter // snapshots taken by the writer loop
-	BatchMax     stats.Counter // largest batch committed (gauge-as-counter)
-	Rejects      stats.Counter // requests dropped by backpressure
+	AckedWrites stats.Counter // mutations acked (at commit)
+	BatchMax    stats.Counter // largest batch committed (gauge-as-counter)
+	Rejects     stats.Counter // requests dropped by backpressure
 
-	// Read-index counters: hits/misses for index-served GETs, and the entry
-	// count rebuilt from the recovered pool at startup.
-	ReadIndexHits    stats.Counter
-	ReadIndexMisses  stats.Counter
+	// ReadIndexRebuilt is the entry count rebuilt from the recovered pool at
+	// startup.
 	ReadIndexRebuilt stats.Counter
 
 	// Durability-failure counters: persist attempts retried after a media
@@ -254,6 +253,12 @@ type EngineStats struct {
 	GetHitNS  stats.LatencyHistogram
 	GetMissNS stats.LatencyHistogram
 }
+
+// GroupCommits is the number of successful group commits. DeltaBytes is
+// observed once per commit before its acks, while the stage histograms
+// (CommitNS and the rest) are observed just after them: an acked write's
+// commit is already counted here.
+func (s *EngineStats) GroupCommits() uint64 { return s.DeltaBytes.Count() }
 
 // Engine is the concurrent serving engine over one pool. All methods are
 // safe for concurrent use; internally a single writer goroutine owns the
@@ -325,12 +330,15 @@ func newEngine(pool *pax.Pool, slot int, cfg Config, shard int, events *eventHub
 	e.reqs = make(chan *request, e.cfg.QueueDepth)
 	e.reg = pool.StatsRegistry()
 	e.reg.RegisterCounter("paxserve_acked_writes", &e.stats.AckedWrites)
-	e.reg.RegisterCounter("paxserve_gets", &e.stats.Gets)
-	e.reg.RegisterCounter("paxserve_group_commits", &e.stats.GroupCommits)
+	gauge := func(name string, fn func() uint64) {
+		e.reg.Register(name, func() float64 { return float64(fn()) })
+	}
+	gauge("paxserve_gets", func() uint64 { return e.stats.GetHitNS.Count() + e.stats.GetMissNS.Count() })
+	gauge("paxserve_group_commits", e.stats.GroupCommits)
 	e.reg.RegisterCounter("paxserve_batch_max", &e.stats.BatchMax)
 	e.reg.RegisterCounter("paxserve_queue_rejects", &e.stats.Rejects)
-	e.reg.RegisterCounter("paxserve_read_index_hits", &e.stats.ReadIndexHits)
-	e.reg.RegisterCounter("paxserve_read_index_misses", &e.stats.ReadIndexMisses)
+	gauge("paxserve_read_index_hits", e.stats.GetHitNS.Count)
+	gauge("paxserve_read_index_misses", e.stats.GetMissNS.Count)
 	e.reg.RegisterCounter("paxserve_read_index_rebuilt", &e.stats.ReadIndexRebuilt)
 	e.reg.RegisterCounter("paxserve_commit_retries", &e.stats.CommitRetries)
 	e.reg.RegisterCounter("paxserve_commit_failures", &e.stats.CommitFailures)
@@ -458,12 +466,9 @@ func (e *Engine) Get(key []byte) ([]byte, bool, error) {
 	}
 	t0 := time.Now()
 	v, ok := e.idx.get(key)
-	e.stats.Gets.Inc()
 	if ok {
-		e.stats.ReadIndexHits.Inc()
 		e.stats.GetHitNS.Since(t0)
 	} else {
-		e.stats.ReadIndexMisses.Inc()
 		e.stats.GetMissNS.Since(t0)
 	}
 	return v, ok, nil
@@ -697,7 +702,6 @@ func (e *Engine) commit(b *sealedBatch) bool {
 	rec.DeltaBytes = st.PersistedBytes
 	rec.PoolBytes = int64(e.pool.MediaSize())
 	e.stats.DeltaBytes.Observe(st.PersistedBytes)
-	e.stats.GroupCommits.Inc()
 	if b.mutations > 0 {
 		e.stats.BatchMax.StoreMax(uint64(b.mutations))
 	}

@@ -29,6 +29,59 @@ func newTestEngine(t *testing.T, path string, cfg Config) (*pax.Pool, *Engine) {
 	return pool, eng
 }
 
+// TestEngineCountsEachEventOnce pins what the re-sourced paxserve_* gauges
+// mean on a sequential script: the GET counts are the GET histograms' counts,
+// and the group commits are one per forced commit, as the commit histogram
+// counts them.
+func TestEngineCountsEachEventOnce(t *testing.T) {
+	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4})
+	defer pool.Close()
+	defer eng.Close()
+
+	const puts, hits, misses = 4, 3, 2
+	for i := 0; i < puts; i++ {
+		if _, err := eng.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < hits; i++ {
+		if _, ok, err := eng.Get([]byte(fmt.Sprintf("k%d", i))); err != nil || !ok {
+			t.Fatalf("hit GET %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	for i := 0; i < misses; i++ {
+		if _, ok, err := eng.Get([]byte(fmt.Sprintf("absent%d", i))); err != nil || ok {
+			t.Fatalf("miss GET %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if _, err := eng.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	// One PUT at a time on an idle engine commits alone, and PERSIST forces
+	// one more. The commit histogram is observed just after a commit's
+	// acks, together with its record: wait for the records.
+	const commits = puts + 1
+	recentCommits(t, eng, commits)
+
+	m := eng.Snapshot()
+	for _, c := range []struct {
+		name string
+		want float64
+	}{
+		{"paxserve_gets", hits + misses},
+		{"paxserve_read_index_hits", hits},
+		{"paxserve_get_hit_ns_count", hits},
+		{"paxserve_read_index_misses", misses},
+		{"paxserve_get_miss_ns_count", misses},
+		{"paxserve_group_commits", commits},
+		{"paxserve_commit_ns_count", commits},
+	} {
+		if got := m[c.name]; got != c.want {
+			t.Errorf("%s = %g, want %g", c.name, got, c.want)
+		}
+	}
+}
+
 func TestEngineBasicOps(t *testing.T) {
 	pool, eng := newTestEngine(t, "", Config{MaxBatch: 4})
 	defer pool.Close()
@@ -214,7 +267,7 @@ func TestConcurrentPutsShareEpoch(t *testing.T) {
 		}
 	}
 	// One commit held the medium, one carried all 32 writers.
-	if got := eng.Stats().GroupCommits.Load(); got != 2 {
+	if got := eng.Stats().GroupCommits(); got != 2 {
 		t.Fatalf("32 concurrent puts behind a held commit took %d group commits, want 2 (hold + batch)", got)
 	}
 	if got := eng.Stats().AckedWrites.Load(); got != writers+1 {

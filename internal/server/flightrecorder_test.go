@@ -277,7 +277,7 @@ func TestStatsTextHasLatencyQuantiles(t *testing.T) {
 		`paxserve_get_miss_ns{q="p99"} `,
 		"paxserve_commit_ns_count 1",
 		"pax_persist_device_ns_count",
-		"pax_sync_ns_count",
+		"pax_persist_sync_ns_count",
 	} {
 		if !strings.Contains(text, line) {
 			t.Fatalf("stats text missing %q:\n%s", line, text)

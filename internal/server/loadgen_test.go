@@ -48,7 +48,7 @@ func TestLoadgenAmortization(t *testing.T) {
 	}
 
 	acked := eng.Stats().AckedWrites.Load()
-	commits := eng.Stats().GroupCommits.Load()
+	commits := eng.Stats().GroupCommits()
 	if acked != clients*opsPerClient {
 		t.Fatalf("acked %d writes, want %d", acked, clients*opsPerClient)
 	}

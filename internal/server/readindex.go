@@ -28,6 +28,11 @@ import "sync"
 // read.
 const indexStripes = 64
 
+// A key's stripe is its slot mod indexStripes, which is its hash mod
+// indexStripes only while indexStripes divides NumSlots; this fails to
+// compile otherwise.
+var _ [NumSlots % indexStripes]struct{} = [0]struct{}{}
+
 type indexStripe struct {
 	mu sync.RWMutex
 	m  map[string][]byte
@@ -45,20 +50,11 @@ func newReadIndex() *readIndex {
 	return ix
 }
 
-// stripe picks the key's stripe by FNV-1a, the same family of hash the
-// sharded router uses — cheap, allocation-free, and well spread for the
-// short keys a KV workload carries.
+// stripe picks the key's stripe from its slot (SlotFor's FNV-1a) —
+// cheap, allocation-free, and well spread for the short keys a KV workload
+// carries.
 func (ix *readIndex) stripe(key []byte) *indexStripe {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return &ix.stripes[h%indexStripes]
+	return &ix.stripes[SlotFor(key)%indexStripes]
 }
 
 // get returns a copy of the indexed value, preserving Engine.Get's contract

@@ -66,7 +66,7 @@ func TestGetServedDuringCommitInFlight(t *testing.T) {
 	if v, ok, err := eng.Get([]byte("hot")); err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("acked write not served: %q ok=%v err=%v", v, ok, err)
 	}
-	if hits := eng.Stats().ReadIndexHits.Load(); hits < reads {
+	if hits := eng.Stats().GetHitNS.Count(); hits < reads {
 		t.Fatalf("read index served %d hits, want >= %d", hits, reads)
 	}
 }

@@ -164,7 +164,7 @@ func TestTCPPipelinedConnectionSharesEpoch(t *testing.T) {
 			t.Fatalf("pipelined puts split across epochs: %v", epochs)
 		}
 	}
-	if got := eng.Stats().GroupCommits.Load(); got != 2 {
+	if got := eng.Stats().GroupCommits(); got != 2 {
 		t.Fatalf("expected two group commits (hold + one pipelined burst), got %d", got)
 	}
 }

@@ -5,7 +5,8 @@ import "fmt"
 // BandwidthMeter models a shared bandwidth-limited channel (a PM DIMM's write
 // path, a CXL link, a DRAM bus). Transfers serialize at the channel's byte
 // rate; a transfer arriving while the channel is busy queues behind earlier
-// transfers, exactly like ServiceQueue but with byte-proportional service.
+// transfers: a single-server FIFO whose service time is proportional to the
+// bytes moved.
 type BandwidthMeter struct {
 	name        string
 	bytesPerSec float64

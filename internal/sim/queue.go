@@ -1,67 +1,5 @@
 package sim
 
-import "fmt"
-
-// ServiceQueue models a single-server FIFO resource: a device pipeline stage,
-// a memory controller, a link serializer. A request arriving at time a with
-// service time s begins at max(a, nextFree) and completes at begin+s.
-//
-// This is the classic "next free slot" queueing model: it captures queueing
-// delay under contention without event-driven simulation, and it is exact for
-// FIFO single-server stations, which is what every modeled resource is.
-type ServiceQueue struct {
-	name     string
-	nextFree Time
-
-	// Stats.
-	served    uint64
-	busy      Time // total busy (service) time
-	queued    Time // total time requests spent waiting before service
-	lastStart Time
-}
-
-// NewServiceQueue returns an idle queue.
-func NewServiceQueue(name string) *ServiceQueue { return &ServiceQueue{name: name} }
-
-// Serve schedules one request arriving at arrive with the given service time
-// and returns its completion time.
-func (q *ServiceQueue) Serve(arrive, service Time) Time {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: %s: negative service time %v", q.name, service))
-	}
-	start := MaxTime(arrive, q.nextFree)
-	done := start + service
-	q.nextFree = done
-	q.served++
-	q.busy += service
-	q.queued += start - arrive
-	q.lastStart = start
-	return done
-}
-
-// NextFree reports when the server becomes idle for the next request.
-func (q *ServiceQueue) NextFree() Time { return q.nextFree }
-
-// Served reports the number of requests processed.
-func (q *ServiceQueue) Served() uint64 { return q.served }
-
-// BusyTime reports cumulative service time.
-func (q *ServiceQueue) BusyTime() Time { return q.busy }
-
-// QueuedTime reports cumulative time requests spent waiting.
-func (q *ServiceQueue) QueuedTime() Time { return q.queued }
-
-// Utilization reports busy time as a fraction of the horizon [0, end].
-func (q *ServiceQueue) Utilization(end Time) float64 {
-	if end <= 0 {
-		return 0
-	}
-	return float64(q.busy) / float64(end)
-}
-
-// Reset returns the queue to its initial idle state, clearing statistics.
-func (q *ServiceQueue) Reset() { *q = ServiceQueue{name: q.name} }
-
 // Pipeline models a fixed-rate, fully pipelined server: one request may begin
 // per cycle, and each takes depth cycles to complete. This matches the paper's
 // description of the FPGA coherence-message pipeline ("respond to coherence

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestTimeConversions(t *testing.T) {
 	if NS(1) != Nanosecond {
@@ -73,71 +70,6 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 		}
 	}()
 	NewClock(0).Advance(-1)
-}
-
-func TestServiceQueueFIFO(t *testing.T) {
-	q := NewServiceQueue("test")
-	// Idle server: starts immediately.
-	if done := q.Serve(NS(10), NS(5)); done != NS(15) {
-		t.Fatalf("first done = %v, want 15ns", done)
-	}
-	// Arrives while busy: queues.
-	if done := q.Serve(NS(11), NS(5)); done != NS(20) {
-		t.Fatalf("second done = %v, want 20ns", done)
-	}
-	// Arrives after idle: starts at arrival.
-	if done := q.Serve(NS(100), NS(1)); done != NS(101) {
-		t.Fatalf("third done = %v, want 101ns", done)
-	}
-	if q.Served() != 3 {
-		t.Fatalf("served = %d, want 3", q.Served())
-	}
-	if q.BusyTime() != NS(11) {
-		t.Fatalf("busy = %v, want 11ns", q.BusyTime())
-	}
-	if q.QueuedTime() != NS(4) {
-		t.Fatalf("queued = %v, want 4ns", q.QueuedTime())
-	}
-}
-
-func TestServiceQueueUtilization(t *testing.T) {
-	q := NewServiceQueue("u")
-	q.Serve(0, NS(50))
-	if got := q.Utilization(NS(100)); got != 0.5 {
-		t.Fatalf("utilization = %g, want 0.5", got)
-	}
-	if got := q.Utilization(0); got != 0 {
-		t.Fatalf("utilization at zero horizon = %g", got)
-	}
-	q.Reset()
-	if q.Served() != 0 || q.NextFree() != 0 {
-		t.Fatal("Reset did not clear queue")
-	}
-}
-
-// Completion times from a service queue are monotone in arrival order —
-// FIFO can never reorder.
-func TestServiceQueueMonotoneProperty(t *testing.T) {
-	f := func(arrivals []uint16, services []uint16) bool {
-		q := NewServiceQueue("prop")
-		var arrive, prevDone Time
-		n := len(arrivals)
-		if len(services) < n {
-			n = len(services)
-		}
-		for i := 0; i < n; i++ {
-			arrive += Time(arrivals[i]) // non-decreasing arrivals
-			done := q.Serve(arrive, Time(services[i]))
-			if done < prevDone || done < arrive {
-				return false
-			}
-			prevDone = done
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPipelineRateAndDepth(t *testing.T) {

@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// This file is the serving-side latency histogram: unlike Histogram (which
-// belongs to one simulated context and is deliberately single-threaded),
-// LatencyHistogram is recorded from many goroutines on hot paths — every GET,
-// every group commit — so it is lock-free end to end: an Observe is a handful
-// of atomic adds, and a Snapshot reads the buckets without stopping writers.
+// This file is the repo's one histogram. It is recorded from many goroutines
+// on hot paths — every GET, every group commit — so it is lock-free end to
+// end: an Observe is a handful of atomic adds, and a Snapshot reads the
+// buckets without stopping writers. The simulator's per-op latency table
+// records into it too.
 
 // Log-linear bucket geometry: values below latPrecise get an exact bucket;
 // above that, each power of two is split into latSubCount linear sub-buckets,
@@ -37,8 +37,7 @@ func latBucket(v uint64) int {
 }
 
 // latUpper is the largest sample that maps to bucket idx — the value a
-// quantile estimate reports for it (matching Histogram.Quantile's convention
-// of answering with the bucket's upper bound).
+// quantile estimate reports for it (the bucket's upper bound).
 func latUpper(idx int) int64 {
 	if idx < latPrecise {
 		return int64(idx)

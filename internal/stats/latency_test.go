@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestLatencyHistogramBasics(t *testing.T) {
@@ -109,6 +110,33 @@ func TestLatencyBucketRoundTrip(t *testing.T) {
 		if lo, hi := latLower(idx), latUpper(idx); int64(v) < lo || int64(v) > hi {
 			t.Fatalf("sample %d outside its bucket %d range [%d, %d]", v, idx, lo, hi)
 		}
+	}
+}
+
+// Property: quantile estimates lie within the snapshot's [Min, Max] and are
+// monotone in q.
+func TestLatencyHistogramQuantileProperty(t *testing.T) {
+	f := func(raw []uint32) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		var h LatencyHistogram
+		for _, v := range raw {
+			h.Observe(int64(v))
+		}
+		s := h.Snapshot()
+		prev := int64(0)
+		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.99, 1} {
+			est := s.Quantile(q)
+			if est < s.Min || est > s.Max || est < prev {
+				return false
+			}
+			prev = est
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

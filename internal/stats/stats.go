@@ -4,7 +4,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -68,125 +67,6 @@ func (r *Ratio) MissRate() float64 {
 
 // Reset zeroes both sides.
 func (r *Ratio) Reset() { r.Hits.Reset(); r.Misses.Reset() }
-
-// Histogram is a log2-bucketed histogram of non-negative int64 samples
-// (typically picosecond latencies). It keeps exact min/max/sum and per-bucket
-// counts. Not safe for concurrent use; each simulated context owns its own.
-type Histogram struct {
-	buckets [64]uint64
-	count   uint64
-	sum     int64
-	min     int64
-	max     int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{min: math.MaxInt64} }
-
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return 64 - int(leadingZeros(uint64(v)))
-}
-
-func leadingZeros(x uint64) uint {
-	n := uint(0)
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
-}
-
-// Observe records one sample; negative samples panic (latencies are never
-// negative, and silently clamping would hide simulator bugs).
-func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		panic(fmt.Sprintf("stats: negative histogram sample %d", v))
-	}
-	b := bucketOf(v)
-	if b > 63 {
-		b = 63
-	}
-	h.buckets[b]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum reports the sample total.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Mean reports the average sample, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Min reports the smallest sample, 0 when empty.
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max reports the largest sample, 0 when empty.
-func (h *Histogram) Max() int64 { return h.max }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from bucket boundaries. The
-// estimate is the upper bound of the bucket containing the quantile, which is
-// within 2x of the true value — adequate for latency reporting.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min()
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	for b, n := range h.buckets {
-		cum += n
-		if cum > target {
-			if b == 0 {
-				return 0
-			}
-			hi := int64(1) << uint(b)
-			if hi > h.max {
-				hi = h.max
-			}
-			return hi
-		}
-	}
-	return h.max
-}
-
-// Reset empties the histogram.
-func (h *Histogram) Reset() { *h = Histogram{min: math.MaxInt64} }
-
-// String summarizes the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f min=%d p50=%d p99=%d max=%d",
-		h.count, h.Mean(), h.Min(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
-}
 
 // Table accumulates named numeric results and renders them as an aligned
 // text table — the benchmark harness uses it to print paper-style rows.

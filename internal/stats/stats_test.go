@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -52,89 +51,6 @@ func TestRatio(t *testing.T) {
 	r.Reset()
 	if r.Total() != 0 {
 		t.Fatal("Reset failed")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram must report zeros")
-	}
-	for _, v := range []int64{1, 2, 3, 4, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 || h.Sum() != 110 {
-		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
-	}
-	if h.Mean() != 22 {
-		t.Fatalf("mean = %g", h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min=%d max=%d", h.Min(), h.Max())
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Fatalf("q0 = %d", got)
-	}
-	if got := h.Quantile(1); got != 100 {
-		t.Fatalf("q1 = %d", got)
-	}
-	if !strings.Contains(h.String(), "n=5") {
-		t.Fatalf("String() = %q", h.String())
-	}
-	h.Reset()
-	if h.Count() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
-func TestHistogramNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram().Observe(-1)
-}
-
-// Property: quantile estimates bracket the true order statistics within the
-// log2 bucket bound (estimate ≥ true value, estimate ≤ 2x true value or max).
-func TestHistogramQuantileProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		h := NewHistogram()
-		for _, v := range raw {
-			h.Observe(int64(v))
-		}
-		// Quantiles must be within [min, max] and monotone in q.
-		prev := int64(0)
-		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.99, 1} {
-			est := h.Quantile(q)
-			if est < h.Min() || est > h.Max() {
-				return false
-			}
-			if est < prev {
-				return false
-			}
-			prev = est
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramBucketOf(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want int
-	}{{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11}}
-	for _, c := range cases {
-		if got := bucketOf(c.v); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
-		}
 	}
 }
 

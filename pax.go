@@ -381,10 +381,10 @@ func (p *Pool) Stats() PoolStats {
 	return PoolStats{
 		Epoch:              d.Epoch(),
 		DurableEpoch:       d.DurableEpoch(),
-		DeviceLogAppends:   d.Stats.LogAppends.Load(),
+		DeviceLogAppends:   log.Appends(),
 		DeviceLogSkips:     d.Stats.LogSkips.Load(),
 		DeviceFillsServed:  d.Stats.FillsServed.Load(),
-		DeviceHBMHits:      d.Stats.HBMHits.Load(),
+		DeviceHBMHits:      hbmHits(d),
 		DeviceHBMMisses:    hbmMisses(d),
 		DeviceSnoopsSent:   d.Stats.SnoopsSent.Load(),
 		DeviceSnoopsDirty:  d.Stats.SnoopsDirty.Load(),
@@ -402,11 +402,21 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
+// hbmHits is the device's fills served from its HBM cache: the cache's own
+// hit count, since a fill is the cache's only lookup. A pool without HBM
+// has none.
+func hbmHits(d *device.Device) uint64 {
+	if c := d.HBM(); c != nil {
+		return c.Ratio.Hits.Load()
+	}
+	return 0
+}
+
 // hbmMisses is the device's fills that went to media. A fill counts as
 // served before it counts as a hit, so loading the hits first keeps the
 // difference from wrapping while a fill is in flight.
 func hbmMisses(d *device.Device) uint64 {
-	hits := d.Stats.HBMHits.Load()
+	hits := hbmHits(d)
 	return d.Stats.FillsServed.Load() - hits
 }
 
@@ -424,10 +434,10 @@ func (p *Pool) StatsRegistry() *stats.Registry {
 	}
 	gauge("pax_epoch", d.Epoch)
 	gauge("pax_durable_epoch", d.DurableEpoch)
-	r.RegisterCounter("pax_device_log_appends", &d.Stats.LogAppends)
+	gauge("pax_device_log_appends", log.Appends)
 	r.RegisterCounter("pax_device_log_skips", &d.Stats.LogSkips)
 	r.RegisterCounter("pax_device_fills_served", &d.Stats.FillsServed)
-	r.RegisterCounter("pax_device_hbm_hits", &d.Stats.HBMHits)
+	gauge("pax_device_hbm_hits", func() uint64 { return hbmHits(d) })
 	gauge("pax_device_hbm_misses", func() uint64 { return hbmMisses(d) })
 	r.RegisterCounter("pax_device_snoops_sent", &d.Stats.SnoopsSent)
 	r.RegisterCounter("pax_device_snoops_dirty", &d.Stats.SnoopsDirty)
@@ -450,17 +460,11 @@ func (p *Pool) StatsRegistry() *stats.Registry {
 	r.RegisterLatencyHistogram("pax_persist_device_ns", &t.DeviceNS)
 	r.RegisterLatencyHistogram("pax_persist_sync_ns", &t.SyncNS)
 	r.RegisterLatencyHistogram("pax_persist_log_wait_ps", &t.LogWaitPS)
-	// Bytes per media commit (a size histogram on the latency machinery):
-	// the delta record each Persist appended, O(dirty bytes).
-	r.RegisterLatencyHistogram("pax_persist_bytes", &t.SyncBytes)
-	st := &p.pm.SyncTimings
-	r.RegisterLatencyHistogram("pax_sync_append_ns", &st.Append)
-	r.RegisterLatencyHistogram("pax_sync_ns", &st.Total)
+	r.RegisterLatencyHistogram("pax_sync_append_ns", &p.pm.SyncTimings.Append)
 
 	// Epoch-store counters. The checkpoint and segment gauges stay zero on
 	// an in-memory pool, which has no log to write.
 	r.Register("pax_sync_bytes_total", func() float64 { return float64(p.pm.SyncBytes.Load()) })
-	r.Register("pax_sync_last_bytes", func() float64 { return float64(p.pm.LastSyncBytes()) })
 	r.Register("pax_epoch_checkpoints_total", func() float64 { return float64(p.pm.Checkpoints.Load()) })
 	r.Register("pax_epoch_checkpoint_bytes_total", func() float64 { return float64(p.pm.CheckpointBytes.Load()) })
 	r.Register("pax_epoch_checkpoint_failures_total", func() float64 { return float64(p.pm.CheckpointFailures.Load()) })
