@@ -12,7 +12,6 @@
 package alloc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -82,13 +81,13 @@ func Create(mem memory.Memory, base, size uint64) *Arena {
 		panic(fmt.Sprintf("alloc: arena of %d bytes too small", size))
 	}
 	a := &Arena{mem: mem, base: base, size: size}
-	a.writeU64(base+offMagic, arenaMagic)
-	a.writeU64(base+offVersion, arenaVersion)
-	a.writeU64(base+offSize, size)
-	a.writeU64(base+offBrk, roundUp(base+headerSize, heapAlign))
-	a.writeU64(base+offLarge, 0)
+	a.mem.StoreU64(base+offMagic, arenaMagic)
+	a.mem.StoreU64(base+offVersion, arenaVersion)
+	a.mem.StoreU64(base+offSize, size)
+	a.mem.StoreU64(base+offBrk, roundUp(base+headerSize, heapAlign))
+	a.mem.StoreU64(base+offLarge, 0)
 	for c := 0; c < numClasses; c++ {
-		a.writeU64(base+offClasses+uint64(c)*8, 0)
+		a.mem.StoreU64(base+offClasses+uint64(c)*8, 0)
 	}
 	return a
 }
@@ -98,32 +97,20 @@ func Create(mem memory.Memory, base, size uint64) *Arena {
 // the last consistent snapshot by the pool's recovery.
 func Open(mem memory.Memory, base, size uint64) (*Arena, error) {
 	a := &Arena{mem: mem, base: base, size: size}
-	if got := a.readU64(base + offMagic); got != arenaMagic {
+	if got := a.mem.LoadU64(base + offMagic); got != arenaMagic {
 		return nil, fmt.Errorf("alloc: bad arena magic %#x", got)
 	}
-	if got := a.readU64(base + offVersion); got != arenaVersion {
+	if got := a.mem.LoadU64(base + offVersion); got != arenaVersion {
 		return nil, fmt.Errorf("alloc: unsupported arena version %d", got)
 	}
-	if got := a.readU64(base + offSize); got != size {
+	if got := a.mem.LoadU64(base + offSize); got != size {
 		return nil, fmt.Errorf("alloc: arena size %d, expected %d", got, size)
 	}
-	brk := a.readU64(base + offBrk)
+	brk := a.mem.LoadU64(base + offBrk)
 	if brk < base+headerSize || brk > base+size {
 		return nil, fmt.Errorf("alloc: brk %#x outside arena", brk)
 	}
 	return a, nil
-}
-
-func (a *Arena) readU64(addr uint64) uint64 {
-	var b [8]byte
-	a.mem.Load(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (a *Arena) writeU64(addr, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	a.mem.Store(addr, b[:])
 }
 
 // Mem implements memory.Allocator.
@@ -138,11 +125,11 @@ func (a *Arena) HeapStart() uint64 { return roundUp(a.base+headerSize, heapAlign
 
 // carve advances brk by n bytes, returning the old frontier.
 func (a *Arena) carve(n uint64) (uint64, error) {
-	brk := a.readU64(a.base + offBrk)
+	brk := a.mem.LoadU64(a.base + offBrk)
 	if brk+n > a.base+a.size || brk+n < brk {
 		return 0, fmt.Errorf("%w: need %d bytes, %d remain", ErrOutOfMemory, n, a.base+a.size-brk)
 	}
-	a.writeU64(a.base+offBrk, brk+n)
+	a.mem.StoreU64(a.base+offBrk, brk+n)
 	return brk, nil
 }
 
@@ -156,9 +143,9 @@ func (a *Arena) Alloc(size uint64) (uint64, error) {
 	a.AllocCalls++
 	if c := classFor(size); c >= 0 {
 		headAddr := a.base + offClasses + uint64(c)*8
-		if head := a.readU64(headAddr); head != 0 {
-			next := a.readU64(head) // free block stores next pointer inline
-			a.writeU64(headAddr, next)
+		if head := a.mem.LoadU64(headAddr); head != 0 {
+			next := a.mem.LoadU64(head) // free block stores next pointer inline
+			a.mem.StoreU64(headAddr, next)
 			a.BytesAllocated += classSize(c)
 			return head, nil
 		}
@@ -173,19 +160,19 @@ func (a *Arena) Alloc(size uint64) (uint64, error) {
 	// Large allocation: first fit over the large list.
 	need := roundUp(size, pageRound)
 	prevAddr := a.base + offLarge
-	cur := a.readU64(prevAddr)
+	cur := a.mem.LoadU64(prevAddr)
 	for cur != 0 {
-		curNext := a.readU64(cur)
-		curSize := a.readU64(cur + 8)
+		curNext := a.mem.LoadU64(cur)
+		curSize := a.mem.LoadU64(cur + 8)
 		if curSize >= need {
 			if rem := curSize - need; rem >= pageRound {
 				// Split: the remainder stays on the list in place.
 				remAddr := cur + need
-				a.writeU64(remAddr, curNext)
-				a.writeU64(remAddr+8, rem)
-				a.writeU64(prevAddr, remAddr)
+				a.mem.StoreU64(remAddr, curNext)
+				a.mem.StoreU64(remAddr+8, rem)
+				a.mem.StoreU64(prevAddr, remAddr)
 			} else {
-				a.writeU64(prevAddr, curNext)
+				a.mem.StoreU64(prevAddr, curNext)
 			}
 			a.BytesAllocated += need
 			return cur, nil
@@ -211,20 +198,20 @@ func (a *Arena) Free(addr, size uint64) error {
 	a.FreeCalls++
 	if c := classFor(size); c >= 0 {
 		headAddr := a.base + offClasses + uint64(c)*8
-		a.writeU64(addr, a.readU64(headAddr))
-		a.writeU64(headAddr, addr)
+		a.mem.StoreU64(addr, a.mem.LoadU64(headAddr))
+		a.mem.StoreU64(headAddr, addr)
 		return nil
 	}
 	need := roundUp(size, pageRound)
 	headAddr := a.base + offLarge
-	a.writeU64(addr, a.readU64(headAddr))
-	a.writeU64(addr+8, need)
-	a.writeU64(headAddr, addr)
+	a.mem.StoreU64(addr, a.mem.LoadU64(headAddr))
+	a.mem.StoreU64(addr+8, need)
+	a.mem.StoreU64(headAddr, addr)
 	return nil
 }
 
 // Brk reports the current bump frontier (diagnostics and capacity tests).
-func (a *Arena) Brk() uint64 { return a.readU64(a.base + offBrk) }
+func (a *Arena) Brk() uint64 { return a.mem.LoadU64(a.base + offBrk) }
 
 // FreeListLens reports the length of each small-class free list plus the
 // large list (diagnostics; also exercised by recovery tests to show that
@@ -233,13 +220,13 @@ func (a *Arena) FreeListLens() ([numClasses]int, int) {
 	var out [numClasses]int
 	for c := 0; c < numClasses; c++ {
 		n := 0
-		for cur := a.readU64(a.base + offClasses + uint64(c)*8); cur != 0; cur = a.readU64(cur) {
+		for cur := a.mem.LoadU64(a.base + offClasses + uint64(c)*8); cur != 0; cur = a.mem.LoadU64(cur) {
 			n++
 		}
 		out[c] = n
 	}
 	large := 0
-	for cur := a.readU64(a.base + offLarge); cur != 0; cur = a.readU64(cur) {
+	for cur := a.mem.LoadU64(a.base + offLarge); cur != 0; cur = a.mem.LoadU64(cur) {
 		large++
 	}
 	return out, large

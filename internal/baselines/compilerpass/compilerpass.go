@@ -100,3 +100,13 @@ func (in *Instrumented) Store(addr uint64, data []byte) sim.Time {
 	in.StoreBytes.Add(uint64(len(data)))
 	return done
 }
+
+// LoadU64, StoreU64, LoadU32 and StoreU32 implement memory.Memory as Load
+// and Store of the word's bytes.
+func (in *Instrumented) LoadU64(addr uint64) uint64 { return memory.LoadU64(in, addr) }
+
+func (in *Instrumented) StoreU64(addr, v uint64) { memory.StoreU64(in, addr, v) }
+
+func (in *Instrumented) LoadU32(addr uint64) uint32 { return memory.LoadU32(in, addr) }
+
+func (in *Instrumented) StoreU32(addr uint64, v uint32) { memory.StoreU32(in, addr, v) }

@@ -97,6 +97,16 @@ func (t *Tracker) Store(addr uint64, data []byte) sim.Time {
 	return done
 }
 
+// LoadU64, StoreU64, LoadU32 and StoreU32 implement memory.Memory as Load
+// and Store of the word's bytes.
+func (t *Tracker) LoadU64(addr uint64) uint64 { return memory.LoadU64(t, addr) }
+
+func (t *Tracker) StoreU64(addr, v uint64) { memory.StoreU64(t, addr, v) }
+
+func (t *Tracker) LoadU32(addr uint64) uint32 { return memory.LoadU32(t, addr) }
+
+func (t *Tracker) StoreU32(addr uint64, v uint32) { memory.StoreU32(t, addr, v) }
+
 // Persist ends the epoch: flush every dirty page's data, fence, durably
 // drop the undo log, and re-protect all pages for the next epoch. It returns
 // the completion time and the number of pages that were dirty.

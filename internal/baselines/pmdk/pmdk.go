@@ -144,6 +144,16 @@ func (t *TxMemory) Store(addr uint64, data []byte) sim.Time {
 	return done
 }
 
+// LoadU64, StoreU64, LoadU32 and StoreU32 implement memory.Memory as Load
+// and Store of the word's bytes.
+func (t *TxMemory) LoadU64(addr uint64) uint64 { return memory.LoadU64(t, addr) }
+
+func (t *TxMemory) StoreU64(addr, v uint64) { memory.StoreU64(t, addr, v) }
+
+func (t *TxMemory) LoadU32(addr uint64) uint32 { return memory.LoadU32(t, addr) }
+
+func (t *TxMemory) StoreU32(addr uint64, v uint32) { memory.StoreU32(t, addr, v) }
+
 // Map is the PMDK-style persistent hash map: the repository's generic
 // HashMap run over TxMemory, one transaction per operation — the shape of
 // PMDK's hand-built structures.

@@ -361,6 +361,36 @@ func (m *opModel) load(c *Core, addr uint64, n int) error {
 	return nil
 }
 
+// storeWord stores the low n bytes of v at addr through StoreU32 or
+// StoreU64.
+func (m *opModel) storeWord(c *Core, addr uint64, n int, v uint64) {
+	if n == 8 {
+		c.StoreU64(addr, v)
+	} else {
+		c.StoreU32(addr, uint32(v))
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	copy(m.model[addr:], b[:n])
+}
+
+// loadWord checks LoadU32 or LoadU64 at addr against the model.
+func (m *opModel) loadWord(c *Core, addr uint64, n int) error {
+	var b [8]byte
+	copy(b[:], m.model[addr:addr+uint64(n)])
+	want := binary.LittleEndian.Uint64(b[:])
+	var got uint64
+	if n == 8 {
+		got = c.LoadU64(addr)
+	} else {
+		got = uint64(c.LoadU32(addr))
+	}
+	if got != want {
+		return fmt.Errorf("core %d LoadU%d at %d got %#x want %#x", c.ID(), 8*n, addr, got, want)
+	}
+	return nil
+}
+
 // snoop sends a device snoop for la. Dirty data it returns must match the
 // model; the device becomes responsible for it, so it goes to the home as
 // PAX would write it.

@@ -1,15 +1,18 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pax/internal/coherence"
+	"pax/internal/memory"
 	"pax/internal/sim"
 )
 
 // Core is one simulated hardware thread with private L1/L2 caches and its own
-// virtual clock. Core implements the memory.Memory contract (Load/Store) and
-// the persistence primitives (FlushLines, Fence) used by WAL baselines.
+// virtual clock. Core implements the memory.Memory contract (Load/Store and
+// the word accessors) and the persistence primitives (FlushLines, Fence)
+// used by WAL baselines.
 type Core struct {
 	h      *Hierarchy
 	id     int
@@ -36,12 +39,14 @@ func (c *Core) L1MissRate() float64 { return c.l1.Ratio.MissRate() }
 // L2MissRate reports the fraction of L1 misses that also missed in L2.
 func (c *Core) L2MissRate() float64 { return c.l2.Ratio.MissRate() }
 
-// spillL1 pushes an evicted L1 line down into L2. Inclusion guarantees the
-// line is present in L2; its state and dirty data are merged.
-func (c *Core) spillL1(victim *line) {
-	ln := c.l2.lookup(victim.tag)
+// spillL1 pushes the line in L1 way i, which is being evicted, down into
+// L2. Inclusion guarantees the line is present in L2; its state and dirty
+// data are merged.
+func (c *Core) spillL1(i int) {
+	tag, victim := c.l1.tag(i), &c.l1.lines[i]
+	ln := c.l2.lookup(tag)
 	if ln == nil {
-		panic(fmt.Sprintf("cache: core %d L1 victim %#x absent from L2 (inclusion violated)", c.id, victim.tag))
+		panic(fmt.Sprintf("cache: core %d L1 victim %#x absent from L2 (inclusion violated)", c.id, tag))
 	}
 	if victim.dirty {
 		ln.data = victim.data
@@ -52,58 +57,61 @@ func (c *Core) spillL1(victim *line) {
 
 // insertL2 places a freshly filled line into L2, evicting a victim to the
 // LLC if needed (and back-invalidating the victim's L1 copy first).
-func (c *Core) insertL2(la uint64, state coherence.State, data *[LineSize]byte) {
-	victim := c.l2.victim(la)
-	if victim.valid {
-		vAddr := victim.tag
-		vData := victim.data
-		vDirty := victim.dirty
+func (c *Core) insertL2(la uint64, state coherence.State, data *[LineSize]byte) *line {
+	i := c.l2.victim(la)
+	if c.l2.tags[i] != 0 {
+		vAddr, victim := c.l2.tag(i), &c.l2.lines[i]
+		vData, vDirty := &victim.data, victim.dirty
 		// L1 copy, if any, is newer; merge it before the line leaves the core.
-		if d, dirty, present := c.l1.invalidate(vAddr); present {
-			if dirty {
-				vData = d
-				vDirty = true
+		if j := c.l1.find(vAddr); j >= 0 {
+			c.l1.tags[j] = 0
+			if c.l1.lines[j].dirty {
+				vData, vDirty = &c.l1.lines[j].data, true
 			}
 		}
-		c.h.privateEvict(c, vAddr, &vData, vDirty)
+		c.h.privateEvict(c, vAddr, vData, vDirty)
 	}
-	c.l2.insert(victim, la, state, false, data)
+	return c.l2.insert(i, la, state, false, data)
 }
 
 // insertL1 places a line into L1, spilling any victim into L2.
 func (c *Core) insertL1(la uint64, state coherence.State, data *[LineSize]byte) *line {
-	victim := c.l1.victim(la)
-	if victim.valid {
-		c.spillL1(victim)
+	i := c.l1.victim(la)
+	if c.l1.tags[i] != 0 {
+		c.spillL1(i)
 	}
-	c.l1.insert(victim, la, state, false, data)
-	return victim
+	return c.l1.insert(i, la, state, false, data)
+}
+
+// upgrade takes the line at la, Shared in this core's private levels, to
+// Modified through the directory (and, for the first host-side
+// modification, the home).
+func (c *Core) upgrade(la uint64, at sim.Time) sim.Time {
+	h := c.h
+	ll := h.llcLookup(la)
+	if ll == nil {
+		panic(fmt.Sprintf("cache: core %d upgrading %#x absent from LLC", c.id, la))
+	}
+	at += h.prof.LLC.Latency
+	h.invalidateSharers(la, ll, c.id)
+	at = h.hostUpgrade(la, ll, at)
+	ll.owner = int8(c.id)
+	ll.sharers = 0
+	return at
 }
 
 // access is the per-line MESI access path. It returns the L1 line holding la
 // (writable when write=true) and the access completion time. The hierarchy
 // lock must be held.
 func (c *Core) access(la uint64, write bool, at sim.Time) (*line, sim.Time) {
-	h := c.h
-
 	// L1 probe.
 	at += c.l1.latency
-	if ln := c.l1.lookup(la); ln != nil {
+	if i := c.l1.find(la); i >= 0 {
+		ln := &c.l1.lines[i]
 		c.l1.Ratio.Hits.Inc()
-		c.l1.touch(ln)
+		c.l1.touch(i)
 		if write && !ln.state.CanWrite() {
-			// Shared→Modified upgrade through the directory (and, for the
-			// first host-side modification, the home).
-			ll := h.llcLookup(la)
-			if ll == nil {
-				panic(fmt.Sprintf("cache: core %d upgrading %#x absent from LLC", c.id, la))
-			}
-			at += h.prof.LLC.Latency
-			h.invalidateSharers(ll, c.id)
-			at = h.hostUpgrade(ll, at)
-			ll.owner = int32(c.id)
-			ll.sharers = 0
-			ln.state = coherence.Modified
+			at = c.upgrade(la, at)
 			if l2ln := c.l2.lookup(la); l2ln != nil {
 				l2ln.state = coherence.Modified
 			}
@@ -118,24 +126,17 @@ func (c *Core) access(la uint64, write bool, at sim.Time) (*line, sim.Time) {
 
 	// L2 probe.
 	at += c.l2.latency
-	if ln := c.l2.lookup(la); ln != nil {
+	if i := c.l2.find(la); i >= 0 {
+		ln := &c.l2.lines[i]
 		c.l2.Ratio.Hits.Inc()
-		c.l2.touch(ln)
+		c.l2.touch(i)
 		if write && !ln.state.CanWrite() {
-			ll := h.llcLookup(la)
-			if ll == nil {
-				panic(fmt.Sprintf("cache: core %d upgrading %#x absent from LLC", c.id, la))
-			}
-			at += h.prof.LLC.Latency
-			h.invalidateSharers(ll, c.id)
-			at = h.hostUpgrade(ll, at)
-			ll.owner = int32(c.id)
-			ll.sharers = 0
+			at = c.upgrade(la, at)
 			ln.state = coherence.Modified
 		}
-		// Promote into L1.
+		// Promote into L1. L2 retains the dirty responsibility until L1
+		// rewrites.
 		l1ln := c.insertL1(la, ln.state, &ln.data)
-		l1ln.dirty = false // L2 retains the dirty responsibility until L1 rewrites
 		if write {
 			l1ln.state = coherence.Modified
 			l1ln.dirty = true
@@ -145,15 +146,13 @@ func (c *Core) access(la uint64, write bool, at sim.Time) (*line, sim.Time) {
 	c.l2.Ratio.Misses.Inc()
 
 	// Fill from LLC or home.
-	data, state, done := h.fill(c, la, write, at)
-	c.insertL2(la, state, &data)
-	l1ln := c.insertL1(la, state, &data)
+	data, state, done := c.h.fill(c, la, write, at)
+	l2ln := c.insertL2(la, state, data)
+	l1ln := c.insertL1(la, state, data)
 	if write {
 		l1ln.state = coherence.Modified
 		l1ln.dirty = true
-		if l2ln := c.l2.lookup(la); l2ln != nil {
-			l2ln.state = coherence.Modified
-		}
+		l2ln.state = coherence.Modified
 	}
 	return l1ln, done
 }
@@ -202,6 +201,69 @@ func (c *Core) Store(addr uint64, data []byte) sim.Time {
 	return c.clock.AdvanceTo(at)
 }
 
+// straddles reports whether the n-byte word at addr spans two lines; the
+// word accessors hand such a word to Load or Store.
+func straddles(addr uint64, n int) bool { return addr%LineSize > LineSize-uint64(n) }
+
+// wordLine makes the one access Load or Store would make for a word at addr
+// that lies within one line, advancing the core clock, and returns the L1
+// line holding it and the word's offset in the line. The hierarchy lock must
+// be held.
+func (c *Core) wordLine(addr uint64, write bool) (*line, uint64) {
+	la := coherence.LineAddr(addr)
+	ln, done := c.access(la, write, c.clock.Now())
+	c.clock.AdvanceTo(done)
+	return ln, addr - la
+}
+
+// LoadU64 implements memory.Memory: one access to the word's line, decoded
+// in place.
+func (c *Core) LoadU64(addr uint64) uint64 {
+	if straddles(addr, 8) {
+		return memory.LoadU64(c, addr)
+	}
+	c.h.mu.Lock()
+	defer c.h.mu.Unlock()
+	ln, lo := c.wordLine(addr, false)
+	return binary.LittleEndian.Uint64(ln.data[lo:])
+}
+
+// StoreU64 implements memory.Memory: one access to the word's line, encoded
+// in place.
+func (c *Core) StoreU64(addr, v uint64) {
+	if straddles(addr, 8) {
+		memory.StoreU64(c, addr, v)
+		return
+	}
+	c.h.mu.Lock()
+	defer c.h.mu.Unlock()
+	ln, lo := c.wordLine(addr, true)
+	binary.LittleEndian.PutUint64(ln.data[lo:], v)
+}
+
+// LoadU32 is LoadU64 for a 4-byte word.
+func (c *Core) LoadU32(addr uint64) uint32 {
+	if straddles(addr, 4) {
+		return memory.LoadU32(c, addr)
+	}
+	c.h.mu.Lock()
+	defer c.h.mu.Unlock()
+	ln, lo := c.wordLine(addr, false)
+	return binary.LittleEndian.Uint32(ln.data[lo:])
+}
+
+// StoreU32 is StoreU64 for a 4-byte word.
+func (c *Core) StoreU32(addr uint64, v uint32) {
+	if straddles(addr, 4) {
+		memory.StoreU32(c, addr, v)
+		return
+	}
+	c.h.mu.Lock()
+	defer c.h.mu.Unlock()
+	ln, lo := c.wordLine(addr, true)
+	binary.LittleEndian.PutUint32(ln.data[lo:], v)
+}
+
 // FlushLines issues CLWB for every line overlapping [addr, addr+n): the
 // newest copy is written back to the home and all host copies become clean,
 // but remain cached. Durability is only guaranteed after a following Fence.
@@ -217,7 +279,7 @@ func (c *Core) FlushLines(addr uint64, n int) sim.Time {
 			continue // not cached anywhere on the host
 		}
 		if ll.owner >= 0 {
-			at = h.recallOwner(ll, false, at)
+			at = h.recallOwner(la, ll, false, at)
 		}
 		if ll.dirty {
 			h.WriteBacks.Inc()

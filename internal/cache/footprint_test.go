@@ -19,20 +19,23 @@ func liveHeap() int64 {
 }
 
 // TestHierarchyFootprint holds the default host model to the lines a pool
-// has used: building it costs the LLC's 40-byte line records, a core's
-// private levels are paid for only once that core runs, and LLC line data
-// only for the ways ever filled. Eagerly built private levels for all 32
-// cores would add ≈ 48 MB here, and data inline in every LLC way ≈ 23 MB.
+// has used: building it costs the LLC's 32 bytes a way (a 24-byte record and
+// its tag word), a core's private levels (82 bytes a way: a 66-byte record,
+// its tag word and LRU stamp) are paid for only once that core runs, and
+// LLC line data only for the ways ever filled. Eagerly built private levels
+// for all 32 cores would add ≈ 45 MB here, and data inline in every LLC way
+// ≈ 23 MB.
 func TestHierarchyFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(llcLine{}); got != 40 {
-		t.Errorf("llcLine is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(llcLine{}); got != 24 {
+		t.Errorf("llcLine is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(line{}); got != 88 {
-		t.Errorf("line is %d bytes, want 88", got)
+	if got := unsafe.Sizeof(line{}); got != 66 {
+		t.Errorf("line is %d bytes, want 66", got)
 	}
 	prof := sim.DefaultHost()
-	llcBytes := int64(prof.LLC.SizeBytes/LineSize) * int64(unsafe.Sizeof(llcLine{}))
-	coreBytes := int64((prof.L1.SizeBytes+prof.L2.SizeBytes)/LineSize) * int64(unsafe.Sizeof(line{}))
+	const tagWord, lruStamp = 8, 8
+	llcBytes := int64(prof.LLC.SizeBytes/LineSize) * int64(unsafe.Sizeof(llcLine{})+tagWord)
+	coreBytes := int64((prof.L1.SizeBytes+prof.L2.SizeBytes)/LineSize) * int64(unsafe.Sizeof(line{})+tagWord+lruStamp)
 	const (
 		stores    = 10000
 		chunk     = 1 << maxSlabShift * LineSize
@@ -85,13 +88,13 @@ func TestLLCDataFollowsOccupancy(t *testing.T) {
 	tagsSeen := make(map[int]map[uint64]bool)
 	observe := func(step string) {
 		t.Helper()
-		for w := range h.llc {
-			if ll := &h.llc[w]; ll.valid {
+		for w, tag := range h.llcTags {
+			if tag != 0 {
 				everFilled[w] = true
 				if tagsSeen[w] == nil {
 					tagsSeen[w] = make(map[uint64]bool)
 				}
-				tagsSeen[w][ll.tag] = true
+				tagsSeen[w][tag] = true
 			}
 		}
 		if int(h.slots) != len(everFilled) {

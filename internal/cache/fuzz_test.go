@@ -8,8 +8,9 @@ import (
 
 // FuzzHierarchyOps reads the fuzz input as an op tape of 4-byte steps (op,
 // core, address high, address low) over sim.SmallHost's four cores and
-// checks it like TestRandomOpsMatchModel: every load against a byte model,
-// the invariants at the end, and the home against the model after FlushAll.
+// checks it like TestRandomOpsMatchModel: every load, byte range or word,
+// against a byte model, the invariants at the end, and the home against the
+// model after FlushAll.
 // A core whose first step comes after others have filled the LLC runs its
 // private levels' first fill there.
 func FuzzHierarchyOps(f *testing.F) {
@@ -34,17 +35,22 @@ func FuzzHierarchyOps(f *testing.F) {
 		for i := 0; i+3 < len(tape); i += 4 {
 			op, c := tape[i], h.Core(int(tape[i+1])%h.NumCores())
 			addr := (uint64(tape[i+2])<<8 | uint64(tape[i+3])) % (space - 16)
-			n := 1 + int(op>>4) // 1..16 bytes
+			n := 1 + int(op>>4)        // 1..16 bytes
+			word := 4 << (op >> 4 & 1) // 4 or 8 bytes
 			var err error
 			switch op % 5 {
-			case 0, 1:
+			case 0:
 				data := make([]byte, n)
 				for k := range data {
 					data[k] = byte(i + k + 1)
 				}
 				m.store(c, addr, data)
-			case 2, 3:
+			case 1:
+				m.storeWord(c, addr, word, uint64(i+1)*0x0101010101010101)
+			case 2:
 				err = m.load(c, addr, n)
+			case 3:
+				err = m.loadWord(c, addr, word)
 			case 4:
 				op := coherence.SnpData
 				if n%2 == 0 {

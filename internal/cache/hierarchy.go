@@ -16,20 +16,19 @@ import (
 // the home). The host↔home state is what a CXL.cache home agent — the PAX
 // device for vPM ranges — observes.
 //
-// The record packs into 40 bytes (the default 22 MiB LLC is 360 448 of
-// them) and holds no data: the line's bytes live in the hierarchy's slab at
-// slot, which the way claims at its first fill and keeps. owner and slot fit
-// an int32 because NewHierarchy caps the core count at 64 and the slab never
-// grows past the LLC's line count.
+// The record packs into 24 bytes (the default 22 MiB LLC is 360 448 of
+// them, beside as many 8-byte tag words in llcTags) and holds no data: the
+// line's bytes live in the hierarchy's slab at slot, which the way claims at
+// its first fill and keeps. owner fits an int8 because NewHierarchy caps the
+// core count at 64, and slot an int32 because the slab never grows past the
+// LLC's line count.
 type llcLine struct {
-	tag      uint64
 	sharers  uint64 // bitmask of cores holding Shared copies
 	lastUse  uint64
-	owner    int32 // core holding an E/M copy, -1 if none
 	slot     int32 // 1-based slab slot of the line's data, 0 if never filled
-	valid    bool
-	dirty    bool // host copy newer than home's
-	hostExcl bool // host holds exclusive ownership w.r.t. the home
+	owner    int8  // core holding an E/M copy, -1 if none
+	dirty    bool  // host copy newer than home's
+	hostExcl bool  // host holds exclusive ownership w.r.t. the home
 }
 
 // maxSlabShift sizes a slab chunk: 1<<12 lines (256 KiB), or the LLC's line
@@ -53,6 +52,7 @@ type Hierarchy struct {
 	cores []*Core
 
 	llc     []llcLine // sets × llcWays, set-major
+	llcTags []uint64  // each way's line address | validTag, or 0
 	llcWays int
 	llcMask uint64
 	llcUse  uint64
@@ -93,6 +93,7 @@ func NewHierarchy(prof sim.HostProfile) *Hierarchy {
 	h := &Hierarchy{
 		prof:      prof,
 		llc:       make([]llcLine, lines),
+		llcTags:   make([]uint64, lines),
 		llcWays:   prof.LLC.Ways,
 		llcMask:   uint64(numSets - 1),
 		slabShift: uint(min(maxSlabShift, bits.Len(uint(lines))-1)),
@@ -138,18 +139,22 @@ func (h *Hierarchy) home(addr uint64) coherence.Home {
 	panic(fmt.Sprintf("cache: address %#x is not mapped to any home", addr))
 }
 
-// llcSet returns the LLC ways addr maps to.
-func (h *Hierarchy) llcSet(addr uint64) []llcLine {
-	i := int((addr/LineSize)&h.llcMask) * h.llcWays
-	return h.llc[i : i+h.llcWays]
+// llcSetBase returns the index of the first LLC way addr maps to.
+func (h *Hierarchy) llcSetBase(addr uint64) int { return int((addr/LineSize)&h.llcMask) * h.llcWays }
+
+// llcFind returns the LLC way holding addr, or -1.
+func (h *Hierarchy) llcFind(addr uint64) int {
+	base := h.llcSetBase(addr)
+	if i := tagWay(h.llcTags[base:base+h.llcWays], addr|validTag); i >= 0 {
+		return base + i
+	}
+	return -1
 }
 
+// llcLookup returns the LLC record of addr, or nil.
 func (h *Hierarchy) llcLookup(addr uint64) *llcLine {
-	set := h.llcSet(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			return &set[i]
-		}
+	if w := h.llcFind(addr); w >= 0 {
+		return &h.llc[w]
 	}
 	return nil
 }
@@ -180,15 +185,17 @@ func (h *Hierarchy) claimSlot(ll *llcLine) {
 	ll.slot = h.slots
 }
 
-func (h *Hierarchy) llcVictim(addr uint64) *llcLine {
-	set := h.llcSet(addr)
-	var lru *llcLine
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if lru == nil || set[i].lastUse < lru.lastUse {
-			lru = &set[i]
+// llcVictim returns the way a new line for addr should occupy: an invalid
+// way if one exists, else the LRU way.
+func (h *Hierarchy) llcVictim(addr uint64) int {
+	base := h.llcSetBase(addr)
+	if i := tagWay(h.llcTags[base:base+h.llcWays], 0); i >= 0 {
+		return base + i
+	}
+	lru := base
+	for w := base + 1; w < base+h.llcWays; w++ {
+		if h.llc[w].lastUse < h.llc[lru].lastUse {
+			lru = w
 		}
 	}
 	return lru
@@ -200,18 +207,20 @@ func (h *Hierarchy) llcVictim(addr uint64) *llcLine {
 func (h *Hierarchy) probeOut(c *Core, la uint64, inval bool) (data [LineSize]byte, dirty, present bool) {
 	// L1 holds the authoritative copy when present (it is filled from L2 and
 	// only ever gets newer).
-	if ln := c.l1.lookup(la); ln != nil {
+	if i := c.l1.find(la); i >= 0 {
+		ln := &c.l1.lines[i]
 		present = true
 		data = ln.data
 		dirty = ln.dirty
 		if inval {
-			ln.valid = false
+			c.l1.tags[i] = 0
 		} else {
 			ln.state = coherence.Shared
 			ln.dirty = false
 		}
 	}
-	if ln := c.l2.lookup(la); ln != nil {
+	if i := c.l2.find(la); i >= 0 {
+		ln := &c.l2.lines[i]
 		if present {
 			// L1 held the newest copy and was just cleaned; sync it down so
 			// the L2 copy cannot later resurface stale data.
@@ -222,7 +231,7 @@ func (h *Hierarchy) probeOut(c *Core, la uint64, inval bool) (data [LineSize]byt
 		dirty = dirty || ln.dirty
 		present = true
 		if inval {
-			ln.valid = false
+			c.l2.tags[i] = 0
 		} else {
 			ln.state = coherence.Shared
 			ln.dirty = false
@@ -231,12 +240,12 @@ func (h *Hierarchy) probeOut(c *Core, la uint64, inval bool) (data [LineSize]byt
 	return data, dirty, present
 }
 
-// recallOwner pulls the newest copy from the directory owner, merging it into
-// the LLC line, and downgrades (inval=false) or invalidates (inval=true) the
-// owner's copies.
-func (h *Hierarchy) recallOwner(ll *llcLine, inval bool, at sim.Time) sim.Time {
+// recallOwner pulls the newest copy of la from the directory owner, merging
+// it into the LLC line ll, and downgrades (inval=false) or invalidates
+// (inval=true) the owner's copies.
+func (h *Hierarchy) recallOwner(la uint64, ll *llcLine, inval bool, at sim.Time) sim.Time {
 	o := h.cores[ll.owner]
-	data, dirty, present := h.probeOut(o, ll.tag, inval)
+	data, dirty, present := h.probeOut(o, la, inval)
 	if present {
 		if dirty {
 			*h.lineData(ll) = data
@@ -251,52 +260,48 @@ func (h *Hierarchy) recallOwner(ll *llcLine, inval bool, at sim.Time) sim.Time {
 	return at + h.prof.LLC.Latency
 }
 
-// invalidateSharers drops every Shared copy except the one at core `keep`
-// (pass -1 to drop all).
-func (h *Hierarchy) invalidateSharers(ll *llcLine, keep int) {
-	for id := 0; ll.sharers != 0 && id < len(h.cores); id++ {
-		bit := uint64(1) << uint(id)
-		if ll.sharers&bit == 0 || id == keep {
-			continue
-		}
-		h.probeOut(h.cores[id], ll.tag, true)
-		ll.sharers &^= bit
-	}
+// invalidateSharers drops every Shared copy of la, whose LLC line is ll,
+// except the one at core `keep` (pass -1 to drop all).
+func (h *Hierarchy) invalidateSharers(la uint64, ll *llcLine, keep int) {
+	others := ll.sharers
 	if keep >= 0 {
-		ll.sharers &= 1 << uint(keep)
-	} else {
-		ll.sharers = 0
+		others &^= 1 << uint(keep)
 	}
+	for o := others; o != 0; o &= o - 1 {
+		h.probeOut(h.cores[bits.TrailingZeros64(o)], la, true)
+	}
+	ll.sharers &^= others
 }
 
-// hostUpgrade acquires host-exclusive ownership of ll from its home, if the
-// host does not already hold it. This is the interposition point: for vPM
-// ranges the home is the PAX device, which undo-logs the line before
-// acknowledging.
-func (h *Hierarchy) hostUpgrade(ll *llcLine, at sim.Time) sim.Time {
+// hostUpgrade acquires host-exclusive ownership of la, whose LLC line is ll,
+// from its home, if the host does not already hold it. This is the
+// interposition point: for vPM ranges the home is the PAX device, which
+// undo-logs the line before acknowledging.
+func (h *Hierarchy) hostUpgrade(la uint64, ll *llcLine, at sim.Time) sim.Time {
 	if ll.hostExcl {
 		return at
 	}
 	h.Upgrades.Inc()
-	at = h.home(ll.tag).UpgradeLine(ll.tag, at)
+	at = h.home(la).UpgradeLine(la, at)
 	ll.hostExcl = true
 	return at
 }
 
-// llcEvict removes ll from the LLC: back-invalidates private copies, then
-// writes the line back to its home if dirty. The returned time covers the
-// back-invalidation; the write-back itself proceeds asynchronously (the
-// home's internal queues account for its bandwidth).
-func (h *Hierarchy) llcEvict(ll *llcLine, at sim.Time) sim.Time {
+// llcEvict removes the line in LLC way w from the LLC: back-invalidates
+// private copies, then writes the line back to its home if dirty. The
+// returned time covers the back-invalidation; the write-back itself proceeds
+// asynchronously (the home's internal queues account for its bandwidth).
+func (h *Hierarchy) llcEvict(w int, at sim.Time) sim.Time {
+	la, ll := h.llcTags[w]&^validTag, &h.llc[w]
 	if ll.owner >= 0 {
-		at = h.recallOwner(ll, true, at)
+		at = h.recallOwner(la, ll, true, at)
 	}
-	h.invalidateSharers(ll, -1)
+	h.invalidateSharers(la, ll, -1)
 	if ll.dirty {
 		h.WriteBacks.Inc()
-		h.home(ll.tag).WriteBackLine(ll.tag, h.lineData(ll)[:], at)
+		h.home(la).WriteBackLine(la, h.lineData(ll)[:], at)
 	}
-	ll.valid = false
+	h.llcTags[w] = 0
 	return at
 }
 
@@ -319,46 +324,49 @@ func (h *Hierarchy) privateEvict(c *Core, la uint64, data *[LineSize]byte, dirty
 
 // fill serves an L2 miss for core c: from the LLC if present (recalling or
 // invalidating other cores' copies as needed), else from the home. It returns
-// the line data, the MESI state granted to the core, and the completion time.
-func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) ([LineSize]byte, coherence.State, sim.Time) {
+// the line's data in the LLC, the MESI state granted to the core, and the
+// completion time. The data stays put until the LLC line is next written,
+// so the caller may copy it into the private levels after evicting their
+// victims, whose data merges into other LLC lines.
+func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) (*[LineSize]byte, coherence.State, sim.Time) {
 	at += h.prof.LLC.Latency
 	if ll := h.llcLookup(la); ll != nil {
 		h.LLCRatio.Hits.Inc()
 		h.llcTouch(ll)
 		if ll.owner >= 0 && int(ll.owner) != c.id {
-			at = h.recallOwner(ll, write, at)
+			at = h.recallOwner(la, ll, write, at)
 		}
 		if write {
-			h.invalidateSharers(ll, c.id)
-			at = h.hostUpgrade(ll, at)
-			ll.owner = int32(c.id)
+			h.invalidateSharers(la, ll, c.id)
+			at = h.hostUpgrade(la, ll, at)
+			ll.owner = int8(c.id)
 			ll.sharers = 0
-			return *h.lineData(ll), coherence.Modified, at
+			return h.lineData(ll), coherence.Modified, at
 		}
 		// Read: grant Exclusive when this core is the only holder and the
 		// host already owns the line; otherwise Shared.
 		if ll.hostExcl && ll.sharers == 0 && ll.owner < 0 {
-			ll.owner = int32(c.id)
-			return *h.lineData(ll), coherence.Exclusive, at
+			ll.owner = int8(c.id)
+			return h.lineData(ll), coherence.Exclusive, at
 		}
 		ll.owner = -1
 		ll.sharers |= 1 << uint(c.id)
-		return *h.lineData(ll), coherence.Shared, at
+		return h.lineData(ll), coherence.Shared, at
 	}
 
 	// LLC miss: evict a victim, fetch from the home.
 	h.LLCRatio.Misses.Inc()
 	h.HomeFills.Inc()
-	victim := h.llcVictim(la)
-	if victim.valid {
-		at = h.llcEvict(victim, at)
+	w := h.llcVictim(la)
+	if h.llcTags[w] != 0 {
+		at = h.llcEvict(w, at)
 	}
+	victim := &h.llc[w]
 	buf := h.lineData(victim)
 	res := h.home(la).FetchLine(la, write, buf[:], at)
 	at = res.Done
 
-	victim.valid = true
-	victim.tag = la
+	h.llcTags[w] = la | validTag
 	victim.dirty = false
 	victim.sharers = 0
 	victim.owner = -1
@@ -367,18 +375,18 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) ([LineSize
 	if write {
 		// An exclusive fetch (RdOwn) always grants ownership.
 		victim.hostExcl = true
-		victim.owner = int32(c.id)
-		return *buf, coherence.Modified, at
+		victim.owner = int8(c.id)
+		return buf, coherence.Modified, at
 	}
 	switch res.State {
 	case coherence.Exclusive:
 		victim.hostExcl = true
-		victim.owner = int32(c.id)
-		return *buf, coherence.Exclusive, at
+		victim.owner = int8(c.id)
+		return buf, coherence.Exclusive, at
 	case coherence.Shared:
 		victim.hostExcl = false
 		victim.sharers = 1 << uint(c.id)
-		return *buf, coherence.Shared, at
+		return buf, coherence.Shared, at
 	default:
 		panic(fmt.Sprintf("cache: home granted invalid fill state %v", res.State))
 	}
@@ -392,12 +400,13 @@ func (h *Hierarchy) SnoopLine(la uint64, op coherence.SnoopOp, at sim.Time) cohe
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	at += h.prof.LLC.Latency
-	ll := h.llcLookup(la)
-	if ll == nil {
+	w := h.llcFind(la)
+	if w < 0 {
 		return coherence.SnoopResult{Present: false, Done: at}
 	}
+	ll := &h.llc[w]
 	if ll.owner >= 0 {
-		at = h.recallOwner(ll, op == coherence.SnpInv, at)
+		at = h.recallOwner(la, ll, op == coherence.SnpInv, at)
 	}
 	res := coherence.SnoopResult{Present: true, Dirty: ll.dirty, Data: *h.lineData(ll), Done: at}
 	switch op {
@@ -405,8 +414,8 @@ func (h *Hierarchy) SnoopLine(la uint64, op coherence.SnoopOp, at sim.Time) cohe
 		ll.dirty = false // the device now holds the newest value
 		ll.hostExcl = false
 	case coherence.SnpInv:
-		h.invalidateSharers(ll, -1)
-		ll.valid = false
+		h.invalidateSharers(la, ll, -1)
+		h.llcTags[w] = 0
 	}
 	return res
 }
@@ -439,17 +448,17 @@ func (h *Hierarchy) ResetStats() {
 func (h *Hierarchy) FlushAll(at sim.Time) sim.Time {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.llc {
-		ll := &h.llc[i]
-		if !ll.valid {
+	for w, t := range h.llcTags {
+		if t == 0 {
 			continue
 		}
+		la, ll := t&^validTag, &h.llc[w]
 		if ll.owner >= 0 {
-			at = h.recallOwner(ll, false, at)
+			at = h.recallOwner(la, ll, false, at)
 		}
 		if ll.dirty {
 			h.WriteBacks.Inc()
-			at = h.home(ll.tag).WriteBackLine(ll.tag, h.lineData(ll)[:], at)
+			at = h.home(la).WriteBackLine(la, h.lineData(ll)[:], at)
 			ll.dirty = false
 		}
 		ll.hostExcl = false

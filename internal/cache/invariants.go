@@ -35,18 +35,18 @@ func (h *Hierarchy) CheckInvariants() error {
 	perCore := make([]map[uint64]presence, len(h.cores))
 	for i, c := range h.cores {
 		m := make(map[uint64]presence)
-		c.l2.forEachValid(func(ln *line) {
-			m[ln.tag] = presence{state: ln.state, dirty: ln.dirty}
+		c.l2.forEachValid(func(tag uint64, ln *line) {
+			m[tag] = presence{state: ln.state, dirty: ln.dirty}
 		})
 		var err error
-		c.l1.forEachValid(func(ln *line) {
-			p, ok := m[ln.tag]
+		c.l1.forEachValid(func(tag uint64, ln *line) {
+			p, ok := m[tag]
 			if !ok {
-				err = fmt.Errorf("core %d: line %#x in L1 but not L2", i, ln.tag)
+				err = fmt.Errorf("core %d: line %#x in L1 but not L2", i, tag)
 				return
 			}
 			// L1 is authoritative for state; dirtiness accumulates.
-			m[ln.tag] = presence{state: ln.state, dirty: ln.dirty || p.dirty}
+			m[tag] = presence{state: ln.state, dirty: ln.dirty || p.dirty}
 		})
 		if err != nil {
 			return err
@@ -90,20 +90,29 @@ func (h *Hierarchy) CheckInvariants() error {
 
 	// Walk the LLC and check the directory against gathered presence.
 	llcTags := make(map[uint64]*llcLine)
-	for w := range h.llc {
-		ll := &h.llc[w]
-		if !ll.valid {
+	for w, t := range h.llcTags {
+		if t == 0 {
 			continue
 		}
-		if ll.slot == 0 {
-			return fmt.Errorf("line %#x: valid in the LLC without a slab slot", ll.tag)
+		if (t&^validTag)%LineSize != 0 {
+			return fmt.Errorf("LLC way %d: tag word %#x is not a line address", w, t)
 		}
-		llcTags[ll.tag] = ll
+		tag, ll := t&^validTag, &h.llc[w]
+		if h.llcSetBase(tag) != w/h.llcWays*h.llcWays {
+			return fmt.Errorf("LLC way %d: line %#x outside its set", w, tag)
+		}
+		if h.llcFind(tag) != w {
+			return fmt.Errorf("line %#x: held by LLC way %d and an earlier way of its set", tag, w)
+		}
+		if ll.slot == 0 {
+			return fmt.Errorf("line %#x: valid in the LLC without a slab slot", tag)
+		}
+		llcTags[tag] = ll
 
 		var exclHolders, shareHolders []int
 		anyDirty := ll.dirty
 		for i := range h.cores {
-			p, ok := perCore[i][ll.tag]
+			p, ok := perCore[i][tag]
 			if !ok {
 				continue
 			}
@@ -116,32 +125,32 @@ func (h *Hierarchy) CheckInvariants() error {
 			}
 		}
 		if len(exclHolders) > 1 {
-			return fmt.Errorf("line %#x: multiple exclusive holders %v", ll.tag, exclHolders)
+			return fmt.Errorf("line %#x: multiple exclusive holders %v", tag, exclHolders)
 		}
 		if len(exclHolders) == 1 {
 			if len(shareHolders) > 0 {
-				return fmt.Errorf("line %#x: exclusive at core %d with sharers %v", ll.tag, exclHolders[0], shareHolders)
+				return fmt.Errorf("line %#x: exclusive at core %d with sharers %v", tag, exclHolders[0], shareHolders)
 			}
 			if int(ll.owner) != exclHolders[0] {
-				return fmt.Errorf("line %#x: directory owner %d but core %d holds E/M", ll.tag, ll.owner, exclHolders[0])
+				return fmt.Errorf("line %#x: directory owner %d but core %d holds E/M", tag, ll.owner, exclHolders[0])
 			}
 		} else if ll.owner >= 0 {
-			if _, ok := perCore[ll.owner][ll.tag]; !ok {
-				return fmt.Errorf("line %#x: directory owner %d holds nothing", ll.tag, ll.owner)
+			if _, ok := perCore[ll.owner][tag]; !ok {
+				return fmt.Errorf("line %#x: directory owner %d holds nothing", tag, ll.owner)
 			}
 		}
 		for _, i := range shareHolders {
 			if ll.sharers&(1<<uint(i)) == 0 && int(ll.owner) != i {
-				return fmt.Errorf("line %#x: core %d holds S copy unknown to directory", ll.tag, i)
+				return fmt.Errorf("line %#x: core %d holds S copy unknown to directory", tag, i)
 			}
 		}
 		if anyDirty && !ll.hostExcl {
-			return fmt.Errorf("line %#x: dirty on host but not host-exclusive", ll.tag)
+			return fmt.Errorf("line %#x: dirty on host but not host-exclusive", tag)
 		}
 		if len(exclHolders) == 1 && !ll.hostExcl {
-			st := perCore[exclHolders[0]][ll.tag].state
+			st := perCore[exclHolders[0]][tag].state
 			if st == coherence.Modified {
-				return fmt.Errorf("line %#x: Modified at core %d but not host-exclusive", ll.tag, exclHolders[0])
+				return fmt.Errorf("line %#x: Modified at core %d but not host-exclusive", tag, exclHolders[0])
 			}
 		}
 	}

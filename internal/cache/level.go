@@ -3,14 +3,20 @@
 // directory, kept coherent with MESI and connected to per-range homes (memory
 // controllers or the PAX device).
 //
-// Every level is one flat sets × ways array of line records. A private
-// record carries its line's data; an LLC record carries only the tag, the
-// directory and the home state, and its data lives in a slab of fixed-size
-// chunks filled in order, a slot per way claimed at the way's first fill. The
-// LLC's records are allocated with the hierarchy; a core's private levels are
-// allocated at their first fill, so a hierarchy pays line data only for the
-// LLC ways it has filled and the cores that have run (a served pool drives
-// core 0 alone).
+// Every level is one flat sets × ways array of line records, beside a dense
+// array of the ways' tags: a line address with the valid bit folded into its
+// low bit, so a probe reads one or two host cache lines of tags instead of
+// the set's records. A private record carries its line's state and data, and
+// a private level keeps its LRU stamps dense as well, for the victim scan. An
+// LLC record carries the directory and the home state, and its data lives in
+// a slab of fixed-size chunks filled in order, a slot per way claimed at the
+// way's first fill. The LLC's records are allocated with the hierarchy; a
+// core's private levels are allocated at their first fill, so a hierarchy
+// pays line data only for the LLC ways it has filled and the cores that have
+// run (a served pool drives core 0 alone).
+//
+// Cores implement memory.Memory, word accessors included: a word within one
+// line is one access to that line, decoded in place.
 //
 // The hierarchy is the functional memory path, not just a timing model: lines
 // hold real data, stores land in caches and reach the home only on eviction,
@@ -30,22 +36,36 @@ import (
 // LineSize is the cache line size in bytes.
 const LineSize = coherence.LineSize
 
-// line is one private-cache line. The record packs into 88 bytes (a core's
-// L1 + L2 is 16 896 of them), with everything a probe reads before the data.
+// line is one private-cache line record: 66 bytes (a core's L1 + L2 is
+// 16 896 of them). Its tag and LRU stamp are in the level's tags and uses.
 type line struct {
-	tag     uint64 // line-aligned base address
-	lastUse uint64
-	valid   bool
-	state   coherence.State
-	dirty   bool
-	data    [LineSize]byte
+	state coherence.State
+	dirty bool
+	data  [LineSize]byte
 }
 
-// level is one set-associative private cache level (L1 or L2). Its lines are
-// one sets × ways array, allocated at the level's first fill: a core that
-// never runs costs no line storage, and until then every probe misses.
+// validTag marks a way's tag word as holding a line. Line addresses are
+// line-aligned, so the bit is free, and an invalid way's tag word is 0.
+const validTag = 1
+
+// tagWay returns the index of the way whose tag word is want among tags, or -1.
+func tagWay(tags []uint64, want uint64) int {
+	for i, t := range tags {
+		if t == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// level is one set-associative private cache level (L1 or L2). Its ways are
+// three parallel sets × ways arrays (tag words, LRU stamps, line records),
+// allocated at the level's first fill: a core that never runs costs no line
+// storage, and until then every probe misses.
 type level struct {
-	lines   []line // nil until the first victim call
+	tags    []uint64 // line address | validTag, or 0; nil until the first victim call
+	uses    []uint64 // LRU stamps
+	lines   []line
 	ways    int
 	setMask uint64
 	latency sim.Time
@@ -71,85 +91,79 @@ func newLevel(name string, geom sim.CacheGeometry) *level {
 	}
 }
 
-// set returns the ways addr maps to, or nil while the level is unallocated.
-func (l *level) set(addr uint64) []line {
-	if l.lines == nil {
-		return nil
+// setBase returns the index of the first way addr maps to.
+func (l *level) setBase(addr uint64) int { return int((addr/LineSize)&l.setMask) * l.ways }
+
+// find returns the way holding addr, or -1 (always, while unallocated).
+func (l *level) find(addr uint64) int {
+	if l.tags == nil {
+		return -1
 	}
-	i := int((addr/LineSize)&l.setMask) * l.ways
-	return l.lines[i : i+l.ways]
+	base := l.setBase(addr)
+	if i := tagWay(l.tags[base:base+l.ways], addr|validTag); i >= 0 {
+		return base + i
+	}
+	return -1
 }
 
 // lookup returns the line holding addr, or nil.
 func (l *level) lookup(addr uint64) *line {
-	set := l.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			return &set[i]
-		}
+	if i := l.find(addr); i >= 0 {
+		return &l.lines[i]
 	}
 	return nil
 }
 
-// touch refreshes LRU position for ln.
-func (l *level) touch(ln *line) {
+// tag returns the line address held by way i, which must be valid.
+func (l *level) tag(i int) uint64 { return l.tags[i] &^ validTag }
+
+// touch refreshes the LRU position of way i.
+func (l *level) touch(i int) {
 	l.useCtr++
-	ln.lastUse = l.useCtr
+	l.uses[i] = l.useCtr
 }
 
-// victim returns the slot a new line for addr should occupy: an invalid way
-// if one exists, else the LRU way. The caller must handle eviction of the
-// returned line if it is valid.
-func (l *level) victim(addr uint64) *line {
-	if l.lines == nil {
-		l.lines = make([]line, int(l.setMask+1)*l.ways)
+// victim returns the way a new line for addr should occupy: an invalid way
+// if one exists, else the LRU way. The caller must evict the way's line if
+// its tag word is non-zero.
+func (l *level) victim(addr uint64) int {
+	if l.tags == nil {
+		n := int(l.setMask+1) * l.ways
+		l.tags = make([]uint64, n)
+		l.uses = make([]uint64, n)
+		l.lines = make([]line, n)
 	}
-	set := l.set(addr)
-	var lru *line
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+	base := l.setBase(addr)
+	if i := tagWay(l.tags[base:base+l.ways], 0); i >= 0 {
+		return base + i
+	}
+	uses := l.uses[base : base+l.ways]
+	lru := 0
+	for i := 1; i < len(uses); i++ {
+		if uses[i] < uses[lru] {
+			lru = i
 		}
-		if lru == nil || set[i].lastUse < lru.lastUse {
-			lru = &set[i]
-		}
 	}
-	return lru
+	return base + lru
 }
 
-// insert places a line into the level; the slot must already be free (the
-// caller evicted any victim).
-func (l *level) insert(slot *line, addr uint64, state coherence.State, dirty bool, data *[LineSize]byte) {
-	slot.valid = true
-	slot.tag = addr
-	slot.state = state
-	slot.dirty = dirty
-	slot.data = *data
-	l.touch(slot)
-}
-
-// invalidate removes addr from the level, returning its data and dirtiness
-// if it was present and dirty.
-func (l *level) invalidate(addr uint64) (data [LineSize]byte, dirty, present bool) {
-	if ln := l.lookup(addr); ln != nil {
-		ln.valid = false
-		return ln.data, ln.dirty, true
-	}
-	return data, false, false
+// insert places a line into way i; the way must already be free (the caller
+// evicted any victim).
+func (l *level) insert(i int, addr uint64, state coherence.State, dirty bool, data *[LineSize]byte) *line {
+	l.tags[i] = addr | validTag
+	ln := &l.lines[i]
+	ln.state = state
+	ln.dirty = dirty
+	ln.data = *data
+	l.touch(i)
+	return ln
 }
 
 // forEachValid calls fn for every valid line in the level.
-func (l *level) forEachValid(fn func(*line)) {
-	for i := range l.lines {
-		if l.lines[i].valid {
-			fn(&l.lines[i])
+func (l *level) forEachValid(fn func(tag uint64, ln *line)) {
+	for i, t := range l.tags {
+		if t != 0 {
+			fn(t&^validTag, &l.lines[i])
 		}
 	}
-}
-
-// count reports the number of valid lines.
-func (l *level) count() int {
-	n := 0
-	l.forEachValid(func(*line) { n++ })
-	return n
 }

@@ -147,6 +147,16 @@ func (m *Memory) Store(off uint64, data []byte) sim.Time {
 	return done
 }
 
+// LoadU64, StoreU64, LoadU32 and StoreU32 implement memory.Memory as Load
+// and Store of the word's bytes.
+func (m *Memory) LoadU64(addr uint64) uint64 { return memory.LoadU64(m, addr) }
+
+func (m *Memory) StoreU64(addr, v uint64) { memory.StoreU64(m, addr, v) }
+
+func (m *Memory) LoadU32(addr uint64) uint32 { return memory.LoadU32(m, addr) }
+
+func (m *Memory) StoreU32(addr uint64, v uint32) { memory.StoreU32(m, addr, v) }
+
 // ResetProtections reverts every page to the direct (read-only) mapping —
 // the per-epoch re-protection step of the paging model. It must only be
 // called at a persist() boundary: after persist, all host copies are clean

@@ -311,14 +311,16 @@ func (d *Device) Write(addr uint64, data []byte, at sim.Time) sim.Time {
 	hook := d.writeHook
 	d.mu.Unlock()
 	if hook != nil {
-		hook(addr, data)
+		// A copy, not data itself: handing the caller's slice to a func
+		// value would move every buffer ever written to the heap.
+		hook(addr, bytes.Clone(data))
 	}
 	return done + d.cfg.WriteLatency
 }
 
 // SetWriteHook installs fn to observe every media write, in order. The hook
-// runs outside the device lock and receives the caller's data slice; it must
-// copy what it keeps and must not issue device writes (reads are fine).
+// runs outside the device lock and receives a copy of the written bytes,
+// which it may keep; it must not issue device writes (reads are fine).
 // Crash-exploration tests use it to reconstruct every possible post-crash
 // media image.
 func (d *Device) SetWriteHook(fn func(addr uint64, data []byte)) {

@@ -309,3 +309,16 @@ func TestDeviceMatchesByteArray(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteAllocatesNothing pins a media write with no write hook at zero
+// allocations: the caller's buffer stays the caller's, on its stack.
+func TestWriteAllocatesNothing(t *testing.T) {
+	d := New(DefaultConfig(1 << 16))
+	var line [64]byte
+	if avg := testing.AllocsPerRun(100, func() {
+		line[0]++
+		d.Write(128, line[:], 0)
+	}); avg != 0 {
+		t.Fatalf("Write allocates %v times", avg)
+	}
+}

@@ -321,7 +321,8 @@ func newEngine(pool *pax.Pool, slot int, cfg Config, shard int, events *eventHub
 	}
 	e.rec = newFlightRecorder(DefaultTraceDepth, DefaultSlowDepth, e.cfg.SlowCommit)
 	kv.ForEach(func(key, value []byte) bool {
-		// ForEach hands out fresh copies, so the index can keep them.
+		// value is a fresh copy the index keeps; key is ForEach's reused
+		// buffer, so the string conversion is the key's one copy.
 		s := e.idx.stripe(key)
 		s.m[string(key)] = value
 		return true

@@ -51,8 +51,8 @@ func NewBTree(alloc memory.Allocator) (*BTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.io.storeU64(head+0, root)
-	t.io.storeU64(head+8, 0)
+	t.io.StoreU64(head+0, root)
+	t.io.StoreU64(head+8, 0)
 	return t, nil
 }
 
@@ -70,7 +70,7 @@ func (t *BTree) WithMem(m memory.Memory) *BTree {
 }
 
 // Len reports the number of entries.
-func (t *BTree) Len() uint64 { return t.io.loadU64(t.head + 8) }
+func (t *BTree) Len() uint64 { return t.io.LoadU64(t.head + 8) }
 
 func (t *BTree) newNode(leaf bool) (uint64, error) {
 	n, err := t.alloc.Alloc(btNodeSize)
@@ -81,25 +81,25 @@ func (t *BTree) newNode(leaf bool) (uint64, error) {
 	if leaf {
 		meta = 1
 	}
-	t.io.storeU32(n+btOffMeta, meta)
-	t.io.storeU32(n+btOffMeta+4, 0)
-	t.io.storeU64(n+btOffNext, 0)
+	t.io.StoreU32(n+btOffMeta, meta)
+	t.io.StoreU32(n+btOffMeta+4, 0)
+	t.io.StoreU64(n+btOffNext, 0)
 	return n, nil
 }
 
-func (t *BTree) isLeaf(n uint64) bool { return t.io.loadU32(n+btOffMeta) == 1 }
-func (t *BTree) count(n uint64) int   { return int(t.io.loadU32(n + btOffMeta + 4)) }
+func (t *BTree) isLeaf(n uint64) bool { return t.io.LoadU32(n+btOffMeta) == 1 }
+func (t *BTree) count(n uint64) int   { return int(t.io.LoadU32(n + btOffMeta + 4)) }
 func (t *BTree) setCount(n uint64, c int) {
-	t.io.storeU32(n+btOffMeta+4, uint32(c))
+	t.io.StoreU32(n+btOffMeta+4, uint32(c))
 }
 
-func (t *BTree) key(n uint64, i int) uint64  { return t.io.loadU64(n + btOffKeys + uint64(i)*8) }
-func (t *BTree) slot(n uint64, i int) uint64 { return t.io.loadU64(n + btOffSlots + uint64(i)*8) }
+func (t *BTree) key(n uint64, i int) uint64  { return t.io.LoadU64(n + btOffKeys + uint64(i)*8) }
+func (t *BTree) slot(n uint64, i int) uint64 { return t.io.LoadU64(n + btOffSlots + uint64(i)*8) }
 func (t *BTree) setKey(n uint64, i int, v uint64) {
-	t.io.storeU64(n+btOffKeys+uint64(i)*8, v)
+	t.io.StoreU64(n+btOffKeys+uint64(i)*8, v)
 }
 func (t *BTree) setSlot(n uint64, i int, v uint64) {
-	t.io.storeU64(n+btOffSlots+uint64(i)*8, v)
+	t.io.StoreU64(n+btOffSlots+uint64(i)*8, v)
 }
 
 // search returns the index of the first key ≥ k within node n.
@@ -117,7 +117,7 @@ func (t *BTree) childIndex(n uint64, k uint64) int {
 
 // Get returns the value for key k.
 func (t *BTree) Get(k uint64) (uint64, bool) {
-	n := t.io.loadU64(t.head)
+	n := t.io.LoadU64(t.head)
 	for !t.isLeaf(n) {
 		n = t.slot(n, t.childIndex(n, k))
 	}
@@ -152,8 +152,8 @@ func (t *BTree) splitChild(p uint64, ci int) error {
 		t.setCount(child, mid)
 		promote = t.key(right, 0)
 		// Link siblings.
-		t.io.storeU64(right+btOffNext, t.io.loadU64(child+btOffNext))
-		t.io.storeU64(child+btOffNext, right)
+		t.io.StoreU64(right+btOffNext, t.io.LoadU64(child+btOffNext))
+		t.io.StoreU64(child+btOffNext, right)
 	} else {
 		// Middle key moves up; keys right of it (and their children) move
 		// right.
@@ -184,7 +184,7 @@ func (t *BTree) splitChild(p uint64, ci int) error {
 
 // Put inserts or replaces key k.
 func (t *BTree) Put(k, v uint64) error {
-	root := t.io.loadU64(t.head)
+	root := t.io.LoadU64(t.head)
 	if t.count(root) == btMaxKeys {
 		newRoot, err := t.newNode(false)
 		if err != nil {
@@ -194,7 +194,7 @@ func (t *BTree) Put(k, v uint64) error {
 		if err := t.splitChild(newRoot, 0); err != nil {
 			return err
 		}
-		t.io.storeU64(t.head, newRoot)
+		t.io.StoreU64(t.head, newRoot)
 		root = newRoot
 	}
 	n := root
@@ -223,13 +223,13 @@ func (t *BTree) Put(k, v uint64) error {
 	t.setKey(n, i, k)
 	t.setSlot(n, i, v)
 	t.setCount(n, c+1)
-	t.io.storeU64(t.head+8, t.Len()+1)
+	t.io.StoreU64(t.head+8, t.Len()+1)
 	return nil
 }
 
 // Delete removes key k from its leaf (no rebalancing), reporting presence.
 func (t *BTree) Delete(k uint64) bool {
-	n := t.io.loadU64(t.head)
+	n := t.io.LoadU64(t.head)
 	for !t.isLeaf(n) {
 		n = t.slot(n, t.childIndex(n, k))
 	}
@@ -243,14 +243,14 @@ func (t *BTree) Delete(k uint64) bool {
 		t.setSlot(n, j, t.slot(n, j+1))
 	}
 	t.setCount(n, c-1)
-	t.io.storeU64(t.head+8, t.Len()-1)
+	t.io.StoreU64(t.head+8, t.Len()-1)
 	return true
 }
 
 // Scan visits entries with key ≥ from in ascending order until fn returns
 // false, walking the leaf chain.
 func (t *BTree) Scan(from uint64, fn func(k, v uint64) bool) {
-	n := t.io.loadU64(t.head)
+	n := t.io.LoadU64(t.head)
 	for !t.isLeaf(n) {
 		n = t.slot(n, t.childIndex(n, from))
 	}
@@ -261,20 +261,20 @@ func (t *BTree) Scan(from uint64, fn func(k, v uint64) bool) {
 				return
 			}
 		}
-		n = t.io.loadU64(n + btOffNext)
+		n = t.io.LoadU64(n + btOffNext)
 		from = 0 // subsequent leaves are visited fully
 	}
 }
 
 // Min returns the smallest key and its value.
 func (t *BTree) Min() (k, v uint64, ok bool) {
-	n := t.io.loadU64(t.head)
+	n := t.io.LoadU64(t.head)
 	for !t.isLeaf(n) {
 		n = t.slot(n, 0)
 	}
 	// Skip underfull-empty leaves left behind by deletes.
 	for n != 0 && t.count(n) == 0 {
-		n = t.io.loadU64(n + btOffNext)
+		n = t.io.LoadU64(n + btOffNext)
 	}
 	if n == 0 {
 		return 0, 0, false
@@ -285,7 +285,7 @@ func (t *BTree) Min() (k, v uint64, ok bool) {
 // CheckInvariants walks the whole tree verifying ordering and structure;
 // property tests call it after mutation bursts.
 func (t *BTree) CheckInvariants() error {
-	root := t.io.loadU64(t.head)
+	root := t.io.LoadU64(t.head)
 	var walk func(n uint64, lo, hi uint64, hasLo, hasHi bool) (uint64, error)
 	walk = func(n uint64, lo, hi uint64, hasLo, hasHi bool) (uint64, error) {
 		c := t.count(n)

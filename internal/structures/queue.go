@@ -31,9 +31,9 @@ func NewQueue(alloc memory.Allocator) (*Queue, error) {
 		return nil, fmt.Errorf("structures: queue header: %w", err)
 	}
 	q := &Queue{io: memIO{alloc.Mem()}, alloc: alloc, head: head}
-	q.io.storeU64(head+0, 0)
-	q.io.storeU64(head+8, 0)
-	q.io.storeU64(head+16, 0)
+	q.io.StoreU64(head+0, 0)
+	q.io.StoreU64(head+8, 0)
+	q.io.StoreU64(head+16, 0)
 	return q, nil
 }
 
@@ -51,7 +51,7 @@ func (q *Queue) WithMem(m memory.Memory) *Queue {
 }
 
 // Len reports the number of queued records.
-func (q *Queue) Len() uint64 { return q.io.loadU64(q.head + 16) }
+func (q *Queue) Len() uint64 { return q.io.LoadU64(q.head + 16) }
 
 // Push appends a record at the tail.
 func (q *Queue) Push(payload []byte) error {
@@ -59,58 +59,58 @@ func (q *Queue) Push(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("structures: queue node: %w", err)
 	}
-	q.io.storeU64(node+0, 0)
-	q.io.storeU32(node+8, uint32(len(payload)))
-	q.io.storeU32(node+12, 0)
+	q.io.StoreU64(node+0, 0)
+	q.io.StoreU32(node+8, uint32(len(payload)))
+	q.io.StoreU32(node+12, 0)
 	q.io.storeBytes(node+qNodeOverhead, payload)
 
-	tail := q.io.loadU64(q.head + 8)
+	tail := q.io.LoadU64(q.head + 8)
 	if tail == 0 {
-		q.io.storeU64(q.head+0, node)
+		q.io.StoreU64(q.head+0, node)
 	} else {
-		q.io.storeU64(tail, node)
+		q.io.StoreU64(tail, node)
 	}
-	q.io.storeU64(q.head+8, node)
-	q.io.storeU64(q.head+16, q.Len()+1)
+	q.io.StoreU64(q.head+8, node)
+	q.io.StoreU64(q.head+16, q.Len()+1)
 	return nil
 }
 
 // Pop removes and returns the head record, or ok=false when empty.
 func (q *Queue) Pop() ([]byte, bool, error) {
-	node := q.io.loadU64(q.head)
+	node := q.io.LoadU64(q.head)
 	if node == 0 {
 		return nil, false, nil
 	}
-	next := q.io.loadU64(node)
-	size := q.io.loadU32(node + 8)
+	next := q.io.LoadU64(node)
+	size := q.io.LoadU32(node + 8)
 	payload := q.io.loadBytes(node+qNodeOverhead, int(size))
 
-	q.io.storeU64(q.head+0, next)
+	q.io.StoreU64(q.head+0, next)
 	if next == 0 {
-		q.io.storeU64(q.head+8, 0)
+		q.io.StoreU64(q.head+8, 0)
 	}
-	q.io.storeU64(q.head+16, q.Len()-1)
+	q.io.StoreU64(q.head+16, q.Len()-1)
 	return payload, true, q.alloc.Free(node, qNodeOverhead+uint64(size))
 }
 
 // Peek returns the head record without removing it.
 func (q *Queue) Peek() ([]byte, bool) {
-	node := q.io.loadU64(q.head)
+	node := q.io.LoadU64(q.head)
 	if node == 0 {
 		return nil, false
 	}
-	size := q.io.loadU32(node + 8)
+	size := q.io.LoadU32(node + 8)
 	return q.io.loadBytes(node+qNodeOverhead, int(size)), true
 }
 
 // ForEach visits records head to tail until fn returns false.
 func (q *Queue) ForEach(fn func(payload []byte) bool) {
-	node := q.io.loadU64(q.head)
+	node := q.io.LoadU64(q.head)
 	for node != 0 {
-		size := q.io.loadU32(node + 8)
+		size := q.io.LoadU32(node + 8)
 		if !fn(q.io.loadBytes(node+qNodeOverhead, int(size))) {
 			return
 		}
-		node = q.io.loadU64(node)
+		node = q.io.LoadU64(node)
 	}
 }

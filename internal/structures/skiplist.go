@@ -57,15 +57,15 @@ func NewSkipList(alloc memory.Allocator) (*SkipList, error) {
 		return nil, fmt.Errorf("structures: skiplist head node: %w", err)
 	}
 	s := &SkipList{io: memIO{alloc.Mem()}, alloc: alloc, head: head}
-	s.io.storeU32(headNode+0, 0)
-	s.io.storeU32(headNode+4, 0)
-	s.io.storeU32(headNode+8, slMaxLevel)
-	s.io.storeU32(headNode+12, 0)
+	s.io.StoreU32(headNode+0, 0)
+	s.io.StoreU32(headNode+4, 0)
+	s.io.StoreU32(headNode+8, slMaxLevel)
+	s.io.StoreU32(headNode+12, 0)
 	for i := 0; i < slMaxLevel; i++ {
-		s.io.storeU64(headNode+slNodeFixed+uint64(i)*8, 0)
+		s.io.StoreU64(headNode+slNodeFixed+uint64(i)*8, 0)
 	}
-	s.io.storeU64(head+0, headNode)
-	s.io.storeU64(head+8, 0)
+	s.io.StoreU64(head+0, headNode)
+	s.io.StoreU64(head+8, 0)
 	return s, nil
 }
 
@@ -83,34 +83,34 @@ func (s *SkipList) WithMem(m memory.Memory) *SkipList {
 }
 
 // Len reports the number of entries.
-func (s *SkipList) Len() uint64 { return s.io.loadU64(s.head + 8) }
+func (s *SkipList) Len() uint64 { return s.io.LoadU64(s.head + 8) }
 
 func (s *SkipList) nodeKey(node uint64) []byte {
-	klen := s.io.loadU32(node + 0)
-	level := s.io.loadU32(node + 8)
+	klen := s.io.LoadU32(node + 0)
+	level := s.io.LoadU32(node + 8)
 	return s.io.loadBytes(node+slNodeFixed+uint64(level)*8, int(klen))
 }
 
 func (s *SkipList) nodeValue(node uint64) []byte {
-	klen := s.io.loadU32(node + 0)
-	vlen := s.io.loadU32(node + 4)
-	level := s.io.loadU32(node + 8)
+	klen := s.io.LoadU32(node + 0)
+	vlen := s.io.LoadU32(node + 4)
+	level := s.io.LoadU32(node + 8)
 	return s.io.loadBytes(node+slNodeFixed+uint64(level)*8+uint64(klen), int(vlen))
 }
 
 func (s *SkipList) forward(node uint64, lvl int) uint64 {
-	return s.io.loadU64(node + slNodeFixed + uint64(lvl)*8)
+	return s.io.LoadU64(node + slNodeFixed + uint64(lvl)*8)
 }
 
 func (s *SkipList) setForward(node uint64, lvl int, to uint64) {
-	s.io.storeU64(node+slNodeFixed+uint64(lvl)*8, to)
+	s.io.StoreU64(node+slNodeFixed+uint64(lvl)*8, to)
 }
 
 // findPredecessors fills update[i] with the rightmost node at level i whose
 // key is < key, and returns the candidate node at level 0 (which may equal
 // key or be its successor).
 func (s *SkipList) findPredecessors(key []byte, update *[slMaxLevel]uint64) uint64 {
-	cur := s.io.loadU64(s.head)
+	cur := s.io.LoadU64(s.head)
 	for lvl := slMaxLevel - 1; lvl >= 0; lvl-- {
 		for {
 			next := s.forward(cur, lvl)
@@ -139,10 +139,10 @@ func (s *SkipList) Put(key, value []byte) error {
 	var update [slMaxLevel]uint64
 	node := s.findPredecessors(key, &update)
 	if node != 0 && bytes.Equal(s.nodeKey(node), key) {
-		vlen := s.io.loadU32(node + 4)
+		vlen := s.io.LoadU32(node + 4)
 		if int(vlen) == len(value) {
-			klen := s.io.loadU32(node + 0)
-			level := s.io.loadU32(node + 8)
+			klen := s.io.LoadU32(node + 0)
+			level := s.io.LoadU32(node + 8)
 			s.io.storeBytes(node+slNodeFixed+uint64(level)*8+uint64(klen), value)
 			return nil
 		}
@@ -156,31 +156,31 @@ func (s *SkipList) Put(key, value []byte) error {
 	if err != nil {
 		return fmt.Errorf("structures: skiplist node: %w", err)
 	}
-	s.io.storeU32(addr+0, uint32(len(key)))
-	s.io.storeU32(addr+4, uint32(len(value)))
-	s.io.storeU32(addr+8, uint32(level))
-	s.io.storeU32(addr+12, 0)
+	s.io.StoreU32(addr+0, uint32(len(key)))
+	s.io.StoreU32(addr+4, uint32(len(value)))
+	s.io.StoreU32(addr+8, uint32(level))
+	s.io.StoreU32(addr+12, 0)
 	s.io.storeBytes(addr+slNodeFixed+uint64(level)*8, key)
 	s.io.storeBytes(addr+slNodeFixed+uint64(level)*8+uint64(len(key)), value)
 	for i := 0; i < level; i++ {
 		s.setForward(addr, i, s.forward(update[i], i))
 		s.setForward(update[i], i, addr)
 	}
-	s.io.storeU64(s.head+8, s.Len()+1)
+	s.io.StoreU64(s.head+8, s.Len()+1)
 	return nil
 }
 
 // unlink removes node given its predecessor set and frees it.
 func (s *SkipList) unlink(node uint64, update *[slMaxLevel]uint64) error {
-	level := int(s.io.loadU32(node + 8))
+	level := int(s.io.LoadU32(node + 8))
 	for i := 0; i < level; i++ {
 		if s.forward(update[i], i) == node {
 			s.setForward(update[i], i, s.forward(node, i))
 		}
 	}
-	klen := s.io.loadU32(node + 0)
-	vlen := s.io.loadU32(node + 4)
-	s.io.storeU64(s.head+8, s.Len()-1)
+	klen := s.io.LoadU32(node + 0)
+	vlen := s.io.LoadU32(node + 4)
+	s.io.StoreU64(s.head+8, s.Len()-1)
 	return s.alloc.Free(node, slNodeSize(level, int(klen), int(vlen)))
 }
 
@@ -196,7 +196,7 @@ func (s *SkipList) Delete(key []byte) (bool, error) {
 
 // Min returns the smallest key and its value, or ok=false when empty.
 func (s *SkipList) Min() (key, value []byte, ok bool) {
-	first := s.forward(s.io.loadU64(s.head), 0)
+	first := s.forward(s.io.LoadU64(s.head), 0)
 	if first == 0 {
 		return nil, nil, false
 	}
@@ -208,7 +208,7 @@ func (s *SkipList) Min() (key, value []byte, ok bool) {
 func (s *SkipList) Scan(from []byte, fn func(key, value []byte) bool) {
 	var node uint64
 	if from == nil {
-		node = s.forward(s.io.loadU64(s.head), 0)
+		node = s.forward(s.io.LoadU64(s.head), 0)
 	} else {
 		var update [slMaxLevel]uint64
 		node = s.findPredecessors(from, &update)

@@ -14,49 +14,23 @@
 // callers serialize access, and persist() must not overlap mutations.
 package structures
 
-import (
-	"encoding/binary"
+import "pax/internal/memory"
 
-	"pax/internal/memory"
-)
-
-// memIO bundles the little-endian load/store helpers every structure uses.
+// memIO is a structure's view of its memory: the word accessors of
+// memory.Memory, which every field access uses, plus byte-range helpers for
+// keys and values.
 type memIO struct {
-	mem memory.Memory
-}
-
-func (io memIO) loadU64(addr uint64) uint64 {
-	var b [8]byte
-	io.mem.Load(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (io memIO) storeU64(addr, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	io.mem.Store(addr, b[:])
-}
-
-func (io memIO) loadU32(addr uint64) uint32 {
-	var b [4]byte
-	io.mem.Load(addr, b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (io memIO) storeU32(addr uint64, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	io.mem.Store(addr, b[:])
+	memory.Memory
 }
 
 func (io memIO) loadBytes(addr uint64, n int) []byte {
 	b := make([]byte, n)
-	io.mem.Load(addr, b)
+	io.Load(addr, b)
 	return b
 }
 
 func (io memIO) storeBytes(addr uint64, b []byte) {
-	io.mem.Store(addr, b)
+	io.Store(addr, b)
 }
 
 // fnv1a is the hash used by the hash map and the skip list's deterministic

@@ -38,10 +38,10 @@ func NewVector(alloc memory.Allocator, elemSize uint64, initialCap uint64) (*Vec
 		return nil, fmt.Errorf("structures: vector data: %w", err)
 	}
 	v := &Vector{io: memIO{alloc.Mem()}, alloc: alloc, head: head}
-	v.io.storeU64(head+0, data)
-	v.io.storeU64(head+8, 0)
-	v.io.storeU64(head+16, initialCap)
-	v.io.storeU64(head+24, elemSize)
+	v.io.StoreU64(head+0, data)
+	v.io.StoreU64(head+8, 0)
+	v.io.StoreU64(head+16, initialCap)
+	v.io.StoreU64(head+24, elemSize)
 	return v, nil
 }
 
@@ -59,19 +59,19 @@ func (v *Vector) WithMem(m memory.Memory) *Vector {
 }
 
 // Len reports the element count.
-func (v *Vector) Len() uint64 { return v.io.loadU64(v.head + 8) }
+func (v *Vector) Len() uint64 { return v.io.LoadU64(v.head + 8) }
 
 // Cap reports the capacity in elements.
-func (v *Vector) Cap() uint64 { return v.io.loadU64(v.head + 16) }
+func (v *Vector) Cap() uint64 { return v.io.LoadU64(v.head + 16) }
 
 // ElemSize reports the element width in bytes.
-func (v *Vector) ElemSize() uint64 { return v.io.loadU64(v.head + 24) }
+func (v *Vector) ElemSize() uint64 { return v.io.LoadU64(v.head + 24) }
 
 func (v *Vector) elemAddr(i uint64) uint64 {
 	if i >= v.Len() {
 		panic(fmt.Sprintf("structures: vector index %d out of range %d", i, v.Len()))
 	}
-	return v.io.loadU64(v.head) + i*v.ElemSize()
+	return v.io.LoadU64(v.head) + i*v.ElemSize()
 }
 
 // Get copies element i into buf (which must be ElemSize bytes).
@@ -79,7 +79,7 @@ func (v *Vector) Get(i uint64, buf []byte) {
 	if uint64(len(buf)) != v.ElemSize() {
 		panic("structures: vector Get buffer size mismatch")
 	}
-	v.io.mem.Load(v.elemAddr(i), buf)
+	v.io.Load(v.elemAddr(i), buf)
 }
 
 // Set overwrites element i.
@@ -102,8 +102,8 @@ func (v *Vector) Push(elem []byte) error {
 			return err
 		}
 	}
-	v.io.storeBytes(v.io.loadU64(v.head)+length*es, elem)
-	v.io.storeU64(v.head+8, length+1)
+	v.io.storeBytes(v.io.LoadU64(v.head)+length*es, elem)
+	v.io.StoreU64(v.head+8, length+1)
 	return nil
 }
 
@@ -114,13 +114,13 @@ func (v *Vector) Pop(buf []byte) bool {
 		return false
 	}
 	v.Get(length-1, buf)
-	v.io.storeU64(v.head+8, length-1)
+	v.io.StoreU64(v.head+8, length-1)
 	return true
 }
 
 func (v *Vector) grow(newCap uint64) error {
 	es := v.ElemSize()
-	oldData := v.io.loadU64(v.head)
+	oldData := v.io.LoadU64(v.head)
 	oldCap := v.Cap()
 	newData, err := v.alloc.Alloc(newCap * es)
 	if err != nil {
@@ -134,10 +134,10 @@ func (v *Vector) grow(newCap uint64) error {
 		if total-off < n {
 			n = total - off
 		}
-		v.io.mem.Load(oldData+off, buf[:n])
-		v.io.mem.Store(newData+off, buf[:n])
+		v.io.Load(oldData+off, buf[:n])
+		v.io.Store(newData+off, buf[:n])
 	}
-	v.io.storeU64(v.head+0, newData)
-	v.io.storeU64(v.head+16, newCap)
+	v.io.StoreU64(v.head+0, newData)
+	v.io.StoreU64(v.head+16, newCap)
 	return v.alloc.Free(oldData, oldCap*es)
 }

@@ -78,6 +78,11 @@ type Log struct {
 	appends     atomic.Uint64
 	truncations atomic.Uint64
 	peakLive    atomic.Uint64
+
+	// entry is Append's encoding buffer. The checksum's table-driven update
+	// is reached through a func value, so a buffer local to Append would be
+	// a heap allocation per entry.
+	entry [EntrySize]byte
 }
 
 func usableCapacity(size uint64) uint64 {
@@ -142,15 +147,13 @@ func (l *Log) SlotAddr(virt uint64) uint64 {
 	return l.base + headerSize + virt%l.capacity
 }
 
-func encodeEntry(e Entry) [EntrySize]byte {
-	var buf [EntrySize]byte
+func encodeEntry(buf *[EntrySize]byte, e Entry) {
 	binary.LittleEndian.PutUint64(buf[0:], e.Epoch)
 	binary.LittleEndian.PutUint64(buf[8:], e.Seq)
 	binary.LittleEndian.PutUint64(buf[16:], e.Addr)
 	copy(buf[24:88], e.Old[:])
 	crc := crc32.Checksum(buf[:88], crcTable)
 	binary.LittleEndian.PutUint32(buf[88:], crc)
-	return buf
 }
 
 // EntryAt reads and validates the entry at virtual offset virt — the check
@@ -185,8 +188,8 @@ func (l *Log) Append(epoch uint64, addr uint64, old [coherence.LineSize]byte, at
 		return 0, 0, ErrFull
 	}
 	e := Entry{Epoch: epoch, Seq: off / EntrySize, Addr: addr, Old: old}
-	buf := encodeEntry(e)
-	done := l.dev.Write(l.SlotAddr(off), buf[:], at)
+	encodeEntry(&l.entry, e)
+	done := l.dev.Write(l.SlotAddr(off), l.entry[:], at)
 	l.head.Store(off + EntrySize)
 	l.appends.Store(l.appends.Load() + 1)
 	if live := (off + EntrySize - tail) / EntrySize; live > l.peakLive.Load() {

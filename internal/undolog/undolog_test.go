@@ -267,3 +267,21 @@ func TestLogMatchesModelProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendAllocatesNothing pins the undo append, which the device makes
+// on every line a host first modifies in an epoch, at zero allocations.
+func TestAppendAllocatesNothing(t *testing.T) {
+	const runs = 100
+	l := Create(testDev(1<<16), 0, MinRegionSize+(runs+1)*EntrySize)
+	var old [coherence.LineSize]byte
+	addr := uint64(0)
+	if avg := testing.AllocsPerRun(runs, func() {
+		old[0]++
+		if _, _, err := l.Append(1, addr, old, 0); err != nil {
+			t.Fatal(err)
+		}
+		addr += coherence.LineSize
+	}); avg != 0 {
+		t.Fatalf("Append allocates %v times", avg)
+	}
+}

@@ -10,7 +10,6 @@ import (
 
 	"pax/internal/memory"
 	"pax/internal/sim"
-	"pax/internal/stats"
 )
 
 // Region is one mapped vPM window. It implements memory.Memory. A Region is
@@ -19,12 +18,6 @@ import (
 type Region struct {
 	mem        memory.Memory
 	base, size uint64
-
-	// Loads and Stores count region accesses; LoadBytes/StoreBytes their
-	// volume. The write-amplification experiment compares StoreBytes against
-	// the bytes the crash-consistency mechanism wrote.
-	Loads, Stores         stats.Counter
-	LoadBytes, StoreBytes stats.Counter
 }
 
 // New maps [base, base+size) of mem as a vPM region.
@@ -50,23 +43,35 @@ func (r *Region) check(addr uint64, n int) {
 // Load implements memory.Memory with bounds checking.
 func (r *Region) Load(addr uint64, buf []byte) sim.Time {
 	r.check(addr, len(buf))
-	r.Loads.Inc()
-	r.LoadBytes.Add(uint64(len(buf)))
 	return r.mem.Load(addr, buf)
 }
 
 // Store implements memory.Memory with bounds checking.
 func (r *Region) Store(addr uint64, data []byte) sim.Time {
 	r.check(addr, len(data))
-	r.Stores.Inc()
-	r.StoreBytes.Add(uint64(len(data)))
 	return r.mem.Store(addr, data)
 }
 
-// ResetStats clears the access counters.
-func (r *Region) ResetStats() {
-	r.Loads.Reset()
-	r.Stores.Reset()
-	r.LoadBytes.Reset()
-	r.StoreBytes.Reset()
+// LoadU64 implements memory.Memory with bounds checking.
+func (r *Region) LoadU64(addr uint64) uint64 {
+	r.check(addr, 8)
+	return r.mem.LoadU64(addr)
+}
+
+// StoreU64 implements memory.Memory with bounds checking.
+func (r *Region) StoreU64(addr, v uint64) {
+	r.check(addr, 8)
+	r.mem.StoreU64(addr, v)
+}
+
+// LoadU32 implements memory.Memory with bounds checking.
+func (r *Region) LoadU32(addr uint64) uint32 {
+	r.check(addr, 4)
+	return r.mem.LoadU32(addr)
+}
+
+// StoreU32 implements memory.Memory with bounds checking.
+func (r *Region) StoreU32(addr uint64, v uint32) {
+	r.check(addr, 4)
+	r.mem.StoreU32(addr, v)
 }

@@ -420,9 +420,11 @@ func TestEpochAccounting(t *testing.T) {
 
 // TestMapPutAllocations pins the garbage of a 128-byte Map.Put on a default
 // pool, through the allocator, the simulated caches and the device: a new
-// key, and an overwrite of a key stored and persisted before. AllocsPerRun
-// truncates the mean, and the hash map's occasional growth is in it. A change
-// that adds an allocation per Put fails here.
+// key, and an overwrite of a key stored and persisted before. Both are zero:
+// field accesses cross the vPM seam as words, and nothing below the map
+// allocates per access. AllocsPerRun truncates the mean, so the hash map's
+// occasional growth (a zeroed bucket array) is in it unseen. A change that
+// adds an allocation per Put fails here.
 func TestMapPutAllocations(t *testing.T) {
 	pool, err := pax.CreatePool("", pax.DefaultOptions())
 	if err != nil {
@@ -455,8 +457,8 @@ func TestMapPutAllocations(t *testing.T) {
 		name         string
 		got, ceiling float64
 	}{
-		{"Put of a new key", insert, 39},
-		{"Put over a persisted key", overwrite, 14},
+		{"Put of a new key", insert, 0},
+		{"Put over a persisted key", overwrite, 0},
 	} {
 		if c.got > c.ceiling {
 			t.Errorf("%s: %v allocs, ceiling %v", c.name, c.got, c.ceiling)
