@@ -74,12 +74,17 @@ func (ix *readIndex) get(key []byte) ([]byte, bool) {
 
 // put publishes a committed put. The value is copied: callers (the wire
 // layer, benchmark drivers) reuse their buffers, and index entries outlive
-// the request that wrote them.
+// the request that wrote them. The index owns its values (get and collect
+// hand out copies), so a new value as long as the one indexed overwrites it
+// in place and a rewrite leaves no garbage.
 func (ix *readIndex) put(key, value []byte) {
-	v := append([]byte(nil), value...)
 	s := ix.stripe(key)
 	s.mu.Lock()
-	s.m[string(key)] = v
+	if v, ok := s.m[string(key)]; ok && len(v) == len(value) {
+		copy(v, value)
+	} else {
+		s.m[string(key)] = append([]byte(nil), value...)
+	}
 	s.mu.Unlock()
 }
 

@@ -448,3 +448,29 @@ func servedAgainstRecovered(t *testing.T, seal bool) {
 	}
 	t.Logf("%d acked writes, %d observed values, %d commit retries", len(acked), len(observed), eng.Stats().CommitRetries.Load())
 }
+
+// TestIndexRewriteInPlace: republishing a key with a value of the indexed
+// length allocates nothing, a value of another length replaces it, and a
+// value get handed out before keeps its bytes either way.
+func TestIndexRewriteInPlace(t *testing.T) {
+	ix := newReadIndex()
+	key := []byte("k")
+	ix.put(key, []byte("aaaa"))
+	before, _ := ix.get(key)
+	next := []byte("bbbb")
+	if avg := testing.AllocsPerRun(100, func() { ix.put(key, next) }); avg != 0 {
+		t.Errorf("a same-length rewrite allocates %v times", avg)
+	}
+	next[0] = 'x' // the caller's buffer is not the index's
+	for _, want := range []string{"bbbb", "cc", "dddddd"} {
+		if want != "bbbb" {
+			ix.put(key, []byte(want))
+		}
+		if got, ok := ix.get(key); !ok || string(got) != want {
+			t.Fatalf("get after put %q = %q, %v", want, got, ok)
+		}
+	}
+	if string(before) != "aaaa" {
+		t.Fatalf("a value get returned changed to %q", before)
+	}
+}
