@@ -2,7 +2,6 @@ package cache
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"pax/internal/coherence"
 	"pax/internal/memory"
@@ -39,59 +38,51 @@ func (c *Core) L1MissRate() float64 { return c.l1.Ratio.MissRate() }
 // L2MissRate reports the fraction of L1 misses that also missed in L2.
 func (c *Core) L2MissRate() float64 { return c.l2.Ratio.MissRate() }
 
-// spillL1 pushes the line in L1 way i, which is being evicted, down into
-// L2. Inclusion guarantees the line is present in L2; its state and dirty
-// data are merged.
+// spillL1 pushes the state of the line in L1 way i, which is being
+// evicted, down into the L2 way that holds it.
 func (c *Core) spillL1(i int) {
-	tag, victim := c.l1.tag(i), &c.l1.lines[i]
-	ln := c.l2.lookup(tag)
-	if ln == nil {
-		panic(fmt.Sprintf("cache: core %d L1 victim %#x absent from L2 (inclusion violated)", c.id, tag))
-	}
-	if victim.dirty {
-		ln.data = victim.data
-		ln.dirty = true
-	}
+	victim := &c.l1.lines[i]
+	ln := &c.l2.lines[victim.l2]
+	ln.dirty = ln.dirty || victim.dirty
 	ln.state = victim.state
 }
 
-// insertL2 places a freshly filled line into L2, evicting a victim to the
-// LLC if needed (and back-invalidating the victim's L1 copy first).
-func (c *Core) insertL2(la uint64, state coherence.State, data *[LineSize]byte) *line {
+// insertL2 places a freshly filled line, held by LLC way w, into L2 and
+// returns its L2 way, evicting a victim to the LLC if needed (and
+// back-invalidating the victim's L1 copy first).
+func (c *Core) insertL2(la uint64, state coherence.State, w int) int {
 	i := c.l2.victim(la)
 	if c.l2.tags[i] != 0 {
-		vAddr, victim := c.l2.tag(i), &c.l2.lines[i]
-		vData, vDirty := &victim.data, victim.dirty
-		// L1 copy, if any, is newer; merge it before the line leaves the core.
-		if j := c.l1.find(vAddr); j >= 0 {
+		victim := &c.l2.lines[i]
+		dirty := victim.dirty
+		// The L1 copy leaves with it; if L1 wrote the line, the line leaves
+		// the core dirty.
+		if j := c.l1.find(c.l2.tag(i)); j >= 0 {
 			c.l1.tags[j] = 0
-			if c.l1.lines[j].dirty {
-				vData, vDirty = &c.l1.lines[j].data, true
-			}
+			dirty = dirty || c.l1.lines[j].dirty
 		}
-		c.h.privateEvict(c, vAddr, vData, vDirty)
+		c.h.privateEvict(c, int(victim.way), dirty)
 	}
-	return c.l2.insert(i, la, state, false, data)
+	c.l2.insert(i, la, state, w, -1)
+	return i
 }
 
-// insertL1 places a line into L1, spilling any victim into L2.
-func (c *Core) insertL1(la uint64, state coherence.State, data *[LineSize]byte) *line {
+// insertL1 places a line, held by LLC way w and L2 way l2, into L1,
+// spilling any victim into L2.
+func (c *Core) insertL1(la uint64, state coherence.State, w, l2 int) *line {
 	i := c.l1.victim(la)
 	if c.l1.tags[i] != 0 {
 		c.spillL1(i)
 	}
-	return c.l1.insert(i, la, state, false, data)
+	return c.l1.insert(i, la, state, w, l2)
 }
 
-// upgrade takes the line at la, Shared in this core's private levels, to
-// Modified through the directory (and, for the first host-side
-// modification, the home).
-func (c *Core) upgrade(la uint64, at sim.Time) sim.Time {
+// upgrade takes the line at la, Shared in this core's private levels and
+// held by LLC way w, to Modified through the directory (and, for the first
+// host-side modification, the home).
+func (c *Core) upgrade(la uint64, w int, at sim.Time) sim.Time {
 	h := c.h
-	ll := h.llcLookup(la)
-	if ll == nil {
-		panic(fmt.Sprintf("cache: core %d upgrading %#x absent from LLC", c.id, la))
-	}
+	ll := &h.llc[w]
 	at += h.prof.LLC.Latency
 	h.invalidateSharers(la, ll, c.id)
 	at = h.hostUpgrade(la, ll, at)
@@ -100,27 +91,25 @@ func (c *Core) upgrade(la uint64, at sim.Time) sim.Time {
 	return at
 }
 
-// access is the per-line MESI access path. It returns the L1 line holding la
-// (writable when write=true) and the access completion time. The hierarchy
-// lock must be held.
-func (c *Core) access(la uint64, write bool, at sim.Time) (*line, sim.Time) {
+// access is the per-line MESI access path. It returns the data of la, the
+// line's one copy in the LLC slab (writable when write=true), and the access
+// completion time. The hierarchy lock must be held.
+func (c *Core) access(la uint64, write bool, at sim.Time) (*[LineSize]byte, sim.Time) {
 	// L1 probe.
 	at += c.l1.latency
 	if i := c.l1.find(la); i >= 0 {
 		ln := &c.l1.lines[i]
 		c.l1.Ratio.Hits.Inc()
 		c.l1.touch(i)
-		if write && !ln.state.CanWrite() {
-			at = c.upgrade(la, at)
-			if l2ln := c.l2.lookup(la); l2ln != nil {
-				l2ln.state = coherence.Modified
-			}
-		}
 		if write {
+			if !ln.state.CanWrite() {
+				at = c.upgrade(la, int(ln.way), at)
+				c.l2.lines[ln.l2].state = coherence.Modified
+			}
 			ln.state = coherence.Modified
 			ln.dirty = true
 		}
-		return ln, at
+		return c.h.lineData(&c.h.llc[ln.way]), at
 	}
 	c.l1.Ratio.Misses.Inc()
 
@@ -131,30 +120,30 @@ func (c *Core) access(la uint64, write bool, at sim.Time) (*line, sim.Time) {
 		c.l2.Ratio.Hits.Inc()
 		c.l2.touch(i)
 		if write && !ln.state.CanWrite() {
-			at = c.upgrade(la, at)
+			at = c.upgrade(la, int(ln.way), at)
 			ln.state = coherence.Modified
 		}
 		// Promote into L1. L2 retains the dirty responsibility until L1
 		// rewrites.
-		l1ln := c.insertL1(la, ln.state, &ln.data)
+		l1ln := c.insertL1(la, ln.state, int(ln.way), i)
 		if write {
 			l1ln.state = coherence.Modified
 			l1ln.dirty = true
 		}
-		return l1ln, at
+		return c.h.lineData(&c.h.llc[ln.way]), at
 	}
 	c.l2.Ratio.Misses.Inc()
 
 	// Fill from LLC or home.
-	data, state, done := c.h.fill(c, la, write, at)
-	l2ln := c.insertL2(la, state, data)
-	l1ln := c.insertL1(la, state, data)
+	w, state, done := c.h.fill(c, la, write, at)
+	l2 := c.insertL2(la, state, w)
+	l1ln := c.insertL1(la, state, w, l2)
 	if write {
 		l1ln.state = coherence.Modified
 		l1ln.dirty = true
-		l2ln.state = coherence.Modified
+		c.l2.lines[l2].state = coherence.Modified
 	}
-	return l1ln, done
+	return c.h.lineData(&c.h.llc[w]), done
 }
 
 // Load copies len(buf) bytes at addr into buf through the cache hierarchy,
@@ -171,8 +160,8 @@ func (c *Core) Load(addr uint64, buf []byte) sim.Time {
 		if n > len(buf)-off {
 			n = len(buf) - off
 		}
-		ln, done := c.access(la, false, at)
-		copy(buf[off:off+n], ln.data[lo:lo+n])
+		data, done := c.access(la, false, at)
+		copy(buf[off:off+n], data[lo:lo+n])
 		at = done
 		off += n
 	}
@@ -193,8 +182,8 @@ func (c *Core) Store(addr uint64, data []byte) sim.Time {
 		if n > len(data)-off {
 			n = len(data) - off
 		}
-		ln, done := c.access(la, true, at)
-		copy(ln.data[lo:lo+n], data[off:off+n])
+		dst, done := c.access(la, true, at)
+		copy(dst[lo:lo+n], data[off:off+n])
 		at = done
 		off += n
 	}
@@ -206,14 +195,13 @@ func (c *Core) Store(addr uint64, data []byte) sim.Time {
 func straddles(addr uint64, n int) bool { return addr%LineSize > LineSize-uint64(n) }
 
 // wordLine makes the one access Load or Store would make for a word at addr
-// that lies within one line, advancing the core clock, and returns the L1
-// line holding it and the word's offset in the line. The hierarchy lock must
-// be held.
-func (c *Core) wordLine(addr uint64, write bool) (*line, uint64) {
+// that lies within one line, advancing the core clock, and returns the
+// line's data and the word's offset in it. The hierarchy lock must be held.
+func (c *Core) wordLine(addr uint64, write bool) (*[LineSize]byte, uint64) {
 	la := coherence.LineAddr(addr)
-	ln, done := c.access(la, write, c.clock.Now())
+	data, done := c.access(la, write, c.clock.Now())
 	c.clock.AdvanceTo(done)
-	return ln, addr - la
+	return data, addr - la
 }
 
 // LoadU64 implements memory.Memory: one access to the word's line, decoded
@@ -224,8 +212,8 @@ func (c *Core) LoadU64(addr uint64) uint64 {
 	}
 	c.h.mu.Lock()
 	defer c.h.mu.Unlock()
-	ln, lo := c.wordLine(addr, false)
-	return binary.LittleEndian.Uint64(ln.data[lo:])
+	data, lo := c.wordLine(addr, false)
+	return binary.LittleEndian.Uint64(data[lo:])
 }
 
 // StoreU64 implements memory.Memory: one access to the word's line, encoded
@@ -237,8 +225,8 @@ func (c *Core) StoreU64(addr, v uint64) {
 	}
 	c.h.mu.Lock()
 	defer c.h.mu.Unlock()
-	ln, lo := c.wordLine(addr, true)
-	binary.LittleEndian.PutUint64(ln.data[lo:], v)
+	data, lo := c.wordLine(addr, true)
+	binary.LittleEndian.PutUint64(data[lo:], v)
 }
 
 // LoadU32 is LoadU64 for a 4-byte word.
@@ -248,8 +236,8 @@ func (c *Core) LoadU32(addr uint64) uint32 {
 	}
 	c.h.mu.Lock()
 	defer c.h.mu.Unlock()
-	ln, lo := c.wordLine(addr, false)
-	return binary.LittleEndian.Uint32(ln.data[lo:])
+	data, lo := c.wordLine(addr, false)
+	return binary.LittleEndian.Uint32(data[lo:])
 }
 
 // StoreU32 is StoreU64 for a 4-byte word.
@@ -260,8 +248,8 @@ func (c *Core) StoreU32(addr uint64, v uint32) {
 	}
 	c.h.mu.Lock()
 	defer c.h.mu.Unlock()
-	ln, lo := c.wordLine(addr, true)
-	binary.LittleEndian.PutUint32(ln.data[lo:], v)
+	data, lo := c.wordLine(addr, true)
+	binary.LittleEndian.PutUint32(data[lo:], v)
 }
 
 // FlushLines issues CLWB for every line overlapping [addr, addr+n): the

@@ -47,11 +47,13 @@ func TestRandomOpsShrunk(t *testing.T) {
 				t.Logf("  model line: %v", model[la:la+16])
 				for ci := 0; ci < 2; ci++ {
 					cc := h.Core(ci)
-					if ln := cc.l1.lookup(la); ln != nil {
-						t.Logf("  core%d l1: st=%v dirty=%v data=%v", ci, ln.state, ln.dirty, ln.data[:16])
+					if i := cc.l1.find(la); i >= 0 {
+						ln := &cc.l1.lines[i]
+						t.Logf("  core%d l1: st=%v dirty=%v way=%d l2=%d", ci, ln.state, ln.dirty, ln.way, ln.l2)
 					}
-					if ln := cc.l2.lookup(la); ln != nil {
-						t.Logf("  core%d l2: st=%v dirty=%v data=%v", ci, ln.state, ln.dirty, ln.data[:16])
+					if i := cc.l2.find(la); i >= 0 {
+						ln := &cc.l2.lines[i]
+						t.Logf("  core%d l2: st=%v dirty=%v way=%d", ci, ln.state, ln.dirty, ln.way)
 					}
 				}
 				t.FailNow()

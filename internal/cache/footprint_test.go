@@ -20,17 +20,19 @@ func liveHeap() int64 {
 
 // TestHierarchyFootprint holds the default host model to the lines a pool
 // has used: building it costs the LLC's 32 bytes a way (a 24-byte record and
-// its tag word), a core's private levels (82 bytes a way: a 66-byte record,
-// its tag word and LRU stamp) are paid for only once that core runs, and
-// LLC line data only for the ways ever filled. Eagerly built private levels
-// for all 32 cores would add ≈ 45 MB here, and data inline in every LLC way
-// ≈ 23 MB.
+// its tag word), a core's private levels (28 bytes a way: a 12-byte record
+// that holds no data, its tag word and LRU stamp) are paid for only once
+// that core runs, and LLC line data, the one copy of each line, only for the
+// ways ever filled. Eagerly built private levels for all 32 cores would add
+// ≈ 15 MB here, data inline in every LLC way ≈ 23 MB, and a copy of the data
+// in every private record (66-byte records) another 0.9 MB per core that
+// runs.
 func TestHierarchyFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(llcLine{}); got != 24 {
 		t.Errorf("llcLine is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(line{}); got != 66 {
-		t.Errorf("line is %d bytes, want 66", got)
+	if got := unsafe.Sizeof(line{}); got != 12 {
+		t.Errorf("line is %d bytes, want 12", got)
 	}
 	prof := sim.DefaultHost()
 	const tagWord, lruStamp = 8, 8

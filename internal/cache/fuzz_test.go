@@ -9,8 +9,9 @@ import (
 // FuzzHierarchyOps reads the fuzz input as an op tape of 4-byte steps (op,
 // core, address high, address low) over sim.SmallHost's four cores and
 // checks it like TestRandomOpsMatchModel: every load, byte range or word,
-// against a byte model, the invariants at the end, and the home against the
-// model after FlushAll.
+// against a byte model, invariant 7 after every step (so a private line
+// that records the wrong LLC or L2 way fails at the step that left it), all
+// the invariants at the end, and the home against the model after FlushAll.
 // A core whose first step comes after others have filled the LLC runs its
 // private levels' first fill there.
 func FuzzHierarchyOps(f *testing.F) {
@@ -25,6 +26,15 @@ func FuzzHierarchyOps(f *testing.F) {
 		late = append(late, byte(i), byte(1+i%3), byte(i>>2), byte(i<<6))
 	}
 	f.Add(late)
+	// Core 0 stores to, loads and stores again twice L1's lines, so its
+	// later passes hit in L2, then core 1 loads them.
+	var cycle []byte
+	for pass, op := range []byte{0, 2, 0, 2} {
+		for i := 0; i < 32; i++ {
+			cycle = append(cycle, op, byte(pass/3), byte(i>>2), byte(i<<6))
+		}
+	}
+	f.Add(cycle)
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		const space = 1 << 15 // twice the SmallHost LLC
 		h, home := newTestHierarchy(t, true)
@@ -57,6 +67,9 @@ func FuzzHierarchyOps(f *testing.F) {
 					op = coherence.SnpInv
 				}
 				err = m.snoop(coherence.LineAddr(addr), op)
+			}
+			if err == nil {
+				err = h.checkWays()
 			}
 			if err != nil {
 				t.Fatalf("step %d: %v", i/4, err)

@@ -201,56 +201,25 @@ func (h *Hierarchy) llcVictim(addr uint64) int {
 	return lru
 }
 
-// probeOut extracts the newest copy of la from core c's private caches,
-// downgrading to Shared (inval=false) or Invalid (inval=true). It reports the
-// newest data and whether any private copy was dirty.
-func (h *Hierarchy) probeOut(c *Core, la uint64, inval bool) (data [LineSize]byte, dirty, present bool) {
-	// L1 holds the authoritative copy when present (it is filled from L2 and
-	// only ever gets newer).
+// probeOut downgrades core c's private copies of la to Shared (inval=false)
+// or drops them (inval=true), and reports whether any was dirty. The newest
+// bytes are already in the LLC slab, the line's one copy.
+func (h *Hierarchy) probeOut(c *Core, la uint64, inval bool) (dirty bool) {
 	if i := c.l1.find(la); i >= 0 {
-		ln := &c.l1.lines[i]
-		present = true
-		data = ln.data
-		dirty = ln.dirty
-		if inval {
-			c.l1.tags[i] = 0
-		} else {
-			ln.state = coherence.Shared
-			ln.dirty = false
-		}
+		dirty = c.l1.snoop(i, inval)
 	}
 	if i := c.l2.find(la); i >= 0 {
-		ln := &c.l2.lines[i]
-		if present {
-			// L1 held the newest copy and was just cleaned; sync it down so
-			// the L2 copy cannot later resurface stale data.
-			ln.data = data
-		} else {
-			data = ln.data
-		}
-		dirty = dirty || ln.dirty
-		present = true
-		if inval {
-			c.l2.tags[i] = 0
-		} else {
-			ln.state = coherence.Shared
-			ln.dirty = false
-		}
+		dirty = c.l2.snoop(i, inval) || dirty
 	}
-	return data, dirty, present
+	return dirty
 }
 
-// recallOwner pulls the newest copy of la from the directory owner, merging
-// it into the LLC line ll, and downgrades (inval=false) or invalidates
-// (inval=true) the owner's copies.
+// recallOwner takes back la from the directory owner, marking the LLC line
+// ll dirty if the owner wrote it, and downgrades (inval=false) or
+// invalidates (inval=true) the owner's copies.
 func (h *Hierarchy) recallOwner(la uint64, ll *llcLine, inval bool, at sim.Time) sim.Time {
-	o := h.cores[ll.owner]
-	data, dirty, present := h.probeOut(o, la, inval)
-	if present {
-		if dirty {
-			*h.lineData(ll) = data
-			ll.dirty = true
-		}
+	if h.probeOut(h.cores[ll.owner], la, inval) {
+		ll.dirty = true
 	}
 	if !inval {
 		ll.sharers |= 1 << uint(ll.owner)
@@ -305,32 +274,28 @@ func (h *Hierarchy) llcEvict(w int, at sim.Time) sim.Time {
 	return at
 }
 
-// privateEvict handles a line falling out of core c's private caches: the
-// directory forgets the core, and dirty data merges into the LLC copy.
-func (h *Hierarchy) privateEvict(c *Core, la uint64, data *[LineSize]byte, dirty bool) {
-	ll := h.llcLookup(la)
-	if ll == nil {
-		panic(fmt.Sprintf("cache: inclusion violated: core %d evicted %#x absent from LLC", c.id, la))
-	}
+// privateEvict handles a line, held by LLC way w, falling out of core c's
+// private caches: the directory forgets the core, and a dirty line leaves
+// the LLC copy dirty.
+func (h *Hierarchy) privateEvict(c *Core, w int, dirty bool) {
+	ll := &h.llc[w]
 	if int(ll.owner) == c.id {
 		ll.owner = -1
 	}
 	ll.sharers &^= 1 << uint(c.id)
 	if dirty {
-		*h.lineData(ll) = *data
 		ll.dirty = true
 	}
 }
 
 // fill serves an L2 miss for core c: from the LLC if present (recalling or
 // invalidating other cores' copies as needed), else from the home. It returns
-// the line's data in the LLC, the MESI state granted to the core, and the
-// completion time. The data stays put until the LLC line is next written,
-// so the caller may copy it into the private levels after evicting their
-// victims, whose data merges into other LLC lines.
-func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) (*[LineSize]byte, coherence.State, sim.Time) {
+// the LLC way holding the line, the MESI state granted to the core, and the
+// completion time.
+func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) (int, coherence.State, sim.Time) {
 	at += h.prof.LLC.Latency
-	if ll := h.llcLookup(la); ll != nil {
+	if w := h.llcFind(la); w >= 0 {
+		ll := &h.llc[w]
 		h.LLCRatio.Hits.Inc()
 		h.llcTouch(ll)
 		if ll.owner >= 0 && int(ll.owner) != c.id {
@@ -341,17 +306,17 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) (*[LineSiz
 			at = h.hostUpgrade(la, ll, at)
 			ll.owner = int8(c.id)
 			ll.sharers = 0
-			return h.lineData(ll), coherence.Modified, at
+			return w, coherence.Modified, at
 		}
 		// Read: grant Exclusive when this core is the only holder and the
 		// host already owns the line; otherwise Shared.
 		if ll.hostExcl && ll.sharers == 0 && ll.owner < 0 {
 			ll.owner = int8(c.id)
-			return h.lineData(ll), coherence.Exclusive, at
+			return w, coherence.Exclusive, at
 		}
 		ll.owner = -1
 		ll.sharers |= 1 << uint(c.id)
-		return h.lineData(ll), coherence.Shared, at
+		return w, coherence.Shared, at
 	}
 
 	// LLC miss: evict a victim, fetch from the home.
@@ -362,8 +327,7 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) (*[LineSiz
 		at = h.llcEvict(w, at)
 	}
 	victim := &h.llc[w]
-	buf := h.lineData(victim)
-	res := h.home(la).FetchLine(la, write, buf[:], at)
+	res := h.home(la).FetchLine(la, write, h.lineData(victim)[:], at)
 	at = res.Done
 
 	h.llcTags[w] = la | validTag
@@ -376,17 +340,17 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) (*[LineSiz
 		// An exclusive fetch (RdOwn) always grants ownership.
 		victim.hostExcl = true
 		victim.owner = int8(c.id)
-		return buf, coherence.Modified, at
+		return w, coherence.Modified, at
 	}
 	switch res.State {
 	case coherence.Exclusive:
 		victim.hostExcl = true
 		victim.owner = int8(c.id)
-		return buf, coherence.Exclusive, at
+		return w, coherence.Exclusive, at
 	case coherence.Shared:
 		victim.hostExcl = false
 		victim.sharers = 1 << uint(c.id)
-		return buf, coherence.Shared, at
+		return w, coherence.Shared, at
 	default:
 		panic(fmt.Sprintf("cache: home granted invalid fill state %v", res.State))
 	}

@@ -23,6 +23,9 @@ import (
 //  6. Every valid LLC line has a slab slot, no two ways share one, every
 //     slot handed out is held by a way, and the slab has handed out no more
 //     slots than its chunks hold or the LLC has lines.
+//  7. Every private line records where it lives: its way holds the line's
+//     tag in the LLC, and an L1 line's l2 holds it in L2. Eviction and
+//     upgrade index by these ways without probing.
 func (h *Hierarchy) CheckInvariants() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -30,6 +33,9 @@ func (h *Hierarchy) CheckInvariants() error {
 	type presence struct {
 		state coherence.State
 		dirty bool
+	}
+	if err := h.checkWays(); err != nil {
+		return err
 	}
 	// Gather per-core presence, authoritative level first (L1 over L2).
 	perCore := make([]map[uint64]presence, len(h.cores))
@@ -41,8 +47,13 @@ func (h *Hierarchy) CheckInvariants() error {
 		var err error
 		c.l1.forEachValid(func(tag uint64, ln *line) {
 			p, ok := m[tag]
-			if !ok {
+			switch {
+			case !ok:
 				err = fmt.Errorf("core %d: line %#x in L1 but not L2", i, tag)
+			case ln.state == coherence.Shared && ln.dirty:
+				err = fmt.Errorf("core %d: line %#x Shared but dirty in L1", i, tag)
+			}
+			if err != nil {
 				return
 			}
 			// L1 is authoritative for state; dirtiness accumulates.
@@ -54,14 +65,6 @@ func (h *Hierarchy) CheckInvariants() error {
 		for tag, p := range m {
 			if p.state == coherence.Invalid {
 				return fmt.Errorf("core %d: line %#x cached in Invalid state", i, tag)
-			}
-			if p.state == coherence.Shared && func() bool {
-				if ln := c.l1.lookup(tag); ln != nil && ln.dirty {
-					return true
-				}
-				return false
-			}() {
-				return fmt.Errorf("core %d: line %#x Shared but dirty in L1", i, tag)
 			}
 		}
 		perCore[i] = m
@@ -164,4 +167,28 @@ func (h *Hierarchy) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// checkWays checks invariant 7 alone: cheap enough to run after every step
+// of a test. The hierarchy lock must be held, or the hierarchy idle.
+func (h *Hierarchy) checkWays() error {
+	for _, c := range h.cores {
+		for i, t := range c.l2.tags {
+			if w := c.l2.lines[i].way; t != 0 && !holds(h.llcTags, w, t) {
+				return fmt.Errorf("core %d: L2 line %#x records LLC way %d, which does not hold it", c.id, t&^validTag, w)
+			}
+		}
+		for i, t := range c.l1.tags {
+			ln := &c.l1.lines[i]
+			if t != 0 && !(holds(h.llcTags, ln.way, t) && holds(c.l2.tags, ln.l2, t)) {
+				return fmt.Errorf("core %d: L1 line %#x records LLC way %d and L2 way %d, which do not both hold it", c.id, t&^validTag, ln.way, ln.l2)
+			}
+		}
+	}
+	return nil
+}
+
+// holds reports whether way i of tags holds the tag word t.
+func holds(tags []uint64, i int32, t uint64) bool {
+	return i >= 0 && int(i) < len(tags) && tags[i] == t
 }

@@ -6,14 +6,17 @@
 // Every level is one flat sets × ways array of line records, beside a dense
 // array of the ways' tags: a line address with the valid bit folded into its
 // low bit, so a probe reads one or two host cache lines of tags instead of
-// the set's records. A private record carries its line's state and data, and
-// a private level keeps its LRU stamps dense as well, for the victim scan. An
-// LLC record carries the directory and the home state, and its data lives in
-// a slab of fixed-size chunks filled in order, a slot per way claimed at the
-// way's first fill. The LLC's records are allocated with the hierarchy; a
-// core's private levels are allocated at their first fill, so a hierarchy
-// pays line data only for the LLC ways it has filled and the cores that have
-// run (a served pool drives core 0 alone).
+// the set's records. An LLC record carries the directory and the home state,
+// and its data lives in a slab of fixed-size chunks filled in order, a slot
+// per way claimed at the way's first fill. That slot is the line's one copy
+// of data on the host: a private record carries its line's state and where
+// the line lives (its LLC way and, in L1, its L2 way), and loads and stores
+// read and write the slab in place. A private level keeps its LRU stamps
+// dense as well, for the victim scan. The LLC's records are allocated with
+// the hierarchy; a core's private levels are allocated at their first fill,
+// so a hierarchy pays line data only for the LLC ways it has filled and
+// private records only for the cores that have run (a served pool drives
+// core 0 alone).
 //
 // Cores implement memory.Memory, word accessors included: a word within one
 // line is one access to that line, decoded in place.
@@ -36,12 +39,18 @@ import (
 // LineSize is the cache line size in bytes.
 const LineSize = coherence.LineSize
 
-// line is one private-cache line record: 66 bytes (a core's L1 + L2 is
-// 16 896 of them). Its tag and LRU stamp are in the level's tags and uses.
+// line is one private-cache line record: 12 bytes (a core's L1 + L2 is
+// 16 896 of them). Its tag and LRU stamp are in the level's tags and uses,
+// and its data in the LLC slab. way is the LLC way holding the line, and l2,
+// in an L1 record, the L2 way holding it. Neither can change while the
+// record is valid: an LLC eviction back-invalidates every private copy, and
+// an L2 eviction the L1 copy. dirty means this level wrote the line since
+// the core last handed it back; the bytes are in the slab either way.
 type line struct {
+	way   int32
+	l2    int32
 	state coherence.State
 	dirty bool
-	data  [LineSize]byte
 }
 
 // validTag marks a way's tag word as holding a line. Line addresses are
@@ -106,14 +115,6 @@ func (l *level) find(addr uint64) int {
 	return -1
 }
 
-// lookup returns the line holding addr, or nil.
-func (l *level) lookup(addr uint64) *line {
-	if i := l.find(addr); i >= 0 {
-		return &l.lines[i]
-	}
-	return nil
-}
-
 // tag returns the line address held by way i, which must be valid.
 func (l *level) tag(i int) uint64 { return l.tags[i] &^ validTag }
 
@@ -147,16 +148,27 @@ func (l *level) victim(addr uint64) int {
 	return base + lru
 }
 
-// insert places a line into way i; the way must already be free (the caller
-// evicted any victim).
-func (l *level) insert(i int, addr uint64, state coherence.State, dirty bool, data *[LineSize]byte) *line {
+// insert places a clean line, held by LLC way way and (for L1) L2 way l2,
+// into way i; the way must already be free (the caller evicted any victim).
+func (l *level) insert(i int, addr uint64, state coherence.State, way, l2 int) *line {
 	l.tags[i] = addr | validTag
-	ln := &l.lines[i]
-	ln.state = state
-	ln.dirty = dirty
-	ln.data = *data
+	l.lines[i] = line{way: int32(way), l2: int32(l2), state: state}
 	l.touch(i)
-	return ln
+	return &l.lines[i]
+}
+
+// snoop invalidates (inval=true) or downgrades to clean Shared the line in
+// way i, and reports whether it was dirty.
+func (l *level) snoop(i int, inval bool) (dirty bool) {
+	ln := &l.lines[i]
+	dirty = ln.dirty
+	if inval {
+		l.tags[i] = 0
+	} else {
+		ln.state = coherence.Shared
+		ln.dirty = false
+	}
+	return dirty
 }
 
 // forEachValid calls fn for every valid line in the level.

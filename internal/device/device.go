@@ -89,14 +89,15 @@ type Device struct {
 	// wherever Persist writes the cell, so a reader never touches media.
 	durable atomic.Uint64
 
-	// logged maps host line address → log bound (entry virtual offset +
-	// entry size) for lines undo-logged in the current epoch. Its key set is
-	// the epoch's modified-line set, which modified lists in log order.
-	logged   map[uint64]uint64
+	// logged maps each host line undo-logged in the current epoch to its
+	// index in log order: in modified, which lists the epoch's lines in that
+	// order until Persist sorts it, and in logDone, whose mark at that index
+	// holds the line's log bound (entry virtual offset + entry size).
+	logged   epochLines
 	modified []uint64
-	// logDone records, per log bound, the simulated time the entry becomes
-	// durable; bounds are appended in increasing order with non-decreasing
-	// times.
+	// logDone records, per logged line, its log bound and the simulated time
+	// the entry becomes durable; bounds are appended in increasing order with
+	// non-decreasing times.
 	logDone []logMark
 	// lastLogDone is the durability time of the newest log entry.
 	lastLogDone sim.Time
@@ -134,7 +135,6 @@ func New(cfg Config, pm *pmem.Device, hostBase, pmBase, size uint64, log *undolo
 		size:     size,
 		epochPos: epochCell,
 		log:      log,
-		logged:   make(map[uint64]uint64),
 	}
 	d.epoch.Store(startEpoch)
 	d.durable.Store(startEpoch - 1)
@@ -197,9 +197,9 @@ func (d *Device) durableAt(bound uint64) sim.Time {
 // write bandwidth and the host is not stalled (§3.2). Returns the line's log
 // bound.
 func (d *Device) logLine(hostAddr uint64, at sim.Time) uint64 {
-	if bound, ok := d.logged[hostAddr]; ok {
+	if i, ok := d.logged.get(hostAddr); ok {
 		d.Stats.LogSkips.Inc()
-		return bound
+		return d.logDone[i].bound
 	}
 	pmAddr := d.toPM(hostAddr)
 	// The pre-image is the current PM content. A clean HBM copy equals it;
@@ -223,7 +223,7 @@ func (d *Device) logLine(hostAddr uint64, at sim.Time) uint64 {
 		panic(fmt.Sprintf("device: %v — size the undo log for the epoch working set or call persist() more often", err))
 	}
 	bound := off + undolog.EntrySize
-	d.logged[hostAddr] = bound
+	d.logged.put(hostAddr, uint32(len(d.logDone)))
 	d.modified = append(d.modified, hostAddr)
 	d.logDone = append(d.logDone, logMark{bound: bound, at: done})
 	if done > d.lastLogDone {
@@ -314,7 +314,7 @@ func (d *Device) WriteBackLine(hostAddr uint64, data []byte, at sim.Time) sim.Ti
 	at = d.link.DeviceProcess(at)
 	d.Stats.WriteBacksRecv.Inc()
 
-	bound, ok := d.logged[hostAddr]
+	i, ok := d.logged.get(hostAddr)
 	if !ok {
 		// A dirty host line must have been granted exclusively this epoch,
 		// which logged it. Reaching here is a protocol bug.
@@ -322,7 +322,7 @@ func (d *Device) WriteBackLine(hostAddr uint64, data []byte, at sim.Time) sim.Ti
 	}
 	var line [LineSize]byte
 	copy(line[:], data)
-	return d.insertHBM(hbm.Line{Addr: hostAddr, Data: line, Dirty: true, LogBound: bound}, at)
+	return d.insertHBM(hbm.Line{Addr: hostAddr, Data: line, Dirty: true, LogBound: d.logDone[i].bound}, at)
 }
 
 // Persist runs the §3.3 protocol at time `at`:
@@ -337,13 +337,14 @@ func (d *Device) WriteBackLine(hostAddr uint64, data []byte, at sim.Time) sim.Ti
 // It returns a report whose Done field is when persist() returns to the
 // application.
 func (d *Device) Persist(at sim.Time) PersistReport {
-	if d.host == nil && len(d.logged) > 0 {
+	if d.host == nil && len(d.modified) > 0 {
 		panic("device: Persist with no host attached")
 	}
 	epoch := d.epoch.Load()
-	rep := PersistReport{Epoch: epoch, LinesSnooped: len(d.logged)}
+	rep := PersistReport{Epoch: epoch, LinesSnooped: len(d.modified)}
 
-	// Deterministic iteration order for reproducible timings.
+	// Deterministic iteration order for reproducible timings. The sort leaves
+	// logDone, and the indices logged maps lines to, in log order.
 	addrs := d.modified
 	slices.Sort(addrs)
 
@@ -362,7 +363,8 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 		if res.Dirty {
 			d.Stats.SnoopsDirty.Inc()
 			rep.LinesDirty++
-			at = d.insertHBM(hbm.Line{Addr: hostAddr, Data: res.Data, Dirty: true, LogBound: d.logged[hostAddr]}, at)
+			i, _ := d.logged.get(hostAddr)
+			at = d.insertHBM(hbm.Line{Addr: hostAddr, Data: res.Data, Dirty: true, LogBound: d.logDone[i].bound}, at)
 		}
 	}
 
@@ -396,12 +398,7 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 	// Phase 5: drop the epoch's undo entries and start the next epoch.
 	at = d.log.Truncate(d.log.Head(), at)
 	d.epoch.Store(epoch + 1)
-	// Delete the epoch's own lines rather than clear the table: clear costs
-	// the capacity of the largest epoch ever logged (a served pool's set-up
-	// logs 10 000 to 23 000 lines in one), a served commit at most hundreds.
-	for _, a := range addrs {
-		delete(d.logged, a)
-	}
+	d.logged.reset()
 	d.modified = addrs[:0]
 	d.logDone = d.logDone[:0]
 	d.lastLogDone = 0
@@ -433,7 +430,7 @@ func (d *Device) PersistPipelined(at sim.Time) (PersistReport, sim.Time) {
 }
 
 // ModifiedLines reports how many lines the current epoch has touched.
-func (d *Device) ModifiedLines() int { return len(d.logged) }
+func (d *Device) ModifiedLines() int { return len(d.modified) }
 
 func putUint64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {

@@ -60,12 +60,13 @@ var ErrFull = errors.New("undolog: log full (live entries fill capacity)")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Log is the undo log manager. Appending and truncating are not safe for
-// concurrent use; the PAX device serializes them (a hardware log writer is a
-// single pipeline). The occupancy and the counters are atomics that only
-// that writer stores — a load and a store, no read-modify-write — so Head,
-// Tail, Live, PeakLive, Appends and Truncations are safe to read at any
-// time, from any goroutine.
+// Log is the undo log manager. Appending, truncating and reading entries
+// (EntryAt, Entries) are not safe for concurrent use; the PAX device
+// serializes the first two (a hardware log writer is a single pipeline), and
+// recovery reads before the device runs. The occupancy and the counters are
+// atomics that only that writer stores — a load and a store, no
+// read-modify-write — so Head, Tail, Live, PeakLive, Appends and Truncations
+// are safe to read at any time, from any goroutine.
 type Log struct {
 	dev  *pmem.Device
 	base uint64
@@ -79,9 +80,9 @@ type Log struct {
 	truncations atomic.Uint64
 	peakLive    atomic.Uint64
 
-	// entry is Append's encoding buffer. The checksum's table-driven update
-	// is reached through a func value, so a buffer local to Append would be
-	// a heap allocation per entry.
+	// entry is the buffer Append encodes into and EntryAt reads into. The
+	// checksum's table-driven update is reached through a func value, so a
+	// buffer local to either would be a heap allocation per entry.
 	entry [EntrySize]byte
 }
 
@@ -161,7 +162,7 @@ func encodeEntry(buf *[EntrySize]byte, e Entry) {
 // dense sequence number implied by the offset, which rejects both torn
 // appends and stale entries from a previous lap of the ring.
 func (l *Log) EntryAt(virt uint64) (Entry, bool) {
-	var buf [EntrySize]byte
+	buf := &l.entry
 	l.dev.Read(l.SlotAddr(virt), buf[:], 0)
 	crc := crc32.Checksum(buf[:88], crcTable)
 	if crc != binary.LittleEndian.Uint32(buf[88:]) {

@@ -285,3 +285,33 @@ func TestAppendAllocatesNothing(t *testing.T) {
 		t.Fatalf("Append allocates %v times", avg)
 	}
 }
+
+// TestEntryAtAllocatesNothing pins the read an open scan makes per entry at
+// zero allocations. Entries Append wrote validate through the log's shared
+// buffer, and one with a flipped byte does not.
+func TestEntryAtAllocatesNothing(t *testing.T) {
+	const runs = 100
+	l := Create(testDev(1<<16), 0, MinRegionSize+(runs+1)*EntrySize)
+	for i := 0; i <= runs; i++ {
+		if _, _, err := l.Append(1, uint64(i)*coherence.LineSize, line(byte(i)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	virt := uint64(0)
+	if avg := testing.AllocsPerRun(runs, func() {
+		if e, ok := l.EntryAt(virt); !ok || e.Old[0] != byte(virt/EntrySize) {
+			t.Fatalf("entry at %d = %+v, %v", virt, e, ok)
+		}
+		virt += EntrySize
+	}); avg != 0 {
+		t.Fatalf("EntryAt allocates %v times", avg)
+	}
+	addr := l.SlotAddr(0) + 30
+	var b [1]byte
+	l.dev.Read(addr, b[:], 0)
+	b[0] ^= 1
+	l.dev.Write(addr, b[:], 0)
+	if _, ok := l.EntryAt(0); ok {
+		t.Fatal("an entry with a flipped byte validates")
+	}
+}
