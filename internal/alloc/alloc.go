@@ -116,9 +116,6 @@ func Open(mem memory.Memory, base, size uint64) (*Arena, error) {
 // Mem implements memory.Allocator.
 func (a *Arena) Mem() memory.Memory { return a.mem }
 
-// Base reports the arena's base address.
-func (a *Arena) Base() uint64 { return a.base }
-
 // HeapStart reports the first usable heap address (after the header); pools
 // place their root table here via a fixed-size initial allocation.
 func (a *Arena) HeapStart() uint64 { return roundUp(a.base+headerSize, heapAlign) }
@@ -212,22 +209,3 @@ func (a *Arena) Free(addr, size uint64) error {
 
 // Brk reports the current bump frontier (diagnostics and capacity tests).
 func (a *Arena) Brk() uint64 { return a.mem.LoadU64(a.base + offBrk) }
-
-// FreeListLens reports the length of each small-class free list plus the
-// large list (diagnostics; also exercised by recovery tests to show that
-// allocator state rolls back with the snapshot).
-func (a *Arena) FreeListLens() ([numClasses]int, int) {
-	var out [numClasses]int
-	for c := 0; c < numClasses; c++ {
-		n := 0
-		for cur := a.mem.LoadU64(a.base + offClasses + uint64(c)*8); cur != 0; cur = a.mem.LoadU64(cur) {
-			n++
-		}
-		out[c] = n
-	}
-	large := 0
-	for cur := a.mem.LoadU64(a.base + offLarge); cur != 0; cur = a.mem.LoadU64(cur) {
-		large++
-	}
-	return out, large
-}

@@ -79,7 +79,10 @@ func TestFreeRecyclesLargeWithSplit(t *testing.T) {
 	if p2 != addr+8192 {
 		t.Fatalf("split remainder not reused: %#x", p2)
 	}
-	_, large := a.FreeListLens()
+	large := 0
+	for cur := a.mem.LoadU64(a.base + offLarge); cur != 0; cur = a.mem.LoadU64(cur) {
+		large++
+	}
 	if large != 1 {
 		t.Fatalf("large list has %d blocks, want 1 (remainder)", large)
 	}

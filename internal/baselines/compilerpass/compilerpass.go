@@ -44,15 +44,6 @@ func New(mem memory.Memory, logBase, logSize uint64) *Instrumented {
 	return &Instrumented{mem: mem, per: per, log: wal.Create(mem, logBase, logSize)}
 }
 
-// Attach builds an Instrumented over an existing log (post-recovery reopen).
-func Attach(mem memory.Memory, log *wal.Log) *Instrumented {
-	per, ok := mem.(memory.Persister)
-	if !ok {
-		panic("compilerpass: memory must implement Persister")
-	}
-	return &Instrumented{mem: mem, per: per, log: log}
-}
-
 // Log exposes the undo log.
 func (in *Instrumented) Log() *wal.Log { return in.log }
 

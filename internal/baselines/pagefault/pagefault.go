@@ -35,7 +35,6 @@ type Tracker struct {
 
 	// writable holds pages already faulted (and logged) this epoch.
 	writable map[uint64]struct{}
-	epoch    uint64
 
 	// Stats.
 	Traps       stats.Counter // write-protection faults taken
@@ -122,21 +121,5 @@ func (t *Tracker) Persist() (sim.Time, int) {
 		s.Stall(sim.SyscallCost)
 	}
 	t.writable = make(map[uint64]struct{})
-	t.epoch++
 	return done, n
-}
-
-// Epoch reports completed epochs.
-func (t *Tracker) Epoch() uint64 { return t.epoch }
-
-// DirtyPages reports pages faulted in the current epoch.
-func (t *Tracker) DirtyPages() int { return len(t.writable) }
-
-// WriteAmplification reports bytes logged per byte stored since creation —
-// the §5.1 comparison metric (PAX logs 64 B per dirty line instead).
-func (t *Tracker) WriteAmplification() float64 {
-	if t.StoreBytes.Load() == 0 {
-		return 0
-	}
-	return float64(t.BytesLogged.Load()) / float64(t.StoreBytes.Load())
 }

@@ -60,15 +60,6 @@ func New(mem memory.Memory, logBase, logSize uint64) *TxMemory {
 	}
 }
 
-// Attach builds a TxMemory over an existing log (post-recovery reopen).
-func Attach(mem memory.Memory, log *wal.Log) *TxMemory {
-	per, ok := mem.(memory.Persister)
-	if !ok {
-		panic("pmdk: memory must implement Persister")
-	}
-	return &TxMemory{mem: mem, per: per, log: log, logged: make(map[uint64]struct{})}
-}
-
 // Log exposes the undo log (stats, recovery tests).
 func (t *TxMemory) Log() *wal.Log { return t.log }
 

@@ -50,9 +50,6 @@ func TestAllFixturesBuildAndRun(t *testing.T) {
 		if res.NsPerOp <= 0 {
 			t.Fatalf("%s: ns/op = %g", kind, res.NsPerOp)
 		}
-		if res.MopsSingle() <= 0 {
-			t.Fatalf("%s: zero throughput", kind)
-		}
 		// Functional check: the map must answer gets after the run.
 		g := workload.NewGenerator(workload.Fig2bConfig(500))
 		found := 0

@@ -40,14 +40,6 @@ type RunResult struct {
 	MaxLatency int64
 }
 
-// MopsSingle reports single-thread throughput in million ops/second.
-func (r RunResult) MopsSingle() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds() / 1e6
-}
-
 // RunSpec describes one measurement run.
 type RunSpec struct {
 	Workload workload.Config

@@ -131,7 +131,7 @@ func TestL1HitFastPath(t *testing.T) {
 	if elapsed != sim.L1Latency {
 		t.Fatalf("L1 hit took %v, want %v", elapsed, sim.L1Latency)
 	}
-	if c.L1MissRate() >= 1 {
+	if c.l1.Ratio.MissRate() >= 1 {
 		t.Fatal("second access did not hit")
 	}
 }
@@ -356,7 +356,7 @@ func (m *opModel) load(c *Core, addr uint64, n int) error {
 	buf := make([]byte, n)
 	c.Load(addr, buf)
 	if want := m.model[addr : addr+uint64(n)]; !bytes.Equal(buf, want) {
-		return fmt.Errorf("core %d load at %d got %v want %v", c.ID(), addr, buf, want)
+		return fmt.Errorf("core %d load at %d got %v want %v", c.id, addr, buf, want)
 	}
 	return nil
 }
@@ -386,7 +386,7 @@ func (m *opModel) loadWord(c *Core, addr uint64, n int) error {
 		got = uint64(c.LoadU32(addr))
 	}
 	if got != want {
-		return fmt.Errorf("core %d LoadU%d at %d got %#x want %#x", c.ID(), 8*n, addr, got, want)
+		return fmt.Errorf("core %d LoadU%d at %d got %#x want %#x", c.id, 8*n, addr, got, want)
 	}
 	return nil
 }
@@ -427,7 +427,7 @@ func TestRandomOpsMatchModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
 
 	for i := 0; i < 6000; i++ {
-		c := h.Core(rng.Intn(h.NumCores()))
+		c := h.Core(rng.Intn(len(h.cores)))
 		addr := uint64(rng.Intn(space - 16))
 		var err error
 		switch rng.Intn(5) {

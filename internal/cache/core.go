@@ -23,20 +23,11 @@ type Core struct {
 	pendingDrain sim.Time
 }
 
-// ID reports the core's index in the hierarchy.
-func (c *Core) ID() int { return c.id }
-
 // Clock exposes the core's virtual clock.
 func (c *Core) Clock() *sim.Clock { return c.clock }
 
 // Now reports the core's current virtual time.
 func (c *Core) Now() sim.Time { return c.clock.Now() }
-
-// L1MissRate and L2MissRate report this core's private demand miss rates.
-func (c *Core) L1MissRate() float64 { return c.l1.Ratio.MissRate() }
-
-// L2MissRate reports the fraction of L1 misses that also missed in L2.
-func (c *Core) L2MissRate() float64 { return c.l2.Ratio.MissRate() }
 
 // spillL1 pushes the state of the line in L1 way i, which is being
 // evicted, down into the L2 way that holds it.

@@ -119,7 +119,7 @@ func TestReadSharedAcrossAllCores(t *testing.T) {
 	h.Core(0).FlushLines(0, LineSize)
 	fetches := home.fetches
 	var b [1]byte
-	for i := 0; i < h.NumCores(); i++ {
+	for i := 0; i < len(h.cores); i++ {
 		h.Core(i).Load(0, b[:])
 		if b[0] != 9 {
 			t.Fatalf("core %d read %d", i, b[0])

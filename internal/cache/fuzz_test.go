@@ -43,7 +43,7 @@ func FuzzHierarchyOps(f *testing.F) {
 			tape = tape[:4*1024]
 		}
 		for i := 0; i+3 < len(tape); i += 4 {
-			op, c := tape[i], h.Core(int(tape[i+1])%h.NumCores())
+			op, c := tape[i], h.Core(int(tape[i+1])%len(h.cores))
 			addr := (uint64(tape[i+2])<<8 | uint64(tape[i+3])) % (space - 16)
 			n := 1 + int(op>>4)        // 1..16 bytes
 			word := 4 << (op >> 4 & 1) // 4 or 8 bytes

@@ -127,9 +127,6 @@ func (h *Hierarchy) AddRange(base, size uint64, home coherence.Home) {
 // Core returns core i.
 func (h *Hierarchy) Core(i int) *Core { return h.cores[i] }
 
-// NumCores reports the configured core count.
-func (h *Hierarchy) NumCores() int { return len(h.cores) }
-
 func (h *Hierarchy) home(addr uint64) coherence.Home {
 	for _, r := range h.homes {
 		if addr >= r.base && addr < r.base+r.size {

@@ -41,26 +41,26 @@ func (h *Hierarchy) CheckInvariants() error {
 	perCore := make([]map[uint64]presence, len(h.cores))
 	for i, c := range h.cores {
 		m := make(map[uint64]presence)
-		c.l2.forEachValid(func(tag uint64, ln *line) {
-			m[tag] = presence{state: ln.state, dirty: ln.dirty}
-		})
-		var err error
-		c.l1.forEachValid(func(tag uint64, ln *line) {
+		for w, t := range c.l2.tags {
+			if t != 0 {
+				ln := &c.l2.lines[w]
+				m[t&^validTag] = presence{state: ln.state, dirty: ln.dirty}
+			}
+		}
+		for w, t := range c.l1.tags {
+			if t == 0 {
+				continue
+			}
+			tag, ln := t&^validTag, &c.l1.lines[w]
 			p, ok := m[tag]
 			switch {
 			case !ok:
-				err = fmt.Errorf("core %d: line %#x in L1 but not L2", i, tag)
+				return fmt.Errorf("core %d: line %#x in L1 but not L2", i, tag)
 			case ln.state == coherence.Shared && ln.dirty:
-				err = fmt.Errorf("core %d: line %#x Shared but dirty in L1", i, tag)
-			}
-			if err != nil {
-				return
+				return fmt.Errorf("core %d: line %#x Shared but dirty in L1", i, tag)
 			}
 			// L1 is authoritative for state; dirtiness accumulates.
 			m[tag] = presence{state: ln.state, dirty: ln.dirty || p.dirty}
-		})
-		if err != nil {
-			return err
 		}
 		for tag, p := range m {
 			if p.state == coherence.Invalid {

@@ -170,12 +170,3 @@ func (l *level) snoop(i int, inval bool) (dirty bool) {
 	}
 	return dirty
 }
-
-// forEachValid calls fn for every valid line in the level.
-func (l *level) forEachValid(fn func(tag uint64, ln *line)) {
-	for i, t := range l.tags {
-		if t != 0 {
-			fn(t&^validTag, &l.lines[i])
-		}
-	}
-}

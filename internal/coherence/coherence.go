@@ -46,9 +46,6 @@ func (s State) String() string {
 	}
 }
 
-// CanRead reports whether a load may be satisfied from a line in state s.
-func (s State) CanRead() bool { return s != Invalid }
-
 // CanWrite reports whether a store may be performed on a line in state s
 // without an upgrade request.
 func (s State) CanWrite() bool { return s == Exclusive || s == Modified }

@@ -12,14 +12,6 @@ func TestStateStrings(t *testing.T) {
 }
 
 func TestStatePermissions(t *testing.T) {
-	if Invalid.CanRead() {
-		t.Error("Invalid must not be readable")
-	}
-	for _, s := range []State{Shared, Exclusive, Modified} {
-		if !s.CanRead() {
-			t.Errorf("%v must be readable", s)
-		}
-	}
 	if Shared.CanWrite() || Invalid.CanWrite() {
 		t.Error("S/I must not be writable without upgrade")
 	}

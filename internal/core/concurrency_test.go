@@ -15,7 +15,7 @@ import (
 
 func TestConcurrentDisjointWriters(t *testing.T) {
 	pm, p := newTestPool(t)
-	cores := p.Hierarchy().NumCores()
+	cores := testOptions().Host.Cores
 	const perThread = 4096 // bytes per thread
 
 	addrs := make([]uint64, cores)
@@ -74,7 +74,7 @@ func TestConcurrentSharedStructure(t *testing.T) {
 	// SAME structure through its own timed memory view.
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	cores := p.Hierarchy().NumCores()
+	cores := testOptions().Host.Cores
 	const perThread = 200
 	for i := 0; i < cores; i++ {
 		wg.Add(1)
@@ -143,7 +143,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 			storeU64(m, addr, v)
 		}
 	}()
-	for i := 1; i < p.Hierarchy().NumCores(); i++ {
+	for i := 1; i < testOptions().Host.Cores; i++ {
 		readerWg.Add(1)
 		go func(id int) {
 			defer readerWg.Done()

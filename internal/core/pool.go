@@ -289,9 +289,6 @@ func (p *Pool) PM() *pmem.Device { return p.pm }
 // DataBase reports the vPM base address; DataSize its length.
 func (p *Pool) DataBase() uint64 { return p.dataOff }
 
-// DataSize reports the vPM region length.
-func (p *Pool) DataSize() uint64 { return p.dataSize }
-
 // Recovery reports what Open repaired (zero-valued after Create).
 func (p *Pool) Recovery() RecoveryReport { return p.recovered }
 

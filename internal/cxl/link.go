@@ -13,7 +13,6 @@ type Link struct {
 	h2d      *sim.BandwidthMeter
 	d2h      *sim.BandwidthMeter
 	pipeline *sim.Pipeline
-	tracer   *Tracer
 }
 
 // NewLink builds a link from a profile.
@@ -32,18 +31,12 @@ func (l *Link) Profile() sim.LinkProfile { return l.prof }
 // ToDevice carries a host→device message sent at `at` and returns its arrival
 // time at the device, after link latency and payload serialization.
 func (l *Link) ToDevice(m Message, at sim.Time) sim.Time {
-	if l.tracer != nil {
-		l.tracer.record(H2D, m, at)
-	}
 	return l.h2d.Transfer(at, m.WireBytes()) + l.prof.Latency
 }
 
 // ToHost carries a device→host message sent at `at` and returns its arrival
 // time at the host.
 func (l *Link) ToHost(m Message, at sim.Time) sim.Time {
-	if l.tracer != nil {
-		l.tracer.record(D2H, m, at)
-	}
 	return l.d2h.Transfer(at, m.WireBytes()) + l.prof.Latency
 }
 
@@ -52,9 +45,6 @@ func (l *Link) ToHost(m Message, at sim.Time) sim.Time {
 func (l *Link) DeviceProcess(arrive sim.Time) sim.Time {
 	return l.pipeline.Serve(arrive)
 }
-
-// PipelineRate reports the device's peak message rate (messages/second).
-func (l *Link) PipelineRate() float64 { return l.pipeline.Rate() }
 
 // PipelineServed reports how many messages entered the device pipeline.
 func (l *Link) PipelineServed() uint64 { return l.pipeline.Served() }

@@ -8,7 +8,6 @@
 package device
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -105,10 +104,6 @@ type Device struct {
 	// commit before epoch N.
 	prevPersistDone sim.Time
 
-	// dirtyLines is Persist's write-back buffer, kept from one commit to
-	// the next.
-	dirtyLines []*hbm.Line
-
 	Stats Stats
 }
 
@@ -170,8 +165,6 @@ func (d *Device) toPM(hostAddr uint64) uint64 {
 	}
 	return hostAddr - d.hostBase + d.pmBase
 }
-
-func (d *Device) toHost(pmAddr uint64) uint64 { return pmAddr - d.pmBase + d.hostBase }
 
 // durableBelow reports the highest log bound durable at time `now`.
 func (d *Device) durableBelow(now sim.Time) uint64 {
@@ -375,19 +368,22 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 		at = d.lastLogDone
 	}
 
-	// Phase 3: write back every still-dirty buffered line.
-	dirty := d.dirtyLines[:0]
+	// Phase 3: write back every still-dirty buffered line, in address
+	// order. Every dirty HBM line is one of this epoch's modified lines: a
+	// line enters HBM dirty only through WriteBackLine, which refuses an
+	// unlogged line, or through phase 1, and this phase leaves none dirty.
 	if d.cache != nil {
-		d.cache.ForEachDirty(func(l *hbm.Line) { dirty = append(dirty, l) })
+		for _, hostAddr := range addrs {
+			ln := d.cache.Peek(hostAddr)
+			if ln == nil || !ln.Dirty {
+				continue
+			}
+			at = d.pm.Write(d.toPM(hostAddr), ln.Data[:], at)
+			d.cache.MarkClean(hostAddr)
+			d.Stats.LinesPersisted.Inc()
+			rep.LinesWritten++
+		}
 	}
-	slices.SortFunc(dirty, func(a, b *hbm.Line) int { return cmp.Compare(a.Addr, b.Addr) })
-	for _, ln := range dirty {
-		at = d.pm.Write(d.toPM(ln.Addr), ln.Data[:], at)
-		d.cache.MarkClean(ln.Addr)
-		d.Stats.LinesPersisted.Inc()
-		rep.LinesWritten++
-	}
-	d.dirtyLines = dirty[:0]
 
 	// Phase 4: atomically commit the epoch.
 	var cell [8]byte
@@ -428,9 +424,6 @@ func (d *Device) PersistPipelined(at sim.Time) (PersistReport, sim.Time) {
 	d.prevPersistDone = rep.Done
 	return rep, release
 }
-
-// ModifiedLines reports how many lines the current epoch has touched.
-func (d *Device) ModifiedLines() int { return len(d.modified) }
 
 func putUint64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {

@@ -1,7 +1,9 @@
 package device
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"pax/internal/coherence"
@@ -97,8 +99,8 @@ func TestFirstModificationOnlyPerEpoch(t *testing.T) {
 	if d.Stats.LogSkips.Load() != 1 {
 		t.Fatalf("skips = %d, want 1", d.Stats.LogSkips.Load())
 	}
-	if d.ModifiedLines() != 2 {
-		t.Fatalf("modified = %d", d.ModifiedLines())
+	if len(d.modified) != 2 {
+		t.Fatalf("modified = %d", len(d.modified))
 	}
 }
 
@@ -126,13 +128,16 @@ func TestWriteBackBuffersUntilPersist(t *testing.T) {
 	if got[0] != 0x01 {
 		t.Fatal("write-back hit PM before persist/eviction")
 	}
-	if d.HBM().DirtyCount() != 1 {
-		t.Fatalf("dirty buffered = %d", d.HBM().DirtyCount())
+	if ln := d.HBM().Peek(hostBase); ln == nil || !ln.Dirty {
+		t.Fatal("write-back not buffered dirty in HBM")
 	}
 	d.Persist(0)
 	pm.Read(dataBase, got[:], 0)
 	if got[0] != 0x99 {
 		t.Fatal("persist did not write the line back")
+	}
+	if d.HBM().Peek(hostBase).Dirty {
+		t.Fatal("persist left the written-back line dirty")
 	}
 }
 
@@ -185,8 +190,8 @@ func TestPersistProtocol(t *testing.T) {
 	if d.Log().Live() != 0 {
 		t.Fatalf("log live = %d", d.Log().Live())
 	}
-	if d.Epoch() != 2 || d.ModifiedLines() != 0 {
-		t.Fatalf("epoch %d, modified %d", d.Epoch(), d.ModifiedLines())
+	if d.Epoch() != 2 || len(d.modified) != 0 {
+		t.Fatalf("epoch %d, modified %d", d.Epoch(), len(d.modified))
 	}
 }
 
@@ -291,9 +296,9 @@ func TestPersistSteadyStateAllocatesNothing(t *testing.T) {
 		for i := uint64(0); i < setUpLines; i++ {
 			at = d.UpgradeLine(hostBase+i*LineSize, at)
 		}
-		if rep := d.Persist(at); rep.LinesSnooped != setUpLines || d.ModifiedLines() != 0 {
+		if rep := d.Persist(at); rep.LinesSnooped != setUpLines || len(d.modified) != 0 {
 			t.Fatalf("HBM %d B: set-up epoch snooped %d lines and left %d logged, want %d and 0",
-				cfg.HBMSize, rep.LinesSnooped, d.ModifiedLines(), setUpLines)
+				cfg.HBMSize, rep.LinesSnooped, len(d.modified), setUpLines)
 		}
 		appends := d.Log().Appends()
 		epoch := func() {
@@ -312,5 +317,104 @@ func TestPersistSteadyStateAllocatesNothing(t *testing.T) {
 		if got := d.Log().Appends() - appends; got != 101*8 {
 			t.Errorf("HBM %d B: 101 epochs of 8 lines made %d undo appends, want %d", cfg.HBMSize, got, 101*8)
 		}
+	}
+}
+
+// Persist writes back the dirty HBM lines by walking the epoch's modified
+// lines, which holds only if every dirty HBM line is one of them. A seeded
+// schedule of fills, upgrades, write-backs and persists over four times the
+// lines the test HBM holds, so that dirty lines are evicted, refilled and
+// written back again, drives a device with HBM and one without: the two PM
+// images must be byte-equal after every persist.
+func TestHBMPersistMatchesWriteThrough(t *testing.T) {
+	const lines = 4 * (32 << 10) / LineSize
+	type op struct {
+		kind byte // 'r' read fill, 'o' RdOwn + store, 'u' upgrade + store, 'w' write-back, 'p' persist
+		addr uint64
+		data [LineSize]byte
+	}
+	rng := rand.New(rand.NewSource(48))
+	var ops []op
+	var dirty []uint64 // lines the host holds modified, in the order stored
+	held := map[uint64]bool{}
+	for i := 0; i < 20000; i++ {
+		o := op{addr: hostBase + uint64(rng.Intn(lines))*LineSize}
+		binary.LittleEndian.PutUint64(o.data[:], uint64(i+1))
+		switch r := rng.Intn(100); {
+		case r < 30:
+			o.kind = 'r'
+		case r < 55:
+			o.kind = 'o'
+		case r < 80:
+			o.kind = 'u'
+		case r < 99:
+			if len(dirty) == 0 {
+				continue
+			}
+			k := rng.Intn(len(dirty))
+			o.kind, o.addr = 'w', dirty[k]
+			dirty[k] = dirty[len(dirty)-1]
+			dirty = dirty[:len(dirty)-1]
+			delete(held, o.addr)
+		default:
+			o.kind = 'p'
+			dirty, held = dirty[:0], map[uint64]bool{}
+		}
+		if (o.kind == 'o' || o.kind == 'u') && !held[o.addr] {
+			held[o.addr] = true
+			dirty = append(dirty, o.addr)
+		}
+		ops = append(ops, o)
+	}
+	ops = append(ops, op{kind: 'p'})
+
+	type rig struct {
+		d       *Device
+		pm      *pmem.Device
+		snooper *fakeSnooper
+		at      sim.Time
+	}
+	var rigs [2]rig
+	for i, cfg := range []Config{cfgCXL(), {Link: sim.CXLLink}} {
+		d, pm, snooper := testDevice(t, cfg)
+		rigs[i] = rig{d: d, pm: pm, snooper: snooper}
+	}
+	persists, written := 0, uint64(0)
+	var buf [LineSize]byte
+	for _, o := range ops {
+		for i := range rigs {
+			r := &rigs[i]
+			switch o.kind {
+			case 'r':
+				r.at = r.d.FetchLine(o.addr, false, buf[:], r.at).Done
+			case 'o':
+				r.at = r.d.FetchLine(o.addr, true, buf[:], r.at).Done
+				r.snooper.dirty[o.addr] = o.data
+			case 'u':
+				r.at = r.d.UpgradeLine(o.addr, r.at)
+				r.snooper.dirty[o.addr] = o.data
+			case 'w':
+				data := r.snooper.dirty[o.addr]
+				delete(r.snooper.dirty, o.addr)
+				r.at = r.d.WriteBackLine(o.addr, data[:], r.at)
+			case 'p':
+				rep := r.d.Persist(r.at)
+				r.at = rep.Done
+				if i == 0 {
+					written += uint64(rep.LinesWritten)
+				}
+			}
+		}
+		if o.kind == 'p' {
+			persists++
+			if !bytes.Equal(rigs[0].pm.Snapshot(), rigs[1].pm.Snapshot()) {
+				t.Fatalf("persist %d: the HBM device's PM image differs from the write-through device's", persists)
+			}
+		}
+	}
+	// Some dirty lines must have left HBM by eviction, not at a persist.
+	if persists < 50 || rigs[0].d.Stats.LinesPersisted.Load() <= written {
+		t.Fatalf("%d persists, %d lines written at persist of %d written in all; want ≥ 50 persists and some dirty evictions",
+			persists, written, rigs[0].d.Stats.LinesPersisted.Load())
 	}
 }

@@ -68,13 +68,6 @@ type Cache struct {
 	ways   int
 	policy Policy
 	useCtr uint64
-	// dirty indexes the addresses of dirty lines so persist-time write-back
-	// scans cost O(dirty), not O(cache size): a 16 MiB cache is ~256k slots,
-	// and walking all of them per persist dominated group-commit cost. The
-	// index is maintained at every dirty-bit transition (Insert, MarkClean,
-	// Remove), which only works because Dirty is never mutated through the
-	// pointers Lookup/Peek return.
-	dirty map[uint64]struct{}
 
 	// Ratio tracks device-side lookups (host fill requests reaching HBM).
 	Ratio stats.Ratio
@@ -93,12 +86,8 @@ func New(sizeBytes, ways int, policy Policy) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("hbm: set count %d not a power of two", numSets))
 	}
-	return &Cache{slots: make([]slot, lines), mask: uint64(numSets - 1), ways: ways, policy: policy,
-		dirty: make(map[uint64]struct{})}
+	return &Cache{slots: make([]slot, lines), mask: uint64(numSets - 1), ways: ways, policy: policy}
 }
-
-// Policy reports the configured eviction policy.
-func (c *Cache) Policy() Policy { return c.policy }
 
 func (c *Cache) set(addr uint64) []slot {
 	i := int((addr/LineSize)&c.mask) * c.ways
@@ -147,7 +136,6 @@ func (c *Cache) Insert(ln Line, durableBelow uint64) (victim Line, evicted bool)
 			c.useCtr++
 			set[i].line = ln
 			set[i].lastUse = c.useCtr
-			c.index(ln)
 			return Line{}, false
 		}
 	}
@@ -162,26 +150,13 @@ func (c *Cache) Insert(ln Line, durableBelow uint64) (victim Line, evicted bool)
 		slotIdx = c.pickVictim(set, durableBelow)
 		victim = set[slotIdx].line
 		evicted = true
-		if victim.Dirty {
-			delete(c.dirty, victim.Addr)
-			if victim.LogBound > durableBelow {
-				c.DirtyEvictionsStalled.Inc()
-			}
+		if victim.Dirty && victim.LogBound > durableBelow {
+			c.DirtyEvictionsStalled.Inc()
 		}
 	}
 	c.useCtr++
 	set[slotIdx] = slot{valid: true, line: ln, lastUse: c.useCtr}
-	c.index(ln)
 	return victim, evicted
-}
-
-// index records ln's dirty state in the dirty-address index.
-func (c *Cache) index(ln Line) {
-	if ln.Dirty {
-		c.dirty[ln.Addr] = struct{}{}
-	} else {
-		delete(c.dirty, ln.Addr)
-	}
 }
 
 // pickVictim applies the eviction policy to a full set.
@@ -217,33 +192,6 @@ func (c *Cache) MarkClean(addr uint64) {
 	if ln := c.Peek(addr); ln != nil {
 		ln.Dirty = false
 		ln.LogBound = 0
-		delete(c.dirty, addr)
-	}
-}
-
-// Remove drops addr from the cache, returning the line if it was present.
-func (c *Cache) Remove(addr uint64) (Line, bool) {
-	set := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].line.Addr == addr {
-			set[i].valid = false
-			delete(c.dirty, addr)
-			return set[i].line, true
-		}
-	}
-	return Line{}, false
-}
-
-// ForEachDirty calls fn for every dirty line, in no particular order (the
-// device sorts by address where determinism matters). fn must not insert or
-// remove, and must not flip Dirty except through MarkClean after iteration.
-// The walk visits only the dirty index, so persist cost scales with the
-// epoch's write-back set rather than the cache geometry.
-func (c *Cache) ForEachDirty(fn func(*Line)) {
-	for addr := range c.dirty {
-		if ln := c.Peek(addr); ln != nil && ln.Dirty {
-			fn(ln)
-		}
 	}
 }
 
@@ -257,6 +205,3 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
-
-// DirtyCount reports the number of dirty lines buffered.
-func (c *Cache) DirtyCount() int { return len(c.dirty) }

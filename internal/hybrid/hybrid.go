@@ -177,9 +177,6 @@ func (m *Memory) ResetProtections() {
 	m.written = make(map[uint64]struct{})
 }
 
-// WrittenPages reports how many pages have transitioned to vPM.
-func (m *Memory) WrittenPages() int { return len(m.written) }
-
 // DirectReadFraction reports the share of loads served by the direct
 // mapping — the benefit §5.1 predicts for read-heavy workloads.
 func (m *Memory) DirectReadFraction() float64 {

@@ -50,8 +50,8 @@ func TestHybridRoutingAndRoundTrip(t *testing.T) {
 	}
 	// First store faults the page over; later reads go through vPM.
 	h.Store(64<<10, []byte("hybridA!"))
-	if h.Faults.Load() != 1 || h.WrittenPages() != 1 {
-		t.Fatalf("faults=%d pages=%d", h.Faults.Load(), h.WrittenPages())
+	if h.Faults.Load() != 1 || len(h.written) != 1 {
+		t.Fatalf("faults=%d pages=%d", h.Faults.Load(), len(h.written))
 	}
 	h.Load(64<<10, buf)
 	if string(buf) != "hybridA!" {

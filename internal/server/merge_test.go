@@ -42,7 +42,7 @@ func failShrinkPublish(ffs *faultfs.FS, fleet *ShardedEngine, pool string, victi
 		if op.Kind != faultfs.Rename || op.Path != tmp {
 			return nil
 		}
-		if route := fleet.Route(); len(route.slotsOf(victim)) == 0 {
+		if route := fleet.route.Load(); len(route.slotsOf(victim)) == 0 {
 			return err
 		}
 		return nil
@@ -101,7 +101,7 @@ func TestSplitZeroCountersMovesHalf(t *testing.T) {
 
 	keys := plantDirect(t, eng, 200)
 
-	route := eng.Route()
+	route := eng.route.Load()
 	owned := route.slotsOf(0)
 	want := (len(owned) + 1) / 2
 
@@ -115,7 +115,7 @@ func TestSplitZeroCountersMovesHalf(t *testing.T) {
 	if len(rep.MovedSlots) != want {
 		t.Fatalf("zero-counter split moved %d slots, want even halving %d of %d", len(rep.MovedSlots), want, len(owned))
 	}
-	after := eng.Route()
+	after := eng.route.Load()
 	if got := len(after.slotsOf(rep.Dest)); got != want {
 		t.Fatalf("dest owns %d slots, want %d", got, want)
 	}
@@ -138,7 +138,7 @@ func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 		}
 		keys = append(keys, key)
 	}
-	route := eng.Route()
+	route := eng.route.Load()
 	victimSlots := len(route.slotsOf(2))
 
 	rep, err := eng.Merge(2)
@@ -154,7 +154,7 @@ func TestMergeDrainsAndRetiresTopShard(t *testing.T) {
 	if eng.NumShards() != 2 {
 		t.Fatalf("fleet is %d shards, want 2", eng.NumShards())
 	}
-	after := eng.Route()
+	after := eng.route.Load()
 	if after.Shards != 2 {
 		t.Fatalf("published map counts %d shards, want 2", after.Shards)
 	}
@@ -205,7 +205,7 @@ func TestMergeVictimNotTop(t *testing.T) {
 	if rep.Victim != 0 || rep.Dest != 1 || rep.Retired != 2 || rep.Shards != 2 {
 		t.Fatalf("unexpected report %+v", rep)
 	}
-	route := eng.Route()
+	route := eng.route.Load()
 	for slot, owner := range route.Assign {
 		if int(owner) >= 2 {
 			t.Fatalf("slot %d still routed to retired shard %d", slot, owner)
@@ -287,16 +287,12 @@ func TestMergeCrashStages(t *testing.T) {
 		// cutover; crashing mid-drain leaves some slots moved and the map
 		// still counting 3 shards. Reproduce that state exactly: cut half of
 		// shard 2's slots over, then die.
-		route := eng.Route()
-		assign := make([]int, NumSlots)
-		for slot, owner := range route.Assign {
-			assign[slot] = int(owner)
-		}
-		victim := route.slotsOf(2)
+		moves := map[int]int{}
+		victim := eng.route.Load().slotsOf(2)
 		for _, slot := range victim[:len(victim)/2] {
-			assign[slot] = 0
+			moves[slot] = 0
 		}
-		if err := eng.Rebalance(assign); err != nil {
+		if err := moveSlots(eng, moves); err != nil {
 			t.Fatal(err)
 		}
 		eng.Crash()
@@ -335,7 +331,7 @@ func TestMergeCrashStages(t *testing.T) {
 		re := newSharded(t, pool, n, Config{})
 		defer re.Close()
 		verifyKeys(t, re, keys)
-		route := re.Route()
+		route := re.route.Load()
 		if got := len(route.slotsOf(2)); got != 0 {
 			t.Fatalf("shard 2 owns %d slots after reopen, want 0", got)
 		}

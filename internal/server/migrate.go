@@ -153,32 +153,6 @@ func (s *ShardedEngine) Split(src int) (*SplitReport, error) {
 	return rep, nil
 }
 
-// Rebalance migrates the live assignment to an explicit target: assign[s]
-// names the shard that should own slot s. Slots already in place are
-// untouched; the rest cut over one at a time under the same crash contract
-// as Split. Targets may only reference existing shards — grow the fleet
-// with Split first.
-func (s *ShardedEngine) Rebalance(assign []int) error {
-	s.migrateMu.Lock()
-	defer s.migrateMu.Unlock()
-	if len(assign) != NumSlots {
-		return fmt.Errorf("server: rebalance wants %d slot assignments, got %d", NumSlots, len(assign))
-	}
-	n := len(*s.shards.Load())
-	m := s.route.Load()
-	moves := make(map[int]int)
-	for slot, dst := range assign {
-		if dst < 0 || dst >= n {
-			return fmt.Errorf("server: rebalance assigns slot %d to shard %d of %d", slot, dst, n)
-		}
-		if int(m.Assign[slot]) != dst {
-			moves[slot] = dst
-		}
-	}
-	_, err := s.migrateSlots(moves)
-	return err
-}
-
 // shardLoads sums the per-slot load signal by owning shard.
 func (s *ShardedEngine) shardLoads(m *SlotMap) []uint64 {
 	n := len(*s.shards.Load())

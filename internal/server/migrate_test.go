@@ -210,15 +210,11 @@ func TestSplitReusesIdleShard(t *testing.T) {
 		}
 	}
 	// Drain shard 2: every slot it owns goes to shard 0.
-	m := eng.Route()
-	assign := make([]int, NumSlots)
-	for s, owner := range m.Assign {
-		assign[s] = int(owner)
-		if owner == 2 {
-			assign[s] = 0
-		}
+	moves := map[int]int{}
+	for _, slot := range eng.route.Load().slotsOf(2) {
+		moves[slot] = 0
 	}
-	if err := eng.Rebalance(assign); err != nil {
+	if err := moveSlots(eng, moves); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Split(0)
@@ -424,13 +420,8 @@ func TestDrainFenceWaitsForCommit(t *testing.T) {
 		putErr <- err
 	}()
 	awaitQueued(t, src, 1)
-	assign := make([]int, NumSlots)
-	for slot, k := range fleet.route.Load().Assign {
-		assign[slot] = int(k)
-	}
-	assign[SlotFor(key)] = 1
 	moved := make(chan error, 1)
-	go func() { moved <- fleet.Rebalance(assign) }()
+	go func() { moved <- moveSlots(fleet, map[int]int{SlotFor(key): 1}) }()
 	awaitQueued(t, src, 2) // the fence, behind the PUT
 	m.releaseWith(nil)
 	if err := <-holdErr; err != nil {
@@ -456,4 +447,13 @@ func TestDrainFenceWaitsForCommit(t *testing.T) {
 	if v, ok, err := re.Get(key); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("acked PUT lost across the move and a crash: %q ok=%v err=%v", v, ok, err)
 	}
+}
+
+// moveSlots cuts each slot in moves over to its new shard, as Split and
+// Merge do, under the fleet's migration lock.
+func moveSlots(s *ShardedEngine, moves map[int]int) error {
+	s.migrateMu.Lock()
+	defer s.migrateMu.Unlock()
+	_, err := s.migrateSlots(moves)
+	return err
 }

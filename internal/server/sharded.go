@@ -31,10 +31,10 @@ import (
 //
 // Routing is slot-based (slotmap.go): a key hashes to one of NumSlots fixed
 // slots and a published SlotMap assigns slots to shards, so the shard count
-// can change live — Split/Rebalance (migrate.go) move individual slots while
-// unaffected slots never stall. Each slot has a gate (RWMutex): requests
-// take the read side around route-lookup + dispatch, migration takes the
-// write side to fence a slot while its keys move.
+// can change live — Split and Merge (migrate.go, merge.go) move individual
+// slots while unaffected slots never stall. Each slot has a gate (RWMutex):
+// requests take the read side around route-lookup + dispatch, migration
+// takes the write side to fence a slot while its keys move.
 
 // shard pairs one pool with the engine that is its only legal mutator.
 type shard struct {
@@ -66,8 +66,8 @@ type ShardedEngine struct {
 	// deferred cleanup failures, autopilot decisions. Default: dropped.
 	Logf func(format string, args ...any)
 
-	// migrateMu serializes Split/Rebalance/Merge (and the shard-slice growth
-	// or shrink they do); routing never takes it.
+	// migrateMu serializes Split/Merge (and the shard-slice growth or
+	// shrink they do); routing never takes it.
 	migrateMu sync.Mutex
 	reshard   reshardCounters
 
@@ -457,9 +457,6 @@ func (s *ShardedEngine) NumShards() int { return len(*s.shards.Load()) }
 // MediaSize reports the per-shard pool media size in bytes (every shard is
 // created with the same geometry).
 func (s *ShardedEngine) MediaSize() int { return (*s.shards.Load())[0].pool.MediaSize() }
-
-// Route returns a copy of the live slot→shard assignment.
-func (s *ShardedEngine) Route() SlotMap { return *s.route.Load() }
 
 // ShardFor reports which shard currently owns key: the key's slot (a pure
 // function of the key bytes, stable forever) looked up in the live

@@ -116,18 +116,6 @@ func (m *SlotMap) slotsOf(k int) []int {
 	return out
 }
 
-// maxShard returns the highest shard index any slot references, or -1 for an
-// (impossible) empty assignment.
-func (m *SlotMap) maxShard() int {
-	max := -1
-	for _, k := range m.Assign {
-		if int(k) > max {
-			max = int(k)
-		}
-	}
-	return max
-}
-
 // LoadSlotMap reads and validates the slot map persisted for the layout at
 // path, through fs (nil means seglog.OS). A missing file returns (nil, nil):
 // the layout predates slot routing, or a crash hit between creating the

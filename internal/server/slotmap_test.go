@@ -104,14 +104,14 @@ func TestSlotMapRouteStableAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq := eng.Route().Seq
+	seq := eng.route.Load().Seq
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	re := newSharded(t, pool, 3, Config{})
 	defer re.Close()
-	if got := re.Route().Seq; got != seq {
+	if got := re.route.Load().Seq; got != seq {
 		t.Fatalf("slot map seq changed across reopen: %d -> %d", seq, got)
 	}
 	for key, shard := range route {

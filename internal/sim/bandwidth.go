@@ -12,8 +12,6 @@ type BandwidthMeter struct {
 	bytesPerSec float64
 	nextFree    Time
 	bytes       uint64
-	transfers   uint64
-	busy        Time
 }
 
 // NewBandwidthMeter builds a meter for a channel with the given peak rate in
@@ -45,39 +43,15 @@ func (b *BandwidthMeter) Transfer(arrive Time, n int) Time {
 	done := start + service
 	b.nextFree = done
 	b.bytes += uint64(n)
-	b.transfers++
-	b.busy += service
 	return done
 }
 
 // Bytes reports the total bytes transferred.
 func (b *BandwidthMeter) Bytes() uint64 { return b.bytes }
 
-// Transfers reports the number of transfers.
-func (b *BandwidthMeter) Transfers() uint64 { return b.transfers }
-
-// BytesPerSec reports the configured peak rate.
-func (b *BandwidthMeter) BytesPerSec() float64 { return b.bytesPerSec }
-
-// Utilization reports busy time as a fraction of the horizon [0, end].
-func (b *BandwidthMeter) Utilization(end Time) float64 {
-	if end <= 0 {
-		return 0
-	}
-	return float64(b.busy) / float64(end)
-}
-
-// DemandedRate reports the average offered load in bytes/second over [0, end].
-func (b *BandwidthMeter) DemandedRate(end Time) float64 {
-	if end <= 0 {
-		return 0
-	}
-	return float64(b.bytes) / end.Seconds()
-}
-
 // Reset clears state and statistics, keeping the configured rate.
 func (b *BandwidthMeter) Reset() {
-	b.nextFree, b.bytes, b.transfers, b.busy = 0, 0, 0, 0
+	b.nextFree, b.bytes = 0, 0
 }
 
 // GBs converts gigabytes-per-second (decimal GB) to bytes-per-second, the

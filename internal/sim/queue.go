@@ -27,9 +27,6 @@ func NewPipeline(name string, hz float64, depth int) *Pipeline {
 	}
 }
 
-// CycleTime reports the duration of one clock cycle.
-func (p *Pipeline) CycleTime() Time { return p.cycle }
-
 // Serve schedules a request arriving at arrive and returns its completion
 // time: it issues at the first free cycle at-or-after arrive and completes
 // depth cycles later.
@@ -42,9 +39,6 @@ func (p *Pipeline) Serve(arrive Time) Time {
 
 // Served reports the number of requests issued into the pipeline.
 func (p *Pipeline) Served() uint64 { return p.served }
-
-// Rate reports the pipeline's peak message rate in messages/second.
-func (p *Pipeline) Rate() float64 { return float64(Second) / float64(p.cycle) }
 
 // Reset returns the pipeline to idle, clearing statistics.
 func (p *Pipeline) Reset() { p.nextIssue = 0; p.served = 0 }

@@ -74,11 +74,8 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 
 func TestPipelineRateAndDepth(t *testing.T) {
 	p := NewPipeline("fpga", 300e6, 6) // 300 MHz: 3333ps cycle
-	cycle := p.CycleTime()
 	hz := 300e6
-	if cycle != Time(float64(Second)/hz) {
-		t.Fatalf("cycle = %v", cycle)
-	}
+	cycle := Time(float64(Second) / hz)
 	// Back-to-back arrivals issue one per cycle, complete depth cycles later.
 	d0 := p.Serve(0)
 	d1 := p.Serve(0)
@@ -87,9 +84,6 @@ func TestPipelineRateAndDepth(t *testing.T) {
 	}
 	if d1 != 7*cycle {
 		t.Fatalf("d1 = %v, want %v", d1, 7*cycle)
-	}
-	if got, want := p.Rate(), 300e6; got < want*0.999 || got > want*1.001 {
-		t.Fatalf("rate = %g, want ~%g", got, want)
 	}
 	p.Reset()
 	if p.Served() != 0 {
@@ -119,24 +113,15 @@ func TestBandwidthMeterSerialization(t *testing.T) {
 	if d1 != 2*d0 {
 		t.Fatalf("second transfer = %v, want %v (serialized)", d1, 2*d0)
 	}
-	if b.Bytes() != 128 || b.Transfers() != 2 {
-		t.Fatalf("stats: bytes=%d transfers=%d", b.Bytes(), b.Transfers())
+	if b.Bytes() != 128 {
+		t.Fatalf("bytes = %d, want 128", b.Bytes())
 	}
 	if got := b.Transfer(Second, 0); got != Second {
 		t.Fatalf("zero-byte transfer took time: %v", got)
 	}
-}
-
-func TestBandwidthMeterDemandedRate(t *testing.T) {
-	b := NewBandwidthMeter("x", GBs(1))
-	b.Transfer(0, 1000)
-	rate := b.DemandedRate(Microsecond)
-	if rate != 1e9 { // 1000 B / 1 us = 1 GB/s
-		t.Fatalf("demanded = %g, want 1e9", rate)
-	}
 	b.Reset()
-	if b.Bytes() != 0 {
-		t.Fatal("Reset did not clear meter")
+	if b.Bytes() != 0 || b.Transfer(0, 64) != d0 {
+		t.Fatal("Reset did not clear the meter")
 	}
 }
 
@@ -168,11 +153,8 @@ func TestHostProfiles(t *testing.T) {
 	}
 }
 
-func TestMinMaxTime(t *testing.T) {
+func TestMaxTime(t *testing.T) {
 	if MaxTime(1, 2) != 2 || MaxTime(2, 1) != 2 {
 		t.Fatal("MaxTime wrong")
-	}
-	if MinTime(1, 2) != 1 || MinTime(2, 1) != 1 {
-		t.Fatal("MinTime wrong")
 	}
 }

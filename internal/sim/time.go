@@ -69,14 +69,6 @@ func MaxTime(a, b Time) Time {
 	return b
 }
 
-// MinTime returns the earlier of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Clock is a per-context virtual clock. Each simulated hardware thread (and
 // each device pipeline) owns one Clock; components charge latency to the
 // clock of the context performing the access.

@@ -190,7 +190,7 @@ func TestRegisterLatencyHistogram(t *testing.T) {
 		h.Observe(int64(i))
 	}
 	r.RegisterLatencyHistogram("commit_ns", &h)
-	text := r.Text()
+	text := render(r)
 	for _, want := range []string{
 		`commit_ns{q="p50"} `, `commit_ns{q="p90"} `, `commit_ns{q="p99"} `,
 		`commit_ns{q="p999"} `, "commit_ns_count 1000\n",

@@ -50,26 +50,6 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.Register(name, func() float64 { return float64(c.Load()) })
 }
 
-// RegisterRatio registers ra as two gauges, prefix_hits and prefix_misses.
-func (r *Registry) RegisterRatio(prefix string, ra *Ratio) {
-	r.RegisterCounter(prefix+"_hits", &ra.Hits)
-	r.RegisterCounter(prefix+"_misses", &ra.Misses)
-}
-
-// Merge registers every metric of other into r (panicking on name
-// collisions, like Register). Later samples read other's live gauges.
-func (r *Registry) Merge(other *Registry) {
-	other.mu.Lock()
-	names := make(map[string]func() float64, len(other.gauges))
-	for k, v := range other.gauges {
-		names[k] = v
-	}
-	other.mu.Unlock()
-	for k, v := range names {
-		r.Register(k, v)
-	}
-}
-
 // Snapshot samples every gauge into a Summary.
 func (r *Registry) Snapshot() Summary {
 	r.mu.Lock()
@@ -126,11 +106,4 @@ func (s Summary) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, nil
-}
-
-// Text renders WriteTo into a string.
-func (r *Registry) Text() string {
-	var b strings.Builder
-	_, _ = r.WriteTo(&b)
-	return b.String()
 }

@@ -14,9 +14,10 @@ func TestRegistryWriteTo(t *testing.T) {
 	var ra Ratio
 	ra.Hits.Add(3)
 	ra.Misses.Add(1)
-	r.RegisterRatio("gamma", &ra)
+	r.RegisterCounter("gamma_hits", &ra.Hits)
+	r.RegisterCounter("gamma_misses", &ra.Misses)
 
-	got := r.Text()
+	got := render(r)
 	want := "alpha_rate 0.5\nbeta_total 42\ngamma_hits 3\ngamma_misses 1\n"
 	if got != want {
 		t.Fatalf("WriteTo:\n%s\nwant:\n%s", got, want)
@@ -24,8 +25,8 @@ func TestRegistryWriteTo(t *testing.T) {
 
 	// Live sampling: counters read at render time, not registration time.
 	c.Add(8)
-	if !strings.Contains(r.Text(), "beta_total 50\n") {
-		t.Fatalf("registry did not sample live counter: %s", r.Text())
+	if got := render(r); !strings.Contains(got, "beta_total 50\n") {
+		t.Fatalf("registry did not sample live counter: %s", got)
 	}
 
 	s := r.Snapshot()
@@ -34,14 +35,11 @@ func TestRegistryWriteTo(t *testing.T) {
 	}
 }
 
-func TestRegistryMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Register("a_metric", func() float64 { return 1 })
-	b.Register("b_metric", func() float64 { return 2 })
-	a.Merge(b)
-	if got := a.Text(); got != "a_metric 1\nb_metric 2\n" {
-		t.Fatalf("merged registry: %q", got)
-	}
+// render renders r as WriteTo does.
+func render(r *Registry) string {
+	var b strings.Builder
+	r.WriteTo(&b)
+	return b.String()
 }
 
 func TestRegistryRejectsBadNames(t *testing.T) {

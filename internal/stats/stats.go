@@ -173,13 +173,6 @@ func (t *Table) CSV() string {
 // run, rendered deterministically (sorted by key).
 type Summary map[string]float64
 
-// Merge adds all entries of other into s, summing on key collision.
-func (s Summary) Merge(other Summary) {
-	for k, v := range other {
-		s[k] += v
-	}
-}
-
 // Diff returns the per-key difference s - prev for counter-like series: the
 // windowed delta a rate computation or telemetry snapshot wants. Keys missing
 // from prev count as zero (a counter that appeared mid-window), and keys that

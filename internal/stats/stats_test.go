@@ -71,13 +71,8 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSummaryMergeAndString(t *testing.T) {
-	a := Summary{"x": 1, "y": 2}
-	b := Summary{"y": 3, "z": 4}
-	a.Merge(b)
-	if a["y"] != 5 || a["z"] != 4 {
-		t.Fatalf("merge wrong: %v", a)
-	}
+func TestSummaryString(t *testing.T) {
+	a := Summary{"z": 4, "x": 1, "y": 5}
 	s := a.String()
 	// Sorted by key.
 	if !(strings.Index(s, "x=") < strings.Index(s, "y=") && strings.Index(s, "y=") < strings.Index(s, "z=")) {

@@ -28,12 +28,6 @@ func New(mem memory.Memory, base, size uint64) *Region {
 	return &Region{mem: mem, base: base, size: size}
 }
 
-// Base reports the region's first host address.
-func (r *Region) Base() uint64 { return r.base }
-
-// Size reports the region length in bytes.
-func (r *Region) Size() uint64 { return r.size }
-
 func (r *Region) check(addr uint64, n int) {
 	if addr < r.base || addr+uint64(n) > r.base+r.size || addr+uint64(n) < addr {
 		panic(fmt.Sprintf("vpm: access [%#x,+%d) outside region [%#x,+%d)", addr, n, r.base, r.size))

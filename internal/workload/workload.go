@@ -26,20 +26,6 @@ const (
 	Delete
 )
 
-// String names the op.
-func (k OpKind) String() string {
-	switch k {
-	case Get:
-		return "get"
-	case Put:
-		return "put"
-	case Delete:
-		return "delete"
-	default:
-		return fmt.Sprintf("OpKind(%d)", uint8(k))
-	}
-}
-
 // Op is one generated operation.
 type Op struct {
 	Kind  OpKind
@@ -50,7 +36,6 @@ type Op struct {
 // KeyDist draws key indexes in [0, n).
 type KeyDist interface {
 	Next() uint64
-	N() uint64
 }
 
 // Uniform draws keys uniformly at random.
@@ -70,13 +55,9 @@ func NewUniform(n uint64, seed int64) *Uniform {
 // Next draws a key index.
 func (u *Uniform) Next() uint64 { return uint64(u.rng.Int63n(int64(u.n))) }
 
-// N reports the keyspace size.
-func (u *Uniform) N() uint64 { return u.n }
-
 // Zipf draws keys with a zipfian popularity skew (s > 1), the standard
 // hot-set model for cache-friendliness experiments (the hbmsize ablation).
 type Zipf struct {
-	n uint64
 	z *rand.Zipf
 }
 
@@ -89,14 +70,11 @@ func NewZipf(n uint64, s float64, seed int64) *Zipf {
 		panic("workload: zipf s must exceed 1")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	return &Zipf{n: n, z: rand.NewZipf(rng, s, 1, n-1)}
+	return &Zipf{z: rand.NewZipf(rng, s, 1, n-1)}
 }
 
 // Next draws a key index.
 func (z *Zipf) Next() uint64 { return z.z.Uint64() }
-
-// N reports the keyspace size.
-func (z *Zipf) N() uint64 { return z.n }
 
 // Sequential walks the keyspace in order (the wamp experiment's dense
 // pattern).
@@ -118,9 +96,6 @@ func (s *Sequential) Next() uint64 {
 	s.next = (s.next + 1) % s.n
 	return v
 }
-
-// N reports the keyspace size.
-func (s *Sequential) N() uint64 { return s.n }
 
 // Config describes a generated workload.
 type Config struct {
@@ -223,15 +198,3 @@ func (g *Generator) Next() Op {
 		return Op{Kind: Put, Key: g.MakeKey(i), Value: g.MakeValue(i)}
 	}
 }
-
-// Ops produces the next n operations.
-func (g *Generator) Ops(n int) []Op {
-	out := make([]Op, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
-// Config reports the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }

@@ -41,7 +41,9 @@ func TestPoolStatsSnapshot(t *testing.T) {
 		t.Fatalf("log counters did not move: %+v", s)
 	}
 
-	text := pool.StatsRegistry().Text()
+	var b strings.Builder
+	pool.StatsRegistry().WriteTo(&b)
+	text := b.String()
 	for _, metric := range []string{"pax_device_persists", "pax_durable_epoch", "pax_host_upgrades", "pax_log_appends_total"} {
 		if !strings.Contains(text, metric+" ") {
 			t.Fatalf("registry missing %s:\n%s", metric, text)
