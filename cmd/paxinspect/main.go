@@ -49,7 +49,16 @@ const (
 )
 
 func u64(b []byte, off uint64) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-func u32(b []byte, off uint64) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+
+// within reports whether [off, off+n) lies inside a size-byte file.
+func within(off, n uint64, size int) bool { return off <= uint64(size) && n <= uint64(size)-off }
+
+// invalid prints why the pool cannot be dumped and exits 1: a header that
+// points outside the file is corruption, not something to index with.
+func invalid(format string, args ...any) {
+	fmt.Printf("  INVALID "+format+"\n", args...)
+	os.Exit(1)
+}
 
 // dumpEpochStore prints the delta segments next to an epoch-log pool, if
 // any, and replays the committed records onto img so the dump below shows
@@ -155,8 +164,7 @@ func main() {
 	fmt.Printf("pool: %s (%d bytes)\n", *path, len(img))
 	dumpEpochStore(*path, img)
 	if got := u64(img, 0); got != poolMagic {
-		fmt.Printf("  INVALID pool magic %#x\n", got)
-		os.Exit(1)
+		invalid("pool magic %#x", got)
 	}
 	logOff, logSize := u64(img, 24), u64(img, 32)
 	dataOff, dataSize := u64(img, 40), u64(img, 48)
@@ -166,6 +174,13 @@ func main() {
 	fmt.Printf("  undo log      [%#x, +%d)\n", logOff, logSize)
 	fmt.Printf("  data (vPM)    [%#x, +%d)\n", dataOff, dataSize)
 	fmt.Printf("  durable epoch %d\n", durable)
+	if logSize < logHeaderSize || !within(logOff, logSize, len(img)) {
+		invalid("undo log region [%#x, +%d) in a %d-byte file", logOff, logSize, len(img))
+	}
+	rootBase := dataOff + uint64(arenaHeaderSize+15)/16*16
+	if rootBase < dataOff || !within(dataOff, dataSize, len(img)) || !within(rootBase, rootSlots*8, len(img)) {
+		invalid("data region [%#x, +%d) in a %d-byte file", dataOff, dataSize, len(img))
+	}
 
 	// Undo log.
 	lh := img[logOff:]
@@ -174,6 +189,9 @@ func main() {
 	} else {
 		capacity := u64(lh, 16)
 		tail := u64(lh, 24)
+		if capacity%logEntrySize != 0 || capacity > logSize-logHeaderSize || tail%logEntrySize != 0 {
+			invalid("undo log capacity %d or tail %d for a %d-byte log", capacity, tail, logSize)
+		}
 		fmt.Printf("  undo log: capacity %d entries, tail at entry %d\n",
 			capacity/logEntrySize, tail/logEntrySize)
 		printed, live := 0, 0
@@ -205,13 +223,14 @@ func main() {
 		return
 	}
 	brk := u64(ah, 24)
+	if brk < dataOff+arenaHeaderSize || brk > dataOff+dataSize {
+		invalid("allocator brk %#x outside the data region [%#x, +%d)", brk, dataOff, dataSize)
+	}
 	fmt.Printf("  allocator: brk %#x (%d heap bytes in use)\n", brk, brk-dataOff-arenaHeaderSize)
-	rootBase := dataOff + uint64(arenaHeaderSize+15)/16*16
 	fmt.Printf("  roots (table at %#x):\n", rootBase)
 	for i := uint64(0); i < rootSlots; i++ {
 		if v := u64(img, rootBase+i*8); v != 0 {
 			fmt.Printf("    slot %2d → %#x\n", i, v)
 		}
 	}
-	_ = u32 // reserved for future field dumps
 }

@@ -51,10 +51,6 @@ type Arena struct {
 	mem  memory.Memory
 	base uint64
 	size uint64
-
-	// In-memory statistics (not persisted; rebuilt as zero on open).
-	AllocCalls, FreeCalls uint64
-	BytesAllocated        uint64
 }
 
 // classFor returns the class index for a small size, or -1 for large sizes.
@@ -137,21 +133,14 @@ func (a *Arena) Alloc(size uint64) (uint64, error) {
 	if size == 0 {
 		return 0, errors.New("alloc: zero-size allocation")
 	}
-	a.AllocCalls++
 	if c := classFor(size); c >= 0 {
 		headAddr := a.base + offClasses + uint64(c)*8
 		if head := a.mem.LoadU64(headAddr); head != 0 {
 			next := a.mem.LoadU64(head) // free block stores next pointer inline
 			a.mem.StoreU64(headAddr, next)
-			a.BytesAllocated += classSize(c)
 			return head, nil
 		}
-		addr, err := a.carve(classSize(c))
-		if err != nil {
-			return 0, err
-		}
-		a.BytesAllocated += classSize(c)
-		return addr, nil
+		return a.carve(classSize(c))
 	}
 
 	// Large allocation: first fit over the large list.
@@ -171,18 +160,12 @@ func (a *Arena) Alloc(size uint64) (uint64, error) {
 			} else {
 				a.mem.StoreU64(prevAddr, curNext)
 			}
-			a.BytesAllocated += need
 			return cur, nil
 		}
 		prevAddr = cur
 		cur = curNext
 	}
-	addr, err := a.carve(need)
-	if err != nil {
-		return 0, err
-	}
-	a.BytesAllocated += need
-	return addr, nil
+	return a.carve(need)
 }
 
 // Free returns a block obtained from Alloc with the same size. Small blocks
@@ -192,7 +175,6 @@ func (a *Arena) Free(addr, size uint64) error {
 	if addr < a.base+headerSize || addr >= a.base+a.size {
 		return fmt.Errorf("alloc: free of %#x outside arena heap", addr)
 	}
-	a.FreeCalls++
 	if c := classFor(size); c >= 0 {
 		headAddr := a.base + offClasses + uint64(c)*8
 		a.mem.StoreU64(addr, a.mem.LoadU64(headAddr))

@@ -15,7 +15,6 @@ import (
 	"pax/internal/baselines/wal"
 	"pax/internal/memory"
 	"pax/internal/sim"
-	"pax/internal/stats"
 )
 
 // Instrumented wraps a persistent Memory the way a crash-consistency
@@ -27,11 +26,6 @@ type Instrumented struct {
 	log *wal.Log
 
 	inOp bool
-
-	// Stats.
-	Ops        stats.Counter
-	Stores     stats.Counter
-	StoreBytes stats.Counter
 }
 
 // New builds an instrumented memory over mem (which must implement
@@ -55,7 +49,6 @@ func (in *Instrumented) BeginOp() {
 	}
 	in.log.Begin()
 	in.inOp = true
-	in.Ops.Inc()
 }
 
 // EndOp closes the region: flush pending data (the pass conservatively
@@ -87,8 +80,6 @@ func (in *Instrumented) Store(addr uint64, data []byte) sim.Time {
 	in.log.Append(addr, old) // flush + fence inside
 	done := in.mem.Store(addr, data)
 	in.per.FlushLines(addr, len(data))
-	in.Stores.Inc()
-	in.StoreBytes.Add(uint64(len(data)))
 	return done
 }
 

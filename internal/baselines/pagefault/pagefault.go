@@ -36,12 +36,9 @@ type Tracker struct {
 	// writable holds pages already faulted (and logged) this epoch.
 	writable map[uint64]struct{}
 
-	// Stats.
-	Traps       stats.Counter // write-protection faults taken
-	PagesLogged stats.Counter
-	BytesLogged stats.Counter
-	Stores      stats.Counter
-	StoreBytes  stats.Counter
+	// Traps counts write-protection faults taken, one per page logged; the
+	// log's own counters hold the logged records and bytes.
+	Traps stats.Counter
 }
 
 // New builds a tracker over mem (which must implement memory.Persister)
@@ -86,14 +83,9 @@ func (t *Tracker) Store(addr uint64, data []byte) sim.Time {
 		old := make([]byte, PageSize)
 		t.mem.Load(page, old)
 		t.log.Append(page, old)
-		t.PagesLogged.Inc()
-		t.BytesLogged.Add(PageSize)
 		t.writable[page] = struct{}{}
 	}
-	done := t.mem.Store(addr, data)
-	t.Stores.Inc()
-	t.StoreBytes.Add(uint64(len(data)))
-	return done
+	return t.mem.Store(addr, data)
 }
 
 // LoadU64, StoreU64, LoadU32 and StoreU32 implement memory.Memory as Load

@@ -76,14 +76,18 @@ func TestWriteAmplification(t *testing.T) {
 	_, core := fixture(t)
 	tr := New(core, logBase, logSize)
 	// One 8-byte store per page across 16 pages: amplification = 4096/8.
+	stored := 0
 	for i := 0; i < 16; i++ {
-		tr.Store(dataPos+uint64(i)*PageSize, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		tr.Store(dataPos+uint64(i)*PageSize, data)
+		stored += len(data)
 	}
-	if got, want := float64(tr.BytesLogged.Load())/float64(tr.StoreBytes.Load()), float64(PageSize)/8; got != want {
+	logged := tr.Log().AppendedBytes.Load()
+	if got, want := float64(logged)/float64(stored), float64(PageSize)/8; got != want {
 		t.Fatalf("write amplification = %g, want %g", got, want)
 	}
-	if tr.PagesLogged.Load() != 16 || tr.BytesLogged.Load() != 16*PageSize {
-		t.Fatalf("pages=%d bytes=%d", tr.PagesLogged.Load(), tr.BytesLogged.Load())
+	if tr.Traps.Load() != 16 || logged != 16*PageSize {
+		t.Fatalf("traps=%d logged bytes=%d", tr.Traps.Load(), logged)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"pax/internal/baselines/wal"
 	"pax/internal/memory"
 	"pax/internal/sim"
-	"pax/internal/stats"
 )
 
 const chunk = 8 // logging granularity: 8-byte aligned chunks
@@ -33,11 +32,6 @@ type TxMemory struct {
 	logged map[uint64]struct{}
 	// pending are the chunks stored this transaction, flushed at commit.
 	pending []pendingSpan
-
-	// Stats.
-	Txs        stats.Counter
-	Stores     stats.Counter
-	StoreBytes stats.Counter
 }
 
 type pendingSpan struct {
@@ -70,7 +64,6 @@ func (t *TxMemory) Begin() {
 	}
 	t.log.Begin()
 	t.inTx = true
-	t.Txs.Inc()
 }
 
 // Commit flushes the transaction's data stores, fences, and durably closes
@@ -130,8 +123,6 @@ func (t *TxMemory) Store(addr uint64, data []byte) sim.Time {
 	}
 	done := t.mem.Store(addr, data)
 	t.pending = append(t.pending, pendingSpan{addr: addr, n: len(data)})
-	t.Stores.Inc()
-	t.StoreBytes.Add(uint64(len(data)))
 	return done
 }
 
@@ -159,7 +150,6 @@ type Map struct {
 type hashMap interface {
 	Put(key, value []byte) error
 	Get(key []byte) ([]byte, bool)
-	Delete(key []byte) (bool, error)
 	Len() uint64
 }
 
@@ -176,14 +166,6 @@ func (m *Map) Put(key, value []byte) error {
 
 // Get reads without transactional overhead (loads are never interposed on).
 func (m *Map) Get(key []byte) ([]byte, bool) { return m.hm.Get(key) }
-
-// Delete runs a removal as one failure-atomic transaction.
-func (m *Map) Delete(key []byte) (bool, error) {
-	m.tx.Begin()
-	present, err := m.hm.Delete(key)
-	m.tx.Commit()
-	return present, err
-}
 
 // Len reports the entry count.
 func (m *Map) Len() uint64 { return m.hm.Len() }

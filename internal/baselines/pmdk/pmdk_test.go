@@ -193,7 +193,9 @@ func TestMapOverTxMemory(t *testing.T) {
 	if !ok || !bytes.Equal(got, []byte("v007")) {
 		t.Fatalf("Get = %q %v", got, ok)
 	}
-	present, err := m.Delete([]byte("k007"))
+	tx.Begin() // a removal is one failure-atomic transaction too
+	present, err := hm.Delete([]byte("k007"))
+	tx.Commit()
 	if err != nil || !present {
 		t.Fatal("delete failed")
 	}

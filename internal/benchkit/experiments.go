@@ -363,42 +363,13 @@ func DeviceRate(cfg Config, sz Sizes) []*stats.Table {
 	return []*stats.Table{t}
 }
 
+// buildPAXWithLink is mustBuild for a PAX pool on a custom link profile.
 func buildPAXWithLink(cfg Config, link sim.LinkProfile) *Fixture {
-	opts := core.Options{
-		DataSize: cfg.DataSize,
-		LogSize:  cfg.LogSize,
-		Device:   device.Config{Link: link, HBMSize: cfg.HBMSize, HBMWays: cfg.HBMWays, Policy: cfg.Policy},
-		Host:     cfg.Host,
-	}
-	pm := pmem.New(pmem.DefaultConfig(int(core.HeaderSize + cfg.LogSize + cfg.DataSize)))
-	pool, err := core.Create(pm, opts)
+	f, err := buildPAX(cfg, link)
 	if err != nil {
-		panic(err)
+		panic(fmt.Sprintf("benchkit: building pax on %s: %v", link.Name, err))
 	}
-	hm, err := structures.NewHashMap(pool.Arena(), cfg.Buckets)
-	if err != nil {
-		panic(err)
-	}
-	pool.SetRoot(0, hm.Addr())
-	dev := pool.Device()
-	return &Fixture{
-		Kind: PAXCXL, Map: hm,
-		Persist:          func() { pool.Persist() },
-		PersistPipelined: func() { pool.PersistPipelined() },
-		Core:             pool.Hierarchy().Core(0),
-		Hier:             pool.Hierarchy(),
-		PM:               pm,
-		Link:             dev.Link(),
-		Dev:              dev,
-		Pool:             pool,
-		PoolOpts:         opts,
-		RawMem:           pool.Mem(0),
-		Arena:            pool.Arena(),
-		OpWrap:           plainWrap,
-		Fences:           noCount,
-		LoggedBytes:      func() uint64 { return dev.Log().Appends() * undolog.EntrySize },
-		Traps:            noCount,
-	}
+	return f
 }
 
 // EpochLength reproduces the §3.2/§3.3 group-commit analysis: ops per

@@ -91,8 +91,7 @@ type KVMap interface {
 
 // Fixture is one ready-to-run system under test.
 type Fixture struct {
-	Kind SystemKind
-	Map  KVMap
+	Map KVMap
 	// Persist commits an epoch/group boundary; no-op for non-snapshot
 	// systems (DRAM, PM-direct, PMDK which commits per op).
 	Persist func()
@@ -161,9 +160,9 @@ func Build(kind SystemKind, cfg Config) (*Fixture, error) {
 	case PageFault:
 		return buildPageFault(cfg)
 	case PAXCXL:
-		return buildPAX(kind, cfg, sim.CXLLink)
+		return buildPAX(cfg, sim.CXLLink)
 	case PAXEnzian:
-		return buildPAX(kind, cfg, sim.EnzianLink)
+		return buildPAX(cfg, sim.EnzianLink)
 	case PAXHybrid:
 		return buildHybrid(cfg)
 	default:
@@ -190,7 +189,7 @@ func buildDirect(kind SystemKind, cfg Config) (*Fixture, error) {
 		return nil, err
 	}
 	return &Fixture{
-		Kind: kind, Map: hm, Persist: func() {},
+		Map: hm, Persist: func() {},
 		Core: c, Hier: hier, PM: pm, RawMem: c,
 		Arena: arena, OpWrap: plainWrap,
 		Fences: noCount, LoggedBytes: noCount, Traps: noCount,
@@ -214,7 +213,7 @@ func buildPMDK(cfg Config) (*Fixture, error) {
 		return nil, err
 	}
 	return &Fixture{
-		Kind: PMDK, Map: pmdk.NewMap(tx, hm), Persist: func() {},
+		Map: pmdk.NewMap(tx, hm), Persist: func() {},
 		Core: c, Hier: hier, PM: pm, RawMem: c,
 		Arena: arena,
 		OpWrap: func(op func()) {
@@ -245,7 +244,7 @@ func buildCompilerPass(cfg Config) (*Fixture, error) {
 		return nil, err
 	}
 	return &Fixture{
-		Kind: CompilerPass, Map: &cpMap{in: in, hm: hm}, Persist: func() {},
+		Map: &cpMap{in: in, hm: hm}, Persist: func() {},
 		Core: c, Hier: hier, PM: pm, RawMem: c,
 		Arena: arena,
 		OpWrap: func(op func()) {
@@ -273,7 +272,7 @@ func buildPageFault(cfg Config) (*Fixture, error) {
 		return nil, err
 	}
 	return &Fixture{
-		Kind: PageFault, Map: hm,
+		Map:     hm,
 		Persist: func() { tr.Persist() },
 		Core:    c, Hier: hier, PM: pm, RawMem: tr,
 		Arena: arena, OpWrap: plainWrap,
@@ -284,7 +283,7 @@ func buildPageFault(cfg Config) (*Fixture, error) {
 }
 
 // buildPAX: the paper's system — a pool on a PAX device.
-func buildPAX(kind SystemKind, cfg Config, link sim.LinkProfile) (*Fixture, error) {
+func buildPAX(cfg Config, link sim.LinkProfile) (*Fixture, error) {
 	opts := core.Options{
 		DataSize: cfg.DataSize,
 		LogSize:  cfg.LogSize,
@@ -303,7 +302,7 @@ func buildPAX(kind SystemKind, cfg Config, link sim.LinkProfile) (*Fixture, erro
 	pool.SetRoot(0, hm.Addr())
 	dev := pool.Device()
 	return &Fixture{
-		Kind: kind, Map: hm,
+		Map:              hm,
 		Persist:          func() { pool.Persist() },
 		PersistPipelined: func() { pool.PersistPipelined() },
 		Core:             pool.Hierarchy().Core(0),
@@ -352,7 +351,7 @@ func buildHybrid(cfg Config) (*Fixture, error) {
 	}
 	dev := pool.Device()
 	return &Fixture{
-		Kind: PAXHybrid, Map: hm,
+		Map: hm,
 		// Each epoch commit re-protects all pages (the paging model's
 		// per-epoch tracking), so clean pages read direct again.
 		Persist:          func() { pool.Persist(); hmem.ResetProtections() },

@@ -12,8 +12,7 @@ import (
 // workload: simulated per-op latency plus per-op shared-resource demands,
 // which the scaling model turns into multi-thread throughput.
 type RunResult struct {
-	System SystemKind
-	Ops    int
+	Ops int
 
 	Elapsed sim.Time
 	NsPerOp float64
@@ -60,11 +59,6 @@ type RunSpec struct {
 	// before measurement counters are snapshotted — the hook experiments use
 	// to zero their own counters.
 	PostLoad func()
-}
-
-// deleter is the optional delete surface of a fixture map.
-type deleter interface {
-	Delete(key []byte) (bool, error)
 }
 
 // RunKV executes spec against fixture f and returns the measured profile.
@@ -124,12 +118,6 @@ func RunKV(f *Fixture, spec RunSpec) RunResult {
 			if err := f.Map.Put(op.Key, op.Value); err != nil {
 				panic(fmt.Sprintf("benchkit: measure put: %v", err))
 			}
-		case workload.Delete:
-			if d, ok := f.Map.(deleter); ok {
-				if _, err := d.Delete(op.Key); err != nil {
-					panic(fmt.Sprintf("benchkit: measure delete: %v", err))
-				}
-			}
 		}
 		if spec.PersistEvery > 0 && (i+1)%spec.PersistEvery == 0 {
 			persist()
@@ -152,7 +140,6 @@ func RunKV(f *Fixture, spec RunSpec) RunResult {
 	elapsed := f.Core.Now() - start
 	ops := float64(spec.MeasureOps)
 	res := RunResult{
-		System:  f.Kind,
 		Ops:     spec.MeasureOps,
 		Elapsed: elapsed,
 		NsPerOp: elapsed.Nanoseconds() / ops,
@@ -199,9 +186,9 @@ func (f *Fixture) Caps() Caps {
 	return c
 }
 
-// ScalePoint is one (threads, throughput) point with the binding bottleneck.
+// ScalePoint is the throughput at one thread count, with the binding
+// bottleneck.
 type ScalePoint struct {
-	Threads    int
 	Mops       float64
 	Bottleneck string
 }
@@ -240,7 +227,7 @@ func Scale(r RunResult, caps Caps, threads []int) []ScalePoint {
 				binding = c.name
 			}
 		}
-		out = append(out, ScalePoint{Threads: n, Mops: rate / 1e6, Bottleneck: binding})
+		out = append(out, ScalePoint{Mops: rate / 1e6, Bottleneck: binding})
 	}
 	return out
 }

@@ -71,8 +71,6 @@ type Hierarchy struct {
 	// Upgrades counts host→home exclusive-ownership notifications — the
 	// events a PAX device logs on.
 	Upgrades stats.Counter
-	// HomeFills counts line fills served by homes (true LLC misses).
-	HomeFills stats.Counter
 	// WriteBacks counts dirty LLC evictions written back to homes.
 	WriteBacks stats.Counter
 }
@@ -318,7 +316,6 @@ func (h *Hierarchy) fill(c *Core, la uint64, write bool, at sim.Time) (int, cohe
 
 	// LLC miss: evict a victim, fetch from the home.
 	h.LLCRatio.Misses.Inc()
-	h.HomeFills.Inc()
 	w := h.llcVictim(la)
 	if h.llcTags[w] != 0 {
 		at = h.llcEvict(w, at)
@@ -399,7 +396,6 @@ func (h *Hierarchy) ResetStats() {
 	}
 	h.LLCRatio.Reset()
 	h.Upgrades.Reset()
-	h.HomeFills.Reset()
 	h.WriteBacks.Reset()
 }
 

@@ -59,7 +59,7 @@ func (s *paxSide) counts() counts {
 		c.l2[i] = [2]uint64{core.l2.Ratio.Hits.Load(), core.l2.Ratio.Misses.Load()}
 	}
 	c.llc = [2]uint64{s.h.LLCRatio.Hits.Load(), s.h.LLCRatio.Misses.Load()}
-	c.upgrades, c.fills, c.wbs = s.h.Upgrades.Load(), s.h.HomeFills.Load(), s.h.WriteBacks.Load()
+	c.upgrades, c.fills, c.wbs = s.h.Upgrades.Load(), s.dev.Stats.FillsServed.Load(), s.h.WriteBacks.Load()
 	c.appends = s.dev.Log().Appends()
 	c.h2dB, c.d2hB = s.dev.Link().H2DBandwidth().Bytes(), s.dev.Link().D2HBandwidth().Bytes()
 	c.sent = s.dev.Stats.SnoopsSent.Load()

@@ -26,7 +26,6 @@ type writeRec struct {
 // Harness wraps a pool whose media writes are recorded for crash replay.
 type Harness struct {
 	Opts core.Options
-	PM   *pmem.Device
 	Pool *core.Pool
 
 	size    int
@@ -44,7 +43,6 @@ func NewHarness(opts core.Options) (*Harness, error) {
 	pm := pmem.New(pmem.DefaultConfig(size))
 	h := &Harness{
 		Opts:    opts,
-		PM:      pm,
 		size:    size,
 		dataOff: core.HeaderSize + opts.LogSize,
 	}

@@ -13,7 +13,7 @@ func TestOpcodePayloads(t *testing.T) {
 			t.Errorf("%v must carry data", o)
 		}
 	}
-	for _, o := range []Opcode{RdShared, RdOwn, ItoMWr, CleanEvict, SnpData, SnpInv, RspMiss} {
+	for _, o := range []Opcode{RdShared, RdOwn, ItoMWr, SnpData, RspMiss, CfgWr} {
 		if o.CarriesData() {
 			t.Errorf("%v must not carry data", o)
 		}
@@ -21,20 +21,17 @@ func TestOpcodePayloads(t *testing.T) {
 }
 
 func TestMessageWireBytes(t *testing.T) {
-	ok := Message{Op: RdOwn, Addr: 128}
-	if ok.WireBytes() != HeaderBytes {
-		t.Fatalf("WireBytes = %d", ok.WireBytes())
+	if got := RdOwn.WireBytes(); got != HeaderBytes {
+		t.Fatalf("RdOwn.WireBytes = %d", got)
 	}
-	data := Message{Op: DirtyEvict, Addr: 64}
-	if data.WireBytes() != HeaderBytes+DataBytes {
-		t.Fatalf("WireBytes = %d", data.WireBytes())
+	if got := DirtyEvict.WireBytes(); got != HeaderBytes+DataBytes {
+		t.Fatalf("DirtyEvict.WireBytes = %d", got)
 	}
 }
 
 func TestLinkLatencyAndSerialization(t *testing.T) {
 	l := NewLink(sim.CXLLink)
-	m := Message{Op: RdOwn, Addr: 0}
-	arrive := l.ToDevice(m, 0)
+	arrive := l.ToDevice(RdOwn, 0)
 	// Header transfer at 63 GB/s is sub-ns; latency dominates.
 	if arrive < sim.CXLLink.Latency || arrive > sim.CXLLink.Latency+sim.NS(2) {
 		t.Fatalf("arrival %v, want ~%v", arrive, sim.CXLLink.Latency)
@@ -42,8 +39,7 @@ func TestLinkLatencyAndSerialization(t *testing.T) {
 	if l.H2DBandwidth().Bytes() != HeaderBytes || l.D2HBandwidth().Bytes() != 0 {
 		t.Fatal("byte counters wrong")
 	}
-	resp := Message{Op: GO, Addr: 0}
-	back := l.ToHost(resp, arrive)
+	back := l.ToHost(GO, arrive)
 	if back <= arrive {
 		t.Fatal("response arrived before request")
 	}
@@ -84,8 +80,8 @@ func TestLinkPipelineBottleneck(t *testing.T) {
 // and checks that ResetStats clears both channels and the pipeline.
 func TestRequestResponseRoundTrip(t *testing.T) {
 	l := NewLink(sim.CXLLink)
-	arrive := l.ToDevice(Message{Op: RdOwn, Addr: 0}, 0)
-	done := l.ToHost(Message{Op: GO, Addr: 0}, l.DeviceProcess(arrive))
+	arrive := l.ToDevice(RdOwn, 0)
+	done := l.ToHost(GO, l.DeviceProcess(arrive))
 	if done < sim.CXLLink.RoundTrip() {
 		t.Fatalf("round trip %v < link RTT %v", done, sim.CXLLink.RoundTrip())
 	}

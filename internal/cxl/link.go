@@ -21,23 +21,24 @@ func NewLink(prof sim.LinkProfile) *Link {
 		prof:     prof,
 		h2d:      sim.NewBandwidthMeter(prof.Name+"-h2d", prof.Bandwidth),
 		d2h:      sim.NewBandwidthMeter(prof.Name+"-d2h", prof.Bandwidth),
-		pipeline: sim.NewPipeline(prof.Name+"-pipe", prof.DeviceHz, prof.PipelineDepth),
+		pipeline: sim.NewPipeline(prof.DeviceHz, prof.PipelineDepth),
 	}
 }
 
 // Profile reports the link's configuration.
 func (l *Link) Profile() sim.LinkProfile { return l.prof }
 
-// ToDevice carries a host→device message sent at `at` and returns its arrival
-// time at the device, after link latency and payload serialization.
-func (l *Link) ToDevice(m Message, at sim.Time) sim.Time {
-	return l.h2d.Transfer(at, m.WireBytes()) + l.prof.Latency
+// ToDevice carries a host→device message with opcode op, sent at `at`, and
+// returns its arrival time at the device, after link latency and payload
+// serialization.
+func (l *Link) ToDevice(op Opcode, at sim.Time) sim.Time {
+	return l.h2d.Transfer(at, op.WireBytes()) + l.prof.Latency
 }
 
-// ToHost carries a device→host message sent at `at` and returns its arrival
-// time at the host.
-func (l *Link) ToHost(m Message, at sim.Time) sim.Time {
-	return l.d2h.Transfer(at, m.WireBytes()) + l.prof.Latency
+// ToHost carries a device→host message with opcode op, sent at `at`, and
+// returns its arrival time at the host.
+func (l *Link) ToHost(op Opcode, at sim.Time) sim.Time {
+	return l.d2h.Transfer(at, op.WireBytes()) + l.prof.Latency
 }
 
 // DeviceProcess runs one message through the device's coherence pipeline,

@@ -28,8 +28,6 @@ const (
 	// ItoMWr requests ownership of a line the host already holds Shared
 	// (upgrade without data transfer); also an undo-log trigger.
 	ItoMWr
-	// CleanEvict notifies the device that the host dropped a clean line.
-	CleanEvict
 	// DirtyEvict writes a modified line back to the device.
 	DirtyEvict
 
@@ -38,8 +36,6 @@ const (
 	// SnpData asks the host to downgrade a line to Shared and forward the
 	// current value (issued for every epoch-modified line at persist()).
 	SnpData
-	// SnpInv asks the host to drop a line entirely.
-	SnpInv
 
 	// Responses.
 
@@ -72,18 +68,13 @@ const (
 	DataBytes   = 64
 )
 
-// Message is one CXL.cache message. It carries no payload bytes: the model
-// prices a message by its size on the link, which its opcode fixes, and the
-// line values themselves move through the cache and device models.
-type Message struct {
-	Op   Opcode
-	Addr uint64 // line-aligned
-}
-
-// WireBytes reports the message's size on the link.
-func (m Message) WireBytes() int {
+// WireBytes reports the size on the link of a message with this opcode. A
+// message carries no payload bytes: the model prices it by its size, which
+// its opcode fixes, and the line values themselves move through the cache
+// and device models.
+func (o Opcode) WireBytes() int {
 	n := HeaderBytes
-	if m.Op.CarriesData() {
+	if o.CarriesData() {
 		n += DataBytes
 	}
 	return n

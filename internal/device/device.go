@@ -8,6 +8,7 @@
 package device
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -57,7 +58,6 @@ type Stats struct {
 type PersistReport struct {
 	Epoch        uint64
 	LinesSnooped int
-	LinesDirty   int
 	LinesWritten int
 	LogWaited    sim.Time // time spent waiting for log durability
 	Done         sim.Time
@@ -70,7 +70,6 @@ type PersistReport struct {
 // log's counters — is atomic, so it may be read at any time, from any
 // goroutine, and after the media is closed.
 type Device struct {
-	cfg  Config
 	pm   *pmem.Device
 	link *cxl.Link
 
@@ -122,7 +121,6 @@ func New(cfg Config, pm *pmem.Device, hostBase, pmBase, size uint64, log *undolo
 		panic("device: vPM geometry must be line-aligned")
 	}
 	d := &Device{
-		cfg:      cfg,
 		pm:       pm,
 		link:     cxl.NewLink(cfg.Link),
 		hostBase: hostBase,
@@ -258,7 +256,7 @@ func (d *Device) FetchLine(hostAddr uint64, excl bool, buf []byte, at sim.Time) 
 	if excl {
 		op = cxl.RdOwn
 	}
-	at = d.link.ToDevice(cxl.Message{Op: op, Addr: hostAddr}, at)
+	at = d.link.ToDevice(op, at)
 	at = d.link.DeviceProcess(at)
 	d.Stats.FillsServed.Inc()
 
@@ -287,23 +285,23 @@ func (d *Device) FetchLine(hostAddr uint64, excl bool, buf []byte, at sim.Time) 
 	if excl {
 		st = coherence.Exclusive
 	}
-	at = d.link.ToHost(cxl.Message{Op: cxl.GO, Addr: hostAddr}, at)
+	at = d.link.ToHost(cxl.GO, at)
 	return coherence.FillResult{State: st, Done: at}
 }
 
 // UpgradeLine implements coherence.Home: the host upgrades a Shared line for
 // writing. The device undo-logs asynchronously and acknowledges immediately.
 func (d *Device) UpgradeLine(hostAddr uint64, at sim.Time) sim.Time {
-	at = d.link.ToDevice(cxl.Message{Op: cxl.ItoMWr, Addr: hostAddr}, at)
+	at = d.link.ToDevice(cxl.ItoMWr, at)
 	at = d.link.DeviceProcess(at)
 	d.logLine(hostAddr, at)
-	return d.link.ToHost(cxl.Message{Op: cxl.GO, Addr: hostAddr}, at)
+	return d.link.ToHost(cxl.GO, at)
 }
 
 // WriteBackLine implements coherence.Home: the host evicted a dirty vPM
 // line. The device buffers it; it reaches PM once its undo entry is durable.
 func (d *Device) WriteBackLine(hostAddr uint64, data []byte, at sim.Time) sim.Time {
-	at = d.link.ToDevice(cxl.Message{Op: cxl.DirtyEvict, Addr: hostAddr}, at)
+	at = d.link.ToDevice(cxl.DirtyEvict, at)
 	at = d.link.DeviceProcess(at)
 	d.Stats.WriteBacksRecv.Inc()
 
@@ -343,7 +341,7 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 
 	// Phase 1: snoop back modified lines.
 	for _, hostAddr := range addrs {
-		at = d.link.ToHost(cxl.Message{Op: cxl.SnpData, Addr: hostAddr}, at)
+		at = d.link.ToHost(cxl.SnpData, at)
 		d.Stats.SnoopsSent.Inc()
 		res := d.host.SnoopLine(hostAddr, coherence.SnpData, at)
 		at = res.Done
@@ -351,11 +349,10 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 		if res.Present {
 			respOp = cxl.RspData
 		}
-		at = d.link.ToDevice(cxl.Message{Op: respOp, Addr: hostAddr}, at)
+		at = d.link.ToDevice(respOp, at)
 		at = d.link.DeviceProcess(at)
 		if res.Dirty {
 			d.Stats.SnoopsDirty.Inc()
-			rep.LinesDirty++
 			i, _ := d.logged.get(hostAddr)
 			at = d.insertHBM(hbm.Line{Addr: hostAddr, Data: res.Data, Dirty: true, LogBound: d.logDone[i].bound}, at)
 		}
@@ -387,7 +384,7 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 
 	// Phase 4: atomically commit the epoch.
 	var cell [8]byte
-	putUint64(cell[:], epoch)
+	binary.LittleEndian.PutUint64(cell[:], epoch)
 	at = d.pm.WriteAtomic(d.epochPos, cell[:], at)
 	d.durable.Store(epoch)
 
@@ -418,15 +415,9 @@ func (d *Device) Persist(at sim.Time) PersistReport {
 func (d *Device) PersistPipelined(at sim.Time) (PersistReport, sim.Time) {
 	// The host posts a persist doorbell (an MMIO write, not a coherence
 	// message) and continues immediately.
-	release := d.link.ToDevice(cxl.Message{Op: cxl.CfgWr, Addr: d.hostBase}, at)
+	release := d.link.ToDevice(cxl.CfgWr, at)
 	start := sim.MaxTime(at, d.prevPersistDone)
 	rep := d.Persist(start)
 	d.prevPersistDone = rep.Done
 	return rep, release
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

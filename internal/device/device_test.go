@@ -164,9 +164,10 @@ func TestPersistProtocol(t *testing.T) {
 	evicted[0] = 0xBB
 	d.WriteBackLine(hostBase+64, evicted, 0)
 
+	dirty0 := d.Stats.SnoopsDirty.Load()
 	rep := d.Persist(0)
-	if rep.Epoch != 1 || rep.LinesSnooped != 2 || rep.LinesDirty != 1 {
-		t.Fatalf("report %+v", rep)
+	if dirty := d.Stats.SnoopsDirty.Load() - dirty0; rep.Epoch != 1 || rep.LinesSnooped != 2 || dirty != 1 {
+		t.Fatalf("report %+v, %d dirty snoops", rep, dirty)
 	}
 	if rep.LinesWritten < 2 {
 		t.Fatalf("wrote %d lines", rep.LinesWritten)

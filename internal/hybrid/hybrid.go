@@ -51,7 +51,6 @@ type Memory struct {
 	Faults      stats.Counter
 	DirectLoads stats.Counter
 	VPMLoads    stats.Counter
-	Stores      stats.Counter
 }
 
 // New builds a hybrid mapping. direct and vpm must be views of the SAME
@@ -139,7 +138,6 @@ func (m *Memory) Store(off uint64, data []byte) sim.Time {
 		if !m.isWritten(page) {
 			m.fault(page)
 		}
-		m.Stores.Inc()
 		done = m.vpm.Store(m.vpmBase+off, data[:n])
 		off += uint64(n)
 		data = data[n:]

@@ -186,9 +186,8 @@ func (c *ControllerHome) WriteBackLine(addr uint64, data []byte, at sim.Time) si
 // It backs volatile experiments and tests; the recoverable pool allocator
 // lives in package alloc.
 type Bump struct {
-	mem        Memory
-	next, end  uint64
-	allocCount uint64
+	mem       Memory
+	next, end uint64
 }
 
 // NewBump allocates from [base, base+size) of mem.
@@ -204,7 +203,6 @@ func (b *Bump) Alloc(size uint64) (uint64, error) {
 		return 0, fmt.Errorf("memory: bump allocator exhausted (%d of %d bytes used)", b.next, b.end)
 	}
 	b.next = start + size
-	b.allocCount++
 	return start, nil
 }
 

@@ -5,7 +5,6 @@ package sim
 // description of the FPGA coherence-message pipeline ("respond to coherence
 // messages on nearly every clock cycle").
 type Pipeline struct {
-	name      string
 	cycle     Time // duration of one clock cycle
 	depth     int  // pipeline depth in cycles
 	nextIssue Time
@@ -13,7 +12,7 @@ type Pipeline struct {
 }
 
 // NewPipeline builds a pipeline clocked at hz with the given depth in cycles.
-func NewPipeline(name string, hz float64, depth int) *Pipeline {
+func NewPipeline(hz float64, depth int) *Pipeline {
 	if hz <= 0 {
 		panic("sim: pipeline clock must be positive")
 	}
@@ -21,7 +20,6 @@ func NewPipeline(name string, hz float64, depth int) *Pipeline {
 		depth = 1
 	}
 	return &Pipeline{
-		name:  name,
 		cycle: Time(float64(Second) / hz),
 		depth: depth,
 	}

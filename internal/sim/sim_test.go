@@ -73,7 +73,7 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 }
 
 func TestPipelineRateAndDepth(t *testing.T) {
-	p := NewPipeline("fpga", 300e6, 6) // 300 MHz: 3333ps cycle
+	p := NewPipeline(300e6, 6) // 300 MHz: 3333ps cycle
 	hz := 300e6
 	cycle := Time(float64(Second) / hz)
 	// Back-to-back arrivals issue one per cycle, complete depth cycles later.
@@ -97,7 +97,7 @@ func TestPipelineValidation(t *testing.T) {
 			t.Fatal("expected panic on non-positive clock")
 		}
 	}()
-	NewPipeline("bad", 0, 1)
+	NewPipeline(0, 1)
 }
 
 func TestBandwidthMeterSerialization(t *testing.T) {

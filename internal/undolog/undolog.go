@@ -70,7 +70,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type Log struct {
 	dev  *pmem.Device
 	base uint64
-	size uint64
 
 	capacity uint64        // usable entry bytes (multiple of EntrySize)
 	head     atomic.Uint64 // virtual offset of next append
@@ -95,7 +94,7 @@ func usableCapacity(size uint64) uint64 {
 
 // Create formats a fresh, empty log in [base, base+size) of dev.
 func Create(dev *pmem.Device, base, size uint64) *Log {
-	l := &Log{dev: dev, base: base, size: size, capacity: usableCapacity(size)}
+	l := &Log{dev: dev, base: base, capacity: usableCapacity(size)}
 	l.writeHeader(0)
 	return l
 }
@@ -104,7 +103,7 @@ func Create(dev *pmem.Device, base, size uint64) *Log {
 // from the persisted tail to find the head. This is the recovery-time view —
 // entries whose append was interrupted fail validation and mark the end.
 func Open(dev *pmem.Device, base, size uint64) (*Log, error) {
-	l := &Log{dev: dev, base: base, size: size, capacity: usableCapacity(size)}
+	l := &Log{dev: dev, base: base, capacity: usableCapacity(size)}
 	var hdr [headerSize]byte
 	dev.Read(base, hdr[:], 0)
 	if got := binary.LittleEndian.Uint64(hdr[0:]); got != logMagic {

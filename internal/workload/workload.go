@@ -22,8 +22,6 @@ const (
 	Get OpKind = iota
 	// Put writes a key/value pair.
 	Put
-	// Delete removes a key.
-	Delete
 )
 
 // Op is one generated operation.
@@ -107,9 +105,6 @@ type Config struct {
 	// ReadFraction in [0,1]: fraction of operations that are Gets; the rest
 	// are Puts (Figure 2b uses 0 — write-only).
 	ReadFraction float64
-	// DeleteFraction in [0,1]: fraction of operations that are Deletes,
-	// carved out of the Put share (ReadFraction + DeleteFraction ≤ 1).
-	DeleteFraction float64
 	// Dist selects the key distribution: "uniform", "zipf", "sequential".
 	Dist string
 	// ZipfS is the zipf parameter when Dist == "zipf".
@@ -145,9 +140,6 @@ func NewGenerator(cfg Config) *Generator {
 	}
 	if cfg.ReadFraction < 0 || cfg.ReadFraction > 1 {
 		panic("workload: read fraction outside [0,1]")
-	}
-	if cfg.DeleteFraction < 0 || cfg.ReadFraction+cfg.DeleteFraction > 1 {
-		panic("workload: read+delete fractions exceed 1")
 	}
 	var dist KeyDist
 	switch cfg.Dist {
@@ -189,12 +181,8 @@ func (g *Generator) MakeValue(i uint64) []byte {
 func (g *Generator) Next() Op {
 	i := g.dist.Next()
 	r := g.rng.Float64()
-	switch {
-	case r < g.cfg.ReadFraction:
+	if r < g.cfg.ReadFraction {
 		return Op{Kind: Get, Key: g.MakeKey(i)}
-	case r < g.cfg.ReadFraction+g.cfg.DeleteFraction:
-		return Op{Kind: Delete, Key: g.MakeKey(i)}
-	default:
-		return Op{Kind: Put, Key: g.MakeKey(i), Value: g.MakeValue(i)}
 	}
+	return Op{Kind: Put, Key: g.MakeKey(i), Value: g.MakeValue(i)}
 }

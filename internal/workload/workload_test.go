@@ -128,32 +128,6 @@ func TestMixedReadFraction(t *testing.T) {
 	}
 }
 
-func TestDeleteFraction(t *testing.T) {
-	g := NewGenerator(Config{Keys: 100, KeySize: 8, ValueSize: 8, ReadFraction: 0.5, DeleteFraction: 0.25, Seed: 4})
-	var gets, dels, puts int
-	for _, op := range ops(g, 4000) {
-		switch op.Kind {
-		case Get:
-			gets++
-		case Delete:
-			dels++
-		case Put:
-			puts++
-		}
-	}
-	if gets < 1700 || gets > 2300 || dels < 800 || dels > 1200 || puts < 800 || puts > 1200 {
-		t.Fatalf("mix gets=%d dels=%d puts=%d", gets, dels, puts)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		NewGenerator(Config{Keys: 10, KeySize: 8, ValueSize: 8, ReadFraction: 0.8, DeleteFraction: 0.3})
-	}()
-}
-
 // ops draws the generator's next n operations.
 func ops(g *Generator, n int) []Op {
 	out := make([]Op, n)

@@ -160,7 +160,6 @@ type RecoveryInfo struct {
 type Pool struct {
 	inner *core.Pool
 	pm    *pmem.Device
-	path  string
 }
 
 func poolSize(o core.Options) int {
@@ -215,7 +214,7 @@ func CreatePool(path string, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{inner: inner, pm: pm, path: path}, nil
+	return &Pool{inner: inner, pm: pm}, nil
 }
 
 // OpenPool opens (and, if needed, recovers) an existing pool file. The
@@ -239,7 +238,7 @@ func OpenPool(path string, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{inner: inner, pm: pm, path: path}, nil
+	return &Pool{inner: inner, pm: pm}, nil
 }
 
 // MapPool is the Listing 1 entry point: open the pool file if it exists

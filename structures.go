@@ -23,8 +23,7 @@ func bindRoot(p *Pool, slot int) (addr uint64, create bool, err error) {
 // Map is a persistent hash map (the paper's running example: an unmodified
 // volatile hash table made persistent by the accelerator).
 type Map struct {
-	hm   *structures.HashMap
-	pool *Pool
+	hm *structures.HashMap
 }
 
 // NewMap constructs or recovers the map rooted at slot.
@@ -39,9 +38,9 @@ func NewMap(p *Pool, slot int) (*Map, error) {
 			return nil, err
 		}
 		p.SetRoot(slot, hm.Addr())
-		return &Map{hm: hm, pool: p}, nil
+		return &Map{hm: hm}, nil
 	}
-	return &Map{hm: structures.OpenHashMap(p.inner.Arena(), addr), pool: p}, nil
+	return &Map{hm: structures.OpenHashMap(p.inner.Arena(), addr)}, nil
 }
 
 // Put inserts or replaces a key.
@@ -63,8 +62,7 @@ func (m *Map) ForEach(fn func(key, value []byte) bool) { m.hm.ForEach(fn) }
 
 // SortedMap is a persistent ordered map (skip list).
 type SortedMap struct {
-	sl   *structures.SkipList
-	pool *Pool
+	sl *structures.SkipList
 }
 
 // NewSortedMap constructs or recovers the sorted map rooted at slot.
@@ -79,9 +77,9 @@ func NewSortedMap(p *Pool, slot int) (*SortedMap, error) {
 			return nil, err
 		}
 		p.SetRoot(slot, sl.Addr())
-		return &SortedMap{sl: sl, pool: p}, nil
+		return &SortedMap{sl: sl}, nil
 	}
-	return &SortedMap{sl: structures.OpenSkipList(p.inner.Arena(), addr), pool: p}, nil
+	return &SortedMap{sl: structures.OpenSkipList(p.inner.Arena(), addr)}, nil
 }
 
 // Put inserts or replaces a key.
@@ -105,8 +103,7 @@ func (s *SortedMap) Scan(from []byte, fn func(key, value []byte) bool) { s.sl.Sc
 
 // Queue is a persistent FIFO of byte records.
 type Queue struct {
-	q    *structures.Queue
-	pool *Pool
+	q *structures.Queue
 }
 
 // NewQueue constructs or recovers the queue rooted at slot.
@@ -121,9 +118,9 @@ func NewQueue(p *Pool, slot int) (*Queue, error) {
 			return nil, err
 		}
 		p.SetRoot(slot, q.Addr())
-		return &Queue{q: q, pool: p}, nil
+		return &Queue{q: q}, nil
 	}
-	return &Queue{q: structures.OpenQueue(p.inner.Arena(), addr), pool: p}, nil
+	return &Queue{q: structures.OpenQueue(p.inner.Arena(), addr)}, nil
 }
 
 // Push appends a record.
@@ -141,8 +138,7 @@ func (q *Queue) Len() uint64 { return q.q.Len() }
 // Index is a persistent B+tree over uint64 keys and values — the
 // fixed-width ordered index shape PM systems commonly build.
 type Index struct {
-	bt   *structures.BTree
-	pool *Pool
+	bt *structures.BTree
 }
 
 // NewIndex constructs or recovers the index rooted at slot.
@@ -157,9 +153,9 @@ func NewIndex(p *Pool, slot int) (*Index, error) {
 			return nil, err
 		}
 		p.SetRoot(slot, bt.Addr())
-		return &Index{bt: bt, pool: p}, nil
+		return &Index{bt: bt}, nil
 	}
-	return &Index{bt: structures.OpenBTree(p.inner.Arena(), addr), pool: p}, nil
+	return &Index{bt: structures.OpenBTree(p.inner.Arena(), addr)}, nil
 }
 
 // Put inserts or replaces a key.
@@ -183,8 +179,7 @@ func (ix *Index) Scan(from uint64, fn func(key, value uint64) bool) { ix.bt.Scan
 
 // Vector is a persistent growable array of fixed-width elements.
 type Vector struct {
-	v    *structures.Vector
-	pool *Pool
+	v *structures.Vector
 }
 
 // NewVector constructs or recovers the vector rooted at slot. elemSize is
@@ -200,9 +195,9 @@ func NewVector(p *Pool, slot int, elemSize uint64) (*Vector, error) {
 			return nil, err
 		}
 		p.SetRoot(slot, v.Addr())
-		return &Vector{v: v, pool: p}, nil
+		return &Vector{v: v}, nil
 	}
-	return &Vector{v: structures.OpenVector(p.inner.Arena(), addr), pool: p}, nil
+	return &Vector{v: structures.OpenVector(p.inner.Arena(), addr)}, nil
 }
 
 // Push appends an element.

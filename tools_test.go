@@ -5,14 +5,21 @@ package pax_test
 // user's shell session.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +106,38 @@ func TestInspectAndRecoverTools(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "recovered in place") {
 		t.Fatalf("recover output: %s", out)
+	}
+
+	// A header field that points outside the file is corruption: paxinspect
+	// prints INVALID and exits 1 instead of indexing with it.
+	img, err := os.ReadFile(poolPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logCapacity := binary.LittleEndian.Uint64(img[24:]) + 16
+	brk := binary.LittleEndian.Uint64(img[40:]) + 24
+	for _, c := range []struct {
+		field  string
+		off, v uint64
+	}{
+		{"log offset", 24, 1 << 40},
+		{"log size", 32, 1 << 62},
+		{"data offset", 40, 1 << 40},
+		{"data size", 48, 1 << 62},
+		{"log capacity", logCapacity, 1 << 40},
+		{"allocator brk", brk, 16},
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.pool")
+		corrupt := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint64(corrupt[c.off:], c.v)
+		if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(inspect, "-pool", bad).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "INVALID") {
+			t.Errorf("paxinspect on a corrupt %s: %v, want exit status 1 and INVALID:\n%s", c.field, err, out)
+		}
 	}
 	pool2, err := pax.OpenPool(poolPath, pax.Options{DataSize: 1 << 20, LogSize: 1 << 20, HBMSize: 32 << 10})
 	if err != nil {
@@ -238,7 +277,7 @@ func TestEveryInternalFunctionIsLinked(t *testing.T) {
 	for _, c := range []struct{ pkg, sym, decl, want string }{
 		{"cxl", "pax/internal/cxl.NewLink", "func NewLink() {}", "cxl.NewLink"},
 		{"cxl", "pax/internal/cxl.(*Link).ToDevice", "func (l *Link) ToDevice() {}", "cxl.(*Link).ToDevice"},
-		{"cxl", "pax/internal/cxl.Message.WireBytes", "func (m Message) WireBytes() int { return 0 }", "cxl.Message.WireBytes"},
+		{"cxl", "pax/internal/cxl.Opcode.WireBytes", "func (o Opcode) WireBytes() int { return 0 }", "cxl.Opcode.WireBytes"},
 		{"server", "pax/internal/server.(*ring[go.shape.struct { pax/internal/server.a int }]).push",
 			"func (r *ring[T]) push(v T) {}", "server.(*ring).push"},
 		{"server", "pax/internal/server.ordered[go.shape.uint64]", "func ordered[K cmp.Ordered](m map[K]int) []K { return nil }", "server.ordered"},
@@ -288,7 +327,7 @@ func TestEveryInternalFunctionIsLinked(t *testing.T) {
 		t.Fatal("no internal function symbols in the shipped binaries")
 	}
 
-	allow := readAllowlist(t, filepath.Join(root, "testdata", "unreached.txt"))
+	allow := readAllowlist(t, filepath.Join(root, "testdata", "unreached.txt"), maxUnreached)
 	used := make([]bool, len(allow))
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
@@ -380,9 +419,9 @@ func declName(pkg string, fn *ast.FuncDecl) string {
 // the only reasons to keep code no binary runs, and both stay small.
 const maxUnreached = 40
 
-// readAllowlist reads the prefixes of testdata/unreached.txt, one
-// "prefix<TAB>reason" a line.
-func readAllowlist(t *testing.T, path string) []string {
+// readAllowlist reads the prefixes of an allowlist, one "prefix<TAB>reason" a
+// line and at most max lines.
+func readAllowlist(t *testing.T, path string, max int) []string {
 	t.Helper()
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -392,12 +431,12 @@ func readAllowlist(t *testing.T, path string) []string {
 	for i, line := range strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n") {
 		prefix, reason, _ := strings.Cut(line, "\t")
 		if prefix == "" || (reason != "test support" && reason != "public API behind root pax") {
-			t.Fatalf("%s:%d: %q: want \"prefix<TAB>test support\" or \"prefix<TAB>public API behind root pax\"", path, i+1, line)
+			t.Fatalf("%s:%d: %q: want \"name<TAB>test support\" or \"name<TAB>public API behind root pax\"", path, i+1, line)
 		}
 		prefixes = append(prefixes, prefix)
 	}
-	if len(prefixes) > maxUnreached {
-		t.Fatalf("%s has %d entries, more than %d", path, len(prefixes), maxUnreached)
+	if len(prefixes) > max {
+		t.Fatalf("%s has %d entries, more than %d", path, len(prefixes), max)
 	}
 	return prefixes
 }
@@ -413,4 +452,320 @@ func allowed(prefixes []string, name string) int {
 		}
 	}
 	return -1
+}
+
+// Every field declared in a non-test internal/ or root file is read by
+// shipped code (the non-test files of any package in the module, bench,
+// the commands and the examples included), or is listed in
+// testdata/unread.txt with its reason. A field that code only writes is a
+// count or a copy that nothing consumes, and it costs its update on every
+// event it counts. Exported fields of exported root types are public API
+// and out of scope; an embedded field is a type's shape, not state. As with
+// unreached.txt, an entry that names a read field, or no field, fails.
+func TestEveryInternalFieldIsRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module")
+	}
+	// The classifier first. Each source declares struct T (or G) with one
+	// field f; want is what the rest of the source does with it.
+	const counter = `type counter struct{ v int64 }
+func (c *counter) Inc() { c.v++ }
+func (c *counter) CompareAndSwap(old, new int64) bool { return c.v == old }
+`
+	for _, c := range []struct{ name, src, want string }{
+		{"assignment", "type T struct{ f int }\nfunc g(t *T) { t.f = 1 }", "written"},
+		{"compound assignment", "type T struct{ f int }\nfunc g(t *T) { t.f += 2 }", "written"},
+		{"increment", "type T struct{ f int }\nfunc g(t *T) { t.f++ }", "written"},
+		{"keyed literal", "type T struct{ f, h int }\nvar _ = T{f: 1}", "written"},
+		{"positional literal", "type T struct{ h, f int }\nvar _ = []*T{{1, 2}}", "written"},
+		{"counter", counter + "type T struct{ f counter }\nfunc g(t *T) { t.f.Inc() }", "written"},
+		{"compare and swap", counter + "type T struct{ f counter }\nfunc g(t *T) bool { return t.f.CompareAndSwap(0, 1) }", "read"},
+		{"address", "type T struct{ f int }\nfunc g(t *T) *int { return &t.f }", "read"},
+		{"value", "type T struct{ f int }\nfunc g(t T) int { return t.f }", "read"},
+		{"index of a field", "type T struct{ f []int }\nfunc g(t *T) { t.f[0] = 1 }", "read"},
+		{"struct tag", "type T struct{ f int `json:\"f\"` }\nfunc g(t *T) { t.f = 1 }", "read"},
+		{"generic write", "type G[X any] struct{ f X }\nfunc g(x *G[int]) { x.f = 1 }", "written"},
+		{"generic read", "type G[X any] struct{ f X }\nfunc g(x *G[int]) { x.f = 1 }\nfunc h(x G[string]) string { return x.f }", "read"},
+		{"unused", "type T struct{ f int }", "unused"},
+	} {
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "", "package p\n"+c.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := newFieldInfo()
+		if _, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, info); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		uses := map[*types.Var]*fieldUse{}
+		useFields(info, []*ast.File{file}, uses)
+		got := "unused"
+		for id, obj := range info.Defs {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && id.Name == "f" {
+				if u := uses[v]; u != nil && u.read {
+					got = "read"
+				} else if u != nil {
+					got = "written"
+				}
+			}
+		}
+		if got != c.want {
+			t.Errorf("%s: f is %s, want %s", c.name, got, c.want)
+		}
+	}
+
+	root := repoRoot(t)
+	pkgs := checkModule(t, root)
+	uses := map[*types.Var]*fieldUse{}
+	for _, p := range pkgs {
+		useFields(p.info, p.files, uses)
+	}
+	allow := readAllowlist(t, filepath.Join(root, "testdata", "unread.txt"), maxUnread)
+	used := make([]bool, len(allow))
+	for _, p := range pkgs {
+		rel, inScope := strings.CutPrefix(p.path, internalPrefix)
+		if p.path == "pax" {
+			rel, inScope = "pax", true
+		}
+		if !inScope {
+			continue
+		}
+		names := fieldNames(rel, p.files)
+		for id, obj := range p.info.Defs {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() || v.Embedded() {
+				continue
+			}
+			name, ok := names[id.Pos()]
+			if !ok {
+				name = rel + "." + id.Name // a field of an unnamed struct type
+			}
+			owner, _, _ := strings.Cut(strings.TrimPrefix(name, rel+"."), ".")
+			if rel == "pax" && v.Exported() && token.IsExported(owner) {
+				continue
+			}
+			u := uses[v]
+			if u != nil && u.read {
+				continue
+			}
+			if i := slices.Index(allow, name); i >= 0 {
+				used[i] = true
+				continue
+			}
+			what := "is used nowhere"
+			if u != nil {
+				what = "is written (" + p.fset.Position(u.wrote).String() + ") and read nowhere"
+			}
+			t.Errorf("%s (%s) %s in shipped code: delete it, or list it in testdata/unread.txt with its reason",
+				name, p.fset.Position(id.Pos()), what)
+		}
+	}
+	for i, a := range allow {
+		if !used[i] {
+			t.Errorf("testdata/unread.txt: %q names no unread field; it is read now or gone, so drop the entry", a)
+		}
+	}
+}
+
+// maxUnread bounds testdata/unread.txt, for the same reasons as maxUnreached.
+const maxUnread = 8
+
+// checkedPackage is one of the module's packages, type-checked from its
+// non-test files.
+type checkedPackage struct {
+	path  string
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
+}
+
+// checkModule type-checks every package of the module, in dependency order,
+// with the standard library read from the build cache's export data.
+func checkModule(t *testing.T, root string) []checkedPackage {
+	t.Helper()
+	list := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+	list.Dir = root
+	var stderr bytes.Buffer
+	list.Stderr = &stderr
+	out, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var pkgs []checkedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct {
+			ImportPath, Dir, Export string
+			Standard                bool
+			GoFiles                 []string
+		}
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+			continue
+		}
+		cp := checkedPackage{path: p.ImportPath, fset: fset, info: newFieldInfo()}
+		for _, name := range p.GoFiles {
+			file, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.files = append(cp.files, file)
+		}
+		if checked[p.ImportPath], err = conf.Check(p.ImportPath, fset, cp.files, cp.info); err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		pkgs = append(pkgs, cp)
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func newFieldInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
+// fieldUse is what code does with one field: where it first writes it, and
+// whether anything reads it.
+type fieldUse struct {
+	wrote token.Pos
+	read  bool
+}
+
+// writeMethods update the instrument they are called on; calling one on a
+// field writes the field. Every other method call reads it.
+var writeMethods = map[string]bool{
+	"Inc": true, "Add": true, "Store": true, "StoreMax": true, "Reset": true, "Observe": true, "Since": true,
+}
+
+// useFields records in uses what files do with each struct field. A write is
+// the left side of an assignment or an ++/--, a composite-literal element,
+// or the receiver of a write method; a struct tag, and every other use,
+// reads the field. An instantiated generic field counts as its declaration.
+func useFields(info *types.Info, files []*ast.File, uses map[*types.Var]*fieldUse) {
+	use := func(v *types.Var, at token.Pos, write bool) {
+		v = v.Origin()
+		u := uses[v]
+		if u == nil {
+			u = &fieldUse{}
+			uses[v] = u
+		}
+		if write && u.wrote == token.NoPos {
+			u.wrote = at
+		}
+		u.read = u.read || !write
+	}
+	field := func(e ast.Expr) *ast.SelectorExpr {
+		s, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if ok && info.Selections[s] != nil && info.Selections[s].Kind() == types.FieldVal {
+			return s
+		}
+		return nil
+	}
+	writes := map[*ast.SelectorExpr]bool{}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if s := field(lhs); s != nil {
+						writes[s] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				if s := field(n.X); s != nil {
+					writes[s] = true
+				}
+			case *ast.SelectorExpr:
+				if m := info.Selections[n]; m != nil && m.Kind() == types.MethodVal && writeMethods[n.Sel.Name] {
+					if s := field(n.X); s != nil {
+						writes[s] = true
+					}
+				}
+			case *ast.CompositeLit:
+				typ := info.Types[n].Type
+				if ptr, ok := typ.(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						use(info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Pos(), true)
+					} else {
+						use(st.Field(i), elt.Pos(), true)
+					}
+				}
+			case *ast.StructType:
+				for _, f := range n.Fields.List {
+					for _, id := range f.Names {
+						if f.Tag != nil {
+							use(info.Defs[id].(*types.Var), f.Tag.Pos(), false)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for s, sel := range info.Selections {
+		if sel.Kind() == types.FieldVal {
+			use(sel.Obj().(*types.Var), s.Sel.Pos(), writes[s])
+		}
+	}
+}
+
+// fieldNames names each field declared in a named struct type of files,
+// keyed by the position of its name: pkg.Type.field, and
+// pkg.Type.field.inner for a field of an anonymous struct inside it.
+func fieldNames(pkg string, files []*ast.File) map[token.Pos]string {
+	names := map[token.Pos]string{}
+	var walk func(prefix string, typ ast.Expr)
+	walk = func(prefix string, typ ast.Expr) {
+		ast.Inspect(typ, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				for _, id := range f.Names {
+					names[id.Pos()] = prefix + "." + id.Name
+					walk(prefix+"."+id.Name, f.Type)
+				}
+			}
+			return false
+		})
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if spec, ok := n.(*ast.TypeSpec); ok {
+				walk(pkg+"."+spec.Name.Name, spec.Type)
+			}
+			return true
+		})
+	}
+	return names
 }
