@@ -81,22 +81,8 @@ func printShardStats(cl *wire.Client) error {
 		m["paxserve_reshard_moved_keys"], m["paxserve_reshard_purged_keys"])
 	autopilot := m["paxserve_autopilot_enabled"] == 1
 	if autopilot {
-		line := fmt.Sprintf("autopilot: on, %.0f split(s) / %.0f merge(s) by policy",
+		fmt.Printf("autopilot: on, %.0f split(s) / %.0f merge(s) by policy\n",
 			m["paxserve_autopilot_splits"], m["paxserve_autopilot_merges"])
-		if code, ok := m["paxserve_autopilot_last_action"]; ok {
-			action := "split"
-			if code == 2 || code == -2 {
-				action = "merge"
-			}
-			status := ""
-			if code < 0 {
-				status = " (failed)"
-			}
-			line += fmt.Sprintf("; last: %s shard %.0f%s at %s",
-				action, m["paxserve_autopilot_last_shard"], status,
-				time.Unix(0, int64(m["paxserve_autopilot_last_unix_nano"])).Format(time.RFC3339))
-		}
-		fmt.Println(line)
 	}
 	get := func(name string, k int) float64 {
 		return m[name+`{shard="`+strconv.Itoa(k)+`"}`]
@@ -142,16 +128,12 @@ func printTrace(cl *wire.Client) error {
 	}
 	fmt.Printf("-- trace @ %s: %d shard(s), slow threshold %s --\n",
 		time.Now().Format(time.RFC3339), snap.Shards, time.Duration(snap.SlowThresholdNS))
-	if d := snap.Autopilot; d != nil {
-		status := fmt.Sprintf("-> %d shards", d.Shards)
-		if d.Err != "" {
-			status = "failed: " + d.Err
-		}
-		fmt.Printf("autopilot last decision @ %s: %s shard %d %s (%s)\n",
-			time.Unix(0, d.UnixNano).Format(time.RFC3339), d.Action, d.Shard, status, d.Reason)
-	}
 	printRecords("recent commits", snap.Recent)
-	printRecords("pinned outliers (slow or failed)", snap.Slow)
+	evs := make([]pmEvent, len(snap.Events))
+	for i, ev := range snap.Events {
+		evs[i] = pmEvent(ev)
+	}
+	printEvents(evs, len(evs))
 	return nil
 }
 

@@ -11,9 +11,10 @@
 //
 // It also has a live mode against a running paxserve: -stats polls the
 // server's STATS wire command (the metrics registry, latency quantiles
-// included) and -trace polls TRACE (the commit flight recorder) and renders
-// the per-commit stage timings as a table, with the modeled PAX commit time
-// of each epoch beside them (sim). -stats -shards folds the
+// included) and -trace polls TRACE (the commit flight recorder and the
+// fleet's event ring) and renders the per-commit stage timings as a table,
+// with the modeled PAX commit time of each epoch beside them (sim), then the
+// recent events as -postmortem prints a journal's. -stats -shards folds the
 // registry's {shard="K"} series into a per-shard summary table (acked ops,
 // queue and commit tails, slot-router counters) — the view for spotting a
 // hot shard before and after a SPLIT. -interval repeats the poll.
@@ -121,7 +122,7 @@ func main() {
 		path     = flag.String("pool", "", "pool file to inspect")
 		entries  = flag.Int("entries", 10, "max undo-log entries to print")
 		statsAt  = flag.String("stats", "", "poll a running paxserve's STATS at this address instead of reading a file")
-		traceAt  = flag.String("trace", "", "poll a running paxserve's TRACE (commit flight recorder) at this address")
+		traceAt  = flag.String("trace", "", "poll a running paxserve's TRACE (commit flight recorder and recent events) at this address")
 		interval = flag.Duration("interval", 0, "with -stats/-trace: repeat the poll at this period (0 = once)")
 		byShard  = flag.Bool("shards", false, "with -stats: render a per-shard summary table (acked ops, queue/commit tails, slot counts) instead of the raw registry")
 		postDir  = flag.String("postmortem", "", "reconstruct a crash timeline from a black-box journal directory (<pool>.blackbox/) — works with the server dead")

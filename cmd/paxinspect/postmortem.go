@@ -211,23 +211,30 @@ func printPostmortem(dir string, tl *timeline) {
 		fmt.Printf("\nreshard in flight at crash: a %s started but never finished\n", tl.OpenReshard)
 	}
 
-	n := len(tl.Events)
-	show := tl.Events[max(0, n-20):]
-	if len(show) > 0 {
-		fmt.Printf("\nlast %d event(s):\n", len(show))
-		for _, ev := range show {
-			detail := ""
-			if len(ev.Detail) > 0 {
-				detail = string(ev.Detail)
-				if len(detail) > 100 {
-					detail = detail[:100] + "..."
-				}
+	if len(tl.Events) > 0 {
+		fmt.Println()
+		printEvents(tl.Events, 20)
+	}
+}
+
+// printEvents renders the last n of evs, oldest first, one line each with
+// its detail cut to 100 bytes: the one event renderer behind -postmortem
+// (the journal) and -trace (the live ring).
+func printEvents(evs []pmEvent, n int) {
+	show := evs[max(0, len(evs)-n):]
+	fmt.Printf("last %d event(s):\n", len(show))
+	for _, ev := range show {
+		detail := ""
+		if len(ev.Detail) > 0 {
+			detail = string(ev.Detail)
+			if len(detail) > 100 {
+				detail = detail[:100] + "..."
 			}
-			shard := fmt.Sprintf("%d", ev.Shard)
-			if ev.Shard < 0 {
-				shard = "-"
-			}
-			fmt.Printf("  %s  shard %-2s %-16s %s\n", pmTime(ev.UnixNano), shard, ev.Type, detail)
 		}
+		shard := fmt.Sprintf("%d", ev.Shard)
+		if ev.Shard < 0 {
+			shard = "-"
+		}
+		fmt.Printf("  %s  shard %-2s %-16s %s\n", pmTime(ev.UnixNano), shard, ev.Type, detail)
 	}
 }

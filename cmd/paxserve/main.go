@@ -106,7 +106,7 @@ func main() {
 		retries   = flag.Int("commit-retries", 3, "persist retries per group commit before the shard seals fail-stop (-1 disables)")
 		retryDly  = flag.Duration("commit-retry-delay", 2*time.Millisecond, "wait before the first commit retry, doubling per attempt")
 		debugAddr = flag.String("debug-addr", "", "HTTP observability listener serving /metrics, /trace, and /debug/pprof/ (unauthenticated — bind to localhost; empty disables)")
-		slowCmt   = flag.Duration("slow-commit", server.DefaultSlowCommit, "pin group commits slower than this in the flight recorder (negative disables pinning)")
+		slowCmt   = flag.Duration("slow-commit", server.DefaultSlowCommit, "emit a commit_slow event for group commits slower than this (negative disables commit_slow events)")
 		bbox      = flag.Bool("blackbox", false, "journal lifecycle events and windowed metrics snapshots to <pool>.blackbox/ for crash postmortems (paxinspect -postmortem)")
 		bboxTick  = flag.Duration("blackbox-interval", time.Second, "black-box windowed metrics snapshot period")
 		autosplit = flag.Bool("autosplit", false, "run the reshard autopilot's split policy: split the hottest shard when its commit pipeline stays saturated")

@@ -1,10 +1,12 @@
 package benchkit
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
+	"pax/internal/blackbox"
 	"pax/internal/server"
 	"pax/internal/stats"
 )
@@ -109,7 +111,7 @@ func (r *loadRun) autosplit(spec LoadSpec) (*AutopilotJSON, error) {
 	waited := time.Since(splitStart)
 	close(floodStop)
 	floodWG.Wait()
-	if !split {
+	if split == nil {
 		return nil, fmt.Errorf("benchkit: autopilot never split within %v (windows %+v)", actDeadline, ap.Windows())
 	}
 	select {
@@ -121,7 +123,7 @@ func (r *loadRun) autosplit(spec LoadSpec) (*AutopilotJSON, error) {
 		StartShards: start,
 		PeakShards:  r.eng.NumShards(),
 		SplitWaitMS: float64(waited.Microseconds()) / 1e3,
-		SplitReason: ap.LastDecision().Reason,
+		SplitReason: split.Reason,
 	}, nil
 }
 
@@ -130,11 +132,12 @@ func (r *loadRun) autosplit(spec LoadSpec) (*AutopilotJSON, error) {
 // own, before the run crashes the fleet.
 func (r *loadRun) automerge(pilot *AutopilotJSON) error {
 	mergeStart := time.Now()
-	if !r.awaitDecision("merge") {
+	merge := r.awaitDecision("merge")
+	if merge == nil {
 		return fmt.Errorf("benchkit: autopilot never merged back within %v (windows %+v)", actDeadline, r.pilot.Windows())
 	}
 	pilot.MergeWaitMS = float64(time.Since(mergeStart).Microseconds()) / 1e3
-	pilot.MergeReason = r.pilot.LastDecision().Reason
+	pilot.MergeReason = merge.Reason
 	if n := r.eng.NumShards(); n != pilot.StartShards {
 		return fmt.Errorf("benchkit: autopilot merged to %d shards, want the starting %d", n, pilot.StartShards)
 	}
@@ -150,19 +153,34 @@ func (r *loadRun) automerge(pilot *AutopilotJSON) error {
 // actDeadline bounds each wait for the policy to act.
 const actDeadline = 30 * time.Second
 
-// awaitDecision polls until the policy's last recorded decision is a
-// successful action, or actDeadline passes. The decision record (and its
-// counters) publish just after the fleet change itself, so this waits on the
-// recorded decision, not the shard count.
-func (r *loadRun) awaitDecision(action string) bool {
+// awaitDecision polls until the policy's latest decision in the fleet's
+// event ring is a successful action, and returns it; nil once actDeadline
+// passes. The policy event (and the counters) publish just after the fleet
+// change itself, so this waits on the decision, not the shard count.
+func (r *loadRun) awaitDecision(action string) *server.PolicyDecision {
 	deadline := time.Now().Add(actDeadline)
 	for {
-		if d := r.pilot.LastDecision(); d != nil && d.Action == action && d.Err == "" {
-			return true
+		if d := lastDecision(r.eng.Trace().Events); d != nil && d.Action == action && d.Err == "" {
+			return d
 		}
 		if time.Now().After(deadline) {
-			return false
+			return nil
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// lastDecision decodes the latest policy event in events, nil if none.
+func lastDecision(events []server.Event) *server.PolicyDecision {
+	for i := len(events) - 1; i >= 0; i-- {
+		if events[i].Type != blackbox.EvPolicy {
+			continue
+		}
+		var d server.PolicyDecision
+		if json.Unmarshal(events[i].Detail, &d) != nil {
+			return nil
+		}
+		return &d
+	}
+	return nil
 }

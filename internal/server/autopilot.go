@@ -29,7 +29,8 @@ import (
 //     configured stretch; and a cooldown separates any two actions so the
 //     loop never flaps split/merge against its own migration noise.
 //   - run ties them to a ticker and executes decisions via Split/Merge,
-//     recording every decision for STATS/TRACE.
+//     emitting every decision as a policy event (TRACE's events, the
+//     black-box journal).
 
 // ShardWindow is one shard's windowed load signals at the latest policy tick.
 type ShardWindow struct {
@@ -223,8 +224,8 @@ func (c AutopilotConfig) withDefaults() AutopilotConfig {
 	return c
 }
 
-// PolicyDecision is one executed autopilot action, recorded for STATS and
-// TRACE: what fired, on which shard, why, and how it went.
+// PolicyDecision is one executed autopilot action, the detail of its policy
+// event: what fired, on which shard, why, and how it went.
 type PolicyDecision struct {
 	UnixNano int64  `json:"unix_nano"`
 	Action   string `json:"action"` // "split" or "merge"
@@ -248,7 +249,6 @@ type Autopilot struct {
 
 	splits atomic.Uint64
 	merges atomic.Uint64
-	last   atomic.Pointer[PolicyDecision]
 
 	// Hysteresis state, touched only by the policy goroutine (and
 	// single-threaded tests driving decide directly).
@@ -301,9 +301,6 @@ func (a *Autopilot) Stop() {
 
 // Windows returns the per-shard windowed signals from the latest tick.
 func (a *Autopilot) Windows() []ShardWindow { return a.tracker.lastWindows() }
-
-// LastDecision returns the most recent executed decision, nil if none yet.
-func (a *Autopilot) LastDecision() *PolicyDecision { return a.last.Load() }
 
 func (a *Autopilot) run() {
 	defer close(a.done)
@@ -401,9 +398,10 @@ func (a *Autopilot) decide(wins []ShardWindow, now time.Time) *PolicyDecision {
 	return nil
 }
 
-// apply executes a decision and records it. The action's own duration counts
-// against the cooldown (lastAction is stamped after it returns), so a slow
-// migration pushes the next decision out rather than stacking on top.
+// apply executes a decision and emits it as a policy event. The action's own
+// duration counts against the cooldown (lastAction is stamped after it
+// returns), so a slow migration pushes the next decision out rather than
+// stacking on top.
 func (a *Autopilot) apply(d *PolicyDecision) {
 	switch d.Action {
 	case "split":
@@ -424,7 +422,6 @@ func (a *Autopilot) apply(d *PolicyDecision) {
 		}
 	}
 	a.lastAction = time.Now()
-	a.last.Store(d)
 	a.s.events.emit(blackbox.EvPolicy, -1, d)
 	if d.Err != "" {
 		a.s.logf("server: autopilot: %s shard %d failed: %s (%s)", d.Action, d.Shard, d.Err, d.Reason)
@@ -434,8 +431,9 @@ func (a *Autopilot) apply(d *PolicyDecision) {
 }
 
 // publish adds the autopilot's wire-visible status to a merged metrics
-// summary: windowed per-shard rates and the last decision, so STATS (and
-// paxinspect -stats -shards) shows what the policy sees and last did.
+// summary: its action counts and windowed per-shard rates, so STATS (and
+// paxinspect -stats -shards) shows what the policy sees. The decisions
+// themselves are policy events in TRACE.
 func (a *Autopilot) publish(m stats.Summary) {
 	m["paxserve_autopilot_enabled"] = 1
 	m["paxserve_autopilot_splits"] = float64(a.splits.Load())
@@ -445,17 +443,5 @@ func (a *Autopilot) publish(m stats.Summary) {
 		m["paxserve_window_ops_per_sec"+label] = w.OpsPerSec
 		m["paxserve_window_enqueue_p99_ns"+label] = float64(w.EnqueueP99NS)
 		m["paxserve_window_ops_per_sec"] += w.OpsPerSec
-	}
-	if d := a.last.Load(); d != nil {
-		action := 1.0
-		if d.Action == "merge" {
-			action = 2
-		}
-		if d.Err != "" {
-			action = -action
-		}
-		m["paxserve_autopilot_last_action"] = action
-		m["paxserve_autopilot_last_shard"] = float64(d.Shard)
-		m["paxserve_autopilot_last_unix_nano"] = float64(d.UnixNano)
 	}
 }

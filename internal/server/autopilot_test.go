@@ -1,9 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
+
+	"pax/internal/blackbox"
 )
 
 // newDecider builds an Autopilot with only the state decide() consumes, so
@@ -228,15 +231,36 @@ func TestTrackerWindowedRatesDecay(t *testing.T) {
 	}
 }
 
+// lastPolicy decodes the latest policy event in the fleet's event ring, nil
+// if there is none.
+func lastPolicy(t *testing.T, s *ShardedEngine) *PolicyDecision {
+	t.Helper()
+	evs := s.Trace().Events
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Type != blackbox.EvPolicy {
+			continue
+		}
+		var d PolicyDecision
+		if err := json.Unmarshal(evs[i].Detail, &d); err != nil {
+			t.Fatalf("policy event detail %s: %v", evs[i].Detail, err)
+		}
+		return &d
+	}
+	return nil
+}
+
 // End to end: under sustained single-shard pressure the autopilot splits on
-// its own; once the load stops it merges back down — and the windowed
-// metrics and last-decision records show up in STATS.
+// its own; once the load stops it merges back down — the windowed metrics
+// and action counts show up in STATS, and each decision is one policy event
+// in TRACE.
 func TestAutopilotSplitsThenMerges(t *testing.T) {
 	// QueueDepth 1 with per-request batches keeps the hot shard's enqueue
 	// path genuinely contended, so the windowed p99 crosses the (1ns)
 	// threshold whenever the flood runs — the pipeline signal without
 	// needing a 4096-commit media backlog.
-	eng := newSharded(t, tempPool(t), 2, Config{MaxBatch: 1, QueueDepth: 1})
+	// SlowCommit -1 keeps commit_slow events out of the ring, so nothing
+	// but policy and reshard events can crowd a decision out of it.
+	eng := newSharded(t, tempPool(t), 2, Config{MaxBatch: 1, QueueDepth: 1, SlowCommit: -1})
 	defer eng.Close()
 
 	ap, err := eng.StartAutopilot(AutopilotConfig{
@@ -293,28 +317,28 @@ func TestAutopilotSplitsThenMerges(t *testing.T) {
 		for !ok() {
 			if time.Now().After(end) {
 				t.Fatalf("%s did not happen within %v; windows %+v, last %+v",
-					what, deadline, ap.Windows(), ap.LastDecision())
+					what, deadline, ap.Windows(), lastPolicy(t, eng))
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 
-	// The decision record publishes just after the fleet change itself, so
+	// The policy event publishes just after the fleet change itself, so
 	// wait on both.
 	waitFor("autopilot split", 15*time.Second, func() bool {
-		d := ap.LastDecision()
+		d := lastPolicy(t, eng)
 		return eng.NumShards() == 3 && d != nil && d.Action == "split"
 	})
-	if d := ap.LastDecision(); d.Err != "" {
+	if d := lastPolicy(t, eng); d.Err != "" {
 		t.Fatalf("last decision after split: %+v", d)
 	}
 
 	close(stop)
 	waitFor("autopilot merge", 15*time.Second, func() bool {
-		d := ap.LastDecision()
+		d := lastPolicy(t, eng)
 		return eng.NumShards() == 2 && d != nil && d.Action == "merge"
 	})
-	if d := ap.LastDecision(); d.Err != "" {
+	if d := lastPolicy(t, eng); d.Err != "" || d.Shards != 2 {
 		t.Fatalf("last decision after merge: %+v", d)
 	}
 
@@ -332,14 +356,18 @@ func TestAutopilotSplitsThenMerges(t *testing.T) {
 	if _, ok := metrics[`paxserve_window_ops_per_sec{shard="0"}`]; !ok {
 		t.Fatal("windowed per-shard rate missing from STATS")
 	}
-	if metrics["paxserve_autopilot_last_action"] != 2 {
-		t.Fatalf("paxserve_autopilot_last_action = %v, want 2 (merge)", metrics["paxserve_autopilot_last_action"])
-	}
 
-	// The trace carries the last decision too.
-	trace := eng.Trace()
-	if trace.Autopilot == nil || trace.Autopilot.Action != "merge" {
-		t.Fatalf("trace autopilot record: %+v", trace.Autopilot)
+	// Every executed action is one policy event: the counters and the ring
+	// agree.
+	var executed int
+	for _, ev := range eng.Trace().Events {
+		var d PolicyDecision
+		if ev.Type == blackbox.EvPolicy && json.Unmarshal(ev.Detail, &d) == nil && d.Err == "" {
+			executed++
+		}
+	}
+	if want := int(metrics["paxserve_autopilot_splits"] + metrics["paxserve_autopilot_merges"]); executed != want {
+		t.Fatalf("%d executed policy events for %d counted actions", executed, want)
 	}
 
 	ap.Stop()

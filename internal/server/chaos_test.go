@@ -284,7 +284,7 @@ func TestChaosApplyPanicSealsOnlyItsShard(t *testing.T) {
 		t.Fatalf("paxserve_sealed sum = %v, want 1", m["paxserve_sealed"])
 	}
 	seals := 0
-	for _, ev := range s.Events().Events {
+	for _, ev := range s.Trace().Events {
 		if ev.Type == blackbox.EvSeal {
 			seals++
 		}

@@ -97,10 +97,11 @@ type Config struct {
 	// CommitRetryDelay is the wait before the first commit retry, doubling
 	// per attempt (default 2ms).
 	CommitRetryDelay time.Duration
-	// SlowCommit is the flight-recorder pin threshold: a group commit slower
-	// than this end to end (or one that failed) is copied to the pinned
-	// outlier ring so it survives after the recent ring wraps (default 10ms;
-	// negative disables pinning — failed commits are still pinned).
+	// SlowCommit is the commit_slow threshold: a group commit slower than
+	// this end to end is emitted as a commit_slow event into the fleet's
+	// event ring, so it survives after the flight recorder's recent ring
+	// wraps (default 10ms; negative disables commit_slow events — a failed
+	// commit is always emitted, as commit_failed).
 	SlowCommit time.Duration
 }
 
@@ -319,7 +320,7 @@ func newEngine(pool *pax.Pool, slot int, cfg Config, shard int, events *eventHub
 		shard:  shard,
 		events: events,
 	}
-	e.rec = newFlightRecorder(DefaultTraceDepth, DefaultSlowDepth, e.cfg.SlowCommit)
+	e.rec = newFlightRecorder(DefaultTraceDepth, e.cfg.SlowCommit)
 	kv.ForEach(func(key, value []byte) bool {
 		// value is a fresh copy the index keeps; key is ForEach's reused
 		// buffer, so the string conversion is the key's one copy.
@@ -661,8 +662,9 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // Crash ends the backoff — the batch never persisted, so its waiters fail and
 // recovery rolls the epoch back — while a graceful Close lets the budget run,
 // and a retry that succeeds still acks. On exhaustion the batch's waiters are
-// failed (never acked), the failed CommitRecord is pinned and the engine
-// seals fail-stop, which fails what is queued behind the batch. A batch that
+// failed (never acked), the failed CommitRecord is emitted as a
+// commit_failed event and the engine seals fail-stop, which fails what is
+// queued behind the batch. A batch that
 // fails, seals or crashes publishes nothing. It reports false when the
 // engine sealed or crashed.
 func (e *Engine) commit(b *sealedBatch) bool {
@@ -727,7 +729,7 @@ func (e *Engine) commit(b *sealedBatch) bool {
 	e.stats.PersistNS.Observe(rec.PersistNS)
 	e.stats.AckNS.Observe(rec.AckNS)
 	e.stats.CommitNS.Observe(rec.TotalNS)
-	if rec, pinned := e.rec.record(rec); pinned {
+	if rec, slow := e.rec.record(rec); slow {
 		e.events.emit(blackbox.EvCommitSlow, e.shard, rec)
 	}
 	return true

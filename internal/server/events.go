@@ -10,8 +10,10 @@ import (
 // box (internal/blackbox): every interesting transition — seal, failed or
 // slow commit, split/merge stages, autopilot decision — is emitted as an
 // Event. Events land in the fleet's bounded in-memory ring (read at dispatch
-// by the EVENTS wire op, like TRACE, so a sealed engine still answers) and,
-// when a sink is attached (AttachBlackbox), in the persistent journal.
+// as TRACE's events, so a sealed engine still answers) and, when a sink is
+// attached (AttachBlackbox), in the persistent journal. The ring is the one
+// in-process record of an incident: a slow or failed commit, a seal and a
+// policy decision each live here and nowhere else.
 
 // Event is one structured lifecycle event.
 type Event struct {
@@ -27,12 +29,6 @@ type Event struct {
 	// Detail is the event's typed payload, JSON-encoded: the seal error,
 	// the failed CommitRecord, the PolicyDecision, the split report.
 	Detail json.RawMessage `json:"detail,omitempty"`
-}
-
-// EventsSnapshot is the EVENTS wire op's reply body.
-type EventsSnapshot struct {
-	// Events holds the most recent events, oldest first.
-	Events []Event `json:"events"`
 }
 
 // eventRingDepth bounds the in-memory recent-events ring. Lifecycle events

@@ -76,7 +76,7 @@ func TestEngineSealEmitsEvents(t *testing.T) {
 
 	var failed, sealed int
 	var sealDetail string
-	for _, ev := range fleet.Events().Events {
+	for _, ev := range fleet.Trace().Events {
 		switch ev.Type {
 		case blackbox.EvCommitFailed:
 			failed++
@@ -101,10 +101,10 @@ func TestEngineSealEmitsEvents(t *testing.T) {
 	}
 }
 
-// The EVENTS wire op is answered at dispatch, so a fleet whose only shard
-// sealed still serves its event ring — the same contract TRACE and STATS
-// have.
-func TestEventsWireOpOnSealedEngine(t *testing.T) {
+// TRACE is answered at dispatch, so a fleet whose only shard sealed still
+// serves its event ring — the seal event and the failed commit that caused
+// it are in the reply.
+func TestTraceOnSealedEngine(t *testing.T) {
 	fleet, _, ffs := faultyFleet(t, "", 1, Config{
 		MaxBatch:      4,
 		CommitRetries: -1,
@@ -120,23 +120,24 @@ func TestEventsWireOpOnSealedEngine(t *testing.T) {
 	if _, err := cl.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatalf("healthy put: %v", err)
 	}
-	body, err := cl.Events()
+	body, err := cl.Trace()
 	if err != nil {
-		t.Fatalf("EVENTS on healthy engine: %v", err)
+		t.Fatalf("TRACE on healthy engine: %v", err)
 	}
-	var snap EventsSnapshot
+	var snap TraceSnapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("EVENTS body: %v\n%s", err, body)
+		t.Fatalf("TRACE body: %v\n%s", err, body)
 	}
 
 	ffs.Set(faultfs.FailSyncsAfter(logSyncs, 0, errInjected))
 	if _, err := cl.Put([]byte("k2"), []byte("v2")); err == nil {
 		t.Fatal("put on failing media succeeded")
 	}
-	body, err = cl.Events()
+	body, err = cl.Trace()
 	if err != nil {
-		t.Fatalf("EVENTS on sealed engine: %v", err)
+		t.Fatalf("TRACE on sealed engine: %v", err)
 	}
+	snap = TraceSnapshot{}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,148 @@ func TestEventsWireOpOnSealedEngine(t *testing.T) {
 		types[ev.Type]++
 	}
 	if types[blackbox.EvSeal] != 1 || types[blackbox.EvCommitFailed] != 1 {
-		t.Fatalf("sealed engine's EVENTS = %v, want one seal and one commit_failed", types)
+		t.Fatalf("sealed engine's TRACE events = %v, want one seal and one commit_failed", types)
+	}
+}
+
+// TestEachIncidentIsRecordedOnce is the definition test of the fleet's one
+// record per incident: a slow commit, a failed commit, the seal it causes
+// and a policy decision each appear exactly once in TRACE's event ring. A
+// commit event is the flight-recorder record of the same commit — its
+// (shard, seq) names a record in the recent ring, field for field — and
+// neither TRACE nor STATS keeps a second copy of any of them.
+func TestEachIncidentIsRecordedOnce(t *testing.T) {
+	const sick = 1
+	path := filepath.Join(t.TempDir(), "kv.pool")
+	// SlowCommit 1ns: every successful commit is a commit_slow event.
+	fleet, _, ffs := faultyFleet(t, path, 2, Config{MaxBatch: 4, CommitRetries: -1, SlowCommit: 1})
+	defer fleet.Close()
+	// A policy loop that never ticks on its own: the test drives decide
+	// and apply, so the decision is made by the real thresholds and
+	// executed by the real apply.
+	ap, err := fleet.StartAutopilot(AutopilotConfig{
+		Interval:        time.Hour,
+		SplitEnabled:    true,
+		MaxShards:       3,
+		SplitEnqueueP99: 1,
+		SplitHotTicks:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOn := func(shard int, prefix string) []byte {
+		for i := 0; ; i++ {
+			if k := []byte(fmt.Sprintf("%s-%d", prefix, i)); fleet.ShardFor(k) == shard {
+				return k
+			}
+		}
+	}
+
+	// The slow commit.
+	slowEpoch, err := fleet.Put(keyOn(0, "slow"), []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The policy decision: split shard 0, off a saturated window.
+	d := ap.decide(hotWindows(int64(time.Second)), time.Now())
+	if d == nil || d.Action != "split" || d.Shard != 0 {
+		t.Fatalf("decision = %+v, want a split of shard 0", d)
+	}
+	ap.apply(d)
+	if d.Err != "" || fleet.NumShards() != 3 {
+		t.Fatalf("split decision %+v left %d shards", d, fleet.NumShards())
+	}
+	// The failed commit, on a shard the split did not touch, and its seal.
+	ffs.Set(faultfs.FailSyncsAfter(faultfs.In(ShardPath(path, sick)+epochlog.DirSuffix), 0, errInjected))
+	if _, err := fleet.Put(keyOn(sick, "doomed"), []byte("v")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("put on faulted media: %v", err)
+	}
+	metrics, err := fleet.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A writer records a commit just after acking it and emits its event
+	// after that: once the fleet is closed, both are final.
+	if err := fleet.Close(); !errors.Is(err, ErrSealed) {
+		t.Fatalf("close = %v, want the seal error", err)
+	}
+
+	snap := fleet.Trace()
+	type commitID struct {
+		shard int
+		seq   uint64
+	}
+	recorded := make(map[commitID]CommitRecord)
+	for _, rec := range snap.Recent {
+		recorded[commitID{rec.Shard, rec.Seq}] = rec
+	}
+	var slowPut, failed, seals, policies int
+	evented := make(map[commitID]bool)
+	for _, ev := range snap.Events {
+		switch ev.Type {
+		case blackbox.EvCommitSlow, blackbox.EvCommitFailed:
+			var rec CommitRecord
+			if err := json.Unmarshal(ev.Detail, &rec); err != nil {
+				t.Fatal(err)
+			}
+			id := commitID{rec.Shard, rec.Seq}
+			if got, ok := recorded[id]; !ok || got != rec || ev.Shard != rec.Shard {
+				t.Fatalf("%s event on shard %d carries %+v; the recent ring holds %+v", ev.Type, ev.Shard, rec, got)
+			}
+			if evented[id] {
+				t.Fatalf("commit %+v is in the event ring twice", id)
+			}
+			evented[id] = true
+			if ev.Type == blackbox.EvCommitFailed {
+				failed++
+				if rec.Shard != sick || !strings.Contains(rec.Err, "injected") {
+					t.Fatalf("commit_failed record %+v, want shard %d's injected fault", rec, sick)
+				}
+			} else if rec.Shard == 0 && rec.Epoch == slowEpoch {
+				slowPut++
+			}
+		case blackbox.EvSeal:
+			seals++
+		case blackbox.EvPolicy:
+			policies++
+			var got PolicyDecision
+			if err := json.Unmarshal(ev.Detail, &got); err != nil || got != *d {
+				t.Fatalf("policy event %s, want the executed decision %+v", ev.Detail, *d)
+			}
+		}
+	}
+	if slowPut != 1 || failed != 1 || seals != 1 || policies != 1 {
+		t.Fatalf("slow PUT commit %d, commit_failed %d, seal %d, policy %d event(s); want 1 each", slowPut, failed, seals, policies)
+	}
+	// Every commit was slow or failed, so each record is one event.
+	if len(evented) != len(recorded) {
+		t.Fatalf("%d commit events for %d recorded commits", len(evented), len(recorded))
+	}
+
+	// No second copy on the wire: TRACE is the commits and the ring ...
+	body, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for name := range fields {
+		switch name {
+		case "shards", "slow_threshold_ns", "recent", "events":
+		default:
+			t.Fatalf("TRACE carries %q beside the event ring", name)
+		}
+	}
+	// ... and STATS counts decisions without copying the last one.
+	for name := range metrics {
+		if strings.HasPrefix(name, "paxserve_autopilot_last_") {
+			t.Fatalf("STATS carries %s, a copy of the policy event", name)
+		}
+	}
+	if metrics["paxserve_autopilot_splits"] != 1 {
+		t.Fatalf("paxserve_autopilot_splits = %v, want 1", metrics["paxserve_autopilot_splits"])
 	}
 }
 
@@ -305,7 +447,7 @@ func TestBlackboxSplitEvents(t *testing.T) {
 		t.Fatalf("split of a 2-shard fleet reused shard %d", rep.Dest)
 	}
 	pollUntil(t, "the new shard's commit is an event", func() bool {
-		for _, ev := range eng.Events().Events {
+		for _, ev := range eng.Trace().Events {
 			if ev.Type == blackbox.EvCommitSlow && ev.Shard == rep.Dest {
 				return true
 			}

@@ -9,24 +9,23 @@ import (
 // per-commit records the writer loop appends to on every group commit. Where
 // the metrics registry answers "what is the p99", the recorder answers "what
 // did commit #4711 actually do" — batch size, per-stage nanoseconds, retries,
-// and the error if the medium refused the epoch. Commits slower than a
-// threshold (and every failed commit) are additionally copied to a pinned
-// ring, so an outlier from hours ago survives long after the recent ring has
-// wrapped past it.
+// and the error if the medium refused the epoch. A commit slower than a
+// threshold, and every failed commit, is an outlier: the engine emits it as
+// a commit_slow or commit_failed event into the fleet's event ring
+// (events.go), so it survives after the recent ring has wrapped past it and
+// is stored once.
 //
 // The recorder is deliberately cheap: one mutex-guarded ring append per group
 // commit (not per operation — the engine already amortizes N writes into one
-// commit, and the recorder rides that amortization). Snapshots copy the rings
-// under the same mutex, so a TRACE never blocks a commit for more than two
-// slice copies.
+// commit, and the recorder rides that amortization). Snapshots copy the ring
+// under the same mutex, so a TRACE never blocks a commit for more than one
+// slice copy.
 
 // Flight-recorder sizes: every engine's recent ring keeps the last
-// DefaultTraceDepth commits and its pinned ring the last DefaultSlowDepth
-// outliers; a commit counts as an outlier past DefaultSlowCommit (the
-// Config.SlowCommit default) or on any error.
+// DefaultTraceDepth commits; a commit counts as an outlier past
+// DefaultSlowCommit (the Config.SlowCommit default) or on any error.
 const (
 	DefaultTraceDepth = 256
-	DefaultSlowDepth  = 64
 	DefaultSlowCommit = 10 * time.Millisecond
 )
 
@@ -89,18 +88,18 @@ type CommitRecord struct {
 	Err string `json:"err,omitempty"`
 }
 
-// TraceSnapshot is what TRACE returns: the recent ring and the pinned
-// outliers, each oldest-first.
+// TraceSnapshot is what TRACE returns: the recent commits and the fleet's
+// recent lifecycle events, each oldest-first.
 type TraceSnapshot struct {
 	// Shards is how many engines contributed (1 for an unsharded trace).
 	Shards int `json:"shards"`
-	// SlowThresholdNS is the pin threshold in force (0 = pinning disabled).
+	// SlowThresholdNS is the commit_slow event threshold in force (0 = no
+	// commit_slow events; failed commits are always emitted).
 	SlowThresholdNS int64          `json:"slow_threshold_ns"`
 	Recent          []CommitRecord `json:"recent"`
-	Slow            []CommitRecord `json:"slow"`
-	// Autopilot is the reshard policy's last decision, when a policy loop is
-	// running on the sharded router (autopilot.go); nil otherwise.
-	Autopilot *PolicyDecision `json:"autopilot,omitempty"`
+	// Events is the fleet's event ring (nil in one engine's own trace):
+	// slow and failed commits, seals, splits, merges and policy decisions.
+	Events []Event `json:"events"`
 }
 
 // flightRecorder is the per-engine recorder. record is called by the writer
@@ -108,13 +107,12 @@ type TraceSnapshot struct {
 type flightRecorder struct {
 	mu        sync.Mutex
 	seq       uint64
-	threshold time.Duration // ≤ 0: pinning disabled
+	threshold time.Duration // ≤ 0: no commit is slow
 	recent    ring[CommitRecord]
-	slow      ring[CommitRecord]
 }
 
 // ring is a fixed-capacity overwrite-oldest buffer: the flight recorder's
-// two record rings and the fleet's event ring (events.go).
+// record ring and the fleet's event ring (events.go).
 type ring[T any] struct {
 	buf  []T
 	next int  // slot the next element lands in
@@ -142,33 +140,27 @@ func (r *ring[T]) ordered() []T {
 	return append(out, r.buf[:r.next]...)
 }
 
-func newFlightRecorder(depth, slowDepth int, threshold time.Duration) *flightRecorder {
+func newFlightRecorder(depth int, threshold time.Duration) *flightRecorder {
 	return &flightRecorder{
 		threshold: threshold,
 		recent:    newRing[CommitRecord](depth),
-		slow:      newRing[CommitRecord](slowDepth),
 	}
 }
 
-// record assigns the next sequence number and appends; failed or
-// over-threshold commits are copied to the pinned ring too, and pinned
-// reports that. It returns the stamped record so event emitters journal the
-// same seq TRACE shows — a postmortem's failing-commit record
-// cross-references the flight recorder.
-func (f *flightRecorder) record(rec CommitRecord) (stamped CommitRecord, pinned bool) {
+// record assigns the next sequence number and appends; outlier reports a
+// failed or over-threshold commit, which the caller emits as an event. It
+// returns the stamped record so the event carries the same seq TRACE shows —
+// a postmortem's failing-commit record cross-references the flight recorder.
+func (f *flightRecorder) record(rec CommitRecord) (stamped CommitRecord, outlier bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
 	rec.Seq = f.seq
 	f.recent.push(rec)
-	pinned = rec.Err != "" || (f.threshold > 0 && rec.TotalNS >= int64(f.threshold))
-	if pinned {
-		f.slow.push(rec)
-	}
-	return rec, pinned
+	return rec, rec.Err != "" || (f.threshold > 0 && rec.TotalNS >= int64(f.threshold))
 }
 
-// snapshot copies both rings.
+// snapshot copies the recent ring.
 func (f *flightRecorder) snapshot() TraceSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -176,6 +168,5 @@ func (f *flightRecorder) snapshot() TraceSnapshot {
 		Shards:          1,
 		SlowThresholdNS: int64(f.threshold),
 		Recent:          f.recent.ordered(),
-		Slow:            f.slow.ordered(),
 	}
 }

@@ -19,9 +19,11 @@ import (
 
 func TestFlightRecorderRingWraparound(t *testing.T) {
 	const depth = 8
-	f := newFlightRecorder(depth, 4, 0)
+	f := newFlightRecorder(depth, 0)
 	for i := 0; i < depth*3+5; i++ {
-		f.record(CommitRecord{Batch: i})
+		if _, outlier := f.record(CommitRecord{Batch: i, TotalNS: int64(time.Hour)}); outlier {
+			t.Fatalf("commit %d is an outlier with the threshold disabled", i)
+		}
 	}
 	snap := f.snapshot()
 	if len(snap.Recent) != depth {
@@ -38,13 +40,10 @@ func TestFlightRecorderRingWraparound(t *testing.T) {
 			t.Fatalf("recent[%d] is commit %d's record, want %d", i, rec.Batch, wantSeq-1)
 		}
 	}
-	if len(snap.Slow) != 0 {
-		t.Fatalf("pinning disabled but %d records pinned", len(snap.Slow))
-	}
 }
 
 func TestFlightRecorderPartialRing(t *testing.T) {
-	f := newFlightRecorder(16, 4, 0)
+	f := newFlightRecorder(16, 0)
 	f.record(CommitRecord{})
 	f.record(CommitRecord{})
 	snap := f.snapshot()
@@ -53,45 +52,55 @@ func TestFlightRecorderPartialRing(t *testing.T) {
 	}
 }
 
+// The recorder flags a commit past the threshold, and every failed commit,
+// as an outlier and returns it stamped with its seq; the engine emits exactly
+// those records as commit_slow and commit_failed events, so an outlier
+// outlives the recent ring's wrap in the fleet's event ring
+// (TestEachIncidentIsRecordedOnce holds the engine to that).
 func TestFlightRecorderPinsSlowAndFailed(t *testing.T) {
-	f := newFlightRecorder(4, 2, 10*time.Millisecond)
+	f := newFlightRecorder(4, 10*time.Millisecond)
+	var outliers []CommitRecord
 	for _, c := range []struct {
-		rec    CommitRecord
-		pinned bool
+		rec     CommitRecord
+		outlier bool
 	}{
 		{CommitRecord{TotalNS: int64(time.Millisecond)}, false},
 		{CommitRecord{TotalNS: int64(50 * time.Millisecond)}, true},
 		{CommitRecord{TotalNS: 1, Err: "injected"}, true},
 	} {
-		if _, pinned := f.record(c.rec); pinned != c.pinned {
-			t.Fatalf("record(%+v) pinned = %v, want %v", c.rec, pinned, c.pinned)
+		rec, outlier := f.record(c.rec)
+		if outlier != c.outlier {
+			t.Fatalf("record(%+v) outlier = %v, want %v", c.rec, outlier, c.outlier)
+		}
+		if outlier {
+			outliers = append(outliers, rec)
 		}
 	}
 	// Five more fast commits wrap the recent ring past both outliers.
 	for i := 0; i < 5; i++ {
-		f.record(CommitRecord{TotalNS: 2})
+		if _, outlier := f.record(CommitRecord{TotalNS: 2}); outlier {
+			t.Fatal("fast commit flagged as an outlier")
+		}
 	}
 	snap := f.snapshot()
 	if snap.SlowThresholdNS != int64(10*time.Millisecond) {
 		t.Fatalf("threshold = %d", snap.SlowThresholdNS)
-	}
-	if len(snap.Slow) != 2 {
-		t.Fatalf("pinned %d records, want 2: %+v", len(snap.Slow), snap.Slow)
-	}
-	if snap.Slow[0].Seq != 2 || snap.Slow[1].Seq != 3 || snap.Slow[1].Err != "injected" {
-		t.Fatalf("pinned ring = %+v", snap.Slow)
 	}
 	for _, rec := range snap.Recent {
 		if rec.Seq <= 3 {
 			t.Fatalf("recent ring did not wrap past the outliers: %+v", snap.Recent)
 		}
 	}
-	// Errors pin even with the threshold disabled.
-	g := newFlightRecorder(4, 2, 0)
-	g.record(CommitRecord{TotalNS: int64(time.Hour)})
-	g.record(CommitRecord{Err: "boom"})
-	if snap := g.snapshot(); len(snap.Slow) != 1 || snap.Slow[0].Err != "boom" {
-		t.Fatalf("disabled-threshold pinning = %+v", snap.Slow)
+	if len(outliers) != 2 || outliers[0].Seq != 2 || outliers[1].Seq != 3 || outliers[1].Err != "injected" {
+		t.Fatalf("outlier records = %+v, want seqs 2 and 3", outliers)
+	}
+	// A failed commit is an outlier even with the threshold disabled.
+	g := newFlightRecorder(4, 0)
+	if _, outlier := g.record(CommitRecord{TotalNS: int64(time.Hour)}); outlier {
+		t.Fatal("slow commit flagged with the threshold disabled")
+	}
+	if _, outlier := g.record(CommitRecord{Err: "boom"}); !outlier {
+		t.Fatal("failed commit not flagged with the threshold disabled")
 	}
 }
 
@@ -202,9 +211,10 @@ func TestCommitRecordCarriesTheModeledPAXTime(t *testing.T) {
 	}
 }
 
-// A fleet whose shard sealed must still answer TRACE — the record explaining
-// the seal is pinned, and reading it is the whole point of the recorder. The
-// record carries the faulted engine's shard index.
+// A fleet whose shard sealed must still answer TRACE — the commit_failed
+// event explaining the seal is in its event ring, and reading it is the
+// whole point of the recorder. The record carries the faulted engine's
+// shard index and is the same record the recent ring holds.
 func TestEngineTraceSurvivesSeal(t *testing.T) {
 	const sick = 1
 	path := filepath.Join(t.TempDir(), "kv.pool")
@@ -229,15 +239,34 @@ func TestEngineTraceSurvivesSeal(t *testing.T) {
 		t.Fatalf("put on faulted media: %v", err)
 	}
 	snap := fleet.Trace()
-	if len(snap.Slow) != 1 {
-		t.Fatalf("pinned %d records, want the failed commit alone: %+v", len(snap.Slow), snap.Slow)
+	var failed []CommitRecord
+	for _, ev := range snap.Events {
+		switch ev.Type {
+		case blackbox.EvCommitSlow:
+			t.Fatalf("commit_slow event with SlowCommit disabled: %s", ev.Detail)
+		case blackbox.EvCommitFailed:
+			var rec CommitRecord
+			if err := json.Unmarshal(ev.Detail, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Shard != rec.Shard {
+				t.Fatalf("commit_failed event on shard %d for record %+v", ev.Shard, rec)
+			}
+			failed = append(failed, rec)
+		}
 	}
-	last := snap.Slow[0]
+	if len(failed) != 1 {
+		t.Fatalf("%d commit_failed events, want the failed commit alone: %+v", len(failed), failed)
+	}
+	last := failed[0]
 	if last.Err == "" || !strings.Contains(last.Err, "injected") {
-		t.Fatalf("pinned record err = %q, want the injected fault", last.Err)
+		t.Fatalf("failed record err = %q, want the injected fault", last.Err)
 	}
 	if last.Shard != sick {
-		t.Fatalf("pinned record stamped shard %d, want %d", last.Shard, sick)
+		t.Fatalf("failed record stamped shard %d, want %d", last.Shard, sick)
+	}
+	if n := len(snap.Recent); n == 0 || snap.Recent[n-1] != last {
+		t.Fatalf("the failed commit is not the trace's last record: %+v, event %+v", snap.Recent, last)
 	}
 	if last.Epoch != 0 {
 		t.Fatalf("failed commit claims durable epoch %d", last.Epoch)
@@ -328,9 +357,8 @@ func TestTCPTrace(t *testing.T) {
 }
 
 // The fleet's trace interleaves every shard's records, each stamped with
-// its engine's shard index. With every commit over the pin threshold, each
-// pinned record — and nothing else — is also a commit_slow event carrying
-// the same shard and seq.
+// its engine's shard index. With every commit over the slow threshold, each
+// record is exactly one commit_slow event carrying the same shard and seq.
 func TestShardedTraceMergesAndStampsShards(t *testing.T) {
 	const shards = 4
 	s := newSharded(t, tempPool(t), shards, Config{MaxBatch: 8, SlowCommit: time.Nanosecond})
@@ -376,12 +404,14 @@ func TestShardedTraceMergesAndStampsShards(t *testing.T) {
 		shard int
 		seq   uint64
 	}
-	pinned := make(map[commitID]bool)
-	for _, rec := range s.Trace().Slow {
-		pinned[commitID{rec.Shard, rec.Seq}] = true
+	final := s.Trace()
+	recorded := make(map[commitID]CommitRecord)
+	for _, rec := range final.Recent {
+		recorded[commitID{rec.Shard, rec.Seq}] = rec
 	}
+	seen = make(map[int]bool)
 	var slow int
-	for _, ev := range s.Events().Events {
+	for _, ev := range final.Events {
 		if ev.Type != blackbox.EvCommitSlow {
 			continue
 		}
@@ -389,13 +419,16 @@ func TestShardedTraceMergesAndStampsShards(t *testing.T) {
 		if err := json.Unmarshal(ev.Detail, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if ev.Shard != rec.Shard || !pinned[commitID{rec.Shard, rec.Seq}] {
-			t.Fatalf("commit_slow event on shard %d for record %+v, which is not pinned", ev.Shard, rec)
+		id := commitID{rec.Shard, rec.Seq}
+		if got, ok := recorded[id]; ev.Shard != rec.Shard || !ok || got != rec {
+			t.Fatalf("commit_slow event on shard %d for record %+v; the trace holds %+v", ev.Shard, rec, got)
 		}
+		delete(recorded, id)
+		seen[rec.Shard] = true
 		slow++
 	}
-	if slow == 0 || slow != len(pinned) {
-		t.Fatalf("%d commit_slow events for %d pinned commits", slow, len(pinned))
+	if slow == 0 || len(recorded) != 0 || len(seen) < 2 {
+		t.Fatalf("%d commit_slow events over %d shard(s); %d recorded commits have none: %+v", slow, len(seen), len(recorded), recorded)
 	}
 }
 

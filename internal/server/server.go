@@ -220,9 +220,9 @@ func (f dispatched) response(block bool) (resp wire.Response, ready bool) {
 // beginDispatch starts req and returns it in flight. Only a PUT or DELETE
 // enters a shard's queue; everything else is either a fleet call (runFleet)
 // or answered right here. A GET reads the read index at dispatch time, so it
-// does not serialize behind the connection's unacked PUTs, and STATS, TRACE
-// and EVENTS read atomics and mutex-guarded rings, so they answer on a
-// sealed fleet too (every response still leaves the wire in request order).
+// does not serialize behind the connection's unacked PUTs, and STATS and
+// TRACE read atomics and mutex-guarded rings, so they answer on a sealed
+// fleet too (every response still leaves the wire in request order).
 func (s *Server) beginDispatch(req wire.Request) dispatched {
 	switch req.Op {
 	case wire.OpGet:
@@ -261,8 +261,6 @@ func (s *Server) beginDispatch(req wire.Request) dispatched {
 		return bodyResponse([]byte(text), err)
 	case wire.OpTrace:
 		return bodyResponse(json.Marshal(s.fleet.Trace()))
-	case wire.OpEvents:
-		return bodyResponse(json.Marshal(s.fleet.Events()))
 	}
 	return dispatched{resp: wire.Response{Status: wire.StatusError, Body: []byte("unknown opcode " + wire.OpName(req.Op))}}
 }

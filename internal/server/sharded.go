@@ -323,13 +323,6 @@ func OpenSharded(path string, shards int, opts pax.Options, slot int, cfg Config
 	return s, nil
 }
 
-// Events returns the fleet's recent lifecycle events, oldest first: every
-// shard's events plus the router's own split/merge/policy events. Safe on a
-// sealed or closed fleet.
-func (s *ShardedEngine) Events() EventsSnapshot {
-	return EventsSnapshot{Events: s.events.snapshot()}
-}
-
 // SetEventSink forwards every subsequent fleet-level event to fn (nil
 // clears). AttachBlackbox uses it to journal events persistently.
 func (s *ShardedEngine) SetEventSink(fn func(Event)) { s.events.setSink(fn) }
@@ -507,8 +500,11 @@ func (s *ShardedEngine) doKey(op opKind, key, value []byte) result {
 }
 
 // Trace merges every shard's flight recorder into one snapshot, interleaved
-// oldest-first by batch start time. Each engine's records carry its shard
-// index; sequence numbers stay per-shard — (shard, seq) identifies a commit.
+// oldest-first by batch start time, and adds the fleet's event ring: every
+// shard's slow and failed commits, seals, and the router's split, merge and
+// policy events. Each engine's records carry its shard index; sequence
+// numbers stay per-shard — (shard, seq) identifies a commit, and a commit
+// event's detail names the same pair. Safe on a sealed or closed fleet.
 func (s *ShardedEngine) Trace() TraceSnapshot {
 	shards := *s.shards.Load()
 	out := TraceSnapshot{Shards: len(shards)}
@@ -518,16 +514,9 @@ func (s *ShardedEngine) Trace() TraceSnapshot {
 			out.SlowThresholdNS = snap.SlowThresholdNS
 		}
 		out.Recent = append(out.Recent, snap.Recent...)
-		out.Slow = append(out.Slow, snap.Slow...)
 	}
-	byStart := func(recs []CommitRecord) func(i, j int) bool {
-		return func(i, j int) bool { return recs[i].Start < recs[j].Start }
-	}
-	sort.SliceStable(out.Recent, byStart(out.Recent))
-	sort.SliceStable(out.Slow, byStart(out.Slow))
-	if a := s.autopilot.Load(); a != nil {
-		out.Autopilot = a.last.Load()
-	}
+	sort.SliceStable(out.Recent, func(i, j int) bool { return out.Recent[i].Start < out.Recent[j].Start })
+	out.Events = s.events.snapshot()
 	return out
 }
 

@@ -222,22 +222,13 @@ func (c *Client) Stats() (string, error) {
 	return string(resp.Body), nil
 }
 
-// Trace fetches the server's commit flight recorder as raw JSON (a
-// TraceSnapshot; the wire layer does not decode it — paxinspect and the
-// debug HTTP plane pass it through, tooling unmarshals it).
+// Trace fetches the server's commit flight recorder and recent lifecycle
+// events as raw JSON (a server.TraceSnapshot; the wire layer does not decode
+// it — paxinspect and the debug HTTP plane pass it through, tooling
+// unmarshals it). It is answered inline, so a sealed server still reports
+// the events that explain its seal.
 func (c *Client) Trace() ([]byte, error) {
 	resp, err := c.roundTrip(Request{Op: OpTrace})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
-}
-
-// Events fetches the server's recent structured lifecycle events as raw JSON
-// (a server.EventsSnapshot). Like TRACE it is answered inline, so a sealed
-// server still reports the events that explain its seal.
-func (c *Client) Events() ([]byte, error) {
-	resp, err := c.roundTrip(Request{Op: OpEvents})
 	if err != nil {
 		return nil, err
 	}

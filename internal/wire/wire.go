@@ -16,7 +16,10 @@
 //	STATS(5), TRACE(6): empty
 //	SPLIT(7):           shard:u32be (SplitAuto = pick the hottest shard)
 //	MERGE(8):           shard:u32be (MergeAuto = pick the coldest shard)
-//	EVENTS(9):          empty
+//
+// Opcode 9 (once EVENTS) is retired and never reused: TRACE carries the
+// fleet's recent lifecycle events, so a decoder refuses 9 like any unknown
+// opcode.
 //
 // Every PUT, DELETE and PERSIST is acked once its group commit is on media;
 // there is no other ack rule. The optional trailing flags byte on mutations
@@ -27,10 +30,10 @@
 //
 // Response statuses are OK(0), NOT_FOUND(1), ERROR(2) and BUSY(3). Response
 // bodies: the value for GET, the durable epoch (u64le) for PUT / DELETE /
-// PERSIST, the registry text for STATS, the flight-recorder snapshot as
-// JSON for TRACE, the split report as JSON for SPLIT, the merge report as
-// JSON for MERGE, the recent lifecycle events as JSON for EVENTS, an error
-// message for StatusError and StatusBusy, empty otherwise. The protocol is
+// PERSIST, the registry text for STATS, the flight-recorder snapshot and
+// the recent lifecycle events as JSON for TRACE, the split report as JSON
+// for SPLIT, the merge report as JSON for MERGE, an error message for
+// StatusError and StatusBusy, empty otherwise. The protocol is
 // strictly in-order request/response per connection, which is what lets
 // clients pipeline: the k-th response on a connection always answers the
 // k-th request.
@@ -71,7 +74,6 @@ const (
 	OpTrace   byte = 6
 	OpSplit   byte = 7
 	OpMerge   byte = 8
-	OpEvents  byte = 9
 )
 
 // SplitAuto is the SPLIT shard operand meaning "pick the hottest shard":
@@ -139,8 +141,6 @@ func OpName(op byte) string {
 		return "SPLIT"
 	case OpMerge:
 		return "MERGE"
-	case OpEvents:
-		return "EVENTS"
 	}
 	return fmt.Sprintf("op%d", op)
 }
@@ -224,7 +224,7 @@ func EncodeRequest(req Request) ([]byte, error) {
 	case OpPut:
 		buf = appendBytes(buf, req.Key)
 		buf = appendBytes(buf, req.Value)
-	case OpPersist, OpStats, OpTrace, OpEvents:
+	case OpPersist, OpStats, OpTrace:
 		// No body.
 	case OpSplit, OpMerge:
 		buf = binary.BigEndian.AppendUint32(buf, req.Shard)
@@ -267,7 +267,7 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 		if req.Value, rest, err = takeBytes(rest); err != nil {
 			return Request{}, fmt.Errorf("wire: PUT value: %w", err)
 		}
-	case OpPersist, OpStats, OpTrace, OpEvents:
+	case OpPersist, OpStats, OpTrace:
 		// No body.
 	case OpSplit, OpMerge:
 		if len(rest) < 4 {

@@ -86,6 +86,7 @@ func TestReadRequestRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty payload":  {0, 0, 0, 0},
 		"unknown opcode": {0, 0, 0, 1, 99},
+		"retired EVENTS": {0, 0, 0, 1, 9},
 		"truncated key":  {0, 0, 0, 3, OpGet, 0, 0},
 		"huge frame":     {0xff, 0xff, 0xff, 0xff},
 		"trailing bytes": {0, 0, 0, 7, OpGet, 0, 0, 0, 1, 'k', 'x'},
