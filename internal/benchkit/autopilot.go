@@ -153,21 +153,26 @@ func (r *loadRun) automerge(pilot *AutopilotJSON) error {
 // actDeadline bounds each wait for the policy to act.
 const actDeadline = 30 * time.Second
 
-// awaitDecision polls until the policy's latest decision in the fleet's
+// awaitDecision waits until the policy's latest decision in the fleet's
 // event ring is a successful action, and returns it; nil once actDeadline
-// passes. The policy event (and the counters) publish just after the fleet
-// change itself, so this waits on the decision, not the shard count.
+// passes. Every action moves the shard count before its policy event (a
+// split publishes its new shard first, a merge shrinks the fleet just before
+// the event), so the wait polls NumShards, one atomic load, and copies the
+// fleet's trace only once the count has moved. A split then migrates for
+// seconds under load, so those copies back off, doubling to a quarter second.
 func (r *loadRun) awaitDecision(action string) *server.PolicyDecision {
 	deadline := time.Now().Add(actDeadline)
-	for {
-		if d := lastDecision(r.eng.Trace().Events); d != nil && d.Action == action && d.Err == "" {
-			return d
+	start, wait := r.eng.NumShards(), 10*time.Millisecond
+	for time.Now().Before(deadline) {
+		if r.eng.NumShards() != start {
+			if d := lastDecision(r.eng.Trace().Events); d != nil && d.Action == action && d.Err == "" {
+				return d
+			}
+			wait = min(2*wait, 250*time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(wait)
 	}
+	return nil
 }
 
 // lastDecision decodes the latest policy event in events, nil if none.

@@ -34,6 +34,8 @@ type Harness struct {
 	writes []writeRec
 	// persistMarks[i] is the write count at the moment persist i completed.
 	persistMarks []int
+	// goldens caches the data region after k writes, for k a mark.
+	goldens map[int][]byte
 }
 
 // NewHarness creates a recorded pool. The pool's Create-time writes are part
@@ -45,6 +47,7 @@ func NewHarness(opts core.Options) (*Harness, error) {
 		Opts:    opts,
 		size:    size,
 		dataOff: core.HeaderSize + opts.LogSize,
+		goldens: map[int][]byte{},
 	}
 	pm.SetWriteHook(func(addr uint64, data []byte) {
 		h.writes = append(h.writes, writeRec{addr: addr, data: append([]byte(nil), data...)})
@@ -93,37 +96,48 @@ func (h *Harness) imageAt(k int, tearLast bool) []byte {
 }
 
 // goldenFor reports the data-region snapshot expected after recovering from
-// a crash at write k: the data region as of the last persist completed at or
-// before k. ok=false when no persist has completed (the pool was never
-// created durably — recovery is allowed to fail).
-func (h *Harness) goldenFor(k int) ([]byte, bool) {
-	last := -1
-	for _, m := range h.persistMarks {
+// a crash at write k, the data region as of the last persist completed at or
+// before k, and that persist's index: 0 is the commit Create makes, i the
+// i-th Persist after it. snap is -1 when no persist has completed (the pool
+// was never created durably — recovery is allowed to fail).
+func (h *Harness) goldenFor(k int) (golden []byte, snap int) {
+	snap = -1
+	for i, m := range h.persistMarks {
 		if m <= k {
-			last = m
+			snap = i
 		}
 	}
-	if last < 0 {
-		return nil, false
+	if snap < 0 {
+		return nil, -1
 	}
-	img := h.imageAt(last, false)
-	return img[h.dataOff : h.dataOff+uint64(h.Opts.DataSize)], true
+	m := h.persistMarks[snap]
+	if h.goldens[m] == nil {
+		h.goldens[m] = h.imageAt(m, false)[h.dataOff : h.dataOff+uint64(h.Opts.DataSize)]
+	}
+	return h.goldens[m], snap
 }
 
-// VerifyPoint checks one crash point: build the image, recover, compare.
-func (h *Harness) VerifyPoint(k int, tearLast bool) error {
-	golden, ok := h.goldenFor(k)
+// Check reads a recovered pool. snap is the index of the persist recovery
+// restored, as goldenFor numbers it.
+type Check func(pool *core.Pool, snap int) error
+
+// VerifyPoint checks one crash point: build the image, recover, compare the
+// data region with the last snapshot, then hand the recovered pool to check
+// (when not nil), which sees what the byte compare cannot: whether the
+// snapshot holds what the program had written by that persist.
+func (h *Harness) VerifyPoint(k int, tearLast bool, check Check) error {
+	golden, snap := h.goldenFor(k)
 	img := h.imageAt(k, tearLast)
 	if tearLast && len(h.writes[k-1].data) == 8 {
 		// An 8-byte write is atomic: the torn variant removes it entirely,
 		// so the expectation is the state at k-1 (which matters exactly
 		// when write k is an epoch-cell commit).
-		golden, ok = h.goldenFor(k - 1)
+		golden, snap = h.goldenFor(k - 1)
 	}
 	pm := pmem.New(pmem.DefaultConfig(h.size))
 	pm.Restore(img)
 	pool, err := core.Open(pm, h.Opts)
-	if !ok {
+	if snap < 0 {
 		if err == nil {
 			return fmt.Errorf("crash at write %d: pool with no durable snapshot opened successfully", k)
 		}
@@ -132,7 +146,6 @@ func (h *Harness) VerifyPoint(k int, tearLast bool) error {
 	if err != nil {
 		return fmt.Errorf("crash at write %d (tear=%v): recovery failed: %v", k, tearLast, err)
 	}
-	_ = pool
 	got := pm.Snapshot()[h.dataOff : h.dataOff+uint64(h.Opts.DataSize)]
 	if !bytes.Equal(got, golden) {
 		for i := range got {
@@ -142,25 +155,31 @@ func (h *Harness) VerifyPoint(k int, tearLast bool) error {
 			}
 		}
 	}
+	if check != nil {
+		if err := check(pool, snap); err != nil {
+			return fmt.Errorf("crash at write %d (tear=%v), recovered to persist %d: %v", k, tearLast, snap, err)
+		}
+	}
 	return nil
 }
 
 // VerifyAll explores crash points k = 1..CrashPoints() with the given stride
 // (1 = exhaustive), each in both clean and torn-final-write variants, and
-// returns the first violation.
-func (h *Harness) VerifyAll(stride int) error {
+// returns the first violation. check, when not nil, reads every recovered
+// pool (see VerifyPoint).
+func (h *Harness) VerifyAll(stride int, check Check) error {
 	if stride < 1 {
 		stride = 1
 	}
 	n := h.CrashPoints()
 	for k := 1; k <= n; k += stride {
-		if err := h.VerifyPoint(k, false); err != nil {
+		if err := h.VerifyPoint(k, false, check); err != nil {
 			return err
 		}
-		if err := h.VerifyPoint(k, true); err != nil {
+		if err := h.VerifyPoint(k, true, check); err != nil {
 			return err
 		}
 	}
 	// Always check the final state exactly.
-	return h.VerifyPoint(n, false)
+	return h.VerifyPoint(n, false, check)
 }

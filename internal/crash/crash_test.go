@@ -2,22 +2,13 @@ package crash
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"testing"
 
 	"pax/internal/core"
 	"pax/internal/device"
 	"pax/internal/hbm"
-	"pax/internal/pmem"
 	"pax/internal/sim"
-	"pax/internal/structures"
 )
-
-func newRestoredDevice(h *Harness, img []byte) *pmem.Device {
-	pm := pmem.New(pmem.DefaultConfig(h.size))
-	pm.Restore(img)
-	return pm
-}
 
 func testOptions() core.Options {
 	return core.Options{
@@ -47,44 +38,7 @@ func TestExhaustiveCrashPointsSimpleWrites(t *testing.T) {
 		t.Fatal("no writes recorded")
 	}
 	// Exhaustive: every crash point, clean and torn.
-	if err := h.VerifyAll(1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCrashPointsWithHashMap(t *testing.T) {
-	h, err := NewHarness(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm, err := structures.NewHashMap(h.Pool.Arena(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Pool.SetRoot(0, hm.Addr())
-	rng := rand.New(rand.NewSource(5))
-	key := func(i int) []byte {
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint64(b, uint64(i))
-		return b
-	}
-	for epoch := 0; epoch < 4; epoch++ {
-		for op := 0; op < 12; op++ {
-			k := rng.Intn(30)
-			switch rng.Intn(3) {
-			case 0, 1:
-				if err := hm.Put(key(k), key(k+1000)); err != nil {
-					t.Fatal(err)
-				}
-			case 2:
-				hm.Delete(key(k))
-			}
-		}
-		h.Persist()
-	}
-	// Structural mutations generate hundreds of media writes; verify every
-	// 3rd point exhaustively in both variants plus the endpoints.
-	if err := h.VerifyAll(3); err != nil {
+	if err := h.VerifyAll(1, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,43 +60,8 @@ func TestCrashDuringEvictionPressure(t *testing.T) {
 		}
 		h.Persist()
 	}
-	if err := h.VerifyAll(17); err != nil {
+	if err := h.VerifyAll(17, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRecoveredPoolIsUsable(t *testing.T) {
-	h, err := NewHarness(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm, _ := structures.NewHashMap(h.Pool.Arena(), 16)
-	h.Pool.SetRoot(0, hm.Addr())
-	hm.Put([]byte("durable!"), []byte("yes"))
-	h.Persist()
-	hm.Put([]byte("volatile"), []byte("gone"))
-
-	// Crash at the final write, recover, and keep using the pool.
-	img := h.imageAt(h.CrashPoints(), false)
-	pm2 := newRestoredDevice(h, img)
-	pool2, err := core.Open(pm2, h.Opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm2 := structures.OpenHashMap(pool2.Arena(), pool2.Root(0))
-	if v, ok := hm2.Get([]byte("durable!")); !ok || string(v) != "yes" {
-		t.Fatalf("durable entry lost: %q %v", v, ok)
-	}
-	if _, ok := hm2.Get([]byte("volatile")); ok {
-		t.Fatal("unpersisted entry survived")
-	}
-	// The recovered pool accepts new work and persists again.
-	if err := hm2.Put([]byte("after"), []byte("crash")); err != nil {
-		t.Fatal(err)
-	}
-	pool2.Persist()
-	if v, ok := hm2.Get([]byte("after")); !ok || string(v) != "crash" {
-		t.Fatal("post-recovery put lost")
 	}
 }
 
@@ -166,14 +85,14 @@ func TestCheckerDetectsMisplacedSnapshotBoundary(t *testing.T) {
 	}
 	h.Persist()
 
-	if err := h.VerifyAll(1); err != nil {
+	if err := h.VerifyAll(1, nil); err != nil {
 		t.Fatalf("sanity: untampered history must verify: %v", err)
 	}
 	// Misplace the final boundary into the middle of its epoch's
 	// write-back phase.
 	last := len(h.persistMarks) - 1
 	h.persistMarks[last] -= 10
-	if err := h.VerifyAll(1); err == nil {
+	if err := h.VerifyAll(1, nil); err == nil {
 		t.Fatal("checker accepted a misplaced snapshot boundary")
 	}
 }

@@ -64,11 +64,6 @@ func OpenBTree(alloc memory.Allocator, addr uint64) *BTree {
 // Addr reports the header address for root storage.
 func (t *BTree) Addr() uint64 { return t.head }
 
-// WithMem rebinds the tree to another timed memory view.
-func (t *BTree) WithMem(m memory.Memory) *BTree {
-	return &BTree{io: memIO{m}, alloc: t.alloc, head: t.head}
-}
-
 // Len reports the number of entries.
 func (t *BTree) Len() uint64 { return t.io.LoadU64(t.head + 8) }
 

@@ -45,11 +45,6 @@ func OpenQueue(alloc memory.Allocator, addr uint64) *Queue {
 // Addr reports the header address for root storage.
 func (q *Queue) Addr() uint64 { return q.head }
 
-// WithMem rebinds the queue to another timed memory view.
-func (q *Queue) WithMem(m memory.Memory) *Queue {
-	return &Queue{io: memIO{m}, alloc: q.alloc, head: q.head}
-}
-
 // Len reports the number of queued records.
 func (q *Queue) Len() uint64 { return q.io.LoadU64(q.head + 16) }
 

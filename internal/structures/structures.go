@@ -1,6 +1,6 @@
 // Package structures provides volatile data structures written exclusively
 // against the memory.Memory / memory.Allocator contract: a chained hash map,
-// a skip list, a growable vector, and a FIFO queue.
+// a B+tree, a growable vector, and a FIFO queue.
 //
 // None of this code knows anything about persistence. That is the point of
 // the paper (§3.1 "Black-Box Code Reuse"): handed an allocator whose memory
@@ -33,8 +33,8 @@ func (io memIO) storeBytes(addr uint64, b []byte) {
 	io.Store(addr, b)
 }
 
-// fnv1a is the hash used by the hash map and the skip list's deterministic
-// level draw. Hand-rolled so structure layout is identical across runs.
+// fnv1a is the hash map's hash, hand-rolled so structure layout is identical
+// across runs.
 func fnv1a(data []byte) uint64 {
 	const (
 		offset = 14695981039346656037

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -159,122 +158,6 @@ func TestHashMapMatchesModel(t *testing.T) {
 	}
 }
 
-func TestSkipListOrderedOps(t *testing.T) {
-	s, err := NewSkipList(flatAlloc(1 << 22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.Min(); ok {
-		t.Fatal("empty list has a min")
-	}
-	// Insert in reverse order; scan must come out sorted.
-	const n = 500
-	for i := n - 1; i >= 0; i-- {
-		if err := s.Put(key(i), value(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != n {
-		t.Fatalf("len = %d", s.Len())
-	}
-	mk, mv, ok := s.Min()
-	if !ok || !bytes.Equal(mk, key(0)) || !bytes.Equal(mv, value(0)) {
-		t.Fatalf("min = %q/%q", mk, mv)
-	}
-	var keys []string
-	s.Scan(nil, func(k, v []byte) bool {
-		keys = append(keys, string(k))
-		return true
-	})
-	if len(keys) != n || !sort.StringsAreSorted(keys) {
-		t.Fatalf("scan returned %d keys, sorted=%v", len(keys), sort.StringsAreSorted(keys))
-	}
-	// Range scan from the middle.
-	var from250 []string
-	s.Scan(key(250), func(k, v []byte) bool {
-		from250 = append(from250, string(k))
-		return len(from250) < 10
-	})
-	if len(from250) != 10 || from250[0] != string(key(250)) {
-		t.Fatalf("range scan start %v", from250[:1])
-	}
-}
-
-func TestSkipListDeleteAndReplace(t *testing.T) {
-	s, _ := NewSkipList(flatAlloc(1 << 22))
-	for i := 0; i < 100; i++ {
-		s.Put(key(i), value(i))
-	}
-	// Replace with same and different lengths.
-	s.Put(key(10), []byte(string(value(10))))
-	s.Put(key(11), []byte("short"))
-	got, _ := s.Get(key(11))
-	if string(got) != "short" {
-		t.Fatalf("replace: %q", got)
-	}
-	if s.Len() != 100 {
-		t.Fatalf("len changed on replace: %d", s.Len())
-	}
-	for i := 0; i < 100; i += 2 {
-		present, err := s.Delete(key(i))
-		if err != nil || !present {
-			t.Fatalf("delete %d: %v %v", i, present, err)
-		}
-	}
-	if s.Len() != 50 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	for i := 0; i < 100; i++ {
-		_, ok := s.Get(key(i))
-		if want := i%2 == 1; ok != want {
-			t.Fatalf("key %d present=%v", i, ok)
-		}
-	}
-	if present, _ := s.Delete(key(0)); present {
-		t.Fatal("double delete")
-	}
-}
-
-func TestSkipListMatchesModel(t *testing.T) {
-	s, _ := NewSkipList(flatAlloc(1 << 24))
-	model := map[string]string{}
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 10000; i++ {
-		k := key(rng.Intn(300))
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4, 5:
-			v := value(rng.Intn(100000))
-			s.Put(k, v)
-			model[string(k)] = string(v)
-		case 6, 7:
-			got, ok := s.Get(k)
-			want, wok := model[string(k)]
-			if ok != wok || (ok && string(got) != want) {
-				t.Fatalf("op %d: Get mismatch", i)
-			}
-		default:
-			present, _ := s.Delete(k)
-			_, wok := model[string(k)]
-			if present != wok {
-				t.Fatalf("op %d: Delete mismatch", i)
-			}
-			delete(model, string(k))
-		}
-	}
-	// Final scan must be sorted and match the model exactly.
-	var got []string
-	s.Scan(nil, func(k, v []byte) bool {
-		got = append(got, string(k))
-		if model[string(k)] != string(v) {
-			t.Fatalf("value mismatch for %q", k)
-		}
-		return true
-	})
-	if len(got) != len(model) || !sort.StringsAreSorted(got) {
-		t.Fatalf("scan %d entries (model %d), sorted=%v", len(got), len(model), sort.StringsAreSorted(got))
-	}
-}
-
 func TestVectorBasics(t *testing.T) {
 	v, err := NewVector(flatAlloc(1<<22), 8, 4)
 	if err != nil {
@@ -420,15 +303,5 @@ func TestHashMapQuickProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLevelForDeterministic(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		k := key(i)
-		l1, l2 := levelFor(k), levelFor(k)
-		if l1 != l2 || l1 < 1 || l1 > slMaxLevel {
-			t.Fatalf("levelFor(%q) = %d then %d", k, l1, l2)
-		}
 	}
 }

@@ -53,11 +53,6 @@ func OpenVector(alloc memory.Allocator, addr uint64) *Vector {
 // Addr reports the header address for root storage.
 func (v *Vector) Addr() uint64 { return v.head }
 
-// WithMem rebinds the vector to another timed memory view.
-func (v *Vector) WithMem(m memory.Memory) *Vector {
-	return &Vector{io: memIO{m}, alloc: v.alloc, head: v.head}
-}
-
 // Len reports the element count.
 func (v *Vector) Len() uint64 { return v.io.LoadU64(v.head + 8) }
 

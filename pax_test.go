@@ -149,13 +149,10 @@ func TestAllStructureFacades(t *testing.T) {
 	}
 
 	m, _ := pax.NewMap(pool, 0)
-	sm, _ := pax.NewSortedMap(pool, 1)
 	q, _ := pax.NewQueue(pool, 2)
 	v, _ := pax.NewVector(pool, 3, 8)
 
 	m.Put([]byte("hash"), []byte("map"))
-	sm.Put([]byte("bbb"), []byte("2"))
-	sm.Put([]byte("aaa"), []byte("1"))
 	q.Push([]byte("first"))
 	q.Push([]byte("second"))
 	v.Push([]byte("elem0001"))
@@ -169,23 +166,11 @@ func TestAllStructureFacades(t *testing.T) {
 	}
 	defer pool2.Close()
 	m2, _ := pax.NewMap(pool2, 0)
-	sm2, _ := pax.NewSortedMap(pool2, 1)
 	q2, _ := pax.NewQueue(pool2, 2)
 	v2, _ := pax.NewVector(pool2, 3, 8)
 
 	if val, ok := m2.Get([]byte("hash")); !ok || string(val) != "map" {
 		t.Fatal("map lost")
-	}
-	if k, val, ok := sm2.Min(); !ok || string(k) != "aaa" || string(val) != "1" {
-		t.Fatalf("sorted map min = %q/%q", k, val)
-	}
-	var scanned []string
-	sm2.Scan(nil, func(k, _ []byte) bool {
-		scanned = append(scanned, string(k))
-		return true
-	})
-	if len(scanned) != 2 || scanned[0] != "aaa" || scanned[1] != "bbb" {
-		t.Fatalf("scan = %v", scanned)
 	}
 	if got, ok := q2.Peek(); !ok || string(got) != "first" {
 		t.Fatal("queue order lost")

@@ -3,6 +3,7 @@ package pax
 import (
 	"fmt"
 
+	"pax/internal/core"
 	"pax/internal/structures"
 )
 
@@ -13,8 +14,8 @@ import (
 // otherwise it is created and the slot recorded.
 
 func bindRoot(p *Pool, slot int) (addr uint64, create bool, err error) {
-	if slot < 0 || slot >= 16 {
-		return 0, false, fmt.Errorf("pax: root slot %d outside [0,16)", slot)
+	if slot < 0 || slot >= core.RootSlots {
+		return 0, false, fmt.Errorf("pax: root slot %d outside [0,%d)", slot, core.RootSlots)
 	}
 	addr = p.Root(slot)
 	return addr, addr == 0, nil
@@ -59,47 +60,6 @@ func (m *Map) Len() uint64 { return m.hm.Len() }
 // ForEach visits every entry until fn returns false. key is valid only
 // until fn returns (copy it to keep it); value is fn's to keep.
 func (m *Map) ForEach(fn func(key, value []byte) bool) { m.hm.ForEach(fn) }
-
-// SortedMap is a persistent ordered map (skip list).
-type SortedMap struct {
-	sl *structures.SkipList
-}
-
-// NewSortedMap constructs or recovers the sorted map rooted at slot.
-func NewSortedMap(p *Pool, slot int) (*SortedMap, error) {
-	addr, create, err := bindRoot(p, slot)
-	if err != nil {
-		return nil, err
-	}
-	if create {
-		sl, err := structures.NewSkipList(p.inner.Arena())
-		if err != nil {
-			return nil, err
-		}
-		p.SetRoot(slot, sl.Addr())
-		return &SortedMap{sl: sl}, nil
-	}
-	return &SortedMap{sl: structures.OpenSkipList(p.inner.Arena(), addr)}, nil
-}
-
-// Put inserts or replaces a key.
-func (s *SortedMap) Put(key, value []byte) error { return s.sl.Put(key, value) }
-
-// Get returns the value for key.
-func (s *SortedMap) Get(key []byte) ([]byte, bool) { return s.sl.Get(key) }
-
-// Delete removes key, reporting whether it was present.
-func (s *SortedMap) Delete(key []byte) (bool, error) { return s.sl.Delete(key) }
-
-// Len reports the number of entries.
-func (s *SortedMap) Len() uint64 { return s.sl.Len() }
-
-// Min returns the smallest key and its value.
-func (s *SortedMap) Min() (key, value []byte, ok bool) { return s.sl.Min() }
-
-// Scan visits entries with key ≥ from in ascending order until fn returns
-// false; nil from starts at the smallest key.
-func (s *SortedMap) Scan(from []byte, fn func(key, value []byte) bool) { s.sl.Scan(from, fn) }
 
 // Queue is a persistent FIFO of byte records.
 type Queue struct {

@@ -417,7 +417,7 @@ func declName(pkg string, fn *ast.FuncDecl) string {
 
 // maxUnreached bounds testdata/unreached.txt: test support and root API are
 // the only reasons to keep code no binary runs, and both stay small.
-const maxUnreached = 40
+const maxUnreached = 32
 
 // readAllowlist reads the prefixes of an allowlist, one "prefix<TAB>reason" a
 // line and at most max lines.
