@@ -51,8 +51,8 @@ const (
 	// the active segment past it seals that segment and opens a fresh one.
 	DefaultSegmentBytes = 4 << 20
 
-	// rangeHeaderSize is one range-table entry: addr(8) + length(8).
-	rangeHeaderSize = 16
+	// RangeHeaderSize is one range-table entry: addr(8) + length(8).
+	RangeHeaderSize = 16
 )
 
 // format is the epoch store's instance of the seglog frame: the record's n
@@ -64,7 +64,7 @@ var format = seglog.Format{
 	SegMagic:   0x5041584550530131, // "PAXEPS" tag + version-ish salt
 	RecMagic:   0x44454c54,         // "DELT"
 	CommitMark: 0x5041584350544d4b, // "PAXCPTMK"
-	Unit:       rangeHeaderSize,
+	Unit:       RangeHeaderSize,
 }
 
 // Config parameterizes a Store.
@@ -283,10 +283,10 @@ func (s *Store) Append(epoch uint64, ranges []Range) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.log.Append(uint32(len(ranges)), epoch, payloadBytes(ranges), func(body []byte) {
-		off := rangeHeaderSize * len(ranges)
+		off := RangeHeaderSize * len(ranges)
 		for i, r := range ranges {
-			binary.LittleEndian.PutUint64(body[i*rangeHeaderSize:], r.Addr)
-			binary.LittleEndian.PutUint64(body[i*rangeHeaderSize+8:], uint64(len(r.Data)))
+			binary.LittleEndian.PutUint64(body[i*RangeHeaderSize:], r.Addr)
+			binary.LittleEndian.PutUint64(body[i*RangeHeaderSize+8:], uint64(len(r.Data)))
 			off += copy(body[off:], r.Data)
 		}
 	})
@@ -304,17 +304,17 @@ func payloadBytes(ranges []Range) uint64 {
 // given ranges — what Append would persist. Callers without a backing file
 // use it to model the delta cost.
 func RecordSize(ranges []Range) int64 {
-	return int64(seglog.RecHeaderSize+rangeHeaderSize*len(ranges)+seglog.RecTrailerSize) + int64(payloadBytes(ranges))
+	return int64(seglog.RecHeaderSize+RangeHeaderSize*len(ranges)+seglog.RecTrailerSize) + int64(payloadBytes(ranges))
 }
 
 // decodeRecord parses a committed record's body: the range table, then the
 // ranges' data back to back. Range data aliases body.
 func decodeRecord(h seglog.Header, body []byte) (Record, error) {
 	rec := Record{Seq: h.Seq, Epoch: h.Stamp, Ranges: make([]Range, h.N)}
-	data := body[int(h.N)*rangeHeaderSize:]
+	data := body[int(h.N)*RangeHeaderSize:]
 	for i := range rec.Ranges {
-		addr := binary.LittleEndian.Uint64(body[i*rangeHeaderSize:])
-		n := binary.LittleEndian.Uint64(body[i*rangeHeaderSize+8:])
+		addr := binary.LittleEndian.Uint64(body[i*RangeHeaderSize:])
+		n := binary.LittleEndian.Uint64(body[i*RangeHeaderSize+8:])
 		if n > uint64(len(data)) {
 			return Record{}, fmt.Errorf("epochlog: record %d ranges exceed payload", h.Seq)
 		}

@@ -602,10 +602,10 @@ func TestParentFixture(t *testing.T) {
 func FuzzRecordApply(f *testing.F) {
 	encode := func(ranges ...Range) []byte {
 		body := make([]byte, RecordSize(ranges)-seglog.RecHeaderSize-seglog.RecTrailerSize)
-		off := rangeHeaderSize * len(ranges)
+		off := RangeHeaderSize * len(ranges)
 		for i, r := range ranges {
-			binary.LittleEndian.PutUint64(body[i*rangeHeaderSize:], r.Addr)
-			binary.LittleEndian.PutUint64(body[i*rangeHeaderSize+8:], uint64(len(r.Data)))
+			binary.LittleEndian.PutUint64(body[i*RangeHeaderSize:], r.Addr)
+			binary.LittleEndian.PutUint64(body[i*RangeHeaderSize+8:], uint64(len(r.Data)))
 			off += copy(body[off:], r.Data)
 		}
 		return body
@@ -616,7 +616,7 @@ func FuzzRecordApply(f *testing.F) {
 	f.Add(encode(Range{Addr: 16, Data: []byte("short")}), uint32(0))
 	f.Add([]byte{}, uint32(7))
 	f.Fuzz(func(t *testing.T, body []byte, n uint32) {
-		h := seglog.Header{Seq: 1, N: n % uint32(len(body)/rangeHeaderSize+1)}
+		h := seglog.Header{Seq: 1, N: n % uint32(len(body)/RangeHeaderSize+1)}
 		rec, err := decodeRecord(h, body)
 		if err != nil {
 			return

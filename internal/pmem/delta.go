@@ -2,38 +2,56 @@ package pmem
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"time"
+	"unsafe"
 
 	"pax/internal/epochlog"
 	"pax/internal/seglog"
 )
 
 // This file is the delta epoch store, the device's only store: the device
-// tracks the dirty byte ranges of every media write and Sync persists only
+// tracks the byte ranges every media write changes and Sync persists only
 // those — one appended, fsynced delta record in the pool's epoch log. The
 // pool file is the checkpoint, and a background fold keeps it current in
 // place: once the log grows past a threshold, a goroutine streams the
 // committed records out of the log's segments, writes each record's ranges
 // into the pool file, fsyncs it, and compacts the segments it covered.
-// Commit cost is O(dirty bytes), and so is the checkpoint: no image-sized
+// Commit cost is O(changed bytes), and so is the checkpoint: no image-sized
 // copy is ever made.
 //
-// Correctness hinges on two ordering rules, enforced in checkpoint(). The
-// fold takes its bytes from the records, never from the media, and stops at
-// covered, the newest record when it started: only committed bytes reach
-// the file, and a record appended during the fold waits for the next one.
-// Compaction runs only after the file's fsync, and only through covered:
-// every record it deletes is durably in the file. A crash mid-fold leaves
-// the file a mix of the old checkpoint and newer ranges with no record yet
-// compacted, which replay (absolute byte values, in order) repairs.
+// A write records only the span from the first byte it changes to the last,
+// which is sound because of one invariant: at every Sync, the media equals
+// the checkpoint with the retained records replayed onto it, except where a
+// Discard left written bytes out. A byte a write leaves unchanged therefore
+// already holds, after replay, the value the write stores; a write over a
+// discarded span is recorded whole, since the media there is ahead of the
+// log.
+//
+// Correctness of the fold hinges on two ordering rules, enforced in
+// checkpoint(). The fold takes its bytes from the records, never from the
+// media, and stops at covered, the newest record when it started: only
+// committed bytes reach the file, and a record appended during the fold
+// waits for the next one. Compaction runs only after the file's fsync, and
+// only through covered: every record it deletes is durably in the file. A
+// crash mid-fold leaves the file a mix of the old checkpoint and newer
+// ranges with no record yet compacted, which replay (absolute byte values,
+// in order) repairs.
 
-// dirtyRange is one [addr, end) interval of media bytes written since the
+// dirtyRange is one [addr, end) interval of media bytes changed since the
 // last Sync.
 type dirtyRange struct{ addr, end uint64 }
+
+// mergeGap is the widest run of clean bytes two dirty ranges merge across:
+// one range-table entry. A gap that short costs no more as bytes in the
+// record than as a second entry, so merging never grows a record, and it
+// keeps a value whose changed bytes are split by unchanged ones, and a
+// stream of undo appends, one range.
+const mergeGap = epochlog.RangeHeaderSize
 
 // dirtyCompactLimit bounds the un-coalesced dirty list; past it the tracker
 // sorts and merges in place so a scatter-write workload cannot grow the list
@@ -42,23 +60,69 @@ type dirtyRange struct{ addr, end uint64 }
 // sorts O(log n) times, not once per write.
 const dirtyCompactLimit = 1 << 14
 
-// trackDirtyLocked records a media write. Called under d.mu on every Write
-// once tracking has started (see Device.tracking); the fast path extends the
+// storeLocked copies data into the media at addr, under d.mu. Once tracking
+// has started (see Device.tracking) it first marks dirty the span from the
+// first byte the copy changes to the last — nothing, if it changes none —
+// or the whole write if any of it lands in a discarded span.
+func (d *Device) storeLocked(media []byte, addr uint64, data []byte) {
+	dst := media[addr : addr+uint64(len(data))]
+	if d.tracking && len(data) > 0 {
+		lo, hi := changedSpan(dst, data)
+		start, end := addr+uint64(lo), addr+uint64(hi)
+		if wend := addr + uint64(len(data)); overlaps(d.discarded, addr, wend) {
+			start, end = addr, wend
+			d.discarded = cutRange(d.discarded, addr, wend)
+		}
+		if start < end {
+			d.trackDirtyLocked(start, end)
+		}
+	}
+	copy(dst, data)
+}
+
+// overlaps reports whether any of ranges meets [lo, hi).
+func overlaps(ranges []dirtyRange, lo, hi uint64) bool {
+	for _, r := range ranges {
+		if r.addr < hi && lo < r.end {
+			return true
+		}
+	}
+	return false
+}
+
+// changedSpan returns [lo, hi), the offsets of the first byte where next
+// differs from cur and one past the last; lo == hi when they are equal. It
+// compares a word at a time from each end.
+func changedSpan(cur, next []byte) (lo, hi int) {
+	n := len(next)
+	cur = cur[:n]
+	for lo+8 <= n && binary.LittleEndian.Uint64(cur[lo:]) == binary.LittleEndian.Uint64(next[lo:]) {
+		lo += 8
+	}
+	for lo < n && cur[lo] == next[lo] {
+		lo++
+	}
+	if lo == n {
+		return 0, 0
+	}
+	hi = n
+	for hi-8 >= lo && binary.LittleEndian.Uint64(cur[hi-8:]) == binary.LittleEndian.Uint64(next[hi-8:]) {
+		hi -= 8
+	}
+	for cur[hi-1] == next[hi-1] {
+		hi--
+	}
+	return lo, hi
+}
+
+// trackDirtyLocked marks [addr, end) dirty. The fast path extends the
 // previous range, since log appends and sequential write-back dominate the
 // write stream.
-func (d *Device) trackDirtyLocked(addr uint64, n int) {
-	if !d.tracking || n == 0 {
-		return
-	}
-	end := addr + uint64(n)
+func (d *Device) trackDirtyLocked(addr, end uint64) {
 	if k := len(d.dirty) - 1; k >= 0 {
-		if last := &d.dirty[k]; addr <= last.end && last.addr <= end {
-			if addr < last.addr {
-				last.addr = addr
-			}
-			if end > last.end {
-				last.end = end
-			}
+		if last := &d.dirty[k]; addr <= last.end+mergeGap && last.addr <= end+mergeGap {
+			last.addr = min(last.addr, addr)
+			last.end = max(last.end, end)
 			return
 		}
 	}
@@ -69,8 +133,8 @@ func (d *Device) trackDirtyLocked(addr uint64, n int) {
 	}
 }
 
-// coalesce sorts ranges by address and merges overlapping or adjacent ones,
-// in place.
+// coalesce sorts ranges by address and merges those that overlap or lie
+// within mergeGap of each other, in place.
 func coalesce(ranges []dirtyRange) []dirtyRange {
 	if len(ranges) < 2 {
 		return ranges
@@ -78,10 +142,8 @@ func coalesce(ranges []dirtyRange) []dirtyRange {
 	slices.SortFunc(ranges, func(a, b dirtyRange) int { return cmp.Compare(a.addr, b.addr) })
 	out := ranges[:1]
 	for _, r := range ranges[1:] {
-		if last := &out[len(out)-1]; r.addr <= last.end {
-			if r.end > last.end {
-				last.end = r.end
-			}
+		if last := &out[len(out)-1]; r.addr <= last.end+mergeGap {
+			last.end = max(last.end, r.end)
 			continue
 		}
 		out = append(out, r)
@@ -91,30 +153,34 @@ func coalesce(ranges []dirtyRange) []dirtyRange {
 
 // Discard tells the device that the bytes of [addr, addr+n) written since
 // the last Sync are dead: the next delta record leaves them out. The media
-// keeps them, and a later Write re-dirties them as usual. The caller vouches
-// that no recovery reads the span's bytes from the record — the undo log
-// discards the slots its tail has just passed, whose entries nothing reads
-// again.
+// keeps them, and a later Write over the span is recorded whole. The caller
+// vouches that no recovery reads the span's bytes from the record — the undo
+// log discards the slots its tail has just passed, whose entries nothing
+// reads again.
 func (d *Device) Discard(addr uint64, n int) {
 	d.checkRange(addr, n)
 	if n == 0 {
 		return
 	}
 	d.mu.Lock()
-	d.discardDirtyLocked(addr, addr+uint64(n))
+	if d.tracking {
+		lo, hi := addr, addr+uint64(n)
+		d.dirty = cutRange(d.dirty, lo, hi)
+		d.discarded = coalesce(append(d.discarded, dirtyRange{lo, hi}))
+	}
 	d.mu.Unlock()
 }
 
-// discardDirtyLocked removes [lo, hi) from the dirty list, filtering it in
-// place so a Discard allocates nothing. A range inside the span is dropped
-// and one reaching past its left edge is trimmed there; the parts of ranges
-// reaching past its right edge all start at hi, so their union is the one
-// range [hi, rest) appended at the end — at most one split per call, however
-// many ranges straddle the span.
-func (d *Device) discardDirtyLocked(lo, hi uint64) {
-	out := d.dirty[:0]
+// cutRange removes [lo, hi) from ranges, filtering them in place so a
+// Discard allocates nothing. A range inside the span is dropped and one
+// reaching past its left edge is trimmed there; the parts of ranges reaching
+// past its right edge all start at hi, so their union is the one range
+// [hi, rest) appended at the end — at most one split per call, however many
+// ranges straddle the span.
+func cutRange(ranges []dirtyRange, lo, hi uint64) []dirtyRange {
+	out := ranges[:0]
 	rest := hi
-	for _, r := range d.dirty {
+	for _, r := range ranges {
 		if r.addr < hi && lo < r.end {
 			rest = max(rest, r.end)
 			if r.addr >= lo {
@@ -127,19 +193,19 @@ func (d *Device) discardDirtyLocked(lo, hi uint64) {
 	if rest > hi {
 		out = append(out, dirtyRange{hi, rest})
 	}
-	d.dirty = out
+	return out
 }
 
-// maxRetainedDelta caps the capture buffer a device keeps between Syncs, so
-// one outsized commit (a table rehash) does not pin its bytes for the
+// maxRetainedDelta caps each capture buffer a device keeps between Syncs,
+// so one outsized commit (a table rehash) does not pin its bytes for the
 // device's lifetime.
 const maxRetainedDelta = 1 << 20
 
 // takeDirtyLocked coalesces and drains the dirty list, copying the current
 // media bytes of each range (the record must capture the state this Sync
-// commits, not whatever the media holds when the append lands). The ranges'
-// data shares one buffer that the next call reuses: the caller holds deltaMu
-// until it is done with them.
+// commits, not whatever the media holds when the append lands). The range
+// table and the ranges' data are buffers the next call reuses: the caller
+// holds deltaMu until it is done with them.
 func (d *Device) takeDirtyLocked() []epochlog.Range {
 	merged := coalesce(d.dirty)
 	d.dirty = d.dirty[:0]
@@ -155,11 +221,17 @@ func (d *Device) takeDirtyLocked() []epochlog.Range {
 			d.deltaData = data
 		}
 	}
-	out := make([]epochlog.Range, len(merged))
-	for i, r := range merged {
+	out := d.deltaRanges[:0]
+	if cap(out) < len(merged) {
+		out = make([]epochlog.Range, 0, len(merged))
+		if len(merged)*int(unsafe.Sizeof(epochlog.Range{})) <= maxRetainedDelta {
+			d.deltaRanges = out
+		}
+	}
+	for _, r := range merged {
 		off := len(data)
 		data = append(data, d.media[r.addr:r.end]...)
-		out[i] = epochlog.Range{Addr: r.addr, Data: data[off:len(data):len(data)]}
+		out = append(out, epochlog.Range{Addr: r.addr, Data: data[off:len(data):len(data)]})
 	}
 	return out
 }
@@ -201,6 +273,8 @@ func (d *Device) Sync() error {
 	d.lockMedia()
 	d.tracking = true
 	ranges := d.takeDirtyLocked()
+	// The kept range table must not pin a capture buffer too large to keep.
+	defer clear(ranges)
 	epoch := d.epochValueLocked()
 	d.mu.Unlock()
 	var n int64

@@ -95,23 +95,27 @@ func TestDeltaSyncIsODirty(t *testing.T) {
 }
 
 // maxSyncAllocs is the allocation count of a file-backed Sync of a small
-// dirty set: the capture buffer is reused, the append and coalesce's sort
-// allocate nothing, so what is left is the range table.
-const maxSyncAllocs = 1
+// dirty set: the range table and the capture buffer are reused, and the
+// append and coalesce's sort allocate nothing.
+const maxSyncAllocs = 0
 
 // TestDeltaSyncAllocations holds a small Sync to maxSyncAllocs, with and
-// without a Discard that splits a dirty range first. A regression here is
-// garbage on every commit.
+// without a Discard that splits a dirty range first. Every call changes
+// every byte it writes, so no record is empty. A regression here is garbage
+// on every commit.
 func TestDeltaSyncAllocations(t *testing.T) {
 	d := openDelta(t, filepath.Join(t.TempDir(), "p.pool"), DefaultConfig(1<<16))
-	line := bytes.Repeat([]byte{7}, 64)
+	line := make([]byte, 64)
 	for _, discard := range []bool{false, true} {
 		sync := func() {
+			for j := range line {
+				line[j]++
+			}
 			for i := uint64(0); i < 4; i++ {
 				d.Write(i*4096, line, 0)
 			}
 			if discard {
-				d.Discard(8192+16, 16)
+				d.Discard(8192+16, 32)
 			}
 			if err := d.Sync(); err != nil {
 				t.Fatal(err)
@@ -125,12 +129,13 @@ func TestDeltaSyncAllocations(t *testing.T) {
 }
 
 // dirtyAfter starts tracking on a fresh in-memory device, applies the
-// writes, then discards [lo, hi), and returns the coalesced dirty list.
+// writes, each with a fill of its own so it changes every byte it covers,
+// then discards [lo, hi), and returns the coalesced dirty list.
 func dirtyAfter(writes []dirtyRange, lo, hi uint64) []dirtyRange {
 	d := New(DefaultConfig(1 << 12))
 	d.Sync()
-	for _, w := range writes {
-		d.Write(w.addr, make([]byte, w.end-w.addr), 0)
+	for i, w := range writes {
+		d.Write(w.addr, bytes.Repeat([]byte{byte(i + 1)}, int(w.end-w.addr)), 0)
 	}
 	d.Discard(lo, int(hi-lo))
 	return coalesce(d.dirty)
@@ -164,18 +169,25 @@ func TestDiscardTrimsDirtyRanges(t *testing.T) {
 
 // TestDiscardMatchesByteModel drives random writes and discards against a
 // per-byte model: a byte is dirty exactly when its last event was a write.
+// Every write changes every byte it covers (op k fills with k+1). Spans
+// start and end on a grid of mergeGap+1 bytes, so no two of them are close
+// enough to merge across a gap, which would make the list cover clean
+// bytes the model does not; TestRecordsReplayToTheMedia covers merging.
 func TestDiscardMatchesByteModel(t *testing.T) {
-	const size = 1 << 10
+	const (
+		size = 1 << 10
+		grid = mergeGap + 1
+	)
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		d := New(DefaultConfig(size))
 		d.Sync()
 		var model [size]bool
 		for op := 0; op < 20; op++ {
-			addr, n := rng.Intn(size-64), 1+rng.Intn(64)
+			addr, n := grid*rng.Intn((size-64)/grid), grid*(1+rng.Intn(64/grid))
 			write := rng.Intn(3) != 0
 			if write {
-				d.Write(uint64(addr), make([]byte, n), 0)
+				d.Write(uint64(addr), bytes.Repeat([]byte{byte(op + 1)}, n), 0)
 			} else {
 				d.Discard(uint64(addr), n)
 			}
@@ -241,9 +253,11 @@ func TestDiscardDropsOnlyEarlierWrites(t *testing.T) {
 func TestInMemoryDiscardShrinksRecord(t *testing.T) {
 	d := New(DefaultConfig(1 << 12))
 	d.Sync()
+	fill := byte(0)
 	syncBytes := func(discard bool) int64 {
+		fill++ // each call changes every byte it writes
 		for i := uint64(0); i < 4; i++ {
-			d.Write(i*512, make([]byte, 96), 0)
+			d.Write(i*512, bytes.Repeat([]byte{fill}, 96), 0)
 		}
 		if discard {
 			d.Discard(1024, 96)

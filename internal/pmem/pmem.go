@@ -112,6 +112,13 @@ type Device struct {
 	// the deltas.
 	tracking bool
 	dirty    []dirtyRange
+	// discarded holds the spans a Discard left out of a record and no later
+	// write has covered: there the media may differ from what replaying the
+	// log rebuilds, so a write over them is recorded whole, not only where
+	// it changes the media (see storeLocked). It is merged like the dirty
+	// list, so it may also hold the few bytes between two spans; a write
+	// recorded whole costs bytes there, never correctness.
+	discarded []dirtyRange
 	// compacted is len(dirty) after its last compaction (see
 	// trackDirtyLocked); Sync resets it with the list.
 	compacted  int
@@ -119,11 +126,12 @@ type Device struct {
 	replayInfo epochlog.Info
 
 	// deltaMu serializes delta Syncs from capturing the dirty bytes to the
-	// record landing (or the ranges being re-marked): it guards deltaData,
-	// the capture buffer every Sync reuses, and keeps records appending in
-	// the order their bytes were captured.
-	deltaMu   sync.Mutex
-	deltaData []byte
+	// record landing (or the ranges being re-marked): it guards deltaData
+	// and deltaRanges, the capture buffers every Sync reuses, and keeps
+	// records appending in the order their bytes were captured.
+	deltaMu     sync.Mutex
+	deltaData   []byte
+	deltaRanges []epochlog.Range
 
 	// foldMu serializes checkpoints: a fold and the compaction after it.
 	foldMu sync.Mutex
@@ -304,8 +312,7 @@ func (d *Device) Write(addr uint64, data []byte, at sim.Time) sim.Time {
 	// and panicking while holding the lock would wedge the device.
 	d.checkRange(addr, len(data))
 	media := d.lockMedia()
-	copy(media[addr:addr+uint64(len(data))], data)
-	d.trackDirtyLocked(addr, len(data))
+	d.storeLocked(media, addr, data)
 	d.BytesWritten.Add(uint64(len(data)))
 	done := d.writeBW.Transfer(at, len(data))
 	hook := d.writeHook
@@ -355,10 +362,7 @@ func (d *Device) InjectTear(addr uint64, n, validPrefix int) {
 	media := d.lockMedia()
 	defer d.mu.Unlock()
 	d.checkRange(addr, n)
-	for i := validPrefix; i < n; i++ {
-		media[addr+uint64(i)] = 0xCD
-	}
-	d.trackDirtyLocked(addr, n)
+	d.storeLocked(media, addr+uint64(validPrefix), bytes.Repeat([]byte{0xCD}, n-validPrefix))
 }
 
 // Snapshot returns a copy of the full media image — what a post-crash
@@ -372,15 +376,15 @@ func (d *Device) Snapshot() []byte {
 }
 
 // Restore overwrites the media with the given image (used by crash tests to
-// rewind a device to a captured post-crash state).
+// rewind a device to a captured post-crash state). On a tracking device the
+// bytes it changes are dirty like a Write's, so the next record carries them.
 func (d *Device) Restore(image []byte) {
 	media := d.lockMedia()
 	defer d.mu.Unlock()
 	if len(image) != len(media) {
 		panic(fmt.Sprintf("pmem: restore image of %d bytes onto device of %d", len(image), len(media)))
 	}
-	copy(media, image)
-	d.trackDirtyLocked(0, len(image))
+	d.storeLocked(media, 0, image)
 }
 
 // ResetStats clears counters and channel meters; media contents are kept.
